@@ -1,17 +1,17 @@
-"""Query-budgeted attack loops against a black-box detector oracle: the
-tree-guided attack plus multi-armed-bandit and uniform-random baselines."""
+"""Query-budgeted attacks against a black-box detector oracle: one attack loop
+and three selection policies, the tree-guided attack plus multi-armed-bandit and
+uniform-random baselines."""
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corpus import ApkModel, apply_perturbation
 from .detectors import DetectorModel, Feedback, query as model_query
 from .perturbset import Perturbation, PerturbationSet, leaf_path
-from .pstree import TreeConfig, adjust, build_tree, sample_path
+from .pstree import CHILD_ORDER, TreeConfig, adjust, build_tree, sample_path
 
-ALGORITHMS = ("pst", "mab", "random")
 OUTCOMES = ("success", "failure", "not_applicable")
 
 
@@ -35,7 +35,6 @@ class AttackConfig:
     seed: int = 0
     count_initial_query: bool = False
     tree: TreeConfig = field(default_factory=TreeConfig)
-    mab_prior: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.budget < 1:
@@ -56,70 +55,9 @@ class AttackReport:
     adversarial: ApkModel | None = None
 
 
-def _gate(oracle, apk: ApkModel, t0: float) -> tuple[Feedback, AttackReport | None]:
-    fb = oracle.query(apk)
-    if fb.label != "malicious":
-        report = AttackReport(
-            sample_id=apk.id, outcome="not_applicable", queries_used=0,
-            wall_time=time.perf_counter() - t0, applied=(),
-            confidence_trace=(fb.confidence,))
-        return fb, report
-    return fb, None
-
-
-def _loop_budget(config: AttackConfig) -> tuple[int, int]:
-    initial_cost = 1 if config.count_initial_query else 0
-    return config.budget - initial_cost, initial_cost
-
-
-def pst_attack(oracle, apk: ApkModel, pset: PerturbationSet,
-               config: AttackConfig) -> AttackReport:
-    """Tree-guided attack: sample a leaf group, apply it whole, query, adjust."""
-    rng = random.Random(config.seed)
-    t0 = time.perf_counter()
-    fb0, early = _gate(oracle, apk, t0)
-    if early is not None:
-        return early
-    tree = build_tree(pset.groups, config.tree)
-    y = fb0.confidence
-    current = apk
-    applied: list[str] = []
-    trace = [y]
-    budget, queries = _loop_budget(config)
-    reason = "budget_exhausted"
-    outcome = "failure"
-    for _ in range(budget):
-        if tree.is_empty():
-            reason = "tree_depleted"
-            break
-        path = sample_path(tree, rng)
-        candidate = current
-        for p in path.group.members:
-            candidate, _ = apply_perturbation(candidate, p, rng)
-        fb = oracle.query(candidate)
-        queries += 1
-        trace.append(fb.confidence)
-        if fb.label == "benign":
-            current = candidate
-            applied.extend(m.key for m in path.group.members)
-            outcome, reason = "success", None
-            break
-        adjust(tree, path.leaf_id, y, fb.confidence)
-        if fb.confidence <= y:
-            current = candidate
-            applied.extend(m.key for m in path.group.members)
-            y = fb.confidence
-    return AttackReport(
-        sample_id=apk.id, outcome=outcome, queries_used=queries,
-        wall_time=time.perf_counter() - t0, applied=tuple(applied),
-        confidence_trace=tuple(trace), failure_reason=reason,
-        adversarial=current)
-
-
 def second_layer_arms(pset: PerturbationSet) -> dict[str, tuple[Perturbation, ...]]:
     """Perturbations bucketed by their second-layer tree position, in fixed order."""
-    order = ("uses_feature", "permission", "action_category",
-             "service", "receiver", "provider")
+    order = CHILD_ORDER["manifest"] + CHILD_ORDER["code"]
     buckets: dict[str, list[Perturbation]] = {}
     for group in pset.groups:
         label = leaf_path(group)[1]
@@ -127,91 +65,142 @@ def second_layer_arms(pset: PerturbationSet) -> dict[str, tuple[Perturbation, ..
     return {label: tuple(buckets[label]) for label in order if label in buckets}
 
 
-def mab_attack(oracle, apk: ApkModel, pset: PerturbationSet,
-               config: AttackConfig) -> AttackReport:
-    """Thompson sampling over second-layer arms; one perturbation per pull."""
-    rng = random.Random(config.seed)
-    t0 = time.perf_counter()
-    fb0, early = _gate(oracle, apk, t0)
-    if early is not None:
-        return early
-    arms = second_layer_arms(pset)
-    labels = list(arms)
-    a0, b0 = config.mab_prior
-    alpha = {lab: a0 for lab in labels}
-    beta = {lab: b0 for lab in labels}
-    eps = config.tree.epsilon
-    y = fb0.confidence
-    current = apk
-    applied: list[str] = []
-    trace = [y]
-    budget, queries = _loop_budget(config)
-    outcome, reason = "failure", "budget_exhausted"
-    for _ in range(budget):
-        draws = [(rng.betavariate(alpha[lab], beta[lab]), i)
-                 for i, lab in enumerate(labels)]
-        lab = labels[max(draws)[1]]
-        p = rng.choice(arms[lab])
-        candidate, _ = apply_perturbation(current, p, rng)
-        fb = oracle.query(candidate)
-        queries += 1
-        trace.append(fb.confidence)
-        if fb.label == "benign":
-            current = candidate
-            applied.append(p.key)
-            outcome, reason = "success", None
-            break
-        if fb.confidence < y - eps:
-            alpha[lab] += 1
-        else:
-            beta[lab] += 1
-        if fb.confidence <= y:
-            current = candidate
-            applied.append(p.key)
-            y = fb.confidence
-    return AttackReport(
-        sample_id=apk.id, outcome=outcome, queries_used=queries,
-        wall_time=time.perf_counter() - t0, applied=tuple(applied),
-        confidence_trace=tuple(trace), failure_reason=reason,
-        adversarial=current)
+class _TreePolicy:
+    """Tree-guided selection: sample a leaf group to apply whole, adjust the
+    tree on the answer, keep unless the confidence rose."""
+
+    def __init__(self, pset: PerturbationSet, config: AttackConfig):
+        self.tree = build_tree(pset.groups, config.tree)
+
+    def propose(self, rng: random.Random):
+        if self.tree.is_empty():
+            return None
+        path = sample_path(self.tree, rng)
+        self.leaf_id = path.leaf_id
+        return path.group.members
+
+    def observe(self, y_prev: float, y_new: float) -> bool:
+        adjust(self.tree, self.leaf_id, y_prev, y_new)
+        return y_new <= y_prev
 
 
-def random_attack(oracle, apk: ApkModel, pset: PerturbationSet,
-                  config: AttackConfig) -> AttackReport:
-    """Uniform draws with replacement onto an accumulating sample; no revert."""
-    rng = random.Random(config.seed)
-    t0 = time.perf_counter()
-    fb0, early = _gate(oracle, apk, t0)
-    if early is not None:
-        return early
-    current = apk
-    applied: list[str] = []
-    trace = [fb0.confidence]
-    budget, queries = _loop_budget(config)
-    outcome, reason = "failure", "budget_exhausted"
-    for _ in range(budget):
-        p = rng.choice(pset.perturbations)
-        current, _ = apply_perturbation(current, p, rng)
-        applied.append(p.key)
-        fb = oracle.query(current)
-        queries += 1
-        trace.append(fb.confidence)
-        if fb.label == "benign":
-            outcome, reason = "success", None
-            break
-    return AttackReport(
-        sample_id=apk.id, outcome=outcome, queries_used=queries,
-        wall_time=time.perf_counter() - t0, applied=tuple(applied),
-        confidence_trace=tuple(trace), failure_reason=reason,
-        adversarial=current)
+class _BanditPolicy:
+    """Thompson sampling over second-layer arms with a Beta(1, 1) prior; one
+    perturbation per pull, rewarded when the confidence drops beyond epsilon,
+    kept unless the confidence rose."""
+
+    def __init__(self, pset: PerturbationSet, config: AttackConfig):
+        self.arms = second_layer_arms(pset)
+        self.labels = list(self.arms)
+        self.posterior = {lab: [1.0, 1.0] for lab in self.labels}  # (alpha, beta)
+        self.eps = config.tree.epsilon
+
+    def propose(self, rng: random.Random):
+        draws = [(rng.betavariate(*self.posterior[lab]), i)
+                 for i, lab in enumerate(self.labels)]
+        self.arm = self.labels[max(draws)[1]]
+        return (rng.choice(self.arms[self.arm]),)
+
+    def observe(self, y_prev: float, y_new: float) -> bool:
+        self.posterior[self.arm][0 if y_new < y_prev - self.eps else 1] += 1
+        return y_new <= y_prev
 
 
-_DISPATCH = {"pst": pst_attack, "mab": mab_attack, "random": random_attack}
+class _RandomPolicy:
+    """Uniform draws with replacement; every candidate is kept, so the sample
+    accumulates and never reverts."""
+
+    def __init__(self, pset: PerturbationSet, config: AttackConfig):
+        self.perturbations = pset.perturbations
+
+    def propose(self, rng: random.Random):
+        return (rng.choice(self.perturbations),)
+
+    def observe(self, y_prev: float, y_new: float) -> bool:
+        return True
+
+
+_POLICIES = {"pst": _TreePolicy, "mab": _BanditPolicy, "random": _RandomPolicy}
+ALGORITHMS = tuple(_POLICIES)
 
 
 def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
                config: AttackConfig) -> AttackReport:
-    return _DISPATCH[config.algorithm](oracle, apk, pset, config)
+    """Run one query-budgeted attack with the policy named by ``config.algorithm``.
+
+    This loop owns the protocol every algorithm shares. One gate query on the
+    unmodified app ends the attack as not applicable unless it is malicious;
+    that query counts against the budget only with ``count_initial_query``.
+    Each later query tries a candidate: the policy's picks applied in order to
+    the kept sample with the attack's rng. A benign answer ends the attack as a
+    success; otherwise the candidate becomes the kept sample when the policy
+    says so.
+
+    A policy is built per attack, after the gate, from the perturbation set and
+    the config, and has two methods:
+
+    - ``propose(rng)`` returns the perturbations to try together, or ``None``
+      when nothing is left to try, which ends the attack as ``tree_depleted``.
+    - ``observe(y_prev, y_new)`` is called after each malicious answer with the
+      kept sample's confidence and the candidate's, and returns whether to keep
+      the candidate.
+    """
+    rng = random.Random(config.seed)
+    t0 = time.perf_counter()
+    fb = oracle.query(apk)
+    trace = [fb.confidence]
+    if fb.label != "malicious":
+        return AttackReport(
+            sample_id=apk.id, outcome="not_applicable", queries_used=0,
+            wall_time=time.perf_counter() - t0, applied=(),
+            confidence_trace=tuple(trace))
+    policy = _POLICIES[config.algorithm](pset, config)
+    y = fb.confidence
+    current = apk
+    applied: list[str] = []
+    queries = 1 if config.count_initial_query else 0
+    outcome, reason = "failure", "budget_exhausted"
+    for _ in range(config.budget - queries):
+        picks = policy.propose(rng)
+        if picks is None:
+            reason = "tree_depleted"
+            break
+        candidate = current
+        for p in picks:
+            candidate, _ = apply_perturbation(candidate, p, rng)
+        fb = oracle.query(candidate)
+        queries += 1
+        trace.append(fb.confidence)
+        evaded = fb.label == "benign"
+        if evaded or policy.observe(y, fb.confidence):
+            current, y = candidate, fb.confidence
+            applied.extend(p.key for p in picks)
+        if evaded:
+            outcome, reason = "success", None
+            break
+    return AttackReport(
+        sample_id=apk.id, outcome=outcome, queries_used=queries,
+        wall_time=time.perf_counter() - t0, applied=tuple(applied),
+        confidence_trace=tuple(trace), failure_reason=reason,
+        adversarial=current)
+
+
+def pst_attack(oracle, apk: ApkModel, pset: PerturbationSet,
+               config: AttackConfig) -> AttackReport:
+    """``run_attack`` with the tree-guided policy, whatever ``config.algorithm``."""
+    return run_attack(oracle, apk, pset, replace(config, algorithm="pst"))
+
+
+def mab_attack(oracle, apk: ApkModel, pset: PerturbationSet,
+               config: AttackConfig) -> AttackReport:
+    """``run_attack`` with the bandit policy, whatever ``config.algorithm``."""
+    return run_attack(oracle, apk, pset, replace(config, algorithm="mab"))
+
+
+def random_attack(oracle, apk: ApkModel, pset: PerturbationSet,
+                  config: AttackConfig) -> AttackReport:
+    """``run_attack`` with the random policy, whatever ``config.algorithm``."""
+    return run_attack(oracle, apk, pset, replace(config, algorithm="random"))
 
 
 def report_to_dict(report: AttackReport) -> dict:

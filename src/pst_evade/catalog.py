@@ -39,17 +39,6 @@ def catalog_from_dict(doc: dict) -> AndroidCatalog:
     )
 
 
-def catalog_to_dict(catalog: AndroidCatalog) -> dict:
-    return {
-        "hardware_features": list(catalog.hardware_features),
-        "software_features": list(catalog.software_features),
-        "permissions": [[name, level] for name, level in catalog.permissions],
-        "activity_actions": list(catalog.activity_actions),
-        "broadcast_actions": list(catalog.broadcast_actions),
-        "categories": list(catalog.categories),
-    }
-
-
 def load_catalog(path: str | Path) -> AndroidCatalog:
     with open(path, "r", encoding="utf-8") as fh:
         return catalog_from_dict(json.load(fh))

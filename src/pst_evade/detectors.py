@@ -66,7 +66,6 @@ class FeatureSpace:
 
 @dataclass(frozen=True)
 class TrainReport:
-    tpr: float
     precision: float
     recall: float
     f1: float
@@ -307,7 +306,7 @@ def _metrics(y_true: np.ndarray, y_pred: np.ndarray, holdout: bool) -> TrainRepo
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return TrainReport(tpr=recall, precision=precision, recall=recall, f1=f1,
+    return TrainReport(precision=precision, recall=recall, f1=f1,
                        holdout_size=len(y_true), on_holdout=holdout)
 
 
@@ -410,9 +409,8 @@ def model_to_dict(model: DetectorModel) -> dict:
         doc["cluster_map"] = cluster_map_to_dict(model.space.cluster_map)
     if model.report is not None:
         doc["report"] = {
-            "tpr": model.report.tpr, "precision": model.report.precision,
-            "recall": model.report.recall, "f1": model.report.f1,
-            "holdout_size": model.report.holdout_size,
+            "precision": model.report.precision, "recall": model.report.recall,
+            "f1": model.report.f1, "holdout_size": model.report.holdout_size,
             "on_holdout": model.report.on_holdout,
         }
     if model.kind == "ensemble":
@@ -421,15 +419,18 @@ def model_to_dict(model: DetectorModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> DetectorModel:
+    """Inverse of ``model_to_dict``; raises ValueError when the model's or an
+    ensemble member's vocab does not match the hash recorded beside it."""
     vocab = vocab_from_dict(doc["vocab"])
+    if vocab_hash(vocab) != doc.get("vocab_hash"):
+        raise ValueError(f"{doc['kind']} model: vocab does not match its vocab_hash")
     cmap = cluster_map_from_dict(doc["cluster_map"]) if "cluster_map" in doc else None
     space = FeatureSpace(kind=doc["feature_kind"], vocab=vocab, cluster_map=cmap)
     report = None
     if "report" in doc:
         r = doc["report"]
-        report = TrainReport(tpr=r["tpr"], precision=r["precision"], recall=r["recall"],
-                             f1=r["f1"], holdout_size=r["holdout_size"],
-                             on_holdout=r["on_holdout"])
+        report = TrainReport(precision=r["precision"], recall=r["recall"], f1=r["f1"],
+                             holdout_size=r["holdout_size"], on_holdout=r["on_holdout"])
     members = tuple(model_from_dict(m) for m in doc.get("members", []))
     return DetectorModel(kind=doc["kind"], space=space,
                          params=_params_from_jsonable(doc["kind"], doc["params"]),

@@ -11,7 +11,6 @@ import json
 from .catalog import AndroidCatalog
 from .corpus import (
     CODE_KINDS,
-    Corpus,
     InjectablePayload,
     Permission,
     _component_from_dict,
@@ -205,12 +204,6 @@ def build_perturbation_set(catalog: AndroidCatalog, donors=(),
             groups.extend(cluster_perturbations(bucket, threshold))
     return PerturbationSet(perturbations=tuple(perturbations),
                            groups=tuple(groups), threshold=threshold)
-
-
-def build_set_from_corpus(catalog: AndroidCatalog, corpus: Corpus,
-                          threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-                          ) -> PerturbationSet:
-    return build_perturbation_set(catalog, corpus.donors, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -119,16 +119,17 @@ def _normalize(node: Node) -> None:
         node.probs = [p / total for p in node.probs]
 
 
-def _subtree_of(node: Node) -> str:
+def _first_layer(node: Node) -> Node:
+    """The node's ancestor directly below the root, or the node itself."""
     while node.parent is not None and node.parent.parent is not None:
         node = node.parent
-    return node.label
+    return node
 
 
 def _init_leaf_parent(node: Node) -> None:
     # Children are leaf groups. Code-side leaves are uniform; manifest-side
     # leaves are weighted by the normal density at each group's size.
-    if _subtree_of(node) == "code":
+    if _first_layer(node).label == "code":
         node.probs = [1.0 / len(node.children)] * len(node.children)
         return
     sizes = [len(c.group.members) for c in node.children]
@@ -294,9 +295,7 @@ def adjust(tree: PSTree, leaf: "Node | int", y_prev: float, y_new: float) -> PST
     eps = cfg.epsilon
 
     # First-layer node on the selected path, captured before any deletion.
-    first_layer = node
-    while first_layer.parent is not None and first_layer.parent.parent is not None:
-        first_layer = first_layer.parent
+    first_layer = _first_layer(node)
 
     absorbing = delete_leaf_and_transfer(tree, node)
 

@@ -256,3 +256,41 @@ def test_model_dict_records_vocab_hash():
     back = model_from_dict(doc)
     assert back.threshold == model.threshold
     assert back.params["b"] == model.params["b"]
+
+
+def _swap_keys(vocab_doc):
+    vocab_doc["keys"] = vocab_doc["keys"][::-1]
+
+
+def _tampered_load(tmp_path, model, tamper):
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    tamper(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="vocab_hash") as err:
+        load_model(path)
+    assert "\n" not in str(err.value)
+
+
+def test_load_rejects_vocab_that_does_not_match_its_hash(tmp_path):
+    # Swapped keys would otherwise score each feature with another's weight.
+    model = _linear_model([1.0, -1.0], 0.0, keys=("perm:P", "perm:Q"))
+    _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["vocab"]))
+
+
+def test_load_rejects_ensemble_member_vocab_that_does_not_match_its_hash(tmp_path):
+    model = make_ensemble([_linear_model([1.0, -1.0], 0.0, keys=("perm:P", "perm:Q")),
+                           _linear_model([2.0, -2.0], 0.0, keys=("perm:R", "perm:S"))])
+    save_model(model, tmp_path / "intact.json")
+    assert len(load_model(tmp_path / "intact.json").members) == 2
+    _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["members"][1]["vocab"]))
+
+
+def test_model_file_with_legacy_tpr_still_loads():
+    vectors, labels = _separable_vectors()
+    model = train("linear", vectors, labels, seed=3)
+    doc = model_to_dict(model)
+    assert "tpr" not in doc["report"]
+    doc["report"]["tpr"] = doc["report"]["recall"]
+    assert model_from_dict(doc).report == model.report
