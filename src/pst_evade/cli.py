@@ -185,7 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, FileNotFoundError) as exc:  # JSONDecodeError is a ValueError
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"pst-evade: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,6 +72,15 @@ class CodeComponent:
 class CodeGraph:
     components: tuple[CodeComponent, ...]
     edges: tuple[tuple[str, str], ...]
+
+    @cached_property
+    def family_pairs(self) -> np.ndarray:
+        """(caller family, callee family) per edge, shape (m, 2); parsed once per graph,
+        which manifest-only perturbations keep."""
+        fams = [function_family(f) for edge in self.edges for f in edge]
+        # The narrowest dtype that holds every family: the array lives as long as its graph.
+        dtype = np.min_scalar_type(max(fams, default=0))
+        return np.array(fams, dtype=dtype).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

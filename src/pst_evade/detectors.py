@@ -52,7 +52,7 @@ class FeatureSpace:
         if self.kind == "binary_string":
             return extract_binary(apk, self.vocab)
         if self.kind == "markov_family":
-            family_count = int(round(math.isqrt(len(self.vocab))))
+            family_count = math.isqrt(len(self.vocab))
             return extract_markov(apk, family_count)
         if self.kind == "api_cluster":
             if self.cluster_map is None:
@@ -390,9 +390,12 @@ def _params_from_jsonable(kind: str, doc: dict) -> dict:
     return {}
 
 
+def _digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def vocab_hash(vocab: FeatureVocab) -> str:
-    doc = json.dumps(vocab_to_dict(vocab), sort_keys=True)
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    return _digest(vocab_to_dict(vocab))
 
 
 def model_to_dict(model: DetectorModel) -> dict:
@@ -407,6 +410,7 @@ def model_to_dict(model: DetectorModel) -> dict:
     }
     if model.space.cluster_map is not None:
         doc["cluster_map"] = cluster_map_to_dict(model.space.cluster_map)
+        doc["cluster_map_hash"] = _digest(doc["cluster_map"])
     if model.report is not None:
         doc["report"] = {
             "precision": model.report.precision, "recall": model.report.recall,
@@ -419,23 +423,32 @@ def model_to_dict(model: DetectorModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> DetectorModel:
-    """Inverse of ``model_to_dict``; raises ValueError when the model's or an
-    ensemble member's vocab does not match the hash recorded beside it."""
-    vocab = vocab_from_dict(doc["vocab"])
-    if vocab_hash(vocab) != doc.get("vocab_hash"):
-        raise ValueError(f"{doc['kind']} model: vocab does not match its vocab_hash")
-    cmap = cluster_map_from_dict(doc["cluster_map"]) if "cluster_map" in doc else None
-    space = FeatureSpace(kind=doc["feature_kind"], vocab=vocab, cluster_map=cmap)
-    report = None
-    if "report" in doc:
-        r = doc["report"]
-        report = TrainReport(precision=r["precision"], recall=r["recall"], f1=r["f1"],
-                             holdout_size=r["holdout_size"], on_holdout=r["on_holdout"])
-    members = tuple(model_from_dict(m) for m in doc.get("members", []))
-    return DetectorModel(kind=doc["kind"], space=space,
-                         params=_params_from_jsonable(doc["kind"], doc["params"]),
-                         hyperparams=doc["hyperparams"], threshold=doc["threshold"],
-                         report=report, members=members)
+    """Inverse of ``model_to_dict``; raises a one-line ValueError when a key is
+    missing, or when the model's or an ensemble member's vocab or cluster map
+    does not match the hash recorded beside it."""
+    kind = doc.get("kind", "detector")
+    try:
+        vocab = vocab_from_dict(doc["vocab"])
+        if vocab_hash(vocab) != doc.get("vocab_hash"):
+            raise ValueError(f"{kind} model: vocab does not match its vocab_hash")
+        cmap = None
+        if "cluster_map" in doc:
+            cmap = cluster_map_from_dict(doc["cluster_map"])
+            if _digest(cluster_map_to_dict(cmap)) != doc.get("cluster_map_hash"):
+                raise ValueError(f"{kind} model: cluster_map does not match its cluster_map_hash")
+        space = FeatureSpace(kind=doc["feature_kind"], vocab=vocab, cluster_map=cmap)
+        report = None
+        if "report" in doc:
+            r = doc["report"]
+            report = TrainReport(precision=r["precision"], recall=r["recall"], f1=r["f1"],
+                                 holdout_size=r["holdout_size"], on_holdout=r["on_holdout"])
+        members = tuple(model_from_dict(m) for m in doc.get("members", []))
+        return DetectorModel(kind=doc["kind"], space=space,
+                             params=_params_from_jsonable(doc["kind"], doc["params"]),
+                             hyperparams=doc["hyperparams"], threshold=doc["threshold"],
+                             report=report, members=members)
+    except KeyError as exc:
+        raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None
 
 
 def save_model(model: DetectorModel, path: str | Path) -> None:

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import ApkModel, function_family
+from .corpus import ApkModel
 
 VOCAB_KINDS = ("binary_string", "markov_family", "api_cluster")
 
@@ -94,30 +94,6 @@ def markov_vocab(family_count: int) -> FeatureVocab:
     return FeatureVocab(kind="markov_family", keys=keys)
 
 
-# Transition counts are cached per edge tuple: manifest-only perturbations reuse the
-# same code graph object, so repeated queries skip the re-count.
-_EDGE_COUNT_CACHE: dict[tuple[int, int], tuple[object, np.ndarray]] = {}
-
-
-def _transition_counts(edges: tuple[tuple[str, str], ...], family_count: int) -> np.ndarray:
-    key = (id(edges), family_count)
-    hit = _EDGE_COUNT_CACHE.get(key)
-    if hit is not None and hit[0] is edges:
-        return hit[1]
-    counts = np.zeros((family_count, family_count))
-    for a, b in edges:
-        fa, fb = function_family(a), function_family(b)
-        if fa >= family_count or fb >= family_count:
-            raise ValueError(
-                f"edge family out of range for family_count={family_count}: {(a, b)}"
-            )
-        counts[fa, fb] += 1.0
-    if len(_EDGE_COUNT_CACHE) > 256:
-        _EDGE_COUNT_CACHE.clear()
-    _EDGE_COUNT_CACHE[key] = (edges, counts)
-    return counts
-
-
 def extract_markov(apk: ApkModel, family_count: int) -> FeatureVector:
     """Row-normalized family-transition matrix of the call graph, flattened row-major.
 
@@ -126,7 +102,13 @@ def extract_markov(apk: ApkModel, family_count: int) -> FeatureVector:
     """
     if family_count < 1:
         raise ValueError("family_count must be >= 1")
-    counts = _transition_counts(apk.code.edges, family_count)
+    pairs = apk.code.family_pairs
+    if pairs.size and pairs.max() >= family_count:
+        a, b = apk.code.edges[int(np.flatnonzero((pairs >= family_count).any(axis=1))[0])]
+        raise ValueError(f"edge family out of range for family_count={family_count}: {(a, b)}")
+    cells = pairs[:, 0].astype(np.intp) * family_count + pairs[:, 1]
+    counts = np.bincount(cells, minlength=family_count ** 2).astype(np.float64)
+    counts = counts.reshape(family_count, family_count)
     row_sums = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, row_sums, out=np.zeros_like(counts), where=row_sums > 0)
     vocab = markov_vocab(family_count)

@@ -1,8 +1,8 @@
 """Experiment orchestration: seeded benchmark runs over detector, algorithm,
 and budget grids, with success-rate and query-count metrics read off the rows.
 
-Every attack seed is derived from (master seed, sample id), so results are
-independent of worker count and of which grid cells run in the same process.
+Every attack seed is derived from (master seed, sample id), so rows do not
+depend on the order in which the grid's cells run.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import csv
 import hashlib
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,7 +71,6 @@ class ExperimentConfig:
     sample_count: int = 100
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     similarity_threshold: float = 0.5
-    workers: int = 1
 
     def __post_init__(self):
         if len(self.detectors) == 0:
@@ -88,8 +86,6 @@ class ExperimentConfig:
             raise ValueError("experiment needs at least one seed")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -292,8 +288,7 @@ def select_true_positives(model: DetectorModel, candidates, count: int,
         f"after examining {examined} candidates (requested {count})")
 
 
-def _run_one(item, pset: PerturbationSet) -> dict:
-    name, model, algo, budget, master, apk = item
+def _run_one(name, model, algo, budget, master, apk, pset: PerturbationSet) -> dict:
     cfg = AttackConfig(budget=budget, algorithm=algo,
                        seed=derive_seed(master, apk.id))
     report = run_attack(Oracle(model), apk, pset, cfg)
@@ -315,10 +310,7 @@ def run_experiment(config: ExperimentConfig,
     if corpus is None:
         if config.corpus_path is None:
             raise ValueError("config has no corpus path and no corpus was given")
-        path = Path(config.corpus_path)
-        if not path.exists():
-            raise FileNotFoundError(f"corpus file not found: {path}")
-        corpus = load_corpus(path)
+        corpus = load_corpus(config.corpus_path)  # FileNotFoundError when missing
 
     train_apks, test_apks = corpus.train_test_split()
     if len({a.ground_truth for a in train_apks}) < 2:
@@ -340,12 +332,7 @@ def run_experiment(config: ExperimentConfig,
                     for apk in tps:
                         work.append((spec.name, model, algo, budget, master, apk))
 
-    if config.workers == 1:
-        rows = [_run_one(item, pset) for item in work]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(lambda item: _run_one(item, pset), work))
-
+    rows = [_run_one(*item, pset) for item in work]
     rows.sort(key=lambda r: (r["detector"], r["algorithm"], r["budget"],
                              r["seed"], r["sample_id"]))
     return MetricsReport(config=config_to_dict(config), rows=tuple(rows),
@@ -354,13 +341,12 @@ def run_experiment(config: ExperimentConfig,
 
 
 def default_benchmark_config(sample_count: int = 100,
-                             seeds=(0, 1, 2, 3, 4),
-                             workers: int = 1) -> ExperimentConfig:
+                             seeds=(0, 1, 2, 3, 4)) -> ExperimentConfig:
     return ExperimentConfig(
         detectors=(DetectorSpec(name="linear"),),
         algorithms=("pst", "mab", "random"),
         budgets=(10, 20, 30, 40),
-        sample_count=sample_count, seeds=tuple(seeds), workers=workers)
+        sample_count=sample_count, seeds=tuple(seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +380,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "sample_count": config.sample_count,
         "seeds": list(config.seeds),
         "similarity_threshold": config.similarity_threshold,
-        "workers": config.workers,
     }
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """Inverse of ``config_to_dict``; keys it does not know, such as the
+    ``"workers"`` of older configs, are ignored."""
     return ExperimentConfig(
         corpus_path=d.get("corpus_path"),
         detectors=tuple(detector_spec_from_dict(s) for s in d["detectors"]),
@@ -406,8 +393,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         budgets=tuple(int(b) for b in d.get("budgets", (10, 20, 30, 40))),
         sample_count=int(d.get("sample_count", 100)),
         seeds=tuple(int(s) for s in d.get("seeds", (0, 1, 2, 3, 4))),
-        similarity_threshold=float(d.get("similarity_threshold", 0.5)),
-        workers=int(d.get("workers", 1)))
+        similarity_threshold=float(d.get("similarity_threshold", 0.5)))
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:

@@ -304,14 +304,16 @@ def adjust(tree: PSTree, leaf: "Node | int", y_prev: float, y_new: float) -> PST
 
     no_effect = abs(y_new - y_prev) <= eps
     p = absorbing
+    depth = p.depth() if p is not None else 0  # p's depth, one less per level climbed
     while p is not None and p.parent is not None and p.parent.parent is not None:
         parent = p.parent
         _reinit_internal(parent, cfg.internal_weighting)
         if no_effect:
-            factor = max(1.0 - p.depth() * cfg.penalty_constant, 0.01)
+            factor = max(1.0 - depth * cfg.penalty_constant, 0.01)
             parent.probs[parent.children.index(p)] *= factor
             _normalize(parent)
         p = parent
+        depth -= 1
 
     root = tree.root
     if first_layer in root.children:

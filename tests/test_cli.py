@@ -137,3 +137,35 @@ def test_compare_prints_grids(bench_outputs, capsys):
 def test_unknown_command_is_rejected():
     with pytest.raises(SystemExit):
         main(["fuzz-the-moon"])
+
+
+def _attack_args(workdir, corpus, model):
+    return ["attack", "--corpus", str(corpus), "--model", str(model),
+            "--budget", "4", "--samples", "2", "--out", str(workdir / "err.json")]
+
+
+@pytest.mark.parametrize("case,needle", [
+    ("missing_corpus", "No such file"),
+    ("model_without_vocab", "missing key 'vocab'"),
+    ("truncated_model", "line 1 column"),
+])
+def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
+    corpus, model = workdir / "corpus.json", workdir / "model.json"
+    if case == "missing_corpus":
+        corpus = workdir / "no_such_corpus.json"
+    elif case == "model_without_vocab":
+        doc = json.loads(model.read_text())
+        del doc["vocab"]
+        model = workdir / "model_without_vocab.json"
+        model.write_text(json.dumps(doc))
+    else:
+        text = model.read_text()
+        model = workdir / "truncated_model.json"
+        model.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(_attack_args(workdir, corpus, model)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pst-evade: error: ")
+    assert needle in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -19,7 +19,7 @@ from pst_evade.detectors import (
     train,
     vocab_hash,
 )
-from pst_evade.features import FeatureVector, FeatureVocab
+from pst_evade.features import ApiClusterMap, FeatureVector, FeatureVocab, cluster_vocab
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
@@ -262,13 +262,13 @@ def _swap_keys(vocab_doc):
     vocab_doc["keys"] = vocab_doc["keys"][::-1]
 
 
-def _tampered_load(tmp_path, model, tamper):
+def _tampered_load(tmp_path, model, tamper, match="vocab_hash"):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     tamper(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match="vocab_hash") as err:
+    with pytest.raises(ValueError, match=match) as err:
         load_model(path)
     assert "\n" not in str(err.value)
 
@@ -285,6 +285,43 @@ def test_load_rejects_ensemble_member_vocab_that_does_not_match_its_hash(tmp_pat
     save_model(model, tmp_path / "intact.json")
     assert len(load_model(tmp_path / "intact.json").members) == 2
     _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["members"][1]["vocab"]))
+
+
+def _cluster_model():
+    cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0), ("api.b", 1)))
+    space = FeatureSpace(kind="api_cluster", vocab=cluster_vocab(2), cluster_map=cmap)
+    return DetectorModel(kind="linear", space=space,
+                         params={"w": np.array([1.0, -1.0]), "b": 0.0},
+                         hyperparams={}, threshold=0.5)
+
+
+def _swap_clusters(cmap_doc):
+    cmap_doc["assignment"] = [[a, 1 - c] for a, c in cmap_doc["assignment"]]
+
+
+def test_load_rejects_cluster_map_that_does_not_match_its_hash(tmp_path):
+    # An edited assignment would otherwise score apps through the altered map.
+    model = _cluster_model()
+    save_model(model, tmp_path / "intact.json")
+    assert load_model(tmp_path / "intact.json").space.cluster_map == model.space.cluster_map
+    _tampered_load(tmp_path, model, lambda doc: _swap_clusters(doc["cluster_map"]),
+                   match="cluster_map_hash")
+    _tampered_load(tmp_path, model, lambda doc: doc.pop("cluster_map_hash"),
+                   match="cluster_map_hash")
+    ensemble = make_ensemble([_linear_model([1.0], 0.0), model])
+    _tampered_load(tmp_path, ensemble,
+                   lambda doc: _swap_clusters(doc["members"][1]["cluster_map"]),
+                   match="cluster_map_hash")
+
+
+def test_model_missing_a_key_is_a_one_line_value_error():
+    with pytest.raises(ValueError, match="linear model: missing key 'vocab'"):
+        model_from_dict({"kind": "linear"})
+    doc = model_to_dict(_linear_model([1.0], 0.0))
+    del doc["params"]["w"]
+    with pytest.raises(ValueError, match="linear model: missing key 'w'") as err:
+        model_from_dict(doc)
+    assert "\n" not in str(err.value)
 
 
 def test_model_file_with_legacy_tpr_still_loads():

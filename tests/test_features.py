@@ -1,8 +1,12 @@
 """Feature extraction: binary strings, markov transition matrices, api clusters."""
+import random
+
 import numpy as np
 import pytest
 
 from apk_builders import apk, code_component, declared
+from pst_evade.catalog import load_default_catalog
+from pst_evade.corpus import apply_perturbation, function_family
 from pst_evade.features import (
     ApiClusterMap,
     FeatureVocab,
@@ -18,6 +22,7 @@ from pst_evade.features import (
     vocab_from_dict,
     vocab_to_dict,
 )
+from pst_evade.perturbset import build_perturbation_set
 
 
 def _feature_apk():
@@ -132,6 +137,46 @@ def test_markov_equal_graphs_give_equal_vectors():
         comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
         return apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1")])
     assert extract_markov(build(), 2).values == extract_markov(build(), 2).values
+
+
+def _markov_reference(app, family_count):
+    """From-scratch Markov values: parse every edge, count, row-normalize."""
+    counts = np.zeros((family_count, family_count))
+    for a, b in app.code.edges:
+        counts[function_family(a), function_family(b)] += 1.0
+    row_sums = counts.sum(axis=1, keepdims=True)
+    flat = np.divide(counts, row_sums, out=np.zeros_like(counts),
+                     where=row_sums > 0).ravel()
+    return {int(i): float(flat[i]) for i in np.flatnonzero(flat)}
+
+
+def test_markov_matches_from_scratch_reference(small_corpus):
+    fc = small_corpus.spec.api_family_count
+    apps = small_corpus.benign + small_corpus.malicious
+    for app in apps:
+        assert extract_markov(app, fc).values == _markov_reference(app, fc)
+
+    pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
+    manifest_p = next(p for p in pset.perturbations if p.kind == "permission")
+    inject_p = next(p for p in pset.perturbations if p.kind.startswith("inject_"))
+    target = small_corpus.malicious[0]
+    same_graph, present = apply_perturbation(target, manifest_p, random.Random(0))
+    assert not present and same_graph.code is target.code
+    new_graph, present = apply_perturbation(target, inject_p, random.Random(0))
+    assert not present
+    assert new_graph.code is not target.code
+    for app in (same_graph, new_graph):
+        assert extract_markov(app, fc).values == _markov_reference(app, fc)
+
+
+def test_markov_range_check_survives_a_wider_extraction():
+    comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])
+    app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f0@0"),
+                                        ("t.c0.f0@0", "t.c0.f1@3")])
+    assert extract_markov(app, 4).values == _markov_reference(app, 4)
+    with pytest.raises(ValueError, match=r"family_count=2: \('t.c0.f0@0', 't.c0.f1@3'\)"):
+        extract_markov(app, 2)
+    assert extract_markov(app, 4).values == _markov_reference(app, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def _mini_config(**overrides):
     base = dict(
         detectors=(DetectorSpec(name="linear"),),
         algorithms=("pst", "mab", "random"),
-        budgets=(5, 10), sample_count=6, seeds=(0, 1), workers=1)
+        budgets=(5, 10), sample_count=6, seeds=(0, 1))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -141,8 +141,6 @@ def test_config_validation():
         _mini_config(algorithms=("pst", "gradient"))
     with pytest.raises(ValueError):
         _mini_config(sample_count=0)
-    with pytest.raises(ValueError):
-        _mini_config(workers=0)
 
 
 def test_detector_spec_validation():
@@ -167,6 +165,12 @@ def test_config_from_dict_fills_defaults():
     assert cfg.budgets == (10, 20, 30, 40)
     assert cfg.seeds == (0, 1, 2, 3, 4)
     assert cfg.algorithms == ("pst", "mab", "random")
+
+
+def test_config_from_dict_ignores_an_old_workers_key():
+    cfg = config_from_dict({"detectors": [{"name": "linear"}], "workers": 8})
+    assert cfg == config_from_dict({"detectors": [{"name": "linear"}]})
+    assert "workers" not in config_to_dict(cfg)
 
 
 def test_run_experiment_requires_a_corpus(tmp_path):
@@ -209,8 +213,6 @@ def test_same_seed_attacks_same_samples(mini_report):
 def test_reruns_and_worker_counts_agree(small_corpus, mini_report):
     again = run_experiment(_mini_config(), small_corpus)
     assert _strip_wall(again.rows) == _strip_wall(mini_report.rows)
-    threaded = run_experiment(_mini_config(workers=4), small_corpus)
-    assert _strip_wall(threaded.rows) == _strip_wall(mini_report.rows)
 
 
 def test_asr_never_drops_with_budget(mini_report):
