@@ -53,6 +53,9 @@ class AttackReport:
     confidence_trace: tuple[float, ...]
     failure_reason: str | None = None
     adversarial: ApkModel | None = None
+    # Seconds from the attack's start to each answer in confidence_trace. Wall
+    # clock, so reports that differ only here still compare equal.
+    elapsed_trace: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
 
 def second_layer_arms(pset: PerturbationSet) -> dict[str, tuple[Perturbation, ...]]:
@@ -149,11 +152,12 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
     t0 = time.perf_counter()
     fb = oracle.query(apk)
     trace = [fb.confidence]
+    elapsed = [time.perf_counter() - t0]
     if fb.label != "malicious":
         return AttackReport(
             sample_id=apk.id, outcome="not_applicable", queries_used=0,
             wall_time=time.perf_counter() - t0, applied=(),
-            confidence_trace=tuple(trace))
+            confidence_trace=tuple(trace), elapsed_trace=tuple(elapsed))
     policy = _POLICIES[config.algorithm](pset, config)
     y = fb.confidence
     current = apk
@@ -171,6 +175,7 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
         fb = oracle.query(candidate)
         queries += 1
         trace.append(fb.confidence)
+        elapsed.append(time.perf_counter() - t0)
         evaded = fb.label == "benign"
         if evaded or policy.observe(y, fb.confidence):
             current, y = candidate, fb.confidence
@@ -182,7 +187,7 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
         sample_id=apk.id, outcome=outcome, queries_used=queries,
         wall_time=time.perf_counter() - t0, applied=tuple(applied),
         confidence_trace=tuple(trace), failure_reason=reason,
-        adversarial=current)
+        adversarial=current, elapsed_trace=tuple(elapsed))
 
 
 def pst_attack(oracle, apk: ApkModel, pset: PerturbationSet,

@@ -39,9 +39,18 @@ def catalog_from_dict(doc: dict) -> AndroidCatalog:
     )
 
 
-def load_catalog(path: str | Path) -> AndroidCatalog:
+def read_json(path: str | Path):
+    """The JSON document in a file; a file that does not parse raises a
+    ``ValueError`` whose message starts with the file's path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return catalog_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_catalog(path: str | Path) -> AndroidCatalog:
+    return catalog_from_dict(read_json(path))
 
 
 def load_default_catalog() -> AndroidCatalog:

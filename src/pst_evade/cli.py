@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .attack import ALGORITHMS, AttackConfig, Oracle, report_to_dict, run_attack
-from .catalog import load_catalog, load_default_catalog
+from .catalog import load_catalog, load_default_catalog, read_json
 from .corpus import (
     CorpusSpec,
     generate_corpus,
@@ -43,8 +43,7 @@ def _seed_override(cli_seed):
 
 def _cmd_gen_corpus(args) -> int:
     if args.spec:
-        with open(args.spec) as fh:
-            spec = spec_from_dict(json.load(fh))
+        spec = spec_from_dict(read_json(args.spec))
     else:
         spec = CorpusSpec()
     seed = _seed_override(args.seed)
@@ -113,8 +112,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        config = config_from_dict(json.load(fh))
+    config = config_from_dict(read_json(args.config))
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         config = dataclasses.replace(config, seeds=(int(env_seed),))
@@ -127,10 +125,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_compare(args) -> int:
     for path in args.reports:
-        with open(path) as fh:
-            doc = json.load(fh)
         print(f"== {path}")
-        print(format_grid(doc))
+        print(format_grid(read_json(path)))
     return 0
 
 
@@ -187,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"pst-evade: error: {message}", file=sys.stderr)
         return 2

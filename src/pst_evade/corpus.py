@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import AndroidCatalog, load_default_catalog
+from .catalog import AndroidCatalog, load_default_catalog, read_json
 
 if TYPE_CHECKING:
     from .perturbset import Perturbation
@@ -617,5 +617,4 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return corpus_from_dict(json.load(fh))
+    return corpus_from_dict(read_json(path))

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .catalog import read_json
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
@@ -456,5 +457,4 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .attack import ALGORITHMS, AttackConfig, Oracle, run_attack
+from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
 from .corpus import ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
@@ -288,16 +288,36 @@ def select_true_positives(model: DetectorModel, candidates, count: int,
         f"after examining {examined} candidates (requested {count})")
 
 
-def _run_one(name, model, algo, budget, master, apk, pset: PerturbationSet) -> dict:
-    cfg = AttackConfig(budget=budget, algorithm=algo,
+def budget_rows(report: AttackReport, budgets) -> list[tuple[int, str, int, float]]:
+    """(budget, outcome, queries_used, wall_ms) of each budget, read off one
+    report of an attack run at a budget no smaller than any of them.
+
+    An attack never reads its budget, so a budget-b attack is the first b
+    queries of a longer one with the same seed. Where the report ended within
+    b queries, the budget-b attack ends the same way; otherwise it is a failure
+    that has spent b queries, and its wall time is the report's elapsed time at
+    the last answer that attack saw, q - b answers before the report's last.
+    """
+    q = report.queries_used
+    rows = []
+    for b in budgets:
+        if q <= b:
+            rows.append((b, report.outcome, q, report.wall_time * 1000.0))
+        else:
+            rows.append((b, "failure", b, report.elapsed_trace[b - q - 1] * 1000.0))
+    return rows
+
+
+def _run_one(name, model, algo, budgets, master, apk,
+             pset: PerturbationSet) -> list[dict]:
+    cfg = AttackConfig(budget=budgets[-1], algorithm=algo,
                        seed=derive_seed(master, apk.id))
     report = run_attack(Oracle(model), apk, pset, cfg)
-    return {
+    return [{
         "sample_id": apk.id, "detector": name, "algorithm": algo,
-        "budget": budget, "seed": master, "outcome": report.outcome,
-        "queries_used": report.queries_used,
-        "wall_ms": report.wall_time * 1000.0,
-    }
+        "budget": budget, "seed": master, "outcome": outcome,
+        "queries_used": queries, "wall_ms": wall_ms,
+    } for budget, outcome, queries, wall_ms in budget_rows(report, budgets)]
 
 
 def run_experiment(config: ExperimentConfig,
@@ -306,6 +326,21 @@ def run_experiment(config: ExperimentConfig,
 
     The corpus may be passed directly; otherwise it is loaded from the
     configured path. Attack wall times never include this setup work.
+
+    Each (detector, master seed, algorithm, true positive) is attacked once, at
+    the largest budget, and every budget's row is derived from that report R
+    (``budget_rows``). With q = R's ``queries_used`` and b the row's budget:
+
+    - R not applicable: the row is ``not_applicable`` with 0 queries;
+    - R a success with q <= b: the row is a ``success`` with q queries;
+    - otherwise (the tree depleted, the budget ran out, or the success came
+      after b queries): the row is a ``failure`` with min(q, b) queries.
+
+    ``wall_ms`` is R's wall time where q <= b, since the budget-b attack ends
+    where R ended, and otherwise R's elapsed time at its b-th answer after the
+    gate query (``AttackReport.elapsed_trace``), the last answer the budget-b
+    attack would have seen. The rows equal those of one attack per budget,
+    wall clock aside, so success rates never drop as the budget grows.
     """
     if corpus is None:
         if config.corpus_path is None:
@@ -321,18 +356,16 @@ def run_experiment(config: ExperimentConfig,
               for spec in config.detectors}
     malicious_test = [a for a in test_apks if a.ground_truth == "malicious"]
 
-    work = []
+    rows = []
     for spec in config.detectors:
         model = models[spec.name]
         for master in config.seeds:
             tps = select_true_positives(model, malicious_test,
                                          config.sample_count, master, spec.name)
             for algo in config.algorithms:
-                for budget in config.budgets:
-                    for apk in tps:
-                        work.append((spec.name, model, algo, budget, master, apk))
-
-    rows = [_run_one(*item, pset) for item in work]
+                for apk in tps:
+                    rows.extend(_run_one(spec.name, model, algo, config.budgets,
+                                         master, apk, pset))
     rows.sort(key=lambda r: (r["detector"], r["algorithm"], r["budget"],
                              r["seed"], r["sample_id"]))
     return MetricsReport(config=config_to_dict(config), rows=tuple(rows),

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import json
 
-from .catalog import AndroidCatalog
+from .catalog import AndroidCatalog, read_json
 from .corpus import (
     CODE_KINDS,
     InjectablePayload,
@@ -271,5 +271,4 @@ def save_pset(pset: PerturbationSet, path: str | Path) -> None:
 
 
 def load_pset(path: str | Path) -> PerturbationSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return pset_from_dict(json.load(fh))
+    return pset_from_dict(read_json(path))

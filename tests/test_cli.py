@@ -148,9 +148,11 @@ def _attack_args(workdir, corpus, model):
     ("missing_corpus", "No such file"),
     ("model_without_vocab", "missing key 'vocab'"),
     ("truncated_model", "line 1 column"),
+    ("truncated_corpus", "line 1 column"),
 ])
 def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
     corpus, model = workdir / "corpus.json", workdir / "model.json"
+    broken = None
     if case == "missing_corpus":
         corpus = workdir / "no_such_corpus.json"
     elif case == "model_without_vocab":
@@ -158,10 +160,10 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         del doc["vocab"]
         model = workdir / "model_without_vocab.json"
         model.write_text(json.dumps(doc))
+    elif case == "truncated_model":
+        model = broken = _truncated_copy(model, workdir / "truncated_model.json")
     else:
-        text = model.read_text()
-        model = workdir / "truncated_model.json"
-        model.write_text(text[: len(text) // 2])
+        corpus = broken = _truncated_copy(corpus, workdir / "truncated_corpus.json")
     capsys.readouterr()
     assert main(_attack_args(workdir, corpus, model)) == 2
     err = capsys.readouterr().err
@@ -169,3 +171,29 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
     assert needle in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    if broken is not None:
+        # attack reads a corpus and a model: the error says which one is broken.
+        assert err.startswith(f"pst-evade: error: {broken}: ")
+
+
+def _truncated_copy(source, dest):
+    text = source.read_text()
+    dest.write_text(text[: len(text) // 2])
+    return dest
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    ("gen-corpus", "--spec", "spec.json"),
+    ("bench", "--config", "bench.json"),
+])
+def test_truncated_spec_and_config_errors_name_the_file(bench_outputs, workdir, capsys,
+                                                        command, flag, name):
+    broken = _truncated_copy(workdir / name, workdir / f"truncated_{name}")
+    out = ["--out", str(workdir / "unused.json")] if command == "gen-corpus" else [
+        "--out-dir", str(workdir / "unused_out")]
+    capsys.readouterr()
+    assert main([command, flag, str(broken), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pst-evade: error: {broken}: ")
+    assert "line 1 column" in err
+    assert err.count("\n") == 1

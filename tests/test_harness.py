@@ -1,14 +1,22 @@
 """Experiment runner: metrics math, grid coverage, determinism, file formats."""
 import json
 import random
+from collections import Counter
 
 import pytest
 from scipy import stats
 
+from apk_builders import apk as build_apk
+from test_attack_reports import HARDENED, ContentOracle, _pset
+from pst_evade import harness
+from pst_evade.attack import AttackConfig, Oracle, run_attack
+from pst_evade.catalog import load_default_catalog
+from pst_evade.corpus import CorpusSpec, generate_corpus
 from pst_evade.detectors import query as model_query
 from pst_evade.harness import (
     DetectorSpec,
     ExperimentConfig,
+    budget_rows,
     cells_from_rows,
     compute_asr,
     compute_cdf,
@@ -24,8 +32,10 @@ from pst_evade.harness import (
     read_rows_csv,
     run_experiment,
     save_report,
+    select_true_positives,
     train_detector,
 )
+from pst_evade.perturbset import build_perturbation_set
 
 
 def _mini_config(**overrides):
@@ -238,6 +248,141 @@ def test_aggregates_recompute_from_rows(mini_report):
 def test_true_positive_pool_shortfall_is_an_error(small_corpus):
     with pytest.raises(ValueError, match="true positives"):
         run_experiment(_mini_config(sample_count=100), small_corpus)
+
+
+# ---------------------------------------------------------------------------
+# Budget-prefix rows: one attack at the largest budget gives every budget's row
+
+
+def _per_budget_rows(config, corpus):
+    """The grid the slow way: a separate attack for every budget."""
+    train_apks, test_apks = corpus.train_test_split()
+    pset = build_perturbation_set(load_default_catalog(), corpus.donors,
+                                  config.similarity_threshold)
+    malicious = [a for a in test_apks if a.ground_truth == "malicious"]
+    rows = []
+    for spec in config.detectors:
+        model = train_detector(spec, corpus, train_apks)
+        for master in config.seeds:
+            for apk in select_true_positives(model, malicious, config.sample_count,
+                                             master, spec.name):
+                for algo in config.algorithms:
+                    for budget in config.budgets:
+                        cfg = AttackConfig(budget=budget, algorithm=algo,
+                                           seed=derive_seed(master, apk.id))
+                        report = run_attack(Oracle(model), apk, pset, cfg)
+                        rows.append({
+                            "sample_id": apk.id, "detector": spec.name,
+                            "algorithm": algo, "budget": budget, "seed": master,
+                            "outcome": report.outcome,
+                            "queries_used": report.queries_used})
+    rows.sort(key=lambda r: (r["detector"], r["algorithm"], r["budget"],
+                             r["seed"], r["sample_id"]))
+    return rows
+
+
+def test_derived_rows_equal_one_attack_per_budget(small_corpus, mini_report):
+    assert _strip_wall(mini_report.rows) == _per_budget_rows(_mini_config(),
+                                                             small_corpus)
+
+
+def test_derived_rows_equal_one_attack_per_budget_on_determinism_config():
+    # The acceptance bench-determinism setting.
+    corpus = generate_corpus(CorpusSpec(n_benign=80, n_malicious=80,
+                                        donor_count=30, seed=23))
+    config = _mini_config(budgets=(5, 10), sample_count=10, seeds=(0,))
+    derived = _strip_wall(run_experiment(config, corpus).rows)
+    assert len(derived) == 60
+    assert derived == _per_budget_rows(config, corpus)
+
+
+def test_grid_attacks_once_per_sample_at_the_largest_budget(small_corpus, monkeypatch):
+    calls = []
+
+    def counting(oracle, apk, pset, config):
+        calls.append((id(oracle.model), config.budget))
+        return run_attack(oracle, apk, pset, config)
+
+    monkeypatch.setattr(harness, "run_attack", counting)
+    config = _mini_config(detectors=(DetectorSpec(name="a"),
+                                     DetectorSpec(name="b", train_seed=1)))
+    report = run_experiment(config, small_corpus)
+    per_detector = 3 * 2 * 6  # algorithms x seeds x samples
+    assert sorted(Counter(model for model, _ in calls).values()) == [per_detector] * 2
+    assert {budget for _, budget in calls} == {10}
+    assert len(report.rows) == 2 * per_detector * 2  # ... x detectors x budgets
+
+
+BRANCH_BUDGETS = (12, 21, 25, 40)
+# (algorithm, seed, target, the largest-budget report's (outcome, queries_used,
+# failure_reason) with count_initial_query off) covering every derivation branch.
+BRANCH_CASES = {
+    "gate_rejects": ("pst", 0, "benign", ("not_applicable", 0, None)),
+    "success_before_smallest_budget": ("pst", 2, "plain", ("success", 11, None)),
+    "success_between_budgets": ("pst", 0, "plain", ("success", 20, None)),
+    "mab_success_between_budgets": ("mab", 7, "plain", ("success", 19, None)),
+    "random_success_between_budgets": ("random", 0, "plain", ("success", 16, None)),
+    # The tree has 21 leaves: it depletes exactly at budget 21, and before the
+    # smaller-than-largest budget 25.
+    "tree_depleted_at_and_before_a_budget": ("pst", 0, "hardened",
+                                             ("failure", 21, "tree_depleted")),
+    "budget_exhausted": ("mab", 0, "hardened", ("failure", 40, "budget_exhausted")),
+}
+
+
+def _branch_target(kind):
+    if kind == "benign":  # ten permissions: ContentOracle answers benign at once
+        return build_apk(perms=[(f"p{i}", "normal") for i in range(10)])
+    return build_apk(perms=[(HARDENED, "signature")] if kind == "hardened" else [])
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["free", "counted"])
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_budget_rows_equal_one_attack_per_budget(case, counted):
+    algorithm, seed, kind, expected = BRANCH_CASES[case]
+    target, pset = _branch_target(kind), _pset()
+
+    def attack(budget):
+        config = AttackConfig(budget=budget, algorithm=algorithm, seed=seed,
+                              count_initial_query=counted)
+        return run_attack(ContentOracle(), target, pset, config)
+
+    report = attack(BRANCH_BUDGETS[-1])
+    if not counted:
+        assert (report.outcome, report.queries_used, report.failure_reason) == expected
+    derived = budget_rows(report, BRANCH_BUDGETS)
+    reference = [attack(b) for b in BRANCH_BUDGETS]
+    assert [row[:3] for row in derived] == [
+        (b, r.outcome, r.queries_used) for b, r in zip(BRANCH_BUDGETS, reference)]
+    # wall_ms: the whole attack where the budget-b one ends where it did, else
+    # the time of the last answer the budget-b attack saw.
+    for (_, _, _, wall_ms), r in zip(derived, reference):
+        if r.queries_used == report.queries_used:
+            assert wall_ms == report.wall_time * 1000.0
+        else:
+            last = len(r.confidence_trace) - 1
+            assert wall_ms == report.elapsed_trace[last] * 1000.0
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_elapsed_trace_times_every_answer(case):
+    algorithm, seed, kind, _ = BRANCH_CASES[case]
+    config = AttackConfig(budget=BRANCH_BUDGETS[-1], algorithm=algorithm, seed=seed)
+    report = run_attack(ContentOracle(), _branch_target(kind), _pset(), config)
+    elapsed = report.elapsed_trace
+    assert len(elapsed) == len(report.confidence_trace)
+    assert all(a <= b for a, b in zip(elapsed, elapsed[1:]))
+    assert 0.0 <= elapsed[0] and elapsed[-1] <= report.wall_time
+    walls = [row[3] for row in budget_rows(report, BRANCH_BUDGETS)]
+    assert walls[-1] == report.wall_time * 1000.0
+    assert all(0.0 <= w <= walls[-1] for w in walls)
+
+
+def test_derived_wall_times_stay_within_the_largest_budget_row(mini_report):
+    largest = {(r["algorithm"], r["seed"], r["sample_id"]): r["wall_ms"]
+               for r in mini_report.rows if r["budget"] == 10}
+    for r in mini_report.rows:
+        assert 0.0 <= r["wall_ms"] <= largest[(r["algorithm"], r["seed"], r["sample_id"])]
 
 
 # ---------------------------------------------------------------------------
