@@ -76,11 +76,8 @@ class CodeGraph:
     @cached_property
     def family_pairs(self) -> np.ndarray:
         """(caller family, callee family) per edge, shape (m, 2); parsed once per graph,
-        which manifest-only perturbations keep."""
-        fams = [function_family(f) for edge in self.edges for f in edge]
-        # The narrowest dtype that holds every family: the array lives as long as its graph.
-        dtype = np.min_scalar_type(max(fams, default=0))
-        return np.array(fams, dtype=dtype).reshape(-1, 2)
+        which manifest-only perturbations keep and donor injections extend."""
+        return _parse_family_pairs(self.edges)
 
 
 @dataclass(frozen=True)
@@ -104,6 +101,14 @@ def function_family(function_id: str) -> int:
     if fam < 0:
         raise ValueError(f"function id has a negative family label: {function_id!r}")
     return fam
+
+
+def _parse_family_pairs(edges: tuple[tuple[str, str], ...]) -> np.ndarray:
+    """(caller family, callee family) of each edge, in edge order, shape (m, 2)."""
+    fams = [function_family(f) for edge in edges for f in edge]
+    # The narrowest dtype that holds every family: the array lives as long as its graph.
+    dtype = np.min_scalar_type(max(fams, default=0))
+    return np.array(fams, dtype=dtype).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -361,6 +366,12 @@ class InjectablePayload:
     component: CodeComponent
     edges: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def family_pairs(self) -> np.ndarray:
+        """The payload edges' family pairs, parsed once and shared by every app the
+        payload is injected into."""
+        return _parse_family_pairs(self.edges)
+
 
 def random_name(rng: random.Random, length: int) -> str:
     return "".join(rng.choices(_NAME_ALPHABET, k=length))
@@ -438,6 +449,11 @@ def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
         apk = _add_declared(apk, injected_decl)
         code = CodeGraph(components=apk.code.components + (injected_comp,),
                          edges=apk.code.edges + payload.edges)
+        # Reuse the parent's parsed pairs when it has them; a graph nobody asked
+        # for Markov features stays unparsed.
+        parent_pairs = vars(apk.code).get("family_pairs")
+        if parent_pairs is not None:
+            vars(code)["family_pairs"] = np.concatenate([parent_pairs, payload.family_pairs])
         return replace(apk, code=code), False
 
     raise ValueError(f"unknown perturbation kind: {kind}")

@@ -256,21 +256,38 @@ def confidence_from_dense(model: DetectorModel, x: np.ndarray) -> float:
     raise ValueError(f"no dense confidence for kind: {kind}")
 
 
-def query(model: DetectorModel, apk: ApkModel) -> Feedback:
-    """Black-box oracle answer for one app."""
-    if model.kind == "ensemble":
-        return ensemble_query(model.members, apk)
-    x = model.space.extract_dense(apk)
+def _feedback(model: DetectorModel, x: np.ndarray) -> Feedback:
+    """Score a dense vector and label it against the model's threshold."""
     conf = confidence_from_dense(model, x)
     label = "malicious" if conf >= model.threshold else "benign"
     return Feedback(label=label, confidence=conf)
 
 
+def query(model: DetectorModel, apk: ApkModel) -> Feedback:
+    """Black-box oracle answer for one app."""
+    if model.kind == "ensemble":
+        return ensemble_query(model.members, apk)
+    return _feedback(model, model.space.extract_dense(apk))
+
+
 def ensemble_query(members: Sequence[DetectorModel], apk: ApkModel) -> Feedback:
-    """Detection fraction over members; flagged malicious when any member fires."""
+    """Detection fraction over members; flagged malicious when any member fires.
+
+    Members on equal feature spaces score one shared extraction of the app.
+    """
     if len(members) == 0:
         raise ValueError("ensemble has no members")
-    hits = sum(1 for m in members if query(m, apk).label == "malicious")
+    dense: dict[FeatureSpace, np.ndarray] = {}
+    hits = 0
+    for m in members:
+        if m.kind == "ensemble":
+            fb = query(m, apk)
+        else:
+            x = dense.get(m.space)
+            if x is None:
+                x = dense[m.space] = m.space.extract_dense(apk)
+            fb = _feedback(m, x)
+        hits += fb.label == "malicious"
     conf = hits / len(members)
     return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
 

@@ -1,13 +1,19 @@
 """Detector training, querying, and serialization."""
 import json
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from apk_builders import apk
+from pst_evade.attack import AttackConfig, run_attack
+from pst_evade.catalog import load_default_catalog
+from pst_evade.corpus import CodeGraph
 from pst_evade.detectors import (
     DetectorModel,
     FeatureSpace,
+    Feedback,
     confidence_from_dense,
     ensemble_query,
     load_model,
@@ -20,6 +26,8 @@ from pst_evade.detectors import (
     vocab_hash,
 )
 from pst_evade.features import ApiClusterMap, FeatureVector, FeatureVocab, cluster_vocab
+from pst_evade.harness import make_default_ensemble, select_true_positives
+from pst_evade.perturbset import build_perturbation_set
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
@@ -126,6 +134,56 @@ def test_ensemble_model_queries_members():
     model = make_ensemble([_member(True), _member(False)])
     fb = query(model, apk(perms=[("P", "normal")]))
     assert fb.confidence == 0.5
+
+
+def _reference_feedback(model, app):
+    """One extraction per member on a code graph nobody has parsed: the
+    per-member path that the ensemble's shared extraction replaces."""
+    if model.kind != "ensemble":
+        fresh = replace(app, code=CodeGraph(app.code.components, app.code.edges))
+        return query(model, fresh)
+    hits = sum(_reference_feedback(m, app).label == "malicious" for m in model.members)
+    conf = hits / len(model.members)
+    return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
+
+
+class _CheckedOracle:
+    """Answers with the ensemble's fast path and checks it, and each nested
+    ensemble's answer, against the reference."""
+
+    def __init__(self, model):
+        self.model = model
+        self.checked = 0
+
+    def query(self, app):
+        for nested in self.model.members:
+            if nested.kind == "ensemble":
+                assert query(nested, app) == _reference_feedback(nested, app)
+        fb = query(self.model, app)
+        assert fb == _reference_feedback(self.model, app)
+        self.checked += 1
+        return fb
+
+
+def test_ensemble_shared_extraction_matches_per_member_queries(small_corpus):
+    stock = make_default_ensemble(small_corpus, seed=0, size=20)
+    spaces = {m.space for m in stock.members}
+    assert len(spaces) < len(stock.members)
+    # An api-cluster, a Markov, a forest and a kNN member; the first never fires
+    # on these targets and the others come and go.
+    nested = make_ensemble([stock.members[i] for i in (17, 15, 8, 12)])
+    model = make_ensemble(stock.members + (nested,))
+    pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
+    _, test = small_corpus.train_test_split()
+    targets = select_true_positives(model, [a for a in test if a.ground_truth == "malicious"],
+                                    3, master_seed=5, detector_name="ensemble")
+    oracle = _CheckedOracle(model)
+    rng = random.Random(11)
+    for algorithm in ("pst", "mab", "random"):
+        for target in targets:
+            config = AttackConfig(budget=8, algorithm=algorithm, seed=rng.getrandbits(32))
+            run_attack(oracle, target, pset, config)
+    assert oracle.checked >= 60
 
 
 # ---------------------------------------------------------------------------
