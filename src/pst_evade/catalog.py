@@ -49,6 +49,17 @@ def read_json(path: str | Path):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def read_json_format(path: str | Path, what: str, version: int, remedy: str) -> dict:
+    """The JSON document in a file of a versioned layout; a document whose
+    ``"format"`` is not ``version`` raises a one-line ``ValueError``. Files
+    written before layouts were versioned carry no key and count as format 1."""
+    doc = read_json(path)
+    found = doc.get("format", 1) if isinstance(doc, dict) else None
+    if found != version:
+        raise ValueError(f"{path}: {what} format {found} is not supported; {remedy}")
+    return doc
+
+
 def load_catalog(path: str | Path) -> AndroidCatalog:
     return catalog_from_dict(read_json(path))
 

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import AndroidCatalog, load_default_catalog, read_json
+from .catalog import AndroidCatalog, load_default_catalog, read_json_format
 
 if TYPE_CHECKING:
     from .perturbset import Perturbation
@@ -20,6 +20,9 @@ GROUND_TRUTHS = ("benign", "malicious")
 COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
 CODE_KINDS = ("service", "receiver", "provider")
 ORIGINS = ("original", "injected")
+
+# Version of the corpus JSON layout; files of any other version are refused.
+CORPUS_FORMAT = 2
 
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -59,25 +62,49 @@ class ApiCall:
     package_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeComponent:
+    """One code component. Function k has markov family ``families[k]``; each row
+    of ``edges`` is a call (caller, callee) between local function indices, so an
+    edge cannot leave its component. Equality and hashing are by value."""
+
     kind: str
     classes: int
-    functions: tuple[str, ...]
+    families: np.ndarray
+    edges: np.ndarray
     api_calls: tuple[ApiCall, ...]
     origin: str = "original"
+
+    def __post_init__(self):
+        # Read-only intp copies: components are shared between apps and payloads.
+        for name, shape in (("families", -1), ("edges", (-1, 2))):
+            arr = np.asarray(getattr(self, name))
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValueError(f"code component {name} must be integers, got {arr.dtype}")
+            arr = np.array(arr, dtype=np.intp).reshape(shape)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.classes, self.origin, self.api_calls,
+                self.families.tobytes(), self.edges.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CodeComponent) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def edge_families(self) -> np.ndarray:
+        """(caller family, callee family) per edge, shape (m, 2); computed once per
+        component and shared by every app and payload that holds it."""
+        return self.families[self.edges]
 
 
 @dataclass(frozen=True)
 class CodeGraph:
     components: tuple[CodeComponent, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    @cached_property
-    def family_pairs(self) -> np.ndarray:
-        """(caller family, callee family) per edge, shape (m, 2); parsed once per graph,
-        which manifest-only perturbations keep and donor injections extend."""
-        return _parse_family_pairs(self.edges)
 
 
 @dataclass(frozen=True)
@@ -86,29 +113,6 @@ class ApkModel:
     manifest: ManifestModel
     code: CodeGraph
     ground_truth: str
-
-
-# Function ids carry their markov family as a suffix: "<apk>.c<i>.f<k>@<family>".
-def function_family(function_id: str) -> int:
-    """Family label of a function id; raises if the id carries none."""
-    _, sep, tail = function_id.rpartition("@")
-    if not sep:
-        raise ValueError(f"function id has no family label: {function_id!r}")
-    try:
-        fam = int(tail)
-    except ValueError as exc:
-        raise ValueError(f"function id has a malformed family label: {function_id!r}") from exc
-    if fam < 0:
-        raise ValueError(f"function id has a negative family label: {function_id!r}")
-    return fam
-
-
-def _parse_family_pairs(edges: tuple[tuple[str, str], ...]) -> np.ndarray:
-    """(caller family, callee family) of each edge, in edge order, shape (m, 2)."""
-    fams = [function_family(f) for edge in edges for f in edge]
-    # The narrowest dtype that holds every family: the array lives as long as its graph.
-    dtype = np.min_scalar_type(max(fams, default=0))
-    return np.array(fams, dtype=dtype).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -246,15 +250,13 @@ class _GeneratorState:
         self.transition_cum = {cls: np.cumsum(t, axis=1) for cls, t in self.transitions.items()}
 
 
-def _gen_component(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
-                   comp_index: int, kind: str, cls: str, shifted: bool) -> tuple[CodeComponent, tuple[tuple[str, str], ...]]:
+def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
+                   cls: str, shifted: bool) -> CodeComponent:
     spec = state.spec
     fam_count = max(1, spec.api_family_count)
     classes = int(rng.poisson(spec.mean_classes(kind)))
     n_f = int(rng.poisson(spec.mean_functions(kind)))
     fams = rng.integers(0, fam_count, n_f) if n_f else np.empty(0, dtype=int)
-    prefix = f"{apk_id}.c{comp_index}"
-    functions = tuple(f"{prefix}.f{k}@{fams[k]}" for k in range(n_f))
 
     api_idx = state.api_pool.sample_indices(rng, cls, shifted)
     api_calls = tuple(
@@ -262,7 +264,7 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, apk_id: str
         for i in api_idx
     )
 
-    edges: tuple[tuple[str, str], ...] = ()
+    edges = ()
     if n_f > 0:
         m = int(rng.poisson(spec.edge_factor * n_f))
         if m > 0:
@@ -279,12 +281,10 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, apk_id: str
             callee_fams = np.where(counts[callee_fams] == 0, caller_fams, callee_fams)
             offsets = rng.integers(0, counts[callee_fams])
             callees = order[starts[callee_fams] + offsets]
-            pairs = np.unique(np.stack([callers, callees], axis=1), axis=0)
-            edges = tuple((functions[a], functions[b]) for a, b in pairs)
+            edges = np.unique(np.stack([callers, callees], axis=1), axis=0)
 
-    comp = CodeComponent(kind=kind, classes=classes, functions=functions,
+    return CodeComponent(kind=kind, classes=classes, families=fams, edges=edges,
                          api_calls=api_calls, origin="original")
-    return comp, edges
 
 
 def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
@@ -309,23 +309,19 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
             exported=bool(rng.integers(0, 2)), enabled=True))
 
     components: list[CodeComponent] = []
-    edges: list[tuple[str, str]] = []
-    comp_index = 0
     for kind in CODE_KINDS:
         count = int(rng.poisson(spec.mean_components(kind)))
         for _ in range(count):
-            comp, comp_edges = _gen_component(state, rng, apk_id, comp_index, kind, cls, shifted)
-            components.append(comp)
-            edges.extend(comp_edges)
+            comp_index = len(components)
+            components.append(_gen_component(state, rng, kind, cls, shifted))
             declared.append(DeclaredComponent(
                 kind=kind, name=f"com.app.{apk_id}.{kind.capitalize()}{comp_index}",
                 intent_actions=frozenset(), intent_categories=frozenset(),
                 exported=bool(rng.integers(0, 2)), enabled=True))
-            comp_index += 1
 
     manifest = ManifestModel(uses_features=features, permissions=permissions,
                              declared_components=tuple(declared))
-    code = CodeGraph(components=tuple(components), edges=tuple(edges))
+    code = CodeGraph(components=tuple(components))
     return ApkModel(id=apk_id, manifest=manifest, code=code, ground_truth=cls)
 
 
@@ -359,18 +355,17 @@ def generate_corpus(spec: CorpusSpec, catalog: AndroidCatalog | None = None) -> 
 
 @dataclass(frozen=True)
 class InjectablePayload:
-    """A donor component ready for injection: manifest declaration + code + its edges."""
+    """A donor component ready for injection: manifest declaration + code."""
 
     source_apk_id: str
     declared: DeclaredComponent
     component: CodeComponent
-    edges: tuple[tuple[str, str], ...]
 
     @cached_property
-    def family_pairs(self) -> np.ndarray:
-        """The payload edges' family pairs, parsed once and shared by every app the
-        payload is injected into."""
-        return _parse_family_pairs(self.edges)
+    def injected_component(self) -> CodeComponent:
+        """The component as it lands in a target app; one object shared by every
+        app the payload is injected into."""
+        return replace(self.component, origin="injected")
 
 
 def random_name(rng: random.Random, length: int) -> str:
@@ -445,22 +440,16 @@ def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
             return apk, True
         injected_decl = replace(declared, exported=True, enabled=True,
                                 process=":" + random_name(rng, 8))
-        injected_comp = replace(payload.component, origin="injected")
         apk = _add_declared(apk, injected_decl)
-        code = CodeGraph(components=apk.code.components + (injected_comp,),
-                         edges=apk.code.edges + payload.edges)
-        # Reuse the parent's parsed pairs when it has them; a graph nobody asked
-        # for Markov features stays unparsed.
-        parent_pairs = vars(apk.code).get("family_pairs")
-        if parent_pairs is not None:
-            vars(code)["family_pairs"] = np.concatenate([parent_pairs, payload.family_pairs])
+        code = CodeGraph(components=apk.code.components + (payload.injected_component,))
         return replace(apk, code=code), False
 
     raise ValueError(f"unknown perturbation kind: {kind}")
 
 
 def contains(original: ApkModel, perturbed: ApkModel) -> bool:
-    """True when every manifest element and code node/edge of the original is preserved."""
+    """True when every manifest element and code component (functions and edges
+    included) of the original is preserved."""
     om, pm = original.manifest, perturbed.manifest
     if not om.uses_features <= pm.uses_features:
         return False
@@ -468,58 +457,47 @@ def contains(original: ApkModel, perturbed: ApkModel) -> bool:
         return False
     if not set(om.declared_components) <= set(pm.declared_components):
         return False
-    oc, pc = original.code, perturbed.code
-    if not set(oc.components) <= set(pc.components):
-        return False
-    o_funcs = {f for c in oc.components for f in c.functions}
-    p_funcs = {f for c in pc.components for f in c.functions}
-    if not o_funcs <= p_funcs:
-        return False
-    return set(oc.edges) <= set(pc.edges)
+    return set(original.code.components) <= set(perturbed.code.components)
+
+
+def _edges_in_range(comp: CodeComponent) -> bool:
+    return comp.edges.size == 0 or (
+        comp.edges.min() >= 0 and comp.edges.max() < len(comp.families))
 
 
 def verify_isolation(apk: ApkModel) -> bool:
-    """True when no call edge crosses between injected and original code."""
-    origin_of: dict[str, str] = {}
-    for comp in apk.code.components:
-        for fn in comp.functions:
-            origin_of[fn] = comp.origin
-    for a, b in apk.code.edges:
-        oa, ob = origin_of.get(a), origin_of.get(b)
-        if oa is None or ob is None:
-            return False
-        if oa != ob:
-            return False
-    return True
+    """True when no call edge leaves its component, so none joins injected and
+    original code; edges hold local indices, which makes this a bounds check."""
+    return all(_edges_in_range(c) for c in apk.code.components)
+
+
+def check_code_component(comp: CodeComponent, where: str) -> None:
+    """Raise a one-line ValueError starting with ``where`` on a malformed component."""
+    if comp.kind not in CODE_KINDS:
+        raise ValueError(f"{where}: bad code component kind: {comp.kind}")
+    if comp.origin not in ORIGINS:
+        raise ValueError(f"{where}: bad origin: {comp.origin}")
+    if comp.families.size and comp.families.min() < 0:
+        raise ValueError(f"{where}: negative function family")
+    if not _edges_in_range(comp):
+        raise ValueError(f"{where}: edge index out of range for "
+                         f"{len(comp.families)} functions")
 
 
 def validate_apk(apk: ApkModel) -> None:
-    """Raise ValueError on structural violations of the app model."""
+    """Raise a ValueError naming the app on structural violations of its model."""
     if apk.ground_truth not in GROUND_TRUTHS:
-        raise ValueError(f"bad ground truth: {apk.ground_truth}")
+        raise ValueError(f"app {apk.id}: bad ground truth: {apk.ground_truth}")
     seen: set[tuple[str, str]] = set()
     for comp in apk.manifest.declared_components:
         if comp.kind not in COMPONENT_KINDS:
-            raise ValueError(f"bad component kind: {comp.kind}")
+            raise ValueError(f"app {apk.id}: bad component kind: {comp.kind}")
         key = (comp.kind, comp.name)
         if key in seen:
-            raise ValueError(f"duplicate declared component: {key}")
+            raise ValueError(f"app {apk.id}: duplicate declared component: {key}")
         seen.add(key)
-    funcs: set[str] = set()
-    for comp in apk.code.components:
-        if comp.kind not in CODE_KINDS:
-            raise ValueError(f"bad code component kind: {comp.kind}")
-        if comp.origin not in ORIGINS:
-            raise ValueError(f"bad origin: {comp.origin}")
-        for fn in comp.functions:
-            if fn in funcs:
-                raise ValueError(f"duplicate function id: {fn}")
-            funcs.add(fn)
-    for a, b in apk.code.edges:
-        if a not in funcs or b not in funcs:
-            raise ValueError(f"edge references unknown function: {(a, b)}")
-    if not verify_isolation(apk):
-        raise ValueError("edge crosses between injected and original code")
+    for i, comp in enumerate(apk.code.components):
+        check_code_component(comp, f"app {apk.id} component {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +527,8 @@ def _declared_from_dict(d: dict) -> DeclaredComponent:
 def _component_to_dict(c: CodeComponent) -> dict:
     return {
         "kind": c.kind, "classes": c.classes,
-        "functions": list(c.functions),
+        "families": c.families.tolist(),
+        "edges": c.edges.ravel().tolist(),
         "api_calls": [[a.api_id, a.family_id, a.package_id] for a in c.api_calls],
         "origin": c.origin,
     }
@@ -558,7 +537,7 @@ def _component_to_dict(c: CodeComponent) -> dict:
 def _component_from_dict(d: dict) -> CodeComponent:
     return CodeComponent(
         kind=d["kind"], classes=int(d["classes"]),
-        functions=tuple(d["functions"]),
+        families=d["families"], edges=d["edges"],
         api_calls=tuple(ApiCall(a, int(f), int(p)) for a, f, p in d["api_calls"]),
         origin=d.get("origin", "original"),
     )
@@ -575,10 +554,7 @@ def apk_to_dict(apk: ApkModel) -> dict:
             ),
             "declared_components": [_declared_to_dict(c) for c in apk.manifest.declared_components],
         },
-        "code": {
-            "components": [_component_to_dict(c) for c in apk.code.components],
-            "edges": [[a, b] for a, b in apk.code.edges],
-        },
+        "code": {"components": [_component_to_dict(c) for c in apk.code.components]},
     }
 
 
@@ -591,9 +567,7 @@ def apk_from_dict(d: dict) -> ApkModel:
         ),
     )
     code = CodeGraph(
-        components=tuple(_component_from_dict(c) for c in d["code"]["components"]),
-        edges=tuple((a, b) for a, b in d["code"]["edges"]),
-    )
+        components=tuple(_component_from_dict(c) for c in d["code"]["components"]))
     return ApkModel(id=d["id"], manifest=manifest, code=code, ground_truth=d["ground_truth"])
 
 
@@ -608,6 +582,7 @@ def spec_from_dict(d: dict) -> CorpusSpec:
 
 def corpus_to_dict(corpus: Corpus) -> dict:
     return {
+        "format": CORPUS_FORMAT,
         "spec": spec_to_dict(corpus.spec),
         "benign": [apk_to_dict(a) for a in corpus.benign],
         "malicious": [apk_to_dict(a) for a in corpus.malicious],
@@ -633,4 +608,9 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    return corpus_from_dict(read_json(path))
+    """Load a corpus file and validate every app in it."""
+    corpus = corpus_from_dict(read_json_format(path, "corpus", CORPUS_FORMAT,
+                                               "regenerate it with gen-corpus"))
+    for apk in corpus.benign + corpus.malicious + corpus.donors:
+        validate_apk(apk)
+    return corpus

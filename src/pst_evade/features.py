@@ -102,12 +102,19 @@ def extract_markov(apk: ApkModel, family_count: int) -> FeatureVector:
     """
     if family_count < 1:
         raise ValueError("family_count must be >= 1")
-    pairs = apk.code.family_pairs
-    if pairs.size and pairs.max() >= family_count:
-        a, b = apk.code.edges[int(np.flatnonzero((pairs >= family_count).any(axis=1))[0])]
-        raise ValueError(f"edge family out of range for family_count={family_count}: {(a, b)}")
-    cells = pairs[:, 0].astype(np.intp) * family_count + pairs[:, 1]
-    counts = np.bincount(cells, minlength=family_count ** 2).astype(np.float64)
+    pairs = np.concatenate([c.edge_families for c in apk.code.components]
+                           or [np.empty((0, 2), dtype=np.intp)])
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= family_count):
+        for i, comp in enumerate(apk.code.components):
+            out = (comp.edge_families < 0) | (comp.edge_families >= family_count)
+            bad = np.flatnonzero(out.any(axis=1))
+            if bad.size:
+                raise ValueError(
+                    f"edge family out of range for family_count={family_count}: component "
+                    f"{i} local edge {tuple(comp.edges[bad[0]].tolist())} has families "
+                    f"{tuple(comp.edge_families[bad[0]].tolist())}")
+    counts = np.bincount(pairs[:, 0] * family_count + pairs[:, 1],
+                         minlength=family_count ** 2).astype(np.float64)
     counts = counts.reshape(family_count, family_count)
     row_sums = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, row_sums, out=np.zeros_like(counts), where=row_sums > 0)

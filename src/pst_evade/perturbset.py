@@ -8,7 +8,7 @@ from typing import Sequence
 
 import json
 
-from .catalog import AndroidCatalog, read_json
+from .catalog import AndroidCatalog, read_json_format
 from .corpus import (
     CODE_KINDS,
     InjectablePayload,
@@ -17,6 +17,7 @@ from .corpus import (
     _component_to_dict,
     _declared_from_dict,
     _declared_to_dict,
+    check_code_component,
 )
 
 MANIFEST_KINDS = ("uses_feature", "permission", "activity_action",
@@ -25,6 +26,9 @@ INJECT_KINDS = ("inject_service", "inject_receiver", "inject_provider")
 PERTURBATION_KINDS = MANIFEST_KINDS + INJECT_KINDS
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.5
+
+# Version of the pset JSON layout; files of any other version are refused.
+PSET_FORMAT = 2
 
 _FEATURE_PREFIXES = ("android.hardware.", "android.software.")
 
@@ -168,13 +172,10 @@ def _donor_perturbations(donors) -> list[Perturbation]:
         for decl, comp in zip(declared_code, donor.code.components):
             if decl.kind != comp.kind:
                 raise ValueError(f"donor {donor.id} component order is inconsistent")
-            if not comp.functions:
+            if not comp.families.size:
                 continue  # nothing to inject
-            funcs = set(comp.functions)
-            edges = tuple(e for e in donor.code.edges
-                          if e[0] in funcs and e[1] in funcs)
             payload = InjectablePayload(source_apk_id=donor.id, declared=decl,
-                                        component=comp, edges=edges)
+                                        component=comp)
             out.append(Perturbation(kind="inject_" + comp.kind, payload=payload))
     return out
 
@@ -220,7 +221,6 @@ def _perturbation_to_dict(p: Perturbation) -> dict:
             "source_apk_id": p.payload.source_apk_id,
             "declared": _declared_to_dict(p.payload.declared),
             "component": _component_to_dict(p.payload.component),
-            "edges": [list(e) for e in p.payload.edges],
         }
     else:
         doc["payload"] = p.payload
@@ -237,8 +237,7 @@ def _perturbation_from_dict(doc: dict) -> Perturbation:
         payload = InjectablePayload(
             source_apk_id=raw["source_apk_id"],
             declared=_declared_from_dict(raw["declared"]),
-            component=_component_from_dict(raw["component"]),
-            edges=tuple((a, b) for a, b in raw["edges"]))
+            component=_component_from_dict(raw["component"]))
     else:
         payload = doc["payload"]
     return Perturbation(kind=kind, payload=payload,
@@ -248,6 +247,7 @@ def _perturbation_from_dict(doc: dict) -> Perturbation:
 def pset_to_dict(pset: PerturbationSet) -> dict:
     key_index = {p.key: i for i, p in enumerate(pset.perturbations)}
     return {
+        "format": PSET_FORMAT,
         "threshold": pset.threshold,
         "perturbations": [_perturbation_to_dict(p) for p in pset.perturbations],
         "groups": [{"members": [key_index[m.key] for m in g.members],
@@ -271,4 +271,10 @@ def save_pset(pset: PerturbationSet, path: str | Path) -> None:
 
 
 def load_pset(path: str | Path) -> PerturbationSet:
-    return pset_from_dict(read_json(path))
+    """Load a pset file and check every payload component in it."""
+    pset = pset_from_dict(read_json_format(path, "pset", PSET_FORMAT,
+                                           "rebuild it with build-pset"))
+    for p in pset.perturbations:
+        if p.kind in INJECT_KINDS:
+            check_code_component(p.payload.component, f"{path}: payload {p.key}")
+    return pset

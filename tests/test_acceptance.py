@@ -377,5 +377,5 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
     rows1, rows8 = stable_rows(csvs[0]), stable_rows(csvs[1])
     verdict("bench-determinism",
             rows1 == rows8 and len(rows1) == 60,
-            f"{len(rows1)} rows bit-identical between worker counts 1 and 8 "
-            "(wall clock column excluded)")
+            f"{len(rows1)} rows bit-identical when a config with an ignored "
+            "'workers' key is rerun (wall clock column excluded)")

@@ -197,3 +197,23 @@ def test_truncated_spec_and_config_errors_name_the_file(bench_outputs, workdir, 
     assert err.startswith(f"pst-evade: error: {broken}: ")
     assert "line 1 column" in err
     assert err.count("\n") == 1
+
+
+def test_old_format_corpus_is_refused_in_one_line(workdir, capsys):
+    # The layout before corpus files were versioned: string function ids
+    # "<apk>.c<i>.f<k>@<family>" and one app-wide edge list.
+    fn = "b000.c0.f0@0"
+    app = {"id": "b000", "ground_truth": "benign",
+           "manifest": {"uses_features": [], "permissions": [], "declared_components": []},
+           "code": {"components": [{"kind": "service", "classes": 1, "functions": [fn],
+                                    "api_calls": [], "origin": "original"}],
+                    "edges": [[fn, fn]]}}
+    old = workdir / "old_corpus.json"
+    old.write_text(json.dumps({"spec": spec_to_dict(SPEC), "benign": [app],
+                               "malicious": [], "donors": []}))
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(old), "--out", str(workdir / "unused.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"pst-evade: error: {old}: corpus format 1 is not supported; "
+                   "regenerate it with gen-corpus\n")
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 """App model, corpus generator, and perturbation application."""
+import json
 import random
 import re
 
@@ -21,7 +22,6 @@ from pst_evade.corpus import (
     contains,
     corpus_from_dict,
     corpus_to_dict,
-    function_family,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -34,21 +34,6 @@ from pst_evade.corpus import (
 NAME_RE = re.compile(r"^[a-z0-9]{20}$")
 PROCESS_RE = re.compile(r"^:[a-z0-9]{8}$")
 DATA_URI_RE = re.compile(r"^scheme://[a-z0-9]{16}$")
-
-
-# ---------------------------------------------------------------------------
-# Function family labels
-
-
-def test_function_family_parses_suffix():
-    assert function_family("b012.c0.f3@7") == 7
-    assert function_family("x@0") == 0
-
-
-@pytest.mark.parametrize("bad", ["b012.c0.f3", "a@x", "a@", "a@-1"])
-def test_function_family_rejects_malformed(bad):
-    with pytest.raises(ValueError):
-        function_family(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +65,9 @@ def test_generated_apps_are_valid(small_corpus):
 
 def test_generated_function_ids_carry_families(small_corpus):
     app = small_corpus.malicious[0]
-    fams = {function_family(f) for c in app.code.components for f in c.functions}
+    fams = {int(f) for c in app.code.components for f in c.families}
     assert fams
+    assert min(fams) >= 0
     assert max(fams) < small_corpus.spec.api_family_count
 
 
@@ -107,7 +93,7 @@ def test_donor_component_scale():
         for comp in donor.code.components:
             per_kind[comp.kind] += 1
             if comp.kind == "service":
-                func_counts.append(len(comp.functions))
+                func_counts.append(len(comp.families))
     assert 66 <= per_kind["service"] <= 150
     assert 63 <= per_kind["receiver"] <= 145
     assert 5 <= per_kind["provider"] <= 44
@@ -228,12 +214,10 @@ def test_apply_is_deterministic_under_seed():
 def _inject_payload():
     decl = declared(kind="service", name="com.donor.Svc0", exported=False,
                     enabled=False)
-    comp = CodeComponent(kind="service", classes=3,
-                         functions=("d000.c0.f0@0", "d000.c0.f1@1"),
+    comp = CodeComponent(kind="service", classes=3, families=[0, 1], edges=[[0, 1]],
                          api_calls=(ApiCall("api.pkg01.fn001", 0, 1),),
                          origin="original")
-    return InjectablePayload(source_apk_id="d000", declared=decl, component=comp,
-                             edges=(("d000.c0.f0@0", "d000.c0.f1@1"),))
+    return InjectablePayload(source_apk_id="d000", declared=decl, component=comp)
 
 
 def test_inject_service():
@@ -247,12 +231,11 @@ def test_inject_service():
     assert PROCESS_RE.match(injected_decl.process)
     injected = [c for c in out.code.components if c.origin == "injected"]
     assert len(injected) == 1
-    assert injected[0].functions == ("d000.c0.f0@0", "d000.c0.f1@1")
-    # Edge diff touches only injected function ids.
-    new_edges = set(out.code.edges) - set(base.code.edges)
-    assert new_edges == {("d000.c0.f0@0", "d000.c0.f1@1")}
-    injected_funcs = set(injected[0].functions)
-    assert all(a in injected_funcs and b in injected_funcs for a, b in new_edges)
+    assert injected[0].families.tolist() == [0, 1]
+    # The original components stay as they were; the payload's edges arrive
+    # inside its own component.
+    assert out.code.components[:-1] == base.code.components
+    assert injected[0].edges.tolist() == [[0, 1]]
     assert contains(base, out)
     assert verify_isolation(out)
     validate_apk(out)
@@ -293,13 +276,11 @@ def test_random_perturbation_chain_stays_additive(small_corpus):
     catalog = load_default_catalog()
     rng = random.Random(99)
     donor = small_corpus.donors[0]
-    donor_comp = next(c for c in donor.code.components if c.functions)
+    donor_comp = next(c for c in donor.code.components if c.families.size)
     donor_decl = next(d for d in donor.manifest.declared_components
                       if d.kind == donor_comp.kind)
-    funcs = set(donor_comp.functions)
-    payload = InjectablePayload(
-        source_apk_id=donor.id, declared=donor_decl, component=donor_comp,
-        edges=tuple(e for e in donor.code.edges if e[0] in funcs and e[1] in funcs))
+    payload = InjectablePayload(source_apk_id=donor.id, declared=donor_decl,
+                                component=donor_comp)
     pool = (
         [StubPerturbation("uses_feature", f) for f in catalog.hardware_features[:10]]
         + [StubPerturbation("permission", Permission(n, "normal"))
@@ -328,17 +309,17 @@ def test_contains_fails_on_removal():
     base = _plain_apk()
     stripped = apk(features=[], perms=[("P", "normal")],
                    declared_components=base.manifest.declared_components,
-                   components=base.code.components, edges=base.code.edges)
+                   components=base.code.components)
     assert not contains(base, stripped)
 
 
 def test_isolation_rejects_cross_origin_edge():
+    # Edges are local to a component, so a call from original into injected
+    # code has no representation: the builder refuses it.
     orig = code_component(functions=["a.c0.f0@0"])
     inj = code_component(kind="receiver", functions=["d.c0.f0@0"], origin="injected")
-    bad = apk(components=[orig, inj], edges=[("a.c0.f0@0", "d.c0.f0@0")])
-    assert not verify_isolation(bad)
-    with pytest.raises(ValueError):
-        validate_apk(bad)
+    with pytest.raises(ValueError, match="crosses components"):
+        apk(components=[orig, inj], edges=[("a.c0.f0@0", "d.c0.f0@0")])
 
 
 def test_validate_rejects_duplicate_declared():
@@ -348,9 +329,13 @@ def test_validate_rejects_duplicate_declared():
 
 
 def test_validate_rejects_unknown_edge_endpoint():
-    comp = code_component(functions=["a.c0.f0@0"])
-    with pytest.raises(ValueError):
-        validate_apk(apk(components=[comp], edges=[("a.c0.f0@0", "ghost@0")]))
+    # An endpoint outside the component is a local index out of range.
+    comp = CodeComponent(kind="service", classes=1, families=[0], edges=[[0, 1]],
+                         api_calls=())
+    bad = apk(components=[comp])
+    assert not verify_isolation(bad)
+    with pytest.raises(ValueError, match="t000 component 0: edge index out of range"):
+        validate_apk(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +360,95 @@ def test_corpus_file_round_trip(tmp_path):
     save_corpus(corpus, path)
     back = load_corpus(path)
     assert canonical_json(corpus_to_dict(back)) == canonical_json(corpus_to_dict(corpus))
+
+
+def test_corpus_file_stores_components_as_flat_int_lists(tmp_path):
+    corpus = generate_corpus(CorpusSpec(n_benign=2, n_malicious=2, donor_count=1, seed=5))
+    path = tmp_path / "corpus.json"
+    save_corpus(corpus, path)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == 2
+    comp = corpus.benign[0].code.components[0]
+    stored = doc["benign"][0]["code"]["components"][0]
+    assert stored["families"] == comp.families.tolist()
+    assert stored["edges"] == comp.edges.ravel().tolist()
+    assert set(doc["benign"][0]["code"]) == {"components"}
+
+
+# ---------------------------------------------------------------------------
+# Loading refuses other formats and malformed apps
+
+
+def _corpus_doc():
+    return corpus_to_dict(generate_corpus(CorpusSpec(n_benign=3, n_malicious=3,
+                                                     donor_count=2, seed=5)))
+
+
+@pytest.mark.parametrize("found", [None, 1, 3])
+def test_load_corpus_refuses_other_formats(tmp_path, found):
+    doc = _corpus_doc()
+    if found is None:
+        del doc["format"]  # written before corpus files were versioned
+    else:
+        doc["format"] = found
+    path = tmp_path / "corpus.json"
+    path.write_text(canonical_json(doc))
+    with pytest.raises(ValueError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == (f"{path}: corpus format {found or 1} is not supported; "
+                              "regenerate it with gen-corpus")
+
+
+def _edge_out_of_range(comp, app):
+    comp["edges"][1] = len(comp["families"])
+
+
+def _negative_edge_index(comp, app):
+    comp["edges"][0] = -1
+
+
+def _negative_family(comp, app):
+    comp["families"][0] = -1
+
+
+def _bad_origin(comp, app):
+    comp["origin"] = "grafted"
+
+
+def _duplicate_declared(comp, app):
+    decls = app["manifest"]["declared_components"]
+    decls.append(dict(decls[0]))
+
+
+@pytest.mark.parametrize("corrupt,needle", [
+    (_edge_out_of_range, "component {i}: edge index out of range"),
+    (_negative_edge_index, "component {i}: edge index out of range"),
+    (_negative_family, "component {i}: negative function family"),
+    (_bad_origin, "component {i}: bad origin: grafted"),
+    (_duplicate_declared, ": duplicate declared component"),
+], ids=["edge_out_of_range", "negative_edge_index", "negative_family", "bad_origin",
+        "duplicate_declared"])
+def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
+    doc = _corpus_doc()
+    app = doc["malicious"][2]
+    i, comp = next((i, c) for i, c in enumerate(app["code"]["components"]) if c["edges"])
+    corrupt(comp, app)
+    path = tmp_path / "corpus.json"
+    path.write_text(canonical_json(doc))
+    with pytest.raises(ValueError) as exc:
+        load_corpus(path)
+    message = str(exc.value)
+    assert message.startswith(f"app {app['id']}")
+    assert needle.format(i=i) in message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("field,value", [("families", 1.5), ("edges", "0")])
+def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
+    doc = _corpus_doc()
+    comp = next(c for a in doc["benign"] for c in a["code"]["components"] if c["edges"])
+    comp[field][0] = value
+    path = tmp_path / "corpus.json"
+    path.write_text(canonical_json(doc))
+    with pytest.raises(ValueError, match=f"code component {field} must be integers"):
+        load_corpus(path)

@@ -137,10 +137,11 @@ def test_ensemble_model_queries_members():
 
 
 def _reference_feedback(model, app):
-    """One extraction per member on a code graph nobody has parsed: the
-    per-member path that the ensemble's shared extraction replaces."""
+    """One extraction per member on fresh copies of the app's components, whose
+    edge families nobody has computed: the per-member path that the ensemble's
+    shared extraction replaces."""
     if model.kind != "ensemble":
-        fresh = replace(app, code=CodeGraph(app.code.components, app.code.edges))
+        fresh = replace(app, code=CodeGraph(tuple(replace(c) for c in app.code.components)))
         return query(model, fresh)
     hits = sum(_reference_feedback(m, app).label == "malicious" for m in model.members)
     conf = hits / len(model.members)

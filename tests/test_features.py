@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from apk_builders import StubPerturbation, apk, code_component, declared
-from pst_evade import corpus
 from pst_evade.catalog import load_default_catalog
-from pst_evade.corpus import CodeGraph, InjectablePayload, apply_perturbation, function_family
+from pst_evade.corpus import CodeGraph, InjectablePayload, apply_perturbation
 from pst_evade.features import (
     ApiClusterMap,
     FeatureVocab,
@@ -142,10 +141,12 @@ def test_markov_equal_graphs_give_equal_vectors():
 
 
 def _markov_reference(app, family_count):
-    """From-scratch Markov values: parse every edge, count, row-normalize."""
+    """From-scratch Markov values: look up every local edge's families, count,
+    row-normalize."""
     counts = np.zeros((family_count, family_count))
-    for a, b in app.code.edges:
-        counts[function_family(a), function_family(b)] += 1.0
+    for comp in app.code.components:
+        for a, b in comp.edges:
+            counts[comp.families[a], comp.families[b]] += 1.0
     row_sums = counts.sum(axis=1, keepdims=True)
     flat = np.divide(counts, row_sums, out=np.zeros_like(counts),
                      where=row_sums > 0).ravel()
@@ -176,81 +177,65 @@ def test_markov_range_check_survives_a_wider_extraction():
     app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f0@0"),
                                         ("t.c0.f0@0", "t.c0.f1@3")])
     assert extract_markov(app, 4).values == _markov_reference(app, 4)
-    with pytest.raises(ValueError, match=r"family_count=2: \('t.c0.f0@0', 't.c0.f1@3'\)"):
+    with pytest.raises(ValueError,
+                       match=r"family_count=2: component 0 local edge \(0, 1\) has families \(0, 3\)"):
         extract_markov(app, 2)
     assert extract_markov(app, 4).values == _markov_reference(app, 4)
 
 
-def _unparsed(app):
-    """The app on a fresh copy of its code graph, whose family pairs are not parsed."""
-    return replace(app, code=CodeGraph(app.code.components, app.code.edges))
-
-
-def _parsed_from_scratch(app):
-    return np.array([[function_family(a), function_family(b)] for a, b in app.code.edges],
-                    dtype=np.intp).reshape(-1, 2)
+def _fresh(app):
+    """The app on fresh copies of its components, whose edge families nobody has
+    computed."""
+    return replace(app, code=CodeGraph(tuple(replace(c) for c in app.code.components)))
 
 
 @pytest.mark.parametrize("parse_parent", [True, False])
 def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
+    # Chains of injections into parents whose components have, or have not, had
+    # their edge families computed already.
     fc = small_corpus.spec.api_family_count
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     injects = [p for p in pset.perturbations if p.kind.startswith("inject_")]
     rng = random.Random(17)
     for target in small_corpus.malicious[:8]:
-        app = _unparsed(target)
+        app = _fresh(target)
+        assert all("edge_families" not in vars(c) for c in app.code.components)
         if parse_parent:
-            app.code.family_pairs
+            extract_markov(app, fc)
         for _ in range(rng.randint(1, 3)):
             app, _ = apply_perturbation(app, rng.choice(injects), rng)
-            # A parsed parent hands its pairs down the chain; an unparsed one stays lazy.
-            assert ("family_pairs" in vars(app.code)) == parse_parent
-        expected = _parsed_from_scratch(app)
-        assert np.array_equal(app.code.family_pairs.astype(np.intp), expected)
+        for comp in app.code.components:
+            expected = np.array([[comp.families[a], comp.families[b]] for a, b in comp.edges],
+                                dtype=np.intp).reshape(-1, 2)
+            assert np.array_equal(comp.edge_families, expected)
         assert extract_markov(app, fc).values == _markov_reference(app, fc)
 
 
-def _first_inject(small_corpus):
+def test_injection_shares_one_component_per_payload(small_corpus):
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
-    p = next(p for p in pset.perturbations if p.kind.startswith("inject_"))
-    # A payload object of its own, so no other test has parsed its pairs.
-    return StubPerturbation(p.kind, replace(p.payload))
-
-
-def test_injection_parses_only_the_payload_and_only_once(small_corpus, monkeypatch):
-    parsed = []
-    real = corpus.function_family
-    monkeypatch.setattr(corpus, "function_family", lambda f: parsed.append(f) or real(f))
-    inject = _first_inject(small_corpus)
-    first, second = (_unparsed(a) for a in small_corpus.malicious[:2])
-
-    injected, _ = apply_perturbation(first, inject, random.Random(0))
-    assert parsed == []
-    assert "family_pairs" not in vars(injected.code)
-
-    first.code.family_pairs
-    second.code.family_pairs
-    parsed.clear()
-    for app in (first, second):
-        injected, _ = apply_perturbation(app, inject, random.Random(0))
-        assert injected.code.family_pairs.shape == (len(injected.code.edges), 2)
-    assert parsed == [f for edge in inject.payload.edges for f in edge]
+    inject = next(p for p in pset.perturbations if p.kind.startswith("inject_"))
+    first, second = (apply_perturbation(a, inject, random.Random(0))[0]
+                     for a in small_corpus.malicious[:2])
+    assert first.code.components[-1] is second.code.components[-1]
+    assert first.code.components[-1].origin == "injected"
+    assert inject.payload.component.origin == "original"
 
 
 def test_markov_range_error_names_the_payload_edge_after_reuse():
     comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
     app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1"),
                                         ("t.c0.f1@1", "t.c0.f0@0")])
-    donor_fns = ["d.c0.f0@1", "d.c0.f1@0", "d.c0.f2@3"]
+    donor = apk(apk_id="d", components=[code_component(
+        functions=["d.c0.f0@1", "d.c0.f1@0", "d.c0.f2@3"])],
+        edges=[("d.c0.f0@1", "d.c0.f1@0"), ("d.c0.f1@0", "d.c0.f2@3")])
     payload = InjectablePayload(
         source_apk_id="d", declared=declared(kind="service", name="Donor"),
-        component=code_component(functions=donor_fns),
-        edges=(("d.c0.f0@1", "d.c0.f1@0"), ("d.c0.f1@0", "d.c0.f2@3")))
+        component=donor.code.components[0])
     assert extract_markov(app, 2).values == _markov_reference(app, 2)
     injected, _ = apply_perturbation(app, StubPerturbation("inject_service", payload),
                                      random.Random(0))
-    assert "family_pairs" in vars(injected.code)
-    with pytest.raises(ValueError, match=r"family_count=2: \('d.c0.f1@0', 'd.c0.f2@3'\)"):
+    with pytest.raises(ValueError,
+                       match=r"family_count=2: component 1 local edge \(1, 2\) has families \(0, 3\)"):
         extract_markov(injected, 2)
     assert extract_markov(injected, 4).values == _markov_reference(injected, 4)
 

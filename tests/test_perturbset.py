@@ -15,8 +15,10 @@ from pst_evade.perturbset import (
     keyword_extract,
     keyword_similarity,
     leaf_path,
+    load_pset,
     pset_from_dict,
     pset_to_dict,
+    save_pset,
 )
 
 
@@ -299,3 +301,54 @@ def test_pset_round_trip(full_pset):
     back = pset_from_dict(doc)
     assert json.dumps(pset_to_dict(back), sort_keys=True) == \
            json.dumps(pset_to_dict(full_pset), sort_keys=True)
+
+
+def _pset_file(tmp_path, full_pset, corrupt):
+    doc = pset_to_dict(full_pset)
+    corrupt(doc)
+    path = tmp_path / "pset.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _first_payload(doc):
+    return next(p["payload"] for p in doc["perturbations"] if p["kind"].startswith("inject_"))
+
+
+def test_pset_file_round_trip(tmp_path, full_pset):
+    path = tmp_path / "pset.json"
+    save_pset(full_pset, path)
+    assert json.loads(path.read_text())["format"] == 2
+    assert pset_to_dict(load_pset(path)) == pset_to_dict(full_pset)
+
+
+@pytest.mark.parametrize("found", [None, 1, 3])
+def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
+    def corrupt(doc):
+        if found is None:
+            del doc["format"]  # written before pset files were versioned
+        else:
+            doc["format"] = found
+    path = _pset_file(tmp_path, full_pset, corrupt)
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    assert str(exc.value) == (f"{path}: pset format {found or 1} is not supported; "
+                              "rebuild it with build-pset")
+
+
+@pytest.mark.parametrize("field,index,value,needle", [
+    ("edges", 1, 10 ** 6, "edge index out of range"),
+    ("edges", 0, -1, "edge index out of range"),
+    ("families", 0, -1, "negative function family"),
+])
+def test_load_pset_bounds_checks_payload_components(tmp_path, full_pset, field, index,
+                                                    value, needle):
+    def corrupt(doc):
+        _first_payload(doc)["component"][field][index] = value
+    path = _pset_file(tmp_path, full_pset, corrupt)
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: payload inject_")
+    assert needle in message
+    assert "\n" not in message

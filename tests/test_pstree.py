@@ -50,8 +50,7 @@ def inject_group(idx=0, kind="inject_service"):
         source_apk_id=f"d{idx:03d}",
         declared=declared(kind=comp_kind, name=f"com.donor.C{idx}"),
         component=code_component(kind=comp_kind,
-                                 functions=(f"d{idx:03d}.c0.f0@0",)),
-        edges=())
+                                 functions=(f"d{idx:03d}.c0.f0@0",)))
     p = Perturbation(kind=kind, payload=payload)
     return PerturbationGroup(members=(p,), keywords=frozenset())
 
