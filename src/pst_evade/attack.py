@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .corpus import ApkModel, apply_perturbation
 from .detectors import DetectorModel, Feedback, query as model_query
@@ -188,24 +188,6 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
         wall_time=time.perf_counter() - t0, applied=tuple(applied),
         confidence_trace=tuple(trace), failure_reason=reason,
         adversarial=current, elapsed_trace=tuple(elapsed))
-
-
-def pst_attack(oracle, apk: ApkModel, pset: PerturbationSet,
-               config: AttackConfig) -> AttackReport:
-    """``run_attack`` with the tree-guided policy, whatever ``config.algorithm``."""
-    return run_attack(oracle, apk, pset, replace(config, algorithm="pst"))
-
-
-def mab_attack(oracle, apk: ApkModel, pset: PerturbationSet,
-               config: AttackConfig) -> AttackReport:
-    """``run_attack`` with the bandit policy, whatever ``config.algorithm``."""
-    return run_attack(oracle, apk, pset, replace(config, algorithm="mab"))
-
-
-def random_attack(oracle, apk: ApkModel, pset: PerturbationSet,
-                  config: AttackConfig) -> AttackReport:
-    """``run_attack`` with the random policy, whatever ``config.algorithm``."""
-    return run_attack(oracle, apk, pset, replace(config, algorithm="random"))
 
 
 def report_to_dict(report: AttackReport) -> dict:

@@ -30,7 +30,7 @@ from .harness import (
     save_report,
     select_true_positives,
 )
-from .perturbset import build_perturbation_set, save_pset
+from .perturbset import build_perturbation_set, load_pset, save_pset
 from .pstree import build_tree, dump_tree
 
 SEED_ENV = "PST_EVADE_SEED"
@@ -84,7 +84,7 @@ def _cmd_attack(args) -> int:
     seed = _seed_override(args.seed)
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    pset = build_perturbation_set(load_default_catalog(), corpus.donors)
+    pset = load_pset(args.pset)
     _, test = corpus.train_test_split()
     malicious = [a for a in test if a.ground_truth == "malicious"]
     targets = select_true_positives(model, malicious, args.samples, seed,
@@ -160,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="attack detected samples from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
+    p.add_argument("--pset", required=True, help="perturbation set written by build-pset")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="pst")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--samples", type=int, default=10)

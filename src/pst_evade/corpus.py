@@ -22,7 +22,7 @@ CODE_KINDS = ("service", "receiver", "provider")
 ORIGINS = ("original", "injected")
 
 # Version of the corpus JSON layout; files of any other version are refused.
-CORPUS_FORMAT = 2
+CORPUS_FORMAT = 3
 
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -55,24 +55,18 @@ class ManifestModel:
     declared_components: tuple[DeclaredComponent, ...]
 
 
-@dataclass(frozen=True)
-class ApiCall:
-    api_id: str
-    family_id: int
-    package_id: int
-
-
 @dataclass(frozen=True, eq=False)
 class CodeComponent:
     """One code component. Function k has markov family ``families[k]``; each row
     of ``edges`` is a call (caller, callee) between local function indices, so an
-    edge cannot leave its component. Equality and hashing are by value."""
+    edge cannot leave its component; ``api_calls`` are the ids of the Android APIs
+    it calls. Equality and hashing are by value."""
 
     kind: str
     classes: int
     families: np.ndarray
     edges: np.ndarray
-    api_calls: tuple[ApiCall, ...]
+    api_calls: tuple[str, ...]
     origin: str = "original"
 
     def __post_init__(self):
@@ -207,10 +201,6 @@ class _Pool:
         mask = rng.random(len(self.items)) < rates
         return [item for item, hit in zip(self.items, mask) if hit]
 
-    def sample_indices(self, rng: np.random.Generator, cls: str, shifted: bool) -> np.ndarray:
-        rates = self.test_rate[cls] if shifted else self.rate[cls]
-        return np.flatnonzero(rng.random(len(self.items)) < rates)
-
 
 class _GeneratorState:
     def __init__(self, spec: CorpusSpec, catalog: AndroidCatalog, rng: np.random.Generator):
@@ -237,10 +227,11 @@ class _GeneratorState:
         self.category_pool = _Pool(categories, rng, spec)
 
         f, p = spec.api_family_count, max(1, spec.api_package_count)
-        self.api_ids = [f"api.pkg{i % p:02d}.fn{i:03d}" for i in range(spec.api_vocab_size)]
-        self.api_families = rng.integers(0, max(1, f), spec.api_vocab_size)
-        self.api_packages = np.array([i % p for i in range(spec.api_vocab_size)])
-        self.api_pool = _Pool(self.api_ids, rng, spec)
+        api_ids = [f"api.pkg{i % p:02d}.fn{i:03d}" for i in range(spec.api_vocab_size)]
+        # No feature reads an API's family, but the draw stays: it moves the rng
+        # every later draw comes from, so dropping it would change every corpus.
+        rng.integers(0, max(1, f), spec.api_vocab_size)
+        self.api_pool = _Pool(api_ids, rng, spec)
 
         # Class-conditional family-transition propensities for call edges.
         fam = max(1, f)
@@ -258,11 +249,7 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
     n_f = int(rng.poisson(spec.mean_functions(kind)))
     fams = rng.integers(0, fam_count, n_f) if n_f else np.empty(0, dtype=int)
 
-    api_idx = state.api_pool.sample_indices(rng, cls, shifted)
-    api_calls = tuple(
-        ApiCall(state.api_ids[i], int(state.api_families[i]), int(state.api_packages[i]))
-        for i in api_idx
-    )
+    api_calls = tuple(state.api_pool.sample(rng, cls, shifted))
 
     edges = ()
     if n_f > 0:
@@ -477,6 +464,9 @@ def check_code_component(comp: CodeComponent, where: str) -> None:
         raise ValueError(f"{where}: bad code component kind: {comp.kind}")
     if comp.origin not in ORIGINS:
         raise ValueError(f"{where}: bad origin: {comp.origin}")
+    for api in comp.api_calls:
+        if not isinstance(api, str):
+            raise ValueError(f"{where}: api call id is not a string: {api!r}")
     if comp.families.size and comp.families.min() < 0:
         raise ValueError(f"{where}: negative function family")
     if not _edges_in_range(comp):
@@ -529,7 +519,7 @@ def _component_to_dict(c: CodeComponent) -> dict:
         "kind": c.kind, "classes": c.classes,
         "families": c.families.tolist(),
         "edges": c.edges.ravel().tolist(),
-        "api_calls": [[a.api_id, a.family_id, a.package_id] for a in c.api_calls],
+        "api_calls": list(c.api_calls),
         "origin": c.origin,
     }
 
@@ -538,7 +528,7 @@ def _component_from_dict(d: dict) -> CodeComponent:
     return CodeComponent(
         kind=d["kind"], classes=int(d["classes"]),
         families=d["families"], edges=d["edges"],
-        api_calls=tuple(ApiCall(a, int(f), int(p)) for a, f, p in d["api_calls"]),
+        api_calls=tuple(d["api_calls"]),
         origin=d.get("origin", "original"),
     )
 

@@ -14,11 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import read_json
+from .catalog import read_json_format
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
-    FeatureVector,
     FeatureVocab,
     cluster_map_from_dict,
     cluster_map_to_dict,
@@ -32,6 +31,9 @@ from .features import (
 DETECTOR_KINDS = ("linear", "mlp", "knn", "forest", "ensemble")
 LABELS = ("benign", "malicious")
 
+# Version of the model JSON layout; files of any other version are refused.
+MODEL_FORMAT = 2
+
 
 @dataclass(frozen=True)
 class Feedback:
@@ -43,13 +45,13 @@ class Feedback:
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """How a detector turns an app into a dense vector."""
+    """How a detector turns an app into a dense float64 row, indexed like ``vocab``."""
 
     kind: str  # binary_string | markov_family | api_cluster
     vocab: FeatureVocab
     cluster_map: ApiClusterMap | None = None
 
-    def extract(self, apk: ApkModel) -> FeatureVector:
+    def extract(self, apk: ApkModel) -> np.ndarray:
         if self.kind == "binary_string":
             return extract_binary(apk, self.vocab)
         if self.kind == "markov_family":
@@ -60,9 +62,6 @@ class FeatureSpace:
                 raise ValueError("api_cluster feature space needs a cluster map")
             return extract_api_cluster(apk, self.cluster_map)
         raise ValueError(f"unknown feature space kind: {self.kind}")
-
-    def extract_dense(self, apk: ApkModel) -> np.ndarray:
-        return self.extract(apk).to_dense()
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,6 @@ class DetectorModel:
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
-
-
-def _as_matrix(vectors: Sequence[FeatureVector]) -> np.ndarray:
-    return np.stack([v.to_dense() for v in vectors])
 
 
 def _encode_labels(labels: Sequence[str]) -> np.ndarray:
@@ -267,7 +262,7 @@ def query(model: DetectorModel, apk: ApkModel) -> Feedback:
     """Black-box oracle answer for one app."""
     if model.kind == "ensemble":
         return ensemble_query(model.members, apk)
-    return _feedback(model, model.space.extract_dense(apk))
+    return _feedback(model, model.space.extract(apk))
 
 
 def ensemble_query(members: Sequence[DetectorModel], apk: ApkModel) -> Feedback:
@@ -285,7 +280,7 @@ def ensemble_query(members: Sequence[DetectorModel], apk: ApkModel) -> Feedback:
         else:
             x = dense.get(m.space)
             if x is None:
-                x = dense[m.space] = m.space.extract_dense(apk)
+                x = dense[m.space] = m.space.extract(apk)
             fb = _feedback(m, x)
         hits += fb.label == "malicious"
     conf = hits / len(members)
@@ -328,27 +323,26 @@ def _metrics(y_true: np.ndarray, y_pred: np.ndarray, holdout: bool) -> TrainRepo
                        holdout_size=len(y_true), on_holdout=holdout)
 
 
-def train(kind: str, vectors: Sequence[FeatureVector], labels: Sequence[str],
-          hyperparams: dict | None = None, seed: int = 0, threshold: float = 0.5,
-          cluster_map: ApiClusterMap | None = None) -> DetectorModel:
-    """Train one detector on labeled feature vectors. Deterministic under a seed."""
+def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
+          hyperparams: dict | None = None, seed: int = 0,
+          threshold: float = 0.5) -> DetectorModel:
+    """Train one detector on labeled rows of ``space``'s features, one row of
+    ``x`` per label. Deterministic under a seed."""
     if kind == "ensemble":
         raise ValueError("train ensemble members individually and use make_ensemble")
     if kind not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector kind: {kind}")
-    if len(vectors) == 0:
+    if len(x) == 0:
         raise ValueError("empty training set")
-    if len(vectors) != len(labels):
-        raise ValueError("vectors and labels differ in length")
+    if len(x) != len(labels):
+        raise ValueError("feature rows and labels differ in length")
+    if x.ndim != 2 or x.shape[1] != len(space.vocab):
+        raise ValueError(f"feature rows of shape {x.shape} do not match the "
+                         f"{len(space.vocab)}-key {space.kind} vocabulary")
     hp = dict(hyperparams or {})
     y = _encode_labels(labels)
     if len(set(labels)) < 2:
         raise ValueError("training set must contain both classes")
-    vocab = vectors[0].vocab
-    for v in vectors:
-        if v.vocab is not vocab and v.vocab.keys != vocab.keys:
-            raise ValueError("feature vectors disagree on vocabulary")
-    x = _as_matrix(vectors)
 
     fit_idx, hold_idx = _holdout_split(y, seed)
     x_fit, y_fit = x[fit_idx], y[fit_idx]
@@ -367,7 +361,6 @@ def train(kind: str, vectors: Sequence[FeatureVector], labels: Sequence[str],
     else:
         params = _train_forest(x_fit, y_fit, hp, seed)
 
-    space = FeatureSpace(kind=vocab.kind, vocab=vocab, cluster_map=cluster_map)
     model = DetectorModel(kind=kind, space=space, params=params, hyperparams=hp,
                           threshold=threshold)
     eval_idx = hold_idx if len(hold_idx) > 0 else fit_idx
@@ -418,6 +411,7 @@ def vocab_hash(vocab: FeatureVocab) -> str:
 
 def model_to_dict(model: DetectorModel) -> dict:
     doc = {
+        "format": MODEL_FORMAT,
         "kind": model.kind,
         "threshold": model.threshold,
         "hyperparams": model.hyperparams,
@@ -474,4 +468,5 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    return model_from_dict(read_json(path))
+    return model_from_dict(read_json_format(path, "model", MODEL_FORMAT,
+                                            "retrain it with train"))

@@ -1,5 +1,6 @@
 """Feature families over the app model: binary string vectors, markov family-transition
-matrices, and api-cluster indicator vectors."""
+matrices, and api-cluster indicator vectors. Each extractor returns one dense float64
+row, indexed like its vocabulary."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -30,20 +31,6 @@ class FeatureVocab:
         return len(self.keys)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    vocab: FeatureVocab
-    values: dict[int, float]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(len(self.vocab))
-        if self.values:
-            idx = np.fromiter(self.values.keys(), dtype=np.intp, count=len(self.values))
-            val = np.fromiter(self.values.values(), dtype=np.float64, count=len(self.values))
-            out[idx] = val
-        return out
-
-
 def binary_keys(apk: ApkModel) -> Iterator[str]:
     """Feature keys an app exhibits: manifest string sets plus api-call ids."""
     m = apk.manifest
@@ -57,8 +44,8 @@ def binary_keys(apk: ApkModel) -> Iterator[str]:
         for cat in comp.intent_categories:
             yield "category:" + cat
     for comp in apk.code.components:
-        for call in comp.api_calls:
-            yield "api:" + call.api_id
+        for api in comp.api_calls:
+            yield "api:" + api
 
 
 def build_vocab(apks: Iterable[ApkModel]) -> FeatureVocab:
@@ -73,17 +60,17 @@ def build_vocab(apks: Iterable[ApkModel]) -> FeatureVocab:
     return FeatureVocab(kind="binary_string", keys=tuple(sorted(keys)))
 
 
-def extract_binary(apk: ApkModel, vocab: FeatureVocab) -> FeatureVector:
+def extract_binary(apk: ApkModel, vocab: FeatureVocab) -> np.ndarray:
     """1.0 at each vocabulary key the app exhibits; out-of-vocabulary keys are ignored."""
     if vocab.kind != "binary_string":
         raise ValueError(f"binary extraction needs a binary_string vocab, got {vocab.kind}")
     index = vocab.key_to_index
-    values: dict[int, float] = {}
+    out = np.zeros(len(vocab))
     for key in binary_keys(apk):
         i = index.get(key)
         if i is not None:
-            values[i] = 1.0
-    return FeatureVector(vocab=vocab, values=values)
+            out[i] = 1.0
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -94,7 +81,7 @@ def markov_vocab(family_count: int) -> FeatureVocab:
     return FeatureVocab(kind="markov_family", keys=keys)
 
 
-def extract_markov(apk: ApkModel, family_count: int) -> FeatureVector:
+def extract_markov(apk: ApkModel, family_count: int) -> np.ndarray:
     """Row-normalized family-transition matrix of the call graph, flattened row-major.
 
     Entry (a, b) is the fraction of family-a out-edges that land in family b; families
@@ -118,10 +105,7 @@ def extract_markov(apk: ApkModel, family_count: int) -> FeatureVector:
     counts = counts.reshape(family_count, family_count)
     row_sums = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, row_sums, out=np.zeros_like(counts), where=row_sums > 0)
-    vocab = markov_vocab(family_count)
-    flat = matrix.ravel()
-    nz = np.flatnonzero(flat)
-    return FeatureVector(vocab=vocab, values={int(i): float(flat[i]) for i in nz})
+    return matrix.ravel()
 
 
 @dataclass(frozen=True)
@@ -156,17 +140,17 @@ def cluster_vocab(cluster_count: int) -> FeatureVocab:
                         keys=tuple(f"cluster:{i:03d}" for i in range(cluster_count)))
 
 
-def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap) -> FeatureVector:
+def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap) -> np.ndarray:
     """1.0 at cluster i when any api call mapped to cluster i occurs in the app."""
     lookup = cmap.lookup
-    values: dict[int, float] = {}
+    out = np.zeros(cmap.cluster_count)
     for comp in apk.code.components:
-        for call in comp.api_calls:
-            cluster = lookup.get(call.api_id)
+        for api in comp.api_calls:
+            cluster = lookup.get(api)
             if cluster is None:
-                raise ValueError(f"api id missing from cluster map: {call.api_id}")
-            values[cluster] = 1.0
-    return FeatureVector(vocab=cluster_vocab(cmap.cluster_count), values=values)
+                raise ValueError(f"api id missing from cluster map: {api}")
+            out[cluster] = 1.0
+    return out
 
 
 def vocab_to_dict(vocab: FeatureVocab) -> dict:

@@ -13,22 +13,19 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
 from .corpus import ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
     DetectorModel,
+    FeatureSpace,
     make_ensemble,
     query as model_query,
     train,
 )
-from .features import (
-    build_api_cluster_map,
-    build_vocab,
-    extract_api_cluster,
-    extract_binary,
-    extract_markov,
-)
+from .features import build_api_cluster_map, build_vocab, cluster_vocab, markov_vocab
 from .perturbset import PerturbationSet, build_perturbation_set
 
 FEATURE_KINDS = ("binary", "markov", "api_cluster")
@@ -196,20 +193,24 @@ def _corpus_api_ids(corpus: Corpus) -> list[str]:
     for apps in (corpus.benign, corpus.malicious, corpus.donors):
         for apk in apps:
             for comp in apk.code.components:
-                ids.update(call.api_id for call in comp.api_calls)
+                ids.update(comp.api_calls)
     return sorted(ids)
 
 
 def _featurize(features: str, apks, corpus: Corpus, cluster_count: int,
-               seed: int):
+               seed: int) -> tuple[FeatureSpace, np.ndarray]:
+    """The feature space of a feature kind, built over ``apks`` and the corpus,
+    and the (apps x features) matrix of ``apks`` in it."""
     if features == "binary":
-        vocab = build_vocab(apks)
-        return [extract_binary(a, vocab) for a in apks], None
-    if features == "markov":
-        fam = corpus.spec.api_family_count
-        return [extract_markov(a, fam) for a in apks], None
-    cmap = build_api_cluster_map(_corpus_api_ids(corpus), cluster_count, seed)
-    return [extract_api_cluster(a, cmap) for a in apks], cmap
+        space = FeatureSpace(kind="binary_string", vocab=build_vocab(apks))
+    elif features == "markov":
+        space = FeatureSpace(kind="markov_family",
+                             vocab=markov_vocab(corpus.spec.api_family_count))
+    else:
+        cmap = build_api_cluster_map(_corpus_api_ids(corpus), cluster_count, seed)
+        space = FeatureSpace(kind="api_cluster", vocab=cluster_vocab(cmap.cluster_count),
+                             cluster_map=cmap)
+    return space, np.stack([space.extract(a) for a in apks])
 
 
 def train_detector(spec: DetectorSpec, corpus: Corpus,
@@ -220,12 +221,11 @@ def train_detector(spec: DetectorSpec, corpus: Corpus,
     if spec.kind == "ensemble":
         return make_default_ensemble(corpus, train_apks, seed=spec.train_seed,
                                      size=spec.ensemble_size)
-    vectors, cmap = _featurize(spec.features, train_apks, corpus,
-                               spec.cluster_count, spec.train_seed)
+    space, x = _featurize(spec.features, train_apks, corpus,
+                          spec.cluster_count, spec.train_seed)
     labels = [a.ground_truth for a in train_apks]
-    return train(spec.kind, vectors, labels, hyperparams=dict(spec.hyperparams),
-                 seed=spec.train_seed, threshold=spec.threshold,
-                 cluster_map=cmap)
+    return train(spec.kind, space, x, labels, hyperparams=dict(spec.hyperparams),
+                 seed=spec.train_seed, threshold=spec.threshold)
 
 
 # Member mix for the stock ensemble: mostly linear plus a spread of other
@@ -257,11 +257,10 @@ def make_default_ensemble(corpus: Corpus, train_apks=None, seed: int = 0,
         sample: list[ApkModel] = []
         for apps in by_class.values():
             sample.extend(rng.choice(apps) for _ in range(len(apps)))
-        vectors, cmap = _featurize(features, sample, corpus,
-                                   cluster_count=24, seed=seed * 977 + i)
+        space, x = _featurize(features, sample, corpus,
+                              cluster_count=24, seed=seed * 977 + i)
         labels = [a.ground_truth for a in sample]
-        members.append(train(kind, vectors, labels, seed=seed * 977 + i,
-                             cluster_map=cmap))
+        members.append(train(kind, space, x, labels, seed=seed * 977 + i))
     return make_ensemble(members)
 
 

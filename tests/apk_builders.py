@@ -6,7 +6,6 @@ edge pairs, and rejects an edge whose endpoints lie in different components."""
 from dataclasses import dataclass
 
 from pst_evade.corpus import (
-    ApiCall,
     ApkModel,
     CodeComponent,
     CodeGraph,
@@ -41,10 +40,9 @@ def declared(kind="activity", name="Main", actions=(), categories=(),
 
 def code_component(kind="service", functions=(), api_ids=(), classes=1,
                    origin="original"):
-    calls = tuple(ApiCall(api_id=a, family_id=0, package_id=0) for a in api_ids)
     families = [int(f.rpartition("@")[2]) for f in functions]
     return NamedComponent(kind=kind, classes=classes, families=families, edges=(),
-                          api_calls=calls, origin=origin, names=tuple(functions))
+                          api_calls=tuple(api_ids), origin=origin, names=tuple(functions))
 
 
 def _place_edges(components, edges):

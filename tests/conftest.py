@@ -28,14 +28,16 @@ def full_pset(donor_corpus):
 def attack_setup(small_corpus):
     """(model, pset, true_positives): a trained linear detector over the small
     corpus plus its perturbation set and detected malicious test samples."""
+    import numpy as np
+
     from pst_evade import detectors as det
-    from pst_evade.features import build_vocab, extract_binary
+    from pst_evade.features import build_vocab
 
     train, test = small_corpus.train_test_split()
-    vocab = build_vocab(train)
-    vectors = [extract_binary(a, vocab) for a in train]
+    space = det.FeatureSpace(kind="binary_string", vocab=build_vocab(train))
+    x = np.stack([space.extract(a) for a in train])
     labels = [a.ground_truth for a in train]
-    model = det.train("linear", vectors, labels, seed=3)
+    model = det.train("linear", space, x, labels, seed=3)
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     tps = [a for a in test
            if a.ground_truth == "malicious" and det.query(model, a).label == "malicious"]

@@ -9,11 +9,9 @@ from scipy import stats
 
 from apk_builders import apk
 from pst_evade.attack import (
+    ALGORITHMS,
     AttackConfig,
     Oracle,
-    mab_attack,
-    pst_attack,
-    random_attack,
     report_to_dict,
     run_attack,
     second_layer_arms,
@@ -24,7 +22,9 @@ from pst_evade.detectors import DetectorModel, Feedback, FeatureSpace
 from pst_evade.features import FeatureVocab
 from pst_evade.perturbset import build_perturbation_set
 
-ALL_ATTACKS = [pst_attack, mab_attack, random_attack]
+# One case per algorithm, with the case ids the per-algorithm entry points had.
+EACH_ALGORITHM = pytest.mark.parametrize("algorithm", ALGORITHMS,
+                                         ids=[f"{a}_attack" for a in ALGORITHMS])
 
 
 class ConstOracle:
@@ -68,19 +68,21 @@ def _mini_pset():
     return build_perturbation_set(catalog)
 
 
-@pytest.mark.parametrize("attack", ALL_ATTACKS)
-def test_benign_sample_is_not_applicable(attack):
-    report = attack(BenignOracle(), apk(), _mini_pset(), AttackConfig(budget=10))
+@EACH_ALGORITHM
+def test_benign_sample_is_not_applicable(algorithm):
+    report = run_attack(BenignOracle(), apk(), _mini_pset(),
+                        AttackConfig(budget=10, algorithm=algorithm))
     assert report.outcome == "not_applicable"
     assert report.queries_used == 0
     assert len(report.confidence_trace) == 1
     assert report.applied == ()
 
 
-@pytest.mark.parametrize("attack", ALL_ATTACKS)
-def test_success_on_first_perturbation(attack):
+@EACH_ALGORITHM
+def test_success_on_first_perturbation(algorithm):
     oracle = ScriptOracle([("malicious", 0.9), ("benign", 0.2)])
-    report = attack(oracle, apk(), _mini_pset(), AttackConfig(budget=10))
+    report = run_attack(oracle, apk(), _mini_pset(),
+                        AttackConfig(budget=10, algorithm=algorithm))
     assert report.outcome == "success"
     assert report.queries_used == 1
     assert report.confidence_trace == (0.9, 0.2)
@@ -88,9 +90,10 @@ def test_success_on_first_perturbation(attack):
     assert len(report.applied) >= 1
 
 
-@pytest.mark.parametrize("attack", ALL_ATTACKS)
-def test_constant_oracle_exhausts_exact_budget(attack):
-    report = attack(ConstOracle(0.9), apk(), _mini_pset(), AttackConfig(budget=4))
+@EACH_ALGORITHM
+def test_constant_oracle_exhausts_exact_budget(algorithm):
+    report = run_attack(ConstOracle(0.9), apk(), _mini_pset(),
+                        AttackConfig(budget=4, algorithm=algorithm))
     assert report.outcome == "failure"
     assert report.failure_reason == "budget_exhausted"
     assert report.queries_used == 4
@@ -99,7 +102,7 @@ def test_constant_oracle_exhausts_exact_budget(attack):
 
 def test_equal_confidence_keeps_perturbed_sample():
     # Keep-on-equal: a flat confidence still accumulates perturbations.
-    report = pst_attack(ConstOracle(0.9), apk(), _mini_pset(),
+    report = run_attack(ConstOracle(0.9), apk(), _mini_pset(),
                         AttackConfig(budget=3))
     assert len(report.applied) >= 1
     assert report.adversarial is not None
@@ -108,7 +111,7 @@ def test_equal_confidence_keeps_perturbed_sample():
 def test_worsening_confidence_reverts_sample():
     # Gate 0.5, then every perturbed query is strictly worse: nothing kept.
     oracle = ScriptOracle([("malicious", 0.5)] + [("malicious", 0.8)] * 3)
-    report = pst_attack(oracle, apk(), _mini_pset(), AttackConfig(budget=3))
+    report = run_attack(oracle, apk(), _mini_pset(), AttackConfig(budget=3))
     assert report.outcome == "failure"
     assert report.applied == ()
 
@@ -120,7 +123,7 @@ def test_tree_depletion_stops_early():
                      ("android.permission.KILO_UNRELATED", "signature")),
         activity_actions=(), broadcast_actions=(), categories=())
     pset = build_perturbation_set(catalog)
-    report = pst_attack(ConstOracle(0.9), apk(), pset, AttackConfig(budget=10))
+    report = run_attack(ConstOracle(0.9), apk(), pset, AttackConfig(budget=10))
     assert report.outcome == "failure"
     assert report.failure_reason == "tree_depleted"
     assert report.queries_used == len(pset.groups)
@@ -129,22 +132,22 @@ def test_tree_depletion_stops_early():
 
 def test_counting_initial_query_shrinks_loop():
     oracle = ScriptOracle([("malicious", 0.9), ("benign", 0.2)])
-    report = pst_attack(oracle, apk(), _mini_pset(),
+    report = run_attack(oracle, apk(), _mini_pset(),
                         AttackConfig(budget=3, count_initial_query=True))
     assert report.outcome == "success"
     assert report.queries_used == 2  # gate + one attack query
 
 
-@pytest.mark.parametrize("attack", ALL_ATTACKS)
-def test_budget_safety_fuzz(attack):
+@EACH_ALGORITHM
+def test_budget_safety_fuzz(algorithm):
     rng = random.Random(61)
     for trial in range(15):
         budget = rng.randint(1, 12)
         script = [("malicious", 0.9)] + [
             ("malicious", round(rng.random(), 3)) for _ in range(budget + 2)]
         oracle = ScriptOracle(script)
-        report = attack(oracle, apk(), _mini_pset(),
-                        AttackConfig(budget=budget, seed=trial))
+        report = run_attack(oracle, apk(), _mini_pset(),
+                            AttackConfig(budget=budget, algorithm=algorithm, seed=trial))
         assert report.queries_used <= budget
         assert len(report.confidence_trace) == report.queries_used + 1
 
@@ -239,13 +242,13 @@ def test_single_flip_found_by_tree_search():
     flips = []
     for p in pset.perturbations:
         candidate, _ = apply_perturbation(base, p, random.Random(0))
-        x = model.space.extract_dense(candidate)
+        x = model.space.extract(candidate)
         conf = 1.0 / (1.0 + math.exp(-float(np.dot(model.params["w"], x))))
         if conf < 0.5:
             flips.append(p.key)
     assert flips == ["permission:android.permission.AAA_X"]
 
-    report = pst_attack(Oracle(model), base, pset,
+    report = run_attack(Oracle(model), base, pset,
                         AttackConfig(budget=len(pset.groups), seed=9))
     assert report.outcome == "success"
     assert report.queries_used <= len(pset.groups)
@@ -285,7 +288,7 @@ def test_mab_learns_rewarding_arm():
     pset = _mini_pset()
     base = apk()
     oracle = ArmBiasedOracle(base_perm_count=0)
-    report = mab_attack(oracle, base, pset, AttackConfig(budget=60, seed=13,
+    report = run_attack(oracle, base, pset, AttackConfig(budget=60, seed=13,
                                                          algorithm="mab"))
     assert report.outcome == "failure"
     perm_kept = sum(1 for k in report.applied if k.startswith("permission:"))
@@ -303,7 +306,8 @@ def test_single_arm_reduces_to_uniform():
     pset = build_perturbation_set(catalog)
     arms = second_layer_arms(pset)
     assert list(arms) == ["permission"]
-    report = mab_attack(ConstOracle(0.9), apk(), pset, AttackConfig(budget=30, seed=3))
+    report = run_attack(ConstOracle(0.9), apk(), pset,
+                        AttackConfig(budget=30, seed=3, algorithm="mab"))
     assert report.outcome == "failure"
     kinds = {k.split(":")[0] for k in report.applied}
     assert kinds == {"permission"}
@@ -317,8 +321,8 @@ def test_random_attack_accumulates_without_revert():
     # Confidence gets strictly worse every round; everything still sticks.
     script = [("malicious", 0.5)] + [("malicious", 0.5 + 0.01 * i)
                                      for i in range(1, 9)]
-    report = random_attack(ScriptOracle(script), apk(), _mini_pset(),
-                           AttackConfig(budget=8, seed=5))
+    report = run_attack(ScriptOracle(script), apk(), _mini_pset(),
+                        AttackConfig(budget=8, seed=5, algorithm="random"))
     assert report.outcome == "failure"
     assert len(report.applied) == report.queries_used == 8
 
@@ -328,7 +332,8 @@ def test_random_attack_single_perturbation_set():
         hardware_features=("android.hardware.nfc",), software_features=(),
         permissions=(), activity_actions=(), broadcast_actions=(), categories=())
     pset = build_perturbation_set(catalog)
-    report = random_attack(ConstOracle(0.9), apk(), pset, AttackConfig(budget=5, seed=1))
+    report = run_attack(ConstOracle(0.9), apk(), pset,
+                        AttackConfig(budget=5, seed=1, algorithm="random"))
     assert report.applied == ("uses_feature:android.hardware.nfc",) * 5
 
 
@@ -340,8 +345,8 @@ def test_random_attack_draws_uniformly():
         activity_actions=(), broadcast_actions=(), categories=())
     pset = build_perturbation_set(catalog)
     n = 100_000
-    report = random_attack(ConstOracle(0.9), apk(), pset,
-                           AttackConfig(budget=n, seed=21))
+    report = run_attack(ConstOracle(0.9), apk(), pset,
+                        AttackConfig(budget=n, seed=21, algorithm="random"))
     counts: dict[str, int] = {}
     for key in report.applied:
         counts[key] = counts.get(key, 0) + 1

@@ -3,11 +3,12 @@ import json
 
 import pytest
 
+from pst_evade.attack import AttackConfig, Oracle, report_to_dict, run_attack
 from pst_evade.cli import main
 from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
 from pst_evade.detectors import load_model
-from pst_evade.harness import read_rows_csv
-from pst_evade.perturbset import load_pset
+from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
+from pst_evade.perturbset import DEFAULT_SIMILARITY_THRESHOLD, load_pset
 
 SPEC = CorpusSpec(n_benign=30, n_malicious=30, donor_count=10, seed=19)
 
@@ -21,6 +22,8 @@ def workdir(tmp_path_factory):
                  "--out", str(root / "corpus.json")]) == 0
     assert main(["train", "--corpus", str(root / "corpus.json"),
                  "--kind", "linear", "--out", str(root / "model.json")]) == 0
+    assert main(["build-pset", "--corpus", str(root / "corpus.json"),
+                 "--out", str(root / "pset.json")]) == 0
     return root
 
 
@@ -65,6 +68,7 @@ def test_attack_writes_report(workdir, capsys):
     tree = workdir / "tree.json"
     assert main(["attack", "--corpus", str(workdir / "corpus.json"),
                  "--model", str(workdir / "model.json"),
+                 "--pset", str(workdir / "pset.json"),
                  "--algorithm", "pst", "--budget", "6", "--samples", "4",
                  "--seed", "2", "--out", str(out),
                  "--dump-tree", str(tree)]) == 0
@@ -78,6 +82,31 @@ def test_attack_writes_report(workdir, capsys):
     snapshot = json.loads(tree.read_text())
     assert snapshot["root"]["label"] == "root"
     assert "ASR" in capsys.readouterr().out
+
+
+def test_attack_runs_on_the_pset_file_it_is_given(workdir):
+    corpus_path, model_path = workdir / "corpus.json", workdir / "model.json"
+    pset_path, out = workdir / "pset_strict.json", workdir / "attack_strict.json"
+    assert main(["build-pset", "--corpus", str(corpus_path), "--threshold", "0.9",
+                 "--out", str(pset_path)]) == 0
+    pset = load_pset(pset_path)
+    assert pset.threshold != DEFAULT_SIMILARITY_THRESHOLD
+    assert len(pset.groups) != len(load_pset(workdir / "pset.json").groups)
+    assert main(["attack", "--corpus", str(corpus_path), "--model", str(model_path),
+                 "--pset", str(pset_path), "--budget", "6", "--samples", "3",
+                 "--seed", "4", "--out", str(out)]) == 0
+
+    model = load_model(model_path)
+    _, test = load_corpus(corpus_path).train_test_split()
+    targets = select_true_positives(model, [a for a in test if a.ground_truth == "malicious"],
+                                    3, 4, detector_name=str(model_path))
+    expected = [report_to_dict(run_attack(Oracle(model), apk, pset,
+                                          AttackConfig(budget=6, seed=derive_seed(4, apk.id))))
+                for apk in targets]
+    written = json.loads(out.read_text())["reports"]
+    for doc in written + expected:
+        del doc["wall_time"]
+    assert written == expected
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +168,8 @@ def test_unknown_command_is_rejected():
         main(["fuzz-the-moon"])
 
 
-def _attack_args(workdir, corpus, model):
-    return ["attack", "--corpus", str(corpus), "--model", str(model),
+def _attack_args(workdir, corpus, model, pset):
+    return ["attack", "--corpus", str(corpus), "--model", str(model), "--pset", str(pset),
             "--budget", "4", "--samples", "2", "--out", str(workdir / "err.json")]
 
 
@@ -149,9 +178,11 @@ def _attack_args(workdir, corpus, model):
     ("model_without_vocab", "missing key 'vocab'"),
     ("truncated_model", "line 1 column"),
     ("truncated_corpus", "line 1 column"),
+    ("unversioned_model", "model format 1 is not supported; retrain it with train"),
+    ("truncated_pset", "line 1 column"),
 ])
 def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
-    corpus, model = workdir / "corpus.json", workdir / "model.json"
+    corpus, model, pset = workdir / "corpus.json", workdir / "model.json", workdir / "pset.json"
     broken = None
     if case == "missing_corpus":
         corpus = workdir / "no_such_corpus.json"
@@ -162,17 +193,25 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         model.write_text(json.dumps(doc))
     elif case == "truncated_model":
         model = broken = _truncated_copy(model, workdir / "truncated_model.json")
+    elif case == "unversioned_model":
+        doc = json.loads(model.read_text())
+        del doc["format"]  # written before model files were versioned
+        model = broken = workdir / "unversioned_model.json"
+        model.write_text(json.dumps(doc))
+    elif case == "truncated_pset":
+        pset = broken = _truncated_copy(pset, workdir / "truncated_pset.json")
     else:
         corpus = broken = _truncated_copy(corpus, workdir / "truncated_corpus.json")
     capsys.readouterr()
-    assert main(_attack_args(workdir, corpus, model)) == 2
+    assert main(_attack_args(workdir, corpus, model, pset)) == 2
     err = capsys.readouterr().err
     assert err.startswith("pst-evade: error: ")
     assert needle in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
     if broken is not None:
-        # attack reads a corpus and a model: the error says which one is broken.
+        # attack reads a corpus, a model and a pset: the error says which one
+        # is broken.
         assert err.startswith(f"pst-evade: error: {broken}: ")
 
 

@@ -10,7 +10,6 @@ from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import (
     ACTION_MAIN,
     CATEGORY_LAUNCHER,
-    ApiCall,
     CodeComponent,
     CodeGraph,
     CorpusSpec,
@@ -215,7 +214,7 @@ def _inject_payload():
     decl = declared(kind="service", name="com.donor.Svc0", exported=False,
                     enabled=False)
     comp = CodeComponent(kind="service", classes=3, families=[0, 1], edges=[[0, 1]],
-                         api_calls=(ApiCall("api.pkg01.fn001", 0, 1),),
+                         api_calls=("api.pkg01.fn001",),
                          origin="original")
     return InjectablePayload(source_apk_id="d000", declared=decl, component=comp)
 
@@ -367,11 +366,13 @@ def test_corpus_file_stores_components_as_flat_int_lists(tmp_path):
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
     doc = json.loads(path.read_text())
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     comp = corpus.benign[0].code.components[0]
     stored = doc["benign"][0]["code"]["components"][0]
     assert stored["families"] == comp.families.tolist()
     assert stored["edges"] == comp.edges.ravel().tolist()
+    assert stored["api_calls"] == list(comp.api_calls)
+    assert stored["api_calls"] and all(isinstance(a, str) for a in stored["api_calls"])
     assert set(doc["benign"][0]["code"]) == {"components"}
 
 
@@ -384,7 +385,7 @@ def _corpus_doc():
                                                      donor_count=2, seed=5)))
 
 
-@pytest.mark.parametrize("found", [None, 1, 3])
+@pytest.mark.parametrize("found", [None, 1, 2, 4])
 def test_load_corpus_refuses_other_formats(tmp_path, found):
     doc = _corpus_doc()
     if found is None:
@@ -415,6 +416,10 @@ def _bad_origin(comp, app):
     comp["origin"] = "grafted"
 
 
+def _non_string_api_id(comp, app):
+    comp["api_calls"].append(7)
+
+
 def _duplicate_declared(comp, app):
     decls = app["manifest"]["declared_components"]
     decls.append(dict(decls[0]))
@@ -425,9 +430,10 @@ def _duplicate_declared(comp, app):
     (_negative_edge_index, "component {i}: edge index out of range"),
     (_negative_family, "component {i}: negative function family"),
     (_bad_origin, "component {i}: bad origin: grafted"),
+    (_non_string_api_id, "component {i}: api call id is not a string: 7"),
     (_duplicate_declared, ": duplicate declared component"),
 ], ids=["edge_out_of_range", "negative_edge_index", "negative_family", "bad_origin",
-        "duplicate_declared"])
+        "non_string_api_id", "duplicate_declared"])
 def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
     doc = _corpus_doc()
     app = doc["malicious"][2]

@@ -25,7 +25,7 @@ from pst_evade.detectors import (
     train,
     vocab_hash,
 )
-from pst_evade.features import ApiClusterMap, FeatureVector, FeatureVocab, cluster_vocab
+from pst_evade.features import ApiClusterMap, FeatureVocab, cluster_vocab
 from pst_evade.harness import make_default_ensemble, select_true_positives
 from pst_evade.perturbset import build_perturbation_set
 
@@ -191,65 +191,62 @@ def test_ensemble_shared_extraction_matches_per_member_queries(small_corpus):
 # Training
 
 
-def _separable_vectors(n_per_class=12):
-    vocab = FeatureVocab(kind="binary_string", keys=("perm:M", "perm:B"))
-    vectors, labels = [], []
-    for _ in range(n_per_class):
-        vectors.append(FeatureVector(vocab=vocab, values={0: 1.0}))
-        labels.append("malicious")
-        vectors.append(FeatureVector(vocab=vocab, values={1: 1.0}))
-        labels.append("benign")
-    return vectors, labels
+def _separable_rows(n_per_class=12):
+    """(space, x, labels): alternating malicious rows [1, 0] and benign rows [0, 1]."""
+    space = _binary_space(("perm:M", "perm:B"))
+    x = np.tile([[1.0, 0.0], [0.0, 1.0]], (n_per_class, 1))
+    labels = ["malicious", "benign"] * n_per_class
+    return space, x, labels
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "knn", "forest"])
 def test_train_learns_separable_data(kind):
-    vectors, labels = _separable_vectors()
-    model = train(kind, vectors, labels, seed=3)
+    space, x, labels = _separable_rows()
+    model = train(kind, space, x, labels, seed=3)
     assert model.report.f1 == 1.0
     assert model.report.on_holdout
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "knn", "forest"])
 def test_train_is_deterministic(kind):
-    vectors, labels = _separable_vectors()
-    a = train(kind, vectors, labels, seed=3)
-    b = train(kind, vectors, labels, seed=3)
+    space, x, labels = _separable_rows()
+    a = train(kind, space, x, labels, seed=3)
+    b = train(kind, space, x, labels, seed=3)
     assert json.dumps(model_to_dict(a), sort_keys=True) == \
            json.dumps(model_to_dict(b), sort_keys=True)
 
 
 def test_knn_stores_only_fit_portion():
-    vectors, labels = _separable_vectors()  # 12 per class, 3 held out per class
-    model = train("knn", vectors, labels, seed=3)
+    space, x, labels = _separable_rows()  # 12 per class, 3 held out per class
+    model = train("knn", space, x, labels, seed=3)
     assert model.params["x"].shape[0] == 18
     assert model.report.holdout_size == 6
 
 
 def test_train_rejects_bad_inputs():
-    vectors, labels = _separable_vectors()
+    space, x, labels = _separable_rows()
     with pytest.raises(ValueError):
-        train("linear", [], [])
+        train("linear", space, np.empty((0, 2)), [])
     with pytest.raises(ValueError):
-        train("linear", vectors, ["malicious"] * len(vectors))
+        train("linear", space, x, ["malicious"] * len(x))
     with pytest.raises(ValueError):
-        train("linear", vectors, labels[:-1])
+        train("linear", space, x, labels[:-1])
     with pytest.raises(ValueError):
-        train("ensemble", vectors, labels)
+        train("ensemble", space, x, labels)
     with pytest.raises(ValueError):
-        train("oracle", vectors, labels)
+        train("oracle", space, x, labels)
     with pytest.raises(ValueError):
-        train("knn", vectors, labels, hyperparams={"k": 4})
+        train("knn", space, x, labels, hyperparams={"k": 4})
     with pytest.raises(ValueError):
-        train("knn", vectors, labels, hyperparams={"k": 999})
+        train("knn", space, x, labels, hyperparams={"k": 999})
 
 
-def test_train_rejects_mixed_vocabularies():
-    vectors, labels = _separable_vectors()
-    other = FeatureVocab(kind="binary_string", keys=("perm:X",))
-    vectors[3] = FeatureVector(vocab=other, values={0: 1.0})
-    with pytest.raises(ValueError):
-        train("linear", vectors, labels)
+def test_train_rejects_rows_narrower_or_wider_than_the_vocab():
+    space, x, labels = _separable_rows()
+    for width in (1, 3):
+        with pytest.raises(ValueError, match="do not match the 2-key binary_string") as err:
+            train("linear", space, np.zeros((len(x), width)), labels)
+        assert "\n" not in str(err.value)
 
 
 def _hand_corpus():
@@ -263,12 +260,12 @@ def _hand_corpus():
 
 
 def test_train_and_query_end_to_end():
-    from pst_evade.features import build_vocab, extract_binary
+    from pst_evade.features import build_vocab
     apps = _hand_corpus()
-    vocab = build_vocab(apps)
-    vectors = [extract_binary(a, vocab) for a in apps]
+    space = FeatureSpace(kind="binary_string", vocab=build_vocab(apps))
+    x = np.stack([space.extract(a) for a in apps])
     labels = [a.ground_truth for a in apps]
-    model = train("linear", vectors, labels, seed=1)
+    model = train("linear", space, x, labels, seed=1)
     # Too few per class for a holdout; the report falls back to the fit set.
     assert not model.report.on_holdout
     probe = apk(apk_id="probe", perms=[("M", "normal")])
@@ -289,8 +286,8 @@ def test_feature_space_requires_cluster_map():
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "knn", "forest"])
 def test_model_file_round_trip(tmp_path, kind):
-    vectors, labels = _separable_vectors()
-    model = train(kind, vectors, labels, seed=3)
+    space, x, labels = _separable_rows()
+    model = train(kind, space, x, labels, seed=3)
     path = tmp_path / f"{kind}.json"
     save_model(model, path)
     back = load_model(path)
@@ -373,6 +370,27 @@ def test_load_rejects_cluster_map_that_does_not_match_its_hash(tmp_path):
                    match="cluster_map_hash")
 
 
+def test_model_file_records_its_format(tmp_path):
+    save_model(_linear_model([1.0], 0.0), tmp_path / "model.json")
+    assert json.loads((tmp_path / "model.json").read_text())["format"] == 2
+
+
+@pytest.mark.parametrize("found", [None, 1, 3])
+def test_load_model_refuses_other_formats(tmp_path, found):
+    path = tmp_path / "model.json"
+    save_model(_linear_model([1.0], 0.0), path)
+    doc = json.loads(path.read_text())
+    if found is None:
+        del doc["format"]  # written before model files were versioned
+    else:
+        doc["format"] = found
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == (f"{path}: model format {found or 1} is not supported; "
+                              "retrain it with train")
+
+
 def test_model_missing_a_key_is_a_one_line_value_error():
     with pytest.raises(ValueError, match="linear model: missing key 'vocab'"):
         model_from_dict({"kind": "linear"})
@@ -384,8 +402,8 @@ def test_model_missing_a_key_is_a_one_line_value_error():
 
 
 def test_model_file_with_legacy_tpr_still_loads():
-    vectors, labels = _separable_vectors()
-    model = train("linear", vectors, labels, seed=3)
+    space, x, labels = _separable_rows()
+    model = train("linear", space, x, labels, seed=3)
     doc = model_to_dict(model)
     assert "tpr" not in doc["report"]
     doc["report"]["tpr"] = doc["report"]["recall"]

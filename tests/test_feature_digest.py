@@ -17,8 +17,7 @@ def feature_digest(corpus, cluster_count=24, seed=0):
     apps = corpus.benign + corpus.malicious + corpus.donors
     h = hashlib.sha256()
     for kind in ("binary", "markov", "api_cluster"):
-        vectors, _ = _featurize(kind, apps, corpus, cluster_count, seed)
-        dense = np.stack([v.to_dense() for v in vectors]).astype(np.float64)
+        _, dense = _featurize(kind, apps, corpus, cluster_count, seed)
         h.update(kind.encode())
         h.update(np.asarray(dense.shape, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(dense).tobytes())

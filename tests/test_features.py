@@ -58,14 +58,15 @@ def test_extract_binary_dense_values():
     other = apk(apk_id="t001", perms=[("Q", "signature")])
     vocab = build_vocab([_feature_apk(), other])
     vec = extract_binary(_feature_apk(), vocab)
-    assert vec.to_dense().tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+    assert vec.dtype == np.float64
+    assert vec.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
 
 
 def test_extract_binary_ignores_unseen_keys():
     vocab = build_vocab([_feature_apk()])
     stranger = apk(apk_id="t002", perms=[("P", "normal"), ("UNSEEN", "normal")])
     vec = extract_binary(stranger, vocab)
-    assert vec.to_dense().sum() == 1.0
+    assert vec.sum() == 1.0
 
 
 def test_extract_binary_rejects_wrong_vocab_kind():
@@ -96,21 +97,21 @@ def test_markov_hand_computed_rows():
                      ("t.c0.f1@0", "t.c0.f4@1"),
                      ("t.c0.f0@0", "t.c0.f1@0")])
     vec = extract_markov(app, 2)
-    assert vec.values == {0: 0.25, 1: 0.75}
-    assert vec.to_dense().tolist() == [0.25, 0.75, 0.0, 0.0]
+    assert vec.dtype == np.float64
+    assert vec.tolist() == [0.25, 0.75, 0.0, 0.0]
 
 
 def test_markov_zero_rows_stay_zero():
     comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
     app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1")])
-    dense = extract_markov(app, 3).to_dense().reshape(3, 3)
+    dense = extract_markov(app, 3).reshape(3, 3)
     assert dense[0].sum() == 1.0
     assert dense[1].sum() == 0.0
     assert dense[2].sum() == 0.0
 
 
 def test_markov_no_edges_is_empty():
-    assert extract_markov(apk(), 4).values == {}
+    assert extract_markov(apk(), 4).tolist() == [0.0] * 16
 
 
 def test_markov_rejects_family_out_of_range():
@@ -128,7 +129,7 @@ def test_markov_rejects_zero_families():
 def test_markov_rows_normalized_on_corpus(small_corpus):
     fc = small_corpus.spec.api_family_count
     for app in small_corpus.malicious[:5]:
-        rows = extract_markov(app, fc).to_dense().reshape(fc, fc)
+        rows = extract_markov(app, fc).reshape(fc, fc)
         sums = rows.sum(axis=1)
         assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
 
@@ -137,7 +138,7 @@ def test_markov_equal_graphs_give_equal_vectors():
     def build():
         comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
         return apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1")])
-    assert extract_markov(build(), 2).values == extract_markov(build(), 2).values
+    assert np.array_equal(extract_markov(build(), 2), extract_markov(build(), 2))
 
 
 def _markov_reference(app, family_count):
@@ -148,16 +149,15 @@ def _markov_reference(app, family_count):
         for a, b in comp.edges:
             counts[comp.families[a], comp.families[b]] += 1.0
     row_sums = counts.sum(axis=1, keepdims=True)
-    flat = np.divide(counts, row_sums, out=np.zeros_like(counts),
+    return np.divide(counts, row_sums, out=np.zeros_like(counts),
                      where=row_sums > 0).ravel()
-    return {int(i): float(flat[i]) for i in np.flatnonzero(flat)}
 
 
 def test_markov_matches_from_scratch_reference(small_corpus):
     fc = small_corpus.spec.api_family_count
     apps = small_corpus.benign + small_corpus.malicious
     for app in apps:
-        assert extract_markov(app, fc).values == _markov_reference(app, fc)
+        assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
 
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     manifest_p = next(p for p in pset.perturbations if p.kind == "permission")
@@ -169,18 +169,18 @@ def test_markov_matches_from_scratch_reference(small_corpus):
     assert not present
     assert new_graph.code is not target.code
     for app in (same_graph, new_graph):
-        assert extract_markov(app, fc).values == _markov_reference(app, fc)
+        assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
 
 
 def test_markov_range_check_survives_a_wider_extraction():
     comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])
     app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f0@0"),
                                         ("t.c0.f0@0", "t.c0.f1@3")])
-    assert extract_markov(app, 4).values == _markov_reference(app, 4)
+    assert np.array_equal(extract_markov(app, 4), _markov_reference(app, 4))
     with pytest.raises(ValueError,
                        match=r"family_count=2: component 0 local edge \(0, 1\) has families \(0, 3\)"):
         extract_markov(app, 2)
-    assert extract_markov(app, 4).values == _markov_reference(app, 4)
+    assert np.array_equal(extract_markov(app, 4), _markov_reference(app, 4))
 
 
 def _fresh(app):
@@ -208,7 +208,7 @@ def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
             expected = np.array([[comp.families[a], comp.families[b]] for a, b in comp.edges],
                                 dtype=np.intp).reshape(-1, 2)
             assert np.array_equal(comp.edge_families, expected)
-        assert extract_markov(app, fc).values == _markov_reference(app, fc)
+        assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
 
 
 def test_injection_shares_one_component_per_payload(small_corpus):
@@ -231,13 +231,13 @@ def test_markov_range_error_names_the_payload_edge_after_reuse():
     payload = InjectablePayload(
         source_apk_id="d", declared=declared(kind="service", name="Donor"),
         component=donor.code.components[0])
-    assert extract_markov(app, 2).values == _markov_reference(app, 2)
+    assert np.array_equal(extract_markov(app, 2), _markov_reference(app, 2))
     injected, _ = apply_perturbation(app, StubPerturbation("inject_service", payload),
                                      random.Random(0))
     with pytest.raises(ValueError,
                        match=r"family_count=2: component 1 local edge \(1, 2\) has families \(0, 3\)"):
         extract_markov(injected, 2)
-    assert extract_markov(injected, 4).values == _markov_reference(injected, 4)
+    assert np.array_equal(extract_markov(injected, 4), _markov_reference(injected, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,8 @@ def test_extract_api_cluster_is_presence_not_count():
     comp = code_component(api_ids=["api.a", "api.a", "api.b"],
                           functions=["t.c0.f0@0"])
     vec = extract_api_cluster(apk(components=[comp]), cmap)
-    assert vec.values == {2: 1.0, 0: 1.0}
-    assert vec.to_dense().tolist() == [1.0, 0.0, 1.0]
+    assert vec.dtype == np.float64
+    assert vec.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_extract_api_cluster_rejects_unmapped_id():

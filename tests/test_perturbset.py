@@ -318,11 +318,11 @@ def _first_payload(doc):
 def test_pset_file_round_trip(tmp_path, full_pset):
     path = tmp_path / "pset.json"
     save_pset(full_pset, path)
-    assert json.loads(path.read_text())["format"] == 2
+    assert json.loads(path.read_text())["format"] == 3
     assert pset_to_dict(load_pset(path)) == pset_to_dict(full_pset)
 
 
-@pytest.mark.parametrize("found", [None, 1, 3])
+@pytest.mark.parametrize("found", [None, 1, 2, 4])
 def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
     def corrupt(doc):
         if found is None:
@@ -340,6 +340,7 @@ def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
     ("edges", 1, 10 ** 6, "edge index out of range"),
     ("edges", 0, -1, "edge index out of range"),
     ("families", 0, -1, "negative function family"),
+    ("api_calls", 0, ["api.pkg00.fn000"], "api call id is not a string"),
 ])
 def test_load_pset_bounds_checks_payload_components(tmp_path, full_pset, field, index,
                                                     value, needle):
