@@ -464,6 +464,9 @@ def check_code_component(comp: CodeComponent, where: str) -> None:
         raise ValueError(f"{where}: bad code component kind: {comp.kind}")
     if comp.origin not in ORIGINS:
         raise ValueError(f"{where}: bad origin: {comp.origin}")
+    if not isinstance(comp.api_calls, tuple):
+        raise ValueError(f"{where}: api_calls is a {type(comp.api_calls).__name__}, "
+                         "not a list of api call ids")
     for api in comp.api_calls:
         if not isinstance(api, str):
             raise ValueError(f"{where}: api call id is not a string: {api!r}")
@@ -525,10 +528,13 @@ def _component_to_dict(c: CodeComponent) -> dict:
 
 
 def _component_from_dict(d: dict) -> CodeComponent:
+    # A non-list stays as read, for check_code_component to refuse: tuple() of a
+    # string would split it into one-character ids.
+    api_calls = d["api_calls"]
     return CodeComponent(
         kind=d["kind"], classes=int(d["classes"]),
         families=d["families"], edges=d["edges"],
-        api_calls=tuple(d["api_calls"]),
+        api_calls=tuple(api_calls) if isinstance(api_calls, list) else api_calls,
         origin=d.get("origin", "original"),
     )
 

@@ -9,8 +9,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,6 +76,10 @@ class TrainReport:
 
 @dataclass
 class DetectorModel:
+    """A detector. ``params`` are read once, when the model is made: the scoring
+    kernel is built from them then, and the parameters are checked against the
+    feature space."""
+
     kind: str
     space: FeatureSpace
     params: dict
@@ -82,10 +87,13 @@ class DetectorModel:
     threshold: float = 0.5
     report: TrainReport | None = None
     members: tuple["DetectorModel", ...] = ()
+    # x -> malicious confidence; built from ``params``, never serialized.
+    kernel: Callable[[np.ndarray], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind: {self.kind}")
+        self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params, self.hyperparams)
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -219,11 +227,128 @@ def _train_forest(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
     return {"trees": trees}
 
 
-def _tree_vote(tree: dict, x: np.ndarray) -> int:
-    node = tree
-    while not node["leaf"]:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return int(node["vote"])
+# ---------------------------------------------------------------------------
+# Scoring kernels: built once per model, each checks the parameters it reads.
+
+# Feature spaces whose rows hold integers (0/1 flags).
+_INTEGER_SPACES = ("binary_string", "api_cluster")
+
+
+def _shape_error(kind: str, name: str, shape: tuple, space: FeatureSpace) -> ValueError:
+    return ValueError(f"{kind} model: {name} of shape {shape} do not match the "
+                      f"{len(space.vocab)}-key {space.kind} vocabulary")
+
+
+def _linear_score(w: np.ndarray, b: float, x: np.ndarray) -> float:
+    return float(_sigmoid(float(np.dot(w, x)) + b))
+
+
+def _linear_kernel(space: FeatureSpace, p: dict, hp: dict):
+    if np.shape(p["w"]) != (len(space.vocab),):
+        raise _shape_error("linear", "weights w", np.shape(p["w"]), space)
+    return partial(_linear_score, p["w"], p["b"])
+
+
+def _mlp_score(w1, b1, w2, b2, x: np.ndarray) -> float:
+    h = np.tanh(x @ w1 + b1)
+    return float(_sigmoid(float(h @ w2) + b2))
+
+
+def _mlp_kernel(space: FeatureSpace, p: dict, hp: dict):
+    if np.ndim(p["w1"]) != 2 or len(p["w1"]) != len(space.vocab):
+        raise _shape_error("mlp", "weights w1", np.shape(p["w1"]), space)
+    return partial(_mlp_score, p["w1"], p["b1"], p["w2"], p["b2"])
+
+
+def _nearest_vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> float:
+    """Mean label of the k nearest rows; equal distances go to the lowest index."""
+    order = np.lexsort((np.arange(len(d2)), d2))[:k]
+    return float(train_y[order].mean())
+
+
+def _knn_by_difference(train_x, train_y, k: int, x: np.ndarray) -> float:
+    return _nearest_vote(np.sum(np.square(train_x - x), axis=1), train_y, k)
+
+
+def _knn_by_norms(train_x, sq, train_y, k: int, x: np.ndarray) -> float:
+    # ||t||^2 - 2 t.x + ||x||^2: on integer rows every term is an integer below
+    # 2**53, so d2 equals the difference form bit for bit.
+    return _nearest_vote(sq - 2.0 * (train_x @ x) + float(x @ x), train_y, k)
+
+
+def _knn_kernel(space: FeatureSpace, p: dict, hp: dict):
+    train_x = np.asarray(p["x"], dtype=np.float64)
+    train_y = np.asarray(p["y"], dtype=np.float64)
+    k = int(hp.get("k", 3))
+    if train_x.ndim != 2 or train_x.shape[1] != len(space.vocab):
+        raise _shape_error("knn", "fit rows", train_x.shape, space)
+    n = len(train_x)
+    if train_y.shape != (n,) or not np.isin(train_y, (0.0, 1.0)).all():
+        raise ValueError(f"knn model: y must hold one 0/1 label for each of the {n} fit rows")
+    if not 1 <= k <= n:
+        raise ValueError(f"knn model: k={k} is not between 1 and the {n} fit rows")
+    # No matrix-sized temporaries here: they would raise the peak memory of a load.
+    sq = np.einsum("ij,ij->i", train_x, train_x)
+    if (space.kind in _INTEGER_SPACES and sq.max() < 2.0 ** 52
+            and all(np.array_equal(row, np.trunc(row)) for row in train_x)):
+        return partial(_knn_by_norms, train_x, sq, train_y, k)
+    return partial(_knn_by_difference, train_x, train_y, k)
+
+
+def _forest_score(feature, threshold, left, right, vote, roots, steps: int,
+                  x: np.ndarray) -> float:
+    # One comparison per node, then every tree steps down together; a leaf is
+    # its own child, so trees that reach a leaf early stay there.
+    child = np.where(x[feature] <= threshold, left, right)
+    node = roots
+    for _ in range(steps):
+        node = child[node]
+    return float(np.mean(vote[node]))
+
+
+def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
+    """Flatten the dict trees breadth first into per-node arrays."""
+    width = len(space.vocab)
+    nodes = list(p["trees"])
+    depth = [0] * len(nodes)
+    roots = np.arange(len(nodes), dtype=np.intp)
+    feature, threshold, left, right, vote = [], [], [], [], []
+    for i, node in enumerate(nodes):  # grows while it is walked
+        if node["leaf"]:
+            if node["vote"] not in (0, 1):
+                raise ValueError(f"forest model: leaf vote {node['vote']!r} is not 0 or 1")
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+            vote.append(int(node["vote"]))
+            continue
+        f = node["feature"]
+        if not isinstance(f, int) or not 0 <= f < width:
+            raise ValueError(f"forest model: split feature {f!r} is outside the "
+                             f"{width}-key {space.kind} vocabulary")
+        feature.append(f)
+        threshold.append(float(node["threshold"]))
+        left.append(len(nodes))
+        right.append(len(nodes) + 1)
+        vote.append(0)
+        nodes += [node["left"], node["right"]]
+        depth += [depth[i] + 1] * 2
+    return partial(_forest_score, np.array(feature, dtype=np.intp), np.array(threshold),
+                   np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                   np.array(vote, dtype=np.intp), roots, max(depth, default=0))
+
+
+def _ensemble_kernel(space: FeatureSpace, p: dict, hp: dict):
+    return _ensemble_score
+
+
+def _ensemble_score(x: np.ndarray) -> float:
+    raise ValueError("no dense confidence for kind: ensemble; query its members")
+
+
+_KERNEL_BUILDERS = {"linear": _linear_kernel, "mlp": _mlp_kernel, "knn": _knn_kernel,
+                    "forest": _forest_kernel, "ensemble": _ensemble_kernel}
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +357,7 @@ def _tree_vote(tree: dict, x: np.ndarray) -> int:
 
 def confidence_from_dense(model: DetectorModel, x: np.ndarray) -> float:
     """Malicious confidence for an already-extracted dense vector."""
-    kind = model.kind
-    p = model.params
-    if kind == "linear":
-        return float(_sigmoid(float(np.dot(p["w"], x)) + p["b"]))
-    if kind == "mlp":
-        h = np.tanh(x @ p["w1"] + p["b1"])
-        return float(_sigmoid(float(h @ p["w2"]) + p["b2"]))
-    if kind == "knn":
-        k = int(model.hyperparams.get("k", 3))
-        train_x, train_y = p["x"], p["y"]
-        d2 = np.sum(np.square(train_x - x), axis=1)
-        order = np.lexsort((np.arange(len(d2)), d2))[:k]
-        return float(train_y[order].mean())
-    if kind == "forest":
-        votes = [_tree_vote(t, x) for t in p["trees"]]
-        return float(np.mean(votes))
-    raise ValueError(f"no dense confidence for kind: {kind}")
+    return model.kernel(x)
 
 
 def _feedback(model: DetectorModel, x: np.ndarray) -> Feedback:

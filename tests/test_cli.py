@@ -1,12 +1,14 @@
 """End-to-end command line flow in a temp directory."""
 import json
 
+import numpy as np
 import pytest
 
 from pst_evade.attack import AttackConfig, Oracle, report_to_dict, run_attack
 from pst_evade.cli import main
 from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
-from pst_evade.detectors import load_model
+from pst_evade.detectors import DetectorModel, FeatureSpace, load_model, model_to_dict
+from pst_evade.features import FeatureVocab
 from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
 from pst_evade.perturbset import DEFAULT_SIMILARITY_THRESHOLD, load_pset
 
@@ -213,6 +215,32 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         # attack reads a corpus, a model and a pset: the error says which one
         # is broken.
         assert err.startswith(f"pst-evade: error: {broken}: ")
+
+
+@pytest.mark.parametrize("kind,needle", [
+    ("knn", "knn model: fit rows of shape (2, 1) do not match the 2-key binary_string "
+            "vocabulary"),
+    ("forest", "forest model: split feature 99 is outside the 2-key binary_string vocabulary"),
+])
+def test_model_with_bad_scoring_params_is_refused_in_one_line(workdir, capsys, kind, needle):
+    space = FeatureSpace(kind="binary_string",
+                         vocab=FeatureVocab(kind="binary_string", keys=("perm:P", "perm:Q")))
+    params = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "y": np.array([0.0, 1.0])}
+    tree = {"leaf": False, "feature": 1, "threshold": 0.5,
+            "left": {"leaf": True, "vote": 0}, "right": {"leaf": True, "vote": 1}}
+    doc = model_to_dict(DetectorModel(kind=kind, space=space, hyperparams={"k": 1},
+                                      params=params if kind == "knn" else {"trees": [tree]}))
+    if kind == "knn":
+        doc["params"]["x"] = [[0.0], [1.0]]  # would score through broadcasting
+    else:
+        doc["params"]["trees"][0]["feature"] = 99  # would raise IndexError on a query
+    model = workdir / f"bad_{kind}.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_attack_args(workdir, workdir / "corpus.json", model,
+                             workdir / "pset.json")) == 2
+    err = capsys.readouterr().err
+    assert err == f"pst-evade: error: {needle}\n"
 
 
 def _truncated_copy(source, dest):

@@ -420,6 +420,10 @@ def _non_string_api_id(comp, app):
     comp["api_calls"].append(7)
 
 
+def _api_calls_string(comp, app):
+    comp["api_calls"] = "api.pkg00.fn000"
+
+
 def _duplicate_declared(comp, app):
     decls = app["manifest"]["declared_components"]
     decls.append(dict(decls[0]))
@@ -431,9 +435,10 @@ def _duplicate_declared(comp, app):
     (_negative_family, "component {i}: negative function family"),
     (_bad_origin, "component {i}: bad origin: grafted"),
     (_non_string_api_id, "component {i}: api call id is not a string: 7"),
+    (_api_calls_string, "component {i}: api_calls is a str, not a list of api call ids"),
     (_duplicate_declared, ": duplicate declared component"),
 ], ids=["edge_out_of_range", "negative_edge_index", "negative_family", "bad_origin",
-        "non_string_api_id", "duplicate_declared"])
+        "non_string_api_id", "api_calls_string", "duplicate_declared"])
 def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
     doc = _corpus_doc()
     app = doc["malicious"][2]

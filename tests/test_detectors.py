@@ -1,6 +1,7 @@
 """Detector training, querying, and serialization."""
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ from pst_evade.detectors import (
     DetectorModel,
     FeatureSpace,
     Feedback,
+    _knn_by_difference,
+    _knn_by_norms,
     confidence_from_dense,
     ensemble_query,
     load_model,
@@ -25,7 +28,7 @@ from pst_evade.detectors import (
     train,
     vocab_hash,
 )
-from pst_evade.features import ApiClusterMap, FeatureVocab, cluster_vocab
+from pst_evade.features import ApiClusterMap, FeatureVocab, cluster_vocab, markov_vocab
 from pst_evade.harness import make_default_ensemble, select_true_positives
 from pst_evade.perturbset import build_perturbation_set
 
@@ -99,6 +102,119 @@ def test_forest_split_navigation():
 
 
 # ---------------------------------------------------------------------------
+# Scoring kernels against their reference expressions
+
+
+def _reference_knn(model, x):
+    """The difference form plus lexsort: the kNN kernel's reference."""
+    train_x, train_y = model.params["x"], model.params["y"]
+    d2 = np.sum(np.square(train_x - x), axis=1)
+    order = np.lexsort((np.arange(len(d2)), d2))[:int(model.hyperparams.get("k", 3))]
+    return float(train_y[order].mean())
+
+
+def _reference_tree_vote(tree, x):
+    node = tree
+    while not node["leaf"]:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return int(node["vote"])
+
+
+def _reference_forest(model, x):
+    """A dict-tree walk per tree: the forest kernel's reference."""
+    return float(np.mean([_reference_tree_vote(t, x) for t in model.params["trees"]]))
+
+
+_REFERENCE = {"knn": _reference_knn, "forest": _reference_forest}
+
+
+@pytest.mark.parametrize("space_kind", ["binary_string", "api_cluster"])
+def test_knn_norm_kernel_matches_difference_form_on_random_rows(space_kind):
+    rng = np.random.default_rng(5)
+    boundary_ties = 0
+    for _ in range(40):
+        width = int(rng.integers(1, 7))  # few columns: many equal distances
+        rows = int(rng.integers(1, 30))
+        k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
+        space = FeatureSpace(kind=space_kind,
+                             vocab=FeatureVocab(kind=space_kind,
+                                                keys=tuple(f"k{i}" for i in range(width))))
+        model = DetectorModel(kind="knn", space=space, hyperparams={"k": k},
+                              params={"x": rng.integers(0, 2, (rows, width)).astype(float),
+                                      "y": rng.integers(0, 2, rows).astype(float)})
+        assert model.kernel.func is _knn_by_norms
+        for x in rng.integers(0, 2, (16, width)).astype(float):
+            assert confidence_from_dense(model, x) == _reference_knn(model, x)
+            d2 = np.sort(np.sum(np.square(model.params["x"] - x), axis=1))
+            boundary_ties += k < rows and d2[k - 1] == d2[k]
+    assert boundary_ties > 100
+
+
+def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows():
+    # Rows near 1e8 with fractional parts: expanded, ||t||^2 loses the
+    # fractions and the nearer row (index 1) is no longer the nearest.
+    x = np.array([1e8 + 0.3])
+    params = {"x": np.array([[1e8 + 0.5], [1e8 + 0.25]]), "y": np.array([1.0, 0.0])}
+    sq = np.sum(np.square(params["x"]), axis=1)
+    expanded = sq - 2.0 * (params["x"] @ x) + float(x @ x)
+    assert np.argmin(expanded) != 1
+    markov = FeatureSpace(kind="markov_family", vocab=markov_vocab(1))
+    for space in (_binary_space(), markov):
+        model = DetectorModel(kind="knn", space=space, params=params, hyperparams={"k": 1})
+        assert model.kernel.func is _knn_by_difference
+        assert confidence_from_dense(model, x) == _reference_knn(model, x) == 0.0
+    # Small fractional rows in a binary space, and integer rows in a Markov
+    # space, keep the difference form too.
+    small = {"x": np.array([[0.0], [0.25]]), "y": np.array([1.0, 0.0])}
+    whole = {"x": np.array([[0.0], [1.0]]), "y": np.array([1.0, 0.0])}
+    for space, params, kernel in ((_binary_space(), small, _knn_by_difference),
+                                  (markov, whole, _knn_by_difference),
+                                  (_binary_space(), whole, _knn_by_norms)):
+        model = DetectorModel(kind="knn", space=space, params=params, hyperparams={"k": 1})
+        assert model.kernel.func is kernel
+
+
+def _random_tree(rng, width, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return {"leaf": True, "vote": int(rng.integers(0, 2))}
+    return {"leaf": False, "feature": int(rng.integers(0, width)),
+            "threshold": float(rng.choice([0.5, rng.random()])),
+            "left": _random_tree(rng, width, depth - 1),
+            "right": _random_tree(rng, width, depth - 1)}
+
+
+def test_forest_kernel_matches_dict_tree_walk_on_random_trees():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        width = int(rng.integers(1, 9))
+        trees = [_random_tree(rng, width, int(rng.integers(0, 7)))
+                 for _ in range(int(rng.integers(1, 12)))]
+        model = DetectorModel(kind="forest", params={"trees": trees}, hyperparams={},
+                              space=_binary_space(tuple(f"k{i}" for i in range(width))))
+        # 0/1 rows, rows at the common 0.5 threshold, and rows of random reals.
+        queries = np.concatenate([rng.integers(0, 2, (12, width)).astype(float),
+                                  rng.choice([0.0, 0.5, 1.0], (12, width)),
+                                  rng.random((12, width))])
+        queries[::5, 0] = np.nan
+        for x in queries:
+            assert confidence_from_dense(model, x) == _reference_forest(model, x)
+
+
+def test_forest_routes_nan_features_right_as_before():
+    # x[f] <= threshold is False for NaN, so a NaN takes the right branch.
+    tree = {"leaf": False, "feature": 1, "threshold": 0.5,
+            "left": {"leaf": True, "vote": 1},
+            "right": {"leaf": False, "feature": 0, "threshold": 0.5,
+                      "left": {"leaf": True, "vote": 0}, "right": {"leaf": True, "vote": 1}}}
+    model = DetectorModel(kind="forest", space=_binary_space(("perm:P", "perm:Q")),
+                          params={"trees": [tree, {"leaf": True, "vote": 1}]},
+                          hyperparams={})
+    assert confidence_from_dense(model, np.array([0.0, np.nan])) == 0.5
+    assert confidence_from_dense(model, np.array([np.nan, np.nan])) == 1.0
+    assert confidence_from_dense(model, np.array([np.nan, 0.0])) == 1.0
+
+
+# ---------------------------------------------------------------------------
 # Ensemble
 
 
@@ -166,8 +282,13 @@ class _CheckedOracle:
         return fb
 
 
-def test_ensemble_shared_extraction_matches_per_member_queries(small_corpus):
-    stock = make_default_ensemble(small_corpus, seed=0, size=20)
+@pytest.fixture(scope="module")
+def stock_ensemble(small_corpus):
+    return make_default_ensemble(small_corpus, seed=0, size=20)
+
+
+def test_ensemble_shared_extraction_matches_per_member_queries(small_corpus, stock_ensemble):
+    stock = stock_ensemble
     spaces = {m.space for m in stock.members}
     assert len(spaces) < len(stock.members)
     # An api-cluster, a Markov, a forest and a kNN member; the first never fires
@@ -185,6 +306,41 @@ def test_ensemble_shared_extraction_matches_per_member_queries(small_corpus):
             config = AttackConfig(budget=8, algorithm=algorithm, seed=rng.getrandbits(32))
             run_attack(oracle, target, pset, config)
     assert oracle.checked >= 60
+
+
+class _KernelCheckingOracle:
+    """Answers with the ensemble and checks each kNN and forest member's kernel
+    against its reference on the queried app."""
+
+    def __init__(self, model):
+        self.model = model
+        self.checked = {"knn": 0, "forest": 0}
+
+    def query(self, app):
+        for m in self.model.members:
+            if m.kind in _REFERENCE:
+                x = m.space.extract(app)
+                assert confidence_from_dense(m, x) == _REFERENCE[m.kind](m, x)
+                self.checked[m.kind] += 1
+        return query(self.model, app)
+
+
+def test_kernels_match_references_on_every_attack_query(small_corpus, stock_ensemble):
+    assert {m.kernel.func for m in stock_ensemble.members if m.kind == "knn"} == {_knn_by_norms}
+    pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
+    _, test = small_corpus.train_test_split()
+    targets = select_true_positives(stock_ensemble,
+                                    [a for a in test if a.ground_truth == "malicious"],
+                                    4, master_seed=9, detector_name="ensemble")
+    oracle = _KernelCheckingOracle(stock_ensemble)
+    rng = random.Random(23)
+    for algorithm in ("pst", "mab", "random"):
+        for target in targets:
+            config = AttackConfig(budget=8, algorithm=algorithm, seed=rng.getrandbits(32))
+            run_attack(oracle, target, pset, config)
+    # Two kNN and three forest members answer every query.
+    assert oracle.checked["knn"] >= 2 * 80
+    assert oracle.checked["forest"] >= 3 * 80
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +564,51 @@ def test_model_file_with_legacy_tpr_still_loads():
     assert "tpr" not in doc["report"]
     doc["report"]["tpr"] = doc["report"]["recall"]
     assert model_from_dict(doc).report == model.report
+
+
+def _two_key_doc(kind):
+    """A valid model file's dict for a hand-built model over two binary keys."""
+    params = {
+        "linear": {"w": np.array([1.0, -1.0]), "b": 0.0},
+        "mlp": {"w1": np.ones((2, 3)), "b1": np.zeros(3), "w2": np.ones(3), "b2": 0.0},
+        "knn": {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "y": np.array([0.0, 1.0])},
+        "forest": {"trees": [{"leaf": False, "feature": 1, "threshold": 0.5,
+                              "left": {"leaf": True, "vote": 0},
+                              "right": {"leaf": True, "vote": 1}}]},
+    }[kind]
+    return model_to_dict(DetectorModel(kind=kind, space=_binary_space(("perm:P", "perm:Q")),
+                                       params=params, hyperparams={"k": 1}))
+
+
+SCORING_PARAM_CASES = [
+    ("knn", lambda d: d["params"].update(x=[[0.0], [1.0]]),
+     "knn model: fit rows of shape (2, 1) do not match the 2-key"),
+    ("knn", lambda d: d["params"].update(x=[0.0, 1.0]), "knn model: fit rows of shape (2,)"),
+    ("knn", lambda d: d["params"].update(y=[0.0]), "knn model: y must hold one 0/1 label"),
+    ("knn", lambda d: d["params"].update(y=[0.0, 0.5]), "knn model: y must hold one 0/1 label"),
+    ("knn", lambda d: d["hyperparams"].update(k=3), "knn model: k=3 is not between 1 and the 2"),
+    ("forest", lambda d: d["params"]["trees"][0].update(feature=99),
+     "forest model: split feature 99 is outside the 2-key"),
+    ("forest", lambda d: d["params"]["trees"][0]["left"].update(vote=2),
+     "forest model: leaf vote 2 is not 0 or 1"),
+    ("linear", lambda d: d["params"].update(w=[1.0]), "linear model: weights w of shape (1,)"),
+    ("mlp", lambda d: d["params"].update(w1=[[1.0, 1.0, 1.0]]),
+     "mlp model: weights w1 of shape (1, 3) do not match the 2-key"),
+]
+
+
+@pytest.mark.parametrize("kind,tamper,needle", SCORING_PARAM_CASES,
+                         ids=["knn_narrow_rows", "knn_flat_rows", "knn_short_y",
+                              "knn_fractional_y", "knn_k_above_rows", "forest_feature_99",
+                              "forest_vote_2", "linear_narrow_w", "mlp_narrow_w1"])
+def test_model_load_checks_scoring_params(kind, tamper, needle):
+    doc = _two_key_doc(kind)
+    assert model_from_dict(doc).kind == kind
+    tamper(doc)
+    with pytest.raises(ValueError, match=re.escape(needle)) as err:
+        model_from_dict(doc)
+    assert "\n" not in str(err.value)
+    # Ensemble members are checked on load too.
+    ensemble = {**model_to_dict(make_ensemble([_linear_model([1.0], 0.0)])), "members": [doc]}
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        model_from_dict(ensemble)

@@ -353,3 +353,16 @@ def test_load_pset_bounds_checks_payload_components(tmp_path, full_pset, field, 
     assert message.startswith(f"{path}: payload inject_")
     assert needle in message
     assert "\n" not in message
+
+
+def test_load_pset_refuses_api_calls_that_are_not_a_list(tmp_path, full_pset):
+    # tuple() of the string would split it into one-character api ids.
+    def corrupt(doc):
+        _first_payload(doc)["component"]["api_calls"] = "api.pkg00.fn000"
+    path = _pset_file(tmp_path, full_pset, corrupt)
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: payload inject_")
+    assert message.endswith(": api_calls is a str, not a list of api call ids")
+    assert "\n" not in message
