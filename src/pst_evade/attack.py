@@ -16,15 +16,12 @@ OUTCOMES = ("success", "failure", "not_applicable")
 
 
 class Oracle:
-    """Black-box view of a detector: label + confidence per query, with a
-    per-instance query counter."""
+    """Black-box view of a detector: label + confidence per query."""
 
     def __init__(self, model: DetectorModel):
         self.model = model
-        self.query_count = 0
 
     def query(self, apk: ApkModel) -> Feedback:
-        self.query_count += 1
         return model_query(self.model, apk)
 
 

@@ -18,9 +18,8 @@ from .corpus import (
     save_corpus,
     spec_from_dict,
 )
-from .detectors import DETECTOR_KINDS, load_model, save_model, train
+from .detectors import DETECTOR_KINDS, FEATURE_KINDS, load_model, save_model
 from .harness import (
-    FEATURE_KINDS,
     compute_asr,
     config_from_dict,
     derive_seed,
@@ -65,8 +64,10 @@ def _cmd_train(args) -> int:
     model = train_detector(spec, corpus)
     save_model(model, args.out)
     rep = model.report
-    print(f"trained {args.kind} on {args.features} features; "
-          f"f1={rep.f1:.3f} (holdout={rep.on_holdout}); saved to {args.out}")
+    trained = (f"an ensemble of {len(model.members)} members" if rep is None else
+               f"{args.kind} on {args.features} features; "
+               f"f1={rep.f1:.3f} (holdout={rep.on_holdout})")
+    print(f"trained {trained}; saved to {args.out}")
     return 0
 
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -19,21 +19,19 @@ from .catalog import read_json_format
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
-    FeatureVocab,
     cluster_map_from_dict,
     cluster_map_to_dict,
     extract_api_cluster,
     extract_binary,
     extract_markov,
-    vocab_from_dict,
-    vocab_to_dict,
 )
 
 DETECTOR_KINDS = ("linear", "mlp", "knn", "forest", "ensemble")
+FEATURE_KINDS = ("binary", "markov", "api_cluster")
 LABELS = ("benign", "malicious")
 
 # Version of the model JSON layout; files of any other version are refused.
-MODEL_FORMAT = 2
+MODEL_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -44,25 +42,73 @@ class Feedback:
     confidence: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSpace:
-    """How a detector turns an app into a dense float64 row, indexed like ``vocab``."""
+    """How a detector turns an app into a dense float64 row. A space holds what
+    its kind's extractor needs: the binary ``keys`` (column i is key i), the
+    Markov ``family_count`` (column a * family_count + b is the a -> b
+    transition), or the api ``cluster_map`` (column i is cluster i). Equality
+    and hashing are by ``digest``."""
 
-    kind: str  # binary_string | markov_family | api_cluster
-    vocab: FeatureVocab
+    kind: str  # one of FEATURE_KINDS
+    keys: tuple[str, ...] = ()
+    family_count: int = 0
     cluster_map: ApiClusterMap | None = None
 
+    def __post_init__(self):
+        if self.kind not in FEATURE_KINDS:
+            raise ValueError(f"unknown feature kind: {self.kind}")
+        if self.kind == "markov" and not (isinstance(self.family_count, int)
+                                          and self.family_count >= 1):
+            raise ValueError(f"markov feature space needs a family_count >= 1, "
+                             f"got {self.family_count!r}")
+        if self.kind == "api_cluster" and self.cluster_map is None:
+            raise ValueError("api_cluster feature space needs a cluster map")
+
+    @property
+    def width(self) -> int:
+        if self.kind == "binary":
+            return len(self.keys)
+        if self.kind == "markov":
+            return self.family_count ** 2
+        return self.cluster_map.cluster_count
+
+    @cached_property
+    def key_index(self) -> dict[str, int]:
+        return {k: i for i, k in enumerate(self.keys)}
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the space's canonical JSON doc (``space_to_dict``)."""
+        return _digest(space_to_dict(self))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FeatureSpace) and self.digest == other.digest
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
     def extract(self, apk: ApkModel) -> np.ndarray:
-        if self.kind == "binary_string":
-            return extract_binary(apk, self.vocab)
-        if self.kind == "markov_family":
-            family_count = math.isqrt(len(self.vocab))
-            return extract_markov(apk, family_count)
-        if self.kind == "api_cluster":
-            if self.cluster_map is None:
-                raise ValueError("api_cluster feature space needs a cluster map")
-            return extract_api_cluster(apk, self.cluster_map)
-        raise ValueError(f"unknown feature space kind: {self.kind}")
+        if self.kind == "binary":
+            return extract_binary(apk, self.key_index)
+        if self.kind == "markov":
+            return extract_markov(apk, self.family_count)
+        return extract_api_cluster(apk, self.cluster_map)
+
+
+def space_to_dict(space: FeatureSpace) -> dict:
+    if space.kind == "binary":
+        return {"kind": "binary", "keys": list(space.keys)}
+    if space.kind == "markov":
+        return {"kind": "markov", "family_count": space.family_count}
+    return {"kind": "api_cluster", "cluster_map": cluster_map_to_dict(space.cluster_map)}
+
+
+def space_from_dict(d: dict) -> FeatureSpace:
+    cmap = d.get("cluster_map")
+    return FeatureSpace(d["kind"], keys=tuple(d.get("keys", ())),
+                        family_count=d.get("family_count", 0),
+                        cluster_map=None if cmap is None else cluster_map_from_dict(cmap))
 
 
 @dataclass(frozen=True)
@@ -78,10 +124,10 @@ class TrainReport:
 class DetectorModel:
     """A detector. ``params`` are read once, when the model is made: the scoring
     kernel is built from them then, and the parameters are checked against the
-    feature space."""
+    feature space. An ensemble has no space of its own (``space`` is None)."""
 
     kind: str
-    space: FeatureSpace
+    space: FeatureSpace | None
     params: dict
     hyperparams: dict
     threshold: float = 0.5
@@ -93,6 +139,9 @@ class DetectorModel:
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind: {self.kind}")
+        if (self.space is None) != (self.kind == "ensemble"):
+            raise ValueError(f"{self.kind} model: an ensemble has no feature space "
+                             "and every other model has one")
         self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params, self.hyperparams)
 
 
@@ -231,12 +280,12 @@ def _train_forest(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
 # Scoring kernels: built once per model, each checks the parameters it reads.
 
 # Feature spaces whose rows hold integers (0/1 flags).
-_INTEGER_SPACES = ("binary_string", "api_cluster")
+_INTEGER_SPACES = ("binary", "api_cluster")
 
 
 def _shape_error(kind: str, name: str, shape: tuple, space: FeatureSpace) -> ValueError:
     return ValueError(f"{kind} model: {name} of shape {shape} do not match the "
-                      f"{len(space.vocab)}-key {space.kind} vocabulary")
+                      f"{space.width}-feature {space.kind} space")
 
 
 def _linear_score(w: np.ndarray, b: float, x: np.ndarray) -> float:
@@ -244,7 +293,7 @@ def _linear_score(w: np.ndarray, b: float, x: np.ndarray) -> float:
 
 
 def _linear_kernel(space: FeatureSpace, p: dict, hp: dict):
-    if np.shape(p["w"]) != (len(space.vocab),):
+    if np.shape(p["w"]) != (space.width,):
         raise _shape_error("linear", "weights w", np.shape(p["w"]), space)
     return partial(_linear_score, p["w"], p["b"])
 
@@ -255,7 +304,7 @@ def _mlp_score(w1, b1, w2, b2, x: np.ndarray) -> float:
 
 
 def _mlp_kernel(space: FeatureSpace, p: dict, hp: dict):
-    if np.ndim(p["w1"]) != 2 or len(p["w1"]) != len(space.vocab):
+    if np.ndim(p["w1"]) != 2 or len(p["w1"]) != space.width:
         raise _shape_error("mlp", "weights w1", np.shape(p["w1"]), space)
     return partial(_mlp_score, p["w1"], p["b1"], p["w2"], p["b2"])
 
@@ -280,7 +329,7 @@ def _knn_kernel(space: FeatureSpace, p: dict, hp: dict):
     train_x = np.asarray(p["x"], dtype=np.float64)
     train_y = np.asarray(p["y"], dtype=np.float64)
     k = int(hp.get("k", 3))
-    if train_x.ndim != 2 or train_x.shape[1] != len(space.vocab):
+    if train_x.ndim != 2 or train_x.shape[1] != space.width:
         raise _shape_error("knn", "fit rows", train_x.shape, space)
     n = len(train_x)
     if train_y.shape != (n,) or not np.isin(train_y, (0.0, 1.0)).all():
@@ -308,7 +357,7 @@ def _forest_score(feature, threshold, left, right, vote, roots, steps: int,
 
 def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
     """Flatten the dict trees breadth first into per-node arrays."""
-    width = len(space.vocab)
+    width = space.width
     nodes = list(p["trees"])
     depth = [0] * len(nodes)
     roots = np.arange(len(nodes), dtype=np.intp)
@@ -326,9 +375,9 @@ def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
         f = node["feature"]
         if not isinstance(f, int) or not 0 <= f < width:
             raise ValueError(f"forest model: split feature {f!r} is outside the "
-                             f"{width}-key {space.kind} vocabulary")
+                             f"{width}-feature {space.kind} space")
         feature.append(f)
-        threshold.append(float(node["threshold"]))
+        threshold.append(_number("forest", "split threshold", node["threshold"]))
         left.append(len(nodes))
         right.append(len(nodes) + 1)
         vote.append(0)
@@ -339,7 +388,7 @@ def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
                    np.array(vote, dtype=np.intp), roots, max(depth, default=0))
 
 
-def _ensemble_kernel(space: FeatureSpace, p: dict, hp: dict):
+def _ensemble_kernel(space: None, p: dict, hp: dict):
     return _ensemble_score
 
 
@@ -399,7 +448,7 @@ def ensemble_query(members: Sequence[DetectorModel], apk: ApkModel) -> Feedback:
 def make_ensemble(members: Sequence[DetectorModel]) -> DetectorModel:
     if len(members) == 0:
         raise ValueError("ensemble has no members")
-    return DetectorModel(kind="ensemble", space=members[0].space, params={},
+    return DetectorModel(kind="ensemble", space=None, params={},
                          hyperparams={"members": len(members)}, threshold=0.0,
                          members=tuple(members))
 
@@ -445,9 +494,9 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
         raise ValueError("empty training set")
     if len(x) != len(labels):
         raise ValueError("feature rows and labels differ in length")
-    if x.ndim != 2 or x.shape[1] != len(space.vocab):
+    if x.ndim != 2 or x.shape[1] != space.width:
         raise ValueError(f"feature rows of shape {x.shape} do not match the "
-                         f"{len(space.vocab)}-key {space.kind} vocabulary")
+                         f"{space.width}-feature {space.kind} space")
     hp = dict(hyperparams or {})
     y = _encode_labels(labels)
     if len(set(labels)) < 2:
@@ -497,12 +546,19 @@ def _params_to_jsonable(kind: str, params: dict) -> dict:
     return {}
 
 
+def _number(kind: str, name: str, value) -> float:
+    """A number read from a model file, or a one-line error naming the kind."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{kind} model: {name} is {json.dumps(value)}, not a number")
+    return float(value)
+
+
 def _params_from_jsonable(kind: str, doc: dict) -> dict:
     if kind == "linear":
-        return {"w": np.array(doc["w"]), "b": float(doc["b"])}
+        return {"w": np.array(doc["w"]), "b": _number(kind, "params.b", doc["b"])}
     if kind == "mlp":
         return {"w1": np.array(doc["w1"]), "b1": np.array(doc["b1"]),
-                "w2": np.array(doc["w2"]), "b2": float(doc["b2"])}
+                "w2": np.array(doc["w2"]), "b2": _number(kind, "params.b2", doc["b2"])}
     if kind == "knn":
         return {"x": np.array(doc["x"]), "y": np.array(doc["y"])}
     if kind == "forest":
@@ -514,59 +570,43 @@ def _digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def vocab_hash(vocab: FeatureVocab) -> str:
-    return _digest(vocab_to_dict(vocab))
-
-
 def model_to_dict(model: DetectorModel) -> dict:
     doc = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
         "threshold": model.threshold,
         "hyperparams": model.hyperparams,
-        "feature_kind": model.space.kind,
-        "vocab": vocab_to_dict(model.space.vocab),
-        "vocab_hash": vocab_hash(model.space.vocab),
         "params": _params_to_jsonable(model.kind, model.params),
     }
-    if model.space.cluster_map is not None:
-        doc["cluster_map"] = cluster_map_to_dict(model.space.cluster_map)
-        doc["cluster_map_hash"] = _digest(doc["cluster_map"])
+    if model.space is not None:
+        doc["space"] = space_to_dict(model.space)
+        doc["space_hash"] = model.space.digest
     if model.report is not None:
-        doc["report"] = {
-            "precision": model.report.precision, "recall": model.report.recall,
-            "f1": model.report.f1, "holdout_size": model.report.holdout_size,
-            "on_holdout": model.report.on_holdout,
-        }
+        doc["report"] = asdict(model.report)
     if model.kind == "ensemble":
         doc["members"] = [model_to_dict(m) for m in model.members]
     return doc
 
 
 def model_from_dict(doc: dict) -> DetectorModel:
-    """Inverse of ``model_to_dict``; raises a one-line ValueError when a key is
-    missing, or when the model's or an ensemble member's vocab or cluster map
-    does not match the hash recorded beside it."""
+    """Inverse of ``model_to_dict``; raises a one-line ValueError naming the kind
+    when a key is missing, a number is not one, or the model's or an ensemble
+    member's feature space does not match the ``space_hash`` recorded beside it."""
     kind = doc.get("kind", "detector")
     try:
-        vocab = vocab_from_dict(doc["vocab"])
-        if vocab_hash(vocab) != doc.get("vocab_hash"):
-            raise ValueError(f"{kind} model: vocab does not match its vocab_hash")
-        cmap = None
-        if "cluster_map" in doc:
-            cmap = cluster_map_from_dict(doc["cluster_map"])
-            if _digest(cluster_map_to_dict(cmap)) != doc.get("cluster_map_hash"):
-                raise ValueError(f"{kind} model: cluster_map does not match its cluster_map_hash")
-        space = FeatureSpace(kind=doc["feature_kind"], vocab=vocab, cluster_map=cmap)
+        space = None
+        if kind != "ensemble":
+            space = space_from_dict(doc["space"])
+            if space.digest != doc["space_hash"]:
+                raise ValueError(f"{kind} model: space does not match its space_hash")
         report = None
         if "report" in doc:
-            r = doc["report"]
-            report = TrainReport(precision=r["precision"], recall=r["recall"], f1=r["f1"],
-                                 holdout_size=r["holdout_size"], on_holdout=r["on_holdout"])
+            report = TrainReport(**{f.name: doc["report"][f.name] for f in fields(TrainReport)})
         members = tuple(model_from_dict(m) for m in doc.get("members", []))
         return DetectorModel(kind=doc["kind"], space=space,
                              params=_params_from_jsonable(doc["kind"], doc["params"]),
-                             hyperparams=doc["hyperparams"], threshold=doc["threshold"],
+                             hyperparams=doc["hyperparams"],
+                             threshold=_number(kind, "threshold", doc["threshold"]),
                              report=report, members=members)
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None
@@ -577,5 +617,9 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    return model_from_dict(read_json_format(path, "model", MODEL_FORMAT,
-                                            "retrain it with train"))
+    """The model in a file; every error names the file at its start."""
+    doc = read_json_format(path, "model", MODEL_FORMAT, "retrain it with train")
+    try:
+        return model_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,34 +1,16 @@
 """Feature families over the app model: binary string vectors, markov family-transition
 matrices, and api-cluster indicator vectors. Each extractor returns one dense float64
-row, indexed like its vocabulary."""
+row and takes the plain value that fixes its columns: a key index, a family count, or
+a cluster map."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .corpus import ApkModel
-
-VOCAB_KINDS = ("binary_string", "markov_family", "api_cluster")
-
-
-@dataclass(frozen=True)
-class FeatureVocab:
-    kind: str
-    keys: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.kind not in VOCAB_KINDS:
-            raise ValueError(f"unknown vocab kind: {self.kind}")
-
-    @cached_property
-    def key_to_index(self) -> dict[str, int]:
-        return {k: i for i, k in enumerate(self.keys)}
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 def binary_keys(apk: ApkModel) -> Iterator[str]:
@@ -48,7 +30,7 @@ def binary_keys(apk: ApkModel) -> Iterator[str]:
             yield "api:" + api
 
 
-def build_vocab(apks: Iterable[ApkModel]) -> FeatureVocab:
+def build_vocab(apks: Iterable[ApkModel]) -> tuple[str, ...]:
     """Binary-string vocabulary: the sorted union of keys over a training corpus."""
     keys: set[str] = set()
     n = 0
@@ -57,28 +39,18 @@ def build_vocab(apks: Iterable[ApkModel]) -> FeatureVocab:
         keys.update(binary_keys(apk))
     if n == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    return FeatureVocab(kind="binary_string", keys=tuple(sorted(keys)))
+    return tuple(sorted(keys))
 
 
-def extract_binary(apk: ApkModel, vocab: FeatureVocab) -> np.ndarray:
-    """1.0 at each vocabulary key the app exhibits; out-of-vocabulary keys are ignored."""
-    if vocab.kind != "binary_string":
-        raise ValueError(f"binary extraction needs a binary_string vocab, got {vocab.kind}")
-    index = vocab.key_to_index
-    out = np.zeros(len(vocab))
+def extract_binary(apk: ApkModel, index: Mapping[str, int]) -> np.ndarray:
+    """1.0 at ``index[key]`` for each key the app exhibits, in a row of
+    ``len(index)`` columns; keys outside the index are ignored."""
+    out = np.zeros(len(index))
     for key in binary_keys(apk):
         i = index.get(key)
         if i is not None:
             out[i] = 1.0
     return out
-
-
-@lru_cache(maxsize=16)
-def markov_vocab(family_count: int) -> FeatureVocab:
-    keys = tuple(
-        f"trans:{a}>{b}" for a in range(family_count) for b in range(family_count)
-    )
-    return FeatureVocab(kind="markov_family", keys=keys)
 
 
 def extract_markov(apk: ApkModel, family_count: int) -> np.ndarray:
@@ -134,12 +106,6 @@ def build_api_cluster_map(api_ids: Iterable[str], cluster_count: int, seed: int)
                          assignment=tuple(sorted(assignment)))
 
 
-@lru_cache(maxsize=16)
-def cluster_vocab(cluster_count: int) -> FeatureVocab:
-    return FeatureVocab(kind="api_cluster",
-                        keys=tuple(f"cluster:{i:03d}" for i in range(cluster_count)))
-
-
 def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap) -> np.ndarray:
     """1.0 at cluster i when any api call mapped to cluster i occurs in the app."""
     lookup = cmap.lookup
@@ -151,14 +117,6 @@ def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap) -> np.ndarray:
                 raise ValueError(f"api id missing from cluster map: {api}")
             out[cluster] = 1.0
     return out
-
-
-def vocab_to_dict(vocab: FeatureVocab) -> dict:
-    return {"kind": vocab.kind, "keys": list(vocab.keys)}
-
-
-def vocab_from_dict(d: dict) -> FeatureVocab:
-    return FeatureVocab(kind=d["kind"], keys=tuple(d["keys"]))
 
 
 def cluster_map_to_dict(cmap: ApiClusterMap) -> dict:

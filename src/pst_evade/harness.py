@@ -19,16 +19,15 @@ from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
 from .corpus import ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
+    FEATURE_KINDS,
     DetectorModel,
     FeatureSpace,
     make_ensemble,
     query as model_query,
     train,
 )
-from .features import build_api_cluster_map, build_vocab, cluster_vocab, markov_vocab
+from .features import build_api_cluster_map, build_vocab
 from .perturbset import PerturbationSet, build_perturbation_set
-
-FEATURE_KINDS = ("binary", "markov", "api_cluster")
 
 CSV_COLUMNS = ("sample_id", "detector", "algorithm", "budget", "seed",
                "outcome", "queries_used", "wall_ms")
@@ -202,14 +201,12 @@ def _featurize(features: str, apks, corpus: Corpus, cluster_count: int,
     """The feature space of a feature kind, built over ``apks`` and the corpus,
     and the (apps x features) matrix of ``apks`` in it."""
     if features == "binary":
-        space = FeatureSpace(kind="binary_string", vocab=build_vocab(apks))
+        space = FeatureSpace(features, keys=build_vocab(apks))
     elif features == "markov":
-        space = FeatureSpace(kind="markov_family",
-                             vocab=markov_vocab(corpus.spec.api_family_count))
+        space = FeatureSpace(features, family_count=corpus.spec.api_family_count)
     else:
-        cmap = build_api_cluster_map(_corpus_api_ids(corpus), cluster_count, seed)
-        space = FeatureSpace(kind="api_cluster", vocab=cluster_vocab(cmap.cluster_count),
-                             cluster_map=cmap)
+        space = FeatureSpace(features, cluster_map=build_api_cluster_map(
+            _corpus_api_ids(corpus), cluster_count, seed))
     return space, np.stack([space.extract(a) for a in apks])
 
 

@@ -34,7 +34,7 @@ def attack_setup(small_corpus):
     from pst_evade.features import build_vocab
 
     train, test = small_corpus.train_test_split()
-    space = det.FeatureSpace(kind="binary_string", vocab=build_vocab(train))
+    space = det.FeatureSpace("binary", keys=build_vocab(train))
     x = np.stack([space.extract(a) for a in train])
     labels = [a.ground_truth for a in train]
     model = det.train("linear", space, x, labels, seed=3)

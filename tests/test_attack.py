@@ -19,7 +19,6 @@ from pst_evade.attack import (
 from pst_evade.catalog import AndroidCatalog
 from pst_evade.corpus import apply_perturbation, contains, validate_apk, verify_isolation
 from pst_evade.detectors import DetectorModel, Feedback, FeatureSpace
-from pst_evade.features import FeatureVocab
 from pst_evade.perturbset import build_perturbation_set
 
 # One case per algorithm, with the case ids the per-algorithm entry points had.
@@ -233,9 +232,8 @@ def test_single_flip_found_by_tree_search():
         activity_actions=(), broadcast_actions=(), categories=())
     pset = build_perturbation_set(catalog)
     keys = ("perm:android.permission.AAA_X", "perm:android.permission.BASE")
-    vocab = FeatureVocab(kind="binary_string", keys=keys)
     model = DetectorModel(
-        kind="linear", space=FeatureSpace(kind="binary_string", vocab=vocab),
+        kind="linear", space=FeatureSpace("binary", keys=keys),
         params={"w": np.array([-6.0, 3.0]), "b": 0.0}, hyperparams={})
     base = apk(perms=[("android.permission.BASE", "normal")])
 

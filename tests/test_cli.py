@@ -8,7 +8,6 @@ from pst_evade.attack import AttackConfig, Oracle, report_to_dict, run_attack
 from pst_evade.cli import main
 from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
 from pst_evade.detectors import DetectorModel, FeatureSpace, load_model, model_to_dict
-from pst_evade.features import FeatureVocab
 from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
 from pst_evade.perturbset import DEFAULT_SIMILARITY_THRESHOLD, load_pset
 
@@ -51,6 +50,24 @@ def test_train_writes_loadable_model(workdir, capsys):
     model = load_model(workdir / "model.json")
     assert model.kind == "linear"
     assert model.report is not None
+
+
+def test_train_load_and_attack_with_an_ensemble(workdir, capsys):
+    path = workdir / "ensemble.json"
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(workdir / "corpus.json"), "--kind", "ensemble",
+                 "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"trained an ensemble of 20 members; saved to {path}\n"
+    model = load_model(path)
+    assert model.kind == "ensemble" and model.space is None and model.report is None
+    assert "space" not in json.loads(path.read_text())
+    assert len({m.space for m in model.members}) > 1
+    out = workdir / "attack_ensemble.json"
+    assert main(["attack", "--corpus", str(workdir / "corpus.json"), "--model", str(path),
+                 "--pset", str(workdir / "pset.json"), "--budget", "4", "--samples", "2",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["samples"] == 2 and len(doc["reports"]) == 2
 
 
 def test_build_pset_with_and_without_donors(workdir):
@@ -177,7 +194,7 @@ def _attack_args(workdir, corpus, model, pset):
 
 @pytest.mark.parametrize("case,needle", [
     ("missing_corpus", "No such file"),
-    ("model_without_vocab", "missing key 'vocab'"),
+    ("model_without_space", "missing key 'space'"),
     ("truncated_model", "line 1 column"),
     ("truncated_corpus", "line 1 column"),
     ("unversioned_model", "model format 1 is not supported; retrain it with train"),
@@ -188,10 +205,10 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
     broken = None
     if case == "missing_corpus":
         corpus = workdir / "no_such_corpus.json"
-    elif case == "model_without_vocab":
+    elif case == "model_without_space":
         doc = json.loads(model.read_text())
-        del doc["vocab"]
-        model = workdir / "model_without_vocab.json"
+        del doc["space"]
+        model = broken = workdir / "model_without_space.json"
         model.write_text(json.dumps(doc))
     elif case == "truncated_model":
         model = broken = _truncated_copy(model, workdir / "truncated_model.json")
@@ -217,30 +234,47 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         assert err.startswith(f"pst-evade: error: {broken}: ")
 
 
+_BAD_PARAMS = {
+    # would score through broadcasting
+    "knn": lambda doc: doc["params"].update(x=[[0.0], [1.0]]),
+    # would raise IndexError on a query
+    "forest": lambda doc: doc["params"]["trees"][0].update(feature=99),
+    # raised a bare TypeError on load
+    "forest-null-split": lambda doc: doc["params"]["trees"][0].update(threshold=None),
+    "linear-null-b": lambda doc: doc["params"].update(b=None),
+    # loaded, then raised a TypeError on the first query
+    "linear-null-threshold": lambda doc: doc.update(threshold=None),
+}
+
+
 @pytest.mark.parametrize("kind,needle", [
-    ("knn", "knn model: fit rows of shape (2, 1) do not match the 2-key binary_string "
-            "vocabulary"),
-    ("forest", "forest model: split feature 99 is outside the 2-key binary_string vocabulary"),
+    ("knn", "knn model: fit rows of shape (2, 1) do not match the 2-feature binary space"),
+    ("forest", "forest model: split feature 99 is outside the 2-feature binary space"),
+    ("forest-null-split", "forest model: split threshold is null, not a number"),
+    ("linear-null-b", "linear model: params.b is null, not a number"),
+    ("linear-null-threshold", "linear model: threshold is null, not a number"),
 ])
 def test_model_with_bad_scoring_params_is_refused_in_one_line(workdir, capsys, kind, needle):
-    space = FeatureSpace(kind="binary_string",
-                         vocab=FeatureVocab(kind="binary_string", keys=("perm:P", "perm:Q")))
-    params = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "y": np.array([0.0, 1.0])}
-    tree = {"leaf": False, "feature": 1, "threshold": 0.5,
-            "left": {"leaf": True, "vote": 0}, "right": {"leaf": True, "vote": 1}}
-    doc = model_to_dict(DetectorModel(kind=kind, space=space, hyperparams={"k": 1},
-                                      params=params if kind == "knn" else {"trees": [tree]}))
-    if kind == "knn":
-        doc["params"]["x"] = [[0.0], [1.0]]  # would score through broadcasting
-    else:
-        doc["params"]["trees"][0]["feature"] = 99  # would raise IndexError on a query
+    space = FeatureSpace("binary", keys=("perm:P", "perm:Q"))
+    model_kind = kind.split("-")[0]
+    params = {
+        "knn": {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "y": np.array([0.0, 1.0])},
+        "forest": {"trees": [{"leaf": False, "feature": 1, "threshold": 0.5,
+                              "left": {"leaf": True, "vote": 0},
+                              "right": {"leaf": True, "vote": 1}}]},
+        "linear": {"w": np.array([1.0, -1.0]), "b": 0.0},
+    }[model_kind]
+    doc = model_to_dict(DetectorModel(kind=model_kind, space=space, hyperparams={"k": 1},
+                                      params=params))
+    _BAD_PARAMS[kind](doc)
     model = workdir / f"bad_{kind}.json"
     model.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(_attack_args(workdir, workdir / "corpus.json", model,
                              workdir / "pset.json")) == 2
     err = capsys.readouterr().err
-    assert err == f"pst-evade: error: {needle}\n"
+    # attack reads three files: the error names the model file first.
+    assert err == f"pst-evade: error: {model}: {needle}\n"
 
 
 def _truncated_copy(source, dest):

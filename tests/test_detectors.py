@@ -1,4 +1,5 @@
 """Detector training, querying, and serialization."""
+import hashlib
 import json
 import random
 import re
@@ -25,10 +26,11 @@ from pst_evade.detectors import (
     model_to_dict,
     query,
     save_model,
+    space_from_dict,
+    space_to_dict,
     train,
-    vocab_hash,
 )
-from pst_evade.features import ApiClusterMap, FeatureVocab, cluster_vocab, markov_vocab
+from pst_evade.features import ApiClusterMap
 from pst_evade.harness import make_default_ensemble, select_true_positives
 from pst_evade.perturbset import build_perturbation_set
 
@@ -36,8 +38,7 @@ SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
 
 def _binary_space(keys=("perm:P",)):
-    return FeatureSpace(kind="binary_string",
-                        vocab=FeatureVocab(kind="binary_string", keys=tuple(keys)))
+    return FeatureSpace("binary", keys=tuple(keys))
 
 
 def _linear_model(w, b, keys=("perm:P",), threshold=0.5):
@@ -128,7 +129,14 @@ def _reference_forest(model, x):
 _REFERENCE = {"knn": _reference_knn, "forest": _reference_forest}
 
 
-@pytest.mark.parametrize("space_kind", ["binary_string", "api_cluster"])
+def _space_of_width(kind, width):
+    if kind == "binary":
+        return _binary_space(tuple(f"k{i}" for i in range(width)))
+    return FeatureSpace("api_cluster", cluster_map=ApiClusterMap(
+        cluster_count=width, assignment=tuple((f"api.{i}", i) for i in range(width))))
+
+
+@pytest.mark.parametrize("space_kind", ["binary", "api_cluster"])
 def test_knn_norm_kernel_matches_difference_form_on_random_rows(space_kind):
     rng = np.random.default_rng(5)
     boundary_ties = 0
@@ -136,10 +144,8 @@ def test_knn_norm_kernel_matches_difference_form_on_random_rows(space_kind):
         width = int(rng.integers(1, 7))  # few columns: many equal distances
         rows = int(rng.integers(1, 30))
         k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
-        space = FeatureSpace(kind=space_kind,
-                             vocab=FeatureVocab(kind=space_kind,
-                                                keys=tuple(f"k{i}" for i in range(width))))
-        model = DetectorModel(kind="knn", space=space, hyperparams={"k": k},
+        model = DetectorModel(kind="knn", space=_space_of_width(space_kind, width),
+                              hyperparams={"k": k},
                               params={"x": rng.integers(0, 2, (rows, width)).astype(float),
                                       "y": rng.integers(0, 2, rows).astype(float)})
         assert model.kernel.func is _knn_by_norms
@@ -158,7 +164,7 @@ def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows():
     sq = np.sum(np.square(params["x"]), axis=1)
     expanded = sq - 2.0 * (params["x"] @ x) + float(x @ x)
     assert np.argmin(expanded) != 1
-    markov = FeatureSpace(kind="markov_family", vocab=markov_vocab(1))
+    markov = FeatureSpace("markov", family_count=1)
     for space in (_binary_space(), markov):
         model = DetectorModel(kind="knn", space=space, params=params, hyperparams={"k": 1})
         assert model.kernel.func is _knn_by_difference
@@ -400,7 +406,7 @@ def test_train_rejects_bad_inputs():
 def test_train_rejects_rows_narrower_or_wider_than_the_vocab():
     space, x, labels = _separable_rows()
     for width in (1, 3):
-        with pytest.raises(ValueError, match="do not match the 2-key binary_string") as err:
+        with pytest.raises(ValueError, match="do not match the 2-feature binary space") as err:
             train("linear", space, np.zeros((len(x), width)), labels)
         assert "\n" not in str(err.value)
 
@@ -418,7 +424,7 @@ def _hand_corpus():
 def test_train_and_query_end_to_end():
     from pst_evade.features import build_vocab
     apps = _hand_corpus()
-    space = FeatureSpace(kind="binary_string", vocab=build_vocab(apps))
+    space = FeatureSpace("binary", keys=build_vocab(apps))
     x = np.stack([space.extract(a) for a in apps])
     labels = [a.ground_truth for a in apps]
     model = train("linear", space, x, labels, seed=1)
@@ -430,10 +436,23 @@ def test_train_and_query_end_to_end():
 
 
 def test_feature_space_requires_cluster_map():
-    space = FeatureSpace(kind="api_cluster",
-                         vocab=FeatureVocab(kind="api_cluster", keys=("cluster:000",)))
-    with pytest.raises(ValueError):
-        space.extract(apk())
+    with pytest.raises(ValueError, match="api_cluster feature space needs a cluster map"):
+        FeatureSpace("api_cluster")
+
+
+def test_space_rejects_unknown_kind_and_bad_family_count():
+    with pytest.raises(ValueError, match="unknown feature kind: texture"):
+        FeatureSpace("texture")
+    for family_count in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="family_count >= 1"):
+            FeatureSpace("markov", family_count=family_count)
+
+
+def test_space_width_follows_its_kind():
+    cmap = ApiClusterMap(cluster_count=3, assignment=(("api.a", 2),))
+    assert _binary_space(("perm:P", "perm:Q")).width == 2
+    assert FeatureSpace("markov", family_count=4).width == 16
+    assert FeatureSpace("api_cluster", cluster_map=cmap).width == 3
 
 
 # ---------------------------------------------------------------------------
@@ -453,28 +472,50 @@ def test_model_file_round_trip(tmp_path, kind):
 
 
 def test_vocab_hash_is_stable_and_sensitive():
-    a = FeatureVocab(kind="binary_string", keys=("perm:P",))
-    b = FeatureVocab(kind="binary_string", keys=("perm:P",))
-    c = FeatureVocab(kind="binary_string", keys=("perm:Q",))
-    assert vocab_hash(a) == vocab_hash(b)
-    assert len(vocab_hash(a)) == 64
-    assert vocab_hash(a) != vocab_hash(c)
+    # A binary space's digest is the hash of its key list.
+    a, b, c = _binary_space(("perm:P",)), _binary_space(("perm:P",)), _binary_space(("perm:Q",))
+    assert a.digest == b.digest
+    assert len(a.digest) == 64
+    assert a.digest != c.digest
+
+
+def test_space_equality_and_hash_are_by_digest():
+    a, b, c = _binary_space(("perm:P",)), _binary_space(("perm:P",)), _binary_space(("perm:Q",))
+    assert a == b and hash(a) == hash(b) and a != c
+    markov = FeatureSpace("markov", family_count=1)
+    assert markov != FeatureSpace("markov", family_count=2)
+    # The digest is the sha256 of the canonical doc, whatever the kind.
+    assert markov.digest == hashlib.sha256(
+        b'{"family_count": 1, "kind": "markov"}').hexdigest()
+    assert len({a, b, c, markov}) == 3
+
+
+def test_space_round_trip():
+    cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0), ("api.b", 1)))
+    for space in (FeatureSpace("markov", family_count=3),
+                  FeatureSpace("api_cluster", cluster_map=cmap)):
+        back = space_from_dict(json.loads(json.dumps(space_to_dict(space))))
+        assert back == space
+        assert (back.family_count, back.cluster_map) == (space.family_count, space.cluster_map)
 
 
 def test_model_dict_records_vocab_hash():
+    # The space_hash covers the binary key list.
     model = _linear_model([1.0], 0.0)
     doc = model_to_dict(model)
-    assert doc["vocab_hash"] == vocab_hash(model.space.vocab)
+    assert doc["space"] == {"kind": "binary", "keys": ["perm:P"]}
+    assert doc["space_hash"] == model.space.digest
     back = model_from_dict(doc)
+    assert back.space == model.space
     assert back.threshold == model.threshold
     assert back.params["b"] == model.params["b"]
 
 
-def _swap_keys(vocab_doc):
-    vocab_doc["keys"] = vocab_doc["keys"][::-1]
+def _swap_keys(space_doc):
+    space_doc["keys"] = space_doc["keys"][::-1]
 
 
-def _tampered_load(tmp_path, model, tamper, match="vocab_hash"):
+def _tampered_load(tmp_path, model, tamper, match="space does not match its space_hash"):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -482,13 +523,16 @@ def _tampered_load(tmp_path, model, tamper, match="vocab_hash"):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match=match) as err:
         load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
     assert "\n" not in str(err.value)
 
 
 def test_load_rejects_vocab_that_does_not_match_its_hash(tmp_path):
     # Swapped keys would otherwise score each feature with another's weight.
     model = _linear_model([1.0, -1.0], 0.0, keys=("perm:P", "perm:Q"))
-    _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["vocab"]))
+    _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["space"]))
+    _tampered_load(tmp_path, model, lambda doc: doc.pop("space_hash"),
+                   match="linear model: missing key 'space_hash'")
 
 
 def test_load_rejects_ensemble_member_vocab_that_does_not_match_its_hash(tmp_path):
@@ -496,12 +540,12 @@ def test_load_rejects_ensemble_member_vocab_that_does_not_match_its_hash(tmp_pat
                            _linear_model([2.0, -2.0], 0.0, keys=("perm:R", "perm:S"))])
     save_model(model, tmp_path / "intact.json")
     assert len(load_model(tmp_path / "intact.json").members) == 2
-    _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["members"][1]["vocab"]))
+    _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["members"][1]["space"]))
 
 
 def _cluster_model():
     cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0), ("api.b", 1)))
-    space = FeatureSpace(kind="api_cluster", vocab=cluster_vocab(2), cluster_map=cmap)
+    space = FeatureSpace("api_cluster", cluster_map=cmap)
     return DetectorModel(kind="linear", space=space,
                          params={"w": np.array([1.0, -1.0]), "b": 0.0},
                          hyperparams={}, threshold=0.5)
@@ -516,22 +560,31 @@ def test_load_rejects_cluster_map_that_does_not_match_its_hash(tmp_path):
     model = _cluster_model()
     save_model(model, tmp_path / "intact.json")
     assert load_model(tmp_path / "intact.json").space.cluster_map == model.space.cluster_map
-    _tampered_load(tmp_path, model, lambda doc: _swap_clusters(doc["cluster_map"]),
-                   match="cluster_map_hash")
-    _tampered_load(tmp_path, model, lambda doc: doc.pop("cluster_map_hash"),
-                   match="cluster_map_hash")
+    _tampered_load(tmp_path, model,
+                   lambda doc: _swap_clusters(doc["space"]["cluster_map"]))
     ensemble = make_ensemble([_linear_model([1.0], 0.0), model])
     _tampered_load(tmp_path, ensemble,
-                   lambda doc: _swap_clusters(doc["members"][1]["cluster_map"]),
-                   match="cluster_map_hash")
+                   lambda doc: _swap_clusters(doc["members"][1]["space"]["cluster_map"]))
+
+
+def test_ensemble_has_no_space_and_its_file_none():
+    ensemble = make_ensemble([_linear_model([1.0], 0.0), _cluster_model()])
+    assert ensemble.space is None
+    doc = model_to_dict(ensemble)
+    assert "space" not in doc and "space_hash" not in doc
+    assert model_from_dict(doc).members[1].space == _cluster_model().space
+    with pytest.raises(ValueError, match="an ensemble has no feature space"):
+        DetectorModel(kind="ensemble", space=_binary_space(), params={}, hyperparams={})
+    with pytest.raises(ValueError, match="an ensemble has no feature space"):
+        DetectorModel(kind="linear", space=None, params={}, hyperparams={})
 
 
 def test_model_file_records_its_format(tmp_path):
     save_model(_linear_model([1.0], 0.0), tmp_path / "model.json")
-    assert json.loads((tmp_path / "model.json").read_text())["format"] == 2
+    assert json.loads((tmp_path / "model.json").read_text())["format"] == 3
 
 
-@pytest.mark.parametrize("found", [None, 1, 3])
+@pytest.mark.parametrize("found", [None, 1, 2, 4])
 def test_load_model_refuses_other_formats(tmp_path, found):
     path = tmp_path / "model.json"
     save_model(_linear_model([1.0], 0.0), path)
@@ -548,7 +601,7 @@ def test_load_model_refuses_other_formats(tmp_path, found):
 
 
 def test_model_missing_a_key_is_a_one_line_value_error():
-    with pytest.raises(ValueError, match="linear model: missing key 'vocab'"):
+    with pytest.raises(ValueError, match="linear model: missing key 'space'"):
         model_from_dict({"kind": "linear"})
     doc = model_to_dict(_linear_model([1.0], 0.0))
     del doc["params"]["w"]
@@ -582,25 +635,32 @@ def _two_key_doc(kind):
 
 SCORING_PARAM_CASES = [
     ("knn", lambda d: d["params"].update(x=[[0.0], [1.0]]),
-     "knn model: fit rows of shape (2, 1) do not match the 2-key"),
+     "knn model: fit rows of shape (2, 1) do not match the 2-feature binary space"),
     ("knn", lambda d: d["params"].update(x=[0.0, 1.0]), "knn model: fit rows of shape (2,)"),
     ("knn", lambda d: d["params"].update(y=[0.0]), "knn model: y must hold one 0/1 label"),
     ("knn", lambda d: d["params"].update(y=[0.0, 0.5]), "knn model: y must hold one 0/1 label"),
     ("knn", lambda d: d["hyperparams"].update(k=3), "knn model: k=3 is not between 1 and the 2"),
     ("forest", lambda d: d["params"]["trees"][0].update(feature=99),
-     "forest model: split feature 99 is outside the 2-key"),
+     "forest model: split feature 99 is outside the 2-feature binary space"),
     ("forest", lambda d: d["params"]["trees"][0]["left"].update(vote=2),
      "forest model: leaf vote 2 is not 0 or 1"),
     ("linear", lambda d: d["params"].update(w=[1.0]), "linear model: weights w of shape (1,)"),
     ("mlp", lambda d: d["params"].update(w1=[[1.0, 1.0, 1.0]]),
-     "mlp model: weights w1 of shape (1, 3) do not match the 2-key"),
+     "mlp model: weights w1 of shape (1, 3) do not match the 2-feature"),
+    ("forest", lambda d: d["params"]["trees"][0].update(threshold=None),
+     "forest model: split threshold is null, not a number"),
+    ("linear", lambda d: d["params"].update(b=None), "linear model: params.b is null"),
+    ("mlp", lambda d: d["params"].update(b2="0.5"), 'mlp model: params.b2 is "0.5"'),
+    ("linear", lambda d: d.update(threshold=None), "linear model: threshold is null"),
 ]
 
 
 @pytest.mark.parametrize("kind,tamper,needle", SCORING_PARAM_CASES,
                          ids=["knn_narrow_rows", "knn_flat_rows", "knn_short_y",
                               "knn_fractional_y", "knn_k_above_rows", "forest_feature_99",
-                              "forest_vote_2", "linear_narrow_w", "mlp_narrow_w1"])
+                              "forest_vote_2", "linear_narrow_w", "mlp_narrow_w1",
+                              "forest_null_split", "linear_null_b", "mlp_string_b2",
+                              "linear_null_threshold"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind

@@ -1,4 +1,5 @@
 """Feature extraction: binary strings, markov transition matrices, api clusters."""
+import json
 import random
 from dataclasses import replace
 
@@ -8,20 +9,16 @@ import pytest
 from apk_builders import StubPerturbation, apk, code_component, declared
 from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import CodeGraph, InjectablePayload, apply_perturbation
+from pst_evade.detectors import FeatureSpace, space_from_dict, space_to_dict
 from pst_evade.features import (
     ApiClusterMap,
-    FeatureVocab,
     build_api_cluster_map,
     build_vocab,
     cluster_map_from_dict,
     cluster_map_to_dict,
-    cluster_vocab,
     extract_api_cluster,
     extract_binary,
     extract_markov,
-    markov_vocab,
-    vocab_from_dict,
-    vocab_to_dict,
 )
 from pst_evade.perturbset import build_perturbation_set
 
@@ -44,8 +41,7 @@ def test_binary_keys_cover_all_families():
 def test_build_vocab_is_sorted_union():
     other = apk(apk_id="t001", perms=[("Q", "signature")])
     vocab = build_vocab([_feature_apk(), other])
-    assert vocab.kind == "binary_string"
-    assert vocab.keys == ("action:A", "api:api.a", "category:C",
+    assert vocab == ("action:A", "api:api.a", "category:C",
                           "feature:android.hardware.camera", "perm:P", "perm:Q")
 
 
@@ -57,7 +53,7 @@ def test_build_vocab_rejects_empty():
 def test_extract_binary_dense_values():
     other = apk(apk_id="t001", perms=[("Q", "signature")])
     vocab = build_vocab([_feature_apk(), other])
-    vec = extract_binary(_feature_apk(), vocab)
+    vec = extract_binary(_feature_apk(), {k: i for i, k in enumerate(vocab)})
     assert vec.dtype == np.float64
     assert vec.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
 
@@ -65,18 +61,8 @@ def test_extract_binary_dense_values():
 def test_extract_binary_ignores_unseen_keys():
     vocab = build_vocab([_feature_apk()])
     stranger = apk(apk_id="t002", perms=[("P", "normal"), ("UNSEEN", "normal")])
-    vec = extract_binary(stranger, vocab)
+    vec = extract_binary(stranger, {k: i for i, k in enumerate(vocab)})
     assert vec.sum() == 1.0
-
-
-def test_extract_binary_rejects_wrong_vocab_kind():
-    with pytest.raises(ValueError):
-        extract_binary(_feature_apk(), markov_vocab(2))
-
-
-def test_vocab_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        FeatureVocab(kind="texture", keys=())
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +70,10 @@ def test_vocab_rejects_unknown_kind():
 
 
 def test_markov_vocab_row_major():
-    assert markov_vocab(2).keys == ("trans:0>0", "trans:0>1", "trans:1>0", "trans:1>1")
+    # Column a * family_count + b holds the a -> b transition.
+    comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
+    app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1")])
+    assert extract_markov(app, 2).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_markov_hand_computed_rows():
@@ -278,17 +267,16 @@ def test_extract_api_cluster_rejects_unmapped_id():
         extract_api_cluster(apk(components=[comp]), cmap)
 
 
-def test_cluster_vocab_keys():
-    assert cluster_vocab(2).keys == ("cluster:000", "cluster:001")
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
 
 def test_vocab_round_trip():
     vocab = build_vocab([_feature_apk()])
-    assert vocab_from_dict(vocab_to_dict(vocab)) == vocab
+    space = FeatureSpace("binary", keys=vocab)
+    back = space_from_dict(json.loads(json.dumps(space_to_dict(space))))
+    assert back.keys == vocab
+    assert back == space
 
 
 def test_cluster_map_round_trip():

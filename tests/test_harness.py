@@ -435,8 +435,9 @@ def test_default_ensemble_composition(small_corpus):
     for m in ens.members:
         kinds[m.kind] = kinds.get(m.kind, 0) + 1
     assert kinds == {"linear": 14, "forest": 3, "knn": 2, "mlp": 1}
+    assert ens.space is None
     spaces = {m.space.kind for m in ens.members}
-    assert spaces == {"binary_string", "markov_family", "api_cluster"}
+    assert spaces == {"binary", "markov", "api_cluster"}
 
 
 def test_default_ensemble_is_seeded(small_corpus):
