@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from .corpus import ApkModel, apply_perturbation
 from .detectors import DetectorModel, Feedback, query as model_query
+from .features import added_parts
 from .perturbset import Perturbation, PerturbationSet, leaf_path
 from .pstree import CHILD_ORDER, TreeConfig, adjust, build_tree, sample_path
 
@@ -16,13 +17,37 @@ OUTCOMES = ("success", "failure", "not_applicable")
 
 
 class Oracle:
-    """Black-box view of a detector: label + confidence per query."""
+    """Black-box view of a detector: label + confidence per query.
+
+    Perturbations only add to an app, so an attack's candidate is the kept
+    sample plus the parts its picks added. For each feature space of the model,
+    the oracle remembers the state (``FeatureSpace.state``) of the last app it
+    answered and of the app that one extended, and answers an app that extends
+    either of them (``added_parts``) from that state plus the added parts'
+    contribution. Any other app is extracted in full, so every answer equals
+    ``detectors.query(model, apk)`` bit for bit.
+    """
 
     def __init__(self, model: DetectorModel):
         self.model = model
+        # (app, {space: state}) pairs, the last answered app first.
+        self._remembered: list[tuple[ApkModel, dict]] = []
 
     def query(self, apk: ApkModel) -> Feedback:
-        return model_query(self.model, apk)
+        return model_query(self.model, apk, self._rows)
+
+    def _rows(self, apk: ApkModel) -> dict:
+        for base, states in self._remembered:
+            parts = added_parts(base, apk)
+            if parts is not None:
+                self._remembered = [(apk, {space: space.extended(state, parts)
+                                           for space, state in states.items()}),
+                                    (base, states)]
+                break
+        else:
+            self._remembered = [(apk, {space: space.state(apk)
+                                       for space in self.model.spaces})]
+        return {space: space.row(state) for space, state in self._remembered[0][1].items()}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,11 +19,16 @@ from .catalog import read_json_format
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
+    Parts,
     cluster_map_from_dict,
     cluster_map_to_dict,
     extract_api_cluster,
     extract_binary,
     extract_markov,
+    mark_clusters,
+    mark_keys,
+    markov_counts,
+    markov_row,
 )
 
 DETECTOR_KINDS = ("linear", "mlp", "knn", "forest", "ensemble")
@@ -95,6 +100,33 @@ class FeatureSpace:
             return extract_markov(apk, self.family_count)
         return extract_api_cluster(apk, self.cluster_map)
 
+    # An app's state in a space is what its row is made from and what an app
+    # that extends it adds to: the row itself, or for Markov the transition
+    # counts before row normalization.
+
+    def state(self, apk: ApkModel) -> np.ndarray:
+        if self.kind == "markov":
+            return markov_counts(apk.code.components, self.family_count)
+        return self.extract(apk)
+
+    def extended(self, state: np.ndarray, parts: Parts) -> np.ndarray:
+        """The state of an app that adds ``parts`` to the app in ``state``;
+        ``state`` itself when the parts add nothing to this space."""
+        if self.kind == "binary":
+            out = state.copy()
+            mark_keys(out, parts, self.key_index)
+            return out
+        if not parts.components:
+            return state
+        if self.kind == "markov":
+            return state + markov_counts(parts.components, self.family_count, parts.first)
+        out = state.copy()
+        mark_clusters(out, parts.components, self.cluster_map)
+        return out
+
+    def row(self, state: np.ndarray) -> np.ndarray:
+        return markov_row(state, self.family_count) if self.kind == "markov" else state
+
 
 def space_to_dict(space: FeatureSpace) -> dict:
     if space.kind == "binary":
@@ -142,7 +174,16 @@ class DetectorModel:
         if (self.space is None) != (self.kind == "ensemble"):
             raise ValueError(f"{self.kind} model: an ensemble has no feature space "
                              "and every other model has one")
+        if self.kind == "ensemble" and not self.members:
+            raise ValueError("ensemble model: has no members")
         self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params, self.hyperparams)
+
+    @cached_property
+    def spaces(self) -> tuple[FeatureSpace, ...]:
+        """The distinct feature spaces the model reads, nested members' included."""
+        if self.space is not None:
+            return (self.space,)
+        return tuple(dict.fromkeys(s for m in self.members for s in m.spaces))
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -409,45 +450,36 @@ def confidence_from_dense(model: DetectorModel, x: np.ndarray) -> float:
     return model.kernel(x)
 
 
-def _feedback(model: DetectorModel, x: np.ndarray) -> Feedback:
-    """Score a dense vector and label it against the model's threshold."""
-    conf = confidence_from_dense(model, x)
-    label = "malicious" if conf >= model.threshold else "benign"
-    return Feedback(label=label, confidence=conf)
-
-
-def query(model: DetectorModel, apk: ApkModel) -> Feedback:
-    """Black-box oracle answer for one app."""
-    if model.kind == "ensemble":
-        return ensemble_query(model.members, apk)
-    return _feedback(model, model.space.extract(apk))
-
-
-def ensemble_query(members: Sequence[DetectorModel], apk: ApkModel) -> Feedback:
-    """Detection fraction over members; flagged malicious when any member fires.
-
-    Members on equal feature spaces score one shared extraction of the app.
-    """
-    if len(members) == 0:
-        raise ValueError("ensemble has no members")
-    dense: dict[FeatureSpace, np.ndarray] = {}
-    hits = 0
-    for m in members:
-        if m.kind == "ensemble":
-            fb = query(m, apk)
-        else:
-            x = dense.get(m.space)
-            if x is None:
-                x = dense[m.space] = m.space.extract(apk)
-            fb = _feedback(m, x)
-        hits += fb.label == "malicious"
-    conf = hits / len(members)
+def score(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> Feedback:
+    """The answer for an app whose dense row in each of the model's feature spaces
+    is in ``rows``. An ensemble answers with its detection fraction over members,
+    flagged malicious when any member fires."""
+    if model.kind != "ensemble":
+        conf = confidence_from_dense(model, rows[model.space])
+        return Feedback(label="malicious" if conf >= model.threshold else "benign",
+                        confidence=conf)
+    hits = sum(score(m, rows).label == "malicious" for m in model.members)
+    conf = hits / len(model.members)
     return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
 
 
+def query(model: DetectorModel, apk: ApkModel,
+          rows: Callable[[ApkModel], Mapping[FeatureSpace, np.ndarray]] | None = None
+          ) -> Feedback:
+    """Black-box oracle answer for one app. ``rows(apk)`` gives the app's dense row
+    in each of ``model.spaces``; without it each is extracted in full, once per
+    space however many members read it."""
+    if rows is None:
+        return score(model, {space: space.extract(apk) for space in model.spaces})
+    return score(model, rows(apk))
+
+
+def ensemble_query(members: Sequence[DetectorModel], apk: ApkModel) -> Feedback:
+    """The answer of an ensemble of ``members``."""
+    return query(make_ensemble(members), apk)
+
+
 def make_ensemble(members: Sequence[DetectorModel]) -> DetectorModel:
-    if len(members) == 0:
-        raise ValueError("ensemble has no members")
     return DetectorModel(kind="ensemble", space=None, params={},
                          hyperparams={"members": len(members)}, threshold=0.0,
                          members=tuple(members))
@@ -553,6 +585,13 @@ def _number(kind: str, name: str, value) -> float:
     return float(value)
 
 
+def _object(kind: str, name: str, value) -> dict:
+    """A JSON object read from a model file, or a one-line error naming the kind."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{kind} model: {name} is not a JSON object")
+    return value
+
+
 def _params_from_jsonable(kind: str, doc: dict) -> dict:
     if kind == "linear":
         return {"w": np.array(doc["w"]), "b": _number(kind, "params.b", doc["b"])}
@@ -590,13 +629,15 @@ def model_to_dict(model: DetectorModel) -> dict:
 
 def model_from_dict(doc: dict) -> DetectorModel:
     """Inverse of ``model_to_dict``; raises a one-line ValueError naming the kind
-    when a key is missing, a number is not one, or the model's or an ensemble
-    member's feature space does not match the ``space_hash`` recorded beside it."""
+    when a key is missing, a number or an object is not one, or the model's or an
+    ensemble member's feature space does not match the ``space_hash`` recorded
+    beside it."""
+    doc = _object("detector", "model", doc)
     kind = doc.get("kind", "detector")
     try:
         space = None
         if kind != "ensemble":
-            space = space_from_dict(doc["space"])
+            space = space_from_dict(_object(kind, "space", doc["space"]))
             if space.digest != doc["space_hash"]:
                 raise ValueError(f"{kind} model: space does not match its space_hash")
         report = None
@@ -604,8 +645,9 @@ def model_from_dict(doc: dict) -> DetectorModel:
             report = TrainReport(**{f.name: doc["report"][f.name] for f in fields(TrainReport)})
         members = tuple(model_from_dict(m) for m in doc.get("members", []))
         return DetectorModel(kind=doc["kind"], space=space,
-                             params=_params_from_jsonable(doc["kind"], doc["params"]),
-                             hyperparams=doc["hyperparams"],
+                             params=_params_from_jsonable(
+                                 doc["kind"], _object(kind, "params", doc["params"])),
+                             hyperparams=_object(kind, "hyperparams", doc["hyperparams"]),
                              threshold=_number(kind, "threshold", doc["threshold"]),
                              report=report, members=members)
     except KeyError as exc:

@@ -1,33 +1,89 @@
 """Feature families over the app model: binary string vectors, markov family-transition
 matrices, and api-cluster indicator vectors. Each extractor returns one dense float64
 row and takes the plain value that fixes its columns: a key index, a family count, or
-a cluster map."""
+a cluster map.
+
+Every feature is a sum or a union over an app's parts, so each kind defines its
+contribution from a set of parts once (``part_keys``, ``mark_keys``,
+``markov_counts``, ``mark_clusters``), and full extraction applies it to all of an
+app's parts (``app_parts``). The same definitions turn the features of an app into
+those of an app that extends it by the parts ``added_parts`` finds."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from operator import is_
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ApkModel
+from .corpus import ApkModel, CodeComponent, DeclaredComponent, Permission
 
 
-def binary_keys(apk: ApkModel) -> Iterator[str]:
-    """Feature keys an app exhibits: manifest string sets plus api-call ids."""
+class Parts(NamedTuple):
+    """Parts of an app that features read: whole, or what it adds to another app.
+    ``first`` is the app index of the first of ``components``."""
+
+    uses_features: Collection[str]
+    permissions: Collection[Permission]
+    declared: Sequence[DeclaredComponent]
+    components: Sequence[CodeComponent]
+    first: int = 0
+
+
+def app_parts(apk: ApkModel) -> Parts:
     m = apk.manifest
-    for name in m.uses_features:
+    return Parts(m.uses_features, m.permissions, m.declared_components, apk.code.components)
+
+
+def _added(old: frozenset, new: frozenset) -> Collection | None:
+    if new is old:
+        return ()
+    return new - old if old <= new else None
+
+
+def _leading(old: tuple, new: tuple) -> bool:
+    return len(old) <= len(new) and all(map(is_, old, new))
+
+
+def added_parts(base: ApkModel, apk: ApkModel) -> Parts | None:
+    """The parts ``apk`` adds to ``base``, or None when it does not extend it.
+
+    ``apk`` extends ``base`` when base's code and declared components are the
+    leading ones of apk's, the same objects, and base's uses-feature and
+    permission sets are subsets of apk's. Then each feature of ``apk`` is that of
+    ``base`` plus the contribution of the added parts."""
+    bm, m = base.manifest, apk.manifest
+    old, new = base.code.components, apk.code.components
+    if not (_leading(old, new) and _leading(bm.declared_components, m.declared_components)):
+        return None
+    features = _added(bm.uses_features, m.uses_features)
+    permissions = _added(bm.permissions, m.permissions)
+    if features is None or permissions is None:
+        return None
+    return Parts(features, permissions, m.declared_components[len(bm.declared_components):],
+                 new[len(old):], len(old))
+
+
+def part_keys(parts: Parts) -> Iterator[str]:
+    """Binary feature keys of the parts: manifest strings plus api-call ids."""
+    for name in parts.uses_features:
         yield "feature:" + name
-    for perm in m.permissions:
+    for perm in parts.permissions:
         yield "perm:" + perm.name
-    for comp in m.declared_components:
+    for comp in parts.declared:
         for action in comp.intent_actions:
             yield "action:" + action
         for cat in comp.intent_categories:
             yield "category:" + cat
-    for comp in apk.code.components:
+    for comp in parts.components:
         for api in comp.api_calls:
             yield "api:" + api
+
+
+def binary_keys(apk: ApkModel) -> Iterator[str]:
+    """Feature keys an app exhibits."""
+    return part_keys(app_parts(apk))
 
 
 def build_vocab(apks: Iterable[ApkModel]) -> tuple[str, ...]:
@@ -42,29 +98,32 @@ def build_vocab(apks: Iterable[ApkModel]) -> tuple[str, ...]:
     return tuple(sorted(keys))
 
 
+def mark_keys(row: np.ndarray, parts: Parts, index: Mapping[str, int]) -> None:
+    """Set 1.0 at ``index[key]`` for each key of the parts; keys outside the index
+    are ignored."""
+    for key in part_keys(parts):
+        i = index.get(key)
+        if i is not None:
+            row[i] = 1.0
+
+
 def extract_binary(apk: ApkModel, index: Mapping[str, int]) -> np.ndarray:
     """1.0 at ``index[key]`` for each key the app exhibits, in a row of
     ``len(index)`` columns; keys outside the index are ignored."""
     out = np.zeros(len(index))
-    for key in binary_keys(apk):
-        i = index.get(key)
-        if i is not None:
-            out[i] = 1.0
+    mark_keys(out, app_parts(apk), index)
     return out
 
 
-def extract_markov(apk: ApkModel, family_count: int) -> np.ndarray:
-    """Row-normalized family-transition matrix of the call graph, flattened row-major.
-
-    Entry (a, b) is the fraction of family-a out-edges that land in family b; families
-    with no out-edges keep an all-zero row.
-    """
-    if family_count < 1:
-        raise ValueError("family_count must be >= 1")
-    pairs = np.concatenate([c.edge_families for c in apk.code.components]
+def markov_counts(components: Sequence[CodeComponent], family_count: int,
+                  first: int = 0) -> np.ndarray:
+    """Family-transition counts of the components' call edges as float64, flattened
+    row-major: entry a * family_count + b counts the a -> b edges. ``first`` is the
+    app index of the first component, which an out-of-range error names."""
+    pairs = np.concatenate([c.edge_families for c in components]
                            or [np.empty((0, 2), dtype=np.intp)])
     if pairs.size and (pairs.min() < 0 or pairs.max() >= family_count):
-        for i, comp in enumerate(apk.code.components):
+        for i, comp in enumerate(components, first):
             out = (comp.edge_families < 0) | (comp.edge_families >= family_count)
             bad = np.flatnonzero(out.any(axis=1))
             if bad.size:
@@ -72,12 +131,25 @@ def extract_markov(apk: ApkModel, family_count: int) -> np.ndarray:
                     f"edge family out of range for family_count={family_count}: component "
                     f"{i} local edge {tuple(comp.edges[bad[0]].tolist())} has families "
                     f"{tuple(comp.edge_families[bad[0]].tolist())}")
-    counts = np.bincount(pairs[:, 0] * family_count + pairs[:, 1],
-                         minlength=family_count ** 2).astype(np.float64)
+    return np.bincount(pairs[:, 0] * family_count + pairs[:, 1],
+                       minlength=family_count ** 2).astype(np.float64)
+
+
+def markov_row(counts: np.ndarray, family_count: int) -> np.ndarray:
+    """Row-normalize flat transition counts: entry (a, b) becomes the fraction of
+    family-a out-edges that land in family b; families with no out-edges keep an
+    all-zero row."""
     counts = counts.reshape(family_count, family_count)
     row_sums = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, row_sums, out=np.zeros_like(counts), where=row_sums > 0)
     return matrix.ravel()
+
+
+def extract_markov(apk: ApkModel, family_count: int) -> np.ndarray:
+    """Row-normalized family-transition matrix of the call graph, flattened row-major."""
+    if family_count < 1:
+        raise ValueError("family_count must be >= 1")
+    return markov_row(markov_counts(apk.code.components, family_count), family_count)
 
 
 @dataclass(frozen=True)
@@ -106,16 +178,22 @@ def build_api_cluster_map(api_ids: Iterable[str], cluster_count: int, seed: int)
                          assignment=tuple(sorted(assignment)))
 
 
-def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap) -> np.ndarray:
-    """1.0 at cluster i when any api call mapped to cluster i occurs in the app."""
+def mark_clusters(row: np.ndarray, components: Iterable[CodeComponent],
+                  cmap: ApiClusterMap) -> None:
+    """Set 1.0 at each cluster that an api call of the components maps to."""
     lookup = cmap.lookup
-    out = np.zeros(cmap.cluster_count)
-    for comp in apk.code.components:
+    for comp in components:
         for api in comp.api_calls:
             cluster = lookup.get(api)
             if cluster is None:
                 raise ValueError(f"api id missing from cluster map: {api}")
-            out[cluster] = 1.0
+            row[cluster] = 1.0
+
+
+def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap) -> np.ndarray:
+    """1.0 at cluster i when any api call mapped to cluster i occurs in the app."""
+    out = np.zeros(cmap.cluster_count)
+    mark_clusters(out, apk.code.components, cmap)
     return out
 
 

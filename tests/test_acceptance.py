@@ -344,7 +344,7 @@ def test_functional_consistency(verdict, bench_corpus, bench_pset,
 
 
 # ---------------------------------------------------------------------------
-# 8. Benchmark determinism across worker counts
+# 8. Benchmark determinism: a rerun, with an ignored "workers" key, gives the same rows
 
 
 def test_bench_determinism_across_workers(verdict, tmp_path):

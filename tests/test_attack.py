@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from apk_builders import apk
+from apk_builders import StubPerturbation, apk, declared
+from pst_evade import detectors
 from pst_evade.attack import (
     ALGORITHMS,
     AttackConfig,
@@ -16,9 +17,18 @@ from pst_evade.attack import (
     run_attack,
     second_layer_arms,
 )
-from pst_evade.catalog import AndroidCatalog
-from pst_evade.corpus import apply_perturbation, contains, validate_apk, verify_isolation
-from pst_evade.detectors import DetectorModel, Feedback, FeatureSpace
+from pst_evade.catalog import AndroidCatalog, load_default_catalog
+from pst_evade.corpus import (
+    CodeComponent,
+    CodeGraph,
+    InjectablePayload,
+    apply_perturbation,
+    contains,
+    validate_apk,
+    verify_isolation,
+)
+from pst_evade.detectors import DetectorModel, Feedback, FeatureSpace, make_ensemble
+from pst_evade.harness import DetectorSpec, make_default_ensemble, train_detector
 from pst_evade.perturbset import build_perturbation_set
 
 # One case per algorithm, with the case ids the per-algorithm entry points had.
@@ -350,3 +360,160 @@ def test_random_attack_draws_uniformly():
         counts[key] = counts.get(key, 0) + 1
     observed = [counts[p.key] for p in pset.perturbations]
     assert stats.chisquare(observed).pvalue > 0.01
+
+
+# ---------------------------------------------------------------------------
+# Incremental oracle: every answer equals a full extraction, bit for bit
+
+SINGLE_DETECTORS = [f"{features}-{kind}" for features in ("binary", "markov", "api_cluster")
+                    for kind in ("linear", "mlp", "knn", "forest")]
+
+
+@pytest.fixture(scope="module")
+def detector_zoo(small_corpus):
+    """Every detector kind on every feature kind, the stock ensemble, and an
+    ensemble with nested ensembles among its members."""
+    zoo = {}
+    for name in SINGLE_DETECTORS:
+        features, kind = name.split("-")
+        zoo[name] = train_detector(DetectorSpec(name=name, kind=kind, features=features),
+                                   small_corpus)
+    zoo["ensemble"] = make_default_ensemble(small_corpus, seed=0, size=20)
+    zoo["nested"] = make_ensemble([
+        zoo["binary-linear"],
+        make_ensemble([zoo["markov-mlp"], zoo["api_cluster-forest"]]),
+        make_ensemble([zoo["binary-knn"], make_ensemble([zoo["markov-forest"]])]),
+        zoo["api_cluster-linear"],
+    ])
+    return zoo
+
+
+@pytest.fixture(scope="module")
+def donor_pset(small_corpus):
+    return build_perturbation_set(load_default_catalog(), small_corpus.donors)
+
+
+@pytest.fixture
+def full_extractions(monkeypatch):
+    """The feature spaces the oracle extracted an app in, in full, one per call."""
+    calls = []
+    state = FeatureSpace.state
+
+    def counted(space, app):
+        calls.append(space)
+        return state(space, app)
+
+    monkeypatch.setattr(FeatureSpace, "state", counted)
+    return calls
+
+
+def _bits(fb):
+    return fb.label, fb.confidence.hex()
+
+
+class DifferentialOracle:
+    """Answers through an ``Oracle`` and checks each answer against a full
+    extraction of the app, bit for bit."""
+
+    def __init__(self, model):
+        self.model = model
+        self.oracle = Oracle(model)
+        self.answers = 0
+
+    def query(self, app):
+        fb = self.oracle.query(app)
+        assert _bits(fb) == _bits(detectors.query(self.model, app))
+        self.answers += 1
+        return fb
+
+
+@pytest.mark.parametrize("name", SINGLE_DETECTORS + ["ensemble", "nested"])
+def test_oracle_answers_equal_full_extraction(detector_zoo, small_corpus, donor_pset,
+                                              full_extractions, name):
+    model = detector_zoo[name]
+    rng = random.Random(name)
+    targets = [a for a in small_corpus.malicious
+               if detectors.query(model, a).label == "malicious"]
+    assert targets
+    later_answers = 0
+    for algorithm in ALGORITHMS:
+        for target in rng.sample(targets, min(3, len(targets))):
+            oracle = DifferentialOracle(model)
+            before = len(full_extractions)
+            run_attack(oracle, target, donor_pset,
+                       AttackConfig(budget=rng.randint(8, 16), algorithm=algorithm,
+                                    seed=rng.randrange(2 ** 32)))
+            # Only the gate query is extracted in full; every candidate
+            # extends an app the oracle remembers.
+            assert full_extractions[before:] == list(model.spaces)
+            later_answers += oracle.answers - 1
+    assert later_answers >= 20
+
+
+def _with_components(app, components):
+    return dataclasses.replace(app, code=CodeGraph(tuple(components)))
+
+
+def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
+        detector_zoo, small_corpus, donor_pset, full_extractions):
+    model = detector_zoo["nested"]
+    spaces = list(model.spaces)
+    assert {s.kind for s in spaces} == {"binary", "markov", "api_cluster"}
+    rng = random.Random(3)
+    inject = next(p for p in donor_pset.perturbations if p.kind.startswith("inject_"))
+    first, second = small_corpus.malicious[:2]
+    assert first.code.components and first.manifest.permissions
+    extended, _ = apply_perturbation(first, inject, rng)
+    oracle = DifferentialOracle(model)
+
+    def extracted_in_full(app):
+        before = len(full_extractions)
+        oracle.query(app)
+        return full_extractions[before:] == spaces
+
+    assert extracted_in_full(first)
+    assert not extracted_in_full(extended)
+    # One oracle reused for an unrelated app, then for the first app again,
+    # which it no longer remembers.
+    assert extracted_in_full(second)
+    assert extracted_in_full(first)
+    assert not extracted_in_full(extended)
+    # Equal components that are not the same objects; a permission dropped;
+    # the first app without its last code component.
+    copies = _with_components(extended, [dataclasses.replace(c)
+                                         for c in extended.code.components])
+    dropped = dataclasses.replace(extended, manifest=dataclasses.replace(
+        extended.manifest, permissions=frozenset(list(first.manifest.permissions)[1:])))
+    shorter = _with_components(first, first.code.components[:-1])
+    for app in (copies, dropped, shorter):
+        assert extracted_in_full(app)
+
+
+@pytest.mark.parametrize("name,component,needle", [
+    ("markov-linear", {"families": [0, 99], "edges": [[0, 1]]},
+     "edge family out of range for family_count=11: component {i} local edge (0, 1) "
+     "has families (0, 99)"),
+    ("api_cluster-linear", {"api_calls": ("api.nowhere.fn999",)},
+     "api id missing from cluster map: api.nowhere.fn999"),
+])
+def test_oracle_raises_the_full_extraction_error_for_an_added_part(
+        detector_zoo, small_corpus, full_extractions, name, component, needle):
+    model = detector_zoo[name]
+    target = small_corpus.malicious[0]
+    payload = InjectablePayload(
+        source_apk_id="d", declared=declared(kind="service", name="Bad"),
+        component=CodeComponent(**{"kind": "service", "classes": 1, "families": [],
+                                   "edges": [], "api_calls": (), **component}))
+    candidate, _ = apply_perturbation(target, StubPerturbation("inject_service", payload),
+                                      random.Random(0))
+    needle = needle.format(i=len(target.code.components))
+    with pytest.raises(ValueError) as full:
+        detectors.query(model, candidate)
+    assert str(full.value) == needle
+    oracle = Oracle(model)
+    oracle.query(target)
+    with pytest.raises(ValueError) as delta:
+        oracle.query(candidate)
+    assert str(delta.value) == needle
+    # The candidate extends the gate's app, so only the gate was extracted in full.
+    assert full_extractions == [model.space]

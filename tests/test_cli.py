@@ -7,7 +7,13 @@ import pytest
 from pst_evade.attack import AttackConfig, Oracle, report_to_dict, run_attack
 from pst_evade.cli import main
 from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
-from pst_evade.detectors import DetectorModel, FeatureSpace, load_model, model_to_dict
+from pst_evade.detectors import (
+    MODEL_FORMAT,
+    DetectorModel,
+    FeatureSpace,
+    load_model,
+    model_to_dict,
+)
 from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
 from pst_evade.perturbset import DEFAULT_SIMILARITY_THRESHOLD, load_pset
 
@@ -199,6 +205,7 @@ def _attack_args(workdir, corpus, model, pset):
     ("truncated_corpus", "line 1 column"),
     ("unversioned_model", "model format 1 is not supported; retrain it with train"),
     ("truncated_pset", "line 1 column"),
+    ("ensemble_without_members", "ensemble model: has no members"),
 ])
 def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
     corpus, model, pset = workdir / "corpus.json", workdir / "model.json", workdir / "pset.json"
@@ -217,6 +224,10 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         del doc["format"]  # written before model files were versioned
         model = broken = workdir / "unversioned_model.json"
         model.write_text(json.dumps(doc))
+    elif case == "ensemble_without_members":
+        model = broken = workdir / "ensemble_without_members.json"
+        model.write_text(json.dumps({"format": MODEL_FORMAT, "kind": "ensemble", "params": {},
+                                     "hyperparams": {}, "threshold": 0.0, "members": []}))
     elif case == "truncated_pset":
         pset = broken = _truncated_copy(pset, workdir / "truncated_pset.json")
     else:
@@ -244,6 +255,9 @@ _BAD_PARAMS = {
     "linear-null-b": lambda doc: doc["params"].update(b=None),
     # loaded, then raised a TypeError on the first query
     "linear-null-threshold": lambda doc: doc.update(threshold=None),
+    # raised an AttributeError and a TypeError on load
+    "linear-space-array": lambda doc: doc.update(space=[]),
+    "linear-params-array": lambda doc: doc.update(params=[]),
 }
 
 
@@ -253,6 +267,8 @@ _BAD_PARAMS = {
     ("forest-null-split", "forest model: split threshold is null, not a number"),
     ("linear-null-b", "linear model: params.b is null, not a number"),
     ("linear-null-threshold", "linear model: threshold is null, not a number"),
+    ("linear-space-array", "linear model: space is not a JSON object"),
+    ("linear-params-array", "linear model: params is not a JSON object"),
 ])
 def test_model_with_bad_scoring_params_is_refused_in_one_line(workdir, capsys, kind, needle):
     space = FeatureSpace("binary", keys=("perm:P", "perm:Q"))

@@ -252,6 +252,14 @@ def test_ensemble_rejects_empty():
         make_ensemble([])
 
 
+def test_ensemble_without_members_is_refused_at_load():
+    doc = {"kind": "ensemble", "params": {}, "hyperparams": {}, "threshold": 0.0,
+           "members": []}
+    with pytest.raises(ValueError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == "ensemble model: has no members"
+
+
 def test_ensemble_model_queries_members():
     model = make_ensemble([_member(True), _member(False)])
     fb = query(model, apk(perms=[("P", "normal")]))
@@ -652,6 +660,8 @@ SCORING_PARAM_CASES = [
     ("linear", lambda d: d["params"].update(b=None), "linear model: params.b is null"),
     ("mlp", lambda d: d["params"].update(b2="0.5"), 'mlp model: params.b2 is "0.5"'),
     ("linear", lambda d: d.update(threshold=None), "linear model: threshold is null"),
+    ("linear", lambda d: d.update(space=[]), "linear model: space is not a JSON object"),
+    ("linear", lambda d: d.update(params=[]), "linear model: params is not a JSON object"),
 ]
 
 
@@ -660,7 +670,8 @@ SCORING_PARAM_CASES = [
                               "knn_fractional_y", "knn_k_above_rows", "forest_feature_99",
                               "forest_vote_2", "linear_narrow_w", "mlp_narrow_w1",
                               "forest_null_split", "linear_null_b", "mlp_string_b2",
-                              "linear_null_threshold"])
+                              "linear_null_threshold", "linear_space_array",
+                              "linear_params_array"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind
