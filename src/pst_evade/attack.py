@@ -21,33 +21,40 @@ class Oracle:
 
     Perturbations only add to an app, so an attack's candidate is the kept
     sample plus the parts its picks added. For each feature space of the model,
-    the oracle remembers the state (``FeatureSpace.state``) of the last app it
-    answered and of the app that one extended, and answers an app that extends
-    either of them (``added_parts``) from that state plus the added parts'
-    contribution. Any other app is extracted in full, so every answer equals
+    the oracle remembers the state (``FeatureSpace.state``) of two apps: the
+    last one it answered that added something, and the app that one extended.
+    An app that extends either of them (``added_parts``) is answered from that
+    state plus the added parts' contribution. An app that adds nothing to one
+    of them is answered from its state and leaves the memory as it is, so a
+    rejected candidate proposed again does not push out the kept sample. Any
+    other app is extracted in full, so every answer equals
     ``detectors.query(model, apk)`` bit for bit.
     """
 
     def __init__(self, model: DetectorModel):
         self.model = model
-        # (app, {space: state}) pairs, the last answered app first.
+        # (app, {space: state}) pairs, the latest first.
         self._remembered: list[tuple[ApkModel, dict]] = []
 
     def query(self, apk: ApkModel) -> Feedback:
         return model_query(self.model, apk, self._rows)
 
     def _rows(self, apk: ApkModel) -> dict:
+        return {space: space.row(state) for space, state in self._states(apk).items()}
+
+    def _states(self, apk: ApkModel) -> dict:
         for base, states in self._remembered:
             parts = added_parts(base, apk)
-            if parts is not None:
-                self._remembered = [(apk, {space: space.extended(state, parts)
-                                           for space, state in states.items()}),
-                                    (base, states)]
-                break
-        else:
-            self._remembered = [(apk, {space: space.state(apk)
-                                       for space in self.model.spaces})]
-        return {space: space.row(state) for space, state in self._remembered[0][1].items()}
+            if parts is None:
+                continue
+            if parts.empty:
+                return states
+            extended = {space: space.extended(state, parts) for space, state in states.items()}
+            self._remembered = [(apk, extended), (base, states)]
+            return extended
+        states = {space: space.state(apk) for space in self.model.spaces}
+        self._remembered = [(apk, states)]
+        return states
 
 
 @dataclass(frozen=True)

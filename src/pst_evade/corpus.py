@@ -268,7 +268,9 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
             callee_fams = np.where(counts[callee_fams] == 0, caller_fams, callee_fams)
             offsets = rng.integers(0, counts[callee_fams])
             callees = order[starts[callee_fams] + offsets]
-            edges = np.unique(np.stack([callers, callees], axis=1), axis=0)
+            # One key per (caller, callee) pair sorts the pairs lexicographically.
+            key = np.unique(callers * n_f + callees)
+            edges = np.stack([key // n_f, key % n_f], axis=1)
 
     return CodeComponent(kind=kind, classes=classes, families=fams, edges=edges,
                          api_calls=api_calls, origin="original")

@@ -254,48 +254,66 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
     return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def _gini(neg, pos, total):
+    """Gini impurity of class counts, elementwise, for total > 0. Evaluated as
+    1 - (a*a + b*b): split gains are compared to 1e-12, so the float
+    operations and their order are part of which split wins."""
+    a = neg / total
+    b = pos / total
+    return 1.0 - (a * a + b * b)
 
 
 def _build_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
                 max_depth: int, min_leaf: int, n_feats: int,
                 rng: np.random.Generator) -> dict:
+    """Grow one tree on the rows ``idx``. At each split node a random set of
+    features is tried; a feature's thresholds are the midpoints between its
+    adjacent distinct values there, scanned feature by feature in ascending
+    order, and a later split must beat the best one by more than 1e-12."""
     labels = y[idx]
+    n = len(idx)
     pos = int(labels.sum())
-    neg = len(idx) - pos
-    if depth >= max_depth or len(idx) < 2 * min_leaf or pos == 0 or neg == 0:
+    neg = n - pos
+    if depth >= max_depth or n < 2 * min_leaf or pos == 0 or neg == 0:
         return {"leaf": True, "vote": 1 if pos >= neg else 0}
     feats = rng.choice(x.shape[1], size=min(n_feats, x.shape[1]), replace=False)
     feats.sort()
-    best = None
-    parent_gini = _gini(np.array([neg, pos]))
-    for f in feats:
-        col = x[idx, f]
-        values = np.unique(col)
-        if len(values) < 2:
-            continue
-        thresholds = (values[:-1] + values[1:]) / 2.0
-        for thr in thresholds:
-            left = col <= thr
-            nl = int(left.sum())
-            nr = len(idx) - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            lp = int(labels[left].sum())
-            rp = pos - lp
-            g = (nl * _gini(np.array([nl - lp, lp])) +
-                 nr * _gini(np.array([nr - rp, rp]))) / len(idx)
-            gain = parent_gini - g
-            if best is None or gain > best[0] + 1e-12:
-                best = (gain, int(f), float(thr), left)
-    if best is None or best[0] <= 1e-12:
+    # Sort each candidate column once: a threshold's left side is a prefix of
+    # the sorted column, and its positives a cumulative sum of sorted labels.
+    cols = x[np.ix_(idx, feats)]
+    order = np.argsort(cols, axis=0)
+    cols = np.take_along_axis(cols, order, axis=0)
+    pos_upto = np.cumsum(labels.astype(np.intp)[order], axis=0)
+    lo, hi = cols[:-1], cols[1:]
+    distinct = lo != hi
+    thresholds = (lo + hi) / 2.0
+    # Rows at or below each sorted value: the end of its run of equal values.
+    ends = np.where(np.vstack([distinct, np.ones((1, len(feats)), bool)]),
+                    np.arange(1, n + 1)[:, None], n)
+    at_or_below = np.minimum.accumulate(ends[::-1], axis=0)[::-1]
+    # Left of a threshold is everything up to lo, and hi's run too when the
+    # midpoint of adjacent floats rounds up to hi.
+    n_left = np.where(thresholds >= hi, at_or_below[1:], np.arange(1, n)[:, None])
+    valid = distinct & (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    # Candidates in scan order: feature-major, thresholds ascending.
+    col, row = np.nonzero(valid.T)
+    if col.size == 0:
         return {"leaf": True, "vote": 1 if pos >= neg else 0}
-    _, f, thr, left = best
+    nl = n_left[row, col]
+    lp = pos_upto[nl - 1, col]
+    nr = n - nl
+    rp = pos - lp
+    g = (nl * _gini(nl - lp, lp, nl) + nr * _gini(nr - rp, rp, nr)) / n
+    gains = (_gini(neg, pos, n) - g).tolist()
+    best = 0
+    for j, gain in enumerate(gains):
+        if gain > gains[best] + 1e-12:
+            best = j
+    if gains[best] <= 1e-12:
+        return {"leaf": True, "vote": 1 if pos >= neg else 0}
+    f = int(feats[col[best]])
+    thr = float(thresholds[row[best], col[best]])
+    left = x[idx, f] <= thr
     return {
         "leaf": False, "feature": f, "threshold": thr,
         "left": _build_tree(x, y, idx[left], depth + 1, max_depth, min_leaf, n_feats, rng),
@@ -307,6 +325,8 @@ def _train_forest(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
     n_trees = int(hp.get("trees", 32))
     max_depth = int(hp.get("max_depth", 8))
     min_leaf = int(hp.get("min_leaf", 2))
+    if min_leaf < 1:
+        raise ValueError(f"forest min_leaf must be >= 1, got {min_leaf}")
     rng = np.random.default_rng(seed)
     n, d = x.shape
     n_feats = max(1, int(math.sqrt(d)))
@@ -474,11 +494,6 @@ def query(model: DetectorModel, apk: ApkModel,
     return score(model, rows(apk))
 
 
-def ensemble_query(members: Sequence[DetectorModel], apk: ApkModel) -> Feedback:
-    """The answer of an ensemble of ``members``."""
-    return query(make_ensemble(members), apk)
-
-
 def make_ensemble(members: Sequence[DetectorModel]) -> DetectorModel:
     return DetectorModel(kind="ensemble", space=None, params={},
                          hyperparams={"members": len(members)}, threshold=0.0,
@@ -513,6 +528,11 @@ def _metrics(y_true: np.ndarray, y_pred: np.ndarray, holdout: bool) -> TrainRepo
                        holdout_size=len(y_true), on_holdout=holdout)
 
 
+# Largest feature magnitude a model is trained on: the midpoint of any two
+# such values, a forest's split threshold, is a finite float.
+_MAX_FEATURE = np.finfo(np.float64).max / 2
+
+
 def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
           hyperparams: dict | None = None, seed: int = 0,
           threshold: float = 0.5) -> DetectorModel:
@@ -529,6 +549,9 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
     if x.ndim != 2 or x.shape[1] != space.width:
         raise ValueError(f"feature rows of shape {x.shape} do not match the "
                          f"{space.width}-feature {space.kind} space")
+    if not (np.abs(x) <= _MAX_FEATURE).all():
+        raise ValueError(f"{kind} detector: feature rows hold NaN, infinite or "
+                         f"out-of-range values (|v| > {_MAX_FEATURE:.4g})")
     hp = dict(hyperparams or {})
     y = _encode_labels(labels)
     if len(set(labels)) < 2:

@@ -30,6 +30,11 @@ class Parts(NamedTuple):
     components: Sequence[CodeComponent]
     first: int = 0
 
+    @property
+    def empty(self) -> bool:
+        return not (self.uses_features or self.permissions or self.declared
+                    or self.components)
+
 
 def app_parts(apk: ApkModel) -> Parts:
     m = apk.manifest

@@ -236,28 +236,54 @@ _ENSEMBLE_PLAN = (
 
 def make_default_ensemble(corpus: Corpus, train_apks=None, seed: int = 0,
                           size: int = 20) -> DetectorModel:
-    """Ensemble of `size` detectors, each fit on a stratified bootstrap."""
+    """Ensemble of `size` detectors, each fit on a stratified bootstrap.
+
+    Each train app is extracted once per feature kind, and a member's matrix is
+    read off by row: a binary member's space, the sorted key union of its
+    sample, is the columns its sampled rows use of the full-vocabulary matrix.
+    An api_cluster member has its own cluster map and extracts its distinct
+    sampled apps in it."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     if train_apks is None:
         train_apks, _ = corpus.train_test_split()
-    by_class: dict[str, list[ApkModel]] = {}
-    for apk in train_apks:
-        by_class.setdefault(apk.ground_truth, []).append(apk)
+    train_apks = list(train_apks)
+    by_class: dict[str, list[int]] = {}
+    for r, apk in enumerate(train_apks):
+        by_class.setdefault(apk.ground_truth, []).append(r)
     if len(by_class) < 2:
         raise ValueError("ensemble training split contains a single class")
 
+    # Built on first use: the train matrix per feature kind, the api ids.
+    full: dict[str, tuple[FeatureSpace, np.ndarray]] = {}
+    api_ids = None
     members = []
     for i in range(size):
         kind, features = _ENSEMBLE_PLAN[i % len(_ENSEMBLE_PLAN)]
+        member_seed = seed * 977 + i
         rng = random.Random(derive_seed(seed, f"member:{i}"))
-        sample: list[ApkModel] = []
-        for apps in by_class.values():
-            sample.extend(rng.choice(apps) for _ in range(len(apps)))
-        space, x = _featurize(features, sample, corpus,
-                              cluster_count=24, seed=seed * 977 + i)
-        labels = [a.ground_truth for a in sample]
-        members.append(train(kind, space, x, labels, seed=seed * 977 + i))
+        rows: list[int] = []
+        for picks in by_class.values():
+            rows.extend(rng.choice(picks) for _ in range(len(picks)))
+        if features == "api_cluster":
+            if api_ids is None:
+                api_ids = _corpus_api_ids(corpus)
+            space = FeatureSpace(features, cluster_map=build_api_cluster_map(
+                api_ids, 24, member_seed))
+            distinct, inverse = np.unique(rows, return_inverse=True)
+            x = np.stack([space.extract(train_apks[r]) for r in distinct])[inverse]
+        else:
+            if features not in full:
+                full[features] = _featurize(features, train_apks, corpus, 24, member_seed)
+            space, x = full[features]
+            if features == "binary":
+                cols = np.flatnonzero(x[np.unique(rows)].any(axis=0))
+                space = FeatureSpace(features, keys=tuple(space.keys[c] for c in cols))
+                x = x[np.ix_(rows, cols)]
+            else:
+                x = x[rows]
+        labels = [train_apks[r].ground_truth for r in rows]
+        members.append(train(kind, space, x, labels, seed=member_seed))
     return make_ensemble(members)
 
 

@@ -1,5 +1,6 @@
 """Acceptance gate: every stated bar runs at its stated tolerance and prints
 one PASS/FAIL line on the terminal."""
+import hashlib
 import json
 import random
 import time
@@ -22,7 +23,7 @@ from pst_evade.corpus import (
     validate_apk,
     verify_isolation,
 )
-from pst_evade.detectors import query as model_query
+from pst_evade.detectors import model_to_dict, query as model_query
 from pst_evade.harness import (
     DEFAULT_BENCH_SPEC,
     DetectorSpec,
@@ -379,3 +380,30 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
             rows1 == rows8 and len(rows1) == 60,
             f"{len(rows1)} rows bit-identical when a config with an ignored "
             "'workers' key is rerun (wall clock column excluded)")
+
+
+# ---------------------------------------------------------------------------
+# 9. Set-up is pinned: the stock corpus and ensemble are the same bit for bit
+
+
+# sha256 over every DEFAULT_BENCH_SPEC component's families and edges (shape
+# repr, then bytes), and of the stock ensemble's canonical model JSON.
+BENCH_COMPONENTS_SHA256 = "787ff035197364913767e9be1b01a2778197e386334e9a0a1351b00e5e35ea58"
+BENCH_ENSEMBLE_SHA256 = "8abbd94ddf29da3fed63cf069e8b64f89ae12ff28b6cade0a64da99d2ce62dee"
+
+
+def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
+    h = hashlib.sha256()
+    for apps in (bench_corpus.benign, bench_corpus.malicious, bench_corpus.donors):
+        for apk in apps:
+            for comp in apk.code.components:
+                for arr in (comp.families, comp.edges):
+                    h.update(repr(arr.shape).encode())
+                    h.update(arr.tobytes())
+    model_json = json.dumps(model_to_dict(bench_ensemble), sort_keys=True)
+    ensemble = hashlib.sha256(model_json.encode()).hexdigest()
+    verdict("setup-pinned",
+            h.hexdigest() == BENCH_COMPONENTS_SHA256 and ensemble == BENCH_ENSEMBLE_SHA256,
+            f"stock corpus components {h.hexdigest()[:8]} (pinned "
+            f"{BENCH_COMPONENTS_SHA256[:8]}), stock ensemble model {ensemble[:8]} "
+            f"(pinned {BENCH_ENSEMBLE_SHA256[:8]})")

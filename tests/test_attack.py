@@ -450,6 +450,21 @@ def test_oracle_answers_equal_full_extraction(detector_zoo, small_corpus, donor_
     assert later_answers >= 20
 
 
+def test_oracle_keeps_the_kept_sample_when_a_candidate_adds_nothing(
+        attack_setup, full_extractions):
+    # mab may propose a rejected perturbation again: that candidate adds nothing
+    # to the rejected one, and must not push the kept sample out of memory.
+    model, pset, tps = attack_setup
+    queries = 0
+    for i in range(60):
+        oracle = DifferentialOracle(model)
+        run_attack(oracle, tps[i % len(tps)], pset,
+                   AttackConfig(budget=200, algorithm="mab", seed=400 + i))
+        queries += oracle.answers
+    assert queries > 1000
+    assert len(full_extractions) == 60
+
+
 def _with_components(app, components):
     return dataclasses.replace(app, code=CodeGraph(tuple(components)))
 

@@ -18,8 +18,8 @@ from pst_evade.detectors import (
     Feedback,
     _knn_by_difference,
     _knn_by_norms,
+    _build_tree,
     confidence_from_dense,
-    ensemble_query,
     load_model,
     make_ensemble,
     model_from_dict,
@@ -230,24 +230,22 @@ def _member(always_malicious):
 
 def test_ensemble_detection_fraction():
     members = [_member(True)] * 13 + [_member(False)] * 7
-    fb = ensemble_query(members, apk(perms=[("P", "normal")]))
+    fb = query(make_ensemble(members), apk(perms=[("P", "normal")]))
     assert fb.confidence == pytest.approx(0.65)
     assert fb.label == "malicious"
 
 
 def test_ensemble_flags_on_any_member():
     members = [_member(True)] + [_member(False)] * 19
-    fb = ensemble_query(members, apk(perms=[("P", "normal")]))
+    fb = query(make_ensemble(members), apk(perms=[("P", "normal")]))
     assert fb.confidence == pytest.approx(0.05)
     assert fb.label == "malicious"
-    quiet = ensemble_query([_member(False)] * 20, apk(perms=[("P", "normal")]))
+    quiet = query(make_ensemble([_member(False)] * 20), apk(perms=[("P", "normal")]))
     assert quiet.confidence == 0.0
     assert quiet.label == "benign"
 
 
 def test_ensemble_rejects_empty():
-    with pytest.raises(ValueError):
-        ensemble_query([], apk())
     with pytest.raises(ValueError):
         make_ensemble([])
 
@@ -461,6 +459,181 @@ def test_space_width_follows_its_kind():
     assert _binary_space(("perm:P", "perm:Q")).width == 2
     assert FeatureSpace("markov", family_count=4).width == 16
     assert FeatureSpace("api_cluster", cluster_map=cmap).width == 3
+
+
+def test_train_refuses_non_finite_or_overflowing_rows():
+    space, x, labels = _separable_rows()
+    for kind in ("linear", "forest"):
+        for bad in (np.nan, np.inf, -np.inf, 1e308):
+            rows = x.copy()
+            rows[3, 1] = bad
+            with pytest.raises(ValueError) as err:
+                train(kind, space, rows, labels)
+            assert str(err.value) == (f"{kind} detector: feature rows hold NaN, infinite "
+                                      "or out-of-range values (|v| > 8.988e+307)")
+
+
+def test_forest_refuses_min_leaf_below_one():
+    space, x, labels = _separable_rows()
+    with pytest.raises(ValueError, match="forest min_leaf must be >= 1, got 0"):
+        train("forest", space, x, labels, hyperparams={"min_leaf": 0})
+
+
+# ---------------------------------------------------------------------------
+# Forest training: the sorted-column split search against a per-threshold loop
+
+
+def _reference_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
+def _reference_build_tree(x, y, idx, depth, max_depth, min_leaf, n_feats, rng):
+    """Every threshold of every candidate feature tried in turn: the split
+    search ``_build_tree`` must reproduce tree for tree."""
+    labels = y[idx]
+    pos = int(labels.sum())
+    neg = len(idx) - pos
+    if depth >= max_depth or len(idx) < 2 * min_leaf or pos == 0 or neg == 0:
+        return {"leaf": True, "vote": 1 if pos >= neg else 0}
+    feats = rng.choice(x.shape[1], size=min(n_feats, x.shape[1]), replace=False)
+    feats.sort()
+    best = None
+    parent_gini = _reference_gini(np.array([neg, pos]))
+    for f in feats:
+        col = x[idx, f]
+        values = np.unique(col)
+        if len(values) < 2:
+            continue
+        thresholds = (values[:-1] + values[1:]) / 2.0
+        for thr in thresholds:
+            left = col <= thr
+            nl = int(left.sum())
+            nr = len(idx) - nl
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            lp = int(labels[left].sum())
+            rp = pos - lp
+            g = (nl * _reference_gini(np.array([nl - lp, lp])) +
+                 nr * _reference_gini(np.array([nr - rp, rp]))) / len(idx)
+            gain = parent_gini - g
+            if best is None or gain > best[0] + 1e-12:
+                best = (gain, int(f), float(thr), left)
+    if best is None or best[0] <= 1e-12:
+        return {"leaf": True, "vote": 1 if pos >= neg else 0}
+    _, f, thr, left = best
+    return {
+        "leaf": False, "feature": f, "threshold": thr,
+        "left": _reference_build_tree(x, y, idx[left], depth + 1, max_depth, min_leaf,
+                                      n_feats, rng),
+        "right": _reference_build_tree(x, y, idx[~left], depth + 1, max_depth, min_leaf,
+                                       n_feats, rng),
+    }
+
+
+def _assert_same_tree(x, y, idx, max_depth, min_leaf, n_feats, seed):
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = _build_tree(x, y, idx, 0, max_depth, min_leaf, n_feats, fast_rng)
+    slow = _reference_build_tree(x, y, idx, 0, max_depth, min_leaf, n_feats, slow_rng)
+    assert fast == slow
+    # Both drew the same features at the same nodes.
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    return fast
+
+
+def _splits(tree):
+    if tree["leaf"]:
+        return 0
+    return 1 + _splits(tree["left"]) + _splits(tree["right"])
+
+
+def _ulp_neighbours(rng, n, d):
+    """Columns of a few positive anchors each stepped up by 0 to 5 ulps."""
+    anchors = rng.choice([0.1, 0.3, 1.0, 1.5, 3.7], size=(3, d))
+    picks = anchors[rng.integers(0, 3, (n, d)), np.arange(d)]
+    return (picks.view(np.int64) + rng.integers(0, 6, (n, d))).view(np.float64)
+
+
+def _rounds_up(x):
+    """Whether some midpoint of adjacent distinct values in a column of x equals
+    the upper value."""
+    for col in x.T:
+        v = np.unique(col)
+        if np.any((v[:-1] + v[1:]) / 2.0 == v[1:]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("matrix", ["binary", "ties", "ulp", "reals"])
+def test_forest_split_search_matches_per_threshold_loop(matrix):
+    rng = np.random.default_rng(["binary", "ties", "ulp", "reals"].index(matrix))
+    splits = 0
+    rounded_up = False
+    for case in range(40):
+        n, d = int(rng.integers(2, 70)), int(rng.integers(1, 10))
+        if matrix == "binary":
+            x = rng.integers(0, 2, (n, d)).astype(float)
+        elif matrix == "ties":
+            x = rng.integers(0, 4, (n, d)).astype(float)
+        elif matrix == "ulp":
+            x = _ulp_neighbours(rng, n, d)
+            rounded_up |= _rounds_up(x)
+        else:
+            x = rng.normal(size=(n, d))
+        # A constant column and, on reals, a column of all-distinct values.
+        x[:, int(rng.integers(0, d))] = 0.5
+        if matrix == "reals":
+            x[:, int(rng.integers(0, d))] = rng.permutation(n) / 7.0
+        # Labels that follow a column, a fifth of them flipped.
+        c = int(rng.integers(0, d))
+        y = (x[:, c] > np.median(x[:, c])).astype(float)
+        flip = rng.random(n) < 0.2
+        y[flip] = 1.0 - y[flip]
+        idx = rng.integers(0, n, n)
+        tree = _assert_same_tree(x, y, idx, max_depth=int(rng.integers(1, 9)),
+                                 min_leaf=int(rng.integers(1, 5)),
+                                 n_feats=int(rng.integers(1, d + 1)), seed=case)
+        splits += _splits(tree)
+    assert splits >= 40
+    if matrix == "ulp":
+        assert rounded_up
+
+
+def test_forest_split_search_at_the_min_leaf_boundary():
+    # Four rows, min_leaf 2: the node is just big enough to split, and the one
+    # split leaves exactly min_leaf rows on each side.
+    x = np.array([[0.0, 7.0], [0.0, 7.0], [1.0, 7.0], [1.0, 7.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    idx = np.arange(4)
+    tree = _assert_same_tree(x, y, idx, max_depth=3, min_leaf=2, n_feats=2, seed=0)
+    assert (tree["feature"], tree["threshold"]) == (0, 0.5)
+    assert tree["left"] == {"leaf": True, "vote": 0}
+    # At min_leaf 3 the four rows are too few to split; the 2-2 tie votes 1.
+    assert _assert_same_tree(x, y, idx, max_depth=3, min_leaf=3, n_feats=2,
+                             seed=0) == {"leaf": True, "vote": 1}
+    # Six rows at min_leaf 3 may split, but the one threshold leaves 4 | 2.
+    x6 = np.array([[0.0], [0.0], [0.0], [0.0], [1.0], [1.0]])
+    y6 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+    assert _assert_same_tree(x6, y6, np.arange(6), max_depth=3, min_leaf=3,
+                             n_feats=1, seed=0) == {"leaf": True, "vote": 0}
+    assert _assert_same_tree(x6, y6, np.arange(6), max_depth=3, min_leaf=2,
+                             n_feats=1, seed=0)["threshold"] == 0.5
+
+
+def test_forest_split_threshold_may_round_up_to_the_upper_value():
+    # (a + b) / 2 of adjacent floats can equal b; that threshold then puts b's
+    # rows on the left, and both searches count them there.
+    a = 1.0 + 2.0 ** -52
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    x = np.array([[1.0], [a], [b], [b], [2.0], [2.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    for min_leaf in (1, 2, 3):
+        _assert_same_tree(x, y, np.arange(6), max_depth=4, min_leaf=min_leaf,
+                          n_feats=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
