@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from .corpus import ApkModel, apply_perturbation
 from .detectors import DetectorModel, Feedback, query as model_query
 from .features import added_parts
-from .perturbset import Perturbation, PerturbationSet, leaf_path
-from .pstree import CHILD_ORDER, TreeConfig, adjust, build_tree, sample_path
+from .perturbset import CHILD_ORDER, Perturbation, PerturbationSet, leaf_path
+from .pstree import TreeConfig, adjust, build_tree, sample_path
 
 OUTCOMES = ("success", "failure", "not_applicable")
 
@@ -99,10 +99,14 @@ def second_layer_arms(pset: PerturbationSet) -> dict[str, tuple[Perturbation, ..
 
 class _TreePolicy:
     """Tree-guided selection: sample a leaf group to apply whole, adjust the
-    tree on the answer, keep unless the confidence rose."""
+    tree on the answer, keep unless the confidence rose. Each attack works on
+    its own copy of the pset's reference tree, built on first use."""
 
     def __init__(self, pset: PerturbationSet, config: AttackConfig):
-        self.tree = build_tree(pset.groups, config.tree)
+        reference = pset.trees.get(config.tree)
+        if reference is None:
+            reference = pset.trees[config.tree] = build_tree(pset.groups, config.tree)
+        self.tree = reference.copy()
 
     def propose(self, rng: random.Random):
         if self.tree.is_empty():

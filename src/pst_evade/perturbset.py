@@ -3,6 +3,7 @@ keyword extraction, keyword similarity, and semantic clustering."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +32,17 @@ DEFAULT_SIMILARITY_THRESHOLD = 0.5
 PSET_FORMAT = 3
 
 _FEATURE_PREFIXES = ("android.hardware.", "android.software.")
+
+# Fixed child order per selection-tree label; the labels with no entry are the
+# buckets that hold leaf groups.
+CHILD_ORDER = {
+    "root": ("manifest", "code"),
+    "manifest": ("uses_feature", "permission", "action_category"),
+    "uses_feature": ("hardware", "software"),
+    "permission": ("normal", "signature"),
+    "action_category": ("activity_action", "broadcast", "category"),
+    "code": ("service", "receiver", "provider"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,12 @@ class PerturbationSet:
 
     def __len__(self) -> int:
         return len(self.perturbations)
+
+    @cached_property
+    def trees(self) -> dict:
+        """Reference selection trees by tree config: each tree-guided attack
+        copies one, built on first use, and never changes it."""
+        return {}
 
 
 def keyword_extract(p: Perturbation) -> list[str]:
@@ -123,15 +141,24 @@ def cluster_perturbations(perturbations: Sequence[Perturbation],
 
 
 def leaf_path(group: PerturbationGroup) -> tuple[str, ...]:
-    """Position of a group in the selection tree, as labels below the root."""
-    first = group.members[0]
-    kind = first.kind
+    """Position of a group in the selection tree: its first member's."""
+    return tree_position(group.members[0])
+
+
+def tree_position(p: Perturbation) -> tuple[str, ...]:
+    """The labels below the root of the selection-tree bucket that holds a
+    perturbation; a permission level with no bucket raises ``ValueError``."""
+    kind = p.kind
     if kind == "uses_feature":
-        bucket = ("hardware" if first.payload.startswith("android.hardware.")
+        bucket = ("hardware" if p.payload.startswith("android.hardware.")
                   else "software")
         return ("manifest", "uses_feature", bucket)
     if kind == "permission":
-        return ("manifest", "permission", first.payload.protection_level)
+        level = p.payload.protection_level
+        if level not in CHILD_ORDER["permission"]:
+            raise ValueError(f"perturbation {p.key}: no selection-tree position "
+                             f"manifest/permission/{level}")
+        return ("manifest", "permission", level)
     if kind == "activity_action":
         return ("manifest", "action_category", "activity_action")
     if kind == "broadcast_action":
@@ -192,8 +219,7 @@ def build_perturbation_set(catalog: AndroidCatalog, donors=(),
 
     by_path: dict[tuple[str, ...], list[Perturbation]] = {}
     for p in perturbations:
-        path = leaf_path(PerturbationGroup(members=(p,), keywords=frozenset(p.keywords)))
-        by_path.setdefault(path, []).append(p)
+        by_path.setdefault(tree_position(p), []).append(p)
 
     groups: list[PerturbationGroup] = []
     for path in sorted(by_path):
@@ -256,12 +282,24 @@ def pset_to_dict(pset: PerturbationSet) -> dict:
 
 
 def pset_from_dict(doc: dict) -> PerturbationSet:
+    """The pset in a document; malformed groups, a member index out of range or
+    a perturbation with no tree position raise a one-line ``ValueError``."""
     perturbations = tuple(_perturbation_from_dict(d) for d in doc["perturbations"])
-    groups = tuple(
-        PerturbationGroup(members=tuple(perturbations[i] for i in g["members"]),
-                          keywords=frozenset(g["keywords"]))
-        for g in doc["groups"])
-    return PerturbationSet(perturbations=perturbations, groups=groups,
+    for p in perturbations:
+        tree_position(p)
+    if not isinstance(doc["groups"], list):
+        raise ValueError(f"groups is a {type(doc['groups']).__name__}, not a list")
+    groups = []
+    for i, g in enumerate(doc["groups"]):
+        if not (isinstance(g, dict) and isinstance(g.get("members"), list) and g["members"]):
+            raise ValueError(f"group {i} is not an object with a non-empty members list")
+        for m in g["members"]:
+            if not (isinstance(m, int) and 0 <= m < len(perturbations)):
+                raise ValueError(f"group {i}: member index {m!r} out of range")
+        groups.append(PerturbationGroup(
+            members=tuple(perturbations[m] for m in g["members"]),
+            keywords=frozenset(g["keywords"])))
+    return PerturbationSet(perturbations=perturbations, groups=tuple(groups),
                            threshold=doc["threshold"])
 
 
@@ -271,10 +309,14 @@ def save_pset(pset: PerturbationSet, path: str | Path) -> None:
 
 
 def load_pset(path: str | Path) -> PerturbationSet:
-    """Load a pset file and check every payload component in it."""
-    pset = pset_from_dict(read_json_format(path, "pset", PSET_FORMAT,
-                                           "rebuild it with build-pset"))
-    for p in pset.perturbations:
-        if p.kind in INJECT_KINDS:
-            check_code_component(p.payload.component, f"{path}: payload {p.key}")
+    """Load a pset file and check every group and payload component in it;
+    every error names the file at its start."""
+    doc = read_json_format(path, "pset", PSET_FORMAT, "rebuild it with build-pset")
+    try:
+        pset = pset_from_dict(doc)
+        for p in pset.perturbations:
+            if p.kind in INJECT_KINDS:
+                check_code_component(p.payload.component, f"payload {p.key}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return pset

@@ -1,25 +1,14 @@
 """Probabilistic perturbation-selection tree: construction, probability
 initialization, path sampling, leaf deletion with probability transfer, and the
-feedback-driven adjustment policy."""
+feedback-driven adjustment policy. A node is its preorder id, the root 0."""
 from __future__ import annotations
 
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import asdict, dataclass, replace
 
-from .perturbset import PerturbationGroup, leaf_path
-
-# Fixed child order per structural label; only populated branches materialize.
-CHILD_ORDER = {
-    "root": ("manifest", "code"),
-    "manifest": ("uses_feature", "permission", "action_category"),
-    "uses_feature": ("hardware", "software"),
-    "permission": ("normal", "signature"),
-    "action_category": ("activity_action", "broadcast", "category"),
-    "code": ("service", "receiver", "provider"),
-}
+from .perturbset import CHILD_ORDER, PerturbationGroup, leaf_path
 
 INTERNAL_WEIGHTINGS = ("inverse", "proportional")
 
@@ -37,29 +26,6 @@ class TreeConfig:
                 f"internal_weighting must be one of {INTERNAL_WEIGHTINGS}")
 
 
-class Node:
-    __slots__ = ("id", "label", "parent", "children", "probs", "group")
-
-    def __init__(self, node_id: int, label: str, parent: "Node | None" = None,
-                 group: PerturbationGroup | None = None):
-        self.id = node_id
-        self.label = label
-        self.parent = parent
-        self.children: list[Node] = []
-        self.probs: list[float] = []
-        self.group = group
-
-    def depth(self) -> int:
-        d, node = 0, self
-        while node.parent is not None:
-            d += 1
-            node = node.parent
-        return d
-
-    def is_leaf(self) -> bool:
-        return self.group is not None
-
-
 @dataclass(frozen=True)
 class SamplePath:
     node_ids: tuple[int, ...]
@@ -71,125 +37,110 @@ class SamplePath:
         return self.node_ids[-1]
 
 
+@dataclass(repr=False)
 class PSTree:
-    """Single-writer mutable tree; one instance per attack."""
+    """A selection tree; one copy per attack. Copies share the shape: ``labels``,
+    ``parents`` (-1 at the root) and ``groups`` (None at internal nodes). Each
+    owns its state: the surviving ``children`` of each internal node, their
+    ``probs``, and the surviving ``leaf_counts`` below each node."""
 
-    def __init__(self, config: TreeConfig | None = None):
-        self.config = config or TreeConfig()
-        self.root = Node(0, "root")
-        self.nodes: dict[int, Node] = {0: self.root}
-        self._next_id = 1
+    config: TreeConfig
+    labels: tuple[str, ...]
+    parents: tuple[int, ...]
+    groups: tuple[PerturbationGroup | None, ...]
+    children: dict[int, list[int]]
+    probs: dict[int, list[float]]
+    leaf_counts: list[int]
 
-    def _new_node(self, label: str, parent: Node,
-                  group: PerturbationGroup | None = None) -> Node:
-        node = Node(self._next_id, label, parent, group)
-        self._next_id += 1
-        self.nodes[node.id] = node
-        parent.children.append(node)
-        parent.probs.append(0.0)
-        return node
+    def copy(self) -> PSTree:
+        """A tree of the same shape with its own copy of the state."""
+        return replace(self, children={n: list(c) for n, c in self.children.items()},
+                       probs={n: list(p) for n, p in self.probs.items()},
+                       leaf_counts=list(self.leaf_counts))
 
     def is_empty(self) -> bool:
-        return not self.root.children
+        return not self.children[0]
 
-    def leaves(self) -> Iterator[Node]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                yield node
-            else:
-                stack.extend(reversed(node.children))
+    def depth(self, node: int) -> int:
+        d = 0
+        while self.parents[node] >= 0:
+            d += 1
+            node = self.parents[node]
+        return d
 
-    def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
-
-
-def _leaf_count_below(node: Node) -> int:
-    if node.is_leaf():
-        return 1
-    return sum(_leaf_count_below(c) for c in node.children)
+    def leaves(self) -> list[int]:
+        """The surviving leaves, in preorder."""
+        return [n for n, g in enumerate(self.groups) if g is not None and self.leaf_counts[n]]
 
 
-def _normalize(node: Node) -> None:
-    total = sum(node.probs)
+def _normalize(probs: list[float]) -> list[float]:
+    total = sum(probs)
     if total <= 0:
-        node.probs = [1.0 / len(node.probs)] * len(node.probs)
-    else:
-        node.probs = [p / total for p in node.probs]
+        return [1.0 / len(probs)] * len(probs)
+    return [p / total for p in probs]
 
 
-def _first_layer(node: Node) -> Node:
+def _first_layer(tree: PSTree, node: int) -> int:
     """The node's ancestor directly below the root, or the node itself."""
-    while node.parent is not None and node.parent.parent is not None:
-        node = node.parent
+    while tree.parents[node] > 0:
+        node = tree.parents[node]
     return node
 
 
-def _init_leaf_parent(node: Node) -> None:
+def _init_leaf_parent(tree: PSTree, node: int) -> None:
     # Children are leaf groups. Code-side leaves are uniform; manifest-side
     # leaves are weighted by the normal density at each group's size.
-    if _first_layer(node).label == "code":
-        node.probs = [1.0 / len(node.children)] * len(node.children)
-        return
-    sizes = [len(c.group.members) for c in node.children]
+    sizes = [len(tree.groups[c].members) for c in tree.children[node]]
     mu = sum(sizes) / len(sizes)
     var = sum((s - mu) ** 2 for s in sizes) / len(sizes)
-    if var == 0.0:
-        node.probs = [1.0 / len(node.children)] * len(node.children)
+    if var == 0.0 or tree.labels[_first_layer(tree, node)] == "code":
+        tree.probs[node] = [1.0 / len(sizes)] * len(sizes)
         return
     sigma = math.sqrt(var)
-    node.probs = [
+    tree.probs[node] = _normalize([
         math.exp(-((s - mu) ** 2) / (2 * var)) / (sigma * math.sqrt(2 * math.pi))
         for s in sizes
-    ]
-    _normalize(node)
+    ])
 
 
-def _internal_weights(children: list[Node], weighting: str) -> list[float]:
-    counts = [_leaf_count_below(c) for c in children]
-    if weighting == "proportional":
-        return [float(c) for c in counts]
-    return [1.0 / c for c in counts]
-
-
-def _reinit_internal(node: Node, weighting: str) -> None:
-    node.probs = _internal_weights(node.children, weighting)
-    _normalize(node)
+def _reinit_internal(tree: PSTree, node: int) -> None:
+    counts = [tree.leaf_counts[c] for c in tree.children[node]]
+    if tree.config.internal_weighting == "proportional":
+        weights = [float(c) for c in counts]
+    else:
+        weights = [1.0 / c for c in counts]
+    tree.probs[node] = _normalize(weights)
 
 
 def init_probabilities(tree: PSTree) -> PSTree:
     """Assign all selection probabilities per the initialization rules."""
-    root = tree.root
-    if not root.children:
+    kids = tree.children[0]
+    if not kids:
         return tree
-    if len(root.children) == 1:
-        root.probs = [1.0]
+    if len(kids) == 1:
+        tree.probs[0] = [1.0]
     elif tree.config.first_layer_prior is not None:
-        pm, pc = tree.config.first_layer_prior
-        by_label = {c.label: i for i, c in enumerate(root.children)}
-        root.probs = [0.0, 0.0]
-        root.probs[by_label["manifest"]] = pm
-        root.probs[by_label["code"]] = pc
-        _normalize(root)
+        prior = dict(zip(("manifest", "code"), tree.config.first_layer_prior))
+        tree.probs[0] = _normalize([prior[tree.labels[c]] for c in kids])
     else:
-        root.probs = [0.5] * len(root.children)
+        tree.probs[0] = [0.5] * len(kids)
 
-    stack = list(root.children)
+    stack = list(kids)
     while stack:
         node = stack.pop()
-        if node.is_leaf() or not node.children:
+        if tree.groups[node] is not None:
             continue
-        if node.children[0].is_leaf():
-            _init_leaf_parent(node)
+        if tree.groups[tree.children[node][0]] is not None:
+            _init_leaf_parent(tree, node)
         else:
-            _reinit_internal(node, tree.config.internal_weighting)
-            stack.extend(node.children)
+            _reinit_internal(tree, node)
+            stack.extend(tree.children[node])
     return tree
 
 
 def build_tree(groups, config: TreeConfig | None = None) -> PSTree:
-    """Route groups into the fixed tree shape, pruning empty branches."""
+    """Route groups into the fixed tree shape, pruning empty branches; ids are
+    assigned in preorder. A group with no tree position raises ``ValueError``."""
     groups = list(groups)
     if not groups:
         raise ValueError("cannot build a selection tree from zero groups")
@@ -197,90 +148,98 @@ def build_tree(groups, config: TreeConfig | None = None) -> PSTree:
     for g in groups:
         by_path.setdefault(leaf_path(g), []).append(g)
 
-    tree = PSTree(config)
+    shape: list[tuple[str, int, PerturbationGroup | None]] = []  # label, parent, group
+    children: dict[int, list[int]] = {}
 
-    def present(prefix: tuple[str, ...]) -> bool:
-        return any(p[:len(prefix)] == prefix for p in by_path)
+    def add(label: str, parent: int, group: PerturbationGroup | None = None) -> int:
+        node = len(shape)
+        shape.append((label, parent, group))
+        if parent >= 0:
+            children[parent].append(node)
+        if group is None:
+            children[node] = []
+        return node
 
-    def grow(parent: Node, prefix: tuple[str, ...]) -> None:
+    prefixes = {path[:i] for path in by_path for i in range(1, len(path) + 1)}
+
+    def grow(node: int, prefix: tuple[str, ...]) -> None:
         if prefix in by_path:
             for g in by_path[prefix]:
-                tree._new_node("leaf", parent, group=g)
+                add("leaf", node, g)
             return
-        for label in CHILD_ORDER[parent.label]:
-            child_prefix = prefix + (label,)
-            if present(child_prefix):
-                grow(tree._new_node(label, parent), child_prefix)
+        for label in CHILD_ORDER[shape[node][0]]:
+            if prefix + (label,) in prefixes:
+                grow(add(label, node), prefix + (label,))
 
-    grow(tree.root, ())
-    return init_probabilities(tree)
+    grow(add("root", -1), ())
+    labels, parents, leaf_groups = zip(*shape)
+    counts = [0 if g is None else 1 for g in leaf_groups]
+    for node in range(len(counts) - 1, 0, -1):  # children before their parents
+        counts[parents[node]] += counts[node]
+    return init_probabilities(PSTree(config or TreeConfig(), labels, parents, leaf_groups,
+                                     children, {}, counts))
 
 
 def sample_path(tree: PSTree, rng: random.Random) -> SamplePath:
     """Walk root to leaf, choosing each child by its selection probability."""
     if tree.is_empty():
         raise ValueError("cannot sample from an empty tree")
-    node = tree.root
-    ids = [node.id]
-    labels = [node.label]
-    while not node.is_leaf():
+    node, ids = 0, [0]
+    while tree.groups[node] is None:
         r = rng.random()
         acc = 0.0
-        chosen = node.children[-1]
-        for child, p in zip(node.children, node.probs):
+        kids = tree.children[node]
+        chosen = kids[-1]
+        for child, p in zip(kids, tree.probs[node]):
             acc += p
             if r < acc:
                 chosen = child
                 break
         node = chosen
-        ids.append(node.id)
-        labels.append(node.label)
-    return SamplePath(node_ids=tuple(ids), labels=tuple(labels), group=node.group)
+        ids.append(node)
+    return SamplePath(node_ids=tuple(ids), labels=tuple(tree.labels[n] for n in ids),
+                      group=tree.groups[node])
 
 
-def _resolve(tree: PSTree, leaf: "Node | int") -> Node:
-    node = tree.nodes[leaf] if isinstance(leaf, int) else leaf
-    if not node.is_leaf():
-        raise ValueError(f"node {node.id} is not a leaf")
-    return node
+def _check_leaf(tree: PSTree, leaf: int) -> int:
+    if not (0 <= leaf < len(tree.groups) and tree.groups[leaf] is not None
+            and tree.leaf_counts[leaf]):
+        raise ValueError(f"node {leaf} is not a surviving leaf")
+    return leaf
 
 
-def delete_leaf_and_transfer(tree: PSTree, leaf: "Node | int") -> Node | None:
+def delete_leaf_and_transfer(tree: PSTree, leaf: int) -> int | None:
     """Remove a leaf, handing its probability equally to its remaining siblings.
 
     An only child cascades the deletion upward until an ancestor with other
     children absorbs the mass. Returns the absorbing parent, or None when the
     deletion emptied the whole tree.
     """
-    node = _resolve(tree, leaf)
-    while node.parent is not None and len(node.parent.children) == 1:
-        node = node.parent
-    parent = node.parent
-
-    def forget(n: Node) -> None:
-        del tree.nodes[n.id]
-        for c in n.children:
-            forget(c)
-
-    forget(node)
-    if parent is None:
+    node = _check_leaf(tree, leaf)
+    parents, children = tree.parents, tree.children
+    n = node
+    while n >= 0:
+        tree.leaf_counts[n] -= 1
+        n = parents[n]
+    while parents[node] >= 0 and len(children[parents[node]]) == 1:
+        node = parents[node]
+    parent = parents[node]
+    if parent < 0:
         # node is the root: the tree is now empty.
-        tree.root.children = []
-        tree.root.probs = []
-        tree.nodes = {0: tree.root}
-        tree.root.id = 0
+        children[0] = []
+        tree.probs[0] = []
         return None
-    idx = parent.children.index(node)
-    freed = parent.probs[idx]
-    del parent.children[idx]
-    del parent.probs[idx]
-    share = freed / len(parent.children)
+    kids, probs = children[parent], tree.probs[parent]
+    idx = kids.index(node)
+    del kids[idx]
+    freed = probs.pop(idx)
+    share = freed / len(kids)
     # Clamp: the equal split can overshoot 1.0 by an ulp when one sibling remains.
-    parent.probs = [min(1.0, max(0.0, p + share)) for p in parent.probs]
+    tree.probs[parent] = [min(1.0, max(0.0, p + share)) for p in probs]
     return parent
 
 
-def adjust(tree: PSTree, leaf: "Node | int", y_prev: float, y_new: float) -> PSTree:
+def adjust(tree: PSTree, leaf: int, y_prev: float, y_new: float) -> PSTree:
     """Feedback-driven update after trying the leaf's perturbation group.
 
     The leaf is always deleted. A confidence drop beyond epsilon keeps every
@@ -290,84 +249,78 @@ def adjust(tree: PSTree, leaf: "Node | int", y_prev: float, y_new: float) -> PST
     each on-path ancestor by (1 - depth * penalty_constant), and the first-layer
     node on the path is halved with the root's children renormalized.
     """
-    node = _resolve(tree, leaf)
+    node = _check_leaf(tree, leaf)
     cfg = tree.config
-    eps = cfg.epsilon
 
     # First-layer node on the selected path, captured before any deletion.
-    first_layer = _first_layer(node)
+    first_layer = _first_layer(tree, node)
 
-    absorbing = delete_leaf_and_transfer(tree, node)
+    p = delete_leaf_and_transfer(tree, node)
 
-    if y_new < y_prev - eps:
-        return tree  # the try helped; leave elevated mass in place
+    if p is None or y_new < y_prev - cfg.epsilon:
+        return tree  # emptied, or the try helped: leave elevated mass in place
 
-    no_effect = abs(y_new - y_prev) <= eps
-    p = absorbing
-    depth = p.depth() if p is not None else 0  # p's depth, one less per level climbed
-    while p is not None and p.parent is not None and p.parent.parent is not None:
-        parent = p.parent
-        _reinit_internal(parent, cfg.internal_weighting)
+    no_effect = abs(y_new - y_prev) <= cfg.epsilon
+    depth = tree.depth(p)  # p's depth, one less per level climbed
+    while tree.parents[p] > 0:
+        parent = tree.parents[p]
+        _reinit_internal(tree, parent)
         if no_effect:
             factor = max(1.0 - depth * cfg.penalty_constant, 0.01)
-            parent.probs[parent.children.index(p)] *= factor
-            _normalize(parent)
+            probs = tree.probs[parent]
+            probs[tree.children[parent].index(p)] *= factor
+            tree.probs[parent] = _normalize(probs)
         p = parent
         depth -= 1
 
-    root = tree.root
-    if first_layer in root.children:
-        idx = root.children.index(first_layer)
-        root.probs[idx] *= 0.5
-        _normalize(root)
+    root_kids = tree.children[0]
+    if first_layer in root_kids:
+        probs = tree.probs[0]
+        probs[root_kids.index(first_layer)] *= 0.5
+        tree.probs[0] = _normalize(probs)
     return tree
 
 
 def validate_probabilities(tree: PSTree) -> None:
     """Raise when any sibling probability set is not a distribution."""
-    stack = [tree.root]
+    stack = [0]
     while stack:
         node = stack.pop()
-        if node.is_leaf():
+        kids = tree.children.get(node)
+        if not kids:
             continue
-        if node.children:
-            total = sum(node.probs)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(
-                    f"probabilities under {node.label}#{node.id} sum to {total!r}")
-            for p in node.probs:
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(
-                        f"probability out of range under {node.label}#{node.id}: {p!r}")
-            stack.extend(node.children)
+        where = f"{tree.labels[node]}#{node}"
+        total = sum(tree.probs[node])
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities under {where} sum to {total!r}")
+        for p in tree.probs[node]:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability out of range under {where}: {p!r}")
+        stack.extend(kids)
 
 
 def tree_to_dict(tree: PSTree) -> dict:
     """JSON-friendly snapshot for debugging dumps."""
 
-    def node_doc(node: Node, prob: float | None) -> dict:
-        doc: dict = {"id": node.id, "label": node.label, "depth": node.depth()}
+    def node_doc(node: int, depth: int, prob: float | None) -> dict:
+        doc: dict = {"id": node, "label": tree.labels[node], "depth": depth}
         if prob is not None:
             doc["p"] = prob
-        if node.is_leaf():
-            doc["group"] = {"size": len(node.group.members),
-                            "keywords": sorted(node.group.keywords),
-                            "members": [m.key for m in node.group.members]}
+        group = tree.groups[node]
+        if group is not None:
+            doc["group"] = {"size": len(group.members),
+                            "keywords": sorted(group.keywords),
+                            "members": [m.key for m in group.members]}
         else:
-            doc["children"] = [node_doc(c, p)
-                               for c, p in zip(node.children, node.probs)]
+            doc["children"] = [node_doc(c, depth + 1, p)
+                               for c, p in zip(tree.children[node], tree.probs[node])]
         return doc
 
     return {
-        "config": {
-            "internal_weighting": tree.config.internal_weighting,
-            "epsilon": tree.config.epsilon,
-            "penalty_constant": tree.config.penalty_constant,
-            "first_layer_prior": (list(tree.config.first_layer_prior)
-                                  if tree.config.first_layer_prior else None),
-        },
-        "leaf_count": tree.leaf_count(),
-        "root": node_doc(tree.root, None),
+        "config": {**asdict(tree.config), "first_layer_prior": (
+            list(tree.config.first_layer_prior) if tree.config.first_layer_prior else None)},
+        "leaf_count": tree.leaf_counts[0],
+        "root": node_doc(0, 0, None),
     }
 
 

@@ -9,7 +9,14 @@ import pytest
 from scipy import stats
 
 from test_perturbset import _brute_force_cluster, _random_permissions
-from test_pstree import child_probs, feature_group, find, inject_group, perm_groups
+from test_pstree import (
+    child_probs,
+    feature_group,
+    find,
+    inject_group,
+    perm_groups,
+    rewalk_leaf_counts,
+)
 
 from pst_evade.attack import AttackConfig, Oracle, run_attack
 from pst_evade.cli import main as cli_main
@@ -112,6 +119,7 @@ def test_probability_integrity_fuzz(verdict):
     tree = _random_tree(rng)
     sequences = 10_000
     ops = 0
+    counts_ok = True
     for _ in range(sequences):
         if tree.is_empty():
             tree = _random_tree(rng)
@@ -119,7 +127,7 @@ def test_probability_integrity_fuzz(verdict):
             if tree.is_empty():
                 break
             op = rng.randrange(4)
-            leaves = list(tree.leaves())
+            leaves = tree.leaves()
             leaf = rng.choice(leaves)
             if op == 0:
                 init_probabilities(tree)
@@ -132,11 +140,13 @@ def test_probability_integrity_fuzz(verdict):
                 delta = rng.choice([-0.2, 0.0, 0.2]) * rng.random()
                 adjust(tree, leaf, y_prev=y, y_new=min(1.0, max(0.0, y + delta)))
             validate_probabilities(tree)
+            counts_ok = counts_ok and tree.leaf_counts == rewalk_leaf_counts(tree)
             ops += 1
     elapsed = time.perf_counter() - t0
     verdict("probability-integrity",
-            elapsed < 30.0,
-            f"{sequences} sequences ({ops} ops) clean in {elapsed:.1f}s (< 30s)")
+            counts_ok and elapsed < 30.0,
+            f"{sequences} sequences ({ops} ops) clean in {elapsed:.1f}s (< 30s), "
+            f"leaf counts {'match' if counts_ok else 'differ from'} a re-walk")
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +188,17 @@ def test_sampling_fidelity_chi_square(verdict):
               inject_group(2, kind="inject_receiver")]
     tree = build_tree(groups)
 
-    def path_product(leaf):
+    def path_product(node):
         p = 1.0
-        node = leaf
-        while node.parent is not None:
-            p *= node.parent.probs[node.parent.children.index(node)]
-            node = node.parent
+        while tree.parents[node] >= 0:
+            parent = tree.parents[node]
+            p *= tree.probs[parent][tree.children[parent].index(node)]
+            node = parent
         return p
 
-    leaves = list(tree.leaves())
+    leaves = tree.leaves()
     expected = [path_product(leaf) for leaf in leaves]
-    index = {leaf.id: i for i, leaf in enumerate(leaves)}
+    index = {leaf: i for i, leaf in enumerate(leaves)}
     rng = random.Random(0x5A)
     n = 100_000
     observed = [0] * len(leaves)
@@ -219,19 +229,19 @@ def test_adjustment_worked_examples(verdict):
 
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    before = (list(tree.root.probs), list(find(tree, "manifest").probs),
-              list(find(tree, "uses_feature").probs))
-    adjust(tree, hardware.children[0], y_prev=0.9, y_new=0.4)
-    after = (tree.root.probs, find(tree, "manifest").probs,
-             find(tree, "uses_feature").probs)
+    before = (list(tree.probs[0]), list(tree.probs[find(tree, "manifest")]),
+              list(tree.probs[find(tree, "uses_feature")]))
+    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.4)
+    after = (tree.probs[0], tree.probs[find(tree, "manifest")],
+             tree.probs[find(tree, "uses_feature")])
     checks.append(("improvement deletes only", before == after
-                   and hardware.probs == [1.0]))
+                   and tree.probs[hardware] == [1.0]))
 
     tree = _policy_tree()
-    adjust(tree, find(tree, "hardware").children[0], y_prev=0.9, y_new=0.9)
-    uf = child_probs(find(tree, "uses_feature"))
-    man = child_probs(find(tree, "manifest"))
-    root = child_probs(tree.root)
+    adjust(tree, tree.children[find(tree, "hardware")][0], y_prev=0.9, y_new=0.9)
+    uf = child_probs(tree, find(tree, "uses_feature"))
+    man = child_probs(tree, find(tree, "manifest"))
+    root = child_probs(tree, 0)
     checks.append(("no-effect penalty at depth 3",
                    uf == pytest.approx({"hardware": 7 / 17, "software": 10 / 17})
                    and man == pytest.approx({"uses_feature": 2 / 7,
@@ -240,11 +250,11 @@ def test_adjustment_worked_examples(verdict):
                    root == pytest.approx({"manifest": 1 / 3, "code": 2 / 3})))
 
     tree = _policy_tree()
-    adjust(tree, find(tree, "hardware").children[0], y_prev=0.5, y_new=0.9)
+    adjust(tree, tree.children[find(tree, "hardware")][0], y_prev=0.5, y_new=0.9)
     checks.append(("worsening reinitializes without penalty",
-                   child_probs(find(tree, "uses_feature")) == pytest.approx(
+                   child_probs(tree, find(tree, "uses_feature")) == pytest.approx(
                        {"hardware": 0.5, "software": 0.5})
-                   and child_probs(tree.root) == pytest.approx(
+                   and child_probs(tree, 0) == pytest.approx(
                        {"manifest": 1 / 3, "code": 2 / 3})))
 
     failed = [name for name, ok in checks if not ok]

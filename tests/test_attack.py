@@ -29,7 +29,8 @@ from pst_evade.corpus import (
 )
 from pst_evade.detectors import DetectorModel, Feedback, FeatureSpace, make_ensemble
 from pst_evade.harness import DetectorSpec, make_default_ensemble, train_detector
-from pst_evade.perturbset import build_perturbation_set
+from pst_evade.perturbset import build_perturbation_set, pset_from_dict, pset_to_dict
+from pst_evade.pstree import TreeConfig, build_tree, tree_to_dict
 
 # One case per algorithm, with the case ids the per-algorithm entry points had.
 EACH_ALGORITHM = pytest.mark.parametrize("algorithm", ALGORITHMS,
@@ -211,6 +212,28 @@ def test_budget_prefix_property(attack_setup, algorithm):
         else:
             assert large.confidence_trace[:len(small.confidence_trace)] == \
                 small.confidence_trace
+
+
+def test_pst_attacks_copy_the_pset_reference_tree(attack_setup):
+    # Every pst attack on a pset works on a copy of one reference tree per tree
+    # config; the attacks leave it as built and report what attacks on a
+    # fresh pset, with no reference tree yet, report.
+    model, pset, tps = attack_setup
+    configs = [TreeConfig(), TreeConfig(internal_weighting="proportional",
+                                        first_layer_prior=(0.7, 0.3))]
+    fresh = pset_from_dict(pset_to_dict(pset))
+
+    def attacks(pset):
+        return [_strip_nondeterministic(run_attack(
+                    Oracle(model), sample, pset,
+                    AttackConfig(budget=15, seed=400 + i, tree=tree)))
+                for tree in configs for i, sample in enumerate(tps)]
+
+    got = attacks(pset)
+    for tree in configs:
+        assert tree_to_dict(pset.trees[tree]) == tree_to_dict(build_tree(pset.groups, tree))
+    assert got == attacks(fresh)
+    assert set(fresh.trees) == set(configs)
 
 
 @pytest.mark.parametrize("algorithm", ["pst", "mab", "random"])

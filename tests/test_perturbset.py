@@ -366,3 +366,39 @@ def test_load_pset_refuses_api_calls_that_are_not_a_list(tmp_path, full_pset):
     assert message.startswith(f"{path}: payload inject_")
     assert message.endswith(": api_calls is a str, not a list of api call ids")
     assert "\n" not in message
+
+
+def _first_permission(doc):
+    return next(p for p in doc["perturbations"] if p["kind"] == "permission")
+
+
+@pytest.mark.parametrize("corrupt,needle", [
+    (lambda doc: doc["groups"][0]["members"].append(10 ** 6),
+     ": group 0: member index 1000000 out of range"),
+    (lambda doc: doc.update(groups={"members": [0]}),
+     ": groups is a dict, not a list"),
+    (lambda doc: doc["groups"][0].update(members=[]),
+     ": group 0 is not an object with a non-empty members list"),
+    (lambda doc: doc["groups"][0].update(members=5),
+     ": group 0 is not an object with a non-empty members list"),
+    (lambda doc: doc["groups"].__setitem__(0, [0]),
+     ": group 0 is not an object with a non-empty members list"),
+])
+def test_load_pset_refuses_malformed_groups(tmp_path, full_pset, corrupt, needle):
+    path = _pset_file(tmp_path, full_pset, corrupt)
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    assert str(exc.value) == f"{path}{needle}"
+
+
+def test_load_pset_refuses_a_perturbation_with_no_tree_position(tmp_path, full_pset):
+    # The selection tree has no bucket for dangerous permissions, so pst could
+    # never try this perturbation while mab would still offer it.
+    def corrupt(doc):
+        _first_permission(doc)["payload"]["protection_level"] = "dangerous"
+    path = _pset_file(tmp_path, full_pset, corrupt)
+    name = _first_permission(pset_to_dict(full_pset))["payload"]["name"]
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    assert str(exc.value) == (f"{path}: perturbation permission:{name}: "
+                              "no selection-tree position manifest/permission/dangerous")

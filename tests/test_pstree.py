@@ -1,4 +1,5 @@
 """Selection-tree construction, sampling, deletion, and adjustment policy."""
+import hashlib
 import json
 import random
 
@@ -9,7 +10,6 @@ from apk_builders import code_component, declared
 from pst_evade.corpus import InjectablePayload, Permission
 from pst_evade.perturbset import Perturbation, PerturbationGroup
 from pst_evade.pstree import (
-    PSTree,
     TreeConfig,
     _normalize,
     adjust,
@@ -55,12 +55,28 @@ def inject_group(idx=0, kind="inject_service"):
     return PerturbationGroup(members=(p,), keywords=frozenset())
 
 
-def child_probs(node):
-    return {c.label: p for c, p in zip(node.children, node.probs)}
+def child_probs(tree, node):
+    return {tree.labels[c]: p for c, p in zip(tree.children[node], tree.probs[node])}
 
 
 def find(tree, label):
-    return next(n for n in tree.nodes.values() if n.label == label)
+    return tree.labels.index(label)
+
+
+def rewalk_leaf_counts(tree):
+    """Surviving leaves below each node by a walk of the reachable tree, 0 off
+    it: the reference the tree's maintained ``leaf_counts`` replace."""
+    counts = [0] * len(tree.labels)
+
+    def walk(node):
+        if tree.groups[node] is not None:
+            counts[node] = 1
+        else:
+            counts[node] = sum(walk(c) for c in tree.children[node])
+        return counts[node]
+
+    walk(0)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -70,29 +86,55 @@ def find(tree, label):
 def test_full_tree_structure(full_pset):
     tree = build_tree(full_pset.groups)
     validate_probabilities(tree)
-    assert [c.label for c in tree.root.children] == ["manifest", "code"]
-    assert tree.root.probs == [0.5, 0.5]
-    assert tree.leaf_count() == len(full_pset.groups)
+    assert [tree.labels[c] for c in tree.children[0]] == ["manifest", "code"]
+    assert tree.probs[0] == [0.5, 0.5]
+    assert tree.leaf_counts[0] == len(full_pset.groups)
+    assert tree.leaf_counts == rewalk_leaf_counts(tree)
+    assert all(tree.parents[n] < n for n in range(1, len(tree.parents)))  # preorder
     for leaf in tree.leaves():
-        want = 4 if leaf.group.members[0].kind in (
+        want = 4 if tree.groups[leaf].members[0].kind in (
             "uses_feature", "permission", "activity_action", "broadcast_action",
             "category") else 3
-        assert leaf.depth() == want
+        assert tree.depth(leaf) == want
+
+
+def test_full_tree_snapshot_is_pinned(full_pset):
+    # Recorded from the object tree the flat one replaced: same ids, labels,
+    # depths, probabilities and groups.
+    doc = tree_to_dict(build_tree(full_pset.groups))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "cb1883d9335d5b727ceb5758415e5c6dc350d0fc28fa8f6f9e73d2175baa377b"
+
+
+def test_group_without_tree_position_rejected():
+    with pytest.raises(ValueError, match="manifest/permission/dangerous"):
+        build_tree(perm_groups("normal", 2) + perm_groups("dangerous", 1, tag="D"))
+
+
+def test_copy_owns_its_state_and_shares_the_shape(full_pset):
+    reference = build_tree(full_pset.groups[:60])
+    before = tree_to_dict(reference)
+    tree = reference.copy()
+    assert tree.labels is reference.labels and tree.groups is reference.groups
+    rng = random.Random(3)
+    while not tree.is_empty():
+        adjust(tree, sample_path(tree, rng).leaf_id, 0.5, 0.5)
+    assert tree_to_dict(reference) == before
 
 
 def test_manifest_only_tree_prunes_code():
     tree = build_tree(perm_groups("normal", 3))
-    assert [c.label for c in tree.root.children] == ["manifest"]
-    assert tree.root.probs == [1.0]
-    assert all(n.label != "code" for n in tree.nodes.values())
+    assert [tree.labels[c] for c in tree.children[0]] == ["manifest"]
+    assert tree.probs[0] == [1.0]
+    assert "code" not in tree.labels
 
 
 def test_single_group_chain_has_unit_probabilities():
     tree = build_tree(perm_groups("normal", 1))
-    node = tree.root
-    while not node.is_leaf():
-        assert node.probs == [1.0]
-        node = node.children[0]
+    node = 0
+    while tree.groups[node] is None:
+        assert tree.probs[node] == [1.0]
+        node = tree.children[node][0]
 
 
 def test_zero_groups_rejected():
@@ -104,21 +146,20 @@ def test_internal_weights_inverse_leaf_counts():
     # 2 vs 8 leaves -> 1/2 : 1/8 -> 0.8 / 0.2.
     groups = perm_groups("normal", 2, tag="N") + perm_groups("signature", 8, tag="S")
     tree = build_tree(groups)
-    assert child_probs(find(tree, "permission")) == pytest.approx(
+    assert child_probs(tree, find(tree, "permission")) == pytest.approx(
         {"normal": 0.8, "signature": 0.2})
 
 
 def test_internal_weights_proportional_config():
     groups = perm_groups("normal", 2, tag="N") + perm_groups("signature", 8, tag="S")
     tree = build_tree(groups, TreeConfig(internal_weighting="proportional"))
-    assert child_probs(find(tree, "permission")) == pytest.approx(
+    assert child_probs(tree, find(tree, "permission")) == pytest.approx(
         {"normal": 0.2, "signature": 0.8})
 
 
 def test_equal_size_manifest_leaves_are_uniform():
     tree = build_tree(perm_groups("normal", 3, size=5))
-    bucket = find(tree, "normal")
-    assert bucket.probs == pytest.approx([1 / 3] * 3)
+    assert tree.probs[find(tree, "normal")] == pytest.approx([1 / 3] * 3)
 
 
 def test_manifest_leaf_normal_density_weights():
@@ -128,28 +169,26 @@ def test_manifest_leaf_normal_density_weights():
               feature_group("hardware", 5, "beta"),
               feature_group("hardware", 9, "gamma")]
     tree = build_tree(groups)
-    bucket = find(tree, "hardware")
-    assert bucket.probs == pytest.approx(
+    assert tree.probs[find(tree, "hardware")] == pytest.approx(
         [0.2428953111403593, 0.5142093777192815, 0.2428953111403593], abs=1e-12)
 
 
 def test_code_leaves_are_uniform():
     groups = [inject_group(i) for i in range(4)]
     tree = build_tree(groups)
-    bucket = find(tree, "service")
-    assert bucket.probs == pytest.approx([0.25] * 4)
+    assert tree.probs[find(tree, "service")] == pytest.approx([0.25] * 4)
 
 
 def test_first_layer_prior_overrides_default():
     groups = perm_groups("normal", 2) + [inject_group()]
     tree = build_tree(groups, TreeConfig(first_layer_prior=(0.7, 0.3)))
-    assert child_probs(tree.root) == pytest.approx({"manifest": 0.7, "code": 0.3})
+    assert child_probs(tree, 0) == pytest.approx({"manifest": 0.7, "code": 0.3})
 
 
 def test_first_layer_prior_ignored_when_branch_pruned():
     tree = build_tree(perm_groups("normal", 2),
                       TreeConfig(first_layer_prior=(0.7, 0.3)))
-    assert tree.root.probs == [1.0]
+    assert tree.probs[0] == [1.0]
 
 
 def test_bad_weighting_rejected():
@@ -175,14 +214,14 @@ def test_sampled_path_is_parent_chain(full_pset):
     for _ in range(50):
         path = sample_path(tree, rng)
         for a, b in zip(path.node_ids, path.node_ids[1:]):
-            assert tree.nodes[b].parent is tree.nodes[a]
+            assert tree.parents[b] == a
 
 
 def test_sampling_matches_probabilities():
     tree = build_tree(perm_groups("normal", 2))
     bucket = find(tree, "normal")
-    bucket.probs = [0.8, 0.2]
-    leaf_ids = [c.id for c in bucket.children]
+    tree.probs[bucket] = [0.8, 0.2]
+    leaf_ids = tree.children[bucket]
     rng = random.Random(123)
     counts = {i: 0 for i in leaf_ids}
     n = 100_000
@@ -202,7 +241,7 @@ def test_pruned_branch_never_sampled():
 
 def test_sampling_empty_tree_raises():
     tree = build_tree(perm_groups("normal", 1))
-    delete_leaf_and_transfer(tree, next(tree.leaves()))
+    delete_leaf_and_transfer(tree, tree.leaves()[0])
     assert tree.is_empty()
     with pytest.raises(ValueError):
         sample_path(tree, random.Random(0))
@@ -215,51 +254,63 @@ def test_sampling_empty_tree_raises():
 def test_delete_splits_probability_equally():
     tree = build_tree(perm_groups("normal", 3))
     bucket = find(tree, "normal")
-    bucket.probs = [0.5, 0.3, 0.2]
-    victim = bucket.children[1]
+    tree.probs[bucket] = [0.5, 0.3, 0.2]
+    victim = tree.children[bucket][1]
     absorbing = delete_leaf_and_transfer(tree, victim)
-    assert absorbing is bucket
-    assert bucket.probs == pytest.approx([0.65, 0.35])
-    assert victim.id not in tree.nodes
+    assert absorbing == bucket
+    assert tree.probs[bucket] == pytest.approx([0.65, 0.35])
+    assert victim not in tree.children[bucket]
+    assert tree.leaf_counts[victim] == 0
 
 
 def test_delete_only_child_cascades_upward():
     groups = perm_groups("normal", 1, tag="N") + perm_groups("signature", 1, tag="S")
     tree = build_tree(groups)
     normal = find(tree, "normal")
-    leaf = normal.children[0]
+    leaf = tree.children[normal][0]
     absorbing = delete_leaf_and_transfer(tree, leaf)
-    assert absorbing.label == "permission"
-    assert normal.id not in tree.nodes
-    assert leaf.id not in tree.nodes
-    assert [c.label for c in absorbing.children] == ["signature"]
-    assert absorbing.probs == [1.0]
+    assert tree.labels[absorbing] == "permission"
+    assert tree.leaf_counts[normal] == tree.leaf_counts[leaf] == 0
+    assert [tree.labels[c] for c in tree.children[absorbing]] == ["signature"]
+    assert tree.probs[absorbing] == [1.0]
+    assert tree.leaf_counts == rewalk_leaf_counts(tree)
     validate_probabilities(tree)
 
 
 def test_delete_last_leaf_signals_empty():
     tree = build_tree(perm_groups("normal", 1))
-    result = delete_leaf_and_transfer(tree, next(tree.leaves()))
+    result = delete_leaf_and_transfer(tree, tree.leaves()[0])
     assert result is None
     assert tree.is_empty()
-    assert set(tree.nodes) == {0}
+    assert tree.leaf_counts == [0] * len(tree.labels)
+
+
+def test_delete_refuses_internal_and_deleted_nodes():
+    tree = build_tree(perm_groups("normal", 2))
+    leaf = tree.leaves()[0]
+    delete_leaf_and_transfer(tree, leaf)
+    for node in (0, find(tree, "normal"), leaf, len(tree.labels), -1):
+        with pytest.raises(ValueError, match="is not a surviving leaf"):
+            delete_leaf_and_transfer(tree, node)
 
 
 def test_delete_never_orphans_nodes(full_pset):
     tree = build_tree(full_pset.groups[:60])
     rng = random.Random(41)
     while not tree.is_empty():
-        before = tree.leaf_count()
-        leaves = list(tree.leaves())
+        before = tree.leaf_counts[0]
+        leaves = tree.leaves()
         delete_leaf_and_transfer(tree, rng.choice(leaves))
-        assert tree.leaf_count() == before - 1
+        assert tree.leaf_counts[0] == before - 1
         reachable = set()
-        stack = [tree.root]
+        stack = [0]
         while stack:
             n = stack.pop()
-            reachable.add(n.id)
-            stack.extend(n.children)
-        assert reachable == set(tree.nodes)
+            reachable.add(n)
+            stack.extend(tree.children.get(n, ()) if tree.groups[n] is None else ())
+        # A node is reachable exactly when a surviving leaf lies below it.
+        assert reachable - {0} == {n for n, c in enumerate(tree.leaf_counts) if c} - {0}
+        assert tree.leaf_counts == rewalk_leaf_counts(tree)
         validate_probabilities(tree)
 
 
@@ -281,14 +332,14 @@ def _policy_tree(config=None):
 def test_adjust_improvement_deletes_only():
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    root_before = list(tree.root.probs)
-    manifest_before = list(find(tree, "manifest").probs)
-    uf_before = list(find(tree, "uses_feature").probs)
-    adjust(tree, hardware.children[0], y_prev=0.9, y_new=0.4)
-    assert tree.root.probs == root_before
-    assert find(tree, "manifest").probs == manifest_before
-    assert find(tree, "uses_feature").probs == uf_before
-    assert hardware.probs == [1.0]
+    root_before = list(tree.probs[0])
+    manifest_before = list(tree.probs[find(tree, "manifest")])
+    uf_before = list(tree.probs[find(tree, "uses_feature")])
+    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.4)
+    assert tree.probs[0] == root_before
+    assert tree.probs[find(tree, "manifest")] == manifest_before
+    assert tree.probs[find(tree, "uses_feature")] == uf_before
+    assert tree.probs[hardware] == [1.0]
     validate_probabilities(tree)
 
 
@@ -297,24 +348,24 @@ def test_adjust_no_effect_worked_example():
     # first layer halved 0.5 -> 0.25 then renormalized to 1/3 vs 2/3.
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    adjust(tree, hardware.children[0], y_prev=0.9, y_new=0.9)
-    uf = child_probs(find(tree, "uses_feature"))
+    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.9)
+    uf = child_probs(tree, find(tree, "uses_feature"))
     assert uf == pytest.approx({"hardware": 7 / 17, "software": 10 / 17})
-    man = child_probs(find(tree, "manifest"))
+    man = child_probs(tree, find(tree, "manifest"))
     assert man == pytest.approx({"uses_feature": 2 / 7, "permission": 5 / 7})
-    assert child_probs(tree.root) == pytest.approx({"manifest": 1 / 3, "code": 2 / 3})
+    assert child_probs(tree, 0) == pytest.approx({"manifest": 1 / 3, "code": 2 / 3})
     validate_probabilities(tree)
 
 
 def test_adjust_harmful_reinits_without_penalty():
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    adjust(tree, hardware.children[0], y_prev=0.5, y_new=0.9)
-    assert child_probs(find(tree, "uses_feature")) == pytest.approx(
+    adjust(tree, tree.children[hardware][0], y_prev=0.5, y_new=0.9)
+    assert child_probs(tree, find(tree, "uses_feature")) == pytest.approx(
         {"hardware": 0.5, "software": 0.5})
-    assert child_probs(find(tree, "manifest")) == pytest.approx(
+    assert child_probs(tree, find(tree, "manifest")) == pytest.approx(
         {"uses_feature": 1 / 3, "permission": 2 / 3})
-    assert child_probs(tree.root) == pytest.approx({"manifest": 1 / 3, "code": 2 / 3})
+    assert child_probs(tree, 0) == pytest.approx({"manifest": 1 / 3, "code": 2 / 3})
     validate_probabilities(tree)
 
 
@@ -323,10 +374,10 @@ def test_adjust_code_side_halves_code_branch():
               inject_group(2, kind="inject_receiver")]
     tree = build_tree(groups)
     service = find(tree, "service")
-    adjust(tree, service.children[0], y_prev=0.9, y_new=0.9)
-    assert child_probs(find(tree, "code")) == pytest.approx(
+    adjust(tree, tree.children[service][0], y_prev=0.9, y_new=0.9)
+    assert child_probs(tree, find(tree, "code")) == pytest.approx(
         {"service": 4 / 9, "receiver": 5 / 9})
-    assert child_probs(tree.root) == pytest.approx({"manifest": 2 / 3, "code": 1 / 3})
+    assert child_probs(tree, 0) == pytest.approx({"manifest": 2 / 3, "code": 1 / 3})
     validate_probabilities(tree)
 
 
@@ -334,8 +385,8 @@ def test_adjust_penalty_floor():
     # Penalty constant 0.5 drives the depth-3 factor to the 0.01 floor.
     tree = _policy_tree(TreeConfig(penalty_constant=0.5))
     hardware = find(tree, "hardware")
-    adjust(tree, hardware.children[0], y_prev=0.9, y_new=0.9)
-    uf = child_probs(find(tree, "uses_feature"))
+    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.9)
+    uf = child_probs(tree, find(tree, "uses_feature"))
     assert uf["hardware"] == pytest.approx(0.005 / 0.505)
     assert uf["software"] == pytest.approx(0.5 / 0.505)
 
@@ -343,9 +394,9 @@ def test_adjust_penalty_floor():
 def test_adjust_penalized_weight_below_reinit_weight():
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    adjust(tree, hardware.children[0], y_prev=0.9, y_new=0.9)
+    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.9)
     # Reinit alone would give hardware 0.5 among uses_feature children.
-    assert child_probs(find(tree, "uses_feature"))["hardware"] < 0.5
+    assert child_probs(tree, find(tree, "uses_feature"))["hardware"] < 0.5
 
 
 def test_adjust_cascade_starts_at_surviving_ancestor():
@@ -355,9 +406,9 @@ def test_adjust_cascade_starts_at_surviving_ancestor():
               feature_group("software", 1, "web"),
               *perm_groups("normal", 1)]
     tree = build_tree(groups)
-    leaf = find(tree, "hardware").children[0]
+    leaf = tree.children[find(tree, "hardware")][0]
     adjust(tree, leaf, y_prev=0.9, y_new=0.9)
-    man = child_probs(find(tree, "manifest"))
+    man = child_probs(tree, find(tree, "manifest"))
     # Reinit: uses_feature 1 leaf, permission 1 leaf -> 0.5/0.5; penalty on
     # uses_feature at depth 2: x0.8 -> 0.4/0.5 -> 4/9, 5/9.
     assert man == pytest.approx({"uses_feature": 4 / 9, "permission": 5 / 9})
@@ -382,16 +433,14 @@ def test_adjust_fuzzed_invariants(full_pset):
         else:
             adjust(tree, path.leaf_id, rng.random(), rng.random())
         validate_probabilities(tree)
+        assert tree.leaf_counts == rewalk_leaf_counts(tree)
         ops += 1
 
 
 def test_normalization_invariance():
     tree = _policy_tree()
-    manifest = find(tree, "manifest")
-    before = list(manifest.probs)
-    manifest.probs = [p * 3.7 for p in manifest.probs]
-    _normalize(manifest)
-    assert manifest.probs == pytest.approx(before)
+    before = tree.probs[find(tree, "manifest")]
+    assert _normalize([p * 3.7 for p in before]) == pytest.approx(before)
 
 
 # ---------------------------------------------------------------------------
