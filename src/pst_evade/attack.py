@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .corpus import ApkModel, apply_perturbation
 from .detectors import DetectorModel, Feedback, query as model_query
 from .features import added_parts
-from .perturbset import CHILD_ORDER, Perturbation, PerturbationSet, leaf_path
+from .perturbset import PerturbationSet
 from .pstree import TreeConfig, adjust, build_tree, sample_path
 
 OUTCOMES = ("success", "failure", "not_applicable")
@@ -87,16 +87,6 @@ class AttackReport:
     elapsed_trace: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
 
-def second_layer_arms(pset: PerturbationSet) -> dict[str, tuple[Perturbation, ...]]:
-    """Perturbations bucketed by their second-layer tree position, in fixed order."""
-    order = CHILD_ORDER["manifest"] + CHILD_ORDER["code"]
-    buckets: dict[str, list[Perturbation]] = {}
-    for group in pset.groups:
-        label = leaf_path(group)[1]
-        buckets.setdefault(label, []).extend(group.members)
-    return {label: tuple(buckets[label]) for label in order if label in buckets}
-
-
 class _TreePolicy:
     """Tree-guided selection: sample a leaf group to apply whole, adjust the
     tree on the answer, keep unless the confidence rose. Each attack works on
@@ -126,7 +116,7 @@ class _BanditPolicy:
     kept unless the confidence rose."""
 
     def __init__(self, pset: PerturbationSet, config: AttackConfig):
-        self.arms = second_layer_arms(pset)
+        self.arms = pset.arms
         self.labels = list(self.arms)
         self.posterior = {lab: [1.0, 1.0] for lab in self.labels}  # (alpha, beta)
         self.eps = config.tree.epsilon

@@ -5,6 +5,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 PROTECTION_LEVELS = ("normal", "signature", "dangerous")
 
@@ -39,29 +40,30 @@ def catalog_from_dict(doc: dict) -> AndroidCatalog:
     )
 
 
-def read_json(path: str | Path):
-    """The JSON document in a file; a file that does not parse raises a
-    ``ValueError`` whose message starts with the file's path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def read_json_format(path: str | Path, what: str, version: int, remedy: str) -> dict:
-    """The JSON document in a file of a versioned layout; a document whose
-    ``"format"`` is not ``version`` raises a one-line ``ValueError``. Files
-    written before layouts were versioned carry no key and count as format 1."""
-    doc = read_json(path)
-    found = doc.get("format", 1) if isinstance(doc, dict) else None
-    if found != version:
-        raise ValueError(f"{path}: {what} format {found} is not supported; {remedy}")
-    return doc
+def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] | None = None):
+    """``parse`` of the JSON document in a file. ``fmt`` is (what, version,
+    remedy) for a versioned layout; a file written before layouts were versioned
+    counts as format 1. Every error names the file at its start: an ``OSError``
+    keeps its type, and what a bad document raises becomes a ``ValueError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if fmt is not None:
+            what, version, remedy = fmt
+            found = doc.get("format", 1) if isinstance(doc, dict) else None
+            if found != version:
+                raise ValueError(f"{what} format {found} is not supported; {remedy}")
+        return parse(doc)
+    except OSError as exc:
+        raise type(exc)(f"{path}: {exc.strerror or exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (ValueError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_catalog(path: str | Path) -> AndroidCatalog:
-    return catalog_from_dict(read_json(path))
+    return read_document(path, catalog_from_dict)
 
 
 def load_default_catalog() -> AndroidCatalog:

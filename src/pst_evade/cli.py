@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .attack import ALGORITHMS, AttackConfig, Oracle, report_to_dict, run_attack
-from .catalog import load_catalog, load_default_catalog, read_json
+from .catalog import load_catalog, load_default_catalog, read_document
 from .corpus import (
     CorpusSpec,
     generate_corpus,
@@ -42,7 +42,7 @@ def _seed_override(cli_seed):
 
 def _cmd_gen_corpus(args) -> int:
     if args.spec:
-        spec = spec_from_dict(read_json(args.spec))
+        spec = read_document(args.spec, spec_from_dict)
     else:
         spec = CorpusSpec()
     seed = _seed_override(args.seed)
@@ -113,7 +113,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = config_from_dict(read_json(args.config))
+    config = read_document(args.config, config_from_dict)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         config = dataclasses.replace(config, seeds=(int(env_seed),))
@@ -127,7 +127,7 @@ def _cmd_bench(args) -> int:
 def _cmd_compare(args) -> int:
     for path in args.reports:
         print(f"== {path}")
-        print(format_grid(read_json(path)))
+        print(read_document(path, format_grid))
     return 0
 
 
@@ -185,9 +185,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"pst-evade: error: {message}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"pst-evade: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import AndroidCatalog, load_default_catalog, read_json_format
+from .catalog import AndroidCatalog, load_default_catalog, read_document
 
 if TYPE_CHECKING:
     from .perturbset import Perturbation
@@ -145,6 +145,14 @@ class CorpusSpec:
     test_fraction: float = 0.25
     test_drift: float = 0.15
     seed: int = 7
+
+    def __post_init__(self):
+        for name in ("n_benign", "n_malicious", "donor_count", "api_vocab_size",
+                     "api_family_count", "api_package_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"corpus spec: {name} is {value!r}, "
+                                 "not a non-negative integer")
 
     def mean_components(self, kind: str) -> float:
         return {"service": self.mean_services, "receiver": self.mean_receivers,
@@ -574,8 +582,10 @@ def spec_to_dict(spec: CorpusSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> CorpusSpec:
-    known = {k: v for k, v in d.items() if k in CorpusSpec.__dataclass_fields__}
-    return CorpusSpec(**known)
+    unknown = sorted(set(d) - set(CorpusSpec.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"corpus spec: unknown key {', '.join(map(repr, unknown))}")
+    return CorpusSpec(**d)
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -589,12 +599,15 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 
 
 def corpus_from_dict(d: dict) -> Corpus:
-    return Corpus(
+    corpus = Corpus(
         spec=spec_from_dict(d["spec"]),
         benign=tuple(apk_from_dict(a) for a in d["benign"]),
         malicious=tuple(apk_from_dict(a) for a in d["malicious"]),
         donors=tuple(apk_from_dict(a) for a in d["donors"]),
     )
+    for apk in corpus.benign + corpus.malicious + corpus.donors:
+        validate_apk(apk)
+    return corpus
 
 
 def canonical_json(doc: dict) -> str:
@@ -607,8 +620,5 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file and validate every app in it."""
-    corpus = corpus_from_dict(read_json_format(path, "corpus", CORPUS_FORMAT,
-                                               "regenerate it with gen-corpus"))
-    for apk in corpus.benign + corpus.malicious + corpus.donors:
-        validate_apk(apk)
-    return corpus
+    return read_document(path, corpus_from_dict,
+                         ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))

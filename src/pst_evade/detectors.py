@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import read_json_format
+from .catalog import read_document
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
@@ -683,8 +683,4 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> DetectorModel:
     """The model in a file; every error names the file at its start."""
-    doc = read_json_format(path, "model", MODEL_FORMAT, "retrain it with train")
-    try:
-        return model_from_dict(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_document(path, model_from_dict, ("model", MODEL_FORMAT, "retrain it with train"))

@@ -10,7 +10,7 @@ import csv
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -395,13 +395,9 @@ def run_experiment(config: ExperimentConfig,
                          grid=tuple(grid_from_rows(rows)))
 
 
-def default_benchmark_config(sample_count: int = 100,
-                             seeds=(0, 1, 2, 3, 4)) -> ExperimentConfig:
-    return ExperimentConfig(
-        detectors=(DetectorSpec(name="linear"),),
-        algorithms=("pst", "mab", "random"),
-        budgets=(10, 20, 30, 40),
-        sample_count=sample_count, seeds=tuple(seeds))
+def default_benchmark_config() -> ExperimentConfig:
+    """The stock grid: the linear detector under ``ExperimentConfig``'s defaults."""
+    return ExperimentConfig(detectors=(DetectorSpec(name="linear"),))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +411,28 @@ def detector_spec_to_dict(spec: DetectorSpec) -> dict:
             "threshold": spec.threshold, "ensemble_size": spec.ensemble_size}
 
 
+def _fields_from_dict(cls, d: dict, **convert) -> dict:
+    """The fields of dataclass ``cls`` that ``d`` gives, each through its
+    ``convert`` entry where there is one. A field ``d`` omits keeps its default,
+    one with no default is a missing key, and keys that are not fields are
+    ignored."""
+    given = {}
+    for f in fields(cls):
+        if f.name in d:
+            given[f.name] = convert.get(f.name, lambda v: v)(d[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return given
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 def detector_spec_from_dict(d: dict) -> DetectorSpec:
-    return DetectorSpec(
-        name=d["name"], kind=d.get("kind", "linear"),
-        features=d.get("features", "binary"),
-        hyperparams=dict(d.get("hyperparams", {})),
-        cluster_count=int(d.get("cluster_count", 24)),
-        train_seed=int(d.get("train_seed", 0)),
-        threshold=float(d.get("threshold", 0.5)),
-        ensemble_size=int(d.get("ensemble_size", 20)))
+    return DetectorSpec(**_fields_from_dict(
+        DetectorSpec, d, hyperparams=dict, cluster_count=int, train_seed=int,
+        threshold=float, ensemble_size=int))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -441,14 +450,11 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Inverse of ``config_to_dict``; keys it does not know, such as the
     ``"workers"`` of older configs, are ignored."""
-    return ExperimentConfig(
-        corpus_path=d.get("corpus_path"),
-        detectors=tuple(detector_spec_from_dict(s) for s in d["detectors"]),
-        algorithms=tuple(d.get("algorithms", ("pst", "mab", "random"))),
-        budgets=tuple(int(b) for b in d.get("budgets", (10, 20, 30, 40))),
-        sample_count=int(d.get("sample_count", 100)),
-        seeds=tuple(int(s) for s in d.get("seeds", (0, 1, 2, 3, 4))),
-        similarity_threshold=float(d.get("similarity_threshold", 0.5)))
+    return ExperimentConfig(**_fields_from_dict(
+        ExperimentConfig, d,
+        detectors=lambda specs: tuple(detector_spec_from_dict(s) for s in specs),
+        algorithms=tuple, budgets=_ints, sample_count=int, seeds=_ints,
+        similarity_threshold=float))
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import json
 
-from .catalog import AndroidCatalog, read_json_format
+from .catalog import AndroidCatalog, read_document
 from .corpus import (
     CODE_KINDS,
     InjectablePayload,
@@ -86,6 +86,12 @@ class PerturbationSet:
         copies one, built on first use, and never changes it."""
         return {}
 
+    @cached_property
+    def arms(self) -> dict[str, tuple[Perturbation, ...]]:
+        """The bandit's arms, ``second_layer_arms`` of the set: every bandit
+        attack reads them and none changes them."""
+        return second_layer_arms(self)
+
 
 def keyword_extract(p: Perturbation) -> list[str]:
     """Semantic keywords of a manifest perturbation's payload name."""
@@ -143,6 +149,16 @@ def cluster_perturbations(perturbations: Sequence[Perturbation],
 def leaf_path(group: PerturbationGroup) -> tuple[str, ...]:
     """Position of a group in the selection tree: its first member's."""
     return tree_position(group.members[0])
+
+
+def second_layer_arms(pset: PerturbationSet) -> dict[str, tuple[Perturbation, ...]]:
+    """Perturbations bucketed by their second-layer tree position, in fixed order."""
+    order = CHILD_ORDER["manifest"] + CHILD_ORDER["code"]
+    buckets: dict[str, list[Perturbation]] = {}
+    for group in pset.groups:
+        label = leaf_path(group)[1]
+        buckets.setdefault(label, []).extend(group.members)
+    return {label: tuple(buckets[label]) for label in order if label in buckets}
 
 
 def tree_position(p: Perturbation) -> tuple[str, ...]:
@@ -267,7 +283,13 @@ def _perturbation_from_dict(doc: dict) -> Perturbation:
     else:
         payload = doc["payload"]
     return Perturbation(kind=kind, payload=payload,
-                        keywords=tuple(doc["keywords"]))
+                        keywords=tuple(_strings(doc["keywords"], f"{kind} keywords")))
+
+
+def _strings(value, what: str) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{what} are not a list of strings")
+    return value
 
 
 def pset_to_dict(pset: PerturbationSet) -> dict:
@@ -282,11 +304,17 @@ def pset_to_dict(pset: PerturbationSet) -> dict:
 
 
 def pset_from_dict(doc: dict) -> PerturbationSet:
-    """The pset in a document; malformed groups, a member index out of range or
-    a perturbation with no tree position raise a one-line ``ValueError``."""
+    """The pset in a document; a threshold outside (0, 1], keywords that are not
+    strings, malformed groups or payload components, a member index out of range
+    or a perturbation with no tree position raise a one-line ``ValueError``."""
+    threshold = doc["threshold"]
+    if type(threshold) not in (int, float) or not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold {json.dumps(threshold)} is not a number in (0, 1]")
     perturbations = tuple(_perturbation_from_dict(d) for d in doc["perturbations"])
     for p in perturbations:
         tree_position(p)
+        if p.kind in INJECT_KINDS:
+            check_code_component(p.payload.component, f"payload {p.key}")
     if not isinstance(doc["groups"], list):
         raise ValueError(f"groups is a {type(doc['groups']).__name__}, not a list")
     groups = []
@@ -298,9 +326,9 @@ def pset_from_dict(doc: dict) -> PerturbationSet:
                 raise ValueError(f"group {i}: member index {m!r} out of range")
         groups.append(PerturbationGroup(
             members=tuple(perturbations[m] for m in g["members"]),
-            keywords=frozenset(g["keywords"])))
+            keywords=frozenset(_strings(g["keywords"], f"group {i} keywords"))))
     return PerturbationSet(perturbations=perturbations, groups=tuple(groups),
-                           threshold=doc["threshold"])
+                           threshold=threshold)
 
 
 def save_pset(pset: PerturbationSet, path: str | Path) -> None:
@@ -309,14 +337,6 @@ def save_pset(pset: PerturbationSet, path: str | Path) -> None:
 
 
 def load_pset(path: str | Path) -> PerturbationSet:
-    """Load a pset file and check every group and payload component in it;
-    every error names the file at its start."""
-    doc = read_json_format(path, "pset", PSET_FORMAT, "rebuild it with build-pset")
-    try:
-        pset = pset_from_dict(doc)
-        for p in pset.perturbations:
-            if p.kind in INJECT_KINDS:
-                check_code_component(p.payload.component, f"payload {p.key}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return pset
+    """Load a pset file and check every group and payload component in it."""
+    return read_document(path, pset_from_dict,
+                         ("pset", PSET_FORMAT, "rebuild it with build-pset"))

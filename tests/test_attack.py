@@ -8,14 +8,13 @@ import pytest
 from scipy import stats
 
 from apk_builders import StubPerturbation, apk, declared
-from pst_evade import detectors
+from pst_evade import detectors, perturbset
 from pst_evade.attack import (
     ALGORITHMS,
     AttackConfig,
     Oracle,
     report_to_dict,
     run_attack,
-    second_layer_arms,
 )
 from pst_evade.catalog import AndroidCatalog, load_default_catalog
 from pst_evade.corpus import (
@@ -29,7 +28,12 @@ from pst_evade.corpus import (
 )
 from pst_evade.detectors import DetectorModel, Feedback, FeatureSpace, make_ensemble
 from pst_evade.harness import DetectorSpec, make_default_ensemble, train_detector
-from pst_evade.perturbset import build_perturbation_set, pset_from_dict, pset_to_dict
+from pst_evade.perturbset import (
+    build_perturbation_set,
+    pset_from_dict,
+    pset_to_dict,
+    second_layer_arms,
+)
 from pst_evade.pstree import TreeConfig, build_tree, tree_to_dict
 
 # One case per algorithm, with the case ids the per-algorithm entry points had.
@@ -298,6 +302,21 @@ def test_second_layer_arm_buckets(full_pset):
     assert total == len(full_pset.perturbations)
     assert list(arms) == ["uses_feature", "permission", "action_category",
                           "service", "receiver", "provider"]
+
+
+def test_mab_attacks_share_the_pset_arms(full_pset, monkeypatch):
+    # The arms depend on the pset alone: the first bandit attack on a pset
+    # buckets its groups, and later attacks read the same arms.
+    pset = pset_from_dict(pset_to_dict(full_pset))
+    calls = []
+    leaf_path = perturbset.leaf_path
+    monkeypatch.setattr(perturbset, "leaf_path", lambda g: calls.append(g) or leaf_path(g))
+    reports = [run_attack(ConstOracle(), apk(), pset,
+                          AttackConfig(budget=5, seed=seed, algorithm="mab"))
+               for seed in (1, 2)]
+    assert len(calls) == len(pset.groups)
+    assert pset.arms == second_layer_arms(full_pset)
+    assert [r.queries_used for r in reports] == [5, 5]
 
 
 class ArmBiasedOracle:

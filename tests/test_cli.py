@@ -1,9 +1,11 @@
 """End-to-end command line flow in a temp directory."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pst_evade
 from pst_evade.attack import AttackConfig, Oracle, report_to_dict, run_attack
 from pst_evade.cli import main
 from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
@@ -333,4 +335,91 @@ def test_old_format_corpus_is_refused_in_one_line(workdir, capsys):
     err = capsys.readouterr().err
     assert err == (f"pst-evade: error: {old}: corpus format 1 is not supported; "
                    "regenerate it with gen-corpus\n")
+    assert "Traceback" not in err
+
+
+
+def _first_component(doc):
+    return next(c for a in doc["benign"] for c in a["code"]["components"])
+
+
+def _first_permission(doc):
+    return next(p for p in doc["perturbations"] if p["kind"] == "permission")
+
+
+def _unknown_protection_level(doc):
+    doc["permissions"][0][1] = "root"
+
+
+BUNDLED_CATALOG = Path(pst_evade.__file__).parent / "data" / "android_catalog.json"
+
+# case -> (flag, source, change): the flag is given a copy of the source file
+# (in the CLI work directory, or the bundled catalog) with the change applied to
+# its document; with no source the change is the whole document, and with
+# neither the flag is given a directory.
+_PROBES = {
+    "corpus-app-without-manifest": ("--corpus", "corpus.json",
+                                    lambda d: d["benign"][0].pop("manifest")),
+    "corpus-families-string": ("--corpus", "corpus.json",
+                               lambda d: _first_component(d).update(families="abc")),
+    "corpus-unknown-ground-truth": ("--corpus", "corpus.json",
+                                    lambda d: d["benign"][0].update(ground_truth="evil")),
+    "corpus-benign-number": ("--corpus", "corpus.json", lambda d: d.update(benign=5)),
+    "corpus-spec-count-string": ("--corpus", "corpus.json",
+                                 lambda d: d["spec"].update(n_benign="x")),
+    "corpus-directory": ("--corpus", None, None),
+    "pset-perturbation-without-keywords": ("--pset", "pset.json",
+                                           lambda d: d["perturbations"][0].pop("keywords")),
+    "pset-permission-null-payload": ("--pset", "pset.json",
+                                     lambda d: _first_permission(d).update(payload=None)),
+    "pset-threshold-string": ("--pset", "pset.json", lambda d: d.update(threshold="x")),
+    "model-weights-string": ("--model", "model.json",
+                             lambda d: d["params"].update(w="abc")),
+    "catalog-unknown-protection-level": ("--catalog", BUNDLED_CATALOG,
+                                         _unknown_protection_level),
+    "catalog-permissions-number": ("--catalog", BUNDLED_CATALOG,
+                                   lambda d: d.update(permissions=5)),
+    "spec-count-string": ("--spec", None, {"n_benign": "x"}),
+    "spec-misspelled-key": ("--spec", None,
+                            {"n_benign": 4, "n_malicous": 4, "donor_count": 2}),
+    "config-without-detectors": ("--config", "bench.json", lambda d: d.pop("detectors")),
+    "config-budgets-string": ("--config", "bench.json", lambda d: d.update(budgets="x")),
+    "compare-report-without-grid": ("--reports", None, {"config": {}}),
+}
+
+
+def _probe_argv(workdir, flag, path):
+    """The command line that reads ``path`` through ``flag``, with every other
+    input file a good one."""
+    if flag in ("--model", "--pset"):
+        files = {"--model": workdir / "model.json", "--pset": workdir / "pset.json", flag: path}
+        return _attack_args(workdir, workdir / "corpus.json", files["--model"], files["--pset"])
+    command, out = {
+        "--corpus": ("train", ["--out", str(workdir / "unused.json")]),
+        "--catalog": ("build-pset", ["--out", str(workdir / "unused.json")]),
+        "--spec": ("gen-corpus", ["--out", str(workdir / "unused.json")]),
+        "--config": ("bench", ["--out-dir", str(workdir / "unused_out")]),
+        "--reports": ("compare", []),
+    }[flag]
+    return [command, flag, str(path), *out]
+
+
+@pytest.mark.parametrize("case", list(_PROBES))
+def test_every_malformed_input_file_fails_in_one_line_naming_it(bench_outputs, workdir,
+                                                                 capsys, case):
+    flag, source, change = _PROBES[case]
+    broken = workdir / f"probe-{case}.json"
+    if change is None:
+        broken.mkdir()
+    elif source is None:
+        broken.write_text(json.dumps(change))
+    else:
+        doc = json.loads((workdir / source).read_text())
+        change(doc)
+        broken.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_probe_argv(workdir, flag, broken)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pst-evade: error: {broken}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err

@@ -346,6 +346,19 @@ def test_spec_round_trip():
     assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+@pytest.mark.parametrize("doc,needle", [
+    ({"n_benign": 4, "n_malicous": 4}, "corpus spec: unknown key 'n_malicous'"),
+    ({"n_benign": "x"}, "corpus spec: n_benign is 'x', not a non-negative integer"),
+    ({"donor_count": -1}, "corpus spec: donor_count is -1, not a non-negative integer"),
+    ({"n_malicious": 2.0}, "corpus spec: n_malicious is 2.0, not a non-negative integer"),
+    ({"n_benign": True}, "corpus spec: n_benign is True, not a non-negative integer"),
+])
+def test_spec_from_dict_refuses_unknown_keys_and_bad_counts(doc, needle):
+    with pytest.raises(ValueError) as exc:
+        spec_from_dict(doc)
+    assert str(exc.value) == needle
+
+
 def test_corpus_round_trip(small_corpus):
     doc = corpus_to_dict(small_corpus)
     back = corpus_from_dict(doc)
@@ -449,7 +462,7 @@ def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
     message = str(exc.value)
-    assert message.startswith(f"app {app['id']}")
+    assert message.startswith(f"{path}: app {app['id']}")
     assert needle.format(i=i) in message
     assert "\n" not in message
 

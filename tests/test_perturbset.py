@@ -391,6 +391,23 @@ def test_load_pset_refuses_malformed_groups(tmp_path, full_pset, corrupt, needle
     assert str(exc.value) == f"{path}{needle}"
 
 
+@pytest.mark.parametrize("corrupt,needle", [
+    (lambda doc: doc.update(threshold="x"), ': threshold "x" is not a number in (0, 1]'),
+    (lambda doc: doc.update(threshold=0), ": threshold 0 is not a number in (0, 1]"),
+    (lambda doc: doc.update(threshold=1.5), ": threshold 1.5 is not a number in (0, 1]"),
+    (lambda doc: doc.update(threshold=True), ": threshold true is not a number in (0, 1]"),
+    (lambda doc: _first_permission(doc).update(keywords="SMS"),
+     ": permission keywords are not a list of strings"),
+    (lambda doc: doc["groups"][0].update(keywords=[7]),
+     ": group 0 keywords are not a list of strings"),
+])
+def test_load_pset_refuses_bad_threshold_and_keywords(tmp_path, full_pset, corrupt, needle):
+    path = _pset_file(tmp_path, full_pset, corrupt)
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    assert str(exc.value) == f"{path}{needle}"
+
+
 def test_load_pset_refuses_a_perturbation_with_no_tree_position(tmp_path, full_pset):
     # The selection tree has no bucket for dangerous permissions, so pst could
     # never try this perturbation while mab would still offer it.
