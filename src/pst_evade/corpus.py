@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -22,7 +22,7 @@ CODE_KINDS = ("service", "receiver", "provider")
 ORIGINS = ("original", "injected")
 
 # Version of the corpus JSON layout; files of any other version are refused.
-CORPUS_FORMAT = 3
+CORPUS_FORMAT = 4
 
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -109,62 +109,42 @@ class ApkModel:
     ground_truth: str
 
 
+# The synthetic corpus generator. Mean code components per app, per kind: with
+# 100 donors the expected donor pool is ~108 services, ~104 receivers, ~24
+# providers.
+MEAN_COMPONENTS = {"service": 1.08, "receiver": 1.04, "provider": 0.24}
+# Mean component richness, per kind.
+MEAN_CLASSES = {"service": 175.0, "receiver": 136.0, "provider": 417.0}
+MEAN_FUNCTIONS = {"service": 873.0, "receiver": 703.0, "provider": 2044.0}
+# API ids are spread over the packages; every function has one of the families.
+API_VOCAB_SIZE = 240
+API_FAMILY_COUNT = 11
+API_PACKAGE_COUNT = 40
+# Class-conditional per-item inclusion probabilities are drawn uniformly from
+# INCLUSION_RANGE, independently per class.
+INCLUSION_RANGE = (0.02, 0.45)
+# Call edges drawn per function, before duplicate pairs merge.
+EDGE_FACTOR = 1.3
+# The trailing TEST_FRACTION of each class is drawn with rates drifted by TEST_DRIFT.
+TEST_FRACTION = 0.25
+TEST_DRIFT = 0.15
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Knobs for the synthetic corpus generator. Defaults are desk scale."""
+    """App counts and seed of a synthetic corpus. Defaults are desk scale."""
 
     n_benign: int = 260
     n_malicious: int = 260
     donor_count: int = 100
-    # Mean code components per app, per kind. With 100 donors the expected donor
-    # pool is ~108 services, ~104 receivers, ~24 providers.
-    mean_services: float = 1.08
-    mean_receivers: float = 1.04
-    mean_providers: float = 0.24
-    # Mean component richness, per kind.
-    mean_classes_service: float = 175.0
-    mean_classes_receiver: float = 136.0
-    mean_classes_provider: float = 417.0
-    mean_functions_service: float = 873.0
-    mean_functions_receiver: float = 703.0
-    mean_functions_provider: float = 2044.0
-    # Manifest/API pools. None means the full catalog pool.
-    feature_pool_size: int | None = None
-    permission_pool_size: int | None = None
-    action_pool_size: int | None = None
-    category_pool_size: int | None = None
-    api_vocab_size: int = 240
-    api_family_count: int = 11
-    api_package_count: int = 40
-    # Class-conditional per-item inclusion probabilities are drawn uniformly
-    # from [inclusion_low, inclusion_high], independently per class.
-    inclusion_low: float = 0.02
-    inclusion_high: float = 0.45
-    edge_factor: float = 1.3
-    # Trailing test fraction of each class is drawn with per-item drifted rates.
-    test_fraction: float = 0.25
-    test_drift: float = 0.15
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("n_benign", "n_malicious", "donor_count", "api_vocab_size",
-                     "api_family_count", "api_package_count"):
+        for name in ("n_benign", "n_malicious", "donor_count", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"corpus spec: {name} is {value!r}, "
                                  "not a non-negative integer")
-
-    def mean_components(self, kind: str) -> float:
-        return {"service": self.mean_services, "receiver": self.mean_receivers,
-                "provider": self.mean_providers}[kind]
-
-    def mean_classes(self, kind: str) -> float:
-        return {"service": self.mean_classes_service, "receiver": self.mean_classes_receiver,
-                "provider": self.mean_classes_provider}[kind]
-
-    def mean_functions(self, kind: str) -> float:
-        return {"service": self.mean_functions_service, "receiver": self.mean_functions_receiver,
-                "provider": self.mean_functions_provider}[kind]
 
 
 @dataclass(frozen=True)
@@ -175,32 +155,32 @@ class Corpus:
     donors: tuple[ApkModel, ...]
 
     def train_test_split(self) -> tuple[tuple[ApkModel, ...], tuple[ApkModel, ...]]:
-        """(train, test) across both classes, using the spec's trailing test fraction."""
-        nb = _train_count(len(self.benign), self.spec.test_fraction)
-        nm = _train_count(len(self.malicious), self.spec.test_fraction)
+        """(train, test) across both classes; the trailing TEST_FRACTION is test."""
+        nb = _train_count(len(self.benign))
+        nm = _train_count(len(self.malicious))
         train = self.benign[:nb] + self.malicious[:nm]
         test = self.benign[nb:] + self.malicious[nm:]
         return train, test
 
 
-def _train_count(n: int, test_fraction: float) -> int:
-    return n - int(round(n * test_fraction))
+def _train_count(n: int) -> int:
+    return n - int(round(n * TEST_FRACTION))
 
 
 class _Pool:
     """One item pool with per-class, per-split inclusion rates."""
 
-    def __init__(self, items: list[str], rng: np.random.Generator, spec: CorpusSpec):
+    def __init__(self, items: list[str], rng: np.random.Generator):
         self.items = items
         n = len(items)
-        lo, hi = spec.inclusion_low, spec.inclusion_high
+        lo, hi = INCLUSION_RANGE
         self.rate = {
             "benign": lo + (hi - lo) * rng.random(n),
             "malicious": lo + (hi - lo) * rng.random(n),
         }
         drift_sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         self.test_rate = {
-            cls: np.clip(self.rate[cls] * (1.0 + spec.test_drift * drift_sign), 0.0, 1.0)
+            cls: np.clip(self.rate[cls] * (1.0 + TEST_DRIFT * drift_sign), 0.0, 1.0)
             for cls in GROUND_TRUTHS
         }
 
@@ -211,67 +191,52 @@ class _Pool:
 
 
 class _GeneratorState:
-    def __init__(self, spec: CorpusSpec, catalog: AndroidCatalog, rng: np.random.Generator):
-        self.spec = spec
-        self.catalog = catalog
-
-        features = list(catalog.hardware_features + catalog.software_features)
-        perms = list(catalog.permissions)
-        actions = list(catalog.activity_actions + catalog.broadcast_actions)
-        categories = list(catalog.categories)
-        if spec.feature_pool_size is not None:
-            features = features[: spec.feature_pool_size]
-        if spec.permission_pool_size is not None:
-            perms = perms[: spec.permission_pool_size]
-        if spec.action_pool_size is not None:
-            actions = actions[: spec.action_pool_size]
-        if spec.category_pool_size is not None:
-            categories = categories[: spec.category_pool_size]
-
+    def __init__(self, catalog: AndroidCatalog, rng: np.random.Generator):
+        features = catalog.hardware_features + catalog.software_features
+        actions = catalog.activity_actions + catalog.broadcast_actions
+        perms = catalog.permissions
         self.permissions = {name: Permission(name, level) for name, level in perms}
-        self.feature_pool = _Pool(features, rng, spec)
-        self.permission_pool = _Pool([name for name, _ in perms], rng, spec)
-        self.action_pool = _Pool(actions, rng, spec)
-        self.category_pool = _Pool(categories, rng, spec)
+        self.feature_pool = _Pool(list(features), rng)
+        self.permission_pool = _Pool([name for name, _ in perms], rng)
+        self.action_pool = _Pool(list(actions), rng)
+        self.category_pool = _Pool(list(catalog.categories), rng)
 
-        f, p = spec.api_family_count, max(1, spec.api_package_count)
-        api_ids = [f"api.pkg{i % p:02d}.fn{i:03d}" for i in range(spec.api_vocab_size)]
+        api_ids = [f"api.pkg{i % API_PACKAGE_COUNT:02d}.fn{i:03d}"
+                   for i in range(API_VOCAB_SIZE)]
         # No feature reads an API's family, but the draw stays: it moves the rng
         # every later draw comes from, so dropping it would change every corpus.
-        rng.integers(0, max(1, f), spec.api_vocab_size)
-        self.api_pool = _Pool(api_ids, rng, spec)
+        rng.integers(0, API_FAMILY_COUNT, API_VOCAB_SIZE)
+        self.api_pool = _Pool(api_ids, rng)
 
         # Class-conditional family-transition propensities for call edges.
-        fam = max(1, f)
-        self.transitions = {
-            cls: rng.dirichlet(np.full(fam, 0.7), size=fam) for cls in GROUND_TRUTHS
+        fam = API_FAMILY_COUNT
+        self.transition_cum = {
+            cls: np.cumsum(rng.dirichlet(np.full(fam, 0.7), size=fam), axis=1)
+            for cls in GROUND_TRUTHS
         }
-        self.transition_cum = {cls: np.cumsum(t, axis=1) for cls, t in self.transitions.items()}
 
 
 def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
                    cls: str, shifted: bool) -> CodeComponent:
-    spec = state.spec
-    fam_count = max(1, spec.api_family_count)
-    classes = int(rng.poisson(spec.mean_classes(kind)))
-    n_f = int(rng.poisson(spec.mean_functions(kind)))
-    fams = rng.integers(0, fam_count, n_f) if n_f else np.empty(0, dtype=int)
+    classes = int(rng.poisson(MEAN_CLASSES[kind]))
+    n_f = int(rng.poisson(MEAN_FUNCTIONS[kind]))
+    fams = rng.integers(0, API_FAMILY_COUNT, n_f) if n_f else np.empty(0, dtype=int)
 
     api_calls = tuple(state.api_pool.sample(rng, cls, shifted))
 
     edges = ()
     if n_f > 0:
-        m = int(rng.poisson(spec.edge_factor * n_f))
+        m = int(rng.poisson(EDGE_FACTOR * n_f))
         if m > 0:
             order = np.argsort(fams, kind="stable")
-            counts = np.bincount(fams, minlength=fam_count)
+            counts = np.bincount(fams, minlength=API_FAMILY_COUNT)
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
             callers = rng.integers(0, n_f, m)
             caller_fams = fams[callers]
             u = rng.random(m)
             cum = state.transition_cum[cls]
             callee_fams = (u[:, None] > cum[caller_fams]).sum(axis=1)
-            callee_fams = np.minimum(callee_fams, fam_count - 1)
+            callee_fams = np.minimum(callee_fams, API_FAMILY_COUNT - 1)
             # Empty target families fall back to the caller's own family.
             callee_fams = np.where(counts[callee_fams] == 0, caller_fams, callee_fams)
             offsets = rng.integers(0, counts[callee_fams])
@@ -286,7 +251,6 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
 
 def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
              cls: str, shifted: bool) -> ApkModel:
-    spec = state.spec
     features = frozenset(state.feature_pool.sample(rng, cls, shifted))
     perm_names = state.permission_pool.sample(rng, cls, shifted)
     permissions = frozenset(state.permissions[name] for name in perm_names)
@@ -307,7 +271,7 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
 
     components: list[CodeComponent] = []
     for kind in CODE_KINDS:
-        count = int(rng.poisson(spec.mean_components(kind)))
+        count = int(rng.poisson(MEAN_COMPONENTS[kind]))
         for _ in range(count):
             comp_index = len(components)
             components.append(_gen_component(state, rng, kind, cls, shifted))
@@ -327,10 +291,10 @@ def generate_corpus(spec: CorpusSpec, catalog: AndroidCatalog | None = None) -> 
     if catalog is None:
         catalog = load_default_catalog()
     rng = np.random.default_rng(spec.seed)
-    state = _GeneratorState(spec, catalog, rng)
+    state = _GeneratorState(catalog, rng)
 
-    n_train_b = _train_count(spec.n_benign, spec.test_fraction)
-    n_train_m = _train_count(spec.n_malicious, spec.test_fraction)
+    n_train_b = _train_count(spec.n_benign)
+    n_train_m = _train_count(spec.n_malicious)
     benign = tuple(
         _gen_app(state, rng, f"b{i:03d}", "benign", shifted=i >= n_train_b)
         for i in range(spec.n_benign)
@@ -578,7 +542,7 @@ def apk_from_dict(d: dict) -> ApkModel:
 
 
 def spec_to_dict(spec: CorpusSpec) -> dict:
-    return {f.name: getattr(spec, f.name) for f in spec.__dataclass_fields__.values()}
+    return asdict(spec)
 
 
 def spec_from_dict(d: dict) -> CorpusSpec:

@@ -367,6 +367,11 @@ def _mlp_score(w1, b1, w2, b2, x: np.ndarray) -> float:
 def _mlp_kernel(space: FeatureSpace, p: dict, hp: dict):
     if np.ndim(p["w1"]) != 2 or len(p["w1"]) != space.width:
         raise _shape_error("mlp", "weights w1", np.shape(p["w1"]), space)
+    hidden = np.shape(p["w1"])[1]
+    for name in ("b1", "w2"):
+        if np.shape(p[name]) != (hidden,):
+            raise ValueError(f"mlp model: {name} of shape {np.shape(p[name])} does not "
+                             f"match the {hidden} hidden units of w1")
     return partial(_mlp_score, p["w1"], p["b1"], p["w2"], p["b2"])
 
 
@@ -608,6 +613,17 @@ def _number(kind: str, name: str, value) -> float:
     return float(value)
 
 
+def _numbers(kind: str, name: str, value) -> np.ndarray:
+    """An array of numbers read from a model file, or a one-line error naming the kind."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{kind} model: params.{name} is not an array of numbers")
+    return arr
+
+
 def _object(kind: str, name: str, value) -> dict:
     """A JSON object read from a model file, or a one-line error naming the kind."""
     if not isinstance(value, dict):
@@ -617,12 +633,12 @@ def _object(kind: str, name: str, value) -> dict:
 
 def _params_from_jsonable(kind: str, doc: dict) -> dict:
     if kind == "linear":
-        return {"w": np.array(doc["w"]), "b": _number(kind, "params.b", doc["b"])}
+        return {"w": _numbers(kind, "w", doc["w"]), "b": _number(kind, "params.b", doc["b"])}
     if kind == "mlp":
-        return {"w1": np.array(doc["w1"]), "b1": np.array(doc["b1"]),
-                "w2": np.array(doc["w2"]), "b2": _number(kind, "params.b2", doc["b2"])}
+        return {**{name: _numbers(kind, name, doc[name]) for name in ("w1", "b1", "w2")},
+                "b2": _number(kind, "params.b2", doc["b2"])}
     if kind == "knn":
-        return {"x": np.array(doc["x"]), "y": np.array(doc["y"])}
+        return {name: _numbers(kind, name, doc[name]) for name in ("x", "y")}
     if kind == "forest":
         return {"trees": doc["trees"]}
     return {}

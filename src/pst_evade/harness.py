@@ -11,12 +11,14 @@ import hashlib
 import json
 import random
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
-from .corpus import ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
+from .corpus import (API_FAMILY_COUNT, ApkModel, Corpus, CorpusSpec, load_corpus,
+                     load_default_catalog)
 from .detectors import (
     DETECTOR_KINDS,
     FEATURE_KINDS,
@@ -203,7 +205,7 @@ def _featurize(features: str, apks, corpus: Corpus, cluster_count: int,
     if features == "binary":
         space = FeatureSpace(features, keys=build_vocab(apks))
     elif features == "markov":
-        space = FeatureSpace(features, family_count=corpus.spec.api_family_count)
+        space = FeatureSpace(features, family_count=API_FAMILY_COUNT)
     else:
         space = FeatureSpace(features, cluster_map=build_api_cluster_map(
             _corpus_api_ids(corpus), cluster_count, seed))
@@ -425,8 +427,17 @@ def _fields_from_dict(cls, d: dict, **convert) -> dict:
     return given
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _list(name: str, values) -> list:
+    if not isinstance(values, list):
+        raise ValueError(f"{name} is {json.dumps(values)}, not a list")
+    return values
+
+
+def _ints(name: str, values) -> tuple[int, ...]:
+    for v in _list(name, values):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} holds {json.dumps(v)}, not an integer")
+    return tuple(values)
 
 
 def detector_spec_from_dict(d: dict) -> DetectorSpec:
@@ -449,12 +460,15 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Inverse of ``config_to_dict``; keys it does not know, such as the
-    ``"workers"`` of older configs, are ignored."""
+    ``"workers"`` of older configs, are ignored. A list field that is not a
+    JSON list, or a budget or seed that is not an integer, is a ValueError
+    naming the field."""
     return ExperimentConfig(**_fields_from_dict(
         ExperimentConfig, d,
-        detectors=lambda specs: tuple(detector_spec_from_dict(s) for s in specs),
-        algorithms=tuple, budgets=_ints, sample_count=int, seeds=_ints,
-        similarity_threshold=float))
+        detectors=lambda v: tuple(map(detector_spec_from_dict, _list("detectors", v))),
+        algorithms=lambda v: tuple(_list("algorithms", v)),
+        budgets=partial(_ints, "budgets"), seeds=partial(_ints, "seeds"),
+        sample_count=int, similarity_threshold=float))
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:

@@ -351,7 +351,12 @@ def _unknown_protection_level(doc):
     doc["permissions"][0][1] = "root"
 
 
+def _weights_as_strings(model):
+    model["params"]["w"] = ["x"] * len(model["params"]["w"])
+
+
 BUNDLED_CATALOG = Path(pst_evade.__file__).parent / "data" / "android_catalog.json"
+
 
 # case -> (flag, source, change): the flag is given a copy of the source file
 # (in the CLI work directory, or the bundled catalog) with the change applied to
@@ -375,6 +380,7 @@ _PROBES = {
     "pset-threshold-string": ("--pset", "pset.json", lambda d: d.update(threshold="x")),
     "model-weights-string": ("--model", "model.json",
                              lambda d: d["params"].update(w="abc")),
+    "model-weights-list-of-strings": ("--model", "model.json", _weights_as_strings),
     "catalog-unknown-protection-level": ("--catalog", BUNDLED_CATALOG,
                                          _unknown_protection_level),
     "catalog-permissions-number": ("--catalog", BUNDLED_CATALOG,
@@ -382,8 +388,10 @@ _PROBES = {
     "spec-count-string": ("--spec", None, {"n_benign": "x"}),
     "spec-misspelled-key": ("--spec", None,
                             {"n_benign": 4, "n_malicous": 4, "donor_count": 2}),
+    "spec-removed-knob": ("--spec", None, {"n_benign": 4, "edge_factor": 2.0}),
     "config-without-detectors": ("--config", "bench.json", lambda d: d.pop("detectors")),
     "config-budgets-string": ("--config", "bench.json", lambda d: d.update(budgets="x")),
+    "config-seeds-string": ("--config", "bench.json", lambda d: d.update(seeds="01")),
     "compare-report-without-grid": ("--reports", None, {"config": {}}),
 }
 

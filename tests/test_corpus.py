@@ -9,6 +9,7 @@ from apk_builders import StubPerturbation, apk, code_component, declared
 from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import (
     ACTION_MAIN,
+    API_FAMILY_COUNT,
     CATEGORY_LAUNCHER,
     CodeComponent,
     CodeGraph,
@@ -67,7 +68,7 @@ def test_generated_function_ids_carry_families(small_corpus):
     fams = {int(f) for c in app.code.components for f in c.families}
     assert fams
     assert min(fams) >= 0
-    assert max(fams) < small_corpus.spec.api_family_count
+    assert max(fams) < API_FAMILY_COUNT
 
 
 def test_generator_is_deterministic(small_corpus):
@@ -352,6 +353,8 @@ def test_spec_round_trip():
     ({"donor_count": -1}, "corpus spec: donor_count is -1, not a non-negative integer"),
     ({"n_malicious": 2.0}, "corpus spec: n_malicious is 2.0, not a non-negative integer"),
     ({"n_benign": True}, "corpus spec: n_benign is True, not a non-negative integer"),
+    ({"n_benign": 4, "edge_factor": 2.0}, "corpus spec: unknown key 'edge_factor'"),
+    ({"seed": "x"}, "corpus spec: seed is 'x', not a non-negative integer"),
 ])
 def test_spec_from_dict_refuses_unknown_keys_and_bad_counts(doc, needle):
     with pytest.raises(ValueError) as exc:
@@ -379,7 +382,7 @@ def test_corpus_file_stores_components_as_flat_int_lists(tmp_path):
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
     doc = json.loads(path.read_text())
-    assert doc["format"] == 3
+    assert doc["format"] == 4
     comp = corpus.benign[0].code.components[0]
     stored = doc["benign"][0]["code"]["components"][0]
     assert stored["families"] == comp.families.tolist()
@@ -398,7 +401,7 @@ def _corpus_doc():
                                                      donor_count=2, seed=5)))
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 4])
+@pytest.mark.parametrize("found", [None, 1, 2, 3])
 def test_load_corpus_refuses_other_formats(tmp_path, found):
     doc = _corpus_doc()
     if found is None:

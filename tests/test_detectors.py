@@ -835,6 +835,24 @@ SCORING_PARAM_CASES = [
     ("linear", lambda d: d.update(threshold=None), "linear model: threshold is null"),
     ("linear", lambda d: d.update(space=[]), "linear model: space is not a JSON object"),
     ("linear", lambda d: d.update(params=[]), "linear model: params is not a JSON object"),
+    ("linear", lambda d: d["params"].update(w=["1", "2"]),
+     "linear model: params.w is not an array of numbers"),
+    ("linear", lambda d: d["params"].update(w=[1.0, None]),
+     "linear model: params.w is not an array of numbers"),
+    ("linear", lambda d: d["params"].update(w=[True, False]),
+     "linear model: params.w is not an array of numbers"),
+    ("knn", lambda d: d["params"].update(x=[["0", "1"], ["1", "0"]]),
+     "knn model: params.x is not an array of numbers"),
+    ("knn", lambda d: d["params"].update(y=["0", "1"]),
+     "knn model: params.y is not an array of numbers"),
+    ("mlp", lambda d: d["params"].update(w1=[[1.0, 1.0, 1.0], [1.0]]),
+     "mlp model: params.w1 is not an array of numbers"),
+    ("mlp", lambda d: d["params"].update(b1=[0.0]),
+     "mlp model: b1 of shape (1,) does not match the 3 hidden units of w1"),
+    ("mlp", lambda d: d["params"].update(b1=[[0.0, 0.0, 0.0]]),
+     "mlp model: b1 of shape (1, 3) does not match the 3 hidden units of w1"),
+    ("mlp", lambda d: d["params"].update(w2=[1.0, 1.0]),
+     "mlp model: w2 of shape (2,) does not match the 3 hidden units of w1"),
 ]
 
 
@@ -844,7 +862,9 @@ SCORING_PARAM_CASES = [
                               "forest_vote_2", "linear_narrow_w", "mlp_narrow_w1",
                               "forest_null_split", "linear_null_b", "mlp_string_b2",
                               "linear_null_threshold", "linear_space_array",
-                              "linear_params_array"])
+                              "linear_params_array", "linear_string_w", "linear_null_in_w",
+                              "linear_bool_w", "knn_string_x", "knn_string_y",
+                              "mlp_ragged_w1", "mlp_short_b1", "mlp_2d_b1", "mlp_short_w2"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind

@@ -8,7 +8,8 @@ import pytest
 
 from apk_builders import StubPerturbation, apk, code_component, declared
 from pst_evade.catalog import load_default_catalog
-from pst_evade.corpus import CodeGraph, InjectablePayload, apply_perturbation
+from pst_evade.corpus import (API_FAMILY_COUNT, CodeGraph, InjectablePayload,
+                              apply_perturbation)
 from pst_evade.detectors import FeatureSpace, space_from_dict, space_to_dict
 from pst_evade.features import (
     ApiClusterMap,
@@ -116,7 +117,7 @@ def test_markov_rejects_zero_families():
 
 
 def test_markov_rows_normalized_on_corpus(small_corpus):
-    fc = small_corpus.spec.api_family_count
+    fc = API_FAMILY_COUNT
     for app in small_corpus.malicious[:5]:
         rows = extract_markov(app, fc).reshape(fc, fc)
         sums = rows.sum(axis=1)
@@ -143,7 +144,7 @@ def _markov_reference(app, family_count):
 
 
 def test_markov_matches_from_scratch_reference(small_corpus):
-    fc = small_corpus.spec.api_family_count
+    fc = API_FAMILY_COUNT
     apps = small_corpus.benign + small_corpus.malicious
     for app in apps:
         assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
@@ -182,7 +183,7 @@ def _fresh(app):
 def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
     # Chains of injections into parents whose components have, or have not, had
     # their edge families computed already.
-    fc = small_corpus.spec.api_family_count
+    fc = API_FAMILY_COUNT
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     injects = [p for p in pset.perturbations if p.kind.startswith("inject_")]
     rng = random.Random(17)

@@ -183,6 +183,21 @@ def test_config_from_dict_ignores_an_old_workers_key():
     assert "workers" not in config_to_dict(cfg)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"seeds": "01"}, 'seeds is "01", not a list'),
+    ({"budgets": "48"}, 'budgets is "48", not a list'),
+    ({"algorithms": "pst"}, 'algorithms is "pst", not a list'),
+    ({"detectors": {"name": "linear"}}, 'detectors is {"name": "linear"}, not a list'),
+    ({"budgets": [4, 8.0]}, "budgets holds 8.0, not an integer"),
+    ({"budgets": ["4"]}, 'budgets holds "4", not an integer'),
+    ({"seeds": [0, True]}, "seeds holds true, not an integer"),
+])
+def test_config_from_dict_refuses_a_field_of_the_wrong_type(change, message):
+    with pytest.raises(ValueError) as exc:
+        config_from_dict({"detectors": [{"name": "linear"}], **change})
+    assert str(exc.value) == message
+
+
 def test_run_experiment_requires_a_corpus(tmp_path):
     with pytest.raises(ValueError):
         run_experiment(_mini_config())
