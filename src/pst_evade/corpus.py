@@ -2,6 +2,7 @@
 additive perturbation application, and containment/isolation checks."""
 from __future__ import annotations
 
+import base64
 import json
 import random
 from dataclasses import asdict, dataclass, replace
@@ -22,7 +23,13 @@ CODE_KINDS = ("service", "receiver", "provider")
 ORIGINS = ("original", "injected")
 
 # Version of the corpus JSON layout; files of any other version are refused.
-CORPUS_FORMAT = 4
+CORPUS_FORMAT = 5
+
+# The dtypes a component array may be stored as in a file, narrowest first: the
+# writer takes the first that holds every value, and the reader refuses any other.
+ARRAY_DTYPES = ("<u1", "<i1", "<u2", "<i2", "<u4", "<i4", "<i8")
+_DTYPE_RANGES = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max))
+                      for d in ARRAY_DTYPES)
 
 _NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -481,33 +488,80 @@ def _declared_to_dict(c: DeclaredComponent) -> dict:
     }
 
 
+def _flag(d: dict, name: str) -> bool:
+    value = d[name]
+    if not isinstance(value, bool):
+        raise ValueError(f"declared component {d['name']}: {name} is "
+                         f"{json.dumps(value)}, not true or false")
+    return value
+
+
 def _declared_from_dict(d: dict) -> DeclaredComponent:
     return DeclaredComponent(
         kind=d["kind"], name=d["name"],
         intent_actions=frozenset(d["intent_actions"]),
         intent_categories=frozenset(d["intent_categories"]),
-        exported=bool(d["exported"]), enabled=bool(d["enabled"]),
+        exported=_flag(d, "exported"), enabled=_flag(d, "enabled"),
         process=d.get("process"), data_uri=d.get("data_uri"),
     )
+
+
+def pack_array(arr: np.ndarray) -> dict:
+    """An integer array as ``{"dtype", "data"}``: its values in the narrowest of
+    ``ARRAY_DTYPES`` that holds them, as base64 of the raw bytes."""
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    dtype = next(d for d, d_lo, d_hi in _DTYPE_RANGES if d_lo <= lo and hi <= d_hi)
+    return {"dtype": dtype,
+            "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")}
+
+
+def unpack_array(doc, name: str) -> np.ndarray:
+    """The flat array ``pack_array`` wrote; anything else raises a one-line
+    ``ValueError`` naming ``name``."""
+    if not (isinstance(doc, dict) and "dtype" in doc and "data" in doc):
+        raise ValueError(f"{name} is not a {{dtype, data}} object")
+    dtype, data = doc["dtype"], doc["data"]
+    if dtype not in ARRAY_DTYPES:
+        raise ValueError(f"{name} dtype {json.dumps(dtype)} is not one of "
+                         f"{', '.join(ARRAY_DTYPES)}")
+    if not isinstance(data, str):
+        raise ValueError(f"{name} data is {type(data).__name__}, not a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:
+        raise ValueError(f"{name} data is not valid base64") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) % itemsize:
+        raise ValueError(f"{name} data holds {len(raw)} bytes, "
+                         f"not a multiple of {itemsize} for {dtype}")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def _component_to_dict(c: CodeComponent) -> dict:
     return {
         "kind": c.kind, "classes": c.classes,
-        "families": c.families.tolist(),
-        "edges": c.edges.ravel().tolist(),
+        "families": pack_array(c.families),
+        "edges": pack_array(c.edges.ravel()),
         "api_calls": list(c.api_calls),
         "origin": c.origin,
     }
 
 
 def _component_from_dict(d: dict) -> CodeComponent:
+    classes = d["classes"]
+    if isinstance(classes, bool) or not isinstance(classes, int):
+        raise ValueError(f"code component classes is {json.dumps(classes)}, "
+                         "not an integer")
+    edges = unpack_array(d["edges"], "code component edges")
+    if edges.size % 2:
+        raise ValueError(f"code component edges holds {edges.size} values, "
+                         "not (caller, callee) pairs")
     # A non-list stays as read, for check_code_component to refuse: tuple() of a
     # string would split it into one-character ids.
     api_calls = d["api_calls"]
     return CodeComponent(
-        kind=d["kind"], classes=int(d["classes"]),
-        families=d["families"], edges=d["edges"],
+        kind=d["kind"], classes=classes,
+        families=unpack_array(d["families"], "code component families"), edges=edges,
         api_calls=tuple(api_calls) if isinstance(api_calls, list) else api_calls,
         origin=d.get("origin", "original"),
     )

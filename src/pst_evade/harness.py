@@ -440,10 +440,28 @@ def _ints(name: str, values) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} is {json.dumps(value)}, not an integer")
+    return value
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} is {json.dumps(value)}, not a number")
+    return float(value)
+
+
 def detector_spec_from_dict(d: dict) -> DetectorSpec:
+    """Inverse of ``detector_spec_to_dict``. A count or seed that is not a JSON
+    integer, or a threshold that is not a JSON number, is a ValueError naming
+    the field."""
     return DetectorSpec(**_fields_from_dict(
-        DetectorSpec, d, hyperparams=dict, cluster_count=int, train_seed=int,
-        threshold=float, ensemble_size=int))
+        DetectorSpec, d, hyperparams=dict,
+        cluster_count=partial(_int, "cluster_count"),
+        train_seed=partial(_int, "train_seed"),
+        threshold=partial(_number, "threshold"),
+        ensemble_size=partial(_int, "ensemble_size")))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -461,14 +479,16 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Inverse of ``config_to_dict``; keys it does not know, such as the
     ``"workers"`` of older configs, are ignored. A list field that is not a
-    JSON list, or a budget or seed that is not an integer, is a ValueError
-    naming the field."""
+    JSON list, a budget, seed or ``sample_count`` that is not an integer, or a
+    ``similarity_threshold`` that is not a number, is a ValueError naming the
+    field."""
     return ExperimentConfig(**_fields_from_dict(
         ExperimentConfig, d,
         detectors=lambda v: tuple(map(detector_spec_from_dict, _list("detectors", v))),
         algorithms=lambda v: tuple(_list("algorithms", v)),
         budgets=partial(_ints, "budgets"), seeds=partial(_ints, "seeds"),
-        sample_count=int, similarity_threshold=float))
+        sample_count=partial(_int, "sample_count"),
+        similarity_threshold=partial(_number, "similarity_threshold")))
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:

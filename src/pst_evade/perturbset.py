@@ -29,7 +29,7 @@ PERTURBATION_KINDS = MANIFEST_KINDS + INJECT_KINDS
 DEFAULT_SIMILARITY_THRESHOLD = 0.5
 
 # Version of the pset JSON layout; files of any other version are refused.
-PSET_FORMAT = 3
+PSET_FORMAT = 4
 
 _FEATURE_PREFIXES = ("android.hardware.", "android.software.")
 

@@ -3,15 +3,21 @@
 Functions are named ``"<x>@<family>"`` and edges are given between names across
 the whole app; ``apk`` turns them into each component's family array and local
 edge pairs, and rejects an edge whose endpoints lie in different components."""
+import base64
 from dataclasses import dataclass
 
+import numpy as np
+
 from pst_evade.corpus import (
+    ARRAY_DTYPES,
     ApkModel,
     CodeComponent,
     CodeGraph,
     DeclaredComponent,
     ManifestModel,
     Permission,
+    pack_array,
+    unpack_array,
 )
 
 
@@ -74,3 +80,44 @@ def apk(apk_id="t000", ground_truth="malicious", features=(), perms=(),
     code = CodeGraph(components=_place_edges(tuple(components), edges))
     return ApkModel(id=apk_id, manifest=manifest, code=code,
                     ground_truth=ground_truth)
+
+
+def set_stored_value(comp: dict, name: str, index: int, value: int) -> None:
+    """Re-encode a stored component's ``name`` array through the file codec with
+    one value changed."""
+    arr = unpack_array(comp[name], name).astype(np.int64)
+    arr[index] = value
+    comp[name] = pack_array(arr)
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+_NOT_LISTED = f"is not one of {', '.join(ARRAY_DTYPES)}"
+
+# Stored component arrays that a corpus or pset file must not load with:
+# case -> (field, stored value, what the error says after "code component <field>").
+MALFORMED_ARRAYS = {
+    "dtype-big-endian": ("families", {"dtype": ">u2", "data": ""},
+                         f' dtype ">u2" {_NOT_LISTED}'),
+    "dtype-u8": ("edges", {"dtype": "<u8", "data": ""}, f' dtype "<u8" {_NOT_LISTED}'),
+    "data-list": ("families", {"dtype": "<u1", "data": [0, 1]},
+                  " data is list, not a base64 string"),
+    "data-null": ("edges", {"dtype": "<u1", "data": None},
+                  " data is NoneType, not a base64 string"),
+    "data-bad-padding": ("families", {"dtype": "<u1", "data": "AA=A"},
+                         " data is not valid base64"),
+    "data-bad-alphabet": ("edges", {"dtype": "<u1", "data": "not base64!"},
+                          " data is not valid base64"),
+    "data-not-ascii": ("families", {"dtype": "<u1", "data": "AA\u00e9="},
+                       " data is not valid base64"),
+    "bytes-3-for-u2": ("families", {"dtype": "<u2", "data": _b64(b"\x00\x01\x02")},
+                       " data holds 3 bytes, not a multiple of 2 for <u2"),
+    "bytes-6-for-i4": ("edges", {"dtype": "<i4", "data": _b64(b"\x00" * 6)},
+                       " data holds 6 bytes, not a multiple of 4 for <i4"),
+    "edges-odd-count": ("edges", {"dtype": "<u1", "data": _b64(b"\x00\x00\x00")},
+                        " holds 3 values, not (caller, callee) pairs"),
+    "families-list-form": ("families", [0, 1, 2], " is not a {dtype, data} object"),
+    "edges-without-dtype": ("edges", {"data": ""}, " is not a {dtype, data} object"),
+}

@@ -24,6 +24,7 @@ from pst_evade.corpus import (
     CorpusSpec,
     contains,
     generate_corpus,
+    load_corpus,
     load_default_catalog,
     save_corpus,
     spec_to_dict,
@@ -402,18 +403,32 @@ BENCH_COMPONENTS_SHA256 = "787ff035197364913767e9be1b01a2778197e386334e9a0a1351b
 BENCH_ENSEMBLE_SHA256 = "8abbd94ddf29da3fed63cf069e8b64f89ae12ff28b6cade0a64da99d2ce62dee"
 
 
-def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
+def _components_sha256(corpus) -> str:
     h = hashlib.sha256()
-    for apps in (bench_corpus.benign, bench_corpus.malicious, bench_corpus.donors):
+    for apps in (corpus.benign, corpus.malicious, corpus.donors):
         for apk in apps:
             for comp in apk.code.components:
                 for arr in (comp.families, comp.edges):
                     h.update(repr(arr.shape).encode())
                     h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
+    components = _components_sha256(bench_corpus)
     model_json = json.dumps(model_to_dict(bench_ensemble), sort_keys=True)
     ensemble = hashlib.sha256(model_json.encode()).hexdigest()
     verdict("setup-pinned",
-            h.hexdigest() == BENCH_COMPONENTS_SHA256 and ensemble == BENCH_ENSEMBLE_SHA256,
-            f"stock corpus components {h.hexdigest()[:8]} (pinned "
+            components == BENCH_COMPONENTS_SHA256 and ensemble == BENCH_ENSEMBLE_SHA256,
+            f"stock corpus components {components[:8]} (pinned "
             f"{BENCH_COMPONENTS_SHA256[:8]}), stock ensemble model {ensemble[:8]} "
             f"(pinned {BENCH_ENSEMBLE_SHA256[:8]})")
+
+
+def test_saved_and_loaded_stock_corpus_is_the_generated_one(bench_corpus, tmp_path):
+    path = tmp_path / "corpus.json"
+    save_corpus(bench_corpus, path)
+    loaded = load_corpus(path)
+    # Apps compare by value, every code component's arrays included.
+    assert loaded == bench_corpus
+    assert _components_sha256(loaded) == BENCH_COMPONENTS_SHA256

@@ -347,6 +347,14 @@ def _first_permission(doc):
     return next(p for p in doc["perturbations"] if p["kind"] == "permission")
 
 
+def _first_declared(doc):
+    return doc["benign"][0]["manifest"]["declared_components"][0]
+
+
+def _first_payload(doc):
+    return next(p["payload"] for p in doc["perturbations"] if p["kind"].startswith("inject_"))
+
+
 def _unknown_protection_level(doc):
     doc["permissions"][0][1] = "root"
 
@@ -367,6 +375,18 @@ _PROBES = {
                                     lambda d: d["benign"][0].pop("manifest")),
     "corpus-families-string": ("--corpus", "corpus.json",
                                lambda d: _first_component(d).update(families="abc")),
+    "corpus-families-bad-base64": ("--corpus", "corpus.json",
+                                   lambda d: _first_component(d)["families"].update(data="#")),
+    "corpus-edges-wide-dtype": ("--corpus", "corpus.json",
+                                lambda d: _first_component(d)["edges"].update(dtype="<f8")),
+    "corpus-exported-string": ("--corpus", "corpus.json",
+                               lambda d: _first_declared(d).update(exported="false")),
+    "corpus-enabled-string": ("--corpus", "corpus.json",
+                              lambda d: _first_declared(d).update(enabled="no")),
+    "corpus-classes-string": ("--corpus", "corpus.json",
+                              lambda d: _first_component(d).update(classes="12")),
+    "corpus-classes-bool": ("--corpus", "corpus.json",
+                            lambda d: _first_component(d).update(classes=True)),
     "corpus-unknown-ground-truth": ("--corpus", "corpus.json",
                                     lambda d: d["benign"][0].update(ground_truth="evil")),
     "corpus-benign-number": ("--corpus", "corpus.json", lambda d: d.update(benign=5)),
@@ -377,6 +397,15 @@ _PROBES = {
                                            lambda d: d["perturbations"][0].pop("keywords")),
     "pset-permission-null-payload": ("--pset", "pset.json",
                                      lambda d: _first_permission(d).update(payload=None)),
+    "pset-payload-exported-string": ("--pset", "pset.json",
+                                     lambda d: _first_payload(d)["declared"].update(
+                                         exported="false")),
+    "pset-payload-classes-string": ("--pset", "pset.json",
+                                    lambda d: _first_payload(d)["component"].update(
+                                        classes="12")),
+    "pset-payload-edges-odd-bytes": ("--pset", "pset.json",
+                                     lambda d: _first_payload(d)["component"]["edges"].update(
+                                         dtype="<u2", data="AAAA")),
     "pset-threshold-string": ("--pset", "pset.json", lambda d: d.update(threshold="x")),
     "model-weights-string": ("--model", "model.json",
                              lambda d: d["params"].update(w="abc")),

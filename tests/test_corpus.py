@@ -1,21 +1,33 @@
 """App model, corpus generator, and perturbation application."""
+import base64
 import json
 import random
 import re
 
+import numpy as np
 import pytest
 
-from apk_builders import StubPerturbation, apk, code_component, declared
+from apk_builders import (
+    MALFORMED_ARRAYS,
+    StubPerturbation,
+    apk,
+    code_component,
+    declared,
+    set_stored_value,
+)
 from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import (
     ACTION_MAIN,
     API_FAMILY_COUNT,
+    ARRAY_DTYPES,
     CATEGORY_LAUNCHER,
     CodeComponent,
     CodeGraph,
     CorpusSpec,
     InjectablePayload,
     Permission,
+    _component_from_dict,
+    _component_to_dict,
     apk_to_dict,
     apply_perturbation,
     canonical_json,
@@ -24,9 +36,11 @@ from pst_evade.corpus import (
     corpus_to_dict,
     generate_corpus,
     load_corpus,
+    pack_array,
     save_corpus,
     spec_from_dict,
     spec_to_dict,
+    unpack_array,
     validate_apk,
     verify_isolation,
 )
@@ -377,19 +391,75 @@ def test_corpus_file_round_trip(tmp_path):
     assert canonical_json(corpus_to_dict(back)) == canonical_json(corpus_to_dict(corpus))
 
 
-def test_corpus_file_stores_components_as_flat_int_lists(tmp_path):
+def test_corpus_file_stores_component_arrays_as_narrow_base64(tmp_path):
     corpus = generate_corpus(CorpusSpec(n_benign=2, n_malicious=2, donor_count=1, seed=5))
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
     doc = json.loads(path.read_text())
-    assert doc["format"] == 4
+    assert doc["format"] == 5
     comp = corpus.benign[0].code.components[0]
     stored = doc["benign"][0]["code"]["components"][0]
-    assert stored["families"] == comp.families.tolist()
-    assert stored["edges"] == comp.edges.ravel().tolist()
+    # Families lie in [0, 11) and edge indices below the function count.
+    assert stored["families"]["dtype"] == "<u1"
+    assert stored["edges"]["dtype"] == ("<u1" if len(comp.families) <= 256 else "<u2")
+    for name, arr in (("families", comp.families), ("edges", comp.edges.ravel())):
+        raw = base64.b64decode(stored[name]["data"])
+        assert np.frombuffer(raw, stored[name]["dtype"]).tolist() == arr.tolist()
     assert stored["api_calls"] == list(comp.api_calls)
     assert stored["api_calls"] and all(isinstance(a, str) for a in stored["api_calls"])
     assert set(doc["benign"][0]["code"]) == {"components"}
+
+
+def test_saving_a_corpus_twice_gives_the_same_bytes(tmp_path):
+    corpus = generate_corpus(CorpusSpec(n_benign=3, n_malicious=3, donor_count=2, seed=5))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_corpus(corpus, first)
+    save_corpus(load_corpus(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The array codec against the format-4 list form it replaced
+
+
+@pytest.mark.parametrize("values,dtype", [
+    ([], "<u1"),
+    ([0, 255], "<u1"),
+    ([0, 256], "<u2"),
+    ([-1, 127], "<i1"),
+    ([-128, 128], "<i2"),
+    ([65535], "<u2"),
+    ([65536], "<u4"),
+    ([-1, 65535], "<i4"),
+    ([2 ** 32 - 1], "<u4"),
+    ([2 ** 32], "<i8"),
+    ([-(2 ** 31)], "<i4"),
+    ([-(2 ** 31) - 1], "<i8"),
+    ([np.iinfo(np.int64).min, np.iinfo(np.int64).max], "<i8"),
+])
+def test_pack_array_picks_the_narrowest_dtype_and_round_trips(values, dtype):
+    a = np.array(values, dtype=np.int64)
+    doc = json.loads(json.dumps(pack_array(a)))
+    assert doc["dtype"] == dtype
+    back = unpack_array(doc, "families")
+    assert back.dtype == np.dtype(dtype)
+    # The format-4 reader built the same intp array from the JSON list.
+    want = np.array(a.tolist(), dtype=np.intp)
+    got = np.array(back, dtype=np.intp)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("families,edges", [
+    ([], []),
+    ([3], [[0, 0]]),
+    (list(range(11)) * 30, [[329, 0], [1, 2]]),
+])
+def test_component_arrays_round_trip_by_value(families, edges):
+    comp = CodeComponent(kind="service", classes=1, families=families, edges=edges,
+                         api_calls=("api.pkg00.fn000",))
+    back = _component_from_dict(json.loads(json.dumps(_component_to_dict(comp))))
+    assert back == comp
+    assert back.edges.shape == comp.edges.shape == (len(edges), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +471,7 @@ def _corpus_doc():
                                                      donor_count=2, seed=5)))
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 3])
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 4])
 def test_load_corpus_refuses_other_formats(tmp_path, found):
     doc = _corpus_doc()
     if found is None:
@@ -417,15 +487,15 @@ def test_load_corpus_refuses_other_formats(tmp_path, found):
 
 
 def _edge_out_of_range(comp, app):
-    comp["edges"][1] = len(comp["families"])
+    set_stored_value(comp, "edges", 1, len(unpack_array(comp["families"], "families")))
 
 
 def _negative_edge_index(comp, app):
-    comp["edges"][0] = -1
+    set_stored_value(comp, "edges", 0, -1)
 
 
 def _negative_family(comp, app):
-    comp["families"][0] = -1
+    set_stored_value(comp, "families", 0, -1)
 
 
 def _bad_origin(comp, app):
@@ -458,7 +528,8 @@ def _duplicate_declared(comp, app):
 def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
     doc = _corpus_doc()
     app = doc["malicious"][2]
-    i, comp = next((i, c) for i, c in enumerate(app["code"]["components"]) if c["edges"])
+    i, comp = next((i, c) for i, c in enumerate(app["code"]["components"])
+                   if c["edges"]["data"])
     corrupt(comp, app)
     path = tmp_path / "corpus.json"
     path.write_text(canonical_json(doc))
@@ -472,10 +543,56 @@ def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
 
 @pytest.mark.parametrize("field,value", [("families", 1.5), ("edges", "0")])
 def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
+    # A non-integer index can only be written in a dtype outside the list: the
+    # float as <f8, the string as <U1.
     doc = _corpus_doc()
-    comp = next(c for a in doc["benign"] for c in a["code"]["components"] if c["edges"])
-    comp[field][0] = value
+    comp = next(c for a in doc["benign"] for c in a["code"]["components"]
+                if c["edges"]["data"])
+    arr = np.array([value])
+    comp[field] = {"dtype": arr.dtype.str,
+                   "data": base64.b64encode(arr.tobytes()).decode("ascii")}
     path = tmp_path / "corpus.json"
     path.write_text(canonical_json(doc))
-    with pytest.raises(ValueError, match=f"code component {field} must be integers"):
+    with pytest.raises(ValueError) as exc:
         load_corpus(path)
+    assert str(exc.value) == (f'{path}: code component {field} dtype "{arr.dtype.str}" '
+                              f"is not one of {', '.join(ARRAY_DTYPES)}")
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ARRAYS))
+def test_load_corpus_refuses_a_malformed_array(tmp_path, case):
+    field, stored, message = MALFORMED_ARRAYS[case]
+    doc = _corpus_doc()
+    comp = next(c for a in doc["benign"] for c in a["code"]["components"])
+    comp[field] = stored
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: code component {field}{message}"
+
+
+@pytest.mark.parametrize("where,value,message", [
+    ("exported", "false", 'exported is "false", not true or false'),
+    ("enabled", "no", 'enabled is "no", not true or false'),
+    ("enabled", 1, "enabled is 1, not true or false"),
+    ("exported", None, "exported is null, not true or false"),
+    ("classes", "12", 'code component classes is "12", not an integer'),
+    ("classes", True, "code component classes is true, not an integer"),
+    ("classes", 12.0, "code component classes is 12.0, not an integer"),
+])
+def test_load_corpus_refuses_a_flag_or_class_count_of_the_wrong_type(tmp_path, where,
+                                                                    value, message):
+    doc = _corpus_doc()
+    app = doc["benign"][0]
+    if where == "classes":
+        app["code"]["components"][0]["classes"] = value
+    else:
+        decl = app["manifest"]["declared_components"][0]
+        decl[where] = value
+        message = f"declared component {decl['name']}: {message}"
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: {message}"

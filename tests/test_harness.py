@@ -191,6 +191,27 @@ def test_config_from_dict_ignores_an_old_workers_key():
     ({"budgets": [4, 8.0]}, "budgets holds 8.0, not an integer"),
     ({"budgets": ["4"]}, 'budgets holds "4", not an integer'),
     ({"seeds": [0, True]}, "seeds holds true, not an integer"),
+    ({"sample_count": True}, "sample_count is true, not an integer"),
+    ({"sample_count": "5"}, 'sample_count is "5", not an integer'),
+    ({"sample_count": 2.9}, "sample_count is 2.9, not an integer"),
+    ({"similarity_threshold": "0.5"}, 'similarity_threshold is "0.5", not a number'),
+    ({"similarity_threshold": True}, "similarity_threshold is true, not a number"),
+    ({"detectors": [{"name": "linear", "cluster_count": "24"}]},
+     'cluster_count is "24", not an integer'),
+    ({"detectors": [{"name": "linear", "cluster_count": 24.0}]},
+     "cluster_count is 24.0, not an integer"),
+    ({"detectors": [{"name": "linear", "train_seed": 2.9}]},
+     "train_seed is 2.9, not an integer"),
+    ({"detectors": [{"name": "linear", "train_seed": False}]},
+     "train_seed is false, not an integer"),
+    ({"detectors": [{"name": "linear", "ensemble_size": "3"}]},
+     'ensemble_size is "3", not an integer'),
+    ({"detectors": [{"name": "linear", "ensemble_size": True}]},
+     "ensemble_size is true, not an integer"),
+    ({"detectors": [{"name": "linear", "threshold": "0.5"}]},
+     'threshold is "0.5", not a number'),
+    ({"detectors": [{"name": "linear", "threshold": True}]},
+     "threshold is true, not a number"),
 ])
 def test_config_from_dict_refuses_a_field_of_the_wrong_type(change, message):
     with pytest.raises(ValueError) as exc:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from apk_builders import apk, code_component, declared
+from apk_builders import MALFORMED_ARRAYS, apk, code_component, declared, set_stored_value
 from pst_evade.catalog import AndroidCatalog, load_default_catalog
 from pst_evade.corpus import Permission
 from pst_evade.perturbset import (
@@ -318,11 +318,11 @@ def _first_payload(doc):
 def test_pset_file_round_trip(tmp_path, full_pset):
     path = tmp_path / "pset.json"
     save_pset(full_pset, path)
-    assert json.loads(path.read_text())["format"] == 3
+    assert json.loads(path.read_text())["format"] == 4
     assert pset_to_dict(load_pset(path)) == pset_to_dict(full_pset)
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 4])
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 5])
 def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
     def corrupt(doc):
         if found is None:
@@ -345,13 +345,47 @@ def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
 def test_load_pset_bounds_checks_payload_components(tmp_path, full_pset, field, index,
                                                     value, needle):
     def corrupt(doc):
-        _first_payload(doc)["component"][field][index] = value
+        component = _first_payload(doc)["component"]
+        if field == "api_calls":
+            component[field][index] = value
+        else:
+            set_stored_value(component, field, index, value)
     path = _pset_file(tmp_path, full_pset, corrupt)
     with pytest.raises(ValueError) as exc:
         load_pset(path)
     message = str(exc.value)
     assert message.startswith(f"{path}: payload inject_")
     assert needle in message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ARRAYS))
+def test_load_pset_refuses_a_malformed_payload_array(tmp_path, full_pset, case):
+    field, stored, message = MALFORMED_ARRAYS[case]
+    path = _pset_file(tmp_path, full_pset,
+                      lambda doc: _first_payload(doc)["component"].update({field: stored}))
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    assert str(exc.value) == f"{path}: code component {field}{message}"
+
+
+@pytest.mark.parametrize("corrupt,needle", [
+    (lambda payload: payload["declared"].update(exported="false"),
+     'exported is "false", not true or false'),
+    (lambda payload: payload["declared"].update(enabled=0),
+     "enabled is 0, not true or false"),
+    (lambda payload: payload["component"].update(classes="12"),
+     'code component classes is "12", not an integer'),
+    (lambda payload: payload["component"].update(classes=True),
+     "code component classes is true, not an integer"),
+])
+def test_load_pset_refuses_a_payload_flag_or_class_count_of_the_wrong_type(
+        tmp_path, full_pset, corrupt, needle):
+    path = _pset_file(tmp_path, full_pset, lambda doc: corrupt(_first_payload(doc)))
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ") and message.endswith(needle)
     assert "\n" not in message
 
 
