@@ -1,11 +1,15 @@
-"""Catalog of Android manifest entries that perturbations and generated apps draw from."""
+"""Catalog of Android manifest entries that perturbations and generated apps draw
+from, and the checked reading of every input file: ``read_document`` and the
+field readers the loaders take each field of a document through."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 PROTECTION_LEVELS = ("normal", "signature", "dangerous")
 
@@ -26,18 +30,10 @@ class AndroidCatalog:
 
 
 def catalog_from_dict(doc: dict) -> AndroidCatalog:
-    perms = tuple((str(name), str(level)) for name, level in doc["permissions"])
-    for _, level in perms:
-        if level not in PROTECTION_LEVELS:
-            raise ValueError(f"unknown protection level: {level}")
-    return AndroidCatalog(
-        hardware_features=tuple(doc["hardware_features"]),
-        software_features=tuple(doc["software_features"]),
-        permissions=perms,
-        activity_actions=tuple(doc["activity_actions"]),
-        broadcast_actions=tuple(doc["broadcast_actions"]),
-        categories=tuple(doc["categories"]),
-    )
+    pools = {name: strings(doc[name], name) for name in (
+        "hardware_features", "software_features", "activity_actions", "broadcast_actions",
+        "categories")}
+    return AndroidCatalog(permissions=permission_pairs(doc["permissions"], "permissions"), **pools)
 
 
 def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] | None = None):
@@ -60,6 +56,108 @@ def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] |
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except (ValueError, TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Field readers: each returns the value it is given when that holds what it
+# reads, and otherwise raises a one-line ValueError: "<name> is <json>, not
+# <what>" for a scalar, "<name> holds <json>, not <what>" for a list item, and
+# "<name> is not <what>" ("are not" for strings) for a container.
+
+
+def _wrong(name: str, value, what: str) -> ValueError:
+    return ValueError(f"{name} is {json.dumps(value)}, not {what}")
+
+
+def integer(value, name: str, lo: int | None = None) -> int:
+    """A JSON integer, not ``true`` or ``3.0``; at least ``lo`` where one is given."""
+    if type(value) is not int:
+        raise _wrong(name, value, "an integer")
+    if lo is not None and value < lo:
+        raise _wrong(name, value, f"an integer >= {lo}")
+    return value
+
+
+def number(value, name: str) -> float:
+    """A JSON number, not ``true`` or ``"0.5"``, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _wrong(name, value, "a number")
+    return float(value)
+
+
+def flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise _wrong(name, value, "true or false")
+    return value
+
+
+def string(value, name: str, null: bool = False) -> str | None:
+    if not (isinstance(value, str) or null and value is None):
+        raise _wrong(name, value, "a string or null" if null else "a string")
+    return value
+
+
+def items(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise _wrong(name, value, "a list")
+    return value
+
+
+def integers(value, name: str) -> tuple[int, ...]:
+    for v in items(value, name):
+        if type(v) is not int:
+            raise ValueError(f"{name} holds {json.dumps(v)}, not an integer")
+    return tuple(value)
+
+
+def strings(value, name: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{name} are not a list of strings")
+    return tuple(value)
+
+
+def pairs(value, name: str, what: str, second: Callable[[object], bool]) -> tuple:
+    """A list of [string, x] pairs, each x one that ``second`` accepts."""
+    for pair in items(value, name):
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                and second(pair[1])):
+            raise ValueError(f"{name} holds {json.dumps(pair)}, not {what}")
+    return tuple(map(tuple, value))
+
+
+def permission_pairs(value, name: str) -> tuple[tuple[str, str], ...]:
+    return pairs(value, name, "a [name, protection level] pair", PROTECTION_LEVELS.__contains__)
+
+
+def numbers(value, name: str) -> np.ndarray:
+    """A JSON number or nested lists of them, as an array."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} is not an array of numbers")
+    return arr
+
+
+def obj(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    return value
+
+
+def fields_of(cls, d, what: str, /, **readers) -> dict:
+    """The fields of dataclass ``cls`` that ``d``, an object named ``what``,
+    gives, each read by its entry in ``readers`` as ``read(value, field name)``.
+    A field ``d`` omits keeps its default, one with no default is a missing
+    key, and keys that are not fields are ignored."""
+    d, given = obj(d, what), {}
+    for f in fields(cls):
+        if f.name in d:
+            given[f.name] = readers[f.name](d[f.name], f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return given
 
 
 def load_catalog(path: str | Path) -> AndroidCatalog:

@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .attack import ALGORITHMS, AttackConfig, Oracle, report_to_dict, run_attack
+from .attack import ALGORITHMS, report_to_dict
 from .catalog import load_catalog, load_default_catalog, read_document
 from .corpus import (
     CorpusSpec,
@@ -20,9 +20,9 @@ from .corpus import (
 )
 from .detectors import DETECTOR_KINDS, FEATURE_KINDS, load_model, save_model
 from .harness import (
+    attack_sample,
     compute_asr,
     config_from_dict,
-    derive_seed,
     format_grid,
     metrics_to_dict,
     run_experiment,
@@ -37,14 +37,16 @@ SEED_ENV = "PST_EVADE_SEED"
 
 def _seed_override(cli_seed):
     env = os.environ.get(SEED_ENV)
-    return int(env) if env is not None else cli_seed
+    if env is None:
+        return cli_seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV} is {env!r}, not an integer") from None
 
 
 def _cmd_gen_corpus(args) -> int:
-    if args.spec:
-        spec = read_document(args.spec, spec_from_dict)
-    else:
-        spec = CorpusSpec()
+    spec = read_document(args.spec, spec_from_dict) if args.spec else CorpusSpec()
     seed = _seed_override(args.seed)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
@@ -93,20 +95,15 @@ def _cmd_attack(args) -> int:
     if args.dump_tree:
         dump_tree(build_tree(pset.groups), args.dump_tree)
 
-    reports = []
-    for apk in targets:
-        cfg = AttackConfig(budget=args.budget, algorithm=args.algorithm,
-                           seed=derive_seed(seed, apk.id))
-        reports.append(run_attack(Oracle(model), apk, pset, cfg))
+    reports = [attack_sample(model, apk, pset, args.algorithm, args.budget, seed)
+               for apk in targets]
     asr = compute_asr(reports)
     doc = {
         "algorithm": args.algorithm, "budget": args.budget, "seed": seed,
         "samples": len(reports), "asr": asr,
         "reports": [report_to_dict(r) for r in reports],
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"{args.algorithm}: ASR {asr:.3f} over {len(reports)} samples "
           f"at budget {args.budget}; report in {args.out}")
     return 0
@@ -114,9 +111,9 @@ def _cmd_attack(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = read_document(args.config, config_from_dict)
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        config = dataclasses.replace(config, seeds=(int(env_seed),))
+    seed = _seed_override(None)
+    if seed is not None:
+        config = dataclasses.replace(config, seeds=(seed,))
     report = run_experiment(config)
     json_path, csv_path = save_report(report, args.out_dir)
     print(format_grid(metrics_to_dict(report)))

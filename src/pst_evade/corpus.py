@@ -12,7 +12,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import AndroidCatalog, load_default_catalog, read_document
+from .catalog import (AndroidCatalog, flag, integer, items, load_default_catalog, obj,
+                      permission_pairs, read_document, string, strings)
 
 if TYPE_CHECKING:
     from .perturbset import Perturbation
@@ -488,21 +489,18 @@ def _declared_to_dict(c: DeclaredComponent) -> dict:
     }
 
 
-def _flag(d: dict, name: str) -> bool:
-    value = d[name]
-    if not isinstance(value, bool):
-        raise ValueError(f"declared component {d['name']}: {name} is "
-                         f"{json.dumps(value)}, not true or false")
-    return value
-
-
 def _declared_from_dict(d: dict) -> DeclaredComponent:
+    name = string(d["name"], "declared component name")
+    where = f"declared component {name}: "
     return DeclaredComponent(
-        kind=d["kind"], name=d["name"],
-        intent_actions=frozenset(d["intent_actions"]),
-        intent_categories=frozenset(d["intent_categories"]),
-        exported=_flag(d, "exported"), enabled=_flag(d, "enabled"),
-        process=d.get("process"), data_uri=d.get("data_uri"),
+        kind=d["kind"], name=name,
+        intent_actions=frozenset(strings(d["intent_actions"], where + "intent_actions")),
+        intent_categories=frozenset(strings(d["intent_categories"],
+                                            where + "intent_categories")),
+        exported=flag(d["exported"], where + "exported"),
+        enabled=flag(d["enabled"], where + "enabled"),
+        process=string(d.get("process"), where + "process", null=True),
+        data_uri=string(d.get("data_uri"), where + "data_uri", null=True),
     )
 
 
@@ -548,10 +546,7 @@ def _component_to_dict(c: CodeComponent) -> dict:
 
 
 def _component_from_dict(d: dict) -> CodeComponent:
-    classes = d["classes"]
-    if isinstance(classes, bool) or not isinstance(classes, int):
-        raise ValueError(f"code component classes is {json.dumps(classes)}, "
-                         "not an integer")
+    classes = integer(d["classes"], "code component classes", lo=0)
     edges = unpack_array(d["edges"], "code component edges")
     if edges.size % 2:
         raise ValueError(f"code component edges holds {edges.size} values, "
@@ -583,16 +578,18 @@ def apk_to_dict(apk: ApkModel) -> dict:
 
 
 def apk_from_dict(d: dict) -> ApkModel:
+    apk_id = string(d["id"], "app id")
+    m, where = d["manifest"], f"app {apk_id}: "
     manifest = ManifestModel(
-        uses_features=frozenset(d["manifest"]["uses_features"]),
-        permissions=frozenset(Permission(n, l) for n, l in d["manifest"]["permissions"]),
-        declared_components=tuple(
-            _declared_from_dict(c) for c in d["manifest"]["declared_components"]
-        ),
+        uses_features=frozenset(strings(m["uses_features"], where + "uses_features")),
+        permissions=frozenset(Permission(n, l) for n, l in
+                              permission_pairs(m["permissions"], where + "permissions")),
+        declared_components=tuple(map(_declared_from_dict, items(
+            m["declared_components"], where + "declared_components"))),
     )
-    code = CodeGraph(
-        components=tuple(_component_from_dict(c) for c in d["code"]["components"]))
-    return ApkModel(id=d["id"], manifest=manifest, code=code, ground_truth=d["ground_truth"])
+    code = CodeGraph(components=tuple(map(_component_from_dict, items(
+        d["code"]["components"], where + "code components"))))
+    return ApkModel(id=apk_id, manifest=manifest, code=code, ground_truth=d["ground_truth"])
 
 
 def spec_to_dict(spec: CorpusSpec) -> dict:
@@ -600,7 +597,7 @@ def spec_to_dict(spec: CorpusSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> CorpusSpec:
-    unknown = sorted(set(d) - set(CorpusSpec.__dataclass_fields__))
+    unknown = sorted(set(obj(d, "corpus spec")) - set(CorpusSpec.__dataclass_fields__))
     if unknown:
         raise ValueError(f"corpus spec: unknown key {', '.join(map(repr, unknown))}")
     return CorpusSpec(**d)
@@ -619,9 +616,9 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 def corpus_from_dict(d: dict) -> Corpus:
     corpus = Corpus(
         spec=spec_from_dict(d["spec"]),
-        benign=tuple(apk_from_dict(a) for a in d["benign"]),
-        malicious=tuple(apk_from_dict(a) for a in d["malicious"]),
-        donors=tuple(apk_from_dict(a) for a in d["donors"]),
+        benign=tuple(map(apk_from_dict, items(d["benign"], "benign"))),
+        malicious=tuple(map(apk_from_dict, items(d["malicious"], "malicious"))),
+        donors=tuple(map(apk_from_dict, items(d["donors"], "donors"))),
     )
     for apk in corpus.benign + corpus.malicious + corpus.donors:
         validate_apk(apk)

@@ -8,14 +8,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import read_document
+from .catalog import (fields_of, flag, integer, items, number, numbers, obj, read_document,
+                      strings)
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
@@ -138,9 +139,10 @@ def space_to_dict(space: FeatureSpace) -> dict:
 
 def space_from_dict(d: dict) -> FeatureSpace:
     cmap = d.get("cluster_map")
-    return FeatureSpace(d["kind"], keys=tuple(d.get("keys", ())),
-                        family_count=d.get("family_count", 0),
-                        cluster_map=None if cmap is None else cluster_map_from_dict(cmap))
+    return FeatureSpace(d["kind"], keys=strings(d.get("keys", []), "space keys"),
+                        family_count=integer(d.get("family_count", 0), "space family_count"),
+                        cluster_map=None if cmap is None else cluster_map_from_dict(
+                            obj(cmap, "space cluster_map")))
 
 
 @dataclass(frozen=True)
@@ -202,9 +204,9 @@ def _encode_labels(labels: Sequence[str]) -> np.ndarray:
 
 
 def _train_linear(x: np.ndarray, y: np.ndarray, hp: dict) -> dict:
-    lr = float(hp.get("lr", 0.5))
-    iters = int(hp.get("iters", 400))
-    l2 = float(hp.get("l2", 1e-3))
+    lr = number(hp.get("lr", 0.5), "linear model: hyperparams.lr")
+    iters = integer(hp.get("iters", 400), "linear model: hyperparams.iters")
+    l2 = number(hp.get("l2", 1e-3), "linear model: hyperparams.l2")
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
@@ -219,9 +221,9 @@ def _train_linear(x: np.ndarray, y: np.ndarray, hp: dict) -> dict:
 
 
 def _train_mlp(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
-    hidden = int(hp.get("hidden", 32))
-    lr = float(hp.get("lr", 0.01))
-    epochs = int(hp.get("epochs", 300))
+    hidden = integer(hp.get("hidden", 32), "mlp model: hyperparams.hidden")
+    lr = number(hp.get("lr", 0.01), "mlp model: hyperparams.lr")
+    epochs = integer(hp.get("epochs", 300), "mlp model: hyperparams.epochs")
     rng = np.random.default_rng(seed)
     n, d = x.shape
     w1 = rng.normal(0.0, 1.0 / max(1.0, math.sqrt(d)), size=(d, hidden))
@@ -322,9 +324,9 @@ def _build_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
 
 
 def _train_forest(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
-    n_trees = int(hp.get("trees", 32))
-    max_depth = int(hp.get("max_depth", 8))
-    min_leaf = int(hp.get("min_leaf", 2))
+    n_trees = integer(hp.get("trees", 32), "forest model: hyperparams.trees")
+    max_depth = integer(hp.get("max_depth", 8), "forest model: hyperparams.max_depth")
+    min_leaf = integer(hp.get("min_leaf", 2), "forest model: hyperparams.min_leaf")
     if min_leaf < 1:
         raise ValueError(f"forest min_leaf must be >= 1, got {min_leaf}")
     rng = np.random.default_rng(seed)
@@ -392,9 +394,9 @@ def _knn_by_norms(train_x, sq, train_y, k: int, x: np.ndarray) -> float:
 
 
 def _knn_kernel(space: FeatureSpace, p: dict, hp: dict):
+    k = integer(hp.get("k", 3), "knn model: hyperparams.k")
     train_x = np.asarray(p["x"], dtype=np.float64)
     train_y = np.asarray(p["y"], dtype=np.float64)
-    k = int(hp.get("k", 3))
     if train_x.ndim != 2 or train_x.shape[1] != space.width:
         raise _shape_error("knn", "fit rows", train_x.shape, space)
     n = len(train_x)
@@ -429,21 +431,22 @@ def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
     roots = np.arange(len(nodes), dtype=np.intp)
     feature, threshold, left, right, vote = [], [], [], [], []
     for i, node in enumerate(nodes):  # grows while it is walked
-        if node["leaf"]:
-            if node["vote"] not in (0, 1):
-                raise ValueError(f"forest model: leaf vote {node['vote']!r} is not 0 or 1")
+        if flag(node["leaf"], "forest model: node leaf"):
+            v = integer(node["vote"], "forest model: leaf vote")
+            if v not in (0, 1):
+                raise ValueError(f"forest model: leaf vote {v} is not 0 or 1")
             feature.append(0)
             threshold.append(0.0)
             left.append(i)
             right.append(i)
-            vote.append(int(node["vote"]))
+            vote.append(v)
             continue
-        f = node["feature"]
-        if not isinstance(f, int) or not 0 <= f < width:
-            raise ValueError(f"forest model: split feature {f!r} is outside the "
+        f = integer(node["feature"], "forest model: split feature")
+        if not 0 <= f < width:
+            raise ValueError(f"forest model: split feature {f} is outside the "
                              f"{width}-feature {space.kind} space")
         feature.append(f)
-        threshold.append(_number("forest", "split threshold", node["threshold"]))
+        threshold.append(number(node["threshold"], "forest model: split threshold"))
         left.append(len(nodes))
         right.append(len(nodes) + 1)
         vote.append(0)
@@ -566,11 +569,9 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
     x_fit, y_fit = x[fit_idx], y[fit_idx]
 
     if kind == "knn":
-        k = int(hp.get("k", 3))
+        k = integer(hp.get("k", 3), "knn model: hyperparams.k")
         if k % 2 == 0:
             raise ValueError("knn neighbor count must be odd")
-        if k > len(fit_idx):
-            raise ValueError("knn neighbor count exceeds training size")
         params = {"x": x_fit, "y": y_fit}
     elif kind == "linear":
         params = _train_linear(x_fit, y_fit, hp)
@@ -593,55 +594,17 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
 # Serialization
 
 
-def _params_to_jsonable(kind: str, params: dict) -> dict:
-    if kind == "linear":
-        return {"w": params["w"].tolist(), "b": float(params["b"])}
-    if kind == "mlp":
-        return {"w1": params["w1"].tolist(), "b1": params["b1"].tolist(),
-                "w2": params["w2"].tolist(), "b2": float(params["b2"])}
-    if kind == "knn":
-        return {"x": params["x"].tolist(), "y": params["y"].tolist()}
-    if kind == "forest":
-        return {"trees": params["trees"]}
-    return {}
-
-
-def _number(kind: str, name: str, value) -> float:
-    """A number read from a model file, or a one-line error naming the kind."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{kind} model: {name} is {json.dumps(value)}, not a number")
-    return float(value)
-
-
-def _numbers(kind: str, name: str, value) -> np.ndarray:
-    """An array of numbers read from a model file, or a one-line error naming the kind."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValueError(f"{kind} model: params.{name} is not an array of numbers")
-    return arr
-
-
-def _object(kind: str, name: str, value) -> dict:
-    """A JSON object read from a model file, or a one-line error naming the kind."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{kind} model: {name} is not a JSON object")
-    return value
+def _params_to_jsonable(params: dict) -> dict:
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in params.items()}
 
 
 def _params_from_jsonable(kind: str, doc: dict) -> dict:
-    if kind == "linear":
-        return {"w": _numbers(kind, "w", doc["w"]), "b": _number(kind, "params.b", doc["b"])}
-    if kind == "mlp":
-        return {**{name: _numbers(kind, name, doc[name]) for name in ("w1", "b1", "w2")},
-                "b2": _number(kind, "params.b2", doc["b2"])}
-    if kind == "knn":
-        return {name: _numbers(kind, name, doc[name]) for name in ("x", "y")}
-    if kind == "forest":
-        return {"trees": doc["trees"]}
-    return {}
+    """The params of a model file, each number or array read as one."""
+    read = {"b": number, "b2": number, "trees": items}
+    names = {"linear": ("w", "b"), "mlp": ("w1", "b1", "w2", "b2"), "knn": ("x", "y"),
+             "forest": ("trees",)}.get(kind, ())
+    return {name: read.get(name, numbers)(doc[name], f"{kind} model: params.{name}")
+            for name in names}
 
 
 def _digest(doc: dict) -> str:
@@ -654,7 +617,7 @@ def model_to_dict(model: DetectorModel) -> dict:
         "kind": model.kind,
         "threshold": model.threshold,
         "hyperparams": model.hyperparams,
-        "params": _params_to_jsonable(model.kind, model.params),
+        "params": _params_to_jsonable(model.params),
     }
     if model.space is not None:
         doc["space"] = space_to_dict(model.space)
@@ -671,23 +634,24 @@ def model_from_dict(doc: dict) -> DetectorModel:
     when a key is missing, a number or an object is not one, or the model's or an
     ensemble member's feature space does not match the ``space_hash`` recorded
     beside it."""
-    doc = _object("detector", "model", doc)
+    doc = obj(doc, "model")
     kind = doc.get("kind", "detector")
     try:
         space = None
         if kind != "ensemble":
-            space = space_from_dict(_object(kind, "space", doc["space"]))
+            space = space_from_dict(obj(doc["space"], f"{kind} model: space"))
             if space.digest != doc["space_hash"]:
                 raise ValueError(f"{kind} model: space does not match its space_hash")
-        report = None
-        if "report" in doc:
-            report = TrainReport(**{f.name: doc["report"][f.name] for f in fields(TrainReport)})
-        members = tuple(model_from_dict(m) for m in doc.get("members", []))
+        report = None if "report" not in doc else TrainReport(**fields_of(
+            TrainReport, doc["report"], f"{kind} model: report", precision=number,
+            recall=number, f1=number, holdout_size=integer, on_holdout=flag))
+        members = tuple(map(model_from_dict, items(doc.get("members", []),
+                                                   f"{kind} model: members")))
         return DetectorModel(kind=doc["kind"], space=space,
                              params=_params_from_jsonable(
-                                 doc["kind"], _object(kind, "params", doc["params"])),
-                             hyperparams=_object(kind, "hyperparams", doc["hyperparams"]),
-                             threshold=_number(kind, "threshold", doc["threshold"]),
+                                 doc["kind"], obj(doc["params"], f"{kind} model: params")),
+                             hyperparams=obj(doc["hyperparams"], f"{kind} model: hyperparams"),
+                             threshold=number(doc["threshold"], f"{kind} model: threshold"),
                              report=report, members=members)
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None

@@ -17,6 +17,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .catalog import integer, pairs
 from .corpus import ApkModel, CodeComponent, DeclaredComponent, Permission
 
 
@@ -208,5 +209,7 @@ def cluster_map_to_dict(cmap: ApiClusterMap) -> dict:
 
 
 def cluster_map_from_dict(d: dict) -> ApiClusterMap:
-    return ApiClusterMap(cluster_count=int(d["cluster_count"]),
-                         assignment=tuple((a, int(c)) for a, c in d["assignment"]))
+    count = integer(d["cluster_count"], "cluster_count", lo=1)
+    return ApiClusterMap(cluster_count=count, assignment=pairs(
+        d["assignment"], "cluster assignment", f"an [api id, cluster below {count}] pair",
+        lambda c: type(c) is int and 0 <= c < count))

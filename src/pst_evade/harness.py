@@ -10,13 +10,14 @@ import csv
 import hashlib
 import json
 import random
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
+from .catalog import fields_of, integer, integers, items, number, obj, string
 from .corpus import (API_FAMILY_COUNT, ApkModel, Corpus, CorpusSpec, load_corpus,
                      load_default_catalog)
 from .detectors import (
@@ -332,16 +333,13 @@ def budget_rows(report: AttackReport, budgets) -> list[tuple[int, str, int, floa
     return rows
 
 
-def _run_one(name, model, algo, budgets, master, apk,
-             pset: PerturbationSet) -> list[dict]:
-    cfg = AttackConfig(budget=budgets[-1], algorithm=algo,
-                       seed=derive_seed(master, apk.id))
-    report = run_attack(Oracle(model), apk, pset, cfg)
-    return [{
-        "sample_id": apk.id, "detector": name, "algorithm": algo,
-        "budget": budget, "seed": master, "outcome": outcome,
-        "queries_used": queries, "wall_ms": wall_ms,
-    } for budget, outcome, queries, wall_ms in budget_rows(report, budgets)]
+def attack_sample(model: DetectorModel, apk: ApkModel, pset: PerturbationSet,
+                  algorithm: str, budget: int, master_seed: int) -> AttackReport:
+    """One attack on one true positive, with its own ``Oracle`` and the seed
+    derived from (master seed, sample id)."""
+    cfg = AttackConfig(budget=budget, algorithm=algorithm,
+                       seed=derive_seed(master_seed, apk.id))
+    return run_attack(Oracle(model), apk, pset, cfg)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -388,8 +386,12 @@ def run_experiment(config: ExperimentConfig,
                                          config.sample_count, master, spec.name)
             for algo in config.algorithms:
                 for apk in tps:
-                    rows.extend(_run_one(spec.name, model, algo, config.budgets,
-                                         master, apk, pset))
+                    report = attack_sample(model, apk, pset, algo, config.budgets[-1], master)
+                    rows.extend({
+                        "sample_id": apk.id, "detector": spec.name, "algorithm": algo,
+                        "budget": budget, "seed": master, "outcome": outcome,
+                        "queries_used": queries, "wall_ms": wall_ms,
+                    } for budget, outcome, queries, wall_ms in budget_rows(report, config.budgets))
     rows.sort(key=lambda r: (r["detector"], r["algorithm"], r["budget"],
                              r["seed"], r["sample_id"]))
     return MetricsReport(config=config_to_dict(config), rows=tuple(rows),
@@ -407,61 +409,16 @@ def default_benchmark_config() -> ExperimentConfig:
 
 
 def detector_spec_to_dict(spec: DetectorSpec) -> dict:
-    return {"name": spec.name, "kind": spec.kind, "features": spec.features,
-            "hyperparams": dict(spec.hyperparams),
-            "cluster_count": spec.cluster_count, "train_seed": spec.train_seed,
-            "threshold": spec.threshold, "ensemble_size": spec.ensemble_size}
-
-
-def _fields_from_dict(cls, d: dict, **convert) -> dict:
-    """The fields of dataclass ``cls`` that ``d`` gives, each through its
-    ``convert`` entry where there is one. A field ``d`` omits keeps its default,
-    one with no default is a missing key, and keys that are not fields are
-    ignored."""
-    given = {}
-    for f in fields(cls):
-        if f.name in d:
-            given[f.name] = convert.get(f.name, lambda v: v)(d[f.name])
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise KeyError(f.name)
-    return given
-
-
-def _list(name: str, values) -> list:
-    if not isinstance(values, list):
-        raise ValueError(f"{name} is {json.dumps(values)}, not a list")
-    return values
-
-
-def _ints(name: str, values) -> tuple[int, ...]:
-    for v in _list(name, values):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} holds {json.dumps(v)}, not an integer")
-    return tuple(values)
-
-
-def _int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} is {json.dumps(value)}, not an integer")
-    return value
-
-
-def _number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} is {json.dumps(value)}, not a number")
-    return float(value)
+    return asdict(spec)
 
 
 def detector_spec_from_dict(d: dict) -> DetectorSpec:
-    """Inverse of ``detector_spec_to_dict``. A count or seed that is not a JSON
-    integer, or a threshold that is not a JSON number, is a ValueError naming
-    the field."""
-    return DetectorSpec(**_fields_from_dict(
-        DetectorSpec, d, hyperparams=dict,
-        cluster_count=partial(_int, "cluster_count"),
-        train_seed=partial(_int, "train_seed"),
-        threshold=partial(_number, "threshold"),
-        ensemble_size=partial(_int, "ensemble_size")))
+    """Inverse of ``detector_spec_to_dict``; a field of the wrong JSON type is a
+    ValueError naming the field."""
+    return DetectorSpec(**fields_of(
+        DetectorSpec, d, "detector", name=string, kind=string, features=string,
+        hyperparams=obj, cluster_count=integer, train_seed=integer, threshold=number,
+        ensemble_size=integer))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -478,17 +435,15 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Inverse of ``config_to_dict``; keys it does not know, such as the
-    ``"workers"`` of older configs, are ignored. A list field that is not a
-    JSON list, a budget, seed or ``sample_count`` that is not an integer, or a
-    ``similarity_threshold`` that is not a number, is a ValueError naming the
-    field."""
-    return ExperimentConfig(**_fields_from_dict(
-        ExperimentConfig, d,
-        detectors=lambda v: tuple(map(detector_spec_from_dict, _list("detectors", v))),
-        algorithms=lambda v: tuple(_list("algorithms", v)),
-        budgets=partial(_ints, "budgets"), seeds=partial(_ints, "seeds"),
-        sample_count=partial(_int, "sample_count"),
-        similarity_threshold=partial(_number, "similarity_threshold")))
+    ``"workers"`` of older configs, are ignored. A field of the wrong JSON type
+    is a ValueError naming the field."""
+    return ExperimentConfig(**fields_of(
+        ExperimentConfig, d, "config",
+        detectors=lambda v, name: tuple(map(detector_spec_from_dict, items(v, name))),
+        corpus_path=partial(string, null=True),
+        algorithms=lambda v, name: tuple(items(v, name)),
+        budgets=integers, sample_count=integer, seeds=integers,
+        similarity_threshold=number))
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
@@ -496,9 +451,8 @@ def metrics_to_dict(report: MetricsReport) -> dict:
     for entry in report.grid:
         out = dict(entry)
         out["asr_by_seed"] = {str(k): v for k, v in entry["asr_by_seed"].items()}
-        out["qt_cdf"] = [list(p) for p in entry["qt_cdf"]] if entry["qt_cdf"] else None
-        out["wall_cdf"] = ([list(p) for p in entry["wall_cdf"]]
-                           if entry["wall_cdf"] else None)
+        for cdf in ("qt_cdf", "wall_cdf"):
+            out[cdf] = [list(p) for p in entry[cdf]] if entry[cdf] else None
         grid.append(out)
     return {"config": report.config, "cells": list(report.cells), "grid": grid,
             "row_count": len(report.rows)}
@@ -520,25 +474,16 @@ def read_rows_csv(path: str | Path) -> list[dict]:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
-        rows = []
-        for rec in reader:
-            rows.append({
-                "sample_id": rec["sample_id"], "detector": rec["detector"],
-                "algorithm": rec["algorithm"], "budget": int(rec["budget"]),
-                "seed": int(rec["seed"]), "outcome": rec["outcome"],
-                "queries_used": int(rec["queries_used"]),
-                "wall_ms": float(rec["wall_ms"])})
-    return rows
+        return [{**rec, "budget": int(rec["budget"]), "seed": int(rec["seed"]),
+                 "queries_used": int(rec["queries_used"]), "wall_ms": float(rec["wall_ms"])}
+                for rec in reader]
 
 
 def save_report(report: MetricsReport, out_dir: str | Path) -> tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "report.json"
-    csv_path = out / "rows.csv"
-    with open(json_path, "w") as fh:
-        json.dump(metrics_to_dict(report), fh, indent=2)
-        fh.write("\n")
+    json_path, csv_path = out / "report.json", out / "rows.csv"
+    json_path.write_text(json.dumps(metrics_to_dict(report), indent=2) + "\n")
     write_rows_csv(report.rows, csv_path)
     return json_path, csv_path
 

@@ -2,14 +2,14 @@
 keyword extraction, keyword similarity, and semantic clustering."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import json
 
-from .catalog import AndroidCatalog, read_document
+from .catalog import AndroidCatalog, integer, items, obj, read_document, string, strings
 from .corpus import (
     CODE_KINDS,
     InjectablePayload,
@@ -256,8 +256,7 @@ def build_perturbation_set(catalog: AndroidCatalog, donors=(),
 def _perturbation_to_dict(p: Perturbation) -> dict:
     doc: dict = {"kind": p.kind, "keywords": list(p.keywords)}
     if p.kind == "permission":
-        doc["payload"] = {"name": p.payload.name,
-                          "protection_level": p.payload.protection_level}
+        doc["payload"] = asdict(p.payload)
     elif p.kind in INJECT_KINDS:
         doc["payload"] = {
             "source_apk_id": p.payload.source_apk_id,
@@ -270,26 +269,20 @@ def _perturbation_to_dict(p: Perturbation) -> dict:
 
 
 def _perturbation_from_dict(doc: dict) -> Perturbation:
-    kind = doc["kind"]
+    kind = string(doc["kind"], "perturbation kind")
+    raw, where = doc["payload"], f"{kind} payload"
     if kind == "permission":
-        payload: object = Permission(doc["payload"]["name"],
-                                     doc["payload"]["protection_level"])
+        payload: object = Permission(string(obj(raw, where)["name"], where + " name"),
+                                     string(raw["protection_level"], where + " level"))
     elif kind in INJECT_KINDS:
-        raw = doc["payload"]
         payload = InjectablePayload(
-            source_apk_id=raw["source_apk_id"],
+            source_apk_id=string(obj(raw, where)["source_apk_id"], where + " source_apk_id"),
             declared=_declared_from_dict(raw["declared"]),
             component=_component_from_dict(raw["component"]))
     else:
-        payload = doc["payload"]
+        payload = string(raw, where)
     return Perturbation(kind=kind, payload=payload,
-                        keywords=tuple(_strings(doc["keywords"], f"{kind} keywords")))
-
-
-def _strings(value, what: str) -> list[str]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ValueError(f"{what} are not a list of strings")
-    return value
+                        keywords=strings(doc["keywords"], f"{kind} keywords"))
 
 
 def pset_to_dict(pset: PerturbationSet) -> dict:
@@ -310,7 +303,8 @@ def pset_from_dict(doc: dict) -> PerturbationSet:
     threshold = doc["threshold"]
     if type(threshold) not in (int, float) or not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold {json.dumps(threshold)} is not a number in (0, 1]")
-    perturbations = tuple(_perturbation_from_dict(d) for d in doc["perturbations"])
+    perturbations = tuple(map(_perturbation_from_dict,
+                              items(doc["perturbations"], "perturbations")))
     for p in perturbations:
         tree_position(p)
         if p.kind in INJECT_KINDS:
@@ -322,11 +316,11 @@ def pset_from_dict(doc: dict) -> PerturbationSet:
         if not (isinstance(g, dict) and isinstance(g.get("members"), list) and g["members"]):
             raise ValueError(f"group {i} is not an object with a non-empty members list")
         for m in g["members"]:
-            if not (isinstance(m, int) and 0 <= m < len(perturbations)):
-                raise ValueError(f"group {i}: member index {m!r} out of range")
+            if not 0 <= integer(m, f"group {i}: member index") < len(perturbations):
+                raise ValueError(f"group {i}: member index {m} out of range")
         groups.append(PerturbationGroup(
             members=tuple(perturbations[m] for m in g["members"]),
-            keywords=frozenset(_strings(g["keywords"], f"group {i} keywords"))))
+            keywords=frozenset(strings(g["keywords"], f"group {i} keywords"))))
     return PerturbationSet(perturbations=perturbations, groups=tuple(groups),
                            threshold=threshold)
 

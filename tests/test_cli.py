@@ -355,6 +355,15 @@ def _first_payload(doc):
     return next(p["payload"] for p in doc["perturbations"] if p["kind"].startswith("inject_"))
 
 
+def _first_app_permissions(doc):
+    app = next(a for a in doc["benign"] if a["manifest"]["permissions"])
+    return app["manifest"]["permissions"]
+
+
+_SPLIT_ON_A_FLAG = {"leaf": False, "feature": True, "threshold": 0.5,
+                    "left": {"leaf": True, "vote": 0}, "right": {"leaf": True, "vote": 1}}
+
+
 def _unknown_protection_level(doc):
     doc["permissions"][0][1] = "root"
 
@@ -422,6 +431,69 @@ _PROBES = {
     "config-budgets-string": ("--config", "bench.json", lambda d: d.update(budgets="x")),
     "config-seeds-string": ("--config", "bench.json", lambda d: d.update(seeds="01")),
     "compare-report-without-grid": ("--reports", None, {"config": {}}),
+    # Each of these loaded before the field readers: a string was split into
+    # characters, a number was coerced or carried, an unknown level was kept.
+    "corpus-uses-features-string": ("--corpus", "corpus.json",
+                                    lambda d: d["benign"][0]["manifest"].update(
+                                        uses_features="android.hardware.camera")),
+    "corpus-intent-actions-string": ("--corpus", "corpus.json",
+                                     lambda d: _first_declared(d).update(
+                                         intent_actions="android.intent.action.MAIN")),
+    "corpus-intent-categories-string": ("--corpus", "corpus.json",
+                                        lambda d: _first_declared(d).update(
+                                            intent_categories="android.intent.category.HOME")),
+    "corpus-classes-negative": ("--corpus", "corpus.json",
+                                lambda d: _first_component(d).update(classes=-5)),
+    "corpus-process-number": ("--corpus", "corpus.json",
+                              lambda d: _first_declared(d).update(process=7)),
+    "corpus-permission-unknown-level": ("--corpus", "corpus.json",
+                                        lambda d: _first_app_permissions(d)[0].__setitem__(
+                                            1, "bogus")),
+    "corpus-permission-string": ("--corpus", "corpus.json",
+                                 lambda d: _first_app_permissions(d).__setitem__(0, "ab")),
+    "corpus-app-id-number": ("--corpus", "corpus.json", lambda d: d["benign"][0].update(id=5)),
+    "corpus-declared-name-number": ("--corpus", "corpus.json",
+                                    lambda d: _first_declared(d).update(name=5)),
+    "catalog-categories-string": ("--catalog", BUNDLED_CATALOG,
+                                  lambda d: d.update(categories="android.intent.category.HOME")),
+    "catalog-hardware-features-string": ("--catalog", BUNDLED_CATALOG,
+                                         lambda d: d.update(
+                                             hardware_features="android.hardware.camera")),
+    "model-space-keys-string": ("--model", "model.json",
+                                lambda d: d["space"].update(keys="abc")),
+    "model-cluster-count-string": ("--model", "model.json",
+                                   lambda d: d["space"].update(kind="api_cluster", cluster_map={
+                                       "cluster_count": "3", "assignment": []})),
+    "model-knn-k-string": ("--model", "model.json",
+                           lambda d: d.update(kind="knn", hyperparams={"k": "3"},
+                                              params={"x": [[0.0]], "y": [0.0]})),
+    "model-forest-split-on-a-flag": ("--model", "model.json",
+                                     lambda d: d.update(kind="forest", hyperparams={},
+                                                        params={"trees": [_SPLIT_ON_A_FLAG]})),
+    "config-corpus-path-number": ("--config", "bench.json", lambda d: d.update(corpus_path=5)),
+    "config-detector-name-number": ("--config", "bench.json",
+                                    lambda d: d["detectors"][0].update(name=5)),
+}
+
+# case -> the field its message names, for the cases above that used to load.
+_PROBE_FIELDS = {
+    "corpus-uses-features-string": "app b000: uses_features are not a list of strings",
+    "corpus-intent-actions-string": "Main: intent_actions are not a list of strings",
+    "corpus-intent-categories-string": "Main: intent_categories are not a list of strings",
+    "corpus-classes-negative": "code component classes is -5, not an integer >= 0",
+    "corpus-process-number": "Main: process is 7, not a string or null",
+    "corpus-permission-unknown-level": '"bogus"], not a [name, protection level] pair',
+    "corpus-permission-string": 'permissions holds "ab", not a [name, protection level] pair',
+    "corpus-app-id-number": "app id is 5, not a string",
+    "corpus-declared-name-number": "declared component name is 5, not a string",
+    "catalog-categories-string": "categories are not a list of strings",
+    "catalog-hardware-features-string": "hardware_features are not a list of strings",
+    "model-space-keys-string": "space keys are not a list of strings",
+    "model-cluster-count-string": 'cluster_count is "3", not an integer',
+    "model-knn-k-string": 'knn model: hyperparams.k is "3", not an integer',
+    "model-forest-split-on-a-flag": "forest model: split feature is true, not an integer",
+    "config-corpus-path-number": "corpus_path is 5, not a string or null",
+    "config-detector-name-number": "name is 5, not a string",
 }
 
 
@@ -460,3 +532,22 @@ def test_every_malformed_input_file_fails_in_one_line_naming_it(bench_outputs, w
     assert err.startswith(f"pst-evade: error: {broken}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert _PROBE_FIELDS.get(case, "") in err
+
+
+@pytest.mark.parametrize("command", ["gen-corpus", "train", "attack", "bench"])
+def test_a_seed_variable_that_is_not_an_integer_fails_in_one_line(bench_outputs, workdir,
+                                                                   capsys, monkeypatch, command):
+    unused = str(workdir / "unused.json")
+    argv = {
+        "gen-corpus": ["gen-corpus", "--spec", str(workdir / "spec.json"), "--out", unused],
+        "train": ["train", "--corpus", str(workdir / "corpus.json"), "--out", unused],
+        "attack": _attack_args(workdir, workdir / "corpus.json", workdir / "model.json",
+                               workdir / "pset.json"),
+        "bench": ["bench", "--config", str(workdir / "bench.json"),
+                  "--out-dir", str(workdir / "unused_out")],
+    }[command]
+    monkeypatch.setenv("PST_EVADE_SEED", "abc")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "pst-evade: error: PST_EVADE_SEED is 'abc', not an integer\n"

@@ -853,6 +853,13 @@ SCORING_PARAM_CASES = [
      "mlp model: b1 of shape (1, 3) does not match the 3 hidden units of w1"),
     ("mlp", lambda d: d["params"].update(w2=[1.0, 1.0]),
      "mlp model: w2 of shape (2,) does not match the 3 hidden units of w1"),
+    ("linear", lambda d: d["space"].update(keys="PQ"), "space keys are not a list of strings"),
+    ("linear", lambda d: d["space"].update(kind="api_cluster", cluster_map={
+        "cluster_count": "2", "assignment": []}), 'cluster_count is "2", not an integer'),
+    ("knn", lambda d: d["hyperparams"].update(k="1"),
+     'knn model: hyperparams.k is "1", not an integer'),
+    ("forest", lambda d: d["params"]["trees"][0].update(feature=True),
+     "forest model: split feature is true, not an integer"),
 ]
 
 
@@ -864,7 +871,9 @@ SCORING_PARAM_CASES = [
                               "linear_null_threshold", "linear_space_array",
                               "linear_params_array", "linear_string_w", "linear_null_in_w",
                               "linear_bool_w", "knn_string_x", "knn_string_y",
-                              "mlp_ragged_w1", "mlp_short_b1", "mlp_2d_b1", "mlp_short_w2"])
+                              "mlp_ragged_w1", "mlp_short_b1", "mlp_2d_b1", "mlp_short_w2",
+                              "linear_string_keys", "api_cluster_string_count", "knn_string_k",
+                              "forest_bool_feature"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind
