@@ -11,9 +11,7 @@ from .corpus import ApkModel, apply_perturbation
 from .detectors import DetectorModel, Feedback, query as model_query
 from .features import added_parts
 from .perturbset import PerturbationSet
-from .pstree import TreeConfig, adjust, build_tree, sample_path
-
-OUTCOMES = ("success", "failure", "not_applicable")
+from .pstree import EPSILON, PSTree, adjust, build_tree, sample_path
 
 
 class Oracle:
@@ -62,8 +60,6 @@ class AttackConfig:
     budget: int
     algorithm: str = "pst"
     seed: int = 0
-    count_initial_query: bool = False
-    tree: TreeConfig = field(default_factory=TreeConfig)
 
     def __post_init__(self):
         if self.budget < 1:
@@ -87,16 +83,20 @@ class AttackReport:
     elapsed_trace: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
 
+def reference_tree(pset: PerturbationSet) -> PSTree:
+    """The pset's selection tree, built on first use; attacks copy it as is."""
+    if pset.tree is None:
+        object.__setattr__(pset, "tree", build_tree(pset.groups))
+    return pset.tree
+
+
 class _TreePolicy:
     """Tree-guided selection: sample a leaf group to apply whole, adjust the
     tree on the answer, keep unless the confidence rose. Each attack works on
-    its own copy of the pset's reference tree, built on first use."""
+    its own copy of the pset's reference tree."""
 
-    def __init__(self, pset: PerturbationSet, config: AttackConfig):
-        reference = pset.trees.get(config.tree)
-        if reference is None:
-            reference = pset.trees[config.tree] = build_tree(pset.groups, config.tree)
-        self.tree = reference.copy()
+    def __init__(self, pset: PerturbationSet):
+        self.tree = reference_tree(pset).copy()
 
     def propose(self, rng: random.Random):
         if self.tree.is_empty():
@@ -112,14 +112,13 @@ class _TreePolicy:
 
 class _BanditPolicy:
     """Thompson sampling over second-layer arms with a Beta(1, 1) prior; one
-    perturbation per pull, rewarded when the confidence drops beyond epsilon,
+    perturbation per pull, rewarded when the confidence drops beyond ``EPSILON``,
     kept unless the confidence rose."""
 
-    def __init__(self, pset: PerturbationSet, config: AttackConfig):
+    def __init__(self, pset: PerturbationSet):
         self.arms = pset.arms
         self.labels = list(self.arms)
         self.posterior = {lab: [1.0, 1.0] for lab in self.labels}  # (alpha, beta)
-        self.eps = config.tree.epsilon
 
     def propose(self, rng: random.Random):
         draws = [(rng.betavariate(*self.posterior[lab]), i)
@@ -128,7 +127,7 @@ class _BanditPolicy:
         return (rng.choice(self.arms[self.arm]),)
 
     def observe(self, y_prev: float, y_new: float) -> bool:
-        self.posterior[self.arm][0 if y_new < y_prev - self.eps else 1] += 1
+        self.posterior[self.arm][0 if y_new < y_prev - EPSILON else 1] += 1
         return y_new <= y_prev
 
 
@@ -136,7 +135,7 @@ class _RandomPolicy:
     """Uniform draws with replacement; every candidate is kept, so the sample
     accumulates and never reverts."""
 
-    def __init__(self, pset: PerturbationSet, config: AttackConfig):
+    def __init__(self, pset: PerturbationSet):
         self.perturbations = pset.perturbations
 
     def propose(self, rng: random.Random):
@@ -156,14 +155,14 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
 
     This loop owns the protocol every algorithm shares. One gate query on the
     unmodified app ends the attack as not applicable unless it is malicious;
-    that query counts against the budget only with ``count_initial_query``.
+    that query never counts against the budget.
     Each later query tries a candidate: the policy's picks applied in order to
     the kept sample with the attack's rng. A benign answer ends the attack as a
     success; otherwise the candidate becomes the kept sample when the policy
     says so.
 
-    A policy is built per attack, after the gate, from the perturbation set and
-    the config, and has two methods:
+    A policy is built per attack, after the gate, from the perturbation set,
+    and has two methods:
 
     - ``propose(rng)`` returns the perturbations to try together, or ``None``
       when nothing is left to try, which ends the attack as ``tree_depleted``.
@@ -181,13 +180,12 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
             sample_id=apk.id, outcome="not_applicable", queries_used=0,
             wall_time=time.perf_counter() - t0, applied=(),
             confidence_trace=tuple(trace), elapsed_trace=tuple(elapsed))
-    policy = _POLICIES[config.algorithm](pset, config)
+    policy = _POLICIES[config.algorithm](pset)
     y = fb.confidence
     current = apk
     applied: list[str] = []
-    queries = 1 if config.count_initial_query else 0
     outcome, reason = "failure", "budget_exhausted"
-    for _ in range(config.budget - queries):
+    for _ in range(config.budget):
         picks = policy.propose(rng)
         if picks is None:
             reason = "tree_depleted"
@@ -196,7 +194,6 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
         for p in picks:
             candidate, _ = apply_perturbation(candidate, p, rng)
         fb = oracle.query(candidate)
-        queries += 1
         trace.append(fb.confidence)
         elapsed.append(time.perf_counter() - t0)
         evaded = fb.label == "benign"
@@ -207,7 +204,7 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
             outcome, reason = "success", None
             break
     return AttackReport(
-        sample_id=apk.id, outcome=outcome, queries_used=queries,
+        sample_id=apk.id, outcome=outcome, queries_used=len(trace) - 1,
         wall_time=time.perf_counter() - t0, applied=tuple(applied),
         confidence_trace=tuple(trace), failure_reason=reason,
         adversarial=current, elapsed_trace=tuple(elapsed))

@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .attack import ALGORITHMS, report_to_dict
+from .attack import ALGORITHMS, reference_tree, report_to_dict
 from .catalog import load_catalog, load_default_catalog, read_document
 from .corpus import (
     CorpusSpec,
@@ -30,7 +30,7 @@ from .harness import (
     select_true_positives,
 )
 from .perturbset import build_perturbation_set, load_pset, save_pset
-from .pstree import build_tree, dump_tree
+from .pstree import dump_tree
 
 SEED_ENV = "PST_EVADE_SEED"
 
@@ -93,7 +93,7 @@ def _cmd_attack(args) -> int:
     targets = select_true_positives(model, malicious, args.samples, seed,
                                     detector_name=args.model)
     if args.dump_tree:
-        dump_tree(build_tree(pset.groups), args.dump_tree)
+        dump_tree(reference_tree(pset), args.dump_tree)
 
     reports = [attack_sample(model, apk, pset, args.algorithm, args.budget, seed)
                for apk in targets]

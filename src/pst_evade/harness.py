@@ -55,7 +55,7 @@ class DetectorSpec:
     ensemble_size: int = 20
 
     def __post_init__(self):
-        if self.kind not in DETECTOR_KINDS + ("ensemble",):
+        if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"unknown detector kind: {self.kind}")
         if self.features not in FEATURE_KINDS:
             raise ValueError(f"unknown feature kind: {self.features}")

@@ -2,10 +2,10 @@
 keyword extraction, keyword similarity, and semantic clustering."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import json
 
@@ -21,10 +21,10 @@ from .corpus import (
     check_code_component,
 )
 
-MANIFEST_KINDS = ("uses_feature", "permission", "activity_action",
-                  "broadcast_action", "category")
+if TYPE_CHECKING:
+    from .pstree import PSTree
+
 INJECT_KINDS = ("inject_service", "inject_receiver", "inject_provider")
-PERTURBATION_KINDS = MANIFEST_KINDS + INJECT_KINDS
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.5
 
@@ -76,15 +76,11 @@ class PerturbationSet:
     perturbations: tuple[Perturbation, ...]
     groups: tuple[PerturbationGroup, ...]
     threshold: float
+    # The selection tree the pst attacks copy, set by ``attack.reference_tree``.
+    tree: PSTree | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.perturbations)
-
-    @cached_property
-    def trees(self) -> dict:
-        """Reference selection trees by tree config: each tree-guided attack
-        copies one, built on first use, and never changes it."""
-        return {}
 
     @cached_property
     def arms(self) -> dict[str, tuple[Perturbation, ...]]:
@@ -298,8 +294,9 @@ def pset_to_dict(pset: PerturbationSet) -> dict:
 
 def pset_from_dict(doc: dict) -> PerturbationSet:
     """The pset in a document; a threshold outside (0, 1], keywords that are not
-    strings, malformed groups or payload components, a member index out of range
-    or a perturbation with no tree position raise a one-line ``ValueError``."""
+    strings, malformed groups or payload components, an injection whose kind,
+    declaration and component disagree, a member index out of range or a
+    perturbation with no tree position raise a one-line ``ValueError``."""
     threshold = doc["threshold"]
     if type(threshold) not in (int, float) or not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold {json.dumps(threshold)} is not a number in (0, 1]")
@@ -309,6 +306,10 @@ def pset_from_dict(doc: dict) -> PerturbationSet:
         tree_position(p)
         if p.kind in INJECT_KINDS:
             check_code_component(p.payload.component, f"payload {p.key}")
+            declared, code = p.payload.declared.kind, p.payload.component.kind
+            if p.kind != "inject_" + code or declared != code:
+                raise ValueError(f"payload {p.key}: kinds disagree: {p.kind}, "
+                                 f"declared {declared}, code {code}")
     if not isinstance(doc["groups"], list):
         raise ValueError(f"groups is a {type(doc['groups']).__name__}, not a list")
     groups = []

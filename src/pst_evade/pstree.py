@@ -6,24 +6,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .perturbset import CHILD_ORDER, PerturbationGroup, leaf_path
 
-INTERNAL_WEIGHTINGS = ("inverse", "proportional")
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    internal_weighting: str = "inverse"
-    epsilon: float = 1e-6
-    penalty_constant: float = 0.1
-    first_layer_prior: tuple[float, float] | None = None  # (manifest, code)
-
-    def __post_init__(self):
-        if self.internal_weighting not in INTERNAL_WEIGHTINGS:
-            raise ValueError(
-                f"internal_weighting must be one of {INTERNAL_WEIGHTINGS}")
+# A confidence change within EPSILON counts as no effect.
+EPSILON = 1e-6
+# A no-effect try scales each on-path ancestor by 1 - depth * PENALTY_CONSTANT.
+PENALTY_CONSTANT = 0.1
 
 
 @dataclass(frozen=True)
@@ -44,7 +34,6 @@ class PSTree:
     owns its state: the surviving ``children`` of each internal node, their
     ``probs``, and the surviving ``leaf_counts`` below each node."""
 
-    config: TreeConfig
     labels: tuple[str, ...]
     parents: tuple[int, ...]
     groups: tuple[PerturbationGroup | None, ...]
@@ -104,12 +93,8 @@ def _init_leaf_parent(tree: PSTree, node: int) -> None:
 
 
 def _reinit_internal(tree: PSTree, node: int) -> None:
-    counts = [tree.leaf_counts[c] for c in tree.children[node]]
-    if tree.config.internal_weighting == "proportional":
-        weights = [float(c) for c in counts]
-    else:
-        weights = [1.0 / c for c in counts]
-    tree.probs[node] = _normalize(weights)
+    # Weighted by inverse surviving-leaf count: the sparser branch is likelier.
+    tree.probs[node] = _normalize([1.0 / tree.leaf_counts[c] for c in tree.children[node]])
 
 
 def init_probabilities(tree: PSTree) -> PSTree:
@@ -117,13 +102,7 @@ def init_probabilities(tree: PSTree) -> PSTree:
     kids = tree.children[0]
     if not kids:
         return tree
-    if len(kids) == 1:
-        tree.probs[0] = [1.0]
-    elif tree.config.first_layer_prior is not None:
-        prior = dict(zip(("manifest", "code"), tree.config.first_layer_prior))
-        tree.probs[0] = _normalize([prior[tree.labels[c]] for c in kids])
-    else:
-        tree.probs[0] = [0.5] * len(kids)
+    tree.probs[0] = [1.0 / len(kids)] * len(kids)
 
     stack = list(kids)
     while stack:
@@ -138,7 +117,7 @@ def init_probabilities(tree: PSTree) -> PSTree:
     return tree
 
 
-def build_tree(groups, config: TreeConfig | None = None) -> PSTree:
+def build_tree(groups) -> PSTree:
     """Route groups into the fixed tree shape, pruning empty branches; ids are
     assigned in preorder. A group with no tree position raises ``ValueError``."""
     groups = list(groups)
@@ -176,8 +155,7 @@ def build_tree(groups, config: TreeConfig | None = None) -> PSTree:
     counts = [0 if g is None else 1 for g in leaf_groups]
     for node in range(len(counts) - 1, 0, -1):  # children before their parents
         counts[parents[node]] += counts[node]
-    return init_probabilities(PSTree(config or TreeConfig(), labels, parents, leaf_groups,
-                                     children, {}, counts))
+    return init_probabilities(PSTree(labels, parents, leaf_groups, children, {}, counts))
 
 
 def sample_path(tree: PSTree, rng: random.Random) -> SamplePath:
@@ -242,33 +220,31 @@ def delete_leaf_and_transfer(tree: PSTree, leaf: int) -> int | None:
 def adjust(tree: PSTree, leaf: int, y_prev: float, y_new: float) -> PSTree:
     """Feedback-driven update after trying the leaf's perturbation group.
 
-    The leaf is always deleted. A confidence drop beyond epsilon keeps every
+    The leaf is always deleted. A confidence drop beyond ``EPSILON`` keeps every
     remaining probability as is. Otherwise ancestors' sibling sets are re-derived
     from the surviving leaf counts, walking from the absorbing parent's level up
     to just below the root; a near-unchanged confidence additionally penalizes
-    each on-path ancestor by (1 - depth * penalty_constant), and the first-layer
-    node on the path is halved with the root's children renormalized.
+    each on-path ancestor by (1 - depth * ``PENALTY_CONSTANT``), and the
+    first-layer node on the path is halved with the root's children renormalized.
     """
     node = _check_leaf(tree, leaf)
-    cfg = tree.config
 
     # First-layer node on the selected path, captured before any deletion.
     first_layer = _first_layer(tree, node)
 
     p = delete_leaf_and_transfer(tree, node)
 
-    if p is None or y_new < y_prev - cfg.epsilon:
+    if p is None or y_new < y_prev - EPSILON:
         return tree  # emptied, or the try helped: leave elevated mass in place
 
-    no_effect = abs(y_new - y_prev) <= cfg.epsilon
+    no_effect = abs(y_new - y_prev) <= EPSILON
     depth = tree.depth(p)  # p's depth, one less per level climbed
     while tree.parents[p] > 0:
         parent = tree.parents[p]
         _reinit_internal(tree, parent)
         if no_effect:
-            factor = max(1.0 - depth * cfg.penalty_constant, 0.01)
             probs = tree.probs[parent]
-            probs[tree.children[parent].index(p)] *= factor
+            probs[tree.children[parent].index(p)] *= 1.0 - depth * PENALTY_CONSTANT
             tree.probs[parent] = _normalize(probs)
         p = parent
         depth -= 1
@@ -316,12 +292,7 @@ def tree_to_dict(tree: PSTree) -> dict:
                                for c, p in zip(tree.children[node], tree.probs[node])]
         return doc
 
-    return {
-        "config": {**asdict(tree.config), "first_layer_prior": (
-            list(tree.config.first_layer_prior) if tree.config.first_layer_prior else None)},
-        "leaf_count": tree.leaf_counts[0],
-        "root": node_doc(0, 0, None),
-    }
+    return {"leaf_count": tree.leaf_counts[0], "root": node_doc(0, 0, None)}
 
 
 def dump_tree(tree: PSTree, path) -> None:

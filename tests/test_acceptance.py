@@ -44,7 +44,6 @@ from pst_evade.harness import (
 )
 from pst_evade.perturbset import build_perturbation_set, cluster_perturbations
 from pst_evade.pstree import (
-    TreeConfig,
     adjust,
     build_tree,
     delete_leaf_and_transfer,
@@ -109,9 +108,7 @@ def _random_groups(rng):
 
 
 def _random_tree(rng):
-    weighting = rng.choice(["inverse", "proportional"])
-    return build_tree(_random_groups(rng),
-                      TreeConfig(internal_weighting=weighting))
+    return build_tree(_random_groups(rng))
 
 
 def test_probability_integrity_fuzz(verdict):

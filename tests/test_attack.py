@@ -13,6 +13,7 @@ from pst_evade.attack import (
     ALGORITHMS,
     AttackConfig,
     Oracle,
+    reference_tree,
     report_to_dict,
     run_attack,
 )
@@ -34,7 +35,7 @@ from pst_evade.perturbset import (
     pset_to_dict,
     second_layer_arms,
 )
-from pst_evade.pstree import TreeConfig, build_tree, tree_to_dict
+from pst_evade.pstree import build_tree, tree_to_dict
 
 # One case per algorithm, with the case ids the per-algorithm entry points had.
 EACH_ALGORITHM = pytest.mark.parametrize("algorithm", ALGORITHMS,
@@ -144,14 +145,6 @@ def test_tree_depletion_stops_early():
     assert report.queries_used < 10
 
 
-def test_counting_initial_query_shrinks_loop():
-    oracle = ScriptOracle([("malicious", 0.9), ("benign", 0.2)])
-    report = run_attack(oracle, apk(), _mini_pset(),
-                        AttackConfig(budget=3, count_initial_query=True))
-    assert report.outcome == "success"
-    assert report.queries_used == 2  # gate + one attack query
-
-
 @EACH_ALGORITHM
 def test_budget_safety_fuzz(algorithm):
     rng = random.Random(61)
@@ -219,25 +212,22 @@ def test_budget_prefix_property(attack_setup, algorithm):
 
 
 def test_pst_attacks_copy_the_pset_reference_tree(attack_setup):
-    # Every pst attack on a pset works on a copy of one reference tree per tree
-    # config; the attacks leave it as built and report what attacks on a
-    # fresh pset, with no reference tree yet, report.
+    # Every pst attack on a pset works on a copy of the pset's one reference
+    # tree; the attacks leave it as built and report what attacks on a fresh
+    # pset, with no reference tree yet, report.
     model, pset, tps = attack_setup
-    configs = [TreeConfig(), TreeConfig(internal_weighting="proportional",
-                                        first_layer_prior=(0.7, 0.3))]
     fresh = pset_from_dict(pset_to_dict(pset))
+    assert fresh.tree is None
 
     def attacks(pset):
         return [_strip_nondeterministic(run_attack(
-                    Oracle(model), sample, pset,
-                    AttackConfig(budget=15, seed=400 + i, tree=tree)))
-                for tree in configs for i, sample in enumerate(tps)]
+                    Oracle(model), sample, pset, AttackConfig(budget=15, seed=400 + i)))
+                for i, sample in enumerate(tps)]
 
     got = attacks(pset)
-    for tree in configs:
-        assert tree_to_dict(pset.trees[tree]) == tree_to_dict(build_tree(pset.groups, tree))
+    assert tree_to_dict(pset.tree) == tree_to_dict(build_tree(pset.groups))
     assert got == attacks(fresh)
-    assert set(fresh.trees) == set(configs)
+    assert reference_tree(fresh) is fresh.tree is not None
 
 
 @pytest.mark.parametrize("algorithm", ["pst", "mab", "random"])

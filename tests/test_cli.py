@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pst_evade
-from pst_evade.attack import AttackConfig, Oracle, report_to_dict, run_attack
+from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
 from pst_evade.cli import main
 from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
 from pst_evade.detectors import (
@@ -18,6 +18,7 @@ from pst_evade.detectors import (
 )
 from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
 from pst_evade.perturbset import DEFAULT_SIMILARITY_THRESHOLD, load_pset
+from pst_evade.pstree import tree_to_dict
 
 SPEC = CorpusSpec(n_benign=30, n_malicious=30, donor_count=10, seed=19)
 
@@ -108,6 +109,9 @@ def test_attack_writes_report(workdir, capsys):
         assert rep["outcome"] in ("success", "failure")
     snapshot = json.loads(tree.read_text())
     assert snapshot["root"]["label"] == "root"
+    # The dump is the reference tree the attacks copy; it records no settings.
+    assert "config" not in snapshot
+    assert snapshot == tree_to_dict(reference_tree(load_pset(workdir / "pset.json")))
     assert "ASR" in capsys.readouterr().out
 
 
@@ -355,6 +359,10 @@ def _first_payload(doc):
     return next(p["payload"] for p in doc["perturbations"] if p["kind"].startswith("inject_"))
 
 
+def _first_service(doc):
+    return next(p for p in doc["perturbations"] if p["kind"] == "inject_service")
+
+
 def _first_app_permissions(doc):
     app = next(a for a in doc["benign"] if a["manifest"]["permissions"])
     return app["manifest"]["permissions"]
@@ -473,6 +481,15 @@ _PROBES = {
     "config-corpus-path-number": ("--config", "bench.json", lambda d: d.update(corpus_path=5)),
     "config-detector-name-number": ("--config", "bench.json",
                                     lambda d: d["detectors"][0].update(name=5)),
+    "pset-payload-declared-kind-bogus": ("--pset", "pset.json",
+                                         lambda d: _first_payload(d)["declared"].update(
+                                             kind="bogus")),
+    "pset-service-declared-activity": ("--pset", "pset.json",
+                                       lambda d: _first_service(d)["payload"]["declared"].update(
+                                           kind="activity")),
+    "pset-provider-carrying-a-service": ("--pset", "pset.json",
+                                         lambda d: _first_service(d).update(
+                                             kind="inject_provider")),
 }
 
 # case -> the field its message names, for the cases above that used to load.
@@ -494,6 +511,11 @@ _PROBE_FIELDS = {
     "model-forest-split-on-a-flag": "forest model: split feature is true, not an integer",
     "config-corpus-path-number": "corpus_path is 5, not a string or null",
     "config-detector-name-number": "name is 5, not a string",
+    "pset-payload-declared-kind-bogus": "kinds disagree: inject_service, declared bogus",
+    "pset-service-declared-activity": (
+        "kinds disagree: inject_service, declared activity, code service"),
+    "pset-provider-carrying-a-service": (
+        "kinds disagree: inject_provider, declared service, code service"),
 }
 
 

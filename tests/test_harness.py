@@ -351,7 +351,7 @@ def test_grid_attacks_once_per_sample_at_the_largest_budget(small_corpus, monkey
 
 BRANCH_BUDGETS = (12, 21, 25, 40)
 # (algorithm, seed, target, the largest-budget report's (outcome, queries_used,
-# failure_reason) with count_initial_query off) covering every derivation branch.
+# failure_reason)) covering every derivation branch.
 BRANCH_CASES = {
     "gate_rejects": ("pst", 0, "benign", ("not_applicable", 0, None)),
     "success_before_smallest_budget": ("pst", 2, "plain", ("success", 11, None)),
@@ -372,20 +372,18 @@ def _branch_target(kind):
     return build_apk(perms=[(HARDENED, "signature")] if kind == "hardened" else [])
 
 
-@pytest.mark.parametrize("counted", [False, True], ids=["free", "counted"])
-@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
-def test_budget_rows_equal_one_attack_per_budget(case, counted):
+# "free": the gate query does not count against the budget.
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES), ids=lambda case: f"{case}-free")
+def test_budget_rows_equal_one_attack_per_budget(case):
     algorithm, seed, kind, expected = BRANCH_CASES[case]
     target, pset = _branch_target(kind), _pset()
 
     def attack(budget):
-        config = AttackConfig(budget=budget, algorithm=algorithm, seed=seed,
-                              count_initial_query=counted)
+        config = AttackConfig(budget=budget, algorithm=algorithm, seed=seed)
         return run_attack(ContentOracle(), target, pset, config)
 
     report = attack(BRANCH_BUDGETS[-1])
-    if not counted:
-        assert (report.outcome, report.queries_used, report.failure_reason) == expected
+    assert (report.outcome, report.queries_used, report.failure_reason) == expected
     derived = budget_rows(report, BRANCH_BUDGETS)
     reference = [attack(b) for b in BRANCH_BUDGETS]
     assert [row[:3] for row in derived] == [

@@ -10,7 +10,6 @@ from apk_builders import code_component, declared
 from pst_evade.corpus import InjectablePayload, Permission
 from pst_evade.perturbset import Perturbation, PerturbationGroup
 from pst_evade.pstree import (
-    TreeConfig,
     _normalize,
     adjust,
     build_tree,
@@ -103,7 +102,7 @@ def test_full_tree_snapshot_is_pinned(full_pset):
     # depths, probabilities and groups.
     doc = tree_to_dict(build_tree(full_pset.groups))
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == "cb1883d9335d5b727ceb5758415e5c6dc350d0fc28fa8f6f9e73d2175baa377b"
+    assert digest == "3d31365e2e7597566168f9c4d12ed661d99c8aac019dccdf8cd9eb2e46afc813"
 
 
 def test_group_without_tree_position_rejected():
@@ -150,13 +149,6 @@ def test_internal_weights_inverse_leaf_counts():
         {"normal": 0.8, "signature": 0.2})
 
 
-def test_internal_weights_proportional_config():
-    groups = perm_groups("normal", 2, tag="N") + perm_groups("signature", 8, tag="S")
-    tree = build_tree(groups, TreeConfig(internal_weighting="proportional"))
-    assert child_probs(tree, find(tree, "permission")) == pytest.approx(
-        {"normal": 0.2, "signature": 0.8})
-
-
 def test_equal_size_manifest_leaves_are_uniform():
     tree = build_tree(perm_groups("normal", 3, size=5))
     assert tree.probs[find(tree, "normal")] == pytest.approx([1 / 3] * 3)
@@ -177,23 +169,6 @@ def test_code_leaves_are_uniform():
     groups = [inject_group(i) for i in range(4)]
     tree = build_tree(groups)
     assert tree.probs[find(tree, "service")] == pytest.approx([0.25] * 4)
-
-
-def test_first_layer_prior_overrides_default():
-    groups = perm_groups("normal", 2) + [inject_group()]
-    tree = build_tree(groups, TreeConfig(first_layer_prior=(0.7, 0.3)))
-    assert child_probs(tree, 0) == pytest.approx({"manifest": 0.7, "code": 0.3})
-
-
-def test_first_layer_prior_ignored_when_branch_pruned():
-    tree = build_tree(perm_groups("normal", 2),
-                      TreeConfig(first_layer_prior=(0.7, 0.3)))
-    assert tree.probs[0] == [1.0]
-
-
-def test_bad_weighting_rejected():
-    with pytest.raises(ValueError):
-        TreeConfig(internal_weighting="quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +293,7 @@ def test_delete_never_orphans_nodes(full_pset):
 # Adjustment policy
 
 
-def _policy_tree(config=None):
+def _policy_tree():
     # manifest: uses_feature{hardware: 2 groups, software: 1}, permission{normal: 1}
     # code: service: 1 group
     groups = [feature_group("hardware", 1, "cam"),
@@ -326,7 +301,7 @@ def _policy_tree(config=None):
               feature_group("software", 1, "web"),
               *perm_groups("normal", 1),
               inject_group()]
-    return build_tree(groups, config)
+    return build_tree(groups)
 
 
 def test_adjust_improvement_deletes_only():
@@ -379,16 +354,6 @@ def test_adjust_code_side_halves_code_branch():
         {"service": 4 / 9, "receiver": 5 / 9})
     assert child_probs(tree, 0) == pytest.approx({"manifest": 2 / 3, "code": 1 / 3})
     validate_probabilities(tree)
-
-
-def test_adjust_penalty_floor():
-    # Penalty constant 0.5 drives the depth-3 factor to the 0.01 floor.
-    tree = _policy_tree(TreeConfig(penalty_constant=0.5))
-    hardware = find(tree, "hardware")
-    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.9)
-    uf = child_probs(tree, find(tree, "uses_feature"))
-    assert uf["hardware"] == pytest.approx(0.005 / 0.505)
-    assert uf["software"] == pytest.approx(0.5 / 0.505)
 
 
 def test_adjust_penalized_weight_below_reinit_weight():
