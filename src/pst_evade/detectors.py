@@ -192,6 +192,12 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
 
 
+def _scalar_sigmoid(z: float) -> float:
+    """``_sigmoid`` of one Python float, bit for bit, without ``np.clip``'s
+    array dispatch: ``max`` and ``min`` pass a NaN through as ``np.clip`` does."""
+    return 1.0 / (1.0 + float(np.exp(-min(max(z, -40.0), 40.0))))
+
+
 def _encode_labels(labels: Sequence[str]) -> np.ndarray:
     for lab in labels:
         if lab not in LABELS:
@@ -352,7 +358,7 @@ def _shape_error(kind: str, name: str, shape: tuple, space: FeatureSpace) -> Val
 
 
 def _linear_score(w: np.ndarray, b: float, x: np.ndarray) -> float:
-    return float(_sigmoid(float(np.dot(w, x)) + b))
+    return _scalar_sigmoid(float(np.dot(w, x)) + b)
 
 
 def _linear_kernel(space: FeatureSpace, p: dict, hp: dict):
@@ -363,7 +369,7 @@ def _linear_kernel(space: FeatureSpace, p: dict, hp: dict):
 
 def _mlp_score(w1, b1, w2, b2, x: np.ndarray) -> float:
     h = np.tanh(x @ w1 + b1)
-    return float(_sigmoid(float(h @ w2) + b2))
+    return _scalar_sigmoid(float(h @ w2) + b2)
 
 
 def _mlp_kernel(space: FeatureSpace, p: dict, hp: dict):
@@ -378,22 +384,54 @@ def _mlp_kernel(space: FeatureSpace, p: dict, hp: dict):
 
 
 def _nearest_vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> float:
-    """Mean label of the k nearest rows; equal distances go to the lowest index."""
-    order = np.lexsort((np.arange(len(d2)), d2))[:k]
-    return float(train_y[order].mean())
+    """Mean label of the k nearest rows; equal distances go to the lowest index.
+    No full sort: the rows not beyond the k-th distance, in index order, of
+    which a stable sort keeps the k nearest. NaN distances sort last, as in a
+    full sort. The sum of k 0/1 labels is exact, so the mean is the same float."""
+    near = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1]))
+    if len(near) > k:
+        near = near[np.argsort(d2[near], kind="stable")[:k]]
+    return float(train_y[near].sum()) / k
 
 
 def _knn_by_difference(train_x, train_y, k: int, x: np.ndarray) -> float:
     return _nearest_vote(np.sum(np.square(train_x - x), axis=1), train_y, k)
 
 
-def _knn_by_norms(train_x, sq, train_y, k: int, x: np.ndarray) -> float:
-    # ||t||^2 - 2 t.x + ||x||^2: on integer rows every term is an integer below
-    # 2**53, so d2 equals the difference form bit for bit.
-    return _nearest_vote(sq - 2.0 * (train_x @ x) + float(x @ x), train_y, k)
+# Largest ||x||^2 of a row scored from the last row's distances. With the fit
+# rows' ||t||^2 below 2**52, every partial sum of both forms of d2 stays below
+# 2**53, so on integer rows both are exact and equal bit for bit.
+_DELTA_ROW_SQ = 2.0 ** 49
+# Largest share of the columns a row may differ in from the last one and still
+# be scored from its distances; past it the full product is cheaper.
+_DELTA_SHARE = 0.25
+
+
+def _knn_by_norms(train_x, sq, train_y, k: int, last: list, x: np.ndarray) -> float:
+    """d2 = ||t||^2 - 2 t.x + ||x||^2, on integer rows exactly the difference
+    form. ``last[0]`` is the last integer row asked about and its d2, replaced
+    together: a row that differs from it in columns c gets d2 from it as
+    d2_last + (||x_c||^2 - ||last_c||^2) - 2 T[:, c].(x_c - last_c), equal bit
+    for bit. A fractional, non-finite or larger row takes the full product
+    and leaves ``last`` as it was. ``train_x`` is column-major, so T[:, c]
+    gathers whole columns."""
+    xx = float(x @ x)
+    if not (xx < _DELTA_ROW_SQ and np.array_equal(x, np.trunc(x))):
+        return _nearest_vote(sq - 2.0 * (train_x @ x) + xx, train_y, k)
+    p, d2 = last[0]
+    c = None if p is None else np.flatnonzero(x != p)
+    if c is None or len(c) > _DELTA_SHARE * len(x):
+        d2 = sq - 2.0 * (train_x @ x) + xx
+    elif len(c):
+        xc, pc = x[c], p[c]
+        d2 = d2 + (float(xc @ xc) - float(pc @ pc)) - 2.0 * (train_x[:, c] @ (xc - pc))
+    last[0] = (x.copy(), d2)
+    return _nearest_vote(d2, train_y, k)
 
 
 def _knn_kernel(space: FeatureSpace, p: dict, hp: dict):
+    """On integer spaces whose fit rows are integers, ``_knn_by_norms``; its
+    fit rows are ``params["x"]`` made column-major, one copy for both."""
     k = integer(hp.get("k", 3), "knn model: hyperparams.k")
     train_x = np.asarray(p["x"], dtype=np.float64)
     train_y = np.asarray(p["y"], dtype=np.float64)
@@ -408,7 +446,8 @@ def _knn_kernel(space: FeatureSpace, p: dict, hp: dict):
     sq = np.einsum("ij,ij->i", train_x, train_x)
     if (space.kind in _INTEGER_SPACES and sq.max() < 2.0 ** 52
             and all(np.array_equal(row, np.trunc(row)) for row in train_x)):
-        return partial(_knn_by_norms, train_x, sq, train_y, k)
+        p["x"] = train_x = np.asfortranarray(train_x)
+        return partial(_knn_by_norms, train_x, sq, train_y, k, [(None, None)])
     return partial(_knn_by_difference, train_x, train_y, k)
 
 
@@ -486,9 +525,16 @@ def score(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> Feed
         conf = confidence_from_dense(model, rows[model.space])
         return Feedback(label="malicious" if conf >= model.threshold else "benign",
                         confidence=conf)
-    hits = sum(score(m, rows).label == "malicious" for m in model.members)
-    conf = hits / len(model.members)
+    conf = sum(_fires(m, rows) for m in model.members) / len(model.members)
     return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
+
+
+def _fires(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> bool:
+    """Whether ``score(model, rows)`` says malicious: a nested ensemble fires when
+    any of its members does."""
+    if model.kind == "ensemble":
+        return any(_fires(m, rows) for m in model.members)
+    return confidence_from_dense(model, rows[model.space]) >= model.threshold
 
 
 def query(model: DetectorModel, apk: ApkModel,

@@ -19,6 +19,9 @@ from pst_evade.detectors import (
     _knn_by_difference,
     _knn_by_norms,
     _build_tree,
+    _nearest_vote,
+    _scalar_sigmoid,
+    _sigmoid,
     confidence_from_dense,
     load_model,
     make_ensemble,
@@ -66,6 +69,15 @@ def test_linear_query_labels_against_threshold():
     assert fb.confidence == pytest.approx(SIGMOID_1, abs=1e-12)
     strict = _linear_model([1.0], 0.0, threshold=0.9)
     assert query(strict, apk(perms=[("P", "normal")])).label == "benign"
+
+
+def test_scalar_sigmoid_equals_array_sigmoid_bit_for_bit():
+    rng = np.random.default_rng(4)
+    edges = [v for e in (40.0, -40.0) for v in (e, np.nextafter(e, 0.0), np.nextafter(e, 2 * e))]
+    zs = np.concatenate([rng.normal(0.0, 1.0, 50_000), rng.normal(0.0, 30.0, 50_000),
+                         edges, [1e308, -1e308, np.inf, -np.inf, np.nan, -0.0, 0.0]])
+    scalar = np.array([_scalar_sigmoid(float(z)) for z in zs])
+    assert scalar.tobytes() == _sigmoid(zs).tobytes()
 
 
 def test_knn_vote_fraction():
@@ -178,6 +190,120 @@ def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows():
                                   (_binary_space(), whole, _knn_by_norms)):
         model = DetectorModel(kind="knn", space=space, params=params, hyperparams={"k": 1})
         assert model.kernel.func is kernel
+
+
+def _knn_memory(model):
+    """The kNN kernel's remembered (row, d2) pair."""
+    return model.kernel.args[-1][0]
+
+
+def _drift(rng, row, low, high):
+    """``row`` with one to three columns moved up or down, within [low, high]."""
+    out = row.copy()
+    cols = rng.choice(len(row), size=int(rng.integers(1, 4)), replace=False)
+    out[cols] = np.clip(out[cols] + rng.choice([-2.0, -1.0, 1.0, 2.0], len(cols)), low, high)
+    return out
+
+
+@pytest.mark.parametrize("low, high", [(0, 1), (-3, 4)])
+def test_knn_remembered_distances_match_difference_form_on_row_sequences(low, high):
+    # Two streams drift from one start, a few columns per step, and are asked
+    # about in turns: each row differs from the last one asked about a little
+    # (its own stream's previous row came two calls earlier) or a lot.
+    rng = np.random.default_rng(17)
+    boundary_ties = remembered = 0
+    for _ in range(30):
+        width = int(rng.integers(4, 13))
+        rows = int(rng.integers(8, 40))
+        k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
+        model = DetectorModel(kind="knn", space=_space_of_width("binary", width),
+                              hyperparams={"k": k},
+                              params={"x": rng.integers(low, high + 1, (rows, width)).astype(float),
+                                      "y": rng.integers(0, 2, rows).astype(float)})
+        assert model.kernel.func is _knn_by_norms
+        streams = [rng.integers(low, high + 1, width).astype(float)] * 2
+        last = None
+        for step in range(60):
+            s = step % 2 if rng.random() < 0.7 else int(rng.integers(0, 2))
+            streams[s] = x = _drift(rng, streams[s], low, high)
+            assert confidence_from_dense(model, x) == _reference_knn(model, x)
+            d2 = np.sum(np.square(model.params["x"] - x), axis=1)
+            row, kept = _knn_memory(model)
+            assert np.array_equal(row, x) and kept.tobytes() == d2.tobytes()
+            remembered += last is not None and np.count_nonzero(x != last) <= width / 4
+            last = x
+            d2 = np.sort(d2)
+            boundary_ties += k < rows and d2[k - 1] == d2[k]
+    assert remembered > 200
+    assert boundary_ties > 100
+
+
+def test_nearest_vote_equals_a_full_lexsort_with_ties_and_non_finite_distances():
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        n = int(rng.integers(1, 30))
+        k = int(rng.integers(1, n + 1))
+        d2 = rng.choice([0.0, 1.0, 2.0, 2.5, 7.0, np.inf, np.nan], n,
+                        p=[0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1])
+        y = rng.integers(0, 2, n).astype(float)
+        order = np.lexsort((np.arange(n), d2))[:k]
+        assert _nearest_vote(d2, y, k) == float(y[order].mean())
+
+
+def test_knn_answer_of_a_row_does_not_depend_on_the_row_before():
+    rng = np.random.default_rng(21)
+    # 24 columns: two rows that each moved at most 3 from the base differ in
+    # at most a quarter of them.
+    params = {"x": rng.integers(-2, 3, (25, 24)).astype(float),
+              "y": rng.integers(0, 2, 25).astype(float)}
+    base = rng.integers(-2, 3, 24).astype(float)
+    rows = [base] + [_drift(rng, base, -2, 2) for _ in range(12)]
+    model = DetectorModel(kind="knn", space=_space_of_width("api_cluster", 24),
+                          params=params, hyperparams={"k": 5})
+    for x in rows:
+        alone = DetectorModel(kind="knn", space=_space_of_width("api_cluster", 24),
+                              params=params, hyperparams={"k": 5})
+        answer = confidence_from_dense(alone, x)
+        for before in rows:
+            confidence_from_dense(model, before)
+            assert confidence_from_dense(model, x) == answer == _reference_knn(model, x)
+            assert _knn_memory(model)[1].tobytes() == _knn_memory(alone)[1].tobytes()
+
+
+def test_knn_fractional_non_finite_and_large_rows_leave_the_remembered_row():
+    rng = np.random.default_rng(2)
+    model = DetectorModel(kind="knn", space=_space_of_width("binary", 6), hyperparams={"k": 3},
+                          params={"x": rng.integers(0, 2, (20, 6)).astype(float),
+                                  "y": rng.integers(0, 2, 20).astype(float)})
+    x = rng.integers(0, 2, 6).astype(float)
+    confidence_from_dense(model, x)
+    kept = _knn_memory(model)
+    for col, value in ((0, 0.5), (3, -0.25), (5, np.nan), (2, np.inf), (1, -np.inf),
+                       (4, 2.0 ** 25)):
+        other = x.copy()
+        other[col] = value
+        with np.errstate(invalid="ignore"):
+            answer = confidence_from_dense(model, other)
+        if np.isfinite(value) and value < 1:  # exact in both forms
+            assert answer == _reference_knn(model, other)
+        assert _knn_memory(model) is kept
+    # The row after them is scored from the remembered one as before.
+    other = x.copy()
+    other[0] = 1.0 - other[0]
+    assert confidence_from_dense(model, other) == _reference_knn(model, other)
+    assert np.array_equal(_knn_memory(model)[0], other)
+    # The kernel remembers a copy: writing to the row after asking leaves it.
+    other[1] = 1.0 - other[1]
+    confidence_from_dense(model, other)
+    d2 = np.sum(np.square(model.params["x"] - other), axis=1)
+    assert _knn_memory(model)[1].tobytes() == d2.tobytes()
+
+
+def test_knn_norm_kernel_holds_its_fit_rows_once_column_major():
+    model = train("knn", *_separable_rows(), seed=3)
+    assert model.kernel.func is _knn_by_norms
+    assert model.kernel.args[0] is model.params["x"]
+    assert model.params["x"].flags.f_contiguous
 
 
 def _random_tree(rng, width, depth):
