@@ -146,15 +146,21 @@ def obj(value, name: str) -> dict:
     return value
 
 
-def fields_of(cls, d, what: str, /, **readers) -> dict:
+def fields_of(cls, d, what: str, /, retired: tuple[str, ...] = (), **readers) -> dict:
     """The fields of dataclass ``cls`` that ``d``, an object named ``what``,
-    gives, each read by its entry in ``readers`` as ``read(value, field name)``.
-    A field ``d`` omits keeps its default, one with no default is a missing
-    key, and keys that are not fields are ignored."""
+    gives, each read by its entry in ``readers`` as ``read(value, field name)``
+    or, with no entry, taken as given for ``cls`` to check. A field ``d`` omits
+    keeps its default, one with no default is a missing key, a ``retired`` key
+    that older files hold is ignored, and any other key that is not a field is
+    a ValueError naming it."""
     d, given = obj(d, what), {}
+    unknown = sorted(set(d) - {f.name for f in fields(cls)} - set(retired))
+    if unknown:
+        raise ValueError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
     for f in fields(cls):
         if f.name in d:
-            given[f.name] = readers[f.name](d[f.name], f.name)
+            read = readers.get(f.name)
+            given[f.name] = d[f.name] if read is None else read(d[f.name], f.name)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f.name)
     return given

@@ -76,10 +76,9 @@ def _cmd_train(args) -> int:
 def _cmd_build_pset(args) -> int:
     catalog = load_catalog(args.catalog) if args.catalog else load_default_catalog()
     donors = load_corpus(args.corpus).donors if args.corpus else ()
-    pset = build_perturbation_set(catalog, donors, args.threshold)
+    pset = build_perturbation_set(catalog, donors)
     save_pset(pset, args.out)
-    print(f"built {len(pset)} perturbations in {len(pset.groups)} groups "
-          f"(threshold {args.threshold}); saved to {args.out}")
+    print(f"built {len(pset)} perturbations in {len(pset.groups)} groups; saved to {args.out}")
     return 0
 
 
@@ -151,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-pset", help="build the perturbation set")
     p.add_argument("--catalog", help="catalog JSON; bundled catalog when omitted")
     p.add_argument("--corpus", help="corpus whose donors provide injectables")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_pset)
 

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import (AndroidCatalog, flag, integer, items, load_default_catalog, obj,
+from .catalog import (AndroidCatalog, fields_of, flag, integer, items, load_default_catalog,
                       permission_pairs, read_document, string, strings)
 
 if TYPE_CHECKING:
@@ -294,12 +294,11 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
     return ApkModel(id=apk_id, manifest=manifest, code=code, ground_truth=cls)
 
 
-def generate_corpus(spec: CorpusSpec, catalog: AndroidCatalog | None = None) -> Corpus:
-    """Deterministically generate a labeled corpus plus a benign donor pool."""
-    if catalog is None:
-        catalog = load_default_catalog()
+def generate_corpus(spec: CorpusSpec) -> Corpus:
+    """Deterministically generate a labeled corpus plus a benign donor pool from
+    the bundled catalog."""
     rng = np.random.default_rng(spec.seed)
-    state = _GeneratorState(catalog, rng)
+    state = _GeneratorState(load_default_catalog(), rng)
 
     n_train_b = _train_count(spec.n_benign)
     n_train_m = _train_count(spec.n_malicious)
@@ -597,10 +596,7 @@ def spec_to_dict(spec: CorpusSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> CorpusSpec:
-    unknown = sorted(set(obj(d, "corpus spec")) - set(CorpusSpec.__dataclass_fields__))
-    if unknown:
-        raise ValueError(f"corpus spec: unknown key {', '.join(map(repr, unknown))}")
-    return CorpusSpec(**d)
+    return CorpusSpec(**fields_of(CorpusSpec, d, "corpus spec"))
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:

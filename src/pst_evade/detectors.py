@@ -459,7 +459,7 @@ def _forest_score(feature, threshold, left, right, vote, roots, steps: int,
     node = roots
     for _ in range(steps):
         node = child[node]
-    return float(np.mean(vote[node]))
+    return float(vote[node].sum()) / len(node)
 
 
 def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
@@ -588,8 +588,7 @@ _MAX_FEATURE = np.finfo(np.float64).max / 2
 
 
 def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
-          hyperparams: dict | None = None, seed: int = 0,
-          threshold: float = 0.5) -> DetectorModel:
+          hyperparams: dict | None = None, seed: int = 0) -> DetectorModel:
     """Train one detector on labeled rows of ``space``'s features, one row of
     ``x`` per label. Deterministic under a seed."""
     if kind == "ensemble":
@@ -626,11 +625,10 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
     else:
         params = _train_forest(x_fit, y_fit, hp, seed)
 
-    model = DetectorModel(kind=kind, space=space, params=params, hyperparams=hp,
-                          threshold=threshold)
+    model = DetectorModel(kind=kind, space=space, params=params, hyperparams=hp)
     eval_idx = hold_idx if len(hold_idx) > 0 else fit_idx
     preds = np.array([
-        1.0 if confidence_from_dense(model, x[i]) >= threshold else 0.0 for i in eval_idx
+        1.0 if confidence_from_dense(model, x[i]) >= model.threshold else 0.0 for i in eval_idx
     ])
     model.report = _metrics(y[eval_idx], preds, holdout=len(hold_idx) > 0)
     return model
@@ -688,9 +686,10 @@ def model_from_dict(doc: dict) -> DetectorModel:
             space = space_from_dict(obj(doc["space"], f"{kind} model: space"))
             if space.digest != doc["space_hash"]:
                 raise ValueError(f"{kind} model: space does not match its space_hash")
+        # Older model files' reports also hold a "tpr", a copy of recall.
         report = None if "report" not in doc else TrainReport(**fields_of(
-            TrainReport, doc["report"], f"{kind} model: report", precision=number,
-            recall=number, f1=number, holdout_size=integer, on_holdout=flag))
+            TrainReport, doc["report"], f"{kind} model: report", retired=("tpr",),
+            precision=number, recall=number, f1=number, holdout_size=integer, on_holdout=flag))
         members = tuple(map(model_from_dict, items(doc.get("members", []),
                                                    f"{kind} model: members")))
         return DetectorModel(kind=doc["kind"], space=space,

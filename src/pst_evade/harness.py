@@ -10,14 +10,14 @@ import csv
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
-from .catalog import fields_of, integer, integers, items, number, obj, string
+from .catalog import fields_of, integer, integers, items, string
 from .corpus import (API_FAMILY_COUNT, ApkModel, Corpus, CorpusSpec, load_corpus,
                      load_default_catalog)
 from .detectors import (
@@ -40,6 +40,9 @@ CSV_COLUMNS = ("sample_id", "detector", "algorithm", "budget", "seed",
 DEFAULT_BENCH_SPEC = CorpusSpec(n_benign=300, n_malicious=560, donor_count=100,
                                 seed=101)
 
+# Clusters of every api_cluster feature space a detector is trained on.
+CLUSTER_COUNT = 24
+
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -48,11 +51,7 @@ class DetectorSpec:
     name: str
     kind: str = "linear"
     features: str = "binary"
-    hyperparams: dict = field(default_factory=dict)
-    cluster_count: int = 24
     train_seed: int = 0
-    threshold: float = 0.5
-    ensemble_size: int = 20
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
@@ -69,7 +68,6 @@ class ExperimentConfig:
     budgets: tuple[int, ...] = (10, 20, 30, 40)
     sample_count: int = 100
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    similarity_threshold: float = 0.5
 
     def __post_init__(self):
         if len(self.detectors) == 0:
@@ -85,6 +83,13 @@ class ExperimentConfig:
             raise ValueError("experiment needs at least one seed")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        # A repeat would attack its cells twice, or, for a detector name, drop
+        # the first detector of that name.
+        for what, values in (("detector name", [d.name for d in self.detectors]),
+                             ("algorithm", list(self.algorithms)), ("seed", list(self.seeds))):
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{what} {repeated!r} is repeated")
 
 
 @dataclass(frozen=True)
@@ -199,8 +204,7 @@ def _corpus_api_ids(corpus: Corpus) -> list[str]:
     return sorted(ids)
 
 
-def _featurize(features: str, apks, corpus: Corpus, cluster_count: int,
-               seed: int) -> tuple[FeatureSpace, np.ndarray]:
+def _featurize(features: str, apks, corpus: Corpus, seed: int) -> tuple[FeatureSpace, np.ndarray]:
     """The feature space of a feature kind, built over ``apks`` and the corpus,
     and the (apps x features) matrix of ``apks`` in it."""
     if features == "binary":
@@ -209,7 +213,7 @@ def _featurize(features: str, apks, corpus: Corpus, cluster_count: int,
         space = FeatureSpace(features, family_count=API_FAMILY_COUNT)
     else:
         space = FeatureSpace(features, cluster_map=build_api_cluster_map(
-            _corpus_api_ids(corpus), cluster_count, seed))
+            _corpus_api_ids(corpus), CLUSTER_COUNT, seed))
     return space, np.stack([space.extract(a) for a in apks])
 
 
@@ -219,13 +223,10 @@ def train_detector(spec: DetectorSpec, corpus: Corpus,
     if train_apks is None:
         train_apks, _ = corpus.train_test_split()
     if spec.kind == "ensemble":
-        return make_default_ensemble(corpus, train_apks, seed=spec.train_seed,
-                                     size=spec.ensemble_size)
-    space, x = _featurize(spec.features, train_apks, corpus,
-                          spec.cluster_count, spec.train_seed)
+        return make_default_ensemble(corpus, train_apks, seed=spec.train_seed)
+    space, x = _featurize(spec.features, train_apks, corpus, spec.train_seed)
     labels = [a.ground_truth for a in train_apks]
-    return train(spec.kind, space, x, labels, hyperparams=dict(spec.hyperparams),
-                 seed=spec.train_seed, threshold=spec.threshold)
+    return train(spec.kind, space, x, labels, seed=spec.train_seed)
 
 
 # Member mix for the stock ensemble: mostly linear plus a spread of other
@@ -272,12 +273,12 @@ def make_default_ensemble(corpus: Corpus, train_apks=None, seed: int = 0,
             if api_ids is None:
                 api_ids = _corpus_api_ids(corpus)
             space = FeatureSpace(features, cluster_map=build_api_cluster_map(
-                api_ids, 24, member_seed))
+                api_ids, CLUSTER_COUNT, member_seed))
             distinct, inverse = np.unique(rows, return_inverse=True)
             x = np.stack([space.extract(train_apks[r]) for r in distinct])[inverse]
         else:
             if features not in full:
-                full[features] = _featurize(features, train_apks, corpus, 24, member_seed)
+                full[features] = _featurize(features, train_apks, corpus, member_seed)
             space, x = full[features]
             if features == "binary":
                 cols = np.flatnonzero(x[np.unique(rows)].any(axis=0))
@@ -372,8 +373,7 @@ def run_experiment(config: ExperimentConfig,
     train_apks, test_apks = corpus.train_test_split()
     if len({a.ground_truth for a in train_apks}) < 2:
         raise ValueError("corpus train split contains a single class")
-    pset = build_perturbation_set(load_default_catalog(), corpus.donors,
-                                  config.similarity_threshold)
+    pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     models = {spec.name: train_detector(spec, corpus, train_apks)
               for spec in config.detectors}
     malicious_test = [a for a in test_apks if a.ground_truth == "malicious"]
@@ -413,12 +413,10 @@ def detector_spec_to_dict(spec: DetectorSpec) -> dict:
 
 
 def detector_spec_from_dict(d: dict) -> DetectorSpec:
-    """Inverse of ``detector_spec_to_dict``; a field of the wrong JSON type is a
-    ValueError naming the field."""
-    return DetectorSpec(**fields_of(
-        DetectorSpec, d, "detector", name=string, kind=string, features=string,
-        hyperparams=obj, cluster_count=integer, train_seed=integer, threshold=number,
-        ensemble_size=integer))
+    """Inverse of ``detector_spec_to_dict``; a key that is not a field, or a field
+    of the wrong JSON type, is a ValueError naming it."""
+    return DetectorSpec(**fields_of(DetectorSpec, d, "detector", name=string, kind=string,
+                                    features=string, train_seed=integer))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -429,21 +427,19 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "budgets": list(config.budgets),
         "sample_count": config.sample_count,
         "seeds": list(config.seeds),
-        "similarity_threshold": config.similarity_threshold,
     }
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Inverse of ``config_to_dict``; keys it does not know, such as the
-    ``"workers"`` of older configs, are ignored. A field of the wrong JSON type
-    is a ValueError naming the field."""
+    """Inverse of ``config_to_dict``. The ``"workers"`` key of older configs is
+    ignored; any other key that is not a field, or a field of the wrong JSON
+    type, is a ValueError naming it."""
     return ExperimentConfig(**fields_of(
-        ExperimentConfig, d, "config",
+        ExperimentConfig, d, "config", retired=("workers",),
         detectors=lambda v, name: tuple(map(detector_spec_from_dict, items(v, name))),
         corpus_path=partial(string, null=True),
         algorithms=lambda v, name: tuple(items(v, name)),
-        budgets=integers, sample_count=integer, seeds=integers,
-        similarity_threshold=number))
+        budgets=integers, sample_count=integer, seeds=integers))
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:

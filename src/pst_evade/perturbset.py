@@ -26,10 +26,11 @@ if TYPE_CHECKING:
 
 INJECT_KINDS = ("inject_service", "inject_receiver", "inject_provider")
 
-DEFAULT_SIMILARITY_THRESHOLD = 0.5
+# Keyword similarity a pair of manifest groups must exceed to merge.
+SIMILARITY_THRESHOLD = 0.5
 
 # Version of the pset JSON layout; files of any other version are refused.
-PSET_FORMAT = 4
+PSET_FORMAT = 5
 
 _FEATURE_PREFIXES = ("android.hardware.", "android.software.")
 
@@ -75,7 +76,6 @@ class PerturbationGroup:
 class PerturbationSet:
     perturbations: tuple[Perturbation, ...]
     groups: tuple[PerturbationGroup, ...]
-    threshold: float
     # The selection tree the pst attacks copy, set by ``attack.reference_tree``.
     tree: PSTree | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -116,7 +116,7 @@ def keyword_similarity(c_i: PerturbationGroup, c_j: PerturbationGroup) -> float:
 
 
 def cluster_perturbations(perturbations: Sequence[Perturbation],
-                          threshold: float = DEFAULT_SIMILARITY_THRESHOLD
+                          threshold: float = SIMILARITY_THRESHOLD
                           ) -> list[PerturbationGroup]:
     """Greedy agglomerative merge: repeatedly merge the first pair (lexicographic
     enumeration over current positions) whose similarity strictly exceeds the
@@ -219,12 +219,11 @@ def _donor_perturbations(donors) -> list[Perturbation]:
     return out
 
 
-def build_perturbation_set(catalog: AndroidCatalog, donors=(),
-                           threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-                           ) -> PerturbationSet:
+def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSet:
     """One perturbation per eligible catalog entry (dangerous permissions are
     excluded) plus one injection per non-empty donor component; manifest
-    perturbations are then clustered per tree position."""
+    perturbations are then clustered per tree position at
+    ``SIMILARITY_THRESHOLD``."""
     perturbations = _manifest_perturbations(catalog) + _donor_perturbations(donors)
     if not perturbations:
         raise ValueError("no eligible catalog entries and no donor components")
@@ -240,9 +239,8 @@ def build_perturbation_set(catalog: AndroidCatalog, donors=(),
             groups.extend(PerturbationGroup(members=(p,), keywords=frozenset())
                           for p in bucket)
         else:
-            groups.extend(cluster_perturbations(bucket, threshold))
-    return PerturbationSet(perturbations=tuple(perturbations),
-                           groups=tuple(groups), threshold=threshold)
+            groups.extend(cluster_perturbations(bucket))
+    return PerturbationSet(perturbations=tuple(perturbations), groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,6 @@ def pset_to_dict(pset: PerturbationSet) -> dict:
     key_index = {p.key: i for i, p in enumerate(pset.perturbations)}
     return {
         "format": PSET_FORMAT,
-        "threshold": pset.threshold,
         "perturbations": [_perturbation_to_dict(p) for p in pset.perturbations],
         "groups": [{"members": [key_index[m.key] for m in g.members],
                     "keywords": sorted(g.keywords)} for g in pset.groups],
@@ -293,13 +290,10 @@ def pset_to_dict(pset: PerturbationSet) -> dict:
 
 
 def pset_from_dict(doc: dict) -> PerturbationSet:
-    """The pset in a document; a threshold outside (0, 1], keywords that are not
-    strings, malformed groups or payload components, an injection whose kind,
-    declaration and component disagree, a member index out of range or a
-    perturbation with no tree position raise a one-line ``ValueError``."""
-    threshold = doc["threshold"]
-    if type(threshold) not in (int, float) or not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold {json.dumps(threshold)} is not a number in (0, 1]")
+    """The pset in a document; keywords that are not strings, malformed groups or
+    payload components, an injection whose kind, declaration and component
+    disagree, a member index out of range or a perturbation with no tree
+    position raise a one-line ``ValueError``."""
     perturbations = tuple(map(_perturbation_from_dict,
                               items(doc["perturbations"], "perturbations")))
     for p in perturbations:
@@ -322,8 +316,7 @@ def pset_from_dict(doc: dict) -> PerturbationSet:
         groups.append(PerturbationGroup(
             members=tuple(perturbations[m] for m in g["members"]),
             keywords=frozenset(strings(g["keywords"], f"group {i} keywords"))))
-    return PerturbationSet(perturbations=perturbations, groups=tuple(groups),
-                           threshold=threshold)
+    return PerturbationSet(perturbations=perturbations, groups=tuple(groups))
 
 
 def save_pset(pset: PerturbationSet, path: str | Path) -> None:

@@ -17,7 +17,7 @@ from pst_evade.detectors import (
     model_to_dict,
 )
 from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
-from pst_evade.perturbset import DEFAULT_SIMILARITY_THRESHOLD, load_pset
+from pst_evade.perturbset import load_pset
 from pst_evade.pstree import tree_to_dict
 
 SPEC = CorpusSpec(n_benign=30, n_malicious=30, donor_count=10, seed=19)
@@ -117,11 +117,9 @@ def test_attack_writes_report(workdir, capsys):
 
 def test_attack_runs_on_the_pset_file_it_is_given(workdir):
     corpus_path, model_path = workdir / "corpus.json", workdir / "model.json"
-    pset_path, out = workdir / "pset_strict.json", workdir / "attack_strict.json"
-    assert main(["build-pset", "--corpus", str(corpus_path), "--threshold", "0.9",
-                 "--out", str(pset_path)]) == 0
+    pset_path, out = workdir / "pset_manifest.json", workdir / "attack_manifest.json"
+    assert main(["build-pset", "--out", str(pset_path)]) == 0
     pset = load_pset(pset_path)
-    assert pset.threshold != DEFAULT_SIMILARITY_THRESHOLD
     assert len(pset.groups) != len(load_pset(workdir / "pset.json").groups)
     assert main(["attack", "--corpus", str(corpus_path), "--model", str(model_path),
                  "--pset", str(pset_path), "--budget", "6", "--samples", "3",
@@ -423,7 +421,6 @@ _PROBES = {
     "pset-payload-edges-odd-bytes": ("--pset", "pset.json",
                                      lambda d: _first_payload(d)["component"]["edges"].update(
                                          dtype="<u2", data="AAAA")),
-    "pset-threshold-string": ("--pset", "pset.json", lambda d: d.update(threshold="x")),
     "model-weights-string": ("--model", "model.json",
                              lambda d: d["params"].update(w="abc")),
     "model-weights-list-of-strings": ("--model", "model.json", _weights_as_strings),
@@ -438,6 +435,8 @@ _PROBES = {
     "config-without-detectors": ("--config", "bench.json", lambda d: d.pop("detectors")),
     "config-budgets-string": ("--config", "bench.json", lambda d: d.update(budgets="x")),
     "config-seeds-string": ("--config", "bench.json", lambda d: d.update(seeds="01")),
+    "config-detector-cluster-count": ("--config", "bench.json",
+                                      lambda d: d["detectors"][0].update(cluster_count=24)),
     "compare-report-without-grid": ("--reports", None, {"config": {}}),
     # Each of these loaded before the field readers: a string was split into
     # characters, a number was coerced or carried, an unknown level was kept.
@@ -511,6 +510,7 @@ _PROBE_FIELDS = {
     "model-forest-split-on-a-flag": "forest model: split feature is true, not an integer",
     "config-corpus-path-number": "corpus_path is 5, not a string or null",
     "config-detector-name-number": "name is 5, not a string",
+    "config-detector-cluster-count": "detector: unknown key 'cluster_count'",
     "pset-payload-declared-kind-bogus": "kinds disagree: inject_service, declared bogus",
     "pset-service-declared-activity": (
         "kinds disagree: inject_service, declared activity, code service"),

@@ -151,6 +151,14 @@ def test_config_validation():
         _mini_config(algorithms=("pst", "gradient"))
     with pytest.raises(ValueError):
         _mini_config(sample_count=0)
+    # Two detectors of one name would collapse into one model, and a repeated
+    # algorithm or seed would attack every sample of its cells twice.
+    with pytest.raises(ValueError, match="detector name 'a' is repeated"):
+        _mini_config(detectors=(DetectorSpec(name="a"), DetectorSpec(name="a", kind="knn")))
+    with pytest.raises(ValueError, match="algorithm 'pst' is repeated"):
+        _mini_config(algorithms=("pst", "mab", "pst"))
+    with pytest.raises(ValueError, match="seed 0 is repeated"):
+        _mini_config(seeds=(0, 1, 0))
 
 
 def test_detector_spec_validation():
@@ -163,8 +171,7 @@ def test_detector_spec_validation():
 def test_config_round_trip():
     cfg = _mini_config(corpus_path="corpus.json",
                        detectors=(DetectorSpec(name="f", kind="forest",
-                                               features="markov",
-                                               hyperparams={"trees": 8}),))
+                                               features="markov", train_seed=3),))
     assert config_from_dict(config_to_dict(cfg)) == cfg
     spec = cfg.detectors[0]
     assert detector_spec_from_dict(detector_spec_to_dict(spec)) == spec
@@ -194,24 +201,23 @@ def test_config_from_dict_ignores_an_old_workers_key():
     ({"sample_count": True}, "sample_count is true, not an integer"),
     ({"sample_count": "5"}, 'sample_count is "5", not an integer'),
     ({"sample_count": 2.9}, "sample_count is 2.9, not an integer"),
-    ({"similarity_threshold": "0.5"}, 'similarity_threshold is "0.5", not a number'),
-    ({"similarity_threshold": True}, "similarity_threshold is true, not a number"),
-    ({"detectors": [{"name": "linear", "cluster_count": "24"}]},
-     'cluster_count is "24", not an integer'),
-    ({"detectors": [{"name": "linear", "cluster_count": 24.0}]},
-     "cluster_count is 24.0, not an integer"),
+    # Settings that are now constants, and a misspelt field, are unknown keys.
+    ({"similarity_threshold": 0.5}, "config: unknown key 'similarity_threshold'"),
+    ({"budget": [10]}, "config: unknown key 'budget'"),
+    ({"detectors": [{"name": "linear", "cluster_count": 24}]},
+     "detector: unknown key 'cluster_count'"),
+    ({"detectors": [{"name": "linear", "hyperparams": {}}]},
+     "detector: unknown key 'hyperparams'"),
     ({"detectors": [{"name": "linear", "train_seed": 2.9}]},
      "train_seed is 2.9, not an integer"),
     ({"detectors": [{"name": "linear", "train_seed": False}]},
      "train_seed is false, not an integer"),
-    ({"detectors": [{"name": "linear", "ensemble_size": "3"}]},
-     'ensemble_size is "3", not an integer'),
-    ({"detectors": [{"name": "linear", "ensemble_size": True}]},
-     "ensemble_size is true, not an integer"),
-    ({"detectors": [{"name": "linear", "threshold": "0.5"}]},
-     'threshold is "0.5", not a number'),
-    ({"detectors": [{"name": "linear", "threshold": True}]},
-     "threshold is true, not a number"),
+    ({"detectors": [{"name": "linear", "ensemble_size": 20}]},
+     "detector: unknown key 'ensemble_size'"),
+    ({"detectors": [{"name": "linear", "threshold": 0.5}]},
+     "detector: unknown key 'threshold'"),
+    # Only a config's own old "workers" key is dropped.
+    ({"detectors": [{"name": "linear", "workers": 2}]}, "detector: unknown key 'workers'"),
 ])
 def test_config_from_dict_refuses_a_field_of_the_wrong_type(change, message):
     with pytest.raises(ValueError) as exc:
@@ -293,8 +299,7 @@ def test_true_positive_pool_shortfall_is_an_error(small_corpus):
 def _per_budget_rows(config, corpus):
     """The grid the slow way: a separate attack for every budget."""
     train_apks, test_apks = corpus.train_test_split()
-    pset = build_perturbation_set(load_default_catalog(), corpus.donors,
-                                  config.similarity_threshold)
+    pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     malicious = [a for a in test_apks if a.ground_truth == "malicious"]
     rows = []
     for spec in config.detectors:

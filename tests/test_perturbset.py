@@ -318,17 +318,20 @@ def _first_payload(doc):
 def test_pset_file_round_trip(tmp_path, full_pset):
     path = tmp_path / "pset.json"
     save_pset(full_pset, path)
-    assert json.loads(path.read_text())["format"] == 4
+    doc = json.loads(path.read_text())
+    assert doc["format"] == 5 and "threshold" not in doc
     assert pset_to_dict(load_pset(path)) == pset_to_dict(full_pset)
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 3, 5])
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 6])
 def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
     def corrupt(doc):
         if found is None:
             del doc["format"]  # written before pset files were versioned
         else:
             doc["format"] = found
+        if found == 4:
+            doc["threshold"] = 0.5  # format 4 recorded the clustering threshold
     path = _pset_file(tmp_path, full_pset, corrupt)
     with pytest.raises(ValueError) as exc:
         load_pset(path)
@@ -426,10 +429,6 @@ def test_load_pset_refuses_malformed_groups(tmp_path, full_pset, corrupt, needle
 
 
 @pytest.mark.parametrize("corrupt,needle", [
-    (lambda doc: doc.update(threshold="x"), ': threshold "x" is not a number in (0, 1]'),
-    (lambda doc: doc.update(threshold=0), ": threshold 0 is not a number in (0, 1]"),
-    (lambda doc: doc.update(threshold=1.5), ": threshold 1.5 is not a number in (0, 1]"),
-    (lambda doc: doc.update(threshold=True), ": threshold true is not a number in (0, 1]"),
     (lambda doc: _first_permission(doc).update(keywords="SMS"),
      ": permission keywords are not a list of strings"),
     (lambda doc: doc["groups"][0].update(keywords=[7]),
