@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import (fields_of, flag, integer, items, number, numbers, obj, read_document,
-                      strings)
+                      string, strings)
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
@@ -38,6 +38,14 @@ LABELS = ("benign", "malicious")
 
 # Version of the model JSON layout; files of any other version are refused.
 MODEL_FORMAT = 3
+
+# A scorer (every kind but an ensemble) fires at a confidence of THRESHOLD.
+# Training holds out HOLDOUT_FRACTION of each class and fits with these settings.
+THRESHOLD, HOLDOUT_FRACTION = 0.5, 0.25
+LINEAR_LR, LINEAR_ITERS, LINEAR_L2 = 0.5, 400, 1e-3
+MLP_HIDDEN, MLP_LR, MLP_EPOCHS = 32, 0.01, 300
+FOREST_TREES, FOREST_MAX_DEPTH, FOREST_MIN_LEAF = 32, 8, 2
+KNN_K = 3
 
 
 @dataclass(frozen=True)
@@ -163,8 +171,6 @@ class DetectorModel:
     kind: str
     space: FeatureSpace | None
     params: dict
-    hyperparams: dict
-    threshold: float = 0.5
     report: TrainReport | None = None
     members: tuple["DetectorModel", ...] = ()
     # x -> malicious confidence; built from ``params``, never serialized.
@@ -178,7 +184,7 @@ class DetectorModel:
                              "and every other model has one")
         if self.kind == "ensemble" and not self.members:
             raise ValueError("ensemble model: has no members")
-        self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params, self.hyperparams)
+        self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params)
 
     @cached_property
     def spaces(self) -> tuple[FeatureSpace, ...]:
@@ -209,38 +215,32 @@ def _encode_labels(labels: Sequence[str]) -> np.ndarray:
 # Per-kind training
 
 
-def _train_linear(x: np.ndarray, y: np.ndarray, hp: dict) -> dict:
-    lr = number(hp.get("lr", 0.5), "linear model: hyperparams.lr")
-    iters = integer(hp.get("iters", 400), "linear model: hyperparams.iters")
-    l2 = number(hp.get("l2", 1e-3), "linear model: hyperparams.l2")
+def _train_linear(x: np.ndarray, y: np.ndarray) -> dict:
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
-    for _ in range(iters):
+    for _ in range(LINEAR_ITERS):
         p = _sigmoid(x @ w + b)
         err = p - y
-        gw = x.T @ err / n + l2 * w
+        gw = x.T @ err / n + LINEAR_L2 * w
         gb = float(err.mean())
-        w -= lr * gw
-        b -= lr * gb
+        w -= LINEAR_LR * gw
+        b -= LINEAR_LR * gb
     return {"w": w, "b": b}
 
 
-def _train_mlp(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
-    hidden = integer(hp.get("hidden", 32), "mlp model: hyperparams.hidden")
-    lr = number(hp.get("lr", 0.01), "mlp model: hyperparams.lr")
-    epochs = integer(hp.get("epochs", 300), "mlp model: hyperparams.epochs")
+def _train_mlp(x: np.ndarray, y: np.ndarray, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     n, d = x.shape
-    w1 = rng.normal(0.0, 1.0 / max(1.0, math.sqrt(d)), size=(d, hidden))
-    b1 = np.zeros(hidden)
-    w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), size=hidden)
+    w1 = rng.normal(0.0, 1.0 / max(1.0, math.sqrt(d)), size=(d, MLP_HIDDEN))
+    b1 = np.zeros(MLP_HIDDEN)
+    w2 = rng.normal(0.0, 1.0 / math.sqrt(MLP_HIDDEN), size=MLP_HIDDEN)
     b2 = 0.0
     # Adam, full batch.
     ms = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
     vs = [np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2), 0.0]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    for t in range(1, epochs + 1):
+    for t in range(1, MLP_EPOCHS + 1):
         h = np.tanh(x @ w1 + b1)
         p = _sigmoid(h @ w2 + b2)
         err = (p - y) / n
@@ -256,7 +256,7 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
             vs[i] = beta2 * vs[i] + (1 - beta2) * (g * g if i == 3 else np.square(g))
             mhat = ms[i] / (1 - beta1 ** t)
             vhat = vs[i] / (1 - beta2 ** t)
-            new_params.append(param - lr * mhat / (np.sqrt(vhat) + eps))
+            new_params.append(param - MLP_LR * mhat / (np.sqrt(vhat) + eps))
         w1, b1, w2, b2 = new_params
         b2 = float(b2)
     return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
@@ -329,19 +329,15 @@ def _build_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
     }
 
 
-def _train_forest(x: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
-    n_trees = integer(hp.get("trees", 32), "forest model: hyperparams.trees")
-    max_depth = integer(hp.get("max_depth", 8), "forest model: hyperparams.max_depth")
-    min_leaf = integer(hp.get("min_leaf", 2), "forest model: hyperparams.min_leaf")
-    if min_leaf < 1:
-        raise ValueError(f"forest min_leaf must be >= 1, got {min_leaf}")
+def _train_forest(x: np.ndarray, y: np.ndarray, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     n, d = x.shape
     n_feats = max(1, int(math.sqrt(d)))
     trees = []
-    for _ in range(n_trees):
+    for _ in range(FOREST_TREES):
         boot = rng.integers(0, n, n)
-        trees.append(_build_tree(x, y, boot, 0, max_depth, min_leaf, n_feats, rng))
+        trees.append(_build_tree(x, y, boot, 0, FOREST_MAX_DEPTH, FOREST_MIN_LEAF, n_feats,
+                                 rng))
     return {"trees": trees}
 
 
@@ -361,7 +357,7 @@ def _linear_score(w: np.ndarray, b: float, x: np.ndarray) -> float:
     return _scalar_sigmoid(float(np.dot(w, x)) + b)
 
 
-def _linear_kernel(space: FeatureSpace, p: dict, hp: dict):
+def _linear_kernel(space: FeatureSpace, p: dict):
     if np.shape(p["w"]) != (space.width,):
         raise _shape_error("linear", "weights w", np.shape(p["w"]), space)
     return partial(_linear_score, p["w"], p["b"])
@@ -372,7 +368,7 @@ def _mlp_score(w1, b1, w2, b2, x: np.ndarray) -> float:
     return _scalar_sigmoid(float(h @ w2) + b2)
 
 
-def _mlp_kernel(space: FeatureSpace, p: dict, hp: dict):
+def _mlp_kernel(space: FeatureSpace, p: dict):
     if np.ndim(p["w1"]) != 2 or len(p["w1"]) != space.width:
         raise _shape_error("mlp", "weights w1", np.shape(p["w1"]), space)
     hidden = np.shape(p["w1"])[1]
@@ -429,10 +425,9 @@ def _knn_by_norms(train_x, sq, train_y, k: int, last: list, x: np.ndarray) -> fl
     return _nearest_vote(d2, train_y, k)
 
 
-def _knn_kernel(space: FeatureSpace, p: dict, hp: dict):
+def _knn_kernel(space: FeatureSpace, p: dict):
     """On integer spaces whose fit rows are integers, ``_knn_by_norms``; its
     fit rows are ``params["x"]`` made column-major, one copy for both."""
-    k = integer(hp.get("k", 3), "knn model: hyperparams.k")
     train_x = np.asarray(p["x"], dtype=np.float64)
     train_y = np.asarray(p["y"], dtype=np.float64)
     if train_x.ndim != 2 or train_x.shape[1] != space.width:
@@ -440,15 +435,15 @@ def _knn_kernel(space: FeatureSpace, p: dict, hp: dict):
     n = len(train_x)
     if train_y.shape != (n,) or not np.isin(train_y, (0.0, 1.0)).all():
         raise ValueError(f"knn model: y must hold one 0/1 label for each of the {n} fit rows")
-    if not 1 <= k <= n:
-        raise ValueError(f"knn model: k={k} is not between 1 and the {n} fit rows")
+    if not 1 <= KNN_K <= n:
+        raise ValueError(f"knn model: k={KNN_K} is not between 1 and the {n} fit rows")
     # No matrix-sized temporaries here: they would raise the peak memory of a load.
     sq = np.einsum("ij,ij->i", train_x, train_x)
     if (space.kind in _INTEGER_SPACES and sq.max() < 2.0 ** 52
             and all(np.array_equal(row, np.trunc(row)) for row in train_x)):
         p["x"] = train_x = np.asfortranarray(train_x)
-        return partial(_knn_by_norms, train_x, sq, train_y, k, [(None, None)])
-    return partial(_knn_by_difference, train_x, train_y, k)
+        return partial(_knn_by_norms, train_x, sq, train_y, KNN_K, [(None, None)])
+    return partial(_knn_by_difference, train_x, train_y, KNN_K)
 
 
 def _forest_score(feature, threshold, left, right, vote, roots, steps: int,
@@ -462,7 +457,7 @@ def _forest_score(feature, threshold, left, right, vote, roots, steps: int,
     return float(vote[node].sum()) / len(node)
 
 
-def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
+def _forest_kernel(space: FeatureSpace, p: dict):
     """Flatten the dict trees breadth first into per-node arrays."""
     width = space.width
     nodes = list(p["trees"])
@@ -496,16 +491,12 @@ def _forest_kernel(space: FeatureSpace, p: dict, hp: dict):
                    np.array(vote, dtype=np.intp), roots, max(depth, default=0))
 
 
-def _ensemble_kernel(space: None, p: dict, hp: dict):
-    return _ensemble_score
-
-
 def _ensemble_score(x: np.ndarray) -> float:
     raise ValueError("no dense confidence for kind: ensemble; query its members")
 
 
 _KERNEL_BUILDERS = {"linear": _linear_kernel, "mlp": _mlp_kernel, "knn": _knn_kernel,
-                    "forest": _forest_kernel, "ensemble": _ensemble_kernel}
+                    "forest": _forest_kernel, "ensemble": lambda space, p: _ensemble_score}
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +514,7 @@ def score(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> Feed
     flagged malicious when any member fires."""
     if model.kind != "ensemble":
         conf = confidence_from_dense(model, rows[model.space])
-        return Feedback(label="malicious" if conf >= model.threshold else "benign",
+        return Feedback(label="malicious" if conf >= THRESHOLD else "benign",
                         confidence=conf)
     conf = sum(_fires(m, rows) for m in model.members) / len(model.members)
     return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
@@ -534,7 +525,7 @@ def _fires(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> boo
     any of its members does."""
     if model.kind == "ensemble":
         return any(_fires(m, rows) for m in model.members)
-    return confidence_from_dense(model, rows[model.space]) >= model.threshold
+    return confidence_from_dense(model, rows[model.space]) >= THRESHOLD
 
 
 def query(model: DetectorModel, apk: ApkModel,
@@ -549,23 +540,21 @@ def query(model: DetectorModel, apk: ApkModel,
 
 
 def make_ensemble(members: Sequence[DetectorModel]) -> DetectorModel:
-    return DetectorModel(kind="ensemble", space=None, params={},
-                         hyperparams={"members": len(members)}, threshold=0.0,
-                         members=tuple(members))
+    return DetectorModel(kind="ensemble", space=None, params={}, members=tuple(members))
 
 
 # ---------------------------------------------------------------------------
 # Training entry point
 
 
-def _holdout_split(y: np.ndarray, seed: int, fraction: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+def _holdout_split(y: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed ^ 0x5EED)
     fit_idx: list[int] = []
     hold_idx: list[int] = []
     for cls in (0.0, 1.0):
         cls_idx = np.flatnonzero(y == cls)
         cls_idx = cls_idx[rng.permutation(len(cls_idx))]
-        n_hold = int(round(len(cls_idx) * fraction)) if len(cls_idx) >= 4 else 0
+        n_hold = int(round(len(cls_idx) * HOLDOUT_FRACTION)) if len(cls_idx) >= 4 else 0
         hold_idx.extend(cls_idx[:n_hold].tolist())
         fit_idx.extend(cls_idx[n_hold:].tolist())
     return np.array(sorted(fit_idx), dtype=int), np.array(sorted(hold_idx), dtype=int)
@@ -588,7 +577,7 @@ _MAX_FEATURE = np.finfo(np.float64).max / 2
 
 
 def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
-          hyperparams: dict | None = None, seed: int = 0) -> DetectorModel:
+          seed: int = 0) -> DetectorModel:
     """Train one detector on labeled rows of ``space``'s features, one row of
     ``x`` per label. Deterministic under a seed."""
     if kind == "ensemble":
@@ -605,7 +594,6 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
     if not (np.abs(x) <= _MAX_FEATURE).all():
         raise ValueError(f"{kind} detector: feature rows hold NaN, infinite or "
                          f"out-of-range values (|v| > {_MAX_FEATURE:.4g})")
-    hp = dict(hyperparams or {})
     y = _encode_labels(labels)
     if len(set(labels)) < 2:
         raise ValueError("training set must contain both classes")
@@ -614,21 +602,18 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
     x_fit, y_fit = x[fit_idx], y[fit_idx]
 
     if kind == "knn":
-        k = integer(hp.get("k", 3), "knn model: hyperparams.k")
-        if k % 2 == 0:
-            raise ValueError("knn neighbor count must be odd")
         params = {"x": x_fit, "y": y_fit}
     elif kind == "linear":
-        params = _train_linear(x_fit, y_fit, hp)
+        params = _train_linear(x_fit, y_fit)
     elif kind == "mlp":
-        params = _train_mlp(x_fit, y_fit, hp, seed)
+        params = _train_mlp(x_fit, y_fit, seed)
     else:
-        params = _train_forest(x_fit, y_fit, hp, seed)
+        params = _train_forest(x_fit, y_fit, seed)
 
-    model = DetectorModel(kind=kind, space=space, params=params, hyperparams=hp)
+    model = DetectorModel(kind=kind, space=space, params=params)
     eval_idx = hold_idx if len(hold_idx) > 0 else fit_idx
     preds = np.array([
-        1.0 if confidence_from_dense(model, x[i]) >= model.threshold else 0.0 for i in eval_idx
+        1.0 if confidence_from_dense(model, x[i]) >= THRESHOLD else 0.0 for i in eval_idx
     ])
     model.report = _metrics(y[eval_idx], preds, holdout=len(hold_idx) > 0)
     return model
@@ -655,12 +640,19 @@ def _digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _fixed_settings(kind: str, member_count: int) -> dict:
+    """The ``threshold`` and ``hyperparams`` a model file records, fixed by its
+    kind: a scorer fires at THRESHOLD and an ensemble when any member fires."""
+    if kind == "ensemble":
+        return {"threshold": 0.0, "hyperparams": {"members": member_count}}
+    return {"threshold": THRESHOLD, "hyperparams": {}}
+
+
 def model_to_dict(model: DetectorModel) -> dict:
     doc = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
-        "threshold": model.threshold,
-        "hyperparams": model.hyperparams,
+        **_fixed_settings(model.kind, len(model.members)),
         "params": _params_to_jsonable(model.params),
     }
     if model.space is not None:
@@ -675,11 +667,12 @@ def model_to_dict(model: DetectorModel) -> dict:
 
 def model_from_dict(doc: dict) -> DetectorModel:
     """Inverse of ``model_to_dict``; raises a one-line ValueError naming the kind
-    when a key is missing, a number or an object is not one, or the model's or an
+    when a key is missing, a number or an object is not one, the ``threshold`` or
+    ``hyperparams`` is not the one its kind records, or the model's or an
     ensemble member's feature space does not match the ``space_hash`` recorded
     beside it."""
     doc = obj(doc, "model")
-    kind = doc.get("kind", "detector")
+    kind = string(doc.get("kind", "detector"), "model kind")
     try:
         space = None
         if kind != "ensemble":
@@ -692,11 +685,15 @@ def model_from_dict(doc: dict) -> DetectorModel:
             precision=number, recall=number, f1=number, holdout_size=integer, on_holdout=flag))
         members = tuple(map(model_from_dict, items(doc.get("members", []),
                                                    f"{kind} model: members")))
+        found = {"threshold": number(doc["threshold"], f"{kind} model: threshold"),
+                 "hyperparams": obj(doc["hyperparams"], f"{kind} model: hyperparams")}
+        for name, fixed in _fixed_settings(kind, len(members)).items():
+            if json.dumps(found[name]) != json.dumps(fixed):
+                raise ValueError(f"{kind} model: {name} is {json.dumps(found[name])}, "
+                                 f"not {json.dumps(fixed)}")
         return DetectorModel(kind=doc["kind"], space=space,
                              params=_params_from_jsonable(
                                  doc["kind"], obj(doc["params"], f"{kind} model: params")),
-                             hyperparams=obj(doc["hyperparams"], f"{kind} model: hyperparams"),
-                             threshold=number(doc["threshold"], f"{kind} model: threshold"),
                              report=report, members=members)
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None

@@ -298,6 +298,8 @@ def make_default_ensemble(corpus: Corpus, train_apks=None, seed: int = 0,
 def select_true_positives(model: DetectorModel, candidates, count: int,
                            master_seed: int, detector_name: str):
     """First `count` detected malicious samples in seed-shuffled order."""
+    if count < 1:
+        raise ValueError(f"true-positive count must be >= 1, got {count}")
     pool = list(candidates)
     random.Random(master_seed).shuffle(pool)
     cap = min(len(pool), 10 * count)

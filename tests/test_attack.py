@@ -261,7 +261,7 @@ def test_single_flip_found_by_tree_search():
     keys = ("perm:android.permission.AAA_X", "perm:android.permission.BASE")
     model = DetectorModel(
         kind="linear", space=FeatureSpace("binary", keys=keys),
-        params={"w": np.array([-6.0, 3.0]), "b": 0.0}, hyperparams={})
+        params={"w": np.array([-6.0, 3.0]), "b": 0.0})
     base = apk(perms=[("android.permission.BASE", "normal")])
 
     flips = []

@@ -231,7 +231,8 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
     elif case == "ensemble_without_members":
         model = broken = workdir / "ensemble_without_members.json"
         model.write_text(json.dumps({"format": MODEL_FORMAT, "kind": "ensemble", "params": {},
-                                     "hyperparams": {}, "threshold": 0.0, "members": []}))
+                                     "hyperparams": {"members": 0}, "threshold": 0.0,
+                                     "members": []}))
     elif case == "truncated_pset":
         pset = broken = _truncated_copy(pset, workdir / "truncated_pset.json")
     else:
@@ -278,14 +279,14 @@ def test_model_with_bad_scoring_params_is_refused_in_one_line(workdir, capsys, k
     space = FeatureSpace("binary", keys=("perm:P", "perm:Q"))
     model_kind = kind.split("-")[0]
     params = {
-        "knn": {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "y": np.array([0.0, 1.0])},
+        "knn": {"x": np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+                "y": np.array([0.0, 1.0, 1.0])},
         "forest": {"trees": [{"leaf": False, "feature": 1, "threshold": 0.5,
                               "left": {"leaf": True, "vote": 0},
                               "right": {"leaf": True, "vote": 1}}]},
         "linear": {"w": np.array([1.0, -1.0]), "b": 0.0},
     }[model_kind]
-    doc = model_to_dict(DetectorModel(kind=model_kind, space=space, hyperparams={"k": 1},
-                                      params=params))
+    doc = model_to_dict(DetectorModel(kind=model_kind, space=space, params=params))
     _BAD_PARAMS[kind](doc)
     model = workdir / f"bad_{kind}.json"
     model.write_text(json.dumps(doc))
@@ -295,6 +296,17 @@ def test_model_with_bad_scoring_params_is_refused_in_one_line(workdir, capsys, k
     err = capsys.readouterr().err
     # attack reads three files: the error names the model file first.
     assert err == f"pst-evade: error: {model}: {needle}\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_attack_refuses_a_sample_count_below_one(workdir, capsys, samples):
+    args = _attack_args(workdir, workdir / "corpus.json", workdir / "model.json",
+                        workdir / "pset.json")
+    args[args.index("--samples") + 1] = samples
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"pst-evade: error: true-positive count must be >= 1, got {samples}\n")
 
 
 def _truncated_copy(source, dest):
@@ -378,6 +390,13 @@ def _weights_as_strings(model):
     model["params"]["w"] = ["x"] * len(model["params"]["w"])
 
 
+def _ensemble_of_one_claiming_two(model):
+    member = dict(model)
+    model.update(kind="ensemble", params={}, threshold=0.0, hyperparams={"members": 2},
+                 members=[member])
+    del model["space"], model["space_hash"]
+
+
 BUNDLED_CATALOG = Path(pst_evade.__file__).parent / "data" / "android_catalog.json"
 
 
@@ -424,6 +443,7 @@ _PROBES = {
     "model-weights-string": ("--model", "model.json",
                              lambda d: d["params"].update(w="abc")),
     "model-weights-list-of-strings": ("--model", "model.json", _weights_as_strings),
+    "model-kind-list": ("--model", "model.json", lambda d: d.update(kind=["linear"])),
     "catalog-unknown-protection-level": ("--catalog", BUNDLED_CATALOG,
                                          _unknown_protection_level),
     "catalog-permissions-number": ("--catalog", BUNDLED_CATALOG,
@@ -474,6 +494,14 @@ _PROBES = {
     "model-knn-k-string": ("--model", "model.json",
                            lambda d: d.update(kind="knn", hyperparams={"k": "3"},
                                               params={"x": [[0.0]], "y": [0.0]})),
+    # Each of these set a training or decision setting, and loaded.
+    "model-hyperparams-even-k": ("--model", "model.json",
+                                 lambda d: d.update(hyperparams={"k": 4})),
+    "model-hyperparams-unknown": ("--model", "model.json",
+                                  lambda d: d.update(hyperparams={"bogus": 1})),
+    "model-threshold-above-one": ("--model", "model.json", lambda d: d.update(threshold=1.5)),
+    "model-ensemble-members-miscounted": ("--model", "model.json",
+                                          _ensemble_of_one_claiming_two),
     "model-forest-split-on-a-flag": ("--model", "model.json",
                                      lambda d: d.update(kind="forest", hyperparams={},
                                                         params={"trees": [_SPLIT_ON_A_FLAG]})),
@@ -506,7 +534,13 @@ _PROBE_FIELDS = {
     "catalog-hardware-features-string": "hardware_features are not a list of strings",
     "model-space-keys-string": "space keys are not a list of strings",
     "model-cluster-count-string": 'cluster_count is "3", not an integer',
-    "model-knn-k-string": 'knn model: hyperparams.k is "3", not an integer',
+    "model-knn-k-string": 'knn model: hyperparams is {"k": "3"}, not {}',
+    "model-kind-list": 'model kind is ["linear"], not a string',
+    "model-hyperparams-even-k": 'linear model: hyperparams is {"k": 4}, not {}',
+    "model-hyperparams-unknown": 'linear model: hyperparams is {"bogus": 1}, not {}',
+    "model-threshold-above-one": "linear model: threshold is 1.5, not 0.5",
+    "model-ensemble-members-miscounted": (
+        'ensemble model: hyperparams is {"members": 2}, not {"members": 1}'),
     "model-forest-split-on-a-flag": "forest model: split feature is true, not an integer",
     "config-corpus-path-number": "corpus_path is 5, not a string or null",
     "config-detector-name-number": "name is 5, not a string",

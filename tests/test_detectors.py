@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from apk_builders import apk
+from pst_evade import detectors
 from pst_evade.attack import AttackConfig, run_attack
 from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import CodeGraph
@@ -44,10 +45,9 @@ def _binary_space(keys=("perm:P",)):
     return FeatureSpace("binary", keys=tuple(keys))
 
 
-def _linear_model(w, b, keys=("perm:P",), threshold=0.5):
+def _linear_model(w, b, keys=("perm:P",)):
     return DetectorModel(kind="linear", space=_binary_space(keys),
-                         params={"w": np.array(w, dtype=float), "b": float(b)},
-                         hyperparams={}, threshold=threshold)
+                         params={"w": np.array(w, dtype=float), "b": float(b)})
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +67,8 @@ def test_linear_query_labels_against_threshold():
     fb = query(model, apk(perms=[("P", "normal")]))
     assert fb.label == "malicious"
     assert fb.confidence == pytest.approx(SIGMOID_1, abs=1e-12)
-    strict = _linear_model([1.0], 0.0, threshold=0.9)
-    assert query(strict, apk(perms=[("P", "normal")])).label == "benign"
+    assert query(model, apk()).label == "malicious"  # confidence exactly 0.5
+    assert query(_linear_model([1.0], -1e-9), apk()).label == "benign"
 
 
 def test_scalar_sigmoid_equals_array_sigmoid_bit_for_bit():
@@ -84,23 +84,22 @@ def test_knn_vote_fraction():
     model = DetectorModel(
         kind="knn", space=_binary_space(),
         params={"x": np.array([[0.0], [0.2], [0.4], [5.0], [6.0]]),
-                "y": np.array([1.0, 0.0, 1.0, 0.0, 0.0])},
-        hyperparams={"k": 3})
+                "y": np.array([1.0, 0.0, 1.0, 0.0, 0.0])})
     assert confidence_from_dense(model, np.array([0.1])) == pytest.approx(2 / 3)
 
 
-def test_knn_ties_resolve_by_lowest_index():
+def test_knn_ties_resolve_by_lowest_index(monkeypatch):
+    monkeypatch.setattr(detectors, "KNN_K", 1)
     model = DetectorModel(
         kind="knn", space=_binary_space(),
-        params={"x": np.array([[0.0], [2.0]]), "y": np.array([1.0, 0.0])},
-        hyperparams={"k": 1})
+        params={"x": np.array([[0.0], [2.0]]), "y": np.array([1.0, 0.0])})
     assert confidence_from_dense(model, np.array([1.0])) == 1.0
 
 
 def test_forest_vote_fraction():
     trees = [{"leaf": True, "vote": 1}] + [{"leaf": True, "vote": 0}] * 3
     model = DetectorModel(kind="forest", space=_binary_space(),
-                          params={"trees": trees}, hyperparams={})
+                          params={"trees": trees})
     assert confidence_from_dense(model, np.array([0.0])) == 0.25
     assert query(model, apk(perms=[("P", "normal")])).label == "benign"
 
@@ -109,7 +108,7 @@ def test_forest_split_navigation():
     tree = {"leaf": False, "feature": 0, "threshold": 0.5,
             "left": {"leaf": True, "vote": 0}, "right": {"leaf": True, "vote": 1}}
     model = DetectorModel(kind="forest", space=_binary_space(),
-                          params={"trees": [tree]}, hyperparams={})
+                          params={"trees": [tree]})
     assert confidence_from_dense(model, np.array([1.0])) == 1.0
     assert confidence_from_dense(model, np.array([0.0])) == 0.0
 
@@ -119,10 +118,11 @@ def test_forest_split_navigation():
 
 
 def _reference_knn(model, x):
-    """The difference form plus lexsort: the kNN kernel's reference."""
+    """The difference form plus lexsort: the kNN kernel's reference. A test
+    that sets ``detectors.KNN_K`` keeps it set while it builds and checks."""
     train_x, train_y = model.params["x"], model.params["y"]
     d2 = np.sum(np.square(train_x - x), axis=1)
-    order = np.lexsort((np.arange(len(d2)), d2))[:int(model.hyperparams.get("k", 3))]
+    order = np.lexsort((np.arange(len(d2)), d2))[:detectors.KNN_K]
     return float(train_y[order].mean())
 
 
@@ -149,15 +149,15 @@ def _space_of_width(kind, width):
 
 
 @pytest.mark.parametrize("space_kind", ["binary", "api_cluster"])
-def test_knn_norm_kernel_matches_difference_form_on_random_rows(space_kind):
+def test_knn_norm_kernel_matches_difference_form_on_random_rows(monkeypatch, space_kind):
     rng = np.random.default_rng(5)
     boundary_ties = 0
     for _ in range(40):
         width = int(rng.integers(1, 7))  # few columns: many equal distances
         rows = int(rng.integers(1, 30))
         k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
+        monkeypatch.setattr(detectors, "KNN_K", k)
         model = DetectorModel(kind="knn", space=_space_of_width(space_kind, width),
-                              hyperparams={"k": k},
                               params={"x": rng.integers(0, 2, (rows, width)).astype(float),
                                       "y": rng.integers(0, 2, rows).astype(float)})
         assert model.kernel.func is _knn_by_norms
@@ -168,7 +168,8 @@ def test_knn_norm_kernel_matches_difference_form_on_random_rows(space_kind):
     assert boundary_ties > 100
 
 
-def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows():
+def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows(monkeypatch):
+    monkeypatch.setattr(detectors, "KNN_K", 1)
     # Rows near 1e8 with fractional parts: expanded, ||t||^2 loses the
     # fractions and the nearer row (index 1) is no longer the nearest.
     x = np.array([1e8 + 0.3])
@@ -178,7 +179,7 @@ def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows():
     assert np.argmin(expanded) != 1
     markov = FeatureSpace("markov", family_count=1)
     for space in (_binary_space(), markov):
-        model = DetectorModel(kind="knn", space=space, params=params, hyperparams={"k": 1})
+        model = DetectorModel(kind="knn", space=space, params=params)
         assert model.kernel.func is _knn_by_difference
         assert confidence_from_dense(model, x) == _reference_knn(model, x) == 0.0
     # Small fractional rows in a binary space, and integer rows in a Markov
@@ -188,7 +189,7 @@ def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows():
     for space, params, kernel in ((_binary_space(), small, _knn_by_difference),
                                   (markov, whole, _knn_by_difference),
                                   (_binary_space(), whole, _knn_by_norms)):
-        model = DetectorModel(kind="knn", space=space, params=params, hyperparams={"k": 1})
+        model = DetectorModel(kind="knn", space=space, params=params)
         assert model.kernel.func is kernel
 
 
@@ -206,7 +207,8 @@ def _drift(rng, row, low, high):
 
 
 @pytest.mark.parametrize("low, high", [(0, 1), (-3, 4)])
-def test_knn_remembered_distances_match_difference_form_on_row_sequences(low, high):
+def test_knn_remembered_distances_match_difference_form_on_row_sequences(monkeypatch, low,
+                                                                         high):
     # Two streams drift from one start, a few columns per step, and are asked
     # about in turns: each row differs from the last one asked about a little
     # (its own stream's previous row came two calls earlier) or a lot.
@@ -216,8 +218,8 @@ def test_knn_remembered_distances_match_difference_form_on_row_sequences(low, hi
         width = int(rng.integers(4, 13))
         rows = int(rng.integers(8, 40))
         k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
+        monkeypatch.setattr(detectors, "KNN_K", k)
         model = DetectorModel(kind="knn", space=_space_of_width("binary", width),
-                              hyperparams={"k": k},
                               params={"x": rng.integers(low, high + 1, (rows, width)).astype(float),
                                       "y": rng.integers(0, 2, rows).astype(float)})
         assert model.kernel.func is _knn_by_norms
@@ -250,7 +252,8 @@ def test_nearest_vote_equals_a_full_lexsort_with_ties_and_non_finite_distances()
         assert _nearest_vote(d2, y, k) == float(y[order].mean())
 
 
-def test_knn_answer_of_a_row_does_not_depend_on_the_row_before():
+def test_knn_answer_of_a_row_does_not_depend_on_the_row_before(monkeypatch):
+    monkeypatch.setattr(detectors, "KNN_K", 5)
     rng = np.random.default_rng(21)
     # 24 columns: two rows that each moved at most 3 from the base differ in
     # at most a quarter of them.
@@ -259,10 +262,10 @@ def test_knn_answer_of_a_row_does_not_depend_on_the_row_before():
     base = rng.integers(-2, 3, 24).astype(float)
     rows = [base] + [_drift(rng, base, -2, 2) for _ in range(12)]
     model = DetectorModel(kind="knn", space=_space_of_width("api_cluster", 24),
-                          params=params, hyperparams={"k": 5})
+                          params=params)
     for x in rows:
         alone = DetectorModel(kind="knn", space=_space_of_width("api_cluster", 24),
-                              params=params, hyperparams={"k": 5})
+                              params=params)
         answer = confidence_from_dense(alone, x)
         for before in rows:
             confidence_from_dense(model, before)
@@ -272,7 +275,7 @@ def test_knn_answer_of_a_row_does_not_depend_on_the_row_before():
 
 def test_knn_fractional_non_finite_and_large_rows_leave_the_remembered_row():
     rng = np.random.default_rng(2)
-    model = DetectorModel(kind="knn", space=_space_of_width("binary", 6), hyperparams={"k": 3},
+    model = DetectorModel(kind="knn", space=_space_of_width("binary", 6),
                           params={"x": rng.integers(0, 2, (20, 6)).astype(float),
                                   "y": rng.integers(0, 2, 20).astype(float)})
     x = rng.integers(0, 2, 6).astype(float)
@@ -321,7 +324,7 @@ def test_forest_kernel_matches_dict_tree_walk_on_random_trees():
         width = int(rng.integers(1, 9))
         trees = [_random_tree(rng, width, int(rng.integers(0, 7)))
                  for _ in range(int(rng.integers(1, 12)))]
-        model = DetectorModel(kind="forest", params={"trees": trees}, hyperparams={},
+        model = DetectorModel(kind="forest", params={"trees": trees},
                               space=_binary_space(tuple(f"k{i}" for i in range(width))))
         # 0/1 rows, rows at the common 0.5 threshold, and rows of random reals.
         queries = np.concatenate([rng.integers(0, 2, (12, width)).astype(float),
@@ -339,8 +342,7 @@ def test_forest_routes_nan_features_right_as_before():
             "right": {"leaf": False, "feature": 0, "threshold": 0.5,
                       "left": {"leaf": True, "vote": 0}, "right": {"leaf": True, "vote": 1}}}
     model = DetectorModel(kind="forest", space=_binary_space(("perm:P", "perm:Q")),
-                          params={"trees": [tree, {"leaf": True, "vote": 1}]},
-                          hyperparams={})
+                          params={"trees": [tree, {"leaf": True, "vote": 1}]})
     assert confidence_from_dense(model, np.array([0.0, np.nan])) == 0.5
     assert confidence_from_dense(model, np.array([np.nan, np.nan])) == 1.0
     assert confidence_from_dense(model, np.array([np.nan, 0.0])) == 1.0
@@ -377,7 +379,7 @@ def test_ensemble_rejects_empty():
 
 
 def test_ensemble_without_members_is_refused_at_load():
-    doc = {"kind": "ensemble", "params": {}, "hyperparams": {}, "threshold": 0.0,
+    doc = {"kind": "ensemble", "params": {}, "hyperparams": {"members": 0}, "threshold": 0.0,
            "members": []}
     with pytest.raises(ValueError) as err:
         model_from_dict(doc)
@@ -529,10 +531,6 @@ def test_train_rejects_bad_inputs():
         train("ensemble", space, x, labels)
     with pytest.raises(ValueError):
         train("oracle", space, x, labels)
-    with pytest.raises(ValueError):
-        train("knn", space, x, labels, hyperparams={"k": 4})
-    with pytest.raises(ValueError):
-        train("knn", space, x, labels, hyperparams={"k": 999})
 
 
 def test_train_rejects_rows_narrower_or_wider_than_the_vocab():
@@ -597,12 +595,6 @@ def test_train_refuses_non_finite_or_overflowing_rows():
                 train(kind, space, rows, labels)
             assert str(err.value) == (f"{kind} detector: feature rows hold NaN, infinite "
                                       "or out-of-range values (|v| > 8.988e+307)")
-
-
-def test_forest_refuses_min_leaf_below_one():
-    space, x, labels = _separable_rows()
-    with pytest.raises(ValueError, match="forest min_leaf must be >= 1, got 0"):
-        train("forest", space, x, labels, hyperparams={"min_leaf": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +806,6 @@ def test_model_dict_records_vocab_hash():
     assert doc["space_hash"] == model.space.digest
     back = model_from_dict(doc)
     assert back.space == model.space
-    assert back.threshold == model.threshold
     assert back.params["b"] == model.params["b"]
 
 
@@ -854,8 +845,7 @@ def _cluster_model():
     cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0), ("api.b", 1)))
     space = FeatureSpace("api_cluster", cluster_map=cmap)
     return DetectorModel(kind="linear", space=space,
-                         params={"w": np.array([1.0, -1.0]), "b": 0.0},
-                         hyperparams={}, threshold=0.5)
+                         params={"w": np.array([1.0, -1.0]), "b": 0.0})
 
 
 def _swap_clusters(cmap_doc):
@@ -881,9 +871,17 @@ def test_ensemble_has_no_space_and_its_file_none():
     assert "space" not in doc and "space_hash" not in doc
     assert model_from_dict(doc).members[1].space == _cluster_model().space
     with pytest.raises(ValueError, match="an ensemble has no feature space"):
-        DetectorModel(kind="ensemble", space=_binary_space(), params={}, hyperparams={})
+        DetectorModel(kind="ensemble", space=_binary_space(), params={})
     with pytest.raises(ValueError, match="an ensemble has no feature space"):
-        DetectorModel(kind="linear", space=None, params={}, hyperparams={})
+        DetectorModel(kind="linear", space=None, params={})
+
+
+def test_model_file_records_the_fixed_settings_of_its_kind():
+    space, x, labels = _separable_rows()
+    doc = model_to_dict(make_ensemble([train(kind, space, x, labels, seed=3)
+                                       for kind in ("linear", "mlp", "knn", "forest")]))
+    assert (doc["threshold"], doc["hyperparams"]) == (0.0, {"members": 4})
+    assert [(m["threshold"], m["hyperparams"]) for m in doc["members"]] == [(0.5, {})] * 4
 
 
 def test_model_file_records_its_format(tmp_path):
@@ -931,13 +929,14 @@ def _two_key_doc(kind):
     params = {
         "linear": {"w": np.array([1.0, -1.0]), "b": 0.0},
         "mlp": {"w1": np.ones((2, 3)), "b1": np.zeros(3), "w2": np.ones(3), "b2": 0.0},
-        "knn": {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "y": np.array([0.0, 1.0])},
+        "knn": {"x": np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+                "y": np.array([0.0, 1.0, 1.0])},
         "forest": {"trees": [{"leaf": False, "feature": 1, "threshold": 0.5,
                               "left": {"leaf": True, "vote": 0},
                               "right": {"leaf": True, "vote": 1}}]},
     }[kind]
     return model_to_dict(DetectorModel(kind=kind, space=_binary_space(("perm:P", "perm:Q")),
-                                       params=params, hyperparams={"k": 1}))
+                                       params=params))
 
 
 SCORING_PARAM_CASES = [
@@ -946,7 +945,8 @@ SCORING_PARAM_CASES = [
     ("knn", lambda d: d["params"].update(x=[0.0, 1.0]), "knn model: fit rows of shape (2,)"),
     ("knn", lambda d: d["params"].update(y=[0.0]), "knn model: y must hold one 0/1 label"),
     ("knn", lambda d: d["params"].update(y=[0.0, 0.5]), "knn model: y must hold one 0/1 label"),
-    ("knn", lambda d: d["hyperparams"].update(k=3), "knn model: k=3 is not between 1 and the 2"),
+    ("knn", lambda d: d["params"].update(x=d["params"]["x"][:2], y=d["params"]["y"][:2]),
+     "knn model: k=3 is not between 1 and the 2"),
     ("forest", lambda d: d["params"]["trees"][0].update(feature=99),
      "forest model: split feature 99 is outside the 2-feature binary space"),
     ("forest", lambda d: d["params"]["trees"][0]["left"].update(vote=2),
@@ -983,9 +983,14 @@ SCORING_PARAM_CASES = [
     ("linear", lambda d: d["space"].update(kind="api_cluster", cluster_map={
         "cluster_count": "2", "assignment": []}), 'cluster_count is "2", not an integer'),
     ("knn", lambda d: d["hyperparams"].update(k="1"),
-     'knn model: hyperparams.k is "1", not an integer'),
+     'knn model: hyperparams is {"k": "1"}, not {}'),
     ("forest", lambda d: d["params"]["trees"][0].update(feature=True),
      "forest model: split feature is true, not an integer"),
+    ("knn", lambda d: d.update(hyperparams={"k": 4}), 'knn model: hyperparams is {"k": 4}, not {}'),
+    ("linear", lambda d: d.update(hyperparams={"bogus": 1}),
+     'linear model: hyperparams is {"bogus": 1}, not {}'),
+    ("linear", lambda d: d.update(threshold=1.5), "linear model: threshold is 1.5, not 0.5"),
+    ("forest", lambda d: d.update(threshold=0), "forest model: threshold is 0.0, not 0.5"),
 ]
 
 
@@ -999,7 +1004,8 @@ SCORING_PARAM_CASES = [
                               "linear_bool_w", "knn_string_x", "knn_string_y",
                               "mlp_ragged_w1", "mlp_short_b1", "mlp_2d_b1", "mlp_short_w2",
                               "linear_string_keys", "api_cluster_string_count", "knn_string_k",
-                              "forest_bool_feature"])
+                              "forest_bool_feature", "knn_even_k", "linear_unknown_hyperparam",
+                              "linear_threshold_1.5", "forest_threshold_0"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind
