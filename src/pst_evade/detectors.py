@@ -37,7 +37,7 @@ FEATURE_KINDS = ("binary", "markov", "api_cluster")
 LABELS = ("benign", "malicious")
 
 # Version of the model JSON layout; files of any other version are refused.
-MODEL_FORMAT = 3
+MODEL_FORMAT = 4
 
 # A scorer (every kind but an ensemble) fires at a confidence of THRESHOLD.
 # Training holds out HOLDOUT_FRACTION of each class and fits with these settings.
@@ -166,7 +166,8 @@ class TrainReport:
 class DetectorModel:
     """A detector. ``params`` are read once, when the model is made: the scoring
     kernel is built from them then, and the parameters are checked against the
-    feature space. An ensemble has no space of its own (``space`` is None)."""
+    feature space. An ensemble has no space (``space`` is None) and no params,
+    and its members are scorers."""
 
     kind: str
     space: FeatureSpace | None
@@ -184,14 +185,23 @@ class DetectorModel:
                              "and every other model has one")
         if self.kind == "ensemble" and not self.members:
             raise ValueError("ensemble model: has no members")
+        _one_level(self.kind, [m.kind for m in self.members])
         self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params)
 
     @cached_property
     def spaces(self) -> tuple[FeatureSpace, ...]:
-        """The distinct feature spaces the model reads, nested members' included."""
-        if self.space is not None:
-            return (self.space,)
-        return tuple(dict.fromkeys(s for m in self.members for s in m.spaces))
+        """The distinct feature spaces the model reads: an ensemble's members', or its own."""
+        return tuple(dict.fromkeys(m.space for m in self.members or (self,)))
+
+
+def _one_level(kind: str, member_kinds: Sequence[str]) -> None:
+    """Only an ensemble has members, and none of them is an ensemble."""
+    for i, member_kind in enumerate(member_kinds):
+        if kind != "ensemble":
+            raise ValueError(f"{kind} model: has member {i}; only an ensemble has members")
+        if member_kind == "ensemble":
+            raise ValueError(f"ensemble model: member {i} is an ensemble; "
+                             "ensembles are one level deep")
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -510,22 +520,15 @@ def confidence_from_dense(model: DetectorModel, x: np.ndarray) -> float:
 
 def score(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> Feedback:
     """The answer for an app whose dense row in each of the model's feature spaces
-    is in ``rows``. An ensemble answers with its detection fraction over members,
-    flagged malicious when any member fires."""
+    is in ``rows``. An ensemble answers with its detection fraction, the share of
+    members whose confidence reaches THRESHOLD, flagged malicious when any does."""
     if model.kind != "ensemble":
         conf = confidence_from_dense(model, rows[model.space])
         return Feedback(label="malicious" if conf >= THRESHOLD else "benign",
                         confidence=conf)
-    conf = sum(_fires(m, rows) for m in model.members) / len(model.members)
+    conf = sum(confidence_from_dense(m, rows[m.space]) >= THRESHOLD
+               for m in model.members) / len(model.members)
     return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
-
-
-def _fires(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> bool:
-    """Whether ``score(model, rows)`` says malicious: a nested ensemble fires when
-    any of its members does."""
-    if model.kind == "ensemble":
-        return any(_fires(m, rows) for m in model.members)
-    return confidence_from_dense(model, rows[model.space]) >= THRESHOLD
 
 
 def query(model: DetectorModel, apk: ApkModel,
@@ -623,80 +626,76 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
 # Serialization
 
 
-def _params_to_jsonable(params: dict) -> dict:
-    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in params.items()}
+# The keys of a format-4 model file, whose ensemble's members are scorer files,
+# and the params each scorer kind reads, each with its reader.
+_SCORER_KEYS = ("format", "kind", "space", "space_hash", "params", "report")
+_ENSEMBLE_KEYS = ("format", "kind", "members")
+_PARAMS = {"linear": {"w": numbers, "b": number},
+           "mlp": {"w1": numbers, "b1": numbers, "w2": numbers, "b2": number},
+           "knn": {"x": numbers, "y": numbers}, "forest": {"trees": items}}
 
 
-def _params_from_jsonable(kind: str, doc: dict) -> dict:
-    """The params of a model file, each number or array read as one."""
-    read = {"b": number, "b2": number, "trees": items}
-    names = {"linear": ("w", "b"), "mlp": ("w1", "b1", "w2", "b2"), "knn": ("x", "y"),
-             "forest": ("trees",)}.get(kind, ())
-    return {name: read.get(name, numbers)(doc[name], f"{kind} model: params.{name}")
-            for name in names}
+def _only(doc: dict, names, kind: str, prefix: str = "") -> None:
+    """Refuse ``doc`` in one line naming the first key that is not in ``names``."""
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"{kind} model: unknown key {prefix + unknown[0]!r}")
 
 
 def _digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _fixed_settings(kind: str, member_count: int) -> dict:
-    """The ``threshold`` and ``hyperparams`` a model file records, fixed by its
-    kind: a scorer fires at THRESHOLD and an ensemble when any member fires."""
-    if kind == "ensemble":
-        return {"threshold": 0.0, "hyperparams": {"members": member_count}}
-    return {"threshold": THRESHOLD, "hyperparams": {}}
-
-
-def model_to_dict(model: DetectorModel) -> dict:
-    doc = {
-        "format": MODEL_FORMAT,
-        "kind": model.kind,
-        **_fixed_settings(model.kind, len(model.members)),
-        "params": _params_to_jsonable(model.params),
-    }
-    if model.space is not None:
-        doc["space"] = space_to_dict(model.space)
-        doc["space_hash"] = model.space.digest
+def _scorer_to_dict(model: DetectorModel) -> dict:
+    doc = {"format": MODEL_FORMAT, "kind": model.kind, "space": space_to_dict(model.space),
+           "space_hash": model.space.digest,
+           "params": {name: v.tolist() if isinstance(v, np.ndarray) else v
+                      for name, v in model.params.items()}}
     if model.report is not None:
         doc["report"] = asdict(model.report)
-    if model.kind == "ensemble":
-        doc["members"] = [model_to_dict(m) for m in model.members]
     return doc
 
 
-def model_from_dict(doc: dict) -> DetectorModel:
-    """Inverse of ``model_to_dict``; raises a one-line ValueError naming the kind
-    when a key is missing, a number or an object is not one, the ``threshold`` or
-    ``hyperparams`` is not the one its kind records, or the model's or an
-    ensemble member's feature space does not match the ``space_hash`` recorded
-    beside it."""
-    doc = obj(doc, "model")
-    kind = string(doc.get("kind", "detector"), "model kind")
+def model_to_dict(model: DetectorModel) -> dict:
+    if model.kind != "ensemble":
+        return _scorer_to_dict(model)
+    return {"format": MODEL_FORMAT, "kind": "ensemble",
+            "members": [_scorer_to_dict(m) for m in model.members]}
+
+
+def _scorer_from_dict(doc: dict) -> DetectorModel:
+    kind = string(doc.get("kind"), "model kind")
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown detector kind: {kind}")
     try:
-        space = None
-        if kind != "ensemble":
-            space = space_from_dict(obj(doc["space"], f"{kind} model: space"))
-            if space.digest != doc["space_hash"]:
-                raise ValueError(f"{kind} model: space does not match its space_hash")
-        # Older model files' reports also hold a "tpr", a copy of recall.
+        _only(doc, _SCORER_KEYS, kind)
+        space = space_from_dict(obj(doc["space"], f"{kind} model: space"))
+        if space.digest != doc["space_hash"]:
+            raise ValueError(f"{kind} model: space does not match its space_hash")
         report = None if "report" not in doc else TrainReport(**fields_of(
-            TrainReport, doc["report"], f"{kind} model: report", retired=("tpr",),
+            TrainReport, doc["report"], f"{kind} model: report",
             precision=number, recall=number, f1=number, holdout_size=integer, on_holdout=flag))
-        members = tuple(map(model_from_dict, items(doc.get("members", []),
-                                                   f"{kind} model: members")))
-        found = {"threshold": number(doc["threshold"], f"{kind} model: threshold"),
-                 "hyperparams": obj(doc["hyperparams"], f"{kind} model: hyperparams")}
-        for name, fixed in _fixed_settings(kind, len(members)).items():
-            if json.dumps(found[name]) != json.dumps(fixed):
-                raise ValueError(f"{kind} model: {name} is {json.dumps(found[name])}, "
-                                 f"not {json.dumps(fixed)}")
-        return DetectorModel(kind=doc["kind"], space=space,
-                             params=_params_from_jsonable(
-                                 doc["kind"], obj(doc["params"], f"{kind} model: params")),
-                             report=report, members=members)
+        params = obj(doc["params"], f"{kind} model: params")
+        _only(params, _PARAMS[kind], kind, "params.")
+        return DetectorModel(kind=kind, space=space, report=report, params={
+            name: read(params[name], f"{kind} model: params.{name}")
+            for name, read in _PARAMS[kind].items()})
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None
+
+
+def model_from_dict(doc: dict) -> DetectorModel:
+    """Inverse of ``model_to_dict``. A key that is missing or not one its kind's
+    file holds, a value not of its type, a nested ensemble, or a space that does
+    not match its ``space_hash`` is a one-line ValueError naming the kind."""
+    doc = obj(doc, "model")
+    if doc.get("kind") != "ensemble":
+        return _scorer_from_dict(doc)
+    _only(doc, _ENSEMBLE_KEYS, "ensemble")
+    members = [obj(m, "ensemble model: member")
+               for m in items(doc.get("members"), "ensemble model: members")]
+    _one_level("ensemble", [m.get("kind") for m in members])
+    return make_ensemble([_scorer_from_dict(m) for m in members])
 
 
 def save_model(model: DetectorModel, path: str | Path) -> None:

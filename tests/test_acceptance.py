@@ -397,7 +397,7 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
 # sha256 over every DEFAULT_BENCH_SPEC component's families and edges (shape
 # repr, then bytes), and of the stock ensemble's canonical model JSON.
 BENCH_COMPONENTS_SHA256 = "787ff035197364913767e9be1b01a2778197e386334e9a0a1351b00e5e35ea58"
-BENCH_ENSEMBLE_SHA256 = "8abbd94ddf29da3fed63cf069e8b64f89ae12ff28b6cade0a64da99d2ce62dee"
+BENCH_ENSEMBLE_SHA256 = "7513ead58d2f997316fb726dfd6f4ae5f6beaec3a51f88b2c609fcf847a08f21"
 
 
 def _components_sha256(corpus) -> str:

@@ -14,6 +14,8 @@ from pst_evade.detectors import (
     DetectorModel,
     FeatureSpace,
     load_model,
+    make_ensemble,
+    model_from_dict,
     model_to_dict,
 )
 from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
@@ -230,8 +232,7 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         model.write_text(json.dumps(doc))
     elif case == "ensemble_without_members":
         model = broken = workdir / "ensemble_without_members.json"
-        model.write_text(json.dumps({"format": MODEL_FORMAT, "kind": "ensemble", "params": {},
-                                     "hyperparams": {"members": 0}, "threshold": 0.0,
+        model.write_text(json.dumps({"format": MODEL_FORMAT, "kind": "ensemble",
                                      "members": []}))
     elif case == "truncated_pset":
         pset = broken = _truncated_copy(pset, workdir / "truncated_pset.json")
@@ -271,7 +272,7 @@ _BAD_PARAMS = {
     ("forest", "forest model: split feature 99 is outside the 2-feature binary space"),
     ("forest-null-split", "forest model: split threshold is null, not a number"),
     ("linear-null-b", "linear model: params.b is null, not a number"),
-    ("linear-null-threshold", "linear model: threshold is null, not a number"),
+    ("linear-null-threshold", "linear model: unknown key 'threshold'"),
     ("linear-space-array", "linear model: space is not a JSON object"),
     ("linear-params-array", "linear model: params is not a JSON object"),
 ])
@@ -390,6 +391,14 @@ def _weights_as_strings(model):
     model["params"]["w"] = ["x"] * len(model["params"]["w"])
 
 
+def _as_ensemble(model, **extra):
+    """Make ``model`` the file of an ensemble whose one member is the model it
+    held, with the ``extra`` keys besides."""
+    ensemble = model_to_dict(make_ensemble([model_from_dict(model)]))
+    model.clear()
+    model.update(ensemble, **extra)
+
+
 def _ensemble_of_one_claiming_two(model):
     member = dict(model)
     model.update(kind="ensemble", params={}, threshold=0.0, hyperparams={"members": 2},
@@ -503,8 +512,16 @@ _PROBES = {
     "model-ensemble-members-miscounted": ("--model", "model.json",
                                           _ensemble_of_one_claiming_two),
     "model-forest-split-on-a-flag": ("--model", "model.json",
-                                     lambda d: d.update(kind="forest", hyperparams={},
+                                     lambda d: d.update(kind="forest",
                                                         params={"trees": [_SPLIT_ON_A_FLAG]})),
+    # Each of these loaded, and the key or the params name was ignored.
+    "model-linear-with-members": ("--model", "model.json", lambda d: d.update(members=[dict(d)])),
+    "model-ensemble-with-space": ("--model", "model.json",
+                                  lambda d: _as_ensemble(d, space=d["space"],
+                                                         space_hash=d["space_hash"])),
+    "model-ensemble-with-params": ("--model", "model.json",
+                                   lambda d: _as_ensemble(d, params={"w": [1.0]})),
+    "model-unknown-key": ("--model", "model.json", lambda d: d.update(bogus=1)),
     "config-corpus-path-number": ("--config", "bench.json", lambda d: d.update(corpus_path=5)),
     "config-detector-name-number": ("--config", "bench.json",
                                     lambda d: d["detectors"][0].update(name=5)),
@@ -534,13 +551,16 @@ _PROBE_FIELDS = {
     "catalog-hardware-features-string": "hardware_features are not a list of strings",
     "model-space-keys-string": "space keys are not a list of strings",
     "model-cluster-count-string": 'cluster_count is "3", not an integer',
-    "model-knn-k-string": 'knn model: hyperparams is {"k": "3"}, not {}',
+    "model-knn-k-string": "knn model: unknown key 'hyperparams'",
     "model-kind-list": 'model kind is ["linear"], not a string',
-    "model-hyperparams-even-k": 'linear model: hyperparams is {"k": 4}, not {}',
-    "model-hyperparams-unknown": 'linear model: hyperparams is {"bogus": 1}, not {}',
-    "model-threshold-above-one": "linear model: threshold is 1.5, not 0.5",
-    "model-ensemble-members-miscounted": (
-        'ensemble model: hyperparams is {"members": 2}, not {"members": 1}'),
+    "model-hyperparams-even-k": "linear model: unknown key 'hyperparams'",
+    "model-hyperparams-unknown": "linear model: unknown key 'hyperparams'",
+    "model-threshold-above-one": "linear model: unknown key 'threshold'",
+    "model-ensemble-members-miscounted": "ensemble model: unknown key 'hyperparams'",
+    "model-linear-with-members": "linear model: unknown key 'members'",
+    "model-ensemble-with-space": "ensemble model: unknown key 'space'",
+    "model-ensemble-with-params": "ensemble model: unknown key 'params'",
+    "model-unknown-key": "linear model: unknown key 'bogus'",
     "model-forest-split-on-a-flag": "forest model: split feature is true, not an integer",
     "config-corpus-path-number": "corpus_path is 5, not a string or null",
     "config-detector-name-number": "name is 5, not a string",

@@ -379,8 +379,7 @@ def test_ensemble_rejects_empty():
 
 
 def test_ensemble_without_members_is_refused_at_load():
-    doc = {"kind": "ensemble", "params": {}, "hyperparams": {"members": 0}, "threshold": 0.0,
-           "members": []}
+    doc = {"kind": "ensemble", "members": []}
     with pytest.raises(ValueError) as err:
         model_from_dict(doc)
     assert str(err.value) == "ensemble model: has no members"
@@ -405,17 +404,13 @@ def _reference_feedback(model, app):
 
 
 class _CheckedOracle:
-    """Answers with the ensemble's fast path and checks it, and each nested
-    ensemble's answer, against the reference."""
+    """Answers with the ensemble's fast path and checks it against the reference."""
 
     def __init__(self, model):
         self.model = model
         self.checked = 0
 
     def query(self, app):
-        for nested in self.model.members:
-            if nested.kind == "ensemble":
-                assert query(nested, app) == _reference_feedback(nested, app)
         fb = query(self.model, app)
         assert fb == _reference_feedback(self.model, app)
         self.checked += 1
@@ -428,13 +423,9 @@ def stock_ensemble(small_corpus):
 
 
 def test_ensemble_shared_extraction_matches_per_member_queries(small_corpus, stock_ensemble):
-    stock = stock_ensemble
-    spaces = {m.space for m in stock.members}
-    assert len(spaces) < len(stock.members)
-    # An api-cluster, a Markov, a forest and a kNN member; the first never fires
-    # on these targets and the others come and go.
-    nested = make_ensemble([stock.members[i] for i in (17, 15, 8, 12)])
-    model = make_ensemble(stock.members + (nested,))
+    model = stock_ensemble
+    spaces = {m.space for m in model.members}
+    assert len(spaces) < len(model.members)
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     _, test = small_corpus.train_test_split()
     targets = select_true_positives(model, [a for a in test if a.ground_truth == "malicious"],
@@ -876,20 +867,46 @@ def test_ensemble_has_no_space_and_its_file_none():
         DetectorModel(kind="linear", space=None, params={})
 
 
-def test_model_file_records_the_fixed_settings_of_its_kind():
+def test_model_file_holds_exactly_its_kinds_keys():
     space, x, labels = _separable_rows()
     doc = model_to_dict(make_ensemble([train(kind, space, x, labels, seed=3)
                                        for kind in ("linear", "mlp", "knn", "forest")]))
-    assert (doc["threshold"], doc["hyperparams"]) == (0.0, {"members": 4})
-    assert [(m["threshold"], m["hyperparams"]) for m in doc["members"]] == [(0.5, {})] * 4
+    assert sorted(doc) == ["format", "kind", "members"]
+    scorer_keys = ["format", "kind", "params", "report", "space", "space_hash"]
+    assert [sorted(m) for m in doc["members"]] == [scorer_keys] * 4
+    assert [sorted(m["params"]) for m in doc["members"]] == [
+        ["b", "w"], ["b1", "b2", "w1", "w2"], ["x", "y"], ["trees"]]
+    # A hand-built model has no training report, and its file none.
+    assert sorted(model_to_dict(_linear_model([1.0], 0.0))) == [
+        "format", "kind", "params", "space", "space_hash"]
 
 
 def test_model_file_records_its_format(tmp_path):
     save_model(_linear_model([1.0], 0.0), tmp_path / "model.json")
-    assert json.loads((tmp_path / "model.json").read_text())["format"] == 3
+    assert json.loads((tmp_path / "model.json").read_text())["format"] == 4
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 4])
+def test_ensembles_are_one_level_deep(tmp_path):
+    a, b = _member(True), _member(False)
+    with pytest.raises(ValueError) as err:
+        make_ensemble([a, make_ensemble([b])])
+    assert str(err.value) == "ensemble model: member 1 is an ensemble; ensembles are one level deep"
+    with pytest.raises(ValueError) as err:
+        DetectorModel(kind="linear", space=a.space, params=a.params, members=(b,))
+    assert str(err.value) == "linear model: has member 0; only an ensemble has members"
+    # A file that wraps an ensemble as a member is refused at load, naming the file.
+    path = tmp_path / "nested.json"
+    save_model(make_ensemble([a, b]), path)
+    doc = json.loads(path.read_text())
+    doc["members"].insert(0, json.loads(path.read_text()))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: ensemble model: member 0 is an ensemble; "
+                              "ensembles are one level deep")
+
+
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 5])
 def test_load_model_refuses_other_formats(tmp_path, found):
     path = tmp_path / "model.json"
     save_model(_linear_model([1.0], 0.0), path)
@@ -913,15 +930,6 @@ def test_model_missing_a_key_is_a_one_line_value_error():
     with pytest.raises(ValueError, match="linear model: missing key 'w'") as err:
         model_from_dict(doc)
     assert "\n" not in str(err.value)
-
-
-def test_model_file_with_legacy_tpr_still_loads():
-    space, x, labels = _separable_rows()
-    model = train("linear", space, x, labels, seed=3)
-    doc = model_to_dict(model)
-    assert "tpr" not in doc["report"]
-    doc["report"]["tpr"] = doc["report"]["recall"]
-    assert model_from_dict(doc).report == model.report
 
 
 def _two_key_doc(kind):
@@ -958,7 +966,7 @@ SCORING_PARAM_CASES = [
      "forest model: split threshold is null, not a number"),
     ("linear", lambda d: d["params"].update(b=None), "linear model: params.b is null"),
     ("mlp", lambda d: d["params"].update(b2="0.5"), 'mlp model: params.b2 is "0.5"'),
-    ("linear", lambda d: d.update(threshold=None), "linear model: threshold is null"),
+    ("linear", lambda d: d.update(threshold=None), "linear model: unknown key 'threshold'"),
     ("linear", lambda d: d.update(space=[]), "linear model: space is not a JSON object"),
     ("linear", lambda d: d.update(params=[]), "linear model: params is not a JSON object"),
     ("linear", lambda d: d["params"].update(w=["1", "2"]),
@@ -982,15 +990,22 @@ SCORING_PARAM_CASES = [
     ("linear", lambda d: d["space"].update(keys="PQ"), "space keys are not a list of strings"),
     ("linear", lambda d: d["space"].update(kind="api_cluster", cluster_map={
         "cluster_count": "2", "assignment": []}), 'cluster_count is "2", not an integer'),
-    ("knn", lambda d: d["hyperparams"].update(k="1"),
-     'knn model: hyperparams is {"k": "1"}, not {}'),
+    ("knn", lambda d: d.update(hyperparams={"k": "1"}), "knn model: unknown key 'hyperparams'"),
     ("forest", lambda d: d["params"]["trees"][0].update(feature=True),
      "forest model: split feature is true, not an integer"),
-    ("knn", lambda d: d.update(hyperparams={"k": 4}), 'knn model: hyperparams is {"k": 4}, not {}'),
+    ("knn", lambda d: d.update(hyperparams={"k": 4}), "knn model: unknown key 'hyperparams'"),
     ("linear", lambda d: d.update(hyperparams={"bogus": 1}),
-     'linear model: hyperparams is {"bogus": 1}, not {}'),
-    ("linear", lambda d: d.update(threshold=1.5), "linear model: threshold is 1.5, not 0.5"),
-    ("forest", lambda d: d.update(threshold=0), "forest model: threshold is 0.0, not 0.5"),
+     "linear model: unknown key 'hyperparams'"),
+    ("linear", lambda d: d.update(threshold=1.5), "linear model: unknown key 'threshold'"),
+    ("forest", lambda d: d.update(threshold=0), "forest model: unknown key 'threshold'"),
+    # Loaded, and the extra name was dropped.
+    ("linear", lambda d: d["params"].update(extra=[1, 2]),
+     "linear model: unknown key 'params.extra'"),
+    ("linear", lambda d: d.update(members=[]), "linear model: unknown key 'members'"),
+    # Format 3 reports could hold "tpr", a copy of recall.
+    ("linear", lambda d: d.update(report={"precision": 1.0, "recall": 1.0, "f1": 1.0,
+                                          "holdout_size": 2, "on_holdout": True, "tpr": 1.0}),
+     "linear model: report: unknown key 'tpr'"),
 ]
 
 
@@ -1005,7 +1020,8 @@ SCORING_PARAM_CASES = [
                               "mlp_ragged_w1", "mlp_short_b1", "mlp_2d_b1", "mlp_short_w2",
                               "linear_string_keys", "api_cluster_string_count", "knn_string_k",
                               "forest_bool_feature", "knn_even_k", "linear_unknown_hyperparam",
-                              "linear_threshold_1.5", "forest_threshold_0"])
+                              "linear_threshold_1.5", "forest_threshold_0",
+                              "linear_extra_param", "linear_members", "linear_report_tpr"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind
