@@ -352,14 +352,17 @@ def _fresh_component_name(apk: ApkModel, kind: str, rng: random.Random) -> str:
     return name
 
 
+# Candidate apps are built with the constructors, not ``dataclasses.replace``,
+# which reads each class's fields on every call: an attack builds one per query.
+
+
 def _with_manifest(apk: ApkModel, manifest: ManifestModel) -> ApkModel:
-    return replace(apk, manifest=manifest)
+    return ApkModel(apk.id, manifest, apk.code, apk.ground_truth)
 
 
-def _add_declared(apk: ApkModel, comp: DeclaredComponent) -> ApkModel:
-    manifest = replace(apk.manifest,
-                       declared_components=apk.manifest.declared_components + (comp,))
-    return _with_manifest(apk, manifest)
+def _with_declared(manifest: ManifestModel, comp: DeclaredComponent) -> ManifestModel:
+    return ManifestModel(manifest.uses_features, manifest.permissions,
+                         manifest.declared_components + (comp,))
 
 
 def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
@@ -371,25 +374,28 @@ def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
     """
     kind = perturbation.kind
     payload = perturbation.payload
+    m = apk.manifest
 
     if kind == "uses_feature":
-        if payload in apk.manifest.uses_features:
+        if payload in m.uses_features:
             return apk, True
-        manifest = replace(apk.manifest, uses_features=apk.manifest.uses_features | {payload})
+        manifest = ManifestModel(m.uses_features | {payload}, m.permissions,
+                                 m.declared_components)
         return _with_manifest(apk, manifest), False
 
     if kind == "permission":
-        if any(p.name == payload.name for p in apk.manifest.permissions):
+        if any(p.name == payload.name for p in m.permissions):
             return apk, True
-        manifest = replace(apk.manifest, permissions=apk.manifest.permissions | {payload})
+        manifest = ManifestModel(m.uses_features, m.permissions | {payload},
+                                 m.declared_components)
         return _with_manifest(apk, manifest), False
 
     if kind in ("activity_action", "broadcast_action", "category"):
         if kind == "category":
-            if any(payload in c.intent_categories for c in apk.manifest.declared_components):
+            if any(payload in c.intent_categories for c in m.declared_components):
                 return apk, True
         else:
-            if any(payload in c.intent_actions for c in apk.manifest.declared_components):
+            if any(payload in c.intent_actions for c in m.declared_components):
                 return apk, True
         comp_kind = "receiver" if kind == "broadcast_action" else "activity"
         name = _fresh_component_name(apk, comp_kind, rng)
@@ -400,17 +406,19 @@ def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
             exported=True, enabled=True,
             process=":" + random_name(rng, 8),
             data_uri="scheme://" + random_name(rng, 16))
-        return _add_declared(apk, comp), False
+        return _with_manifest(apk, _with_declared(m, comp)), False
 
     if kind in ("inject_service", "inject_receiver", "inject_provider"):
         declared = payload.declared
         if (declared.kind, declared.name) in _declared_names(apk):
             return apk, True
-        injected_decl = replace(declared, exported=True, enabled=True,
-                                process=":" + random_name(rng, 8))
-        apk = _add_declared(apk, injected_decl)
-        code = CodeGraph(components=apk.code.components + (payload.injected_component,))
-        return replace(apk, code=code), False
+        injected_decl = DeclaredComponent(
+            declared.kind, declared.name, declared.intent_actions, declared.intent_categories,
+            exported=True, enabled=True, process=":" + random_name(rng, 8),
+            data_uri=declared.data_uri)
+        code = CodeGraph(apk.code.components + (payload.injected_component,))
+        return ApkModel(apk.id, _with_declared(m, injected_decl), code,
+                        apk.ground_truth), False
 
     raise ValueError(f"unknown perturbation kind: {kind}")
 

@@ -20,13 +20,16 @@ from .catalog import (fields_of, flag, integer, items, number, numbers, obj, rea
 from .corpus import ApkModel
 from .features import (
     ApiClusterMap,
+    ApiColumns,
     Parts,
+    cluster_columns,
     cluster_map_from_dict,
     cluster_map_to_dict,
     extract_api_cluster,
     extract_binary,
     extract_markov,
-    mark_clusters,
+    key_columns,
+    mark_api_calls,
     mark_keys,
     markov_counts,
     markov_row,
@@ -92,6 +95,14 @@ class FeatureSpace:
         return {k: i for i, k in enumerate(self.keys)}
 
     @cached_property
+    def api_columns(self) -> ApiColumns:
+        """The columns of each api-call tuple in a binary or api_cluster row,
+        found on the tuple's first use in this space."""
+        if self.kind == "binary":
+            return key_columns(self.key_index)
+        return cluster_columns(self.cluster_map)
+
+    @cached_property
     def digest(self) -> str:
         """sha256 of the space's canonical JSON doc (``space_to_dict``)."""
         return _digest(space_to_dict(self))
@@ -104,10 +115,10 @@ class FeatureSpace:
 
     def extract(self, apk: ApkModel) -> np.ndarray:
         if self.kind == "binary":
-            return extract_binary(apk, self.key_index)
+            return extract_binary(apk, self.key_index, self.api_columns)
         if self.kind == "markov":
             return extract_markov(apk, self.family_count)
-        return extract_api_cluster(apk, self.cluster_map)
+        return extract_api_cluster(apk, self.cluster_map, self.api_columns)
 
     # An app's state in a space is what its row is made from and what an app
     # that extends it adds to: the row itself, or for Markov the transition
@@ -123,14 +134,14 @@ class FeatureSpace:
         ``state`` itself when the parts add nothing to this space."""
         if self.kind == "binary":
             out = state.copy()
-            mark_keys(out, parts, self.key_index)
+            mark_keys(out, parts, self.key_index, self.api_columns)
             return out
         if not parts.components:
             return state
         if self.kind == "markov":
             return state + markov_counts(parts.components, self.family_count, parts.first)
         out = state.copy()
-        mark_clusters(out, parts.components, self.cluster_map)
+        mark_api_calls(out, parts.components, self.api_columns)
         return out
 
     def row(self, state: np.ndarray) -> np.ndarray:
@@ -686,14 +697,20 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
 
 def model_from_dict(doc: dict) -> DetectorModel:
     """Inverse of ``model_to_dict``. A key that is missing or not one its kind's
-    file holds, a value not of its type, a nested ensemble, or a space that does
-    not match its ``space_hash`` is a one-line ValueError naming the kind."""
+    file holds, a value not of its type, an ensemble member of another format, a
+    nested ensemble, or a space that does not match its ``space_hash`` is a
+    one-line ValueError naming the kind."""
     doc = obj(doc, "model")
     if doc.get("kind") != "ensemble":
         return _scorer_from_dict(doc)
     _only(doc, _ENSEMBLE_KEYS, "ensemble")
     members = [obj(m, "ensemble model: member")
                for m in items(doc.get("members"), "ensemble model: members")]
+    for i, m in enumerate(members):
+        found = m.get("format", 1)  # as in ``read_document``, none is format 1
+        if found != MODEL_FORMAT:
+            raise ValueError(f"ensemble model: member {i} format {found} is not supported; "
+                             "retrain it with train")
     _one_level("ensemble", [m.get("kind") for m in members])
     return make_ensemble([_scorer_from_dict(m) for m in members])
 

@@ -4,16 +4,20 @@ row and takes the plain value that fixes its columns: a key index, a family coun
 a cluster map.
 
 Every feature is a sum or a union over an app's parts, so each kind defines its
-contribution from a set of parts once (``part_keys``, ``mark_keys``,
-``markov_counts``, ``mark_clusters``), and full extraction applies it to all of an
-app's parts (``app_parts``). The same definitions turn the features of an app into
-those of an app that extends it by the parts ``added_parts`` finds."""
+contribution from a set of parts once (``mark_keys``, ``markov_counts``,
+``mark_api_calls``), and full extraction applies it to all of an app's parts
+(``app_parts``). The same definitions turn the features of an app into those of
+an app that extends it by the parts ``added_parts`` finds.
+
+A code component's binary or api-cluster contribution depends only on its
+``api_calls`` tuple, so each tuple's columns are found once per column layout
+(``ApiColumns``) and written with one fancy-indexed store."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from operator import is_
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +75,8 @@ def added_parts(base: ApkModel, apk: ApkModel) -> Parts | None:
                  new[len(old):], len(old))
 
 
-def part_keys(parts: Parts) -> Iterator[str]:
-    """Binary feature keys of the parts: manifest strings plus api-call ids."""
+def manifest_keys(parts: Parts) -> Iterator[str]:
+    """Binary feature keys of the parts' manifest strings."""
     for name in parts.uses_features:
         yield "feature:" + name
     for perm in parts.permissions:
@@ -82,6 +86,11 @@ def part_keys(parts: Parts) -> Iterator[str]:
             yield "action:" + action
         for cat in comp.intent_categories:
             yield "category:" + cat
+
+
+def part_keys(parts: Parts) -> Iterator[str]:
+    """Binary feature keys of the parts: manifest strings plus api-call ids."""
+    yield from manifest_keys(parts)
     for comp in parts.components:
         for api in comp.api_calls:
             yield "api:" + api
@@ -104,20 +113,58 @@ def build_vocab(apks: Iterable[ApkModel]) -> tuple[str, ...]:
     return tuple(sorted(keys))
 
 
-def mark_keys(row: np.ndarray, parts: Parts, index: Mapping[str, int]) -> None:
+class ApiColumns(dict):
+    """Api-call tuple -> the row columns its api calls set, as a read-only intp
+    array, built on the tuple's first use by ``columns_of``. A build that raises
+    stores nothing, so the same tuple raises again on its next use. Threads may
+    share one: two that build the same tuple at once store equal arrays."""
+
+    def __init__(self, columns_of: Callable[[tuple[str, ...]], np.ndarray]):
+        super().__init__()
+        self.columns_of = columns_of
+
+    def __missing__(self, api_calls: tuple[str, ...]) -> np.ndarray:
+        cols = self.columns_of(api_calls)
+        cols.setflags(write=False)
+        self[api_calls] = cols
+        return cols
+
+
+def key_columns(index: Mapping[str, int]) -> ApiColumns:
+    """Binary columns: ``index["api:" + id]``; ids whose key is outside the index
+    set none."""
+    column = {key.removeprefix("api:"): i for key, i in index.items()
+              if key.startswith("api:")}
+    return ApiColumns(lambda api_calls: np.array(
+        [i for i in map(column.get, api_calls) if i is not None], dtype=np.intp))
+
+
+def mark_api_calls(row: np.ndarray, components: Iterable[CodeComponent],
+                   columns: ApiColumns) -> None:
+    """Set 1.0 at the columns of each component's api calls."""
+    for comp in components:
+        row[columns[comp.api_calls]] = 1.0
+
+
+def mark_keys(row: np.ndarray, parts: Parts, index: Mapping[str, int],
+              columns: ApiColumns) -> None:
     """Set 1.0 at ``index[key]`` for each key of the parts; keys outside the index
-    are ignored."""
-    for key in part_keys(parts):
+    are ignored. ``columns`` are ``key_columns(index)``."""
+    for key in manifest_keys(parts):
         i = index.get(key)
         if i is not None:
             row[i] = 1.0
+    mark_api_calls(row, parts.components, columns)
 
 
-def extract_binary(apk: ApkModel, index: Mapping[str, int]) -> np.ndarray:
+def extract_binary(apk: ApkModel, index: Mapping[str, int],
+                   columns: ApiColumns | None = None) -> np.ndarray:
     """1.0 at ``index[key]`` for each key the app exhibits, in a row of
-    ``len(index)`` columns; keys outside the index are ignored."""
+    ``len(index)`` columns; keys outside the index are ignored. ``columns`` are
+    ``key_columns(index)``, built afresh when not given."""
     out = np.zeros(len(index))
-    mark_keys(out, app_parts(apk), index)
+    mark_keys(out, app_parts(apk), index,
+              key_columns(index) if columns is None else columns)
     return out
 
 
@@ -184,22 +231,25 @@ def build_api_cluster_map(api_ids: Iterable[str], cluster_count: int, seed: int)
                          assignment=tuple(sorted(assignment)))
 
 
-def mark_clusters(row: np.ndarray, components: Iterable[CodeComponent],
-                  cmap: ApiClusterMap) -> None:
-    """Set 1.0 at each cluster that an api call of the components maps to."""
+def cluster_columns(cmap: ApiClusterMap) -> ApiColumns:
+    """Api-cluster columns: each api id's cluster. An id the map lacks raises."""
     lookup = cmap.lookup
-    for comp in components:
-        for api in comp.api_calls:
-            cluster = lookup.get(api)
-            if cluster is None:
-                raise ValueError(f"api id missing from cluster map: {api}")
-            row[cluster] = 1.0
+
+    def columns_of(api_calls: tuple[str, ...]) -> np.ndarray:
+        try:
+            return np.array([lookup[api] for api in api_calls], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"api id missing from cluster map: {exc.args[0]}") from None
+    return ApiColumns(columns_of)
 
 
-def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap) -> np.ndarray:
-    """1.0 at cluster i when any api call mapped to cluster i occurs in the app."""
+def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap,
+                        columns: ApiColumns | None = None) -> np.ndarray:
+    """1.0 at cluster i when any api call mapped to cluster i occurs in the app.
+    ``columns`` are ``cluster_columns(cmap)``, built afresh when not given."""
     out = np.zeros(cmap.cluster_count)
-    mark_clusters(out, apk.code.components, cmap)
+    mark_api_calls(out, apk.code.components,
+                   cluster_columns(cmap) if columns is None else columns)
     return out
 
 

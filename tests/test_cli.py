@@ -399,6 +399,11 @@ def _as_ensemble(model, **extra):
     model.update(ensemble, **extra)
 
 
+def _ensemble_member_format_99(model):
+    _as_ensemble(model)
+    model["members"][0]["format"] = 99
+
+
 def _ensemble_of_one_claiming_two(model):
     member = dict(model)
     model.update(kind="ensemble", params={}, threshold=0.0, hyperparams={"members": 2},
@@ -522,6 +527,7 @@ _PROBES = {
     "model-ensemble-with-params": ("--model", "model.json",
                                    lambda d: _as_ensemble(d, params={"w": [1.0]})),
     "model-unknown-key": ("--model", "model.json", lambda d: d.update(bogus=1)),
+    "model-ensemble-member-format-99": ("--model", "model.json", _ensemble_member_format_99),
     "config-corpus-path-number": ("--config", "bench.json", lambda d: d.update(corpus_path=5)),
     "config-detector-name-number": ("--config", "bench.json",
                                     lambda d: d["detectors"][0].update(name=5)),
@@ -561,6 +567,8 @@ _PROBE_FIELDS = {
     "model-ensemble-with-space": "ensemble model: unknown key 'space'",
     "model-ensemble-with-params": "ensemble model: unknown key 'params'",
     "model-unknown-key": "linear model: unknown key 'bogus'",
+    "model-ensemble-member-format-99": (
+        "ensemble model: member 0 format 99 is not supported; retrain it with train"),
     "model-forest-split-on-a-flag": "forest model: split feature is true, not an integer",
     "config-corpus-path-number": "corpus_path is 5, not a string or null",
     "config-detector-name-number": "name is 5, not a string",

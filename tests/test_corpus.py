@@ -3,6 +3,7 @@ import base64
 import json
 import random
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from pst_evade.corpus import (
     API_FAMILY_COUNT,
     ARRAY_DTYPES,
     CATEGORY_LAUNCHER,
+    ApkModel,
     CodeComponent,
     CodeGraph,
     CorpusSpec,
+    DeclaredComponent,
     InjectablePayload,
+    ManifestModel,
     Permission,
     _component_from_dict,
     _component_to_dict,
@@ -37,6 +41,7 @@ from pst_evade.corpus import (
     generate_corpus,
     load_corpus,
     pack_array,
+    random_name,
     save_corpus,
     spec_from_dict,
     spec_to_dict,
@@ -313,6 +318,84 @@ def test_random_perturbation_chain_stays_additive(small_corpus):
         validate_apk(cur)
     assert contains(base, cur)
     assert verify_isolation(cur)
+
+
+def _apply_by_replace(apk, perturbation, rng):
+    """``apply_perturbation`` written with ``dataclasses.replace``, which carries
+    every field it is not told to change: the reference for the constructors
+    ``apply_perturbation`` calls, field for field and draw for draw."""
+    kind, payload, m = perturbation.kind, perturbation.payload, apk.manifest
+    taken = {(c.kind, c.name) for c in m.declared_components}
+    if kind == "uses_feature":
+        if payload in m.uses_features:
+            return apk, True
+        manifest = replace(m, uses_features=m.uses_features | {payload})
+        return replace(apk, manifest=manifest), False
+    if kind == "permission":
+        if any(p.name == payload.name for p in m.permissions):
+            return apk, True
+        manifest = replace(m, permissions=m.permissions | {payload})
+        return replace(apk, manifest=manifest), False
+    if kind.startswith("inject_"):
+        if (payload.declared.kind, payload.declared.name) in taken:
+            return apk, True
+        decl = replace(payload.declared, exported=True, enabled=True,
+                       process=":" + random_name(rng, 8))
+        return replace(
+            apk, manifest=replace(m, declared_components=m.declared_components + (decl,)),
+            code=replace(apk.code, components=apk.code.components
+                         + (payload.injected_component,))), False
+    field = "intent_categories" if kind == "category" else "intent_actions"
+    if any(payload in getattr(c, field) for c in m.declared_components):
+        return apk, True
+    comp_kind = "receiver" if kind == "broadcast_action" else "activity"
+    name = random_name(rng, 20)
+    while (comp_kind, name) in taken:
+        name = random_name(rng, 20)
+    added, none = frozenset({payload}), frozenset()
+    decl = DeclaredComponent(kind=comp_kind, name=name, exported=True, enabled=True,
+                             intent_actions=none if kind == "category" else added,
+                             intent_categories=added if kind == "category" else none,
+                             process=":" + random_name(rng, 8),
+                             data_uri="scheme://" + random_name(rng, 16))
+    return replace(apk, manifest=replace(
+        m, declared_components=m.declared_components + (decl,))), False
+
+
+def test_every_perturbation_kind_matches_the_replace_reference(small_corpus, full_pset):
+    # A payload whose declaration sets every optional field, which the donors'
+    # declarations leave unset.
+    rich = InjectablePayload(
+        source_apk_id="d000", component=_inject_payload().component,
+        declared=declared(kind="service", name="com.donor.Rich", actions=["A"],
+                          categories=["C"], process=":donor", data_uri="content://d"))
+    perturbations = list(full_pset.perturbations) + [StubPerturbation("inject_service", rich)]
+    assert {p.kind for p in perturbations} == {
+        "uses_feature", "permission", "activity_action", "broadcast_action", "category",
+        "inject_service", "inject_receiver", "inject_provider"}
+    for i, app in enumerate([_plain_apk(), *small_corpus.malicious[:2]]):
+        for j, perturbation in enumerate(perturbations):
+            # Applying twice also takes each kind's already-present path.
+            got, want = app, app
+            for _ in range(2):
+                rng, ref_rng = random.Random(i * 1000 + j), random.Random(i * 1000 + j)
+                got_out, got_present = apply_perturbation(got, perturbation, rng)
+                want_out, want_present = _apply_by_replace(want, perturbation, ref_rng)
+                assert got_present == want_present
+                assert got_out == want_out
+                assert rng.getstate() == ref_rng.getstate()
+                got, want = got_out, want_out
+
+
+def test_apply_perturbation_builds_every_field():
+    # apply_perturbation builds these with their constructors, field by field
+    # in this order: a field added to one of them must be added there too.
+    assert [f.name for f in fields(ApkModel)] == ["id", "manifest", "code", "ground_truth"]
+    assert [f.name for f in fields(ManifestModel)] == [
+        "uses_features", "permissions", "declared_components"]
+    assert [f.name for f in fields(DeclaredComponent)] == [
+        "kind", "name", "intent_actions", "intent_categories", "exported", "enabled",
+        "process", "data_uri"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 """Feature extraction: binary strings, markov transition matrices, api clusters."""
 import json
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from apk_builders import StubPerturbation, apk, code_component, declared
+from pst_evade.attack import Oracle
 from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import (API_FAMILY_COUNT, CodeGraph, InjectablePayload,
                               apply_perturbation)
-from pst_evade.detectors import FeatureSpace, space_from_dict, space_to_dict
+from pst_evade.detectors import (FeatureSpace, make_ensemble, score, space_from_dict,
+                                 space_to_dict, train)
 from pst_evade.features import (
     ApiClusterMap,
+    Parts,
+    added_parts,
+    app_parts,
     build_api_cluster_map,
     build_vocab,
     cluster_map_from_dict,
@@ -20,6 +27,7 @@ from pst_evade.features import (
     extract_api_cluster,
     extract_binary,
     extract_markov,
+    part_keys,
 )
 from pst_evade.perturbset import build_perturbation_set
 
@@ -266,6 +274,151 @@ def test_extract_api_cluster_rejects_unmapped_id():
     comp = code_component(api_ids=["api.mystery"], functions=["t.c0.f0@0"])
     with pytest.raises(ValueError, match="api.mystery"):
         extract_api_cluster(apk(components=[comp]), cmap)
+
+
+# ---------------------------------------------------------------------------
+# Api-call column arrays against the per-key walk
+
+
+def _walk_row(space, parts):
+    """A binary or api_cluster row as it was made before column arrays: each
+    key of the parts, or each api call's cluster, looked up one at a time."""
+    row = np.zeros(space.width)
+    if space.kind == "binary":
+        for key in part_keys(parts):
+            i = space.key_index.get(key)
+            if i is not None:
+                row[i] = 1.0
+        return row
+    for comp in parts.components:
+        for api in comp.api_calls:
+            cluster = space.cluster_map.lookup.get(api)
+            if cluster is None:
+                raise ValueError(f"api id missing from cluster map: {api}")
+            row[cluster] = 1.0
+    return row
+
+
+def _bits(row):
+    assert row.dtype == np.float64
+    return row.tobytes()
+
+
+def _column_setting(corpus):
+    """(apps, perturbations, train apps, fresh spaces): a binary space over
+    the train split's keys less every other api key, and two api_cluster spaces
+    with different cluster maps."""
+    apps = corpus.benign + corpus.malicious + corpus.donors
+    pset = build_perturbation_set(load_default_catalog(), corpus.donors)
+    train_apps = corpus.train_test_split()[0]
+    ids = sorted({api for app in apps for comp in app.code.components
+                  for api in comp.api_calls})
+    keys = tuple(k for i, k in enumerate(build_vocab(train_apps))
+                 if not (k.startswith("api:") and i % 2))
+    spaces = [FeatureSpace("binary", keys=keys),
+              *(FeatureSpace("api_cluster",
+                             cluster_map=build_api_cluster_map(ids, count, seed))
+                for count, seed in ((8, 1), (24, 2)))]
+    assert any("api:" + api not in spaces[0].key_index for api in ids)
+    return apps, pset.perturbations, train_apps, spaces
+
+
+def test_column_arrays_match_the_per_key_walk(small_corpus):
+    apps, perturbations, _, spaces = _column_setting(small_corpus)
+    injects = [p for p in perturbations if p.kind.startswith("inject_")]
+    for space in spaces:
+        for app in apps:
+            assert _bits(space.extract(app)) == _bits(_walk_row(space, app_parts(app)))
+        # Every app and every payload, each app extended by two payloads in turn.
+        rng = random.Random(5)
+        for k in range(max(len(apps), len(injects))):
+            app = apps[k % len(apps)]
+            state = space.state(app)
+            for inject in (injects[k % len(injects)], injects[(7 * k + 3) % len(injects)]):
+                bigger, _ = apply_perturbation(app, inject, rng)
+                state = space.extended(state, added_parts(app, bigger))
+                app = bigger
+                assert _bits(state) == _bits(_walk_row(space, app_parts(app)))
+
+
+def test_oracle_answers_match_the_per_key_walk(small_corpus):
+    _, perturbations, train_apps, spaces = _column_setting(small_corpus)
+    labels = [a.ground_truth for a in train_apps]
+    members = [train("linear", space, np.stack([_walk_row(space, app_parts(a))
+                                                for a in train_apps]), labels, seed=3)
+               for space in spaces]
+    for model in [*members, make_ensemble(members)]:
+        oracle = Oracle(model)
+        rng = random.Random(9)
+        for app in small_corpus.malicious:
+            # A gate query, then a chain of candidates answered from deltas.
+            for _ in range(4):
+                want = score(model, {s: _walk_row(s, app_parts(app)) for s in model.spaces})
+                assert oracle.query(app) == want
+                app, _ = apply_perturbation(app, rng.choice(perturbations), rng)
+
+
+def test_column_arrays_are_cached_and_read_only(small_corpus):
+    apps, _, _, spaces = _column_setting(small_corpus)
+    comp = next(c for app in apps for c in app.code.components if c.api_calls)
+    for space in spaces:
+        columns = space.api_columns
+        assert space.api_columns is columns
+        assert comp.api_calls not in columns
+        cols = columns[comp.api_calls]
+        assert cols.dtype == np.intp and cols.size
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0] = 0
+        for app in apps:
+            space.extract(app)
+        assert columns[comp.api_calls] is cols
+    # An api id outside the binary vocabulary sets no column.
+    unseen = code_component(api_ids=["api.unseen"])
+    assert spaces[0].api_columns[unseen.api_calls].size == 0
+
+
+def test_threads_sharing_a_space_get_the_walked_rows(small_corpus):
+    # The harness's workers share each model's spaces, and so their column
+    # arrays: threads that build the same tuple at once must still agree.
+    apps, _, _, spaces = _column_setting(small_corpus)
+    wants = [(s, [_bits(_walk_row(s, app_parts(a))) for a in apps]) for s in spaces]
+    wrong = []
+
+    def extract_all(space, want):
+        if [_bits(space.extract(a)) for a in apps] != want:
+            wrong.append(space.kind)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extract_all, args=(space, want))
+                   for space, want in wants for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_unmapped_api_raises_on_every_call():
+    space = FeatureSpace("api_cluster", cluster_map=ApiClusterMap(
+        cluster_count=2, assignment=(("api.a", 0), ("api.b", 1))))
+    known = code_component(api_ids=["api.a"])
+    stray = code_component(api_ids=["api.b", "api.mystery", "api.other"])
+    app = apk(components=[known, stray])
+    state = space.state(apk(components=[known]))
+    needle = r"^api id missing from cluster map: api\.mystery$"
+    for _ in range(3):
+        with pytest.raises(ValueError, match=needle):
+            space.extract(app)
+        with pytest.raises(ValueError, match=needle):
+            space.extended(state, Parts((), (), (), (stray,), 1))
+        assert stray.api_calls not in space.api_columns
+    assert known.api_calls in space.api_columns
 
 
 # ---------------------------------------------------------------------------
