@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .corpus import ApkModel, apply_perturbation
-from .detectors import DetectorModel, Feedback, query as model_query
+from .detectors import DetectorModel, Ensemble, Feedback, query as model_query
 from .features import added_parts
 from .perturbset import PerturbationSet
 from .pstree import EPSILON, PSTree, adjust, build_tree, sample_path
@@ -29,7 +29,7 @@ class Oracle:
     ``detectors.query(model, apk)`` bit for bit.
     """
 
-    def __init__(self, model: DetectorModel):
+    def __init__(self, model: DetectorModel | Ensemble):
         self.model = model
         # (app, {space: state}) pairs, the latest first.
         self._remembered: list[tuple[ApkModel, dict]] = []
@@ -101,9 +101,8 @@ class _TreePolicy:
     def propose(self, rng: random.Random):
         if self.tree.is_empty():
             return None
-        path = sample_path(self.tree, rng)
-        self.leaf_id = path.leaf_id
-        return path.group.members
+        self.leaf_id = sample_path(self.tree, rng)
+        return self.tree.groups[self.leaf_id].members
 
     def observe(self, y_prev: float, y_new: float) -> bool:
         adjust(self.tree, self.leaf_id, y_prev, y_new)
@@ -192,7 +191,7 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
             break
         candidate = current
         for p in picks:
-            candidate, _ = apply_perturbation(candidate, p, rng)
+            candidate = apply_perturbation(candidate, p, rng)
         fb = oracle.query(candidate)
         trace.append(fb.confidence)
         elapsed.append(time.perf_counter() - t0)

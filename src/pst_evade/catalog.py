@@ -25,9 +25,6 @@ class AndroidCatalog:
     broadcast_actions: tuple[str, ...]
     categories: tuple[str, ...]
 
-    def permission_names(self, levels: tuple[str, ...] = PROTECTION_LEVELS) -> tuple[str, ...]:
-        return tuple(name for name, level in self.permissions if level in levels)
-
 
 def catalog_from_dict(doc: dict) -> AndroidCatalog:
     pools = {name: strings(doc[name], name) for name in (

@@ -18,7 +18,7 @@ from .corpus import (
     save_corpus,
     spec_from_dict,
 )
-from .detectors import DETECTOR_KINDS, FEATURE_KINDS, load_model, save_model
+from .detectors import DETECTOR_KINDS, FEATURE_KINDS, Ensemble, load_model, save_model
 from .harness import (
     attack_sample,
     compute_asr,
@@ -65,10 +65,9 @@ def _cmd_train(args) -> int:
                         train_seed=_seed_override(args.seed))
     model = train_detector(spec, corpus)
     save_model(model, args.out)
-    rep = model.report
-    trained = (f"an ensemble of {len(model.members)} members" if rep is None else
-               f"{args.kind} on {args.features} features; "
-               f"f1={rep.f1:.3f} (holdout={rep.on_holdout})")
+    trained = (f"an ensemble of {len(model.members)} members" if isinstance(model, Ensemble)
+               else f"{args.kind} on {args.features} features; "
+               f"f1={model.report.f1:.3f} (holdout={model.report.on_holdout})")
     print(f"trained {trained}; saved to {args.out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Abstract Android app model: manifest + code graph, synthetic corpus generation,
+"""Abstract Android app model: manifest + code components, synthetic corpus generation,
 additive perturbation application, and containment/isolation checks."""
 from __future__ import annotations
 
@@ -105,15 +105,10 @@ class CodeComponent:
 
 
 @dataclass(frozen=True)
-class CodeGraph:
-    components: tuple[CodeComponent, ...]
-
-
-@dataclass(frozen=True)
 class ApkModel:
     id: str
     manifest: ManifestModel
-    code: CodeGraph
+    components: tuple[CodeComponent, ...]
     ground_truth: str
 
 
@@ -290,8 +285,8 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
 
     manifest = ManifestModel(uses_features=features, permissions=permissions,
                              declared_components=tuple(declared))
-    code = CodeGraph(components=tuple(components))
-    return ApkModel(id=apk_id, manifest=manifest, code=code, ground_truth=cls)
+    return ApkModel(id=apk_id, manifest=manifest, components=tuple(components),
+                    ground_truth=cls)
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
@@ -357,7 +352,7 @@ def _fresh_component_name(apk: ApkModel, kind: str, rng: random.Random) -> str:
 
 
 def _with_manifest(apk: ApkModel, manifest: ManifestModel) -> ApkModel:
-    return ApkModel(apk.id, manifest, apk.code, apk.ground_truth)
+    return ApkModel(apk.id, manifest, apk.components, apk.ground_truth)
 
 
 def _with_declared(manifest: ManifestModel, comp: DeclaredComponent) -> ManifestModel:
@@ -366,11 +361,11 @@ def _with_declared(manifest: ManifestModel, comp: DeclaredComponent) -> Manifest
 
 
 def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
-                       rng: random.Random) -> tuple[ApkModel, bool]:
-    """Apply one additive perturbation. Returns (model, already_present).
+                       rng: random.Random) -> ApkModel:
+    """Apply one additive perturbation and return the perturbed model.
 
-    When the perturbation's effect is already present the input model is returned
-    unchanged, the flag is True, and no randomness is consumed.
+    When the perturbation's effect is already present the input model itself is
+    returned, and no randomness is consumed.
     """
     kind = perturbation.kind
     payload = perturbation.payload
@@ -378,25 +373,25 @@ def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
 
     if kind == "uses_feature":
         if payload in m.uses_features:
-            return apk, True
+            return apk
         manifest = ManifestModel(m.uses_features | {payload}, m.permissions,
                                  m.declared_components)
-        return _with_manifest(apk, manifest), False
+        return _with_manifest(apk, manifest)
 
     if kind == "permission":
         if any(p.name == payload.name for p in m.permissions):
-            return apk, True
+            return apk
         manifest = ManifestModel(m.uses_features, m.permissions | {payload},
                                  m.declared_components)
-        return _with_manifest(apk, manifest), False
+        return _with_manifest(apk, manifest)
 
     if kind in ("activity_action", "broadcast_action", "category"):
         if kind == "category":
             if any(payload in c.intent_categories for c in m.declared_components):
-                return apk, True
+                return apk
         else:
             if any(payload in c.intent_actions for c in m.declared_components):
-                return apk, True
+                return apk
         comp_kind = "receiver" if kind == "broadcast_action" else "activity"
         name = _fresh_component_name(apk, comp_kind, rng)
         comp = DeclaredComponent(
@@ -406,19 +401,18 @@ def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
             exported=True, enabled=True,
             process=":" + random_name(rng, 8),
             data_uri="scheme://" + random_name(rng, 16))
-        return _with_manifest(apk, _with_declared(m, comp)), False
+        return _with_manifest(apk, _with_declared(m, comp))
 
     if kind in ("inject_service", "inject_receiver", "inject_provider"):
         declared = payload.declared
         if (declared.kind, declared.name) in _declared_names(apk):
-            return apk, True
+            return apk
         injected_decl = DeclaredComponent(
             declared.kind, declared.name, declared.intent_actions, declared.intent_categories,
             exported=True, enabled=True, process=":" + random_name(rng, 8),
             data_uri=declared.data_uri)
-        code = CodeGraph(apk.code.components + (payload.injected_component,))
-        return ApkModel(apk.id, _with_declared(m, injected_decl), code,
-                        apk.ground_truth), False
+        return ApkModel(apk.id, _with_declared(m, injected_decl),
+                        apk.components + (payload.injected_component,), apk.ground_truth)
 
     raise ValueError(f"unknown perturbation kind: {kind}")
 
@@ -433,7 +427,7 @@ def contains(original: ApkModel, perturbed: ApkModel) -> bool:
         return False
     if not set(om.declared_components) <= set(pm.declared_components):
         return False
-    return set(original.code.components) <= set(perturbed.code.components)
+    return set(original.components) <= set(perturbed.components)
 
 
 def _edges_in_range(comp: CodeComponent) -> bool:
@@ -444,7 +438,7 @@ def _edges_in_range(comp: CodeComponent) -> bool:
 def verify_isolation(apk: ApkModel) -> bool:
     """True when no call edge leaves its component, so none joins injected and
     original code; edges hold local indices, which makes this a bounds check."""
-    return all(_edges_in_range(c) for c in apk.code.components)
+    return all(_edges_in_range(c) for c in apk.components)
 
 
 def check_code_component(comp: CodeComponent, where: str) -> None:
@@ -478,7 +472,7 @@ def validate_apk(apk: ApkModel) -> None:
         if key in seen:
             raise ValueError(f"app {apk.id}: duplicate declared component: {key}")
         seen.add(key)
-    for i, comp in enumerate(apk.code.components):
+    for i, comp in enumerate(apk.components):
         check_code_component(comp, f"app {apk.id} component {i}")
 
 
@@ -580,7 +574,7 @@ def apk_to_dict(apk: ApkModel) -> dict:
             ),
             "declared_components": [_declared_to_dict(c) for c in apk.manifest.declared_components],
         },
-        "code": {"components": [_component_to_dict(c) for c in apk.code.components]},
+        "code": {"components": [_component_to_dict(c) for c in apk.components]},
     }
 
 
@@ -594,9 +588,10 @@ def apk_from_dict(d: dict) -> ApkModel:
         declared_components=tuple(map(_declared_from_dict, items(
             m["declared_components"], where + "declared_components"))),
     )
-    code = CodeGraph(components=tuple(map(_component_from_dict, items(
-        d["code"]["components"], where + "code components"))))
-    return ApkModel(id=apk_id, manifest=manifest, code=code, ground_truth=d["ground_truth"])
+    components = tuple(map(_component_from_dict, items(
+        d["code"]["components"], where + "code components")))
+    return ApkModel(id=apk_id, manifest=manifest, components=components,
+                    ground_truth=d["ground_truth"])
 
 
 def spec_to_dict(spec: CorpusSpec) -> dict:

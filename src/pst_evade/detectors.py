@@ -126,7 +126,7 @@ class FeatureSpace:
 
     def state(self, apk: ApkModel) -> np.ndarray:
         if self.kind == "markov":
-            return markov_counts(apk.code.components, self.family_count)
+            return markov_counts(apk.components, self.family_count)
         return self.extract(apk)
 
     def extended(self, state: np.ndarray, parts: Parts) -> np.ndarray:
@@ -175,44 +175,52 @@ class TrainReport:
 
 @dataclass
 class DetectorModel:
-    """A detector. ``params`` are read once, when the model is made: the scoring
-    kernel is built from them then, and the parameters are checked against the
-    feature space. An ensemble has no space (``space`` is None) and no params,
-    and its members are scorers."""
+    """A scorer: a detector of every kind but an ensemble. ``params`` are read
+    once, when the model is made: the scoring kernel is built from them then,
+    and the parameters are checked against the feature space."""
 
     kind: str
-    space: FeatureSpace | None
+    space: FeatureSpace
     params: dict
     report: TrainReport | None = None
-    members: tuple["DetectorModel", ...] = ()
     # x -> malicious confidence; built from ``params``, never serialized.
     kernel: Callable[[np.ndarray], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in DETECTOR_KINDS:
+        if self.kind not in _KERNEL_BUILDERS:
             raise ValueError(f"unknown detector kind: {self.kind}")
-        if (self.space is None) != (self.kind == "ensemble"):
-            raise ValueError(f"{self.kind} model: an ensemble has no feature space "
-                             "and every other model has one")
-        if self.kind == "ensemble" and not self.members:
-            raise ValueError("ensemble model: has no members")
-        _one_level(self.kind, [m.kind for m in self.members])
         self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params)
+
+    @property
+    def spaces(self) -> tuple[FeatureSpace, ...]:
+        """The feature spaces the model reads: its own."""
+        return (self.space,)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """A detector whose scorers vote: it answers with the share of its members
+    that fire, and is one level deep."""
+
+    members: tuple[DetectorModel, ...]
+    kind = "ensemble"  # a class attribute, not a field
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        if not self.members:
+            raise ValueError("ensemble model: has no members")
+        _refuse_nested([m.kind for m in self.members])
 
     @cached_property
     def spaces(self) -> tuple[FeatureSpace, ...]:
-        """The distinct feature spaces the model reads: an ensemble's members', or its own."""
-        return tuple(dict.fromkeys(m.space for m in self.members or (self,)))
+        """The distinct feature spaces the members read, in member order."""
+        return tuple(dict.fromkeys(m.space for m in self.members))
 
 
-def _one_level(kind: str, member_kinds: Sequence[str]) -> None:
-    """Only an ensemble has members, and none of them is an ensemble."""
-    for i, member_kind in enumerate(member_kinds):
-        if kind != "ensemble":
-            raise ValueError(f"{kind} model: has member {i}; only an ensemble has members")
-        if member_kind == "ensemble":
-            raise ValueError(f"ensemble model: member {i} is an ensemble; "
-                             "ensembles are one level deep")
+def _refuse_nested(member_kinds: Sequence[str]) -> None:
+    if "ensemble" in member_kinds:
+        raise ValueError(f"ensemble model: member {member_kinds.index('ensemble')} is an "
+                         "ensemble; ensembles are one level deep")
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -512,12 +520,8 @@ def _forest_kernel(space: FeatureSpace, p: dict):
                    np.array(vote, dtype=np.intp), roots, max(depth, default=0))
 
 
-def _ensemble_score(x: np.ndarray) -> float:
-    raise ValueError("no dense confidence for kind: ensemble; query its members")
-
-
 _KERNEL_BUILDERS = {"linear": _linear_kernel, "mlp": _mlp_kernel, "knn": _knn_kernel,
-                    "forest": _forest_kernel, "ensemble": lambda space, p: _ensemble_score}
+                    "forest": _forest_kernel}
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +529,24 @@ _KERNEL_BUILDERS = {"linear": _linear_kernel, "mlp": _mlp_kernel, "knn": _knn_ke
 
 
 def confidence_from_dense(model: DetectorModel, x: np.ndarray) -> float:
-    """Malicious confidence for an already-extracted dense vector."""
+    """A scorer's malicious confidence for an already-extracted dense vector."""
     return model.kernel(x)
 
 
-def score(model: DetectorModel, rows: Mapping[FeatureSpace, np.ndarray]) -> Feedback:
+def score(model: DetectorModel | Ensemble,
+          rows: Mapping[FeatureSpace, np.ndarray]) -> Feedback:
     """The answer for an app whose dense row in each of the model's feature spaces
     is in ``rows``. An ensemble answers with its detection fraction, the share of
     members whose confidence reaches THRESHOLD, flagged malicious when any does."""
-    if model.kind != "ensemble":
-        conf = confidence_from_dense(model, rows[model.space])
-        return Feedback(label="malicious" if conf >= THRESHOLD else "benign",
-                        confidence=conf)
-    conf = sum(confidence_from_dense(m, rows[m.space]) >= THRESHOLD
-               for m in model.members) / len(model.members)
-    return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
+    if isinstance(model, Ensemble):
+        conf = sum(confidence_from_dense(m, rows[m.space]) >= THRESHOLD
+                   for m in model.members) / len(model.members)
+        return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
+    conf = confidence_from_dense(model, rows[model.space])
+    return Feedback(label="malicious" if conf >= THRESHOLD else "benign", confidence=conf)
 
 
-def query(model: DetectorModel, apk: ApkModel,
+def query(model: DetectorModel | Ensemble, apk: ApkModel,
           rows: Callable[[ApkModel], Mapping[FeatureSpace, np.ndarray]] | None = None
           ) -> Feedback:
     """Black-box oracle answer for one app. ``rows(apk)`` gives the app's dense row
@@ -551,10 +555,6 @@ def query(model: DetectorModel, apk: ApkModel,
     if rows is None:
         return score(model, {space: space.extract(apk) for space in model.spaces})
     return score(model, rows(apk))
-
-
-def make_ensemble(members: Sequence[DetectorModel]) -> DetectorModel:
-    return DetectorModel(kind="ensemble", space=None, params={}, members=tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +592,9 @@ _MAX_FEATURE = np.finfo(np.float64).max / 2
 
 def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
           seed: int = 0) -> DetectorModel:
-    """Train one detector on labeled rows of ``space``'s features, one row of
+    """Train one scorer on labeled rows of ``space``'s features, one row of
     ``x`` per label. Deterministic under a seed."""
-    if kind == "ensemble":
-        raise ValueError("train ensemble members individually and use make_ensemble")
-    if kind not in DETECTOR_KINDS:
+    if kind not in _KERNEL_BUILDERS:
         raise ValueError(f"unknown detector kind: {kind}")
     if len(x) == 0:
         raise ValueError("empty training set")
@@ -644,6 +642,8 @@ _ENSEMBLE_KEYS = ("format", "kind", "members")
 _PARAMS = {"linear": {"w": numbers, "b": number},
            "mlp": {"w1": numbers, "b1": numbers, "w2": numbers, "b2": number},
            "knn": {"x": numbers, "y": numbers}, "forest": {"trees": items}}
+# The one key a space doc holds besides ``kind``, per space kind.
+_SPACE_FIELD = {"binary": "keys", "markov": "family_count", "api_cluster": "cluster_map"}
 
 
 def _only(doc: dict, names, kind: str, prefix: str = "") -> None:
@@ -667,11 +667,11 @@ def _scorer_to_dict(model: DetectorModel) -> dict:
     return doc
 
 
-def model_to_dict(model: DetectorModel) -> dict:
-    if model.kind != "ensemble":
-        return _scorer_to_dict(model)
-    return {"format": MODEL_FORMAT, "kind": "ensemble",
-            "members": [_scorer_to_dict(m) for m in model.members]}
+def model_to_dict(model: DetectorModel | Ensemble) -> dict:
+    if isinstance(model, Ensemble):
+        return {"format": MODEL_FORMAT, "kind": "ensemble",
+                "members": [_scorer_to_dict(m) for m in model.members]}
+    return _scorer_to_dict(model)
 
 
 def _scorer_from_dict(doc: dict) -> DetectorModel:
@@ -680,9 +680,15 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
         raise ValueError(f"unknown detector kind: {kind}")
     try:
         _only(doc, _SCORER_KEYS, kind)
-        space = space_from_dict(obj(doc["space"], f"{kind} model: space"))
+        space_doc = obj(doc["space"], f"{kind} model: space")
+        space = space_from_dict(space_doc)
         if space.digest != doc["space_hash"]:
             raise ValueError(f"{kind} model: space does not match its space_hash")
+        # The digest reads only these keys, so another one would load unchecked.
+        _only(space_doc, ("kind", _SPACE_FIELD[space.kind]), kind, "space.")
+        if space.kind == "api_cluster":
+            _only(space_doc["cluster_map"], ("cluster_count", "assignment"), kind,
+                  "space.cluster_map.")
         report = None if "report" not in doc else TrainReport(**fields_of(
             TrainReport, doc["report"], f"{kind} model: report",
             precision=number, recall=number, f1=number, holdout_size=integer, on_holdout=flag))
@@ -695,7 +701,7 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
         raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None
 
 
-def model_from_dict(doc: dict) -> DetectorModel:
+def model_from_dict(doc: dict) -> DetectorModel | Ensemble:
     """Inverse of ``model_to_dict``. A key that is missing or not one its kind's
     file holds, a value not of its type, an ensemble member of another format, a
     nested ensemble, or a space that does not match its ``space_hash`` is a
@@ -711,14 +717,14 @@ def model_from_dict(doc: dict) -> DetectorModel:
         if found != MODEL_FORMAT:
             raise ValueError(f"ensemble model: member {i} format {found} is not supported; "
                              "retrain it with train")
-    _one_level("ensemble", [m.get("kind") for m in members])
-    return make_ensemble([_scorer_from_dict(m) for m in members])
+    _refuse_nested([m.get("kind") for m in members])
+    return Ensemble([_scorer_from_dict(m) for m in members])
 
 
-def save_model(model: DetectorModel, path: str | Path) -> None:
+def save_model(model: DetectorModel | Ensemble, path: str | Path) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> DetectorModel:
+def load_model(path: str | Path) -> DetectorModel | Ensemble:
     """The model in a file; every error names the file at its start."""
     return read_document(path, model_from_dict, ("model", MODEL_FORMAT, "retrain it with train"))

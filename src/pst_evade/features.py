@@ -43,7 +43,7 @@ class Parts(NamedTuple):
 
 def app_parts(apk: ApkModel) -> Parts:
     m = apk.manifest
-    return Parts(m.uses_features, m.permissions, m.declared_components, apk.code.components)
+    return Parts(m.uses_features, m.permissions, m.declared_components, apk.components)
 
 
 def _added(old: frozenset, new: frozenset) -> Collection | None:
@@ -64,7 +64,7 @@ def added_parts(base: ApkModel, apk: ApkModel) -> Parts | None:
     permission sets are subsets of apk's. Then each feature of ``apk`` is that of
     ``base`` plus the contribution of the added parts."""
     bm, m = base.manifest, apk.manifest
-    old, new = base.code.components, apk.code.components
+    old, new = base.components, apk.components
     if not (_leading(old, new) and _leading(bm.declared_components, m.declared_components)):
         return None
     features = _added(bm.uses_features, m.uses_features)
@@ -202,7 +202,7 @@ def extract_markov(apk: ApkModel, family_count: int) -> np.ndarray:
     """Row-normalized family-transition matrix of the call graph, flattened row-major."""
     if family_count < 1:
         raise ValueError("family_count must be >= 1")
-    return markov_row(markov_counts(apk.code.components, family_count), family_count)
+    return markov_row(markov_counts(apk.components, family_count), family_count)
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap,
     """1.0 at cluster i when any api call mapped to cluster i occurs in the app.
     ``columns`` are ``cluster_columns(cmap)``, built afresh when not given."""
     out = np.zeros(cmap.cluster_count)
-    mark_api_calls(out, apk.code.components,
+    mark_api_calls(out, apk.components,
                    cluster_columns(cmap) if columns is None else columns)
     return out
 

@@ -24,8 +24,8 @@ from .detectors import (
     DETECTOR_KINDS,
     FEATURE_KINDS,
     DetectorModel,
+    Ensemble,
     FeatureSpace,
-    make_ensemble,
     query as model_query,
     train,
 )
@@ -199,7 +199,7 @@ def _corpus_api_ids(corpus: Corpus) -> list[str]:
     ids = set()
     for apps in (corpus.benign, corpus.malicious, corpus.donors):
         for apk in apps:
-            for comp in apk.code.components:
+            for comp in apk.components:
                 ids.update(comp.api_calls)
     return sorted(ids)
 
@@ -217,13 +217,11 @@ def _featurize(features: str, apks, corpus: Corpus, seed: int) -> tuple[FeatureS
     return space, np.stack([space.extract(a) for a in apks])
 
 
-def train_detector(spec: DetectorSpec, corpus: Corpus,
-                   train_apks=None) -> DetectorModel:
+def train_detector(spec: DetectorSpec, corpus: Corpus) -> DetectorModel | Ensemble:
     """Train the detector a spec describes on the corpus train split."""
-    if train_apks is None:
-        train_apks, _ = corpus.train_test_split()
     if spec.kind == "ensemble":
-        return make_default_ensemble(corpus, train_apks, seed=spec.train_seed)
+        return make_default_ensemble(corpus, seed=spec.train_seed)
+    train_apks, _ = corpus.train_test_split()
     space, x = _featurize(spec.features, train_apks, corpus, spec.train_seed)
     labels = [a.ground_truth for a in train_apks]
     return train(spec.kind, space, x, labels, seed=spec.train_seed)
@@ -238,9 +236,9 @@ _ENSEMBLE_PLAN = (
 )
 
 
-def make_default_ensemble(corpus: Corpus, train_apks=None, seed: int = 0,
-                          size: int = 20) -> DetectorModel:
-    """Ensemble of `size` detectors, each fit on a stratified bootstrap.
+def make_default_ensemble(corpus: Corpus, seed: int = 0, size: int = 20) -> Ensemble:
+    """Ensemble of `size` detectors, each fit on a stratified bootstrap of the
+    corpus train split.
 
     Each train app is extracted once per feature kind, and a member's matrix is
     read off by row: a binary member's space, the sorted key union of its
@@ -249,9 +247,7 @@ def make_default_ensemble(corpus: Corpus, train_apks=None, seed: int = 0,
     sampled apps in it."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
-    if train_apks is None:
-        train_apks, _ = corpus.train_test_split()
-    train_apks = list(train_apks)
+    train_apks = list(corpus.train_test_split()[0])
     by_class: dict[str, list[int]] = {}
     for r, apk in enumerate(train_apks):
         by_class.setdefault(apk.ground_truth, []).append(r)
@@ -288,14 +284,14 @@ def make_default_ensemble(corpus: Corpus, train_apks=None, seed: int = 0,
                 x = x[rows]
         labels = [train_apks[r].ground_truth for r in rows]
         members.append(train(kind, space, x, labels, seed=member_seed))
-    return make_ensemble(members)
+    return Ensemble(members)
 
 
 # ---------------------------------------------------------------------------
 # The runner
 
 
-def select_true_positives(model: DetectorModel, candidates, count: int,
+def select_true_positives(model: DetectorModel | Ensemble, candidates, count: int,
                            master_seed: int, detector_name: str):
     """First `count` detected malicious samples in seed-shuffled order."""
     if count < 1:
@@ -336,7 +332,7 @@ def budget_rows(report: AttackReport, budgets) -> list[tuple[int, str, int, floa
     return rows
 
 
-def attack_sample(model: DetectorModel, apk: ApkModel, pset: PerturbationSet,
+def attack_sample(model: DetectorModel | Ensemble, apk: ApkModel, pset: PerturbationSet,
                   algorithm: str, budget: int, master_seed: int) -> AttackReport:
     """One attack on one true positive, with its own ``Oracle`` and the seed
     derived from (master seed, sample id)."""
@@ -376,7 +372,7 @@ def run_experiment(config: ExperimentConfig,
     if len({a.ground_truth for a in train_apks}) < 2:
         raise ValueError("corpus train split contains a single class")
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
-    models = {spec.name: train_detector(spec, corpus, train_apks)
+    models = {spec.name: train_detector(spec, corpus)
               for spec in config.detectors}
     malicious_test = [a for a in test_apks if a.ground_truth == "malicious"]
 

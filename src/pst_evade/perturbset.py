@@ -206,9 +206,9 @@ def _donor_perturbations(donors) -> list[Perturbation]:
     for donor in donors:
         declared_code = [d for d in donor.manifest.declared_components
                          if d.kind in CODE_KINDS]
-        if len(declared_code) != len(donor.code.components):
+        if len(declared_code) != len(donor.components):
             raise ValueError(f"donor {donor.id} declarations do not match its code")
-        for decl, comp in zip(declared_code, donor.code.components):
+        for decl, comp in zip(declared_code, donor.components):
             if decl.kind != comp.kind:
                 raise ValueError(f"donor {donor.id} component order is inconsistent")
             if not comp.families.size:

@@ -16,17 +16,6 @@ EPSILON = 1e-6
 PENALTY_CONSTANT = 0.1
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    node_ids: tuple[int, ...]
-    labels: tuple[str, ...]
-    group: PerturbationGroup
-
-    @property
-    def leaf_id(self) -> int:
-        return self.node_ids[-1]
-
-
 @dataclass(repr=False)
 class PSTree:
     """A selection tree; one copy per attack. Copies share the shape: ``labels``,
@@ -158,11 +147,12 @@ def build_tree(groups) -> PSTree:
     return init_probabilities(PSTree(labels, parents, leaf_groups, children, {}, counts))
 
 
-def sample_path(tree: PSTree, rng: random.Random) -> SamplePath:
-    """Walk root to leaf, choosing each child by its selection probability."""
+def sample_path(tree: PSTree, rng: random.Random) -> int:
+    """Walk root to leaf, choosing each child by its selection probability, and
+    return the leaf; the path is the leaf's ancestors through ``tree.parents``."""
     if tree.is_empty():
         raise ValueError("cannot sample from an empty tree")
-    node, ids = 0, [0]
+    node = 0
     while tree.groups[node] is None:
         r = rng.random()
         acc = 0.0
@@ -174,9 +164,7 @@ def sample_path(tree: PSTree, rng: random.Random) -> SamplePath:
                 chosen = child
                 break
         node = chosen
-        ids.append(node)
-    return SamplePath(node_ids=tuple(ids), labels=tuple(tree.labels[n] for n in ids),
-                      group=tree.groups[node])
+    return node
 
 
 def _check_leaf(tree: PSTree, leaf: int) -> int:

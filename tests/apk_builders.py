@@ -12,7 +12,6 @@ from pst_evade.corpus import (
     ARRAY_DTYPES,
     ApkModel,
     CodeComponent,
-    CodeGraph,
     DeclaredComponent,
     ManifestModel,
     Permission,
@@ -77,8 +76,8 @@ def apk(apk_id="t000", ground_truth="malicious", features=(), perms=(),
         permissions=frozenset(Permission(n, lvl) for n, lvl in perms),
         declared_components=tuple(declared_components),
     )
-    code = CodeGraph(components=_place_edges(tuple(components), edges))
-    return ApkModel(id=apk_id, manifest=manifest, code=code,
+    return ApkModel(id=apk_id, manifest=manifest,
+                    components=_place_edges(tuple(components), edges),
                     ground_truth=ground_truth)
 
 

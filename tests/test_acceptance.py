@@ -201,7 +201,7 @@ def test_sampling_fidelity_chi_square(verdict):
     n = 100_000
     observed = [0] * len(leaves)
     for _ in range(n):
-        observed[index[sample_path(tree, rng).leaf_id]] += 1
+        observed[index[sample_path(tree, rng)]] += 1
     result = stats.chisquare(observed, [p * n for p in expected])
     verdict("sampling-fidelity",
             result.pvalue > 0.01,
@@ -404,7 +404,7 @@ def _components_sha256(corpus) -> str:
     h = hashlib.sha256()
     for apps in (corpus.benign, corpus.malicious, corpus.donors):
         for apk in apps:
-            for comp in apk.code.components:
+            for comp in apk.components:
                 for arr in (comp.families, comp.edges):
                     h.update(repr(arr.shape).encode())
                     h.update(arr.tobytes())

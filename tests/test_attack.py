@@ -20,14 +20,13 @@ from pst_evade.attack import (
 from pst_evade.catalog import AndroidCatalog, load_default_catalog
 from pst_evade.corpus import (
     CodeComponent,
-    CodeGraph,
     InjectablePayload,
     apply_perturbation,
     contains,
     validate_apk,
     verify_isolation,
 )
-from pst_evade.detectors import DetectorModel, Feedback, FeatureSpace, make_ensemble
+from pst_evade.detectors import DetectorModel, Ensemble, Feedback, FeatureSpace
 from pst_evade.harness import DetectorSpec, make_default_ensemble, train_detector
 from pst_evade.perturbset import (
     build_perturbation_set,
@@ -266,7 +265,7 @@ def test_single_flip_found_by_tree_search():
 
     flips = []
     for p in pset.perturbations:
-        candidate, _ = apply_perturbation(base, p, random.Random(0))
+        candidate = apply_perturbation(base, p, random.Random(0))
         x = model.space.extract(candidate)
         conf = 1.0 / (1.0 + math.exp(-float(np.dot(model.params["w"], x))))
         if conf < 0.5:
@@ -411,7 +410,7 @@ def detector_zoo(small_corpus):
         zoo[name] = train_detector(DetectorSpec(name=name, kind=kind, features=features),
                                    small_corpus)
     zoo["ensemble"] = make_default_ensemble(small_corpus, seed=0, size=20)
-    zoo["mixed"] = make_ensemble([zoo[name] for name in (
+    zoo["mixed"] = Ensemble([zoo[name] for name in (
         "binary-linear", "markov-mlp", "api_cluster-forest", "binary-knn", "markov-forest",
         "api_cluster-linear")])
     return zoo
@@ -495,7 +494,7 @@ def test_oracle_keeps_the_kept_sample_when_a_candidate_adds_nothing(
 
 
 def _with_components(app, components):
-    return dataclasses.replace(app, code=CodeGraph(tuple(components)))
+    return dataclasses.replace(app, components=tuple(components))
 
 
 def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
@@ -506,8 +505,8 @@ def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
     rng = random.Random(3)
     inject = next(p for p in donor_pset.perturbations if p.kind.startswith("inject_"))
     first, second = small_corpus.malicious[:2]
-    assert first.code.components and first.manifest.permissions
-    extended, _ = apply_perturbation(first, inject, rng)
+    assert first.components and first.manifest.permissions
+    extended = apply_perturbation(first, inject, rng)
     oracle = DifferentialOracle(model)
 
     def extracted_in_full(app):
@@ -525,10 +524,10 @@ def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
     # Equal components that are not the same objects; a permission dropped;
     # the first app without its last code component.
     copies = _with_components(extended, [dataclasses.replace(c)
-                                         for c in extended.code.components])
+                                         for c in extended.components])
     dropped = dataclasses.replace(extended, manifest=dataclasses.replace(
         extended.manifest, permissions=frozenset(list(first.manifest.permissions)[1:])))
-    shorter = _with_components(first, first.code.components[:-1])
+    shorter = _with_components(first, first.components[:-1])
     for app in (copies, dropped, shorter):
         assert extracted_in_full(app)
 
@@ -548,9 +547,9 @@ def test_oracle_raises_the_full_extraction_error_for_an_added_part(
         source_apk_id="d", declared=declared(kind="service", name="Bad"),
         component=CodeComponent(**{"kind": "service", "classes": 1, "families": [],
                                    "edges": [], "api_calls": (), **component}))
-    candidate, _ = apply_perturbation(target, StubPerturbation("inject_service", payload),
-                                      random.Random(0))
-    needle = needle.format(i=len(target.code.components))
+    candidate = apply_perturbation(target, StubPerturbation("inject_service", payload),
+                                   random.Random(0))
+    needle = needle.format(i=len(target.components))
     with pytest.raises(ValueError) as full:
         detectors.query(model, candidate)
     assert str(full.value) == needle

@@ -12,9 +12,9 @@ from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
+    Ensemble,
     FeatureSpace,
     load_model,
-    make_ensemble,
     model_from_dict,
     model_to_dict,
 )
@@ -70,7 +70,7 @@ def test_train_load_and_attack_with_an_ensemble(workdir, capsys):
                  "--out", str(path)]) == 0
     assert capsys.readouterr().out == f"trained an ensemble of 20 members; saved to {path}\n"
     model = load_model(path)
-    assert model.kind == "ensemble" and model.space is None and model.report is None
+    assert isinstance(model, Ensemble) and model.kind == "ensemble"
     assert "space" not in json.loads(path.read_text())
     assert len({m.space for m in model.members}) > 1
     out = workdir / "attack_ensemble.json"
@@ -394,7 +394,7 @@ def _weights_as_strings(model):
 def _as_ensemble(model, **extra):
     """Make ``model`` the file of an ensemble whose one member is the model it
     held, with the ``extra`` keys besides."""
-    ensemble = model_to_dict(make_ensemble([model_from_dict(model)]))
+    ensemble = model_to_dict(Ensemble([model_from_dict(model)]))
     model.clear()
     model.update(ensemble, **extra)
 
@@ -402,6 +402,11 @@ def _as_ensemble(model, **extra):
 def _ensemble_member_format_99(model):
     _as_ensemble(model)
     model["members"][0]["format"] = 99
+
+
+def _ensemble_member_space_family_count(model):
+    _as_ensemble(model)
+    model["members"][0]["space"]["family_count"] = 7
 
 
 def _ensemble_of_one_claiming_two(model):
@@ -527,6 +532,9 @@ _PROBES = {
     "model-ensemble-with-params": ("--model", "model.json",
                                    lambda d: _as_ensemble(d, params={"w": [1.0]})),
     "model-unknown-key": ("--model", "model.json", lambda d: d.update(bogus=1)),
+    "model-space-unknown-key": ("--model", "model.json", lambda d: d["space"].update(bogus=1)),
+    "model-ensemble-member-space-family-count": ("--model", "model.json",
+                                                 _ensemble_member_space_family_count),
     "model-ensemble-member-format-99": ("--model", "model.json", _ensemble_member_format_99),
     "config-corpus-path-number": ("--config", "bench.json", lambda d: d.update(corpus_path=5)),
     "config-detector-name-number": ("--config", "bench.json",
@@ -567,6 +575,8 @@ _PROBE_FIELDS = {
     "model-ensemble-with-space": "ensemble model: unknown key 'space'",
     "model-ensemble-with-params": "ensemble model: unknown key 'params'",
     "model-unknown-key": "linear model: unknown key 'bogus'",
+    "model-space-unknown-key": "linear model: unknown key 'space.bogus'",
+    "model-ensemble-member-space-family-count": "linear model: unknown key 'space.family_count'",
     "model-ensemble-member-format-99": (
         "ensemble model: member 0 format 99 is not supported; retrain it with train"),
     "model-forest-split-on-a-flag": "forest model: split feature is true, not an integer",

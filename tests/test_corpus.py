@@ -1,5 +1,6 @@
 """App model, corpus generator, and perturbation application."""
 import base64
+import hashlib
 import json
 import random
 import re
@@ -24,7 +25,6 @@ from pst_evade.corpus import (
     CATEGORY_LAUNCHER,
     ApkModel,
     CodeComponent,
-    CodeGraph,
     CorpusSpec,
     DeclaredComponent,
     InjectablePayload,
@@ -49,6 +49,7 @@ from pst_evade.corpus import (
     validate_apk,
     verify_isolation,
 )
+from pst_evade.perturbset import build_perturbation_set, save_pset
 
 NAME_RE = re.compile(r"^[a-z0-9]{20}$")
 PROCESS_RE = re.compile(r"^:[a-z0-9]{8}$")
@@ -84,7 +85,7 @@ def test_generated_apps_are_valid(small_corpus):
 
 def test_generated_function_ids_carry_families(small_corpus):
     app = small_corpus.malicious[0]
-    fams = {int(f) for c in app.code.components for f in c.families}
+    fams = {int(f) for c in app.components for f in c.families}
     assert fams
     assert min(fams) >= 0
     assert max(fams) < API_FAMILY_COUNT
@@ -109,7 +110,7 @@ def test_donor_component_scale():
     per_kind = {"service": 0, "receiver": 0, "provider": 0}
     func_counts = []
     for donor in corpus.donors:
-        for comp in donor.code.components:
+        for comp in donor.components:
             per_kind[comp.kind] += 1
             if comp.kind == "service":
                 func_counts.append(len(comp.families))
@@ -145,9 +146,9 @@ def _plain_apk():
 
 def test_add_uses_feature():
     rng = random.Random(5)
-    out, present = apply_perturbation(
-        _plain_apk(), StubPerturbation("uses_feature", "android.hardware.nfc"), rng)
-    assert not present
+    base = _plain_apk()
+    out = apply_perturbation(base, StubPerturbation("uses_feature", "android.hardware.nfc"), rng)
+    assert out is not base
     assert "android.hardware.nfc" in out.manifest.uses_features
     assert contains(_plain_apk(), out)
 
@@ -156,31 +157,30 @@ def test_uses_feature_noop_consumes_no_rng():
     rng = random.Random(5)
     state = rng.getstate()
     base = _plain_apk()
-    out, present = apply_perturbation(
+    out = apply_perturbation(
         base, StubPerturbation("uses_feature", "android.hardware.camera"), rng)
-    assert present
     assert out is base
     assert rng.getstate() == state
 
 
 def test_permission_noop_matches_by_name():
     # Same name at a different protection level still counts as present.
-    out, present = apply_perturbation(
-        _plain_apk(), StubPerturbation("permission", Permission("P", "signature")),
-        random.Random(0))
-    assert present
-    out, present = apply_perturbation(
-        _plain_apk(), StubPerturbation("permission", Permission("Q", "signature")),
-        random.Random(0))
-    assert not present
+    base = _plain_apk()
+    out = apply_perturbation(
+        base, StubPerturbation("permission", Permission("P", "signature")), random.Random(0))
+    assert out is base
+    out = apply_perturbation(
+        base, StubPerturbation("permission", Permission("Q", "signature")), random.Random(0))
+    assert out is not base
     assert Permission("Q", "signature") in out.manifest.permissions
 
 
 def test_activity_action_creates_fresh_activity():
-    out, present = apply_perturbation(
-        _plain_apk(), StubPerturbation("activity_action", "android.intent.action.VIEW"),
+    base = _plain_apk()
+    out = apply_perturbation(
+        base, StubPerturbation("activity_action", "android.intent.action.VIEW"),
         random.Random(7))
-    assert not present
+    assert out is not base
     added = [c for c in out.manifest.declared_components
              if "android.intent.action.VIEW" in c.intent_actions]
     assert len(added) == 1
@@ -191,11 +191,11 @@ def test_activity_action_creates_fresh_activity():
     assert DATA_URI_RE.match(comp.data_uri)
     assert comp.exported and comp.enabled
     assert comp.intent_categories == frozenset()
-    assert len(out.code.components) == len(_plain_apk().code.components)
+    assert len(out.components) == len(_plain_apk().components)
 
 
 def test_broadcast_action_creates_receiver():
-    out, _ = apply_perturbation(
+    out = apply_perturbation(
         _plain_apk(),
         StubPerturbation("broadcast_action", "android.intent.action.BOOT_COMPLETED"),
         random.Random(7))
@@ -205,7 +205,7 @@ def test_broadcast_action_creates_receiver():
 
 
 def test_category_creates_activity_with_category():
-    out, _ = apply_perturbation(
+    out = apply_perturbation(
         _plain_apk(), StubPerturbation("category", "android.intent.category.DEFAULT"),
         random.Random(7))
     added = [c for c in out.manifest.declared_components
@@ -217,16 +217,16 @@ def test_category_creates_activity_with_category():
 def test_action_presence_anywhere_is_noop():
     rng = random.Random(7)
     state = rng.getstate()
-    out, present = apply_perturbation(
-        _plain_apk(), StubPerturbation("activity_action", ACTION_MAIN), rng)
-    assert present
+    base = _plain_apk()
+    out = apply_perturbation(base, StubPerturbation("activity_action", ACTION_MAIN), rng)
+    assert out is base
     assert rng.getstate() == state
 
 
 def test_apply_is_deterministic_under_seed():
     p = StubPerturbation("activity_action", "android.intent.action.VIEW")
-    a, _ = apply_perturbation(_plain_apk(), p, random.Random(13))
-    b, _ = apply_perturbation(_plain_apk(), p, random.Random(13))
+    a = apply_perturbation(_plain_apk(), p, random.Random(13))
+    b = apply_perturbation(_plain_apk(), p, random.Random(13))
     assert canonical_json(apk_to_dict(a)) == canonical_json(apk_to_dict(b))
 
 
@@ -241,19 +241,19 @@ def _inject_payload():
 
 def test_inject_service():
     base = _plain_apk()
-    out, present = apply_perturbation(
+    out = apply_perturbation(
         base, StubPerturbation("inject_service", _inject_payload()), random.Random(3))
-    assert not present
+    assert out is not base
     decls = {(c.kind, c.name): c for c in out.manifest.declared_components}
     injected_decl = decls[("service", "com.donor.Svc0")]
     assert injected_decl.exported and injected_decl.enabled
     assert PROCESS_RE.match(injected_decl.process)
-    injected = [c for c in out.code.components if c.origin == "injected"]
+    injected = [c for c in out.components if c.origin == "injected"]
     assert len(injected) == 1
     assert injected[0].families.tolist() == [0, 1]
     # The original components stay as they were; the payload's edges arrive
     # inside its own component.
-    assert out.code.components[:-1] == base.code.components
+    assert out.components[:-1] == base.components
     assert injected[0].edges.tolist() == [[0, 1]]
     assert contains(base, out)
     assert verify_isolation(out)
@@ -261,14 +261,13 @@ def test_inject_service():
 
 
 def test_inject_duplicate_is_noop():
-    out, _ = apply_perturbation(
+    out = apply_perturbation(
         _plain_apk(), StubPerturbation("inject_service", _inject_payload()),
         random.Random(3))
     rng = random.Random(4)
     state = rng.getstate()
-    out2, present = apply_perturbation(
+    out2 = apply_perturbation(
         out, StubPerturbation("inject_service", _inject_payload()), rng)
-    assert present
     assert out2 is out
     assert rng.getstate() == state
 
@@ -279,9 +278,9 @@ def test_noop_keeps_rng_stream_aligned():
     noop = StubPerturbation("uses_feature", "android.hardware.camera")
     randomized = StubPerturbation("activity_action", "android.intent.action.VIEW")
     rng1 = random.Random(21)
-    mid, _ = apply_perturbation(base, noop, rng1)
-    a, _ = apply_perturbation(mid, randomized, rng1)
-    b, _ = apply_perturbation(base, randomized, random.Random(21))
+    mid = apply_perturbation(base, noop, rng1)
+    a = apply_perturbation(mid, randomized, rng1)
+    b = apply_perturbation(base, randomized, random.Random(21))
     assert canonical_json(apk_to_dict(a)) == canonical_json(apk_to_dict(b))
 
 
@@ -295,15 +294,15 @@ def test_random_perturbation_chain_stays_additive(small_corpus):
     catalog = load_default_catalog()
     rng = random.Random(99)
     donor = small_corpus.donors[0]
-    donor_comp = next(c for c in donor.code.components if c.families.size)
+    donor_comp = next(c for c in donor.components if c.families.size)
     donor_decl = next(d for d in donor.manifest.declared_components
                       if d.kind == donor_comp.kind)
     payload = InjectablePayload(source_apk_id=donor.id, declared=donor_decl,
                                 component=donor_comp)
     pool = (
         [StubPerturbation("uses_feature", f) for f in catalog.hardware_features[:10]]
-        + [StubPerturbation("permission", Permission(n, "normal"))
-           for n in catalog.permission_names(["normal"])[:10]]
+        + [StubPerturbation("permission", Permission(n, level))
+           for n, level in catalog.permissions if level == "normal"][:10]
         + [StubPerturbation("activity_action", a) for a in catalog.activity_actions[:5]]
         + [StubPerturbation("broadcast_action", a) for a in catalog.broadcast_actions[:5]]
         + [StubPerturbation("category", c) for c in catalog.categories[:5]]
@@ -313,7 +312,7 @@ def test_random_perturbation_chain_stays_additive(small_corpus):
     cur = base
     for _ in range(30):
         prev = cur
-        cur, _ = apply_perturbation(cur, rng.choice(pool), rng)
+        cur = apply_perturbation(cur, rng.choice(pool), rng)
         assert contains(prev, cur)
         validate_apk(cur)
     assert contains(base, cur)
@@ -328,26 +327,25 @@ def _apply_by_replace(apk, perturbation, rng):
     taken = {(c.kind, c.name) for c in m.declared_components}
     if kind == "uses_feature":
         if payload in m.uses_features:
-            return apk, True
+            return apk
         manifest = replace(m, uses_features=m.uses_features | {payload})
-        return replace(apk, manifest=manifest), False
+        return replace(apk, manifest=manifest)
     if kind == "permission":
         if any(p.name == payload.name for p in m.permissions):
-            return apk, True
+            return apk
         manifest = replace(m, permissions=m.permissions | {payload})
-        return replace(apk, manifest=manifest), False
+        return replace(apk, manifest=manifest)
     if kind.startswith("inject_"):
         if (payload.declared.kind, payload.declared.name) in taken:
-            return apk, True
+            return apk
         decl = replace(payload.declared, exported=True, enabled=True,
                        process=":" + random_name(rng, 8))
         return replace(
             apk, manifest=replace(m, declared_components=m.declared_components + (decl,)),
-            code=replace(apk.code, components=apk.code.components
-                         + (payload.injected_component,))), False
+            components=apk.components + (payload.injected_component,))
     field = "intent_categories" if kind == "category" else "intent_actions"
     if any(payload in getattr(c, field) for c in m.declared_components):
-        return apk, True
+        return apk
     comp_kind = "receiver" if kind == "broadcast_action" else "activity"
     name = random_name(rng, 20)
     while (comp_kind, name) in taken:
@@ -359,7 +357,7 @@ def _apply_by_replace(apk, perturbation, rng):
                              process=":" + random_name(rng, 8),
                              data_uri="scheme://" + random_name(rng, 16))
     return replace(apk, manifest=replace(
-        m, declared_components=m.declared_components + (decl,))), False
+        m, declared_components=m.declared_components + (decl,)))
 
 
 def test_every_perturbation_kind_matches_the_replace_reference(small_corpus, full_pset):
@@ -379,9 +377,9 @@ def test_every_perturbation_kind_matches_the_replace_reference(small_corpus, ful
             got, want = app, app
             for _ in range(2):
                 rng, ref_rng = random.Random(i * 1000 + j), random.Random(i * 1000 + j)
-                got_out, got_present = apply_perturbation(got, perturbation, rng)
-                want_out, want_present = _apply_by_replace(want, perturbation, ref_rng)
-                assert got_present == want_present
+                got_out = apply_perturbation(got, perturbation, rng)
+                want_out = _apply_by_replace(want, perturbation, ref_rng)
+                assert (got_out is got) == (want_out is want)
                 assert got_out == want_out
                 assert rng.getstate() == ref_rng.getstate()
                 got, want = got_out, want_out
@@ -390,7 +388,7 @@ def test_every_perturbation_kind_matches_the_replace_reference(small_corpus, ful
 def test_apply_perturbation_builds_every_field():
     # apply_perturbation builds these with their constructors, field by field
     # in this order: a field added to one of them must be added there too.
-    assert [f.name for f in fields(ApkModel)] == ["id", "manifest", "code", "ground_truth"]
+    assert [f.name for f in fields(ApkModel)] == ["id", "manifest", "components", "ground_truth"]
     assert [f.name for f in fields(ManifestModel)] == [
         "uses_features", "permissions", "declared_components"]
     assert [f.name for f in fields(DeclaredComponent)] == [
@@ -406,7 +404,7 @@ def test_contains_fails_on_removal():
     base = _plain_apk()
     stripped = apk(features=[], perms=[("P", "normal")],
                    declared_components=base.manifest.declared_components,
-                   components=base.code.components)
+                   components=base.components)
     assert not contains(base, stripped)
 
 
@@ -480,7 +478,7 @@ def test_corpus_file_stores_component_arrays_as_narrow_base64(tmp_path):
     save_corpus(corpus, path)
     doc = json.loads(path.read_text())
     assert doc["format"] == 5
-    comp = corpus.benign[0].code.components[0]
+    comp = corpus.benign[0].components[0]
     stored = doc["benign"][0]["code"]["components"][0]
     # Families lie in [0, 11) and edge indices below the function count.
     assert stored["families"]["dtype"] == "<u1"
@@ -499,6 +497,24 @@ def test_saving_a_corpus_twice_gives_the_same_bytes(tmp_path):
     save_corpus(corpus, first)
     save_corpus(load_corpus(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+# sha256 of the corpus and pset files written for this spec and its donors. The
+# component arrays and the stock ensemble are pinned elsewhere; these pin the
+# rest of both layouts, the corpus's "code": {"components": [...]} nesting too.
+PINNED_FILES_SPEC = CorpusSpec(n_benign=6, n_malicious=6, donor_count=4, seed=5)
+PINNED_CORPUS_SHA256 = "9f860b8e0e1cee83c64543e50fa60b9aec362ab14edc92451c3ebfc198df6f70"
+PINNED_PSET_SHA256 = "3a488c1567d95b4bba154a73d3247a5e0427b3a77518d553a988de3c71b96057"
+
+
+def test_saved_corpus_and_pset_bytes_are_pinned(tmp_path):
+    corpus = generate_corpus(PINNED_FILES_SPEC)
+    save_corpus(corpus, tmp_path / "corpus.json")
+    save_pset(build_perturbation_set(load_default_catalog(), corpus.donors),
+              tmp_path / "pset.json")
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("corpus.json", "pset.json")] == [PINNED_CORPUS_SHA256,
+                                                          PINNED_PSET_SHA256]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from apk_builders import apk
 from pst_evade import detectors
 from pst_evade.attack import AttackConfig, run_attack
 from pst_evade.catalog import load_default_catalog
-from pst_evade.corpus import CodeGraph
 from pst_evade.detectors import (
     DetectorModel,
+    Ensemble,
     FeatureSpace,
     Feedback,
     _knn_by_difference,
@@ -25,7 +25,6 @@ from pst_evade.detectors import (
     _sigmoid,
     confidence_from_dense,
     load_model,
-    make_ensemble,
     model_from_dict,
     model_to_dict,
     query,
@@ -358,24 +357,24 @@ def _member(always_malicious):
 
 def test_ensemble_detection_fraction():
     members = [_member(True)] * 13 + [_member(False)] * 7
-    fb = query(make_ensemble(members), apk(perms=[("P", "normal")]))
+    fb = query(Ensemble(members), apk(perms=[("P", "normal")]))
     assert fb.confidence == pytest.approx(0.65)
     assert fb.label == "malicious"
 
 
 def test_ensemble_flags_on_any_member():
     members = [_member(True)] + [_member(False)] * 19
-    fb = query(make_ensemble(members), apk(perms=[("P", "normal")]))
+    fb = query(Ensemble(members), apk(perms=[("P", "normal")]))
     assert fb.confidence == pytest.approx(0.05)
     assert fb.label == "malicious"
-    quiet = query(make_ensemble([_member(False)] * 20), apk(perms=[("P", "normal")]))
+    quiet = query(Ensemble([_member(False)] * 20), apk(perms=[("P", "normal")]))
     assert quiet.confidence == 0.0
     assert quiet.label == "benign"
 
 
 def test_ensemble_rejects_empty():
     with pytest.raises(ValueError):
-        make_ensemble([])
+        Ensemble([])
 
 
 def test_ensemble_without_members_is_refused_at_load():
@@ -386,7 +385,7 @@ def test_ensemble_without_members_is_refused_at_load():
 
 
 def test_ensemble_model_queries_members():
-    model = make_ensemble([_member(True), _member(False)])
+    model = Ensemble([_member(True), _member(False)])
     fb = query(model, apk(perms=[("P", "normal")]))
     assert fb.confidence == 0.5
 
@@ -396,7 +395,7 @@ def _reference_feedback(model, app):
     edge families nobody has computed: the per-member path that the ensemble's
     shared extraction replaces."""
     if model.kind != "ensemble":
-        fresh = replace(app, code=CodeGraph(tuple(replace(c) for c in app.code.components)))
+        fresh = replace(app, components=tuple(replace(c) for c in app.components))
         return query(model, fresh)
     hits = sum(_reference_feedback(m, app).label == "malicious" for m in model.members)
     conf = hits / len(model.members)
@@ -825,8 +824,8 @@ def test_load_rejects_vocab_that_does_not_match_its_hash(tmp_path):
 
 
 def test_load_rejects_ensemble_member_vocab_that_does_not_match_its_hash(tmp_path):
-    model = make_ensemble([_linear_model([1.0, -1.0], 0.0, keys=("perm:P", "perm:Q")),
-                           _linear_model([2.0, -2.0], 0.0, keys=("perm:R", "perm:S"))])
+    model = Ensemble([_linear_model([1.0, -1.0], 0.0, keys=("perm:P", "perm:Q")),
+                      _linear_model([2.0, -2.0], 0.0, keys=("perm:R", "perm:S"))])
     save_model(model, tmp_path / "intact.json")
     assert len(load_model(tmp_path / "intact.json").members) == 2
     _tampered_load(tmp_path, model, lambda doc: _swap_keys(doc["members"][1]["space"]))
@@ -850,27 +849,23 @@ def test_load_rejects_cluster_map_that_does_not_match_its_hash(tmp_path):
     assert load_model(tmp_path / "intact.json").space.cluster_map == model.space.cluster_map
     _tampered_load(tmp_path, model,
                    lambda doc: _swap_clusters(doc["space"]["cluster_map"]))
-    ensemble = make_ensemble([_linear_model([1.0], 0.0), model])
+    ensemble = Ensemble([_linear_model([1.0], 0.0), model])
     _tampered_load(tmp_path, ensemble,
                    lambda doc: _swap_clusters(doc["members"][1]["space"]["cluster_map"]))
 
 
 def test_ensemble_has_no_space_and_its_file_none():
-    ensemble = make_ensemble([_linear_model([1.0], 0.0), _cluster_model()])
-    assert ensemble.space is None
+    ensemble = Ensemble([_linear_model([1.0], 0.0), _cluster_model()])
+    assert not hasattr(ensemble, "space")
     doc = model_to_dict(ensemble)
     assert "space" not in doc and "space_hash" not in doc
     assert model_from_dict(doc).members[1].space == _cluster_model().space
-    with pytest.raises(ValueError, match="an ensemble has no feature space"):
-        DetectorModel(kind="ensemble", space=_binary_space(), params={})
-    with pytest.raises(ValueError, match="an ensemble has no feature space"):
-        DetectorModel(kind="linear", space=None, params={})
 
 
 def test_model_file_holds_exactly_its_kinds_keys():
     space, x, labels = _separable_rows()
-    doc = model_to_dict(make_ensemble([train(kind, space, x, labels, seed=3)
-                                       for kind in ("linear", "mlp", "knn", "forest")]))
+    doc = model_to_dict(Ensemble([train(kind, space, x, labels, seed=3)
+                                  for kind in ("linear", "mlp", "knn", "forest")]))
     assert sorted(doc) == ["format", "kind", "members"]
     scorer_keys = ["format", "kind", "params", "report", "space", "space_hash"]
     assert [sorted(m) for m in doc["members"]] == [scorer_keys] * 4
@@ -889,14 +884,11 @@ def test_model_file_records_its_format(tmp_path):
 def test_ensembles_are_one_level_deep(tmp_path):
     a, b = _member(True), _member(False)
     with pytest.raises(ValueError) as err:
-        make_ensemble([a, make_ensemble([b])])
+        Ensemble([a, Ensemble([b])])
     assert str(err.value) == "ensemble model: member 1 is an ensemble; ensembles are one level deep"
-    with pytest.raises(ValueError) as err:
-        DetectorModel(kind="linear", space=a.space, params=a.params, members=(b,))
-    assert str(err.value) == "linear model: has member 0; only an ensemble has members"
     # A file that wraps an ensemble as a member is refused at load, naming the file.
     path = tmp_path / "nested.json"
-    save_model(make_ensemble([a, b]), path)
+    save_model(Ensemble([a, b]), path)
     doc = json.loads(path.read_text())
     doc["members"].insert(0, json.loads(path.read_text()))
     path.write_text(json.dumps(doc))
@@ -945,6 +937,16 @@ def _two_key_doc(kind):
     }[kind]
     return model_to_dict(DetectorModel(kind=kind, space=_binary_space(("perm:P", "perm:Q")),
                                        params=params))
+
+
+def _give_cluster_space(doc, space_extra=(), map_extra=()):
+    """Give a two-weight linear model's doc the space of ``_cluster_model``, with
+    its hash, plus the extra keys in the space and in its cluster map."""
+    space = _cluster_model().space
+    space_doc = space_to_dict(space)
+    space_doc.update(space_extra)
+    space_doc["cluster_map"].update(map_extra)
+    doc.update(space=space_doc, space_hash=space.digest)
 
 
 SCORING_PARAM_CASES = [
@@ -1002,6 +1004,14 @@ SCORING_PARAM_CASES = [
     ("linear", lambda d: d["params"].update(extra=[1, 2]),
      "linear model: unknown key 'params.extra'"),
     ("linear", lambda d: d.update(members=[]), "linear model: unknown key 'members'"),
+    # Loaded, and the space carried the extra keys: its digest does not read them.
+    ("linear", lambda d: d["space"].update(bogus=1), "linear model: unknown key 'space.bogus'"),
+    ("linear", lambda d: d["space"].update(family_count=7),
+     "linear model: unknown key 'space.family_count'"),
+    ("linear", lambda d: _give_cluster_space(d, space_extra={"keys": ["zzz"]}),
+     "linear model: unknown key 'space.keys'"),
+    ("linear", lambda d: _give_cluster_space(d, map_extra={"extra": 5}),
+     "linear model: unknown key 'space.cluster_map.extra'"),
     # Format 3 reports could hold "tpr", a copy of recall.
     ("linear", lambda d: d.update(report={"precision": 1.0, "recall": 1.0, "f1": 1.0,
                                           "holdout_size": 2, "on_holdout": True, "tpr": 1.0}),
@@ -1021,7 +1031,9 @@ SCORING_PARAM_CASES = [
                               "linear_string_keys", "api_cluster_string_count", "knn_string_k",
                               "forest_bool_feature", "knn_even_k", "linear_unknown_hyperparam",
                               "linear_threshold_1.5", "forest_threshold_0",
-                              "linear_extra_param", "linear_members", "linear_report_tpr"])
+                              "linear_extra_param", "linear_members", "linear_space_bogus",
+                              "linear_binary_space_family_count", "linear_cluster_space_keys",
+                              "linear_cluster_map_extra", "linear_report_tpr"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind
@@ -1030,6 +1042,6 @@ def test_model_load_checks_scoring_params(kind, tamper, needle):
         model_from_dict(doc)
     assert "\n" not in str(err.value)
     # Ensemble members are checked on load too.
-    ensemble = {**model_to_dict(make_ensemble([_linear_model([1.0], 0.0)])), "members": [doc]}
+    ensemble = {**model_to_dict(Ensemble([_linear_model([1.0], 0.0)])), "members": [doc]}
     with pytest.raises(ValueError, match=re.escape(needle)):
         model_from_dict(ensemble)

@@ -11,9 +11,8 @@ import pytest
 from apk_builders import StubPerturbation, apk, code_component, declared
 from pst_evade.attack import Oracle
 from pst_evade.catalog import load_default_catalog
-from pst_evade.corpus import (API_FAMILY_COUNT, CodeGraph, InjectablePayload,
-                              apply_perturbation)
-from pst_evade.detectors import (FeatureSpace, make_ensemble, score, space_from_dict,
+from pst_evade.corpus import API_FAMILY_COUNT, InjectablePayload, apply_perturbation
+from pst_evade.detectors import (Ensemble, FeatureSpace, score, space_from_dict,
                                  space_to_dict, train)
 from pst_evade.features import (
     ApiClusterMap,
@@ -143,7 +142,7 @@ def _markov_reference(app, family_count):
     """From-scratch Markov values: look up every local edge's families, count,
     row-normalize."""
     counts = np.zeros((family_count, family_count))
-    for comp in app.code.components:
+    for comp in app.components:
         for a, b in comp.edges:
             counts[comp.families[a], comp.families[b]] += 1.0
     row_sums = counts.sum(axis=1, keepdims=True)
@@ -161,11 +160,11 @@ def test_markov_matches_from_scratch_reference(small_corpus):
     manifest_p = next(p for p in pset.perturbations if p.kind == "permission")
     inject_p = next(p for p in pset.perturbations if p.kind.startswith("inject_"))
     target = small_corpus.malicious[0]
-    same_graph, present = apply_perturbation(target, manifest_p, random.Random(0))
-    assert not present and same_graph.code is target.code
-    new_graph, present = apply_perturbation(target, inject_p, random.Random(0))
-    assert not present
-    assert new_graph.code is not target.code
+    same_graph = apply_perturbation(target, manifest_p, random.Random(0))
+    assert same_graph is not target and same_graph.components is target.components
+    new_graph = apply_perturbation(target, inject_p, random.Random(0))
+    assert new_graph is not target
+    assert new_graph.components is not target.components
     for app in (same_graph, new_graph):
         assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
 
@@ -184,7 +183,7 @@ def test_markov_range_check_survives_a_wider_extraction():
 def _fresh(app):
     """The app on fresh copies of its components, whose edge families nobody has
     computed."""
-    return replace(app, code=CodeGraph(tuple(replace(c) for c in app.code.components)))
+    return replace(app, components=tuple(replace(c) for c in app.components))
 
 
 @pytest.mark.parametrize("parse_parent", [True, False])
@@ -197,12 +196,12 @@ def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
     rng = random.Random(17)
     for target in small_corpus.malicious[:8]:
         app = _fresh(target)
-        assert all("edge_families" not in vars(c) for c in app.code.components)
+        assert all("edge_families" not in vars(c) for c in app.components)
         if parse_parent:
             extract_markov(app, fc)
         for _ in range(rng.randint(1, 3)):
-            app, _ = apply_perturbation(app, rng.choice(injects), rng)
-        for comp in app.code.components:
+            app = apply_perturbation(app, rng.choice(injects), rng)
+        for comp in app.components:
             expected = np.array([[comp.families[a], comp.families[b]] for a, b in comp.edges],
                                 dtype=np.intp).reshape(-1, 2)
             assert np.array_equal(comp.edge_families, expected)
@@ -212,10 +211,10 @@ def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
 def test_injection_shares_one_component_per_payload(small_corpus):
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     inject = next(p for p in pset.perturbations if p.kind.startswith("inject_"))
-    first, second = (apply_perturbation(a, inject, random.Random(0))[0]
+    first, second = (apply_perturbation(a, inject, random.Random(0))
                      for a in small_corpus.malicious[:2])
-    assert first.code.components[-1] is second.code.components[-1]
-    assert first.code.components[-1].origin == "injected"
+    assert first.components[-1] is second.components[-1]
+    assert first.components[-1].origin == "injected"
     assert inject.payload.component.origin == "original"
 
 
@@ -228,10 +227,10 @@ def test_markov_range_error_names_the_payload_edge_after_reuse():
         edges=[("d.c0.f0@1", "d.c0.f1@0"), ("d.c0.f1@0", "d.c0.f2@3")])
     payload = InjectablePayload(
         source_apk_id="d", declared=declared(kind="service", name="Donor"),
-        component=donor.code.components[0])
+        component=donor.components[0])
     assert np.array_equal(extract_markov(app, 2), _markov_reference(app, 2))
-    injected, _ = apply_perturbation(app, StubPerturbation("inject_service", payload),
-                                     random.Random(0))
+    injected = apply_perturbation(app, StubPerturbation("inject_service", payload),
+                                  random.Random(0))
     with pytest.raises(ValueError,
                        match=r"family_count=2: component 1 local edge \(1, 2\) has families \(0, 3\)"):
         extract_markov(injected, 2)
@@ -311,7 +310,7 @@ def _column_setting(corpus):
     apps = corpus.benign + corpus.malicious + corpus.donors
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     train_apps = corpus.train_test_split()[0]
-    ids = sorted({api for app in apps for comp in app.code.components
+    ids = sorted({api for app in apps for comp in app.components
                   for api in comp.api_calls})
     keys = tuple(k for i, k in enumerate(build_vocab(train_apps))
                  if not (k.startswith("api:") and i % 2))
@@ -335,7 +334,7 @@ def test_column_arrays_match_the_per_key_walk(small_corpus):
             app = apps[k % len(apps)]
             state = space.state(app)
             for inject in (injects[k % len(injects)], injects[(7 * k + 3) % len(injects)]):
-                bigger, _ = apply_perturbation(app, inject, rng)
+                bigger = apply_perturbation(app, inject, rng)
                 state = space.extended(state, added_parts(app, bigger))
                 app = bigger
                 assert _bits(state) == _bits(_walk_row(space, app_parts(app)))
@@ -347,7 +346,7 @@ def test_oracle_answers_match_the_per_key_walk(small_corpus):
     members = [train("linear", space, np.stack([_walk_row(space, app_parts(a))
                                                 for a in train_apps]), labels, seed=3)
                for space in spaces]
-    for model in [*members, make_ensemble(members)]:
+    for model in [*members, Ensemble(members)]:
         oracle = Oracle(model)
         rng = random.Random(9)
         for app in small_corpus.malicious:
@@ -355,12 +354,12 @@ def test_oracle_answers_match_the_per_key_walk(small_corpus):
             for _ in range(4):
                 want = score(model, {s: _walk_row(s, app_parts(app)) for s in model.spaces})
                 assert oracle.query(app) == want
-                app, _ = apply_perturbation(app, rng.choice(perturbations), rng)
+                app = apply_perturbation(app, rng.choice(perturbations), rng)
 
 
 def test_column_arrays_are_cached_and_read_only(small_corpus):
     apps, _, _, spaces = _column_setting(small_corpus)
-    comp = next(c for app in apps for c in app.code.components if c.api_calls)
+    comp = next(c for app in apps for c in app.components if c.api_calls)
     for space in spaces:
         columns = space.api_columns
         assert space.api_columns is columns

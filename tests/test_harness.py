@@ -298,12 +298,12 @@ def test_true_positive_pool_shortfall_is_an_error(small_corpus):
 
 def _per_budget_rows(config, corpus):
     """The grid the slow way: a separate attack for every budget."""
-    train_apks, test_apks = corpus.train_test_split()
+    _, test_apks = corpus.train_test_split()
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     malicious = [a for a in test_apks if a.ground_truth == "malicious"]
     rows = []
     for spec in config.detectors:
-        model = train_detector(spec, corpus, train_apks)
+        model = train_detector(spec, corpus)
         for master in config.seeds:
             for apk in select_true_positives(model, malicious, config.sample_count,
                                              master, spec.name):
@@ -474,7 +474,7 @@ def test_default_ensemble_composition(small_corpus):
     for m in ens.members:
         kinds[m.kind] = kinds.get(m.kind, 0) + 1
     assert kinds == {"linear": 14, "forest": 3, "knn": 2, "mlp": 1}
-    assert ens.space is None
+    assert not hasattr(ens, "space")
     spaces = {m.space.kind for m in ens.members}
     assert spaces == {"binary", "markov", "api_cluster"}
 

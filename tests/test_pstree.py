@@ -62,6 +62,14 @@ def find(tree, label):
     return tree.labels.index(label)
 
 
+def path_to(tree, node):
+    """Node ids from the root to ``node``, read off ``tree.parents``."""
+    path = [node]
+    while tree.parents[path[-1]] >= 0:
+        path.append(tree.parents[path[-1]])
+    return path[::-1]
+
+
 def rewalk_leaf_counts(tree):
     """Surviving leaves below each node by a walk of the reachable tree, 0 off
     it: the reference the tree's maintained ``leaf_counts`` replace."""
@@ -117,7 +125,7 @@ def test_copy_owns_its_state_and_shares_the_shape(full_pset):
     assert tree.labels is reference.labels and tree.groups is reference.groups
     rng = random.Random(3)
     while not tree.is_empty():
-        adjust(tree, sample_path(tree, rng).leaf_id, 0.5, 0.5)
+        adjust(tree, sample_path(tree, rng), 0.5, 0.5)
     assert tree_to_dict(reference) == before
 
 
@@ -178,18 +186,20 @@ def test_code_leaves_are_uniform():
 def test_single_leaf_always_sampled():
     tree = build_tree(perm_groups("normal", 1))
     rng = random.Random(1)
-    path = sample_path(tree, rng)
-    assert path.labels == ("root", "manifest", "permission", "normal", "leaf")
-    assert path.leaf_id == path.node_ids[-1]
+    leaf = sample_path(tree, rng)
+    assert [tree.labels[n] for n in path_to(tree, leaf)] == [
+        "root", "manifest", "permission", "normal", "leaf"]
+    assert tree.leaves() == [leaf]
 
 
 def test_sampled_path_is_parent_chain(full_pset):
     tree = build_tree(full_pset.groups)
     rng = random.Random(5)
     for _ in range(50):
-        path = sample_path(tree, rng)
-        for a, b in zip(path.node_ids, path.node_ids[1:]):
-            assert tree.parents[b] == a
+        path = path_to(tree, sample_path(tree, rng))
+        assert path[0] == 0 and tree.groups[path[-1]] is not None
+        for a, b in zip(path, path[1:]):
+            assert b in tree.children[a]
 
 
 def test_sampling_matches_probabilities():
@@ -201,7 +211,7 @@ def test_sampling_matches_probabilities():
     counts = {i: 0 for i in leaf_ids}
     n = 100_000
     for _ in range(n):
-        counts[sample_path(tree, rng).leaf_id] += 1
+        counts[sample_path(tree, rng)] += 1
     observed = [counts[i] for i in leaf_ids]
     result = stats.chisquare(observed, [0.8 * n, 0.2 * n])
     assert result.pvalue > 0.01
@@ -211,7 +221,7 @@ def test_pruned_branch_never_sampled():
     tree = build_tree(perm_groups("normal", 4))
     rng = random.Random(7)
     for _ in range(1000):
-        assert "code" not in sample_path(tree, rng).labels
+        assert "code" not in [tree.labels[n] for n in path_to(tree, sample_path(tree, rng))]
 
 
 def test_sampling_empty_tree_raises():
@@ -388,15 +398,15 @@ def test_adjust_fuzzed_invariants(full_pset):
         if tree is None or tree.is_empty():
             start = rng.randrange(0, len(full_pset.groups) - 40)
             tree = build_tree(full_pset.groups[start:start + 40])
-        path = sample_path(tree, rng)
+        leaf = sample_path(tree, rng)
         roll = rng.random()
         if roll < 0.25:
-            delete_leaf_and_transfer(tree, path.leaf_id)
+            delete_leaf_and_transfer(tree, leaf)
         elif roll < 0.5:
             y = rng.random()
-            adjust(tree, path.leaf_id, y, y)  # exact tie
+            adjust(tree, leaf, y, y)  # exact tie
         else:
-            adjust(tree, path.leaf_id, rng.random(), rng.random())
+            adjust(tree, leaf, rng.random(), rng.random())
         validate_probabilities(tree)
         assert tree.leaf_counts == rewalk_leaf_counts(tree)
         ops += 1
