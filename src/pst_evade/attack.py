@@ -7,10 +7,10 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .corpus import ApkModel, apply_perturbation
+from .corpus import ApkModel
 from .detectors import DetectorModel, Ensemble, Feedback, query as model_query
 from .features import added_parts
-from .perturbset import PerturbationSet
+from .perturbset import PerturbationSet, apply_perturbation
 from .pstree import EPSILON, PSTree, adjust, build_tree, sample_path
 
 

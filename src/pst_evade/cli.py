@@ -93,16 +93,15 @@ def _cmd_attack(args) -> int:
     if args.dump_tree:
         dump_tree(reference_tree(pset), args.dump_tree)
 
-    reports = [attack_sample(model, apk, pset, args.algorithm, args.budget, seed)
-               for apk in targets]
-    asr = compute_asr(reports)
+    rows = [report_to_dict(attack_sample(model, apk, pset, args.algorithm, args.budget, seed))
+            for apk in targets]
+    asr = compute_asr(rows)
     doc = {
         "algorithm": args.algorithm, "budget": args.budget, "seed": seed,
-        "samples": len(reports), "asr": asr,
-        "reports": [report_to_dict(r) for r in reports],
+        "samples": len(rows), "asr": asr, "reports": rows,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"{args.algorithm}: ASR {asr:.3f} over {len(reports)} samples "
+    print(f"{args.algorithm}: ASR {asr:.3f} over {len(rows)} samples "
           f"at budget {args.budget}; report in {args.out}")
     return 0
 

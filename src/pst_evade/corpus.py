@@ -1,22 +1,17 @@
 """Abstract Android app model: manifest + code components, synthetic corpus generation,
-additive perturbation application, and containment/isolation checks."""
+containment/isolation checks and the corpus file."""
 from __future__ import annotations
 
 import base64
 import json
-import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .catalog import (AndroidCatalog, fields_of, flag, integer, items, load_default_catalog,
                       permission_pairs, read_document, string, strings)
-
-if TYPE_CHECKING:
-    from .perturbset import Perturbation
 
 GROUND_TRUTHS = ("benign", "malicious")
 COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
@@ -31,8 +26,6 @@ CORPUS_FORMAT = 5
 ARRAY_DTYPES = ("<u1", "<i1", "<u2", "<i2", "<u4", "<i4", "<i8")
 _DTYPE_RANGES = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max))
                       for d in ARRAY_DTYPES)
-
-_NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 ACTION_MAIN = "android.intent.action.MAIN"
 CATEGORY_LAUNCHER = "android.intent.category.LAUNCHER"
@@ -54,13 +47,6 @@ class DeclaredComponent:
     enabled: bool
     process: str | None = None
     data_uri: str | None = None
-
-
-@dataclass(frozen=True)
-class ManifestModel:
-    uses_features: frozenset[str]
-    permissions: frozenset[Permission]
-    declared_components: tuple[DeclaredComponent, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +92,12 @@ class CodeComponent:
 
 @dataclass(frozen=True)
 class ApkModel:
+    """One app: its manifest entries, then its code components."""
+
     id: str
-    manifest: ManifestModel
+    uses_features: frozenset[str]
+    permissions: frozenset[Permission]
+    declared_components: tuple[DeclaredComponent, ...]
     components: tuple[CodeComponent, ...]
     ground_truth: str
 
@@ -283,9 +273,8 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
                 intent_actions=frozenset(), intent_categories=frozenset(),
                 exported=bool(rng.integers(0, 2)), enabled=True))
 
-    manifest = ManifestModel(uses_features=features, permissions=permissions,
-                             declared_components=tuple(declared))
-    return ApkModel(id=apk_id, manifest=manifest, components=tuple(components),
+    return ApkModel(id=apk_id, uses_features=features, permissions=permissions,
+                    declared_components=tuple(declared), components=tuple(components),
                     ground_truth=cls)
 
 
@@ -313,121 +302,16 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Perturbation application
-
-
-@dataclass(frozen=True)
-class InjectablePayload:
-    """A donor component ready for injection: manifest declaration + code."""
-
-    source_apk_id: str
-    declared: DeclaredComponent
-    component: CodeComponent
-
-    @cached_property
-    def injected_component(self) -> CodeComponent:
-        """The component as it lands in a target app; one object shared by every
-        app the payload is injected into."""
-        return replace(self.component, origin="injected")
-
-
-def random_name(rng: random.Random, length: int) -> str:
-    return "".join(rng.choices(_NAME_ALPHABET, k=length))
-
-
-def _declared_names(apk: ApkModel) -> set[tuple[str, str]]:
-    return {(c.kind, c.name) for c in apk.manifest.declared_components}
-
-
-def _fresh_component_name(apk: ApkModel, kind: str, rng: random.Random) -> str:
-    taken = _declared_names(apk)
-    name = random_name(rng, 20)
-    while (kind, name) in taken:
-        name = random_name(rng, 20)
-    return name
-
-
-# Candidate apps are built with the constructors, not ``dataclasses.replace``,
-# which reads each class's fields on every call: an attack builds one per query.
-
-
-def _with_manifest(apk: ApkModel, manifest: ManifestModel) -> ApkModel:
-    return ApkModel(apk.id, manifest, apk.components, apk.ground_truth)
-
-
-def _with_declared(manifest: ManifestModel, comp: DeclaredComponent) -> ManifestModel:
-    return ManifestModel(manifest.uses_features, manifest.permissions,
-                         manifest.declared_components + (comp,))
-
-
-def apply_perturbation(apk: ApkModel, perturbation: "Perturbation",
-                       rng: random.Random) -> ApkModel:
-    """Apply one additive perturbation and return the perturbed model.
-
-    When the perturbation's effect is already present the input model itself is
-    returned, and no randomness is consumed.
-    """
-    kind = perturbation.kind
-    payload = perturbation.payload
-    m = apk.manifest
-
-    if kind == "uses_feature":
-        if payload in m.uses_features:
-            return apk
-        manifest = ManifestModel(m.uses_features | {payload}, m.permissions,
-                                 m.declared_components)
-        return _with_manifest(apk, manifest)
-
-    if kind == "permission":
-        if any(p.name == payload.name for p in m.permissions):
-            return apk
-        manifest = ManifestModel(m.uses_features, m.permissions | {payload},
-                                 m.declared_components)
-        return _with_manifest(apk, manifest)
-
-    if kind in ("activity_action", "broadcast_action", "category"):
-        if kind == "category":
-            if any(payload in c.intent_categories for c in m.declared_components):
-                return apk
-        else:
-            if any(payload in c.intent_actions for c in m.declared_components):
-                return apk
-        comp_kind = "receiver" if kind == "broadcast_action" else "activity"
-        name = _fresh_component_name(apk, comp_kind, rng)
-        comp = DeclaredComponent(
-            kind=comp_kind, name=name,
-            intent_actions=frozenset() if kind == "category" else frozenset({payload}),
-            intent_categories=frozenset({payload}) if kind == "category" else frozenset(),
-            exported=True, enabled=True,
-            process=":" + random_name(rng, 8),
-            data_uri="scheme://" + random_name(rng, 16))
-        return _with_manifest(apk, _with_declared(m, comp))
-
-    if kind in ("inject_service", "inject_receiver", "inject_provider"):
-        declared = payload.declared
-        if (declared.kind, declared.name) in _declared_names(apk):
-            return apk
-        injected_decl = DeclaredComponent(
-            declared.kind, declared.name, declared.intent_actions, declared.intent_categories,
-            exported=True, enabled=True, process=":" + random_name(rng, 8),
-            data_uri=declared.data_uri)
-        return ApkModel(apk.id, _with_declared(m, injected_decl),
-                        apk.components + (payload.injected_component,), apk.ground_truth)
-
-    raise ValueError(f"unknown perturbation kind: {kind}")
+# Containment and isolation
 
 
 def contains(original: ApkModel, perturbed: ApkModel) -> bool:
     """True when every manifest element and code component (functions and edges
     included) of the original is preserved."""
-    om, pm = original.manifest, perturbed.manifest
-    if not om.uses_features <= pm.uses_features:
-        return False
-    if not om.permissions <= pm.permissions:
-        return False
-    if not set(om.declared_components) <= set(pm.declared_components):
-        return False
-    return set(original.components) <= set(perturbed.components)
+    return (original.uses_features <= perturbed.uses_features
+            and original.permissions <= perturbed.permissions
+            and set(original.declared_components) <= set(perturbed.declared_components)
+            and set(original.components) <= set(perturbed.components))
 
 
 def _edges_in_range(comp: CodeComponent) -> bool:
@@ -465,7 +349,7 @@ def validate_apk(apk: ApkModel) -> None:
     if apk.ground_truth not in GROUND_TRUTHS:
         raise ValueError(f"app {apk.id}: bad ground truth: {apk.ground_truth}")
     seen: set[tuple[str, str]] = set()
-    for comp in apk.manifest.declared_components:
+    for comp in apk.declared_components:
         if comp.kind not in COMPONENT_KINDS:
             raise ValueError(f"app {apk.id}: bad component kind: {comp.kind}")
         key = (comp.kind, comp.name)
@@ -568,11 +452,9 @@ def apk_to_dict(apk: ApkModel) -> dict:
         "id": apk.id,
         "ground_truth": apk.ground_truth,
         "manifest": {
-            "uses_features": sorted(apk.manifest.uses_features),
-            "permissions": sorted(
-                [p.name, p.protection_level] for p in apk.manifest.permissions
-            ),
-            "declared_components": [_declared_to_dict(c) for c in apk.manifest.declared_components],
+            "uses_features": sorted(apk.uses_features),
+            "permissions": sorted([p.name, p.protection_level] for p in apk.permissions),
+            "declared_components": [_declared_to_dict(c) for c in apk.declared_components],
         },
         "code": {"components": [_component_to_dict(c) for c in apk.components]},
     }
@@ -581,17 +463,17 @@ def apk_to_dict(apk: ApkModel) -> dict:
 def apk_from_dict(d: dict) -> ApkModel:
     apk_id = string(d["id"], "app id")
     m, where = d["manifest"], f"app {apk_id}: "
-    manifest = ManifestModel(
+    return ApkModel(
+        id=apk_id,
         uses_features=frozenset(strings(m["uses_features"], where + "uses_features")),
         permissions=frozenset(Permission(n, l) for n, l in
                               permission_pairs(m["permissions"], where + "permissions")),
         declared_components=tuple(map(_declared_from_dict, items(
             m["declared_components"], where + "declared_components"))),
+        components=tuple(map(_component_from_dict, items(
+            d["code"]["components"], where + "code components"))),
+        ground_truth=d["ground_truth"],
     )
-    components = tuple(map(_component_from_dict, items(
-        d["code"]["components"], where + "code components")))
-    return ApkModel(id=apk_id, manifest=manifest, components=components,
-                    ground_truth=d["ground_truth"])
 
 
 def spec_to_dict(spec: CorpusSpec) -> dict:

@@ -173,11 +173,12 @@ class TrainReport:
     on_holdout: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectorModel:
     """A scorer: a detector of every kind but an ensemble. ``params`` are read
     once, when the model is made: the scoring kernel is built from them then,
-    and the parameters are checked against the feature space."""
+    and the parameters are checked against the feature space. Models compare
+    and hash by identity: ``params`` holds numpy arrays."""
 
     kind: str
     space: FeatureSpace

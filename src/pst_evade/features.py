@@ -1,7 +1,8 @@
 """Feature families over the app model: binary string vectors, markov family-transition
 matrices, and api-cluster indicator vectors. Each extractor returns one dense float64
 row and takes the plain value that fixes its columns: a key index, a family count, or
-a cluster map.
+a cluster map; the binary and api-cluster extractors also take that layout's
+``ApiColumns``.
 
 Every feature is a sum or a union over an app's parts, so each kind defines its
 contribution from a set of parts once (``mark_keys``, ``markov_counts``,
@@ -42,8 +43,8 @@ class Parts(NamedTuple):
 
 
 def app_parts(apk: ApkModel) -> Parts:
-    m = apk.manifest
-    return Parts(m.uses_features, m.permissions, m.declared_components, apk.components)
+    return Parts(apk.uses_features, apk.permissions, apk.declared_components,
+                 apk.components)
 
 
 def _added(old: frozenset, new: frozenset) -> Collection | None:
@@ -63,16 +64,15 @@ def added_parts(base: ApkModel, apk: ApkModel) -> Parts | None:
     leading ones of apk's, the same objects, and base's uses-feature and
     permission sets are subsets of apk's. Then each feature of ``apk`` is that of
     ``base`` plus the contribution of the added parts."""
-    bm, m = base.manifest, apk.manifest
     old, new = base.components, apk.components
-    if not (_leading(old, new) and _leading(bm.declared_components, m.declared_components)):
+    old_decl, new_decl = base.declared_components, apk.declared_components
+    if not (_leading(old, new) and _leading(old_decl, new_decl)):
         return None
-    features = _added(bm.uses_features, m.uses_features)
-    permissions = _added(bm.permissions, m.permissions)
+    features = _added(base.uses_features, apk.uses_features)
+    permissions = _added(base.permissions, apk.permissions)
     if features is None or permissions is None:
         return None
-    return Parts(features, permissions, m.declared_components[len(bm.declared_components):],
-                 new[len(old):], len(old))
+    return Parts(features, permissions, new_decl[len(old_decl):], new[len(old):], len(old))
 
 
 def manifest_keys(parts: Parts) -> Iterator[str]:
@@ -158,13 +158,12 @@ def mark_keys(row: np.ndarray, parts: Parts, index: Mapping[str, int],
 
 
 def extract_binary(apk: ApkModel, index: Mapping[str, int],
-                   columns: ApiColumns | None = None) -> np.ndarray:
+                   columns: ApiColumns) -> np.ndarray:
     """1.0 at ``index[key]`` for each key the app exhibits, in a row of
     ``len(index)`` columns; keys outside the index are ignored. ``columns`` are
-    ``key_columns(index)``, built afresh when not given."""
+    ``key_columns(index)``."""
     out = np.zeros(len(index))
-    mark_keys(out, app_parts(apk), index,
-              key_columns(index) if columns is None else columns)
+    mark_keys(out, app_parts(apk), index, columns)
     return out
 
 
@@ -244,12 +243,11 @@ def cluster_columns(cmap: ApiClusterMap) -> ApiColumns:
 
 
 def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap,
-                        columns: ApiColumns | None = None) -> np.ndarray:
+                        columns: ApiColumns) -> np.ndarray:
     """1.0 at cluster i when any api call mapped to cluster i occurs in the app.
-    ``columns`` are ``cluster_columns(cmap)``, built afresh when not given."""
+    ``columns`` are ``cluster_columns(cmap)``."""
     out = np.zeros(cmap.cluster_count)
-    mark_api_calls(out, apk.components,
-                   cluster_columns(cmap) if columns is None else columns)
+    mark_api_calls(out, apk.components, columns)
     return out
 
 

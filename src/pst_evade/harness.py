@@ -110,16 +110,13 @@ def derive_seed(master_seed: int, sample_id: str) -> int:
 # Metrics
 
 
-def _outcome(report) -> str:
-    return report["outcome"] if isinstance(report, dict) else report.outcome
-
-
-def compute_asr(reports) -> float:
-    """Successes over attacked true positives; gate rejections do not count."""
-    applicable = [r for r in reports if _outcome(r) != "not_applicable"]
+def compute_asr(rows) -> float:
+    """Successes over attacked true positives, from report rows; gate rejections
+    do not count."""
+    applicable = [r for r in rows if r["outcome"] != "not_applicable"]
     if len(applicable) == 0:
         raise ValueError("no applicable attack reports")
-    wins = sum(1 for r in applicable if _outcome(r) == "success")
+    wins = sum(1 for r in applicable if r["outcome"] == "success")
     return wins / len(applicable)
 
 

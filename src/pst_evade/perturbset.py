@@ -1,18 +1,21 @@
-"""Perturbation-set construction from the Android catalog and benign donors,
-keyword extraction, keyword similarity, and semantic clustering."""
+"""Perturbations: their kinds, their application to an app, and the
+perturbation set built from the Android catalog and benign donors, with keyword
+extraction, keyword similarity, and semantic clustering."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import json
+import random
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
-
-import json
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .catalog import AndroidCatalog, integer, items, obj, read_document, string, strings
 from .corpus import (
     CODE_KINDS,
-    InjectablePayload,
+    ApkModel,
+    CodeComponent,
+    DeclaredComponent,
     Permission,
     _component_from_dict,
     _component_to_dict,
@@ -25,6 +28,23 @@ if TYPE_CHECKING:
     from .pstree import PSTree
 
 INJECT_KINDS = ("inject_service", "inject_receiver", "inject_provider")
+
+
+class IntentKind(NamedTuple):
+    """An intent perturbation kind: the kind of the declared component its
+    payload lands in, whether the payload is a category (else an action), and
+    its selection-tree bucket under manifest/action_category."""
+
+    component: str
+    category: bool
+    bucket: str
+
+
+INTENT_KINDS = {
+    "activity_action": IntentKind("activity", False, "activity_action"),
+    "broadcast_action": IntentKind("receiver", False, "broadcast"),
+    "category": IntentKind("activity", True, "category"),
+}
 
 # Keyword similarity a pair of manifest groups must exceed to merge.
 SIMILARITY_THRESHOLD = 0.5
@@ -89,20 +109,20 @@ class PerturbationSet:
         return second_layer_arms(self)
 
 
-def keyword_extract(p: Perturbation) -> list[str]:
+def keyword_extract(kind: str, payload) -> list[str]:
     """Semantic keywords of a manifest perturbation's payload name."""
-    if p.kind == "permission":
-        name = p.payload.name
-    elif p.kind in ("activity_action", "broadcast_action", "category"):
-        name = p.payload
-    elif p.kind == "uses_feature":
-        name = p.payload
+    if kind == "permission":
+        name = payload.name
+    elif kind in INTENT_KINDS:
+        name = payload
+    elif kind == "uses_feature":
+        name = payload
         for prefix in _FEATURE_PREFIXES:
             if name.startswith(prefix):
                 return name[len(prefix):].split(".")
         raise ValueError(f"feature name lacks a known prefix: {name}")
     else:
-        raise ValueError(f"no keywords for perturbation kind: {p.kind}")
+        raise ValueError(f"no keywords for perturbation kind: {kind}")
     segment = name.rsplit(".", 1)[-1]
     return [tok.upper() for tok in segment.split("_") if tok]
 
@@ -171,40 +191,30 @@ def tree_position(p: Perturbation) -> tuple[str, ...]:
             raise ValueError(f"perturbation {p.key}: no selection-tree position "
                              f"manifest/permission/{level}")
         return ("manifest", "permission", level)
-    if kind == "activity_action":
-        return ("manifest", "action_category", "activity_action")
-    if kind == "broadcast_action":
-        return ("manifest", "action_category", "broadcast")
-    if kind == "category":
-        return ("manifest", "action_category", "category")
+    if kind in INTENT_KINDS:
+        return ("manifest", "action_category", INTENT_KINDS[kind].bucket)
     if kind in INJECT_KINDS:
         return ("code", kind.removeprefix("inject_"))
     raise ValueError(f"unknown perturbation kind: {kind}")
 
 
 def _manifest_perturbations(catalog: AndroidCatalog) -> list[Perturbation]:
-    out: list[Perturbation] = []
-    for name in catalog.hardware_features + catalog.software_features:
-        out.append(Perturbation(kind="uses_feature", payload=name))
-    for name, level in catalog.permissions:
-        if level == "dangerous":
-            continue
-        out.append(Perturbation(kind="permission",
-                                payload=Permission(name, level)))
-    for name in catalog.activity_actions:
-        out.append(Perturbation(kind="activity_action", payload=name))
-    for name in catalog.broadcast_actions:
-        out.append(Perturbation(kind="broadcast_action", payload=name))
-    for name in catalog.categories:
-        out.append(Perturbation(kind="category", payload=name))
-    return [Perturbation(kind=p.kind, payload=p.payload,
-                         keywords=tuple(keyword_extract(p))) for p in out]
+    entries = (
+        [("uses_feature", name)
+         for name in catalog.hardware_features + catalog.software_features]
+        + [("permission", Permission(name, level))
+           for name, level in catalog.permissions if level != "dangerous"]
+        + [("activity_action", name) for name in catalog.activity_actions]
+        + [("broadcast_action", name) for name in catalog.broadcast_actions]
+        + [("category", name) for name in catalog.categories])
+    return [Perturbation(kind, payload, tuple(keyword_extract(kind, payload)))
+            for kind, payload in entries]
 
 
 def _donor_perturbations(donors) -> list[Perturbation]:
     out: list[Perturbation] = []
     for donor in donors:
-        declared_code = [d for d in donor.manifest.declared_components
+        declared_code = [d for d in donor.declared_components
                          if d.kind in CODE_KINDS]
         if len(declared_code) != len(donor.components):
             raise ValueError(f"donor {donor.id} declarations do not match its code")
@@ -241,6 +251,99 @@ def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSe
         else:
             groups.extend(cluster_perturbations(bucket))
     return PerturbationSet(perturbations=tuple(perturbations), groups=tuple(groups))
+
+
+# ---------------------------------------------------------------------------
+# Application
+
+
+@dataclass(frozen=True)
+class InjectablePayload:
+    """A donor component ready for injection: manifest declaration + code."""
+
+    source_apk_id: str
+    declared: DeclaredComponent
+    component: CodeComponent
+
+    @cached_property
+    def injected_component(self) -> CodeComponent:
+        """The component as it lands in a target app; one object shared by every
+        app the payload is injected into."""
+        return replace(self.component, origin="injected")
+
+
+_NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def random_name(rng: random.Random, length: int) -> str:
+    return "".join(rng.choices(_NAME_ALPHABET, k=length))
+
+
+def _declared_names(apk: ApkModel) -> set[tuple[str, str]]:
+    return {(c.kind, c.name) for c in apk.declared_components}
+
+
+def _fresh_component_name(apk: ApkModel, kind: str, rng: random.Random) -> str:
+    taken = _declared_names(apk)
+    name = random_name(rng, 20)
+    while (kind, name) in taken:
+        name = random_name(rng, 20)
+    return name
+
+
+def apply_perturbation(apk: ApkModel, perturbation: Perturbation,
+                       rng: random.Random) -> ApkModel:
+    """Apply one additive perturbation and return the perturbed model.
+
+    When the perturbation's effect is already present the input model itself is
+    returned, and no randomness is consumed. Each branch builds the new app with
+    the constructor, not ``dataclasses.replace``, which reads each class's fields
+    on every call: an attack builds one per query.
+    """
+    kind = perturbation.kind
+    payload = perturbation.payload
+    declared = apk.declared_components
+
+    if kind == "uses_feature":
+        if payload in apk.uses_features:
+            return apk
+        return ApkModel(apk.id, apk.uses_features | {payload}, apk.permissions,
+                        declared, apk.components, apk.ground_truth)
+
+    if kind == "permission":
+        if any(p.name == payload.name for p in apk.permissions):
+            return apk
+        return ApkModel(apk.id, apk.uses_features, apk.permissions | {payload},
+                        declared, apk.components, apk.ground_truth)
+
+    if kind in INTENT_KINDS:
+        comp_kind, category, _ = INTENT_KINDS[kind]
+        if any(payload in (c.intent_categories if category else c.intent_actions)
+               for c in declared):
+            return apk
+        added = frozenset({payload})
+        comp = DeclaredComponent(
+            kind=comp_kind, name=_fresh_component_name(apk, comp_kind, rng),
+            intent_actions=frozenset() if category else added,
+            intent_categories=added if category else frozenset(),
+            exported=True, enabled=True,
+            process=":" + random_name(rng, 8),
+            data_uri="scheme://" + random_name(rng, 16))
+        return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (comp,),
+                        apk.components, apk.ground_truth)
+
+    if kind in INJECT_KINDS:
+        source = payload.declared
+        if (source.kind, source.name) in _declared_names(apk):
+            return apk
+        comp = DeclaredComponent(
+            source.kind, source.name, source.intent_actions, source.intent_categories,
+            exported=True, enabled=True, process=":" + random_name(rng, 8),
+            data_uri=source.data_uri)
+        return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (comp,),
+                        apk.components + (payload.injected_component,), apk.ground_truth)
+
+    raise ValueError(f"unknown perturbation kind: {kind}")
 
 
 # ---------------------------------------------------------------------------

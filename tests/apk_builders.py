@@ -13,7 +13,6 @@ from pst_evade.corpus import (
     ApkModel,
     CodeComponent,
     DeclaredComponent,
-    ManifestModel,
     Permission,
     pack_array,
     unpack_array,
@@ -71,12 +70,9 @@ def _place_edges(components, edges):
 def apk(apk_id="t000", ground_truth="malicious", features=(), perms=(),
         declared_components=(), components=(), edges=()):
     """perms is a sequence of (name, protection_level) pairs."""
-    manifest = ManifestModel(
-        uses_features=frozenset(features),
-        permissions=frozenset(Permission(n, lvl) for n, lvl in perms),
-        declared_components=tuple(declared_components),
-    )
-    return ApkModel(id=apk_id, manifest=manifest,
+    return ApkModel(id=apk_id, uses_features=frozenset(features),
+                    permissions=frozenset(Permission(n, lvl) for n, lvl in perms),
+                    declared_components=tuple(declared_components),
                     components=_place_edges(tuple(components), edges),
                     ground_truth=ground_truth)
 

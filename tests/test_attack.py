@@ -18,17 +18,12 @@ from pst_evade.attack import (
     run_attack,
 )
 from pst_evade.catalog import AndroidCatalog, load_default_catalog
-from pst_evade.corpus import (
-    CodeComponent,
-    InjectablePayload,
-    apply_perturbation,
-    contains,
-    validate_apk,
-    verify_isolation,
-)
+from pst_evade.corpus import CodeComponent, contains, validate_apk, verify_isolation
 from pst_evade.detectors import DetectorModel, Ensemble, Feedback, FeatureSpace
 from pst_evade.harness import DetectorSpec, make_default_ensemble, train_detector
 from pst_evade.perturbset import (
+    InjectablePayload,
+    apply_perturbation,
     build_perturbation_set,
     pset_from_dict,
     pset_to_dict,
@@ -318,8 +313,8 @@ class ArmBiasedOracle:
 
     def query(self, target):
         self.query_count += 1
-        gained = len(target.manifest.permissions) - self.base
-        conf = 0.9 - 0.004 * gained + 0.001 * len(target.manifest.uses_features)
+        gained = len(target.permissions) - self.base
+        conf = 0.9 - 0.004 * gained + 0.001 * len(target.uses_features)
         return Feedback(label="malicious", confidence=max(0.55, conf))
 
 
@@ -505,7 +500,7 @@ def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
     rng = random.Random(3)
     inject = next(p for p in donor_pset.perturbations if p.kind.startswith("inject_"))
     first, second = small_corpus.malicious[:2]
-    assert first.components and first.manifest.permissions
+    assert first.components and first.permissions
     extended = apply_perturbation(first, inject, rng)
     oracle = DifferentialOracle(model)
 
@@ -525,8 +520,8 @@ def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
     # the first app without its last code component.
     copies = _with_components(extended, [dataclasses.replace(c)
                                          for c in extended.components])
-    dropped = dataclasses.replace(extended, manifest=dataclasses.replace(
-        extended.manifest, permissions=frozenset(list(first.manifest.permissions)[1:])))
+    dropped = dataclasses.replace(
+        extended, permissions=frozenset(list(first.permissions)[1:]))
     shorter = _with_components(first, first.components[:-1])
     for app in (copies, dropped, shorter):
         assert extracted_in_full(app)

@@ -43,8 +43,8 @@ class ContentOracle:
 
     def query(self, app):
         self.query_count += 1
-        names = (sorted(p.name for p in app.manifest.permissions)
-                 + sorted(app.manifest.uses_features))
+        names = (sorted(p.name for p in app.permissions)
+                 + sorted(app.uses_features))
         step = 20 if HARDENED in names else 50
         digest = hashlib.sha256("\n".join(names).encode()).digest()
         milli = 900 - step * len(names) + int.from_bytes(digest[:2], "big") % 100

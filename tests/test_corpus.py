@@ -27,13 +27,10 @@ from pst_evade.corpus import (
     CodeComponent,
     CorpusSpec,
     DeclaredComponent,
-    InjectablePayload,
-    ManifestModel,
     Permission,
     _component_from_dict,
     _component_to_dict,
     apk_to_dict,
-    apply_perturbation,
     canonical_json,
     contains,
     corpus_from_dict,
@@ -41,7 +38,6 @@ from pst_evade.corpus import (
     generate_corpus,
     load_corpus,
     pack_array,
-    random_name,
     save_corpus,
     spec_from_dict,
     spec_to_dict,
@@ -49,7 +45,13 @@ from pst_evade.corpus import (
     validate_apk,
     verify_isolation,
 )
-from pst_evade.perturbset import build_perturbation_set, save_pset
+from pst_evade.perturbset import (
+    InjectablePayload,
+    apply_perturbation,
+    build_perturbation_set,
+    random_name,
+    save_pset,
+)
 
 NAME_RE = re.compile(r"^[a-z0-9]{20}$")
 PROCESS_RE = re.compile(r"^:[a-z0-9]{8}$")
@@ -76,7 +78,7 @@ def test_generated_apps_are_valid(small_corpus):
     for app in small_corpus.benign + small_corpus.malicious + small_corpus.donors:
         validate_apk(app)
         assert verify_isolation(app)
-        mains = [c for c in app.manifest.declared_components
+        mains = [c for c in app.declared_components
                  if c.name.endswith(".Main")]
         assert len(mains) == 1
         assert ACTION_MAIN in mains[0].intent_actions
@@ -149,7 +151,7 @@ def test_add_uses_feature():
     base = _plain_apk()
     out = apply_perturbation(base, StubPerturbation("uses_feature", "android.hardware.nfc"), rng)
     assert out is not base
-    assert "android.hardware.nfc" in out.manifest.uses_features
+    assert "android.hardware.nfc" in out.uses_features
     assert contains(_plain_apk(), out)
 
 
@@ -172,7 +174,7 @@ def test_permission_noop_matches_by_name():
     out = apply_perturbation(
         base, StubPerturbation("permission", Permission("Q", "signature")), random.Random(0))
     assert out is not base
-    assert Permission("Q", "signature") in out.manifest.permissions
+    assert Permission("Q", "signature") in out.permissions
 
 
 def test_activity_action_creates_fresh_activity():
@@ -181,7 +183,7 @@ def test_activity_action_creates_fresh_activity():
         base, StubPerturbation("activity_action", "android.intent.action.VIEW"),
         random.Random(7))
     assert out is not base
-    added = [c for c in out.manifest.declared_components
+    added = [c for c in out.declared_components
              if "android.intent.action.VIEW" in c.intent_actions]
     assert len(added) == 1
     comp = added[0]
@@ -199,7 +201,7 @@ def test_broadcast_action_creates_receiver():
         _plain_apk(),
         StubPerturbation("broadcast_action", "android.intent.action.BOOT_COMPLETED"),
         random.Random(7))
-    added = [c for c in out.manifest.declared_components
+    added = [c for c in out.declared_components
              if "android.intent.action.BOOT_COMPLETED" in c.intent_actions]
     assert added[0].kind == "receiver"
 
@@ -208,7 +210,7 @@ def test_category_creates_activity_with_category():
     out = apply_perturbation(
         _plain_apk(), StubPerturbation("category", "android.intent.category.DEFAULT"),
         random.Random(7))
-    added = [c for c in out.manifest.declared_components
+    added = [c for c in out.declared_components
              if "android.intent.category.DEFAULT" in c.intent_categories]
     assert added[0].kind == "activity"
     assert added[0].intent_actions == frozenset()
@@ -244,7 +246,7 @@ def test_inject_service():
     out = apply_perturbation(
         base, StubPerturbation("inject_service", _inject_payload()), random.Random(3))
     assert out is not base
-    decls = {(c.kind, c.name): c for c in out.manifest.declared_components}
+    decls = {(c.kind, c.name): c for c in out.declared_components}
     injected_decl = decls[("service", "com.donor.Svc0")]
     assert injected_decl.exported and injected_decl.enabled
     assert PROCESS_RE.match(injected_decl.process)
@@ -295,7 +297,7 @@ def test_random_perturbation_chain_stays_additive(small_corpus):
     rng = random.Random(99)
     donor = small_corpus.donors[0]
     donor_comp = next(c for c in donor.components if c.families.size)
-    donor_decl = next(d for d in donor.manifest.declared_components
+    donor_decl = next(d for d in donor.declared_components
                       if d.kind == donor_comp.kind)
     payload = InjectablePayload(source_apk_id=donor.id, declared=donor_decl,
                                 component=donor_comp)
@@ -323,28 +325,25 @@ def _apply_by_replace(apk, perturbation, rng):
     """``apply_perturbation`` written with ``dataclasses.replace``, which carries
     every field it is not told to change: the reference for the constructors
     ``apply_perturbation`` calls, field for field and draw for draw."""
-    kind, payload, m = perturbation.kind, perturbation.payload, apk.manifest
-    taken = {(c.kind, c.name) for c in m.declared_components}
+    kind, payload, declared = perturbation.kind, perturbation.payload, apk.declared_components
+    taken = {(c.kind, c.name) for c in declared}
     if kind == "uses_feature":
-        if payload in m.uses_features:
+        if payload in apk.uses_features:
             return apk
-        manifest = replace(m, uses_features=m.uses_features | {payload})
-        return replace(apk, manifest=manifest)
+        return replace(apk, uses_features=apk.uses_features | {payload})
     if kind == "permission":
-        if any(p.name == payload.name for p in m.permissions):
+        if any(p.name == payload.name for p in apk.permissions):
             return apk
-        manifest = replace(m, permissions=m.permissions | {payload})
-        return replace(apk, manifest=manifest)
+        return replace(apk, permissions=apk.permissions | {payload})
     if kind.startswith("inject_"):
         if (payload.declared.kind, payload.declared.name) in taken:
             return apk
         decl = replace(payload.declared, exported=True, enabled=True,
                        process=":" + random_name(rng, 8))
-        return replace(
-            apk, manifest=replace(m, declared_components=m.declared_components + (decl,)),
-            components=apk.components + (payload.injected_component,))
+        return replace(apk, declared_components=declared + (decl,),
+                       components=apk.components + (payload.injected_component,))
     field = "intent_categories" if kind == "category" else "intent_actions"
-    if any(payload in getattr(c, field) for c in m.declared_components):
+    if any(payload in getattr(c, field) for c in declared):
         return apk
     comp_kind = "receiver" if kind == "broadcast_action" else "activity"
     name = random_name(rng, 20)
@@ -356,8 +355,7 @@ def _apply_by_replace(apk, perturbation, rng):
                              intent_categories=added if kind == "category" else none,
                              process=":" + random_name(rng, 8),
                              data_uri="scheme://" + random_name(rng, 16))
-    return replace(apk, manifest=replace(
-        m, declared_components=m.declared_components + (decl,)))
+    return replace(apk, declared_components=declared + (decl,))
 
 
 def test_every_perturbation_kind_matches_the_replace_reference(small_corpus, full_pset):
@@ -388,9 +386,9 @@ def test_every_perturbation_kind_matches_the_replace_reference(small_corpus, ful
 def test_apply_perturbation_builds_every_field():
     # apply_perturbation builds these with their constructors, field by field
     # in this order: a field added to one of them must be added there too.
-    assert [f.name for f in fields(ApkModel)] == ["id", "manifest", "components", "ground_truth"]
-    assert [f.name for f in fields(ManifestModel)] == [
-        "uses_features", "permissions", "declared_components"]
+    assert [f.name for f in fields(ApkModel)] == [
+        "id", "uses_features", "permissions", "declared_components", "components",
+        "ground_truth"]
     assert [f.name for f in fields(DeclaredComponent)] == [
         "kind", "name", "intent_actions", "intent_categories", "exported", "enabled",
         "process", "data_uri"]
@@ -403,7 +401,7 @@ def test_apply_perturbation_builds_every_field():
 def test_contains_fails_on_removal():
     base = _plain_apk()
     stripped = apk(features=[], perms=[("P", "normal")],
-                   declared_components=base.manifest.declared_components,
+                   declared_components=base.declared_components,
                    components=base.components)
     assert not contains(base, stripped)
 

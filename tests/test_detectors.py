@@ -384,6 +384,15 @@ def test_ensemble_without_members_is_refused_at_load():
     assert str(err.value) == "ensemble model: has no members"
 
 
+def test_models_compare_and_hash_by_identity():
+    # Two scorers with equal multi-weight params: comparing their numpy arrays
+    # would raise, so models are equal only to themselves.
+    a, b = (_linear_model([1.0, 2.0], 0.5, keys=("perm:P", "perm:Q")) for _ in range(2))
+    assert a == a and a != b
+    assert Ensemble([a]) == Ensemble([a]) and Ensemble([a]) != Ensemble([b])
+    assert len({a, b, Ensemble([a]), Ensemble([a]), Ensemble([b])}) == 4
+
+
 def test_ensemble_model_queries_members():
     model = Ensemble([_member(True), _member(False)])
     fb = query(model, apk(perms=[("P", "normal")]))

@@ -11,7 +11,7 @@ import pytest
 from apk_builders import StubPerturbation, apk, code_component, declared
 from pst_evade.attack import Oracle
 from pst_evade.catalog import load_default_catalog
-from pst_evade.corpus import API_FAMILY_COUNT, InjectablePayload, apply_perturbation
+from pst_evade.corpus import API_FAMILY_COUNT
 from pst_evade.detectors import (Ensemble, FeatureSpace, score, space_from_dict,
                                  space_to_dict, train)
 from pst_evade.features import (
@@ -26,9 +26,11 @@ from pst_evade.features import (
     extract_api_cluster,
     extract_binary,
     extract_markov,
+    cluster_columns,
+    key_columns,
     part_keys,
 )
-from pst_evade.perturbset import build_perturbation_set
+from pst_evade.perturbset import InjectablePayload, apply_perturbation, build_perturbation_set
 
 
 def _feature_apk():
@@ -61,7 +63,8 @@ def test_build_vocab_rejects_empty():
 def test_extract_binary_dense_values():
     other = apk(apk_id="t001", perms=[("Q", "signature")])
     vocab = build_vocab([_feature_apk(), other])
-    vec = extract_binary(_feature_apk(), {k: i for i, k in enumerate(vocab)})
+    index = {k: i for i, k in enumerate(vocab)}
+    vec = extract_binary(_feature_apk(), index, key_columns(index))
     assert vec.dtype == np.float64
     assert vec.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
 
@@ -69,7 +72,8 @@ def test_extract_binary_dense_values():
 def test_extract_binary_ignores_unseen_keys():
     vocab = build_vocab([_feature_apk()])
     stranger = apk(apk_id="t002", perms=[("P", "normal"), ("UNSEEN", "normal")])
-    vec = extract_binary(stranger, {k: i for i, k in enumerate(vocab)})
+    index = {k: i for i, k in enumerate(vocab)}
+    vec = extract_binary(stranger, index, key_columns(index))
     assert vec.sum() == 1.0
 
 
@@ -263,7 +267,7 @@ def test_extract_api_cluster_is_presence_not_count():
     cmap = ApiClusterMap(cluster_count=3, assignment=(("api.a", 2), ("api.b", 0)))
     comp = code_component(api_ids=["api.a", "api.a", "api.b"],
                           functions=["t.c0.f0@0"])
-    vec = extract_api_cluster(apk(components=[comp]), cmap)
+    vec = extract_api_cluster(apk(components=[comp]), cmap, cluster_columns(cmap))
     assert vec.dtype == np.float64
     assert vec.tolist() == [1.0, 0.0, 1.0]
 
@@ -272,7 +276,7 @@ def test_extract_api_cluster_rejects_unmapped_id():
     cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0),))
     comp = code_component(api_ids=["api.mystery"], functions=["t.c0.f0@0"])
     with pytest.raises(ValueError, match="api.mystery"):
-        extract_api_cluster(apk(components=[comp]), cmap)
+        extract_api_cluster(apk(components=[comp]), cmap, cluster_columns(cmap))
 
 
 # ---------------------------------------------------------------------------

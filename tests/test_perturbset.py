@@ -23,9 +23,9 @@ from pst_evade.perturbset import (
 
 
 def perm(name, level="normal"):
-    p = Perturbation(kind="permission", payload=Permission(name, level))
-    return Perturbation(kind="permission", payload=p.payload,
-                        keywords=tuple(keyword_extract(p)))
+    payload = Permission(name, level)
+    return Perturbation(kind="permission", payload=payload,
+                        keywords=tuple(keyword_extract("permission", payload)))
 
 
 def group_of(*perturbations):
@@ -43,36 +43,33 @@ def test_permission_keywords():
 
 
 def test_feature_keywords_keep_dotted_tokens():
-    p = Perturbation(kind="uses_feature", payload="android.hardware.audio.output")
-    assert keyword_extract(p) == ["audio", "output"]
-    q = Perturbation(kind="uses_feature", payload="android.hardware.audio.pro")
-    assert keyword_extract(q)[0] == keyword_extract(p)[0]
+    p = keyword_extract("uses_feature", "android.hardware.audio.output")
+    assert p == ["audio", "output"]
+    q = keyword_extract("uses_feature", "android.hardware.audio.pro")
+    assert q[0] == p[0]
 
 
 def test_software_feature_keywords_keep_underscores():
-    p = Perturbation(kind="uses_feature", payload="android.software.app_widgets")
-    assert keyword_extract(p) == ["app_widgets"]
+    assert keyword_extract("uses_feature", "android.software.app_widgets") == ["app_widgets"]
 
 
 def test_category_keywords():
-    p = Perturbation(kind="category", payload="android.intent.category.INFO")
-    assert keyword_extract(p) == ["INFO"]
+    assert keyword_extract("category", "android.intent.category.INFO") == ["INFO"]
 
 
 def test_action_keywords_use_last_segment():
-    p = Perturbation(kind="broadcast_action",
-                     payload="android.intent.action.BOOT_COMPLETED")
-    assert keyword_extract(p) == ["BOOT", "COMPLETED"]
+    assert keyword_extract("broadcast_action", "android.intent.action.BOOT_COMPLETED") == [
+        "BOOT", "COMPLETED"]
 
 
 def test_code_kind_has_no_keywords():
     with pytest.raises(ValueError):
-        keyword_extract(Perturbation(kind="inject_service", payload=None))
+        keyword_extract("inject_service", None)
 
 
 def test_unknown_feature_prefix_rejected():
     with pytest.raises(ValueError):
-        keyword_extract(Perturbation(kind="uses_feature", payload="com.oem.fancy"))
+        keyword_extract("uses_feature", "com.oem.fancy")
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +192,9 @@ def test_feature_clusters_equal_first_token_partition():
     # the first post-prefix token, for both hardware and software features.
     catalog = load_default_catalog()
     for names in (catalog.hardware_features, catalog.software_features):
-        ps = []
-        for name in names:
-            p = Perturbation(kind="uses_feature", payload=name)
-            ps.append(Perturbation(kind="uses_feature", payload=name,
-                                   keywords=tuple(keyword_extract(p))))
+        ps = [Perturbation(kind="uses_feature", payload=name,
+                           keywords=tuple(keyword_extract("uses_feature", name)))
+              for name in names]
         groups = cluster_perturbations(ps, 0.4)
         got = sorted(sorted(p.payload for p in g.members) for g in groups)
         by_token: dict[str, list] = {}

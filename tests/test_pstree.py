@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from apk_builders import code_component, declared
-from pst_evade.corpus import InjectablePayload, Permission
-from pst_evade.perturbset import Perturbation, PerturbationGroup
+from pst_evade.corpus import Permission
+from pst_evade.perturbset import InjectablePayload, Perturbation, PerturbationGroup
 from pst_evade.pstree import (
     _normalize,
     adjust,
