@@ -4,6 +4,7 @@ field readers the loaders take each field of a document through."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -76,9 +77,12 @@ def integer(value, name: str, lo: int | None = None) -> int:
 
 
 def number(value, name: str) -> float:
-    """A JSON number, not ``true`` or ``"0.5"``, as a float."""
+    """A JSON number, not ``true`` or ``"0.5"``, as a float; not ``NaN``,
+    ``Infinity`` or an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _wrong(name, value, "a number")
+    if not abs(value) <= sys.float_info.max:  # False for NaN too
+        raise _wrong(name, value, "a finite number")
     return float(value)
 
 
@@ -127,13 +131,15 @@ def permission_pairs(value, name: str) -> tuple[tuple[str, str], ...]:
 
 
 def numbers(value, name: str) -> np.ndarray:
-    """A JSON number or nested lists of them, as an array."""
+    """A finite JSON number or nested lists of them, as an array."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} is not an array of numbers")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} is not an array of finite numbers")
     return arr
 
 

@@ -20,11 +20,13 @@ from .corpus import (
 )
 from .detectors import DETECTOR_KINDS, FEATURE_KINDS, Ensemble, load_model, save_model
 from .harness import (
+    REPORT_FORMAT,
     attack_sample,
     compute_asr,
     config_from_dict,
     format_grid,
-    metrics_to_dict,
+    grid_from_rows,
+    rows_from_dict,
     run_experiment,
     save_report,
     select_true_positives,
@@ -112,16 +114,18 @@ def _cmd_bench(args) -> int:
     if seed is not None:
         config = dataclasses.replace(config, seeds=(seed,))
     report = run_experiment(config)
-    json_path, csv_path = save_report(report, args.out_dir)
-    print(format_grid(metrics_to_dict(report)))
-    print(f"report: {json_path}\nrows: {csv_path}")
+    path = save_report(report, args.out_dir)
+    print(format_grid(report.grid))
+    print(f"report: {path}")
     return 0
 
 
 def _cmd_compare(args) -> int:
     for path in args.reports:
         print(f"== {path}")
-        print(read_document(path, format_grid))
+        grid = read_document(path, lambda doc: grid_from_rows(rows_from_dict(doc)),
+                             ("report", REPORT_FORMAT, "rerun bench"))
+        print(format_grid(grid))
     return 0
 
 
@@ -168,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("compare", help="print the success-rate grids of reports")
+    p = sub.add_parser("compare", help="print the success-rate grids of reports' rows")
     p.add_argument("--reports", nargs="+", required=True)
     p.set_defaults(func=_cmd_compare)
     return parser

@@ -6,7 +6,6 @@ depend on the order in which the grid's cells run.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import random
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
-from .catalog import fields_of, integer, integers, items, string
+from .catalog import fields_of, integer, integers, items, number, string, strings
 from .corpus import (API_FAMILY_COUNT, ApkModel, Corpus, CorpusSpec, load_corpus,
                      load_default_catalog)
 from .detectors import (
@@ -32,8 +31,11 @@ from .detectors import (
 from .features import build_api_cluster_map, build_vocab
 from .perturbset import PerturbationSet, build_perturbation_set
 
-CSV_COLUMNS = ("sample_id", "detector", "algorithm", "budget", "seed",
-               "outcome", "queries_used", "wall_ms")
+REPORT_FORMAT = 2
+# A report row's columns in the order a report file lists them, each with its reader.
+REPORT_COLUMNS = {"sample_id": string, "detector": string, "algorithm": string,
+                  "budget": integer, "seed": integer, "outcome": string,
+                  "queries_used": integer, "wall_ms": number}
 
 # Corpus behind the stock benchmark: large enough that the linear detector
 # leaves well over the default 100 attackable true positives in the test split.
@@ -94,10 +96,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """A bench run; its per-seed ``cells`` and pooled ``grid`` are read off its rows."""
+
     config: dict
     rows: tuple[dict, ...]
-    cells: tuple[dict, ...]
-    grid: tuple[dict, ...]
+
+    @property
+    def cells(self) -> list[dict]:
+        return cells_from_rows(self.rows)
+
+    @property
+    def grid(self) -> list[dict]:
+        return grid_from_rows(self.rows)
 
 
 def derive_seed(master_seed: int, sample_id: str) -> int:
@@ -141,15 +151,11 @@ def cells_from_rows(rows) -> list[dict]:
         groups.setdefault(key, []).append(row)
     cells = []
     for (det, algo, budget, seed), members in sorted(groups.items()):
-        wins = [r for r in members if r["outcome"] == "success"]
         cells.append({
             "detector": det, "algorithm": algo, "budget": budget, "seed": seed,
-            "attacked": len(members), "successes": len(wins),
+            "attacked": len(members),
+            "successes": sum(r["outcome"] == "success" for r in members),
             "asr": compute_asr(members),
-            "mean_queries": (sum(r["queries_used"] for r in wins) / len(wins)
-                             if wins else None),
-            "mean_wall_ms": (sum(r["wall_ms"] for r in wins) / len(wins)
-                             if wins else None),
         })
     return cells
 
@@ -389,14 +395,7 @@ def run_experiment(config: ExperimentConfig,
                     } for budget, outcome, queries, wall_ms in budget_rows(report, config.budgets))
     rows.sort(key=lambda r: (r["detector"], r["algorithm"], r["budget"],
                              r["seed"], r["sample_id"]))
-    return MetricsReport(config=config_to_dict(config), rows=tuple(rows),
-                         cells=tuple(cells_from_rows(rows)),
-                         grid=tuple(grid_from_rows(rows)))
-
-
-def default_benchmark_config() -> ExperimentConfig:
-    """The stock grid: the linear detector under ``ExperimentConfig``'s defaults."""
-    return ExperimentConfig(detectors=(DetectorSpec(name="linear"),))
+    return MetricsReport(config=config_to_dict(config), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -437,51 +436,39 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         budgets=integers, sample_count=integer, seeds=integers))
 
 
-def metrics_to_dict(report: MetricsReport) -> dict:
-    grid = []
-    for entry in report.grid:
-        out = dict(entry)
-        out["asr_by_seed"] = {str(k): v for k, v in entry["asr_by_seed"].items()}
-        for cdf in ("qt_cdf", "wall_cdf"):
-            out[cdf] = [list(p) for p in entry[cdf]] if entry[cdf] else None
-        grid.append(out)
-    return {"config": report.config, "cells": list(report.cells), "grid": grid,
-            "row_count": len(report.rows)}
+def save_report(report: MetricsReport, out_dir: str | Path) -> Path:
+    """Write ``report.json``: the format, the config, the column names and one
+    list of values per row."""
+    path = Path(out_dir) / "report.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = [[row[c] for c in REPORT_COLUMNS] for row in report.rows]
+    path.write_text(json.dumps({"format": REPORT_FORMAT, "config": report.config,
+                                "columns": list(REPORT_COLUMNS), "rows": rows}) + "\n")
+    return path
 
 
-def write_rows_csv(rows, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["sample_id"], row["detector"], row["algorithm"],
-                row["budget"], row["seed"], row["outcome"],
-                row["queries_used"], f"{row['wall_ms']:.3f}"])
+def rows_from_dict(doc: dict) -> list[dict]:
+    """The rows of a report document, as ``run_experiment`` made them. A row of
+    the wrong length, a value of the wrong JSON type or an unknown outcome is a
+    ValueError naming the row and the column."""
+    if strings(doc["columns"], "columns") != tuple(REPORT_COLUMNS):
+        raise ValueError(f"columns are not {', '.join(REPORT_COLUMNS)}")
+    rows = []
+    for i, values in enumerate(items(doc["rows"], "rows")):
+        if len(items(values, f"row {i}")) != len(REPORT_COLUMNS):
+            raise ValueError(f"row {i} has {len(values)} values, not {len(REPORT_COLUMNS)}")
+        row = {column: read(value, f"row {i} {column}")
+               for (column, read), value in zip(REPORT_COLUMNS.items(), values)}
+        if row["outcome"] not in ("success", "failure", "not_applicable"):
+            raise ValueError(f"row {i} outcome is {json.dumps(row['outcome'])}, "
+                             "not success, failure or not_applicable")
+        rows.append(row)
+    return rows
 
 
-def read_rows_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
-        return [{**rec, "budget": int(rec["budget"]), "seed": int(rec["seed"]),
-                 "queries_used": int(rec["queries_used"]), "wall_ms": float(rec["wall_ms"])}
-                for rec in reader]
-
-
-def save_report(report: MetricsReport, out_dir: str | Path) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path, csv_path = out / "report.json", out / "rows.csv"
-    json_path.write_text(json.dumps(metrics_to_dict(report), indent=2) + "\n")
-    write_rows_csv(report.rows, csv_path)
-    return json_path, csv_path
-
-
-def format_grid(report: dict) -> str:
-    """Success-rate table, detectors and algorithms down, budgets across."""
-    grid = report["grid"]
+def format_grid(grid) -> str:
+    """Success-rate table of grid entries, detectors and algorithms down,
+    budgets across."""
     budgets = sorted({entry["budget"] for entry in grid})
     header = f"{'detector':<12} {'algorithm':<10}" + "".join(
         f"  N={b:<5}" for b in budgets)

@@ -35,9 +35,10 @@ from pst_evade.detectors import model_to_dict, query as model_query
 from pst_evade.harness import (
     DEFAULT_BENCH_SPEC,
     DetectorSpec,
-    default_benchmark_config,
+    ExperimentConfig,
     derive_seed,
     make_default_ensemble,
+    rows_from_dict,
     run_experiment,
     select_true_positives,
     train_detector,
@@ -268,7 +269,8 @@ def test_adjustment_worked_examples(verdict):
 
 def test_benchmark_ordering(verdict, bench_corpus):
     t0 = time.perf_counter()
-    report = run_experiment(default_benchmark_config(), bench_corpus)
+    report = run_experiment(ExperimentConfig(detectors=(DetectorSpec(name="linear"),)),
+                            bench_corpus)
     elapsed = time.perf_counter() - t0
 
     cell = {(c["algorithm"], c["budget"], c["seed"]): c["asr"]
@@ -368,22 +370,18 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
         "sample_count": 10,
         "seeds": [0],
     }
-    csvs = []
+    runs = []
     for workers in (1, 8):
         cfg_path = tmp_path / f"bench{workers}.json"
         cfg_path.write_text(json.dumps({**base, "workers": workers}))
         out_dir = tmp_path / f"out{workers}"
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out-dir", str(out_dir)]) == 0
-        csvs.append((out_dir / "rows.csv").read_text())
+        rows = rows_from_dict(json.loads((out_dir / "report.json").read_text()))
+        assert all(r.pop("wall_ms") >= 0.0 for r in rows)
+        runs.append(rows)
 
-    def stable_rows(text):
-        lines = text.strip().splitlines()[1:]
-        rows = [line.rsplit(",", 1) for line in lines]
-        assert all(float(wall) >= 0.0 for _, wall in rows)
-        return sorted(prefix for prefix, _ in rows)
-
-    rows1, rows8 = stable_rows(csvs[0]), stable_rows(csvs[1])
+    rows1, rows8 = runs
     verdict("bench-determinism",
             rows1 == rows8 and len(rows1) == 60,
             f"{len(rows1)} rows bit-identical when a config with an ignored "

@@ -18,7 +18,7 @@ from pst_evade.detectors import (
     model_from_dict,
     model_to_dict,
 )
-from pst_evade.harness import derive_seed, read_rows_csv, select_true_positives
+from pst_evade.harness import derive_seed, rows_from_dict, select_true_positives
 from pst_evade.perturbset import load_pset
 from pst_evade.pstree import tree_to_dict
 
@@ -161,12 +161,15 @@ def bench_outputs(workdir):
     return cfg_path, out_dir
 
 
+def _report_rows(out_dir):
+    return rows_from_dict(json.loads((out_dir / "report.json").read_text()))
+
+
 def test_bench_outputs(bench_outputs, capsys):
     _, out_dir = bench_outputs
-    rows = read_rows_csv(out_dir / "rows.csv")
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+    rows = _report_rows(out_dir)
     assert len(rows) == 2 * 2 * 4  # algorithms x budgets x samples
-    report = json.loads((out_dir / "report.json").read_text())
-    assert report["row_count"] == len(rows)
 
 
 def test_bench_env_seed_override(bench_outputs, workdir, monkeypatch):
@@ -175,8 +178,7 @@ def test_bench_env_seed_override(bench_outputs, workdir, monkeypatch):
     out_dir = workdir / "bench_env"
     assert main(["bench", "--config", str(cfg_path),
                  "--out-dir", str(out_dir)]) == 0
-    rows = read_rows_csv(out_dir / "rows.csv")
-    assert {r["seed"] for r in rows} == {41}
+    assert {r["seed"] for r in _report_rows(out_dir)} == {41}
 
 
 def test_env_seed_overrides_cli_seed(workdir, monkeypatch):
@@ -383,6 +385,7 @@ def _first_app_permissions(doc):
 
 _SPLIT_ON_A_FLAG = {"leaf": False, "feature": True, "threshold": 0.5,
                     "left": {"leaf": True, "vote": 0}, "right": {"leaf": True, "vote": 1}}
+_SPLIT_AT_NAN = {**_SPLIT_ON_A_FLAG, "feature": 0, "threshold": float("nan")}
 
 
 def _unknown_protection_level(doc):
@@ -479,6 +482,16 @@ _PROBES = {
     "config-detector-cluster-count": ("--config", "bench.json",
                                       lambda d: d["detectors"][0].update(cluster_count=24)),
     "compare-report-without-grid": ("--reports", None, {"config": {}}),
+    "report-format-1": ("--reports", "bench_out/report.json", lambda d: d.pop("format")),
+    "report-columns-renamed": ("--reports", "bench_out/report.json",
+                               lambda d: d["columns"].__setitem__(0, "sample")),
+    "report-short-row": ("--reports", "bench_out/report.json", lambda d: d["rows"][0].pop()),
+    "report-budget-string": ("--reports", "bench_out/report.json",
+                             lambda d: d["rows"][0].__setitem__(3, "4")),
+    "report-unknown-outcome": ("--reports", "bench_out/report.json",
+                               lambda d: d["rows"][0].__setitem__(5, "evaded")),
+    "report-wall-ms-nan": ("--reports", "bench_out/report.json",
+                           lambda d: d["rows"][0].__setitem__(7, float("nan"))),
     # Each of these loaded before the field readers: a string was split into
     # characters, a number was coerced or carried, an unknown level was kept.
     "corpus-uses-features-string": ("--corpus", "corpus.json",
@@ -526,6 +539,17 @@ _PROBES = {
     "model-forest-split-on-a-flag": ("--model", "model.json",
                                      lambda d: d.update(kind="forest",
                                                         params={"trees": [_SPLIT_ON_A_FLAG]})),
+    # Each of these loaded, as json reads NaN and Infinity as floats, except the
+    # integer beyond the float range, which ended in an OverflowError traceback.
+    "model-bias-infinity": ("--model", "model.json",
+                            lambda d: d["params"].update(b=float("inf"))),
+    "model-bias-beyond-float": ("--model", "model.json",
+                                lambda d: d["params"].update(b=10**400)),
+    "model-weight-nan": ("--model", "model.json",
+                         lambda d: d["params"]["w"].__setitem__(0, float("nan"))),
+    "model-forest-split-at-nan": ("--model", "model.json",
+                                  lambda d: d.update(kind="forest",
+                                                     params={"trees": [_SPLIT_AT_NAN]})),
     # Each of these loaded, and the key or the params name was ignored.
     "model-linear-with-members": ("--model", "model.json", lambda d: d.update(members=[dict(d)])),
     "model-ensemble-with-space": ("--model", "model.json",
@@ -552,8 +576,19 @@ _PROBES = {
                                              kind="inject_provider")),
 }
 
-# case -> the field its message names, for the cases above that used to load.
+# case -> the part of its message that names the field or the fault.
 _PROBE_FIELDS = {
+    "compare-report-without-grid": "report format 1 is not supported; rerun bench",
+    "report-format-1": "report format 1 is not supported; rerun bench",
+    "report-columns-renamed": "columns are not sample_id, detector, algorithm, budget, seed",
+    "report-short-row": "row 0 has 7 values, not 8",
+    "report-budget-string": 'row 0 budget is "4", not an integer',
+    "report-unknown-outcome": 'row 0 outcome is "evaded", not success, failure or not_applicable',
+    "report-wall-ms-nan": "row 0 wall_ms is NaN, not a finite number",
+    "model-bias-infinity": "linear model: params.b is Infinity, not a finite number",
+    "model-bias-beyond-float": "0, not a finite number",
+    "model-weight-nan": "linear model: params.w is not an array of finite numbers",
+    "model-forest-split-at-nan": "forest model: split threshold is NaN, not a finite number",
     "corpus-uses-features-string": "app b000: uses_features are not a list of strings",
     "corpus-intent-actions-string": "Main: intent_actions are not a list of strings",
     "corpus-intent-categories-string": "Main: intent_categories are not a list of strings",

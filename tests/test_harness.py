@@ -28,8 +28,7 @@ from pst_evade.harness import (
     format_grid,
     grid_from_rows,
     make_default_ensemble,
-    metrics_to_dict,
-    read_rows_csv,
+    rows_from_dict,
     run_experiment,
     save_report,
     select_true_positives,
@@ -276,8 +275,6 @@ def test_asr_never_drops_with_budget(mini_report):
 
 
 def test_aggregates_recompute_from_rows(mini_report):
-    assert tuple(cells_from_rows(mini_report.rows)) == mini_report.cells
-    assert tuple(grid_from_rows(mini_report.rows)) == mini_report.grid
     for cell in mini_report.cells:
         assert 0.0 <= cell["asr"] <= 1.0
     for entry in mini_report.grid:
@@ -428,29 +425,31 @@ def test_derived_wall_times_stay_within_the_largest_budget_row(mini_report):
 # Files and presentation
 
 
+def _rows_read_back(report, out_dir):
+    path = save_report(report, out_dir)
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+    doc = json.loads(path.read_text())
+    assert doc["format"] == 2 and doc["config"] == report.config
+    return rows_from_dict(doc)
+
+
 def test_report_files_round_trip(mini_report, tmp_path):
-    json_path, csv_path = save_report(mini_report, tmp_path / "out")
-    back = read_rows_csv(csv_path)
-    assert _strip_wall(back) == _strip_wall(mini_report.rows)
+    # JSON keeps every float whole, so wall_ms comes back exactly.
+    back = _rows_read_back(mini_report, tmp_path / "out")
+    assert back == list(mini_report.rows)
     assert all(r["wall_ms"] >= 0.0 for r in back)
-    loaded = json.loads(json_path.read_text())
-    assert loaded["row_count"] == len(mini_report.rows)
-    assert loaded["cells"] == list(mini_report.cells)
+    assert cells_from_rows(back) == mini_report.cells
+    assert grid_from_rows(back) == mini_report.grid
 
 
-def test_csv_header_is_checked(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("sample,detector\nx,y\n")
-    with pytest.raises(ValueError):
-        read_rows_csv(bad)
-
-
-def test_grid_formatting(mini_report):
-    text = format_grid(metrics_to_dict(mini_report))
+def test_grid_formatting(mini_report, tmp_path):
+    text = format_grid(mini_report.grid)
     assert "linear" in text
     for algo in ("pst", "mab", "random"):
         assert algo in text
     assert "N=5" in text and "N=10" in text
+    back = _rows_read_back(mini_report, tmp_path / "out")
+    assert format_grid(grid_from_rows(back)) == text
 
 
 # ---------------------------------------------------------------------------
