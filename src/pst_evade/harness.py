@@ -1,5 +1,5 @@
 """Experiment orchestration: seeded benchmark runs over detector, algorithm,
-and budget grids, with success-rate and query-count metrics read off the rows.
+and budget grids, with success rates read off the rows.
 
 Every attack seed is derived from (master seed, sample id), so rows do not
 depend on the order in which the grid's cells run.
@@ -60,6 +60,10 @@ class DetectorSpec:
             raise ValueError(f"unknown detector kind: {self.kind}")
         if self.features not in FEATURE_KINDS:
             raise ValueError(f"unknown feature kind: {self.features}")
+        if self.kind == "ensemble" and self.features != "binary":
+            raise ValueError(f"detector {self.name!r}: an ensemble's members bring their "
+                             f"own feature spaces; leave features unset, not {self.features!r}")
+        integer(self.train_seed, "train_seed", lo=0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """A bench run; its per-seed ``cells`` and pooled ``grid`` are read off its rows."""
+    """A bench run; its per-seed ``cells`` and its ``grid`` of means over seeds
+    are read off its rows."""
 
     config: dict
     rows: tuple[dict, ...]
@@ -130,66 +135,26 @@ def compute_asr(rows) -> float:
     return wins / len(applicable)
 
 
-def compute_cdf(values) -> list[tuple[float, float]]:
-    """Empirical CDF evaluated at each distinct value."""
-    data = sorted(values)
-    if len(data) == 0:
-        raise ValueError("no values to summarize")
-    n = len(data)
-    out: list[tuple[float, float]] = []
-    for i, v in enumerate(data):
-        if i + 1 == n or data[i + 1] != v:
-            out.append((float(v), (i + 1) / n))
-    return out
-
-
 def cells_from_rows(rows) -> list[dict]:
-    """Per (detector, algorithm, budget, seed) aggregates, recomputable any time."""
+    """The ASR of each (detector, algorithm, budget, seed), in that order."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         key = (row["detector"], row["algorithm"], row["budget"], row["seed"])
         groups.setdefault(key, []).append(row)
-    cells = []
-    for (det, algo, budget, seed), members in sorted(groups.items()):
-        cells.append({
-            "detector": det, "algorithm": algo, "budget": budget, "seed": seed,
-            "attacked": len(members),
-            "successes": sum(r["outcome"] == "success" for r in members),
-            "asr": compute_asr(members),
-        })
-    return cells
+    return [{"detector": det, "algorithm": algo, "budget": budget, "seed": seed,
+             "asr": compute_asr(members)}
+            for (det, algo, budget, seed), members in sorted(groups.items())]
 
 
 def grid_from_rows(rows) -> list[dict]:
-    """Per (detector, algorithm, budget) summaries pooled over seeds."""
-    cells = cells_from_rows(rows)
-    groups: dict[tuple, list[dict]] = {}
-    for cell in cells:
+    """The mean over seeds of each (detector, algorithm, budget)'s cell ASRs."""
+    groups: dict[tuple, list[float]] = {}
+    for cell in cells_from_rows(rows):
         groups.setdefault((cell["detector"], cell["algorithm"], cell["budget"]),
-                          []).append(cell)
-    pooled: dict[tuple, list[dict]] = {}
-    for row in rows:
-        if row["outcome"] == "success":
-            key = (row["detector"], row["algorithm"], row["budget"])
-            pooled.setdefault(key, []).append(row)
-    grid = []
-    for key, members in sorted(groups.items()):
-        det, algo, budget = key
-        wins = pooled.get(key, [])
-        queries = [r["queries_used"] for r in wins]
-        walls = [r["wall_ms"] for r in wins]
-        grid.append({
-            "detector": det, "algorithm": algo, "budget": budget,
-            "asr_mean": sum(c["asr"] for c in members) / len(members),
-            "asr_by_seed": {c["seed"]: c["asr"] for c in members},
-            "successes": len(wins),
-            "attacked": sum(c["attacked"] for c in members),
-            "mean_queries": sum(queries) / len(queries) if queries else None,
-            "mean_wall_ms": sum(walls) / len(walls) if walls else None,
-            "qt_cdf": compute_cdf(queries) if queries else None,
-            "wall_cdf": compute_cdf(walls) if walls else None,
-        })
-    return grid
+                          []).append(cell["asr"])
+    return [{"detector": det, "algorithm": algo, "budget": budget,
+             "asr_mean": sum(asrs) / len(asrs)}
+            for (det, algo, budget), asrs in sorted(groups.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +375,7 @@ def detector_spec_from_dict(d: dict) -> DetectorSpec:
     """Inverse of ``detector_spec_to_dict``; a key that is not a field, or a field
     of the wrong JSON type, is a ValueError naming it."""
     return DetectorSpec(**fields_of(DetectorSpec, d, "detector", name=string, kind=string,
-                                    features=string, train_seed=integer))
+                                    features=string))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

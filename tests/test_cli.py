@@ -682,3 +682,18 @@ def test_a_seed_variable_that_is_not_an_integer_fails_in_one_line(bench_outputs,
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == "pst-evade: error: PST_EVADE_SEED is 'abc', not an integer\n"
+
+
+@pytest.mark.parametrize("extra,needle", [
+    (["--seed", "-1"], "train_seed is -1, not an integer >= 0"),
+    (["--kind", "ensemble", "--features", "markov"],
+     "detector 'ensemble': an ensemble's members bring their own feature spaces; "
+     "leave features unset, not 'markov'"),
+])
+def test_train_refuses_a_negative_seed_and_ensemble_features(workdir, capsys, extra, needle):
+    out = workdir / "refused-model.json"
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(workdir / "corpus.json"), *extra,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"pst-evade: error: {needle}\n"
+    assert not out.exists()

@@ -19,7 +19,6 @@ from pst_evade.harness import (
     budget_rows,
     cells_from_rows,
     compute_asr,
-    compute_cdf,
     config_from_dict,
     config_to_dict,
     derive_seed,
@@ -97,30 +96,6 @@ def test_asr_requires_applicable_reports():
         compute_asr([])
     with pytest.raises(ValueError):
         compute_asr([_row("not_applicable")])
-
-
-def test_cdf_counts_duplicates():
-    assert compute_cdf([1, 1, 2]) == [(1.0, 2 / 3), (2.0, 1.0)]
-
-
-def test_cdf_single_value():
-    assert compute_cdf([4.5]) == [(4.5, 1.0)]
-
-
-def test_cdf_rejects_empty():
-    with pytest.raises(ValueError):
-        compute_cdf([])
-
-
-def test_cdf_is_nondecreasing_and_ends_at_one():
-    rng = random.Random(3)
-    values = [rng.randint(0, 30) for _ in range(500)]
-    cdf = compute_cdf(values)
-    assert cdf[-1][1] == 1.0
-    assert all(a[1] < b[1] and a[0] < b[0] for a, b in zip(cdf, cdf[1:]))
-    # Spot-check fractions against direct counting.
-    for x, frac in cdf:
-        assert frac == sum(1 for v in values if v <= x) / len(values)
 
 
 def test_cdf_of_uniform_draws_passes_ks():
@@ -217,6 +192,12 @@ def test_config_from_dict_ignores_an_old_workers_key():
      "detector: unknown key 'threshold'"),
     # Only a config's own old "workers" key is dropped.
     ({"detectors": [{"name": "linear", "workers": 2}]}, "detector: unknown key 'workers'"),
+    # A seed numpy would refuse, and features an ensemble would ignore.
+    ({"detectors": [{"name": "linear", "train_seed": -3}]},
+     "train_seed is -3, not an integer >= 0"),
+    ({"detectors": [{"name": "e", "kind": "ensemble", "features": "api_cluster"}]},
+     "detector 'e': an ensemble's members bring their own feature spaces; "
+     "leave features unset, not 'api_cluster'"),
 ])
 def test_config_from_dict_refuses_a_field_of_the_wrong_type(change, message):
     with pytest.raises(ValueError) as exc:
@@ -275,13 +256,20 @@ def test_asr_never_drops_with_budget(mini_report):
 
 
 def test_aggregates_recompute_from_rows(mini_report):
-    for cell in mini_report.cells:
+    cells, grid = mini_report.cells, mini_report.grid
+    assert all(cell.keys() == {"detector", "algorithm", "budget", "seed", "asr"}
+               for cell in cells)
+    assert all(entry.keys() == {"detector", "algorithm", "budget", "asr_mean"}
+               for entry in grid)
+    for cell in cells:
         assert 0.0 <= cell["asr"] <= 1.0
-    for entry in mini_report.grid:
-        seeds = entry["asr_by_seed"]
-        assert entry["asr_mean"] == sum(seeds.values()) / len(seeds)
-        if entry["qt_cdf"] is not None:
-            assert entry["qt_cdf"][-1][1] == 1.0
+    assert len(grid) == 3 * 2  # algorithms x budgets
+    for entry in grid:
+        asrs = [c["asr"] for c in cells
+                if (c["detector"], c["algorithm"], c["budget"])
+                == (entry["detector"], entry["algorithm"], entry["budget"])]
+        assert len(asrs) == 2  # seeds
+        assert entry["asr_mean"] == sum(asrs) / len(asrs)
 
 
 def test_true_positive_pool_shortfall_is_an_error(small_corpus):
