@@ -76,6 +76,12 @@ def integer(value, name: str, lo: int | None = None) -> int:
     return value
 
 
+def fixed(value, name: str, want: int) -> None:
+    """Refuse all but the JSON integer ``want``: a value the program fixes and files record."""
+    if integer(value, name) != want:
+        raise _wrong(name, value, str(want))
+
+
 def number(value, name: str) -> float:
     """A JSON number, not ``true`` or ``"0.5"``, as a float; not ``NaN``,
     ``Infinity`` or an integer beyond the float range."""

@@ -21,6 +21,7 @@ from .corpus import (
 from .detectors import DETECTOR_KINDS, FEATURE_KINDS, Ensemble, load_model, save_model
 from .harness import (
     REPORT_FORMAT,
+    DetectorSpec,
     attack_sample,
     compute_asr,
     config_from_dict,
@@ -30,6 +31,7 @@ from .harness import (
     run_experiment,
     save_report,
     select_true_positives,
+    train_detector,
 )
 from .perturbset import build_perturbation_set, load_pset, save_pset
 from .pstree import dump_tree
@@ -60,8 +62,6 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .harness import DetectorSpec, train_detector
-
     corpus = load_corpus(args.corpus)
     spec = DetectorSpec(name=args.kind, kind=args.kind, features=args.features,
                         train_seed=_seed_override(args.seed))

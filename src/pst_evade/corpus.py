@@ -339,6 +339,8 @@ def check_code_component(comp: CodeComponent, where: str) -> None:
             raise ValueError(f"{where}: api call id is not a string: {api!r}")
     if comp.families.size and comp.families.min() < 0:
         raise ValueError(f"{where}: negative function family")
+    if comp.families.size and comp.families.max() >= API_FAMILY_COUNT:
+        raise ValueError(f"{where}: function family above {API_FAMILY_COUNT - 1}")
     if not _edges_in_range(comp):
         raise ValueError(f"{where}: edge index out of range for "
                          f"{len(comp.families)} functions")

@@ -15,10 +15,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import (fields_of, flag, integer, items, number, numbers, obj, read_document,
-                      string, strings)
-from .corpus import ApkModel
+from .catalog import (fields_of, fixed, flag, integer, items, number, numbers, obj,
+                      read_document, string, strings)
+from .corpus import API_FAMILY_COUNT, ApkModel
 from .features import (
+    CLUSTER_COUNT,
     ApiClusterMap,
     ApiColumns,
     Parts,
@@ -62,23 +63,18 @@ class Feedback:
 @dataclass(frozen=True, eq=False)
 class FeatureSpace:
     """How a detector turns an app into a dense float64 row. A space holds what
-    its kind's extractor needs: the binary ``keys`` (column i is key i), the
-    Markov ``family_count`` (column a * family_count + b is the a -> b
-    transition), or the api ``cluster_map`` (column i is cluster i). Equality
-    and hashing are by ``digest``."""
+    its kind's extractor needs: the binary ``keys`` (column i is key i) or the
+    api ``cluster_map`` (column i is cluster i); a Markov space needs nothing
+    (column a * API_FAMILY_COUNT + b is the a -> b transition). Equality and
+    hashing are by ``digest``."""
 
     kind: str  # one of FEATURE_KINDS
     keys: tuple[str, ...] = ()
-    family_count: int = 0
     cluster_map: ApiClusterMap | None = None
 
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
             raise ValueError(f"unknown feature kind: {self.kind}")
-        if self.kind == "markov" and not (isinstance(self.family_count, int)
-                                          and self.family_count >= 1):
-            raise ValueError(f"markov feature space needs a family_count >= 1, "
-                             f"got {self.family_count!r}")
         if self.kind == "api_cluster" and self.cluster_map is None:
             raise ValueError("api_cluster feature space needs a cluster map")
 
@@ -86,9 +82,7 @@ class FeatureSpace:
     def width(self) -> int:
         if self.kind == "binary":
             return len(self.keys)
-        if self.kind == "markov":
-            return self.family_count ** 2
-        return self.cluster_map.cluster_count
+        return API_FAMILY_COUNT ** 2 if self.kind == "markov" else CLUSTER_COUNT
 
     @cached_property
     def key_index(self) -> dict[str, int]:
@@ -117,7 +111,7 @@ class FeatureSpace:
         if self.kind == "binary":
             return extract_binary(apk, self.key_index, self.api_columns)
         if self.kind == "markov":
-            return extract_markov(apk, self.family_count)
+            return extract_markov(apk)
         return extract_api_cluster(apk, self.cluster_map, self.api_columns)
 
     # An app's state in a space is what its row is made from and what an app
@@ -126,7 +120,7 @@ class FeatureSpace:
 
     def state(self, apk: ApkModel) -> np.ndarray:
         if self.kind == "markov":
-            return markov_counts(apk.components, self.family_count)
+            return markov_counts(apk.components)
         return self.extract(apk)
 
     def extended(self, state: np.ndarray, parts: Parts) -> np.ndarray:
@@ -139,27 +133,28 @@ class FeatureSpace:
         if not parts.components:
             return state
         if self.kind == "markov":
-            return state + markov_counts(parts.components, self.family_count, parts.first)
+            return state + markov_counts(parts.components)
         out = state.copy()
         mark_api_calls(out, parts.components, self.api_columns)
         return out
 
     def row(self, state: np.ndarray) -> np.ndarray:
-        return markov_row(state, self.family_count) if self.kind == "markov" else state
+        return markov_row(state) if self.kind == "markov" else state
 
 
 def space_to_dict(space: FeatureSpace) -> dict:
     if space.kind == "binary":
         return {"kind": "binary", "keys": list(space.keys)}
     if space.kind == "markov":
-        return {"kind": "markov", "family_count": space.family_count}
+        return {"kind": "markov", "family_count": API_FAMILY_COUNT}
     return {"kind": "api_cluster", "cluster_map": cluster_map_to_dict(space.cluster_map)}
 
 
 def space_from_dict(d: dict) -> FeatureSpace:
     cmap = d.get("cluster_map")
+    if d["kind"] == "markov":
+        fixed(d["family_count"], "space family_count", API_FAMILY_COUNT)
     return FeatureSpace(d["kind"], keys=strings(d.get("keys", []), "space keys"),
-                        family_count=integer(d.get("family_count", 0), "space family_count"),
                         cluster_map=None if cmap is None else cluster_map_from_dict(
                             obj(cmap, "space cluster_map")))
 

@@ -1,8 +1,8 @@
 """Feature families over the app model: binary string vectors, markov family-transition
 matrices, and api-cluster indicator vectors. Each extractor returns one dense float64
-row and takes the plain value that fixes its columns: a key index, a family count, or
-a cluster map; the binary and api-cluster extractors also take that layout's
-``ApiColumns``.
+row. A Markov row always has ``API_FAMILY_COUNT ** 2`` columns and an api-cluster row
+``CLUSTER_COUNT``; the binary extractor takes the key index that fixes its columns, the
+api-cluster one the cluster map, and both take that layout's ``ApiColumns``.
 
 Every feature is a sum or a union over an app's parts, so each kind defines its
 contribution from a set of parts once (``mark_keys``, ``markov_counts``,
@@ -22,19 +22,20 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .catalog import integer, pairs
-from .corpus import ApkModel, CodeComponent, DeclaredComponent, Permission
+from .catalog import fixed, pairs
+from .corpus import API_FAMILY_COUNT, ApkModel, CodeComponent, DeclaredComponent, Permission
+
+# Clusters of every api-cluster map.
+CLUSTER_COUNT = 24
 
 
 class Parts(NamedTuple):
-    """Parts of an app that features read: whole, or what it adds to another app.
-    ``first`` is the app index of the first of ``components``."""
+    """Parts of an app that features read: whole, or what it adds to another app."""
 
     uses_features: Collection[str]
     permissions: Collection[Permission]
     declared: Sequence[DeclaredComponent]
     components: Sequence[CodeComponent]
-    first: int = 0
 
     @property
     def empty(self) -> bool:
@@ -72,7 +73,7 @@ def added_parts(base: ApkModel, apk: ApkModel) -> Parts | None:
     permissions = _added(base.permissions, apk.permissions)
     if features is None or permissions is None:
         return None
-    return Parts(features, permissions, new_decl[len(old_decl):], new[len(old):], len(old))
+    return Parts(features, permissions, new_decl[len(old_decl):], new[len(old):])
 
 
 def manifest_keys(parts: Parts) -> Iterator[str]:
@@ -167,48 +168,38 @@ def extract_binary(apk: ApkModel, index: Mapping[str, int],
     return out
 
 
-def markov_counts(components: Sequence[CodeComponent], family_count: int,
-                  first: int = 0) -> np.ndarray:
+def markov_counts(components: Sequence[CodeComponent]) -> np.ndarray:
     """Family-transition counts of the components' call edges as float64, flattened
-    row-major: entry a * family_count + b counts the a -> b edges. ``first`` is the
-    app index of the first component, which an out-of-range error names."""
+    row-major: entry a * API_FAMILY_COUNT + b counts the a -> b edges. A family
+    outside the range, which only a component no loader checked can hold, raises:
+    ``bincount`` would count it in another cell."""
     pairs = np.concatenate([c.edge_families for c in components]
                            or [np.empty((0, 2), dtype=np.intp)])
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= family_count):
-        for i, comp in enumerate(components, first):
-            out = (comp.edge_families < 0) | (comp.edge_families >= family_count)
-            bad = np.flatnonzero(out.any(axis=1))
-            if bad.size:
-                raise ValueError(
-                    f"edge family out of range for family_count={family_count}: component "
-                    f"{i} local edge {tuple(comp.edges[bad[0]].tolist())} has families "
-                    f"{tuple(comp.edge_families[bad[0]].tolist())}")
-    return np.bincount(pairs[:, 0] * family_count + pairs[:, 1],
-                       minlength=family_count ** 2).astype(np.float64)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= API_FAMILY_COUNT):
+        raise ValueError(f"edge family out of range 0..{API_FAMILY_COUNT - 1}")
+    return np.bincount(pairs[:, 0] * API_FAMILY_COUNT + pairs[:, 1],
+                       minlength=API_FAMILY_COUNT ** 2).astype(np.float64)
 
 
-def markov_row(counts: np.ndarray, family_count: int) -> np.ndarray:
+def markov_row(counts: np.ndarray) -> np.ndarray:
     """Row-normalize flat transition counts: entry (a, b) becomes the fraction of
     family-a out-edges that land in family b; families with no out-edges keep an
     all-zero row."""
-    counts = counts.reshape(family_count, family_count)
+    counts = counts.reshape(API_FAMILY_COUNT, API_FAMILY_COUNT)
     row_sums = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, row_sums, out=np.zeros_like(counts), where=row_sums > 0)
     return matrix.ravel()
 
 
-def extract_markov(apk: ApkModel, family_count: int) -> np.ndarray:
+def extract_markov(apk: ApkModel) -> np.ndarray:
     """Row-normalized family-transition matrix of the call graph, flattened row-major."""
-    if family_count < 1:
-        raise ValueError("family_count must be >= 1")
-    return markov_row(markov_counts(apk.components, family_count), family_count)
+    return markov_row(markov_counts(apk.components))
 
 
 @dataclass(frozen=True)
 class ApiClusterMap:
-    """Total mapping from api id to cluster id."""
+    """Total mapping from api id to cluster id, below ``CLUSTER_COUNT``."""
 
-    cluster_count: int
     assignment: tuple[tuple[str, int], ...]
 
     @cached_property
@@ -216,18 +207,12 @@ class ApiClusterMap:
         return dict(self.assignment)
 
 
-def build_api_cluster_map(api_ids: Iterable[str], cluster_count: int, seed: int) -> ApiClusterMap:
+def build_api_cluster_map(api_ids: Iterable[str], seed: int) -> ApiClusterMap:
     """Seeded, balanced random partition of the api vocabulary into clusters."""
     ids = sorted(set(api_ids))
-    if cluster_count < 1:
-        raise ValueError("cluster_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ids))
-    assignment = tuple(
-        (ids[int(j)], int(rank % cluster_count)) for rank, j in enumerate(order)
-    )
-    return ApiClusterMap(cluster_count=cluster_count,
-                         assignment=tuple(sorted(assignment)))
+    order = np.random.default_rng(seed).permutation(len(ids))
+    return ApiClusterMap(tuple(sorted((ids[int(j)], int(rank % CLUSTER_COUNT))
+                                      for rank, j in enumerate(order))))
 
 
 def cluster_columns(cmap: ApiClusterMap) -> ApiColumns:
@@ -246,18 +231,18 @@ def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap,
                         columns: ApiColumns) -> np.ndarray:
     """1.0 at cluster i when any api call mapped to cluster i occurs in the app.
     ``columns`` are ``cluster_columns(cmap)``."""
-    out = np.zeros(cmap.cluster_count)
+    out = np.zeros(CLUSTER_COUNT)
     mark_api_calls(out, apk.components, columns)
     return out
 
 
 def cluster_map_to_dict(cmap: ApiClusterMap) -> dict:
-    return {"cluster_count": cmap.cluster_count,
+    return {"cluster_count": CLUSTER_COUNT,
             "assignment": [[a, c] for a, c in cmap.assignment]}
 
 
 def cluster_map_from_dict(d: dict) -> ApiClusterMap:
-    count = integer(d["cluster_count"], "cluster_count", lo=1)
-    return ApiClusterMap(cluster_count=count, assignment=pairs(
-        d["assignment"], "cluster assignment", f"an [api id, cluster below {count}] pair",
-        lambda c: type(c) is int and 0 <= c < count))
+    fixed(d["cluster_count"], "cluster_count", CLUSTER_COUNT)
+    return ApiClusterMap(assignment=pairs(
+        d["assignment"], "cluster assignment", f"an [api id, cluster below {CLUSTER_COUNT}] pair",
+        lambda c: type(c) is int and 0 <= c < CLUSTER_COUNT))

@@ -17,8 +17,7 @@ import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
 from .catalog import fields_of, integer, integers, items, number, string, strings
-from .corpus import (API_FAMILY_COUNT, ApkModel, Corpus, CorpusSpec, load_corpus,
-                     load_default_catalog)
+from .corpus import ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
     FEATURE_KINDS,
@@ -41,9 +40,6 @@ REPORT_COLUMNS = {"sample_id": string, "detector": string, "algorithm": string,
 # leaves well over the default 100 attackable true positives in the test split.
 DEFAULT_BENCH_SPEC = CorpusSpec(n_benign=300, n_malicious=560, donor_count=100,
                                 seed=101)
-
-# Clusters of every api_cluster feature space a detector is trained on.
-CLUSTER_COUNT = 24
 
 
 @dataclass(frozen=True)
@@ -178,10 +174,10 @@ def _featurize(features: str, apks, corpus: Corpus, seed: int) -> tuple[FeatureS
     if features == "binary":
         space = FeatureSpace(features, keys=build_vocab(apks))
     elif features == "markov":
-        space = FeatureSpace(features, family_count=API_FAMILY_COUNT)
+        space = FeatureSpace(features)
     else:
         space = FeatureSpace(features, cluster_map=build_api_cluster_map(
-            _corpus_api_ids(corpus), CLUSTER_COUNT, seed))
+            _corpus_api_ids(corpus), seed))
     return space, np.stack([space.extract(a) for a in apks])
 
 
@@ -236,8 +232,7 @@ def make_default_ensemble(corpus: Corpus, seed: int = 0, size: int = 20) -> Ense
         if features == "api_cluster":
             if api_ids is None:
                 api_ids = _corpus_api_ids(corpus)
-            space = FeatureSpace(features, cluster_map=build_api_cluster_map(
-                api_ids, CLUSTER_COUNT, member_seed))
+            space = FeatureSpace(features, cluster_map=build_api_cluster_map(api_ids, member_seed))
             distinct, inverse = np.unique(rows, return_inverse=True)
             x = np.stack([space.extract(train_apks[r]) for r in distinct])[inverse]
         else:

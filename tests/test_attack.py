@@ -529,8 +529,7 @@ def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
 
 @pytest.mark.parametrize("name,component,needle", [
     ("markov-linear", {"families": [0, 99], "edges": [[0, 1]]},
-     "edge family out of range for family_count=11: component {i} local edge (0, 1) "
-     "has families (0, 99)"),
+     "edge family out of range 0..10"),
     ("api_cluster-linear", {"api_calls": ("api.nowhere.fn999",)},
      "api id missing from cluster map: api.nowhere.fn999"),
 ])
@@ -544,7 +543,6 @@ def test_oracle_raises_the_full_extraction_error_for_an_added_part(
                                    "edges": [], "api_calls": (), **component}))
     candidate = apply_perturbation(target, StubPerturbation("inject_service", payload),
                                    random.Random(0))
-    needle = needle.format(i=len(target.components))
     with pytest.raises(ValueError) as full:
         detectors.query(model, candidate)
     assert str(full.value) == needle

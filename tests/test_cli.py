@@ -1,4 +1,5 @@
 """End-to-end command line flow in a temp directory."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 import pst_evade
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
 from pst_evade.cli import main
-from pst_evade.corpus import CorpusSpec, load_corpus, spec_to_dict
+from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, load_corpus, pack_array,
+                              spec_to_dict, unpack_array)
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
@@ -414,6 +416,25 @@ def _ensemble_member_space_family_count(model):
     model["members"][0]["space"]["family_count"] = 7
 
 
+def _give_space(model, space, width):
+    """Give a linear model's doc ``space``, with its hash and zero weights."""
+    model.update(space=space, params={"w": [0.0] * width, "b": 0.0},
+                 space_hash=hashlib.sha256(json.dumps(space, sort_keys=True).encode()).hexdigest())
+
+
+def _ensemble_member_cluster_count_3(model):
+    _as_ensemble(model)
+    _give_space(model["members"][0], {"kind": "api_cluster", "cluster_map": {
+        "cluster_count": 3, "assignment": [["api.a", 0], ["api.b", 2]]}}, 3)
+
+
+def _family_past_the_last(component):
+    """Give a component's first function the family API_FAMILY_COUNT."""
+    families = unpack_array(component["families"], "families").copy()
+    families[0] = API_FAMILY_COUNT
+    component["families"] = pack_array(families)
+
+
 def _ensemble_of_one_claiming_two(model):
     member = dict(model)
     model.update(kind="ensemble", params={}, threshold=0.0, hyperparams={"members": 2},
@@ -574,6 +595,17 @@ _PROBES = {
     "pset-provider-carrying-a-service": ("--pset", "pset.json",
                                          lambda d: _first_service(d).update(
                                              kind="inject_provider")),
+    # Each of these gave a feature space another size, or a function a family
+    # past the last, and loaded.
+    "model-markov-family-count-7": ("--model", "model.json",
+                                    lambda d: _give_space(d, {"kind": "markov",
+                                                              "family_count": 7}, 49)),
+    "model-ensemble-member-cluster-count-3": ("--model", "model.json",
+                                              _ensemble_member_cluster_count_3),
+    "corpus-family-11": ("--corpus", "corpus.json",
+                         lambda d: _family_past_the_last(_first_component(d))),
+    "pset-payload-family-11": ("--pset", "pset.json",
+                               lambda d: _family_past_the_last(_first_payload(d)["component"])),
 }
 
 # case -> the part of its message that names the field or the fault.
@@ -625,6 +657,10 @@ _PROBE_FIELDS = {
         "kinds disagree: inject_service, declared activity, code service"),
     "pset-provider-carrying-a-service": (
         "kinds disagree: inject_provider, declared service, code service"),
+    "model-markov-family-count-7": "space family_count is 7, not 11",
+    "model-ensemble-member-cluster-count-3": "cluster_count is 3, not 24",
+    "corpus-family-11": "component 0: function family above 10",
+    "pset-payload-family-11": ": function family above 10",
 }
 
 

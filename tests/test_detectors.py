@@ -33,7 +33,8 @@ from pst_evade.detectors import (
     space_to_dict,
     train,
 )
-from pst_evade.features import ApiClusterMap
+from pst_evade.corpus import API_FAMILY_COUNT
+from pst_evade.features import CLUSTER_COUNT, ApiClusterMap
 from pst_evade.harness import make_default_ensemble, select_true_positives
 from pst_evade.perturbset import build_perturbation_set
 
@@ -141,10 +142,16 @@ _REFERENCE = {"knn": _reference_knn, "forest": _reference_forest}
 
 
 def _space_of_width(kind, width):
+    """A binary space of ``width`` keys, or the api_cluster space."""
     if kind == "binary":
         return _binary_space(tuple(f"k{i}" for i in range(width)))
     return FeatureSpace("api_cluster", cluster_map=ApiClusterMap(
-        cluster_count=width, assignment=tuple((f"api.{i}", i) for i in range(width))))
+        assignment=tuple((f"api.{i}", i) for i in range(CLUSTER_COUNT))))
+
+
+def _in_width(space, a):
+    """``a``'s rows as the first columns of rows of the space's width."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, space.width - a.shape[-1])])
 
 
 @pytest.mark.parametrize("space_kind", ["binary", "api_cluster"])
@@ -156,11 +163,12 @@ def test_knn_norm_kernel_matches_difference_form_on_random_rows(monkeypatch, spa
         rows = int(rng.integers(1, 30))
         k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
         monkeypatch.setattr(detectors, "KNN_K", k)
-        model = DetectorModel(kind="knn", space=_space_of_width(space_kind, width),
-                              params={"x": rng.integers(0, 2, (rows, width)).astype(float),
-                                      "y": rng.integers(0, 2, rows).astype(float)})
+        space = _space_of_width(space_kind, width)
+        model = DetectorModel(kind="knn", space=space, params={
+            "x": _in_width(space, rng.integers(0, 2, (rows, width)).astype(float)),
+            "y": rng.integers(0, 2, rows).astype(float)})
         assert model.kernel.func is _knn_by_norms
-        for x in rng.integers(0, 2, (16, width)).astype(float):
+        for x in _in_width(space, rng.integers(0, 2, (16, width)).astype(float)):
             assert confidence_from_dense(model, x) == _reference_knn(model, x)
             d2 = np.sort(np.sum(np.square(model.params["x"] - x), axis=1))
             boundary_ties += k < rows and d2[k - 1] == d2[k]
@@ -176,11 +184,13 @@ def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows(monkeypatc
     sq = np.sum(np.square(params["x"]), axis=1)
     expanded = sq - 2.0 * (params["x"] @ x) + float(x @ x)
     assert np.argmin(expanded) != 1
-    markov = FeatureSpace("markov", family_count=1)
+    markov = FeatureSpace("markov")
     for space in (_binary_space(), markov):
-        model = DetectorModel(kind="knn", space=space, params=params)
+        model = DetectorModel(kind="knn", space=space,
+                              params={**params, "x": _in_width(space, params["x"])})
         assert model.kernel.func is _knn_by_difference
-        assert confidence_from_dense(model, x) == _reference_knn(model, x) == 0.0
+        row = _in_width(space, x)
+        assert confidence_from_dense(model, row) == _reference_knn(model, row) == 0.0
     # Small fractional rows in a binary space, and integer rows in a Markov
     # space, keep the difference form too.
     small = {"x": np.array([[0.0], [0.25]]), "y": np.array([1.0, 0.0])}
@@ -188,7 +198,8 @@ def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows(monkeypatc
     for space, params, kernel in ((_binary_space(), small, _knn_by_difference),
                                   (markov, whole, _knn_by_difference),
                                   (_binary_space(), whole, _knn_by_norms)):
-        model = DetectorModel(kind="knn", space=space, params=params)
+        model = DetectorModel(kind="knn", space=space,
+                              params={**params, "x": _in_width(space, params["x"])})
         assert model.kernel.func is kernel
 
 
@@ -572,16 +583,19 @@ def test_feature_space_requires_cluster_map():
 def test_space_rejects_unknown_kind_and_bad_family_count():
     with pytest.raises(ValueError, match="unknown feature kind: texture"):
         FeatureSpace("texture")
-    for family_count in (0, -1, 2.0):
-        with pytest.raises(ValueError, match="family_count >= 1"):
-            FeatureSpace("markov", family_count=family_count)
+    # A Markov space always reads the API_FAMILY_COUNT families; its doc
+    # records that count, and a doc that records another is refused.
+    for family_count, needle in ((0, "0, not 11"), (-1, "-1, not 11"), (12, "12, not 11"),
+                                 (2.0, "2.0, not an integer")):
+        with pytest.raises(ValueError, match=f"^space family_count is {re.escape(needle)}$"):
+            space_from_dict({"kind": "markov", "family_count": family_count})
 
 
 def test_space_width_follows_its_kind():
-    cmap = ApiClusterMap(cluster_count=3, assignment=(("api.a", 2),))
+    cmap = ApiClusterMap(assignment=(("api.a", 2),))
     assert _binary_space(("perm:P", "perm:Q")).width == 2
-    assert FeatureSpace("markov", family_count=4).width == 16
-    assert FeatureSpace("api_cluster", cluster_map=cmap).width == 3
+    assert FeatureSpace("markov").width == API_FAMILY_COUNT ** 2 == 121
+    assert FeatureSpace("api_cluster", cluster_map=cmap).width == CLUSTER_COUNT == 24
 
 
 def test_train_refuses_non_finite_or_overflowing_rows():
@@ -780,21 +794,20 @@ def test_vocab_hash_is_stable_and_sensitive():
 def test_space_equality_and_hash_are_by_digest():
     a, b, c = _binary_space(("perm:P",)), _binary_space(("perm:P",)), _binary_space(("perm:Q",))
     assert a == b and hash(a) == hash(b) and a != c
-    markov = FeatureSpace("markov", family_count=1)
-    assert markov != FeatureSpace("markov", family_count=2)
+    markov = FeatureSpace("markov")
+    assert markov == FeatureSpace("markov") and markov != a
     # The digest is the sha256 of the canonical doc, whatever the kind.
     assert markov.digest == hashlib.sha256(
-        b'{"family_count": 1, "kind": "markov"}').hexdigest()
-    assert len({a, b, c, markov}) == 3
+        b'{"family_count": 11, "kind": "markov"}').hexdigest()
+    assert len({a, b, c, markov, FeatureSpace("markov")}) == 3
 
 
 def test_space_round_trip():
-    cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0), ("api.b", 1)))
-    for space in (FeatureSpace("markov", family_count=3),
-                  FeatureSpace("api_cluster", cluster_map=cmap)):
+    cmap = ApiClusterMap(assignment=(("api.a", 0), ("api.b", 1)))
+    for space in (FeatureSpace("markov"), FeatureSpace("api_cluster", cluster_map=cmap)):
         back = space_from_dict(json.loads(json.dumps(space_to_dict(space))))
         assert back == space
-        assert (back.family_count, back.cluster_map) == (space.family_count, space.cluster_map)
+        assert (back.kind, back.cluster_map) == (space.kind, space.cluster_map)
 
 
 def test_model_dict_records_vocab_hash():
@@ -841,10 +854,10 @@ def test_load_rejects_ensemble_member_vocab_that_does_not_match_its_hash(tmp_pat
 
 
 def _cluster_model():
-    cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0), ("api.b", 1)))
+    cmap = ApiClusterMap(assignment=(("api.a", 0), ("api.b", 1)))
     space = FeatureSpace("api_cluster", cluster_map=cmap)
     return DetectorModel(kind="linear", space=space,
-                         params={"w": np.array([1.0, -1.0]), "b": 0.0})
+                         params={"w": np.array([1.0, -1.0] + [0.0] * 22), "b": 0.0})
 
 
 def _swap_clusters(cmap_doc):
@@ -949,13 +962,11 @@ def _two_key_doc(kind):
 
 
 def _give_cluster_space(doc, space_extra=(), map_extra=()):
-    """Give a two-weight linear model's doc the space of ``_cluster_model``, with
-    its hash, plus the extra keys in the space and in its cluster map."""
-    space = _cluster_model().space
-    space_doc = space_to_dict(space)
-    space_doc.update(space_extra)
-    space_doc["cluster_map"].update(map_extra)
-    doc.update(space=space_doc, space_hash=space.digest)
+    """Make a linear model's doc that of ``_cluster_model``, plus the extra keys
+    in its space and in its cluster map."""
+    doc.update(model_to_dict(_cluster_model()))
+    doc["space"].update(space_extra)
+    doc["space"]["cluster_map"].update(map_extra)
 
 
 SCORING_PARAM_CASES = [

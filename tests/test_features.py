@@ -1,6 +1,7 @@
 """Feature extraction: binary strings, markov transition matrices, api clusters."""
 import json
 import random
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -15,6 +16,7 @@ from pst_evade.corpus import API_FAMILY_COUNT
 from pst_evade.detectors import (Ensemble, FeatureSpace, score, space_from_dict,
                                  space_to_dict, train)
 from pst_evade.features import (
+    CLUSTER_COUNT,
     ApiClusterMap,
     Parts,
     added_parts,
@@ -81,11 +83,16 @@ def test_extract_binary_ignores_unseen_keys():
 # Markov transition features
 
 
+FC = API_FAMILY_COUNT
+
+
 def test_markov_vocab_row_major():
-    # Column a * family_count + b holds the a -> b transition.
-    comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
-    app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1")])
-    assert extract_markov(app, 2).tolist() == [0.0, 1.0, 0.0, 0.0]
+    # Column a * API_FAMILY_COUNT + b holds the a -> b transition.
+    comp = code_component(functions=["t.c0.f0@2", "t.c0.f1@3"])
+    app = apk(components=[comp], edges=[("t.c0.f0@2", "t.c0.f1@3")])
+    vec = extract_markov(app)
+    assert vec.shape == (FC * FC,)
+    assert np.flatnonzero(vec).tolist() == [2 * FC + 3] and vec[2 * FC + 3] == 1.0
 
 
 def test_markov_hand_computed_rows():
@@ -97,40 +104,42 @@ def test_markov_hand_computed_rows():
                      ("t.c0.f0@0", "t.c0.f3@1"),
                      ("t.c0.f1@0", "t.c0.f4@1"),
                      ("t.c0.f0@0", "t.c0.f1@0")])
-    vec = extract_markov(app, 2)
+    vec = extract_markov(app)
     assert vec.dtype == np.float64
-    assert vec.tolist() == [0.25, 0.75, 0.0, 0.0]
+    dense = vec.reshape(FC, FC)
+    assert dense[:2, :2].tolist() == [[0.25, 0.75], [0.0, 0.0]]
+    assert dense.sum() == 1.0
 
 
 def test_markov_zero_rows_stay_zero():
     comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
     app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1")])
-    dense = extract_markov(app, 3).reshape(3, 3)
+    dense = extract_markov(app).reshape(FC, FC)
     assert dense[0].sum() == 1.0
-    assert dense[1].sum() == 0.0
-    assert dense[2].sum() == 0.0
+    assert dense[1:].sum() == 0.0
 
 
 def test_markov_no_edges_is_empty():
-    assert extract_markov(apk(), 4).tolist() == [0.0] * 16
+    assert extract_markov(apk()).tolist() == [0.0] * (FC * FC)
 
 
 def test_markov_rejects_family_out_of_range():
-    comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])
-    app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@3")])
-    with pytest.raises(ValueError):
-        extract_markov(app, 2)
+    # Only a component no loader checked can hold such a family.
+    for family in (FC, -1):
+        comp = code_component(functions=["t.c0.f0@0", f"t.c0.f1@{family}"])
+        app = apk(components=[comp], edges=[("t.c0.f0@0", f"t.c0.f1@{family}")])
+        with pytest.raises(ValueError, match=r"^edge family out of range 0\.\.10$"):
+            extract_markov(app)
 
 
 def test_markov_rejects_zero_families():
-    with pytest.raises(ValueError):
-        extract_markov(apk(), 0)
+    with pytest.raises(ValueError, match="^space family_count is 0, not 11$"):
+        space_from_dict({"kind": "markov", "family_count": 0})
 
 
 def test_markov_rows_normalized_on_corpus(small_corpus):
-    fc = API_FAMILY_COUNT
     for app in small_corpus.malicious[:5]:
-        rows = extract_markov(app, fc).reshape(fc, fc)
+        rows = extract_markov(app).reshape(FC, FC)
         sums = rows.sum(axis=1)
         assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
 
@@ -139,13 +148,13 @@ def test_markov_equal_graphs_give_equal_vectors():
     def build():
         comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
         return apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1")])
-    assert np.array_equal(extract_markov(build(), 2), extract_markov(build(), 2))
+    assert np.array_equal(extract_markov(build()), extract_markov(build()))
 
 
-def _markov_reference(app, family_count):
+def _markov_reference(app):
     """From-scratch Markov values: look up every local edge's families, count,
     row-normalize."""
-    counts = np.zeros((family_count, family_count))
+    counts = np.zeros((FC, FC))
     for comp in app.components:
         for a, b in comp.edges:
             counts[comp.families[a], comp.families[b]] += 1.0
@@ -155,10 +164,9 @@ def _markov_reference(app, family_count):
 
 
 def test_markov_matches_from_scratch_reference(small_corpus):
-    fc = API_FAMILY_COUNT
     apps = small_corpus.benign + small_corpus.malicious
     for app in apps:
-        assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
+        assert np.array_equal(extract_markov(app), _markov_reference(app))
 
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     manifest_p = next(p for p in pset.perturbations if p.kind == "permission")
@@ -170,18 +178,23 @@ def test_markov_matches_from_scratch_reference(small_corpus):
     assert new_graph is not target
     assert new_graph.components is not target.components
     for app in (same_graph, new_graph):
-        assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
+        assert np.array_equal(extract_markov(app), _markov_reference(app))
 
 
 def test_markov_range_check_survives_a_wider_extraction():
-    comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])
-    app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f0@0"),
-                                        ("t.c0.f0@0", "t.c0.f1@3")])
-    assert np.array_equal(extract_markov(app, 4), _markov_reference(app, 4))
-    with pytest.raises(ValueError,
-                       match=r"family_count=2: component 0 local edge \(0, 1\) has families \(0, 3\)"):
-        extract_markov(app, 2)
-    assert np.array_equal(extract_markov(app, 4), _markov_reference(app, 4))
+    # Edge families are computed once per component; the range check still runs
+    # on every extraction after that, and an in-range app extracts as before.
+    comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@12"])
+    bad = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f0@0"),
+                                        ("t.c0.f0@0", "t.c0.f1@12")])
+    good = apk(components=[code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])],
+               edges=[("t.c0.f0@0", "t.c0.f0@0"), ("t.c0.f0@0", "t.c0.f1@3")])
+    assert np.array_equal(extract_markov(good), _markov_reference(good))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^edge family out of range 0\.\.10$"):
+            extract_markov(bad)
+    assert "edge_families" in vars(bad.components[0])
+    assert np.array_equal(extract_markov(good), _markov_reference(good))
 
 
 def _fresh(app):
@@ -194,7 +207,6 @@ def _fresh(app):
 def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
     # Chains of injections into parents whose components have, or have not, had
     # their edge families computed already.
-    fc = API_FAMILY_COUNT
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     injects = [p for p in pset.perturbations if p.kind.startswith("inject_")]
     rng = random.Random(17)
@@ -202,14 +214,14 @@ def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
         app = _fresh(target)
         assert all("edge_families" not in vars(c) for c in app.components)
         if parse_parent:
-            extract_markov(app, fc)
+            extract_markov(app)
         for _ in range(rng.randint(1, 3)):
             app = apply_perturbation(app, rng.choice(injects), rng)
         for comp in app.components:
             expected = np.array([[comp.families[a], comp.families[b]] for a, b in comp.edges],
                                 dtype=np.intp).reshape(-1, 2)
             assert np.array_equal(comp.edge_families, expected)
-        assert np.array_equal(extract_markov(app, fc), _markov_reference(app, fc))
+        assert np.array_equal(extract_markov(app), _markov_reference(app))
 
 
 def test_injection_shares_one_component_per_payload(small_corpus):
@@ -223,22 +235,24 @@ def test_injection_shares_one_component_per_payload(small_corpus):
 
 
 def test_markov_range_error_names_the_payload_edge_after_reuse():
+    # A parent whose edge families are already computed takes a payload with an
+    # out-of-range family: the injected app raises, the parent still extracts.
     comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
     app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1"),
                                         ("t.c0.f1@1", "t.c0.f0@0")])
     donor = apk(apk_id="d", components=[code_component(
-        functions=["d.c0.f0@1", "d.c0.f1@0", "d.c0.f2@3"])],
-        edges=[("d.c0.f0@1", "d.c0.f1@0"), ("d.c0.f1@0", "d.c0.f2@3")])
+        functions=["d.c0.f0@1", "d.c0.f1@0", "d.c0.f2@12"])],
+        edges=[("d.c0.f0@1", "d.c0.f1@0"), ("d.c0.f1@0", "d.c0.f2@12")])
     payload = InjectablePayload(
         source_apk_id="d", declared=declared(kind="service", name="Donor"),
         component=donor.components[0])
-    assert np.array_equal(extract_markov(app, 2), _markov_reference(app, 2))
+    assert np.array_equal(extract_markov(app), _markov_reference(app))
     injected = apply_perturbation(app, StubPerturbation("inject_service", payload),
                                   random.Random(0))
-    with pytest.raises(ValueError,
-                       match=r"family_count=2: component 1 local edge \(1, 2\) has families \(0, 3\)"):
-        extract_markov(injected, 2)
-    assert np.array_equal(extract_markov(injected, 4), _markov_reference(injected, 4))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^edge family out of range 0\.\.10$"):
+            extract_markov(injected)
+    assert np.array_equal(extract_markov(app), _markov_reference(app))
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +260,35 @@ def test_markov_range_error_names_the_payload_edge_after_reuse():
 
 
 def test_cluster_map_is_balanced_and_total():
-    cmap = build_api_cluster_map([f"api.{i}" for i in range(10)], 3, seed=4)
+    cmap = build_api_cluster_map([f"api.{i}" for i in range(50)], seed=4)
     sizes = {}
     for _, c in cmap.assignment:
         sizes[c] = sizes.get(c, 0) + 1
-    assert sorted(sizes.values(), reverse=True) == [4, 3, 3]
-    assert len(cmap.assignment) == 10
+    assert sorted(sizes) == list(range(CLUSTER_COUNT))
+    assert sorted(sizes.values(), reverse=True) == [3, 3] + [2] * 22
+    assert len(cmap.assignment) == 50
 
 
 def test_cluster_map_deterministic_and_seed_sensitive():
     ids = [f"api.{i}" for i in range(40)]
-    a = build_api_cluster_map(ids, 5, seed=1)
-    b = build_api_cluster_map(ids, 5, seed=1)
-    c = build_api_cluster_map(ids, 5, seed=2)
+    a = build_api_cluster_map(ids, seed=1)
+    b = build_api_cluster_map(ids, seed=1)
+    c = build_api_cluster_map(ids, seed=2)
     assert a == b
     assert a != c
 
 
 def test_extract_api_cluster_is_presence_not_count():
-    cmap = ApiClusterMap(cluster_count=3, assignment=(("api.a", 2), ("api.b", 0)))
+    cmap = ApiClusterMap(assignment=(("api.a", 2), ("api.b", 0)))
     comp = code_component(api_ids=["api.a", "api.a", "api.b"],
                           functions=["t.c0.f0@0"])
     vec = extract_api_cluster(apk(components=[comp]), cmap, cluster_columns(cmap))
     assert vec.dtype == np.float64
-    assert vec.tolist() == [1.0, 0.0, 1.0]
+    assert vec.tolist() == [1.0, 0.0, 1.0] + [0.0] * (CLUSTER_COUNT - 3)
 
 
 def test_extract_api_cluster_rejects_unmapped_id():
-    cmap = ApiClusterMap(cluster_count=2, assignment=(("api.a", 0),))
+    cmap = ApiClusterMap(assignment=(("api.a", 0),))
     comp = code_component(api_ids=["api.mystery"], functions=["t.c0.f0@0"])
     with pytest.raises(ValueError, match="api.mystery"):
         extract_api_cluster(apk(components=[comp]), cmap, cluster_columns(cmap))
@@ -319,9 +334,8 @@ def _column_setting(corpus):
     keys = tuple(k for i, k in enumerate(build_vocab(train_apps))
                  if not (k.startswith("api:") and i % 2))
     spaces = [FeatureSpace("binary", keys=keys),
-              *(FeatureSpace("api_cluster",
-                             cluster_map=build_api_cluster_map(ids, count, seed))
-                for count, seed in ((8, 1), (24, 2)))]
+              *(FeatureSpace("api_cluster", cluster_map=build_api_cluster_map(ids, seed))
+                for seed in (1, 2))]
     assert any("api:" + api not in spaces[0].key_index for api in ids)
     return apps, pset.perturbations, train_apps, spaces
 
@@ -409,7 +423,7 @@ def test_threads_sharing_a_space_get_the_walked_rows(small_corpus):
 
 def test_unmapped_api_raises_on_every_call():
     space = FeatureSpace("api_cluster", cluster_map=ApiClusterMap(
-        cluster_count=2, assignment=(("api.a", 0), ("api.b", 1))))
+        assignment=(("api.a", 0), ("api.b", 1))))
     known = code_component(api_ids=["api.a"])
     stray = code_component(api_ids=["api.b", "api.mystery", "api.other"])
     app = apk(components=[known, stray])
@@ -419,7 +433,7 @@ def test_unmapped_api_raises_on_every_call():
         with pytest.raises(ValueError, match=needle):
             space.extract(app)
         with pytest.raises(ValueError, match=needle):
-            space.extended(state, Parts((), (), (), (stray,), 1))
+            space.extended(state, Parts((), (), (), (stray,)))
         assert stray.api_calls not in space.api_columns
     assert known.api_calls in space.api_columns
 
@@ -437,5 +451,13 @@ def test_vocab_round_trip():
 
 
 def test_cluster_map_round_trip():
-    cmap = build_api_cluster_map([f"api.{i}" for i in range(7)], 3, seed=9)
+    cmap = build_api_cluster_map([f"api.{i}" for i in range(7)], seed=9)
     assert cluster_map_from_dict(cluster_map_to_dict(cmap)) == cmap
+
+
+def test_cluster_map_records_its_24_clusters_and_refuses_any_other_count():
+    doc = cluster_map_to_dict(build_api_cluster_map([f"api.{i}" for i in range(30)], seed=9))
+    assert doc["cluster_count"] == 24
+    for count, needle in ((3, "3, not 24"), (0, "0, not 24"), ("3", '"3", not an integer')):
+        with pytest.raises(ValueError, match=f"^cluster_count is {re.escape(needle)}$"):
+            cluster_map_from_dict({**doc, "cluster_count": count})

@@ -1,10 +1,8 @@
 """Experiment runner: metrics math, grid coverage, determinism, file formats."""
 import json
-import random
 from collections import Counter
 
 import pytest
-from scipy import stats
 
 from apk_builders import apk as build_apk
 from test_attack_reports import HARDENED, ContentOracle, _pset
@@ -96,12 +94,6 @@ def test_asr_requires_applicable_reports():
         compute_asr([])
     with pytest.raises(ValueError):
         compute_asr([_row("not_applicable")])
-
-
-def test_cdf_of_uniform_draws_passes_ks():
-    rng = random.Random(11)
-    draws = [rng.random() for _ in range(100)]
-    assert stats.kstest(draws, "uniform").pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
