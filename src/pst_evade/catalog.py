@@ -155,17 +155,22 @@ def obj(value, name: str) -> dict:
     return value
 
 
+def only(d: dict, names, what: str, prefix: str = "") -> None:
+    """Refuse ``d``, an object named ``what``, in one line naming the first of
+    its keys (after ``prefix``) that is not in ``names``."""
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise ValueError(f"{what}: unknown key {prefix + unknown[0]!r}")
+
+
 def fields_of(cls, d, what: str, /, retired: tuple[str, ...] = (), **readers) -> dict:
     """The fields of dataclass ``cls`` that ``d``, an object named ``what``,
     gives, each read by its entry in ``readers`` as ``read(value, field name)``
     or, with no entry, taken as given for ``cls`` to check. A field ``d`` omits
     keeps its default, one with no default is a missing key, a ``retired`` key
-    that older files hold is ignored, and any other key that is not a field is
-    a ValueError naming it."""
+    that older files hold is ignored, and any other key is refused by ``only``."""
     d, given = obj(d, what), {}
-    unknown = sorted(set(d) - {f.name for f in fields(cls)} - set(retired))
-    if unknown:
-        raise ValueError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
+    only(d, [f.name for f in fields(cls)] + list(retired), what)
     for f in fields(cls):
         if f.name in d:
             read = readers.get(f.name)

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import (fields_of, fixed, flag, integer, items, number, numbers, obj,
+from .catalog import (fields_of, fixed, flag, integer, items, number, numbers, obj, only,
                       read_document, string, strings)
 from .corpus import API_FAMILY_COUNT, ApkModel
 from .features import (
@@ -150,13 +150,29 @@ def space_to_dict(space: FeatureSpace) -> dict:
     return {"kind": "api_cluster", "cluster_map": cluster_map_to_dict(space.cluster_map)}
 
 
-def space_from_dict(d: dict) -> FeatureSpace:
-    cmap = d.get("cluster_map")
-    if d["kind"] == "markov":
-        fixed(d["family_count"], "space family_count", API_FAMILY_COUNT)
-    return FeatureSpace(d["kind"], keys=strings(d.get("keys", []), "space keys"),
-                        cluster_map=None if cmap is None else cluster_map_from_dict(
-                            obj(cmap, "space cluster_map")))
+def space_from_dict(d: dict, what: str = "feature space") -> FeatureSpace:
+    """The space in ``d``, which holds its ``kind`` and that kind's one field:
+    ``keys``, ``family_count`` or ``cluster_map``. That field is read first; its
+    absence is a KeyError and any other key a ValueError, each naming the key
+    as ``space.<key>``, the latter under ``what``, the holder of ``d``."""
+    kind = string(d["kind"], "space kind")
+    if kind not in FEATURE_KINDS:
+        raise ValueError(f"unknown feature kind: {kind}")
+    own = {"binary": "keys", "markov": "family_count", "api_cluster": "cluster_map"}[kind]
+    if own not in d:
+        raise KeyError(f"space.{own}")
+    if kind == "binary":
+        space = FeatureSpace(kind, keys=strings(d[own], "space keys"))
+    elif kind == "markov":
+        fixed(d[own], "space family_count", API_FAMILY_COUNT)
+        space = FeatureSpace(kind)
+    else:
+        cmap = obj(d[own], "space cluster_map")
+        space = FeatureSpace(kind, cluster_map=cluster_map_from_dict(cmap))
+        only(cmap, ("cluster_count", "assignment"), what, "space.cluster_map.")
+    # The digest reads only these keys, so another one would load unchecked.
+    only(d, ("kind", own), what, "space.")
+    return space
 
 
 @dataclass(frozen=True)
@@ -638,15 +654,6 @@ _ENSEMBLE_KEYS = ("format", "kind", "members")
 _PARAMS = {"linear": {"w": numbers, "b": number},
            "mlp": {"w1": numbers, "b1": numbers, "w2": numbers, "b2": number},
            "knn": {"x": numbers, "y": numbers}, "forest": {"trees": items}}
-# The one key a space doc holds besides ``kind``, per space kind.
-_SPACE_FIELD = {"binary": "keys", "markov": "family_count", "api_cluster": "cluster_map"}
-
-
-def _only(doc: dict, names, kind: str, prefix: str = "") -> None:
-    """Refuse ``doc`` in one line naming the first key that is not in ``names``."""
-    unknown = sorted(set(doc) - set(names))
-    if unknown:
-        raise ValueError(f"{kind} model: unknown key {prefix + unknown[0]!r}")
 
 
 def _digest(doc: dict) -> str:
@@ -675,21 +682,15 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
     if kind not in _PARAMS:
         raise ValueError(f"unknown detector kind: {kind}")
     try:
-        _only(doc, _SCORER_KEYS, kind)
-        space_doc = obj(doc["space"], f"{kind} model: space")
-        space = space_from_dict(space_doc)
+        only(doc, _SCORER_KEYS, f"{kind} model")
+        space = space_from_dict(obj(doc["space"], f"{kind} model: space"), f"{kind} model")
         if space.digest != doc["space_hash"]:
             raise ValueError(f"{kind} model: space does not match its space_hash")
-        # The digest reads only these keys, so another one would load unchecked.
-        _only(space_doc, ("kind", _SPACE_FIELD[space.kind]), kind, "space.")
-        if space.kind == "api_cluster":
-            _only(space_doc["cluster_map"], ("cluster_count", "assignment"), kind,
-                  "space.cluster_map.")
         report = None if "report" not in doc else TrainReport(**fields_of(
             TrainReport, doc["report"], f"{kind} model: report",
             precision=number, recall=number, f1=number, holdout_size=integer, on_holdout=flag))
         params = obj(doc["params"], f"{kind} model: params")
-        _only(params, _PARAMS[kind], kind, "params.")
+        only(params, _PARAMS[kind], f"{kind} model", "params.")
         return DetectorModel(kind=kind, space=space, report=report, params={
             name: read(params[name], f"{kind} model: params.{name}")
             for name, read in _PARAMS[kind].items()})
@@ -705,7 +706,7 @@ def model_from_dict(doc: dict) -> DetectorModel | Ensemble:
     doc = obj(doc, "model")
     if doc.get("kind") != "ensemble":
         return _scorer_from_dict(doc)
-    _only(doc, _ENSEMBLE_KEYS, "ensemble")
+    only(doc, _ENSEMBLE_KEYS, "ensemble model")
     members = [obj(m, "ensemble model: member")
                for m in items(doc.get("members"), "ensemble model: members")]
     for i, m in enumerate(members):

@@ -10,7 +10,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .catalog import AndroidCatalog, integer, items, obj, read_document, string, strings
+from .catalog import AndroidCatalog, items, obj, only, read_document, string
 from .corpus import (
     CODE_KINDS,
     ApkModel,
@@ -50,7 +50,7 @@ INTENT_KINDS = {
 SIMILARITY_THRESHOLD = 0.5
 
 # Version of the pset JSON layout; files of any other version are refused.
-PSET_FORMAT = 5
+PSET_FORMAT = 6
 
 _FEATURE_PREFIXES = ("android.hardware.", "android.software.")
 
@@ -70,6 +70,7 @@ CHILD_ORDER = {
 class Perturbation:
     kind: str
     payload: object
+    # A manifest perturbation's, set by ``clustered``; an injection has none.
     keywords: tuple[str, ...] = ()
 
     @property
@@ -94,6 +95,8 @@ class PerturbationGroup:
 
 @dataclass(frozen=True)
 class PerturbationSet:
+    """Perturbations and their groups, which ``clustered`` derives from them."""
+
     perturbations: tuple[Perturbation, ...]
     groups: tuple[PerturbationGroup, ...]
     # The selection tree the pst attacks copy, set by ``attack.reference_tree``.
@@ -104,9 +107,14 @@ class PerturbationSet:
 
     @cached_property
     def arms(self) -> dict[str, tuple[Perturbation, ...]]:
-        """The bandit's arms, ``second_layer_arms`` of the set: every bandit
-        attack reads them and none changes them."""
-        return second_layer_arms(self)
+        """The bandit's arms: the perturbations bucketed by their second-layer
+        tree position, in fixed order. Every bandit attack reads them and none
+        changes them."""
+        buckets: dict[str, list[Perturbation]] = {}
+        for group in self.groups:
+            buckets.setdefault(leaf_path(group)[1], []).extend(group.members)
+        return {label: tuple(buckets[label])
+                for label in CHILD_ORDER["manifest"] + CHILD_ORDER["code"] if label in buckets}
 
 
 def keyword_extract(kind: str, payload) -> list[str]:
@@ -167,16 +175,6 @@ def leaf_path(group: PerturbationGroup) -> tuple[str, ...]:
     return tree_position(group.members[0])
 
 
-def second_layer_arms(pset: PerturbationSet) -> dict[str, tuple[Perturbation, ...]]:
-    """Perturbations bucketed by their second-layer tree position, in fixed order."""
-    order = CHILD_ORDER["manifest"] + CHILD_ORDER["code"]
-    buckets: dict[str, list[Perturbation]] = {}
-    for group in pset.groups:
-        label = leaf_path(group)[1]
-        buckets.setdefault(label, []).extend(group.members)
-    return {label: tuple(buckets[label]) for label in order if label in buckets}
-
-
 def tree_position(p: Perturbation) -> tuple[str, ...]:
     """The labels below the root of the selection-tree bucket that holds a
     perturbation; a permission level with no bucket raises ``ValueError``."""
@@ -207,8 +205,7 @@ def _manifest_perturbations(catalog: AndroidCatalog) -> list[Perturbation]:
         + [("activity_action", name) for name in catalog.activity_actions]
         + [("broadcast_action", name) for name in catalog.broadcast_actions]
         + [("category", name) for name in catalog.categories])
-    return [Perturbation(kind, payload, tuple(keyword_extract(kind, payload)))
-            for kind, payload in entries]
+    return [Perturbation(kind, payload) for kind, payload in entries]
 
 
 def _donor_perturbations(donors) -> list[Perturbation]:
@@ -229,15 +226,15 @@ def _donor_perturbations(donors) -> list[Perturbation]:
     return out
 
 
-def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSet:
-    """One perturbation per eligible catalog entry (dangerous permissions are
-    excluded) plus one injection per non-empty donor component; manifest
-    perturbations are then clustered per tree position at
-    ``SIMILARITY_THRESHOLD``."""
-    perturbations = _manifest_perturbations(catalog) + _donor_perturbations(donors)
-    if not perturbations:
-        raise ValueError("no eligible catalog entries and no donor components")
-
+def clustered(perturbations: Sequence[Perturbation]) -> PerturbationSet:
+    """The set of ``perturbations``, each manifest one given its keywords by
+    ``keyword_extract``, grouped per tree position: each manifest bucket
+    clustered at ``SIMILARITY_THRESHOLD``, one group per injection. A
+    perturbation without keywords or a tree position raises ``ValueError``."""
+    perturbations = tuple(
+        p if p.kind in INJECT_KINDS
+        else Perturbation(p.kind, p.payload, tuple(keyword_extract(p.kind, p.payload)))
+        for p in perturbations)
     by_path: dict[tuple[str, ...], list[Perturbation]] = {}
     for p in perturbations:
         by_path.setdefault(tree_position(p), []).append(p)
@@ -250,7 +247,16 @@ def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSe
                           for p in bucket)
         else:
             groups.extend(cluster_perturbations(bucket))
-    return PerturbationSet(perturbations=tuple(perturbations), groups=tuple(groups))
+    return PerturbationSet(perturbations=perturbations, groups=tuple(groups))
+
+
+def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSet:
+    """One perturbation per eligible catalog entry (dangerous permissions are
+    excluded) plus one injection per non-empty donor component, ``clustered``."""
+    perturbations = _manifest_perturbations(catalog) + _donor_perturbations(donors)
+    if not perturbations:
+        raise ValueError("no eligible catalog entries and no donor components")
+    return clustered(perturbations)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +357,7 @@ def apply_perturbation(apk: ApkModel, perturbation: Perturbation,
 
 
 def _perturbation_to_dict(p: Perturbation) -> dict:
-    doc: dict = {"kind": p.kind, "keywords": list(p.keywords)}
+    doc: dict = {"kind": p.kind}
     if p.kind == "permission":
         doc["payload"] = asdict(p.payload)
     elif p.kind in INJECT_KINDS:
@@ -378,48 +384,34 @@ def _perturbation_from_dict(doc: dict) -> Perturbation:
             component=_component_from_dict(raw["component"]))
     else:
         payload = string(raw, where)
-    return Perturbation(kind=kind, payload=payload,
-                        keywords=strings(doc["keywords"], f"{kind} keywords"))
+    return Perturbation(kind=kind, payload=payload)
 
 
 def pset_to_dict(pset: PerturbationSet) -> dict:
-    key_index = {p.key: i for i, p in enumerate(pset.perturbations)}
-    return {
-        "format": PSET_FORMAT,
-        "perturbations": [_perturbation_to_dict(p) for p in pset.perturbations],
-        "groups": [{"members": [key_index[m.key] for m in g.members],
-                    "keywords": sorted(g.keywords)} for g in pset.groups],
-    }
+    """The pset's perturbations: its groups and keywords are derived on load."""
+    return {"format": PSET_FORMAT,
+            "perturbations": [_perturbation_to_dict(p) for p in pset.perturbations]}
 
 
 def pset_from_dict(doc: dict) -> PerturbationSet:
-    """The pset in a document; keywords that are not strings, malformed groups or
-    payload components, an injection whose kind, declaration and component
-    disagree, a member index out of range or a perturbation with no tree
-    position raise a one-line ``ValueError``."""
-    perturbations = tuple(map(_perturbation_from_dict,
-                              items(doc["perturbations"], "perturbations")))
+    """The pset in a document, ``clustered``; a key other than ``format`` and
+    ``perturbations`` (or a perturbation's ``kind`` and ``payload``), a
+    malformed payload component, an injection whose kind, declaration and
+    component disagree, or a perturbation with no keywords or tree position
+    raises a one-line ``ValueError``."""
+    only(doc, ("format", "perturbations"), "pset")
+    docs = items(doc["perturbations"], "perturbations")
+    for i, d in enumerate(docs):
+        only(obj(d, f"perturbation {i}"), ("kind", "payload"), f"perturbation {i}")
+    perturbations = tuple(map(_perturbation_from_dict, docs))
     for p in perturbations:
-        tree_position(p)
         if p.kind in INJECT_KINDS:
             check_code_component(p.payload.component, f"payload {p.key}")
             declared, code = p.payload.declared.kind, p.payload.component.kind
             if p.kind != "inject_" + code or declared != code:
                 raise ValueError(f"payload {p.key}: kinds disagree: {p.kind}, "
                                  f"declared {declared}, code {code}")
-    if not isinstance(doc["groups"], list):
-        raise ValueError(f"groups is a {type(doc['groups']).__name__}, not a list")
-    groups = []
-    for i, g in enumerate(doc["groups"]):
-        if not (isinstance(g, dict) and isinstance(g.get("members"), list) and g["members"]):
-            raise ValueError(f"group {i} is not an object with a non-empty members list")
-        for m in g["members"]:
-            if not 0 <= integer(m, f"group {i}: member index") < len(perturbations):
-                raise ValueError(f"group {i}: member index {m} out of range")
-        groups.append(PerturbationGroup(
-            members=tuple(perturbations[m] for m in g["members"]),
-            keywords=frozenset(strings(g["keywords"], f"group {i} keywords"))))
-    return PerturbationSet(perturbations=perturbations, groups=tuple(groups))
+    return clustered(perturbations)
 
 
 def save_pset(pset: PerturbationSet, path: str | Path) -> None:
@@ -428,6 +420,6 @@ def save_pset(pset: PerturbationSet, path: str | Path) -> None:
 
 
 def load_pset(path: str | Path) -> PerturbationSet:
-    """Load a pset file and check every group and payload component in it."""
+    """Load a pset file, check every payload component in it and derive its groups."""
     return read_document(path, pset_from_dict,
                          ("pset", PSET_FORMAT, "rebuild it with build-pset"))

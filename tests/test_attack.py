@@ -25,9 +25,10 @@ from pst_evade.perturbset import (
     InjectablePayload,
     apply_perturbation,
     build_perturbation_set,
+    load_pset,
     pset_from_dict,
     pset_to_dict,
-    second_layer_arms,
+    save_pset,
 )
 from pst_evade.pstree import build_tree, tree_to_dict
 
@@ -224,6 +225,24 @@ def test_pst_attacks_copy_the_pset_reference_tree(attack_setup):
     assert reference_tree(fresh) is fresh.tree is not None
 
 
+@pytest.mark.parametrize("algorithm", ["pst", "mab"])
+def test_attacks_on_a_saved_and_loaded_pset_report_as_on_the_built_one(
+        attack_setup, tmp_path, algorithm):
+    # The loaded pset derives its groups, and so its tree and arms, from the
+    # perturbations alone.
+    model, pset, tps = attack_setup
+    save_pset(pset, tmp_path / "pset.json")
+    loaded = load_pset(tmp_path / "pset.json")
+
+    def attacks(pset):
+        return [_strip_nondeterministic(run_attack(
+                    Oracle(model), sample, pset,
+                    AttackConfig(budget=15, algorithm=algorithm, seed=500 + i)))
+                for i, sample in enumerate(tps)]
+
+    assert attacks(loaded) == attacks(pset)
+
+
 @pytest.mark.parametrize("algorithm", ["pst", "mab", "random"])
 def test_successful_attacks_preserve_functionality(attack_setup, algorithm):
     model, pset, tps = attack_setup
@@ -279,7 +298,7 @@ def test_single_flip_found_by_tree_search():
 
 
 def test_second_layer_arm_buckets(full_pset):
-    arms = second_layer_arms(full_pset)
+    arms = full_pset.arms
     assert set(arms) == {"uses_feature", "permission", "action_category",
                          "service", "receiver", "provider"}
     total = sum(len(v) for v in arms.values())
@@ -299,7 +318,7 @@ def test_mab_attacks_share_the_pset_arms(full_pset, monkeypatch):
                           AttackConfig(budget=5, seed=seed, algorithm="mab"))
                for seed in (1, 2)]
     assert len(calls) == len(pset.groups)
-    assert pset.arms == second_layer_arms(full_pset)
+    assert pset.arms == full_pset.arms
     assert [r.queries_used for r in reports] == [5, 5]
 
 
@@ -338,7 +357,7 @@ def test_single_arm_reduces_to_uniform():
                      ("android.permission.QQ_DISTINCT", "normal")),
         activity_actions=(), broadcast_actions=(), categories=())
     pset = build_perturbation_set(catalog)
-    arms = second_layer_arms(pset)
+    arms = pset.arms
     assert list(arms) == ["permission"]
     report = run_attack(ConstOracle(0.9), apk(), pset,
                         AttackConfig(budget=30, seed=3, algorithm="mab"))

@@ -472,8 +472,15 @@ _PROBES = {
     "corpus-spec-count-string": ("--corpus", "corpus.json",
                                  lambda d: d["spec"].update(n_benign="x")),
     "corpus-directory": ("--corpus", None, None),
-    "pset-perturbation-without-keywords": ("--pset", "pset.json",
-                                           lambda d: d["perturbations"][0].pop("keywords")),
+    # Groups and keywords are derived on load, so a file may not give them.
+    "pset-perturbation-with-keywords": ("--pset", "pset.json",
+                                        lambda d: d["perturbations"][0].update(keywords=[])),
+    "pset-with-groups": ("--pset", "pset.json",
+                         lambda d: d.update(groups=[{"members": [0], "keywords": []}])),
+    "pset-feature-without-prefix": ("--pset", "pset.json",
+                                    lambda d: next(p for p in d["perturbations"]
+                                                   if p["kind"] == "uses_feature").update(
+                                                       payload="nfc")),
     "pset-permission-null-payload": ("--pset", "pset.json",
                                      lambda d: _first_permission(d).update(payload=None)),
     "pset-payload-exported-string": ("--pset", "pset.json",
@@ -652,6 +659,9 @@ _PROBE_FIELDS = {
     "config-corpus-path-number": "corpus_path is 5, not a string or null",
     "config-detector-name-number": "name is 5, not a string",
     "config-detector-cluster-count": "detector: unknown key 'cluster_count'",
+    "pset-perturbation-with-keywords": "perturbation 0: unknown key 'keywords'",
+    "pset-with-groups": "pset: unknown key 'groups'",
+    "pset-feature-without-prefix": "feature name lacks a known prefix: nfc",
     "pset-payload-declared-kind-bogus": "kinds disagree: inject_service, declared bogus",
     "pset-service-declared-activity": (
         "kinds disagree: inject_service, declared activity, code service"),

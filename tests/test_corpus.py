@@ -500,9 +500,11 @@ def test_saving_a_corpus_twice_gives_the_same_bytes(tmp_path):
 # sha256 of the corpus and pset files written for this spec and its donors. The
 # component arrays and the stock ensemble are pinned elsewhere; these pin the
 # rest of both layouts, the corpus's "code": {"components": [...]} nesting too.
+# The format-6 pset file is the format-5 one without its "groups" and every
+# perturbation's "keywords".
 PINNED_FILES_SPEC = CorpusSpec(n_benign=6, n_malicious=6, donor_count=4, seed=5)
 PINNED_CORPUS_SHA256 = "9f860b8e0e1cee83c64543e50fa60b9aec362ab14edc92451c3ebfc198df6f70"
-PINNED_PSET_SHA256 = "3a488c1567d95b4bba154a73d3247a5e0427b3a77518d553a988de3c71b96057"
+PINNED_PSET_SHA256 = "43945a197b8281e3471c793b5b48eaf346fe36ea7134c29ccc74773fda3a7e22"
 
 
 def test_saved_corpus_and_pset_bytes_are_pinned(tmp_path):

@@ -1036,6 +1036,12 @@ SCORING_PARAM_CASES = [
     ("linear", lambda d: d.update(report={"precision": 1.0, "recall": 1.0, "f1": 1.0,
                                           "holdout_size": 2, "on_holdout": True, "tpr": 1.0}),
      "linear model: report: unknown key 'tpr'"),
+    # Only the space kind's own field is read: a stray cluster map is an unknown
+    # key, whatever it holds, and the own field missing is a space key missing.
+    ("linear", lambda d: d["space"].update(cluster_map={"cluster_count": 3, "assignment": []}),
+     "linear model: unknown key 'space.cluster_map'"),
+    ("linear", lambda d: d.update(space={"kind": "markov"}),
+     "linear model: missing key 'space.family_count'"),
 ]
 
 
@@ -1053,7 +1059,9 @@ SCORING_PARAM_CASES = [
                               "linear_threshold_1.5", "forest_threshold_0",
                               "linear_extra_param", "linear_members", "linear_space_bogus",
                               "linear_binary_space_family_count", "linear_cluster_space_keys",
-                              "linear_cluster_map_extra", "linear_report_tpr"])
+                              "linear_cluster_map_extra", "linear_report_tpr",
+                              "linear_binary_space_cluster_map",
+                              "linear_markov_space_without_family_count"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind

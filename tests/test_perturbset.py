@@ -293,6 +293,8 @@ def test_leaf_paths(full_pset):
 
 def test_pset_round_trip(full_pset):
     doc = json.loads(json.dumps(pset_to_dict(full_pset)))
+    assert sorted(doc) == ["format", "perturbations"]
+    assert all(sorted(p) == ["kind", "payload"] for p in doc["perturbations"])
     back = pset_from_dict(doc)
     assert json.dumps(pset_to_dict(back), sort_keys=True) == \
            json.dumps(pset_to_dict(full_pset), sort_keys=True)
@@ -314,11 +316,26 @@ def test_pset_file_round_trip(tmp_path, full_pset):
     path = tmp_path / "pset.json"
     save_pset(full_pset, path)
     doc = json.loads(path.read_text())
-    assert doc["format"] == 5 and "threshold" not in doc
+    assert doc["format"] == 6 and sorted(doc) == ["format", "perturbations"]
     assert pset_to_dict(load_pset(path)) == pset_to_dict(full_pset)
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 6])
+def test_a_loaded_pset_derives_the_built_groups_and_keywords(tmp_path, full_pset):
+    # The file holds no groups or keywords: loading clusters its perturbations
+    # as the build did, into the same groups in the same order.
+    path = tmp_path / "pset.json"
+    save_pset(full_pset, path)
+    back = load_pset(path)
+    assert [([m.key for m in g.members], g.keywords) for g in back.groups] == \
+           [([m.key for m in g.members], g.keywords) for g in full_pset.groups]
+    manifest = [(p.key, p.keywords) for p in full_pset.perturbations
+                if not p.kind.startswith("inject_")]
+    assert manifest and all(keywords for _, keywords in manifest)
+    assert [(p.key, p.keywords) for p in back.perturbations
+            if not p.kind.startswith("inject_")] == manifest
+
+
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5])
 def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
     def corrupt(doc):
         if found is None:
@@ -327,6 +344,8 @@ def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
             doc["format"] = found
         if found == 4:
             doc["threshold"] = 0.5  # format 4 recorded the clustering threshold
+        if found in (4, 5):
+            doc["groups"] = [{"members": [0], "keywords": []}]  # and its groups
     path = _pset_file(tmp_path, full_pset, corrupt)
     with pytest.raises(ValueError) as exc:
         load_pset(path)
@@ -404,32 +423,25 @@ def _first_permission(doc):
     return next(p for p in doc["perturbations"] if p["kind"] == "permission")
 
 
-@pytest.mark.parametrize("corrupt,needle", [
-    (lambda doc: doc["groups"][0]["members"].append(10 ** 6),
-     ": group 0: member index 1000000 out of range"),
-    (lambda doc: doc.update(groups={"members": [0]}),
-     ": groups is a dict, not a list"),
-    (lambda doc: doc["groups"][0].update(members=[]),
-     ": group 0 is not an object with a non-empty members list"),
-    (lambda doc: doc["groups"][0].update(members=5),
-     ": group 0 is not an object with a non-empty members list"),
-    (lambda doc: doc["groups"].__setitem__(0, [0]),
-     ": group 0 is not an object with a non-empty members list"),
-])
-def test_load_pset_refuses_malformed_groups(tmp_path, full_pset, corrupt, needle):
-    path = _pset_file(tmp_path, full_pset, corrupt)
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    assert str(exc.value) == f"{path}{needle}"
+def _hand_grouped(doc):
+    """Give a pset document two groups the clustering could never form: 3 of its
+    perturbations, a permission repeated beside an injection."""
+    kinds = [p["kind"] for p in doc["perturbations"]]
+    perm, inject = kinds.index("permission"), kinds.index("inject_service")
+    doc["groups"] = [{"members": [perm, perm, inject], "keywords": ["SMS"]},
+                     {"members": [0], "keywords": []}]
 
 
 @pytest.mark.parametrize("corrupt,needle", [
-    (lambda doc: _first_permission(doc).update(keywords="SMS"),
-     ": permission keywords are not a list of strings"),
-    (lambda doc: doc["groups"][0].update(keywords=[7]),
-     ": group 0 keywords are not a list of strings"),
+    (_hand_grouped, ": pset: unknown key 'groups'"),
+    (lambda doc: doc["perturbations"][0].update(keywords=["AUDIO"]),
+     ": perturbation 0: unknown key 'keywords'"),
+    (lambda doc: doc["perturbations"][3].update(keywords="SMS"),
+     ": perturbation 3: unknown key 'keywords'"),
 ])
-def test_load_pset_refuses_bad_threshold_and_keywords(tmp_path, full_pset, corrupt, needle):
+def test_load_pset_refuses_stored_groups_and_keywords(tmp_path, full_pset, corrupt, needle):
+    # Groups and keywords are derived on load; a file that gives them is refused
+    # rather than read or silently ignored.
     path = _pset_file(tmp_path, full_pset, corrupt)
     with pytest.raises(ValueError) as exc:
         load_pset(path)
