@@ -497,14 +497,27 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 
 
 def corpus_from_dict(d: dict) -> Corpus:
+    """Inverse of ``corpus_to_dict``. Every app is validated, holds the ground
+    truth of its list (a donor's is benign) and has an id no other app has:
+    attack seeds and report rows are keyed by the app id."""
     corpus = Corpus(
         spec=spec_from_dict(d["spec"]),
         benign=tuple(map(apk_from_dict, items(d["benign"], "benign"))),
         malicious=tuple(map(apk_from_dict, items(d["malicious"], "malicious"))),
         donors=tuple(map(apk_from_dict, items(d["donors"], "donors"))),
     )
-    for apk in corpus.benign + corpus.malicious + corpus.donors:
-        validate_apk(apk)
+    seen: set[str] = set()
+    for where, truth, apks in (("benign", "benign", corpus.benign),
+                               ("malicious", "malicious", corpus.malicious),
+                               ("donors", "benign", corpus.donors)):
+        for apk in apks:
+            validate_apk(apk)
+            if apk.ground_truth != truth:
+                raise ValueError(f"app {apk.id}: ground truth {apk.ground_truth} in the "
+                                 f"{where} list, which holds {truth} apps")
+            if apk.id in seen:
+                raise ValueError(f"app {apk.id}: id is not unique")
+            seen.add(apk.id)
     return corpus
 
 

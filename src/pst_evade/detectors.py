@@ -152,9 +152,12 @@ def space_to_dict(space: FeatureSpace) -> dict:
 
 def space_from_dict(d: dict, what: str = "feature space") -> FeatureSpace:
     """The space in ``d``, which holds its ``kind`` and that kind's one field:
-    ``keys``, ``family_count`` or ``cluster_map``. That field is read first; its
-    absence is a KeyError and any other key a ValueError, each naming the key
-    as ``space.<key>``, the latter under ``what``, the holder of ``d``."""
+    ``keys``, ``family_count`` or ``cluster_map``. That field is read first; the
+    absence of a key is a KeyError and any other key a ValueError, each naming
+    the key by its path from ``space.``, the latter under ``what``, the holder
+    of ``d``."""
+    if "kind" not in d:
+        raise KeyError("space.kind")
     kind = string(d["kind"], "space kind")
     if kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind: {kind}")
@@ -168,7 +171,11 @@ def space_from_dict(d: dict, what: str = "feature space") -> FeatureSpace:
         space = FeatureSpace(kind)
     else:
         cmap = obj(d[own], "space cluster_map")
-        space = FeatureSpace(kind, cluster_map=cluster_map_from_dict(cmap))
+        try:
+            cluster_map = cluster_map_from_dict(cmap)
+        except KeyError as exc:
+            raise KeyError(f"space.cluster_map.{exc.args[0]}") from None
+        space = FeatureSpace(kind, cluster_map=cluster_map)
         only(cmap, ("cluster_count", "assignment"), what, "space.cluster_map.")
     # The digest reads only these keys, so another one would load unchecked.
     only(d, ("kind", own), what, "space.")

@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ REPORT_FORMAT = 2
 REPORT_COLUMNS = {"sample_id": string, "detector": string, "algorithm": string,
                   "budget": integer, "seed": integer, "outcome": string,
                   "queries_used": integer, "wall_ms": number}
+# The columns that name a row's attack; a report holds one row of each, sorted by them.
+_ROW_KEY = itemgetter("detector", "algorithm", "budget", "seed", "sample_id")
 
 # Corpus behind the stock benchmark: large enough that the linear detector
 # leaves well over the default 100 attackable true positives in the test split.
@@ -353,8 +356,7 @@ def run_experiment(config: ExperimentConfig,
                         "budget": budget, "seed": master, "outcome": outcome,
                         "queries_used": queries, "wall_ms": wall_ms,
                     } for budget, outcome, queries, wall_ms in budget_rows(report, config.budgets))
-    rows.sort(key=lambda r: (r["detector"], r["algorithm"], r["budget"],
-                             r["seed"], r["sample_id"]))
+    rows.sort(key=_ROW_KEY)
     return MetricsReport(config=config_to_dict(config), rows=tuple(rows))
 
 
@@ -409,11 +411,12 @@ def save_report(report: MetricsReport, out_dir: str | Path) -> Path:
 
 def rows_from_dict(doc: dict) -> list[dict]:
     """The rows of a report document, as ``run_experiment`` made them. A row of
-    the wrong length, a value of the wrong JSON type or an unknown outcome is a
-    ValueError naming the row and the column."""
+    the wrong length, a value of the wrong JSON type, an unknown outcome or a
+    second row of one (detector, algorithm, budget, seed, sample_id) is a
+    ValueError naming the row and the column or the earlier row."""
     if strings(doc["columns"], "columns") != tuple(REPORT_COLUMNS):
         raise ValueError(f"columns are not {', '.join(REPORT_COLUMNS)}")
-    rows = []
+    rows, first = [], {}
     for i, values in enumerate(items(doc["rows"], "rows")):
         if len(items(values, f"row {i}")) != len(REPORT_COLUMNS):
             raise ValueError(f"row {i} has {len(values)} values, not {len(REPORT_COLUMNS)}")
@@ -422,6 +425,11 @@ def rows_from_dict(doc: dict) -> list[dict]:
         if row["outcome"] not in ("success", "failure", "not_applicable"):
             raise ValueError(f"row {i} outcome is {json.dumps(row['outcome'])}, "
                              "not success, failure or not_applicable")
+        # A repeat would count one attack twice in its cell's ASR.
+        j = first.setdefault(_ROW_KEY(row), i)
+        if j != i:
+            raise ValueError(f"row {i} repeats row {j}: one attack per "
+                             "detector, algorithm, budget, seed and sample_id")
         rows.append(row)
     return rows
 

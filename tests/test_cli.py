@@ -41,11 +41,21 @@ def workdir(tmp_path_factory):
     return root
 
 
+def _stores_arrays_as_base64(component):
+    return all(sorted(component[k]) == ["data", "dtype"] for k in ("families", "edges"))
+
+
 def test_gen_corpus_writes_loadable_corpus(workdir):
     corpus = load_corpus(workdir / "corpus.json")
     assert len(corpus.benign) == 30
     assert len(corpus.malicious) == 30
     assert len(corpus.donors) == 10
+    # A format-5 corpus file records only the four spec fields, and stores each
+    # component's families and edges as {dtype, data} objects.
+    doc = json.loads((workdir / "corpus.json").read_text())
+    assert doc["format"] == 5
+    assert sorted(doc["spec"]) == ["donor_count", "n_benign", "n_malicious", "seed"]
+    assert _stores_arrays_as_base64(_first_component(doc))
 
 
 def test_gen_corpus_seed_override(workdir):
@@ -61,28 +71,67 @@ def test_gen_corpus_seed_override(workdir):
     assert manifest(corpus.benign[0]) != manifest(base.benign[0])
 
 
+def _assert_model_file_format(path):
+    """A format-4 model file, and each ensemble member, records no threshold or
+    hyperparams: a scorer fires at its fixed threshold, an ensemble when any
+    member fires."""
+    doc = json.loads(path.read_text())
+    for d in [doc, *doc.get("members", [])]:
+        assert d["format"] == 4
+        assert not {"threshold", "hyperparams"} & set(d), sorted(d)
+
+
 def test_train_writes_loadable_model(workdir, capsys):
     model = load_model(workdir / "model.json")
     assert model.kind == "linear"
     assert model.report is not None
+    _assert_model_file_format(workdir / "model.json")
 
 
-def test_train_load_and_attack_with_an_ensemble(workdir, capsys):
-    path = workdir / "ensemble.json"
+# kNN on api_cluster features detects none of SPEC's 8 malicious test apps, so
+# it is attacked on this corpus, where it detects 1 of 5.
+KNN_API_CLUSTER_SPEC = CorpusSpec(n_benign=20, n_malicious=20, donor_count=5, seed=3)
+
+
+@pytest.mark.parametrize("kind,features", [
+    ("knn", "binary"), ("forest", "binary"), ("ensemble", "binary"), ("forest", "markov"),
+    ("linear", "markov"), ("linear", "api_cluster"), ("knn", "api_cluster"),
+    ("knn", "markov"),
+])
+def test_train_and_attack_each_detector_kind_and_feature_space(workdir, capsys, kind, features):
+    # Attack builds the kNN and forest scoring kernels when it loads the model;
+    # a Markov forest splits between adjacent distinct floats; a kNN on
+    # api_cluster features scores a row from the distances of the last row it
+    # was asked about, and one on Markov features keeps the difference form.
+    corpus, samples = workdir / "corpus.json", 3
+    if (kind, features) == ("knn", "api_cluster"):
+        spec, corpus, samples = workdir / "knn_spec.json", workdir / "knn_corpus.json", 1
+        spec.write_text(json.dumps(spec_to_dict(KNN_API_CLUSTER_SPEC)))
+        assert main(["gen-corpus", "--spec", str(spec), "--out", str(corpus)]) == 0
+    path = workdir / f"{kind}-{features}.json"
     capsys.readouterr()
-    assert main(["train", "--corpus", str(workdir / "corpus.json"), "--kind", "ensemble",
+    assert main(["train", "--corpus", str(corpus), "--kind", kind, "--features", features,
                  "--out", str(path)]) == 0
-    assert capsys.readouterr().out == f"trained an ensemble of 20 members; saved to {path}\n"
+    out = capsys.readouterr().out
+    _assert_model_file_format(path)
     model = load_model(path)
-    assert isinstance(model, Ensemble) and model.kind == "ensemble"
-    assert "space" not in json.loads(path.read_text())
-    assert len({m.space for m in model.members}) > 1
-    out = workdir / "attack_ensemble.json"
-    assert main(["attack", "--corpus", str(workdir / "corpus.json"), "--model", str(path),
-                 "--pset", str(workdir / "pset.json"), "--budget", "4", "--samples", "2",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["samples"] == 2 and len(doc["reports"]) == 2
+    assert model.kind == kind
+    if kind == "ensemble":
+        # The ensemble file has no space of its own; its members bring theirs.
+        assert out == f"trained an ensemble of 20 members; saved to {path}\n"
+        assert isinstance(model, Ensemble)
+        assert "space" not in json.loads(path.read_text())
+        assert len({m.space for m in model.members}) > 1
+    else:
+        assert out.startswith(f"trained {kind} on {features} features; f1=")
+        assert model.space.kind == features
+    report = workdir / f"attack-{kind}-{features}.json"
+    assert main(["attack", "--corpus", str(corpus), "--model", str(path),
+                 "--pset", str(workdir / "pset.json"), "--budget", "5",
+                 "--samples", str(samples), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["samples"] == samples and len(doc["reports"]) == samples
+    assert all(rep["queries_used"] <= 5 for rep in doc["reports"])
 
 
 def test_build_pset_with_and_without_donors(workdir):
@@ -90,6 +139,13 @@ def test_build_pset_with_and_without_donors(workdir):
     assert main(["build-pset", "--corpus", str(workdir / "corpus.json"),
                  "--out", str(with_donors)]) == 0
     pset = load_pset(with_donors)
+    # A format-6 pset file holds its perturbations only, each its kind and
+    # payload: groups and keywords are derived on load. It stores each payload
+    # component like the corpus does.
+    doc = json.loads(with_donors.read_text())
+    assert doc["format"] == 6 and sorted(doc) == ["format", "perturbations"]
+    assert all(sorted(p) == ["kind", "payload"] for p in doc["perturbations"])
+    assert _stores_arrays_as_base64(_first_payload(doc)["component"])
     manifest_only = workdir / "pset_plain.json"
     assert main(["build-pset", "--out", str(manifest_only)]) == 0
     plain = load_pset(manifest_only)
@@ -115,9 +171,12 @@ def test_attack_writes_report(workdir, capsys):
         assert rep["outcome"] in ("success", "failure")
     snapshot = json.loads(tree.read_text())
     assert snapshot["root"]["label"] == "root"
-    # The dump is the reference tree the attacks copy; it records no settings.
+    # The dump is the reference tree the attacks copy, with one leaf per group of
+    # the pset; it records no settings.
+    pset = load_pset(workdir / "pset.json")
+    assert snapshot["leaf_count"] == len(pset.groups)
     assert "config" not in snapshot
-    assert snapshot == tree_to_dict(reference_tree(load_pset(workdir / "pset.json")))
+    assert snapshot == tree_to_dict(reference_tree(pset))
     assert "ASR" in capsys.readouterr().out
 
 
@@ -149,7 +208,7 @@ def bench_outputs(workdir):
     config = {
         "corpus_path": str(workdir / "corpus.json"),
         "detectors": [{"name": "linear"}],
-        "algorithms": ["pst", "random"],
+        "algorithms": ["pst", "mab", "random"],
         "budgets": [4, 8],
         "sample_count": 4,
         "seeds": [0],
@@ -169,9 +228,14 @@ def _report_rows(out_dir):
 
 def test_bench_outputs(bench_outputs, capsys):
     _, out_dir = bench_outputs
+    # bench writes one file, a format-2 report.json of one list of values a row.
     assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+    doc = json.loads((out_dir / "report.json").read_text())
+    assert doc["format"] == 2
+    assert doc["columns"] == ["sample_id", "detector", "algorithm", "budget", "seed",
+                              "outcome", "queries_used", "wall_ms"]
     rows = _report_rows(out_dir)
-    assert len(rows) == 2 * 2 * 4  # algorithms x budgets x samples
+    assert len(rows) == 3 * 2 * 4  # algorithms x budgets x samples
 
 
 def test_bench_env_seed_override(bench_outputs, workdir, monkeypatch):
@@ -197,7 +261,7 @@ def test_compare_prints_grids(bench_outputs, capsys):
     assert main(["compare", "--reports", report, report]) == 0
     out = capsys.readouterr().out
     assert out.count("N=4") == 2
-    assert "pst" in out and "random" in out
+    assert "pst" in out and "mab" in out and "random" in out
 
 
 def test_unknown_command_is_rejected():
@@ -404,6 +468,14 @@ def _as_ensemble(model, **extra):
     ensemble = model_to_dict(Ensemble([model_from_dict(model)]))
     model.clear()
     model.update(ensemble, **extra)
+
+
+def _nested_ensemble(model):
+    """Make ``model`` the file of an ensemble whose first member is an ensemble
+    and whose second is that ensemble's one member."""
+    _as_ensemble(model)
+    inner = dict(model)
+    model["members"] = [inner, inner["members"][0]]
 
 
 def _ensemble_member_format_99(model):
@@ -613,6 +685,28 @@ _PROBES = {
                          lambda d: _family_past_the_last(_first_component(d))),
     "pset-payload-family-11": ("--pset", "pset.json",
                                lambda d: _family_past_the_last(_first_payload(d)["component"])),
+    # A format-5 pset stored its groups and keywords; ensembles are one level deep.
+    "pset-format-5": ("--pset", "pset.json", lambda d: d.update(format=5)),
+    "model-nested-ensemble": ("--model", "model.json", _nested_ensemble),
+    # Each of these loaded. Attack seeds and report rows are keyed by the app id,
+    # and compare's ASR counts each row.
+    "corpus-benign-app-malicious": ("--corpus", "corpus.json",
+                                    lambda d: d["benign"][0].update(ground_truth="malicious")),
+    "corpus-donor-malicious": ("--corpus", "corpus.json",
+                               lambda d: d["donors"][0].update(ground_truth="malicious")),
+    "corpus-repeated-app-id": ("--corpus", "corpus.json",
+                               lambda d: d["malicious"][0].update(id=d["benign"][0]["id"])),
+    "report-repeated-row": ("--reports", "bench_out/report.json",
+                            lambda d: d["rows"].insert(1, list(d["rows"][0]))),
+    # Each of these named its missing key without its path in the space.
+    "model-space-without-kind": ("--model", "model.json", lambda d: d["space"].pop("kind")),
+    "model-cluster-map-without-count": ("--model", "model.json",
+                                        lambda d: d["space"].update(
+                                            kind="api_cluster", cluster_map={"assignment": []})),
+    "model-cluster-map-without-assignment": ("--model", "model.json",
+                                             lambda d: d["space"].update(
+                                                 kind="api_cluster",
+                                                 cluster_map={"cluster_count": 24})),
 }
 
 # case -> the part of its message that names the field or the fault.
@@ -671,6 +765,21 @@ _PROBE_FIELDS = {
     "model-ensemble-member-cluster-count-3": "cluster_count is 3, not 24",
     "corpus-family-11": "component 0: function family above 10",
     "pset-payload-family-11": ": function family above 10",
+    "pset-format-5": "pset format 5 is not supported; rebuild it with build-pset",
+    "model-nested-ensemble": (
+        "ensemble model: member 0 is an ensemble; ensembles are one level deep"),
+    "corpus-benign-app-malicious": (
+        "app b000: ground truth malicious in the benign list, which holds benign apps"),
+    "corpus-donor-malicious": (
+        "app d000: ground truth malicious in the donors list, which holds benign apps"),
+    "corpus-repeated-app-id": "app b000: id is not unique",
+    "report-repeated-row": (
+        "row 1 repeats row 0: one attack per detector, algorithm, budget, seed and sample_id"),
+    "model-space-without-kind": "linear model: missing key 'space.kind'",
+    "model-cluster-map-without-count": (
+        "linear model: missing key 'space.cluster_map.cluster_count'"),
+    "model-cluster-map-without-assignment": (
+        "linear model: missing key 'space.cluster_map.assignment'"),
 }
 
 
