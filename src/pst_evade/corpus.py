@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import (AndroidCatalog, fields_of, flag, integer, items, load_default_catalog,
-                      permission_pairs, read_document, string, strings)
+                      obj, only, permission_pairs, read_document, string, strings)
 
 GROUND_TRUTHS = ("benign", "malicious")
 COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
@@ -51,10 +51,11 @@ class DeclaredComponent:
 
 @dataclass(frozen=True, eq=False)
 class CodeComponent:
-    """One code component. Function k has markov family ``families[k]``; each row
-    of ``edges`` is a call (caller, callee) between local function indices, so an
-    edge cannot leave its component; ``api_calls`` are the ids of the Android APIs
-    it calls. Equality and hashing are by value."""
+    """One code component. Function k has markov family ``families[k]``, below
+    ``API_FAMILY_COUNT``; each row of ``edges`` is a call (caller, callee) between
+    local function indices, so an edge cannot leave its component; ``api_calls``
+    are the ids of the Android APIs it calls. A component that breaks this cannot
+    be made: it raises a one-line ``ValueError``. Equality and hashing are by value."""
 
     kind: str
     classes: int
@@ -72,6 +73,22 @@ class CodeComponent:
             arr = np.array(arr, dtype=np.intp).reshape(shape)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if self.kind not in CODE_KINDS:
+            raise ValueError(f"bad code component kind: {self.kind}")
+        if self.origin not in ORIGINS:
+            raise ValueError(f"bad origin: {self.origin}")
+        if not isinstance(self.api_calls, tuple):
+            raise ValueError(f"api_calls is a {type(self.api_calls).__name__}, "
+                             "not a list of api call ids")
+        for api in self.api_calls:
+            if not isinstance(api, str):
+                raise ValueError(f"api call id is not a string: {api!r}")
+        if self.families.size and self.families.min() < 0:
+            raise ValueError("negative function family")
+        if self.families.size and self.families.max() >= API_FAMILY_COUNT:
+            raise ValueError(f"function family above {API_FAMILY_COUNT - 1}")
+        if not _edges_in_range(self):
+            raise ValueError(f"edge index out of range for {len(self.families)} functions")
 
     def _key(self) -> tuple:
         return (self.kind, self.classes, self.origin, self.api_calls,
@@ -325,29 +342,8 @@ def verify_isolation(apk: ApkModel) -> bool:
     return all(_edges_in_range(c) for c in apk.components)
 
 
-def check_code_component(comp: CodeComponent, where: str) -> None:
-    """Raise a one-line ValueError starting with ``where`` on a malformed component."""
-    if comp.kind not in CODE_KINDS:
-        raise ValueError(f"{where}: bad code component kind: {comp.kind}")
-    if comp.origin not in ORIGINS:
-        raise ValueError(f"{where}: bad origin: {comp.origin}")
-    if not isinstance(comp.api_calls, tuple):
-        raise ValueError(f"{where}: api_calls is a {type(comp.api_calls).__name__}, "
-                         "not a list of api call ids")
-    for api in comp.api_calls:
-        if not isinstance(api, str):
-            raise ValueError(f"{where}: api call id is not a string: {api!r}")
-    if comp.families.size and comp.families.min() < 0:
-        raise ValueError(f"{where}: negative function family")
-    if comp.families.size and comp.families.max() >= API_FAMILY_COUNT:
-        raise ValueError(f"{where}: function family above {API_FAMILY_COUNT - 1}")
-    if not _edges_in_range(comp):
-        raise ValueError(f"{where}: edge index out of range for "
-                         f"{len(comp.families)} functions")
-
-
 def validate_apk(apk: ApkModel) -> None:
-    """Raise a ValueError naming the app on structural violations of its model."""
+    """Raise a ValueError naming the app on a bad ground truth or declared component."""
     if apk.ground_truth not in GROUND_TRUTHS:
         raise ValueError(f"app {apk.id}: bad ground truth: {apk.ground_truth}")
     seen: set[tuple[str, str]] = set()
@@ -358,8 +354,6 @@ def validate_apk(apk: ApkModel) -> None:
         if key in seen:
             raise ValueError(f"app {apk.id}: duplicate declared component: {key}")
         seen.add(key)
-    for i, comp in enumerate(apk.components):
-        check_code_component(comp, f"app {apk.id} component {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +370,11 @@ def _declared_to_dict(c: DeclaredComponent) -> dict:
     }
 
 
-def _declared_from_dict(d: dict) -> DeclaredComponent:
+def _declared_from_dict(d: dict, what: str) -> DeclaredComponent:
+    """The declared component in ``d``; ``what`` names it if ``d`` has a key it lacks."""
     name = string(d["name"], "declared component name")
+    only(d, ("kind", "name", "intent_actions", "intent_categories", "exported", "enabled",
+             "process", "data_uri"), what)
     where = f"declared component {name}: "
     return DeclaredComponent(
         kind=d["kind"], name=name,
@@ -432,21 +429,25 @@ def _component_to_dict(c: CodeComponent) -> dict:
     }
 
 
-def _component_from_dict(d: dict) -> CodeComponent:
+def _component_from_dict(d: dict, where: str) -> CodeComponent:
+    """The code component in ``d``; ``where`` starts the refusal of a key or value."""
     classes = integer(d["classes"], "code component classes", lo=0)
+    only(d, ("kind", "classes", "families", "edges", "api_calls", "origin"), where)
     edges = unpack_array(d["edges"], "code component edges")
     if edges.size % 2:
         raise ValueError(f"code component edges holds {edges.size} values, "
                          "not (caller, callee) pairs")
-    # A non-list stays as read, for check_code_component to refuse: tuple() of a
-    # string would split it into one-character ids.
+    # A non-list stays as read, for the component to refuse: tuple() of a string
+    # would split it into one-character ids.
     api_calls = d["api_calls"]
-    return CodeComponent(
-        kind=d["kind"], classes=classes,
-        families=unpack_array(d["families"], "code component families"), edges=edges,
-        api_calls=tuple(api_calls) if isinstance(api_calls, list) else api_calls,
-        origin=d.get("origin", "original"),
-    )
+    kind, families = d["kind"], unpack_array(d["families"], "code component families")
+    try:
+        return CodeComponent(
+            kind=kind, classes=classes, families=families, edges=edges,
+            api_calls=tuple(api_calls) if isinstance(api_calls, list) else api_calls,
+            origin=d.get("origin", "original"))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def apk_to_dict(apk: ApkModel) -> dict:
@@ -464,16 +465,22 @@ def apk_to_dict(apk: ApkModel) -> dict:
 
 def apk_from_dict(d: dict) -> ApkModel:
     apk_id = string(d["id"], "app id")
-    m, where = d["manifest"], f"app {apk_id}: "
+    app = f"app {apk_id}"
+    m, code = obj(d["manifest"], f"{app}: manifest"), obj(d["code"], f"{app}: code")
+    only(d, ("id", "ground_truth", "manifest", "code"), app)
+    only(m, ("uses_features", "permissions", "declared_components"), app, "manifest.")
+    only(code, ("components",), app, "code.")
+    where = app + ": "
     return ApkModel(
         id=apk_id,
         uses_features=frozenset(strings(m["uses_features"], where + "uses_features")),
         permissions=frozenset(Permission(n, l) for n, l in
                               permission_pairs(m["permissions"], where + "permissions")),
-        declared_components=tuple(map(_declared_from_dict, items(
-            m["declared_components"], where + "declared_components"))),
-        components=tuple(map(_component_from_dict, items(
-            d["code"]["components"], where + "code components"))),
+        declared_components=tuple(_declared_from_dict(c, f"{app} declared component {i}")
+                                  for i, c in enumerate(items(m["declared_components"],
+                                                              where + "declared_components"))),
+        components=tuple(_component_from_dict(c, f"{app} component {i}") for i, c in
+                         enumerate(items(code["components"], where + "code components"))),
         ground_truth=d["ground_truth"],
     )
 
@@ -499,7 +506,9 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 def corpus_from_dict(d: dict) -> Corpus:
     """Inverse of ``corpus_to_dict``. Every app is validated, holds the ground
     truth of its list (a donor's is benign) and has an id no other app has:
-    attack seeds and report rows are keyed by the app id."""
+    attack seeds and report rows are keyed by the app id. A key that the
+    document or one of its objects does not hold is refused."""
+    only(d, ("format", "spec", "benign", "malicious", "donors"), "corpus")
     corpus = Corpus(
         spec=spec_from_dict(d["spec"]),
         benign=tuple(map(apk_from_dict, items(d["benign"], "benign"))),

@@ -112,7 +112,7 @@ class FeatureSpace:
             return extract_binary(apk, self.key_index, self.api_columns)
         if self.kind == "markov":
             return extract_markov(apk)
-        return extract_api_cluster(apk, self.cluster_map, self.api_columns)
+        return extract_api_cluster(apk, self.api_columns)
 
     # An app's state in a space is what its row is made from and what an app
     # that extends it adds to: the row itself, or for Markov the transition
@@ -693,11 +693,17 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
         space = space_from_dict(obj(doc["space"], f"{kind} model: space"), f"{kind} model")
         if space.digest != doc["space_hash"]:
             raise ValueError(f"{kind} model: space does not match its space_hash")
-        report = None if "report" not in doc else TrainReport(**fields_of(
-            TrainReport, doc["report"], f"{kind} model: report",
-            precision=number, recall=number, f1=number, holdout_size=integer, on_holdout=flag))
+        try:
+            report = None if "report" not in doc else TrainReport(**fields_of(
+                TrainReport, doc["report"], f"{kind} model: report", precision=number,
+                recall=number, f1=number, holdout_size=integer, on_holdout=flag))
+        except KeyError as exc:
+            raise KeyError(f"report.{exc.args[0]}") from None
         params = obj(doc["params"], f"{kind} model: params")
         only(params, _PARAMS[kind], f"{kind} model", "params.")
+        missing = [name for name in _PARAMS[kind] if name not in params]
+        if missing:
+            raise KeyError(f"params.{missing[0]}")
         return DetectorModel(kind=kind, space=space, report=report, params={
             name: read(params[name], f"{kind} model: params.{name}")
             for name, read in _PARAMS[kind].items()})

@@ -1,8 +1,8 @@
 """Feature families over the app model: binary string vectors, markov family-transition
 matrices, and api-cluster indicator vectors. Each extractor returns one dense float64
 row. A Markov row always has ``API_FAMILY_COUNT ** 2`` columns and an api-cluster row
-``CLUSTER_COUNT``; the binary extractor takes the key index that fixes its columns, the
-api-cluster one the cluster map, and both take that layout's ``ApiColumns``.
+``CLUSTER_COUNT``; the binary extractor takes the key index that fixes its columns, and
+it and the api-cluster one take that layout's ``ApiColumns``.
 
 Every feature is a sum or a union over an app's parts, so each kind defines its
 contribution from a set of parts once (``mark_keys``, ``markov_counts``,
@@ -170,13 +170,9 @@ def extract_binary(apk: ApkModel, index: Mapping[str, int],
 
 def markov_counts(components: Sequence[CodeComponent]) -> np.ndarray:
     """Family-transition counts of the components' call edges as float64, flattened
-    row-major: entry a * API_FAMILY_COUNT + b counts the a -> b edges. A family
-    outside the range, which only a component no loader checked can hold, raises:
-    ``bincount`` would count it in another cell."""
+    row-major: entry a * API_FAMILY_COUNT + b counts the a -> b edges."""
     pairs = np.concatenate([c.edge_families for c in components]
                            or [np.empty((0, 2), dtype=np.intp)])
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= API_FAMILY_COUNT):
-        raise ValueError(f"edge family out of range 0..{API_FAMILY_COUNT - 1}")
     return np.bincount(pairs[:, 0] * API_FAMILY_COUNT + pairs[:, 1],
                        minlength=API_FAMILY_COUNT ** 2).astype(np.float64)
 
@@ -227,10 +223,9 @@ def cluster_columns(cmap: ApiClusterMap) -> ApiColumns:
     return ApiColumns(columns_of)
 
 
-def extract_api_cluster(apk: ApkModel, cmap: ApiClusterMap,
-                        columns: ApiColumns) -> np.ndarray:
+def extract_api_cluster(apk: ApkModel, columns: ApiColumns) -> np.ndarray:
     """1.0 at cluster i when any api call mapped to cluster i occurs in the app.
-    ``columns`` are ``cluster_columns(cmap)``."""
+    ``columns`` are the ``cluster_columns`` of the cluster map."""
     out = np.zeros(CLUSTER_COUNT)
     mark_api_calls(out, apk.components, columns)
     return out

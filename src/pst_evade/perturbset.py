@@ -21,7 +21,6 @@ from .corpus import (
     _component_to_dict,
     _declared_from_dict,
     _declared_to_dict,
-    check_code_component,
 )
 
 if TYPE_CHECKING:
@@ -153,20 +152,12 @@ def cluster_perturbations(perturbations: Sequence[Perturbation],
         raise ValueError("similarity threshold must lie in (0, 1]")
     groups = [PerturbationGroup(members=(p,), keywords=frozenset(p.keywords))
               for p in perturbations]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if keyword_similarity(groups[i], groups[j]) > threshold:
-                    groups[i] = PerturbationGroup(
-                        members=groups[i].members + groups[j].members,
-                        keywords=groups[i].keywords | groups[j].keywords)
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    while pair := next(((i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))
+                        if keyword_similarity(groups[i], groups[j]) > threshold), None):
+        i, j = pair
+        groups[i] = PerturbationGroup(members=groups[i].members + groups[j].members,
+                                      keywords=groups[i].keywords | groups[j].keywords)
+        del groups[j]
     return groups
 
 
@@ -378,10 +369,14 @@ def _perturbation_from_dict(doc: dict) -> Perturbation:
         payload: object = Permission(string(obj(raw, where)["name"], where + " name"),
                                      string(raw["protection_level"], where + " level"))
     elif kind in INJECT_KINDS:
-        payload = InjectablePayload(
-            source_apk_id=string(obj(raw, where)["source_apk_id"], where + " source_apk_id"),
-            declared=_declared_from_dict(raw["declared"]),
-            component=_component_from_dict(raw["component"]))
+        source = string(obj(raw, where)["source_apk_id"], where + " source_apk_id")
+        declared = _declared_from_dict(raw["declared"], f"payload {kind}:{source} declared")
+        where = f"payload {kind}:{source}/{declared.name}"
+        code = _component_from_dict(raw["component"], where)
+        if kind != "inject_" + code.kind or declared.kind != code.kind:
+            raise ValueError(f"{where}: kinds disagree: {kind}, declared {declared.kind}, "
+                             f"code {code.kind}")
+        payload = InjectablePayload(source, declared, code)
     else:
         payload = string(raw, where)
     return Perturbation(kind=kind, payload=payload)
@@ -395,23 +390,16 @@ def pset_to_dict(pset: PerturbationSet) -> dict:
 
 def pset_from_dict(doc: dict) -> PerturbationSet:
     """The pset in a document, ``clustered``; a key other than ``format`` and
-    ``perturbations`` (or a perturbation's ``kind`` and ``payload``), a
-    malformed payload component, an injection whose kind, declaration and
-    component disagree, or a perturbation with no keywords or tree position
-    raises a one-line ``ValueError``."""
+    ``perturbations`` (or a perturbation's ``kind`` and ``payload``, or a
+    payload declaration's or component's fields), a malformed payload
+    component, an injection whose kind, declaration and component disagree, or
+    a perturbation with no keywords or tree position raises a one-line
+    ``ValueError``."""
     only(doc, ("format", "perturbations"), "pset")
     docs = items(doc["perturbations"], "perturbations")
     for i, d in enumerate(docs):
         only(obj(d, f"perturbation {i}"), ("kind", "payload"), f"perturbation {i}")
-    perturbations = tuple(map(_perturbation_from_dict, docs))
-    for p in perturbations:
-        if p.kind in INJECT_KINDS:
-            check_code_component(p.payload.component, f"payload {p.key}")
-            declared, code = p.payload.declared.kind, p.payload.component.kind
-            if p.kind != "inject_" + code or declared != code:
-                raise ValueError(f"payload {p.key}: kinds disagree: {p.kind}, "
-                                 f"declared {declared}, code {code}")
-    return clustered(perturbations)
+    return clustered(tuple(map(_perturbation_from_dict, docs)))
 
 
 def save_pset(pset: PerturbationSet, path: str | Path) -> None:
@@ -420,6 +408,6 @@ def save_pset(pset: PerturbationSet, path: str | Path) -> None:
 
 
 def load_pset(path: str | Path) -> PerturbationSet:
-    """Load a pset file, check every payload component in it and derive its groups."""
+    """Load a pset file and derive its groups."""
     return read_document(path, pset_from_dict,
                          ("pset", PSET_FORMAT, "rebuild it with build-pset"))

@@ -547,8 +547,6 @@ def test_oracle_extracts_an_app_that_extends_no_remembered_app_in_full(
 
 
 @pytest.mark.parametrize("name,component,needle", [
-    ("markov-linear", {"families": [0, 99], "edges": [[0, 1]]},
-     "edge family out of range 0..10"),
     ("api_cluster-linear", {"api_calls": ("api.nowhere.fn999",)},
      "api id missing from cluster map: api.nowhere.fn999"),
 ])

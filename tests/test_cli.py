@@ -707,6 +707,27 @@ _PROBES = {
                                              lambda d: d["space"].update(
                                                  kind="api_cluster",
                                                  cluster_map={"cluster_count": 24})),
+    # Each of these named its missing key without its path in params or report.
+    "model-params-without-w": ("--model", "model.json", lambda d: d["params"].pop("w")),
+    "model-report-without-f1": ("--model", "model.json", lambda d: d["report"].pop("f1")),
+    # Each of these loaded, and the key was ignored.
+    "corpus-unknown-key": ("--corpus", "corpus.json", lambda d: d.update(bogus=1)),
+    "corpus-app-unknown-key": ("--corpus", "corpus.json",
+                               lambda d: d["benign"][0].update(bogus=1)),
+    "corpus-manifest-unknown-key": ("--corpus", "corpus.json",
+                                    lambda d: d["benign"][0]["manifest"].update(bogus=1)),
+    "corpus-code-unknown-key": ("--corpus", "corpus.json",
+                                lambda d: d["benign"][0]["code"].update(bogus=1)),
+    "corpus-declared-unknown-key": ("--corpus", "corpus.json",
+                                    lambda d: _first_declared(d).update(bogus=1)),
+    "corpus-component-unknown-key": ("--corpus", "corpus.json",
+                                     lambda d: _first_component(d).update(bogus=1)),
+    "pset-payload-declared-unknown-key": ("--pset", "pset.json",
+                                          lambda d: _first_payload(d)["declared"].update(
+                                              bogus=1)),
+    "pset-payload-component-unknown-key": ("--pset", "pset.json",
+                                           lambda d: _first_payload(d)["component"].update(
+                                               bogus=1)),
 }
 
 # case -> the part of its message that names the field or the fault.
@@ -780,6 +801,18 @@ _PROBE_FIELDS = {
         "linear model: missing key 'space.cluster_map.cluster_count'"),
     "model-cluster-map-without-assignment": (
         "linear model: missing key 'space.cluster_map.assignment'"),
+    "model-params-without-w": "linear model: missing key 'params.w'",
+    "model-report-without-f1": "linear model: missing key 'report.f1'",
+    "corpus-unknown-key": "corpus: unknown key 'bogus'",
+    "corpus-app-unknown-key": "app b000: unknown key 'bogus'",
+    "corpus-manifest-unknown-key": "app b000: unknown key 'manifest.bogus'",
+    "corpus-code-unknown-key": "app b000: unknown key 'code.bogus'",
+    "corpus-declared-unknown-key": "app b000 declared component 0: unknown key 'bogus'",
+    "corpus-component-unknown-key": "app b000 component 0: unknown key 'bogus'",
+    "pset-payload-declared-unknown-key": (
+        "payload inject_service:d000 declared: unknown key 'bogus'"),
+    "pset-payload-component-unknown-key": (
+        "payload inject_service:d000/com.app.d000.Service0: unknown key 'bogus'"),
 }
 
 

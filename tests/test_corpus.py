@@ -422,13 +422,28 @@ def test_validate_rejects_duplicate_declared():
 
 
 def test_validate_rejects_unknown_edge_endpoint():
-    # An endpoint outside the component is a local index out of range.
-    comp = CodeComponent(kind="service", classes=1, families=[0], edges=[[0, 1]],
-                         api_calls=())
-    bad = apk(components=[comp])
-    assert not verify_isolation(bad)
-    with pytest.raises(ValueError, match="t000 component 0: edge index out of range"):
-        validate_apk(bad)
+    # An endpoint outside the component is a local index out of range, which the
+    # component refuses when it is made, so no app can hold it.
+    with pytest.raises(ValueError, match="^edge index out of range for 1 functions$"):
+        CodeComponent(kind="service", classes=1, families=[0], edges=[[0, 1]], api_calls=())
+
+
+@pytest.mark.parametrize("field,value,refusal", [
+    ("kind", "activity", "bad code component kind: activity"),
+    ("origin", "grafted", "bad origin: grafted"),
+    ("api_calls", ["api.a"], "api_calls is a list, not a list of api call ids"),
+    ("api_calls", ("api.a", 7), "api call id is not a string: 7"),
+    ("families", [0, -1], "negative function family"),
+    ("families", [0, 11], "function family above 10"),
+    ("edges", [[0, 2]], "edge index out of range for 2 functions"),
+    ("edges", [[-1, 0]], "edge index out of range for 2 functions"),
+])
+def test_code_component_refuses_a_malformed_value(field, value, refusal):
+    good = {"kind": "service", "classes": 1, "families": [0, 1], "edges": [[0, 1]],
+            "api_calls": ("api.a",), "origin": "original"}
+    CodeComponent(**good)
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        CodeComponent(**{**good, field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +571,7 @@ def test_pack_array_picks_the_narrowest_dtype_and_round_trips(values, dtype):
 def test_component_arrays_round_trip_by_value(families, edges):
     comp = CodeComponent(kind="service", classes=1, families=families, edges=edges,
                          api_calls=("api.pkg00.fn000",))
-    back = _component_from_dict(json.loads(json.dumps(_component_to_dict(comp))))
+    back = _component_from_dict(json.loads(json.dumps(_component_to_dict(comp))), "component")
     assert back == comp
     assert back.edges.shape == comp.edges.shape == (len(edges), 2)
 

@@ -939,11 +939,16 @@ def test_load_model_refuses_other_formats(tmp_path, found):
 def test_model_missing_a_key_is_a_one_line_value_error():
     with pytest.raises(ValueError, match="linear model: missing key 'space'"):
         model_from_dict({"kind": "linear"})
+    # A key missing inside ``params`` or ``report`` is named by its path.
     doc = model_to_dict(_linear_model([1.0], 0.0))
     del doc["params"]["w"]
-    with pytest.raises(ValueError, match="linear model: missing key 'w'") as err:
+    with pytest.raises(ValueError, match="^linear model: missing key 'params.w'$") as err:
         model_from_dict(doc)
     assert "\n" not in str(err.value)
+    doc = model_to_dict(_linear_model([1.0], 0.0))
+    doc["report"] = {"precision": 1.0, "recall": 1.0, "holdout_size": 2, "on_holdout": True}
+    with pytest.raises(ValueError, match="^linear model: missing key 'report.f1'$"):
+        model_from_dict(doc)
 
 
 def _two_key_doc(kind):

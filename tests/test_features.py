@@ -12,7 +12,7 @@ import pytest
 from apk_builders import StubPerturbation, apk, code_component, declared
 from pst_evade.attack import Oracle
 from pst_evade.catalog import load_default_catalog
-from pst_evade.corpus import API_FAMILY_COUNT
+from pst_evade.corpus import API_FAMILY_COUNT, CodeComponent
 from pst_evade.detectors import (Ensemble, FeatureSpace, score, space_from_dict,
                                  space_to_dict, train)
 from pst_evade.features import (
@@ -124,12 +124,15 @@ def test_markov_no_edges_is_empty():
 
 
 def test_markov_rejects_family_out_of_range():
-    # Only a component no loader checked can hold such a family.
-    for family in (FC, -1):
-        comp = code_component(functions=["t.c0.f0@0", f"t.c0.f1@{family}"])
-        app = apk(components=[comp], edges=[("t.c0.f0@0", f"t.c0.f1@{family}")])
-        with pytest.raises(ValueError, match=r"^edge family out of range 0\.\.10$"):
-            extract_markov(app)
+    # A component refuses such a family when it is made, so no extraction meets
+    # one; the last family counts in the last cell.
+    for family, refusal in ((FC, "function family above 10"), (-1, "negative function family")):
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            CodeComponent(kind="service", classes=1, families=[0, family], edges=[[0, 1]],
+                          api_calls=())
+    comp = code_component(functions=["t.c0.f0@0", f"t.c0.f1@{FC - 1}"])
+    app = apk(components=[comp], edges=[("t.c0.f0@0", f"t.c0.f1@{FC - 1}")])
+    assert np.flatnonzero(extract_markov(app)).tolist() == [FC - 1]
 
 
 def test_markov_rejects_zero_families():
@@ -182,18 +185,16 @@ def test_markov_matches_from_scratch_reference(small_corpus):
 
 
 def test_markov_range_check_survives_a_wider_extraction():
-    # Edge families are computed once per component; the range check still runs
-    # on every extraction after that, and an in-range app extracts as before.
-    comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@12"])
-    bad = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f0@0"),
-                                        ("t.c0.f0@0", "t.c0.f1@12")])
+    # Edge families are computed once per component. A family past the last is
+    # refused when the component is made, and an in-range app extracts the same
+    # on every call after its edge families are kept.
+    with pytest.raises(ValueError, match="^function family above 10$"):
+        CodeComponent(kind="service", classes=1, families=[0, 12], edges=[[0, 0], [0, 1]],
+                      api_calls=())
     good = apk(components=[code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])],
                edges=[("t.c0.f0@0", "t.c0.f0@0"), ("t.c0.f0@0", "t.c0.f1@3")])
     assert np.array_equal(extract_markov(good), _markov_reference(good))
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"^edge family out of range 0\.\.10$"):
-            extract_markov(bad)
-    assert "edge_families" in vars(bad.components[0])
+    assert "edge_families" in vars(good.components[0])
     assert np.array_equal(extract_markov(good), _markov_reference(good))
 
 
@@ -235,14 +236,18 @@ def test_injection_shares_one_component_per_payload(small_corpus):
 
 
 def test_markov_range_error_names_the_payload_edge_after_reuse():
-    # A parent whose edge families are already computed takes a payload with an
-    # out-of-range family: the injected app raises, the parent still extracts.
+    # A payload component with an out-of-range family cannot be made, not even
+    # by ``replace`` from a valid one. A parent whose edge families are already
+    # computed takes the valid payload; both extract as from scratch.
     comp = code_component(functions=["t.c0.f0@0", "t.c0.f1@1"])
     app = apk(components=[comp], edges=[("t.c0.f0@0", "t.c0.f1@1"),
                                         ("t.c0.f1@1", "t.c0.f0@0")])
     donor = apk(apk_id="d", components=[code_component(
-        functions=["d.c0.f0@1", "d.c0.f1@0", "d.c0.f2@12"])],
-        edges=[("d.c0.f0@1", "d.c0.f1@0"), ("d.c0.f1@0", "d.c0.f2@12")])
+        functions=["d.c0.f0@1", "d.c0.f1@0", "d.c0.f2@10"])],
+        edges=[("d.c0.f0@1", "d.c0.f1@0"), ("d.c0.f1@0", "d.c0.f2@10")])
+    for family, refusal in ((12, "function family above 10"), (-1, "negative function family")):
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            replace(donor.components[0], families=[1, 0, family])
     payload = InjectablePayload(
         source_apk_id="d", declared=declared(kind="service", name="Donor"),
         component=donor.components[0])
@@ -250,8 +255,7 @@ def test_markov_range_error_names_the_payload_edge_after_reuse():
     injected = apply_perturbation(app, StubPerturbation("inject_service", payload),
                                   random.Random(0))
     for _ in range(2):
-        with pytest.raises(ValueError, match=r"^edge family out of range 0\.\.10$"):
-            extract_markov(injected)
+        assert np.array_equal(extract_markov(injected), _markov_reference(injected))
     assert np.array_equal(extract_markov(app), _markov_reference(app))
 
 
@@ -282,7 +286,7 @@ def test_extract_api_cluster_is_presence_not_count():
     cmap = ApiClusterMap(assignment=(("api.a", 2), ("api.b", 0)))
     comp = code_component(api_ids=["api.a", "api.a", "api.b"],
                           functions=["t.c0.f0@0"])
-    vec = extract_api_cluster(apk(components=[comp]), cmap, cluster_columns(cmap))
+    vec = extract_api_cluster(apk(components=[comp]), cluster_columns(cmap))
     assert vec.dtype == np.float64
     assert vec.tolist() == [1.0, 0.0, 1.0] + [0.0] * (CLUSTER_COUNT - 3)
 
@@ -291,7 +295,7 @@ def test_extract_api_cluster_rejects_unmapped_id():
     cmap = ApiClusterMap(assignment=(("api.a", 0),))
     comp = code_component(api_ids=["api.mystery"], functions=["t.c0.f0@0"])
     with pytest.raises(ValueError, match="api.mystery"):
-        extract_api_cluster(apk(components=[comp]), cmap, cluster_columns(cmap))
+        extract_api_cluster(apk(components=[comp]), cluster_columns(cmap))
 
 
 # ---------------------------------------------------------------------------
