@@ -27,13 +27,6 @@ class AndroidCatalog:
     categories: tuple[str, ...]
 
 
-def catalog_from_dict(doc: dict) -> AndroidCatalog:
-    pools = {name: strings(doc[name], name) for name in (
-        "hardware_features", "software_features", "activity_actions", "broadcast_actions",
-        "categories")}
-    return AndroidCatalog(permissions=permission_pairs(doc["permissions"], "permissions"), **pools)
-
-
 def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] | None = None):
     """``parse`` of the JSON document in a file. ``fmt`` is (what, version,
     remedy) for a versioned layout; a file written before layouts were versioned
@@ -180,10 +173,9 @@ def fields_of(cls, d, what: str, /, retired: tuple[str, ...] = (), **readers) ->
     return given
 
 
-def load_catalog(path: str | Path) -> AndroidCatalog:
-    return read_document(path, catalog_from_dict)
-
-
 def load_default_catalog() -> AndroidCatalog:
+    """The catalog bundled with the package, the one every pset and corpus draws
+    from; it is package data, not an input file, so it is read as it stands."""
     text = resources.files("pst_evade").joinpath("data/android_catalog.json").read_text("utf-8")
-    return catalog_from_dict(json.loads(text))
+    return AndroidCatalog(**{name: tuple(map(tuple, pool)) if name == "permissions"
+                             else tuple(pool) for name, pool in json.loads(text).items()})

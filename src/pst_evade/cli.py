@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .attack import ALGORITHMS, reference_tree, report_to_dict
-from .catalog import load_catalog, load_default_catalog, read_document
+from .catalog import load_default_catalog, read_document
 from .corpus import (
     CorpusSpec,
     generate_corpus,
@@ -75,9 +75,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_build_pset(args) -> int:
-    catalog = load_catalog(args.catalog) if args.catalog else load_default_catalog()
     donors = load_corpus(args.corpus).donors if args.corpus else ()
-    pset = build_perturbation_set(catalog, donors)
+    pset = build_perturbation_set(load_default_catalog(), donors)
     save_pset(pset, args.out)
     print(f"built {len(pset)} perturbations in {len(pset.groups)} groups; saved to {args.out}")
     return 0
@@ -149,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("build-pset", help="build the perturbation set")
-    p.add_argument("--catalog", help="catalog JSON; bundled catalog when omitted")
+    p = sub.add_parser("build-pset",
+                       help="build the perturbation set of the bundled catalog")
     p.add_argument("--corpus", help="corpus whose donors provide injectables")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_pset)

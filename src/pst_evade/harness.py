@@ -18,7 +18,7 @@ import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
 from .catalog import fields_of, integer, integers, items, number, string, strings
-from .corpus import ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
+from .corpus import GROUND_TRUTHS, ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
     FEATURE_KINDS,
@@ -185,10 +185,14 @@ def _featurize(features: str, apks, corpus: Corpus, seed: int) -> tuple[FeatureS
 
 
 def train_detector(spec: DetectorSpec, corpus: Corpus) -> DetectorModel | Ensemble:
-    """Train the detector a spec describes on the corpus train split."""
+    """Train the detector a spec describes on the corpus train split, which
+    must hold apps of both classes."""
+    train_apks, _ = corpus.train_test_split()
+    for label in GROUND_TRUTHS:
+        if not any(a.ground_truth == label for a in train_apks):
+            raise ValueError(f"corpus train split holds no {label} apps")
     if spec.kind == "ensemble":
         return make_default_ensemble(corpus, seed=spec.train_seed)
-    train_apks, _ = corpus.train_test_split()
     space, x = _featurize(spec.features, train_apks, corpus, spec.train_seed)
     labels = [a.ground_truth for a in train_apks]
     return train(spec.kind, space, x, labels, seed=spec.train_seed)
@@ -218,12 +222,9 @@ def make_default_ensemble(corpus: Corpus, seed: int = 0, size: int = 20) -> Ense
     by_class: dict[str, list[int]] = {}
     for r, apk in enumerate(train_apks):
         by_class.setdefault(apk.ground_truth, []).append(r)
-    if len(by_class) < 2:
-        raise ValueError("ensemble training split contains a single class")
 
-    # Built on first use: the train matrix per feature kind, the api ids.
+    # Built on first use: the train matrix per feature kind.
     full: dict[str, tuple[FeatureSpace, np.ndarray]] = {}
-    api_ids = None
     members = []
     for i in range(size):
         kind, features = _ENSEMBLE_PLAN[i % len(_ENSEMBLE_PLAN)]
@@ -233,11 +234,10 @@ def make_default_ensemble(corpus: Corpus, seed: int = 0, size: int = 20) -> Ense
         for picks in by_class.values():
             rows.extend(rng.choice(picks) for _ in range(len(picks)))
         if features == "api_cluster":
-            if api_ids is None:
-                api_ids = _corpus_api_ids(corpus)
-            space = FeatureSpace(features, cluster_map=build_api_cluster_map(api_ids, member_seed))
             distinct, inverse = np.unique(rows, return_inverse=True)
-            x = np.stack([space.extract(train_apks[r]) for r in distinct])[inverse]
+            space, x = _featurize(features, [train_apks[r] for r in distinct], corpus,
+                                  member_seed)
+            x = x[inverse]
         else:
             if features not in full:
                 full[features] = _featurize(features, train_apks, corpus, member_seed)
@@ -334,9 +334,7 @@ def run_experiment(config: ExperimentConfig,
             raise ValueError("config has no corpus path and no corpus was given")
         corpus = load_corpus(config.corpus_path)  # FileNotFoundError when missing
 
-    train_apks, test_apks = corpus.train_test_split()
-    if len({a.ground_truth for a in train_apks}) < 2:
-        raise ValueError("corpus train split contains a single class")
+    _, test_apks = corpus.train_test_split()
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     models = {spec.name: train_detector(spec, corpus)
               for spec in config.detectors}

@@ -69,8 +69,6 @@ CHILD_ORDER = {
 class Perturbation:
     kind: str
     payload: object
-    # A manifest perturbation's, set by ``clustered``; an injection has none.
-    keywords: tuple[str, ...] = ()
 
     @property
     def key(self) -> str:
@@ -145,12 +143,14 @@ def keyword_similarity(c_i: PerturbationGroup, c_j: PerturbationGroup) -> float:
 def cluster_perturbations(perturbations: Sequence[Perturbation],
                           threshold: float = SIMILARITY_THRESHOLD
                           ) -> list[PerturbationGroup]:
-    """Greedy agglomerative merge: repeatedly merge the first pair (lexicographic
-    enumeration over current positions) whose similarity strictly exceeds the
-    threshold, until no pair qualifies."""
+    """Greedy agglomerative merge of manifest perturbations, each first a group
+    of its own ``keyword_extract`` keywords: repeatedly merge the first pair
+    (lexicographic enumeration over current positions) whose similarity strictly
+    exceeds the threshold, until no pair qualifies."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("similarity threshold must lie in (0, 1]")
-    groups = [PerturbationGroup(members=(p,), keywords=frozenset(p.keywords))
+    groups = [PerturbationGroup(members=(p,),
+                                keywords=frozenset(keyword_extract(p.kind, p.payload)))
               for p in perturbations]
     while pair := next(((i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))
                         if keyword_similarity(groups[i], groups[j]) > threshold), None):
@@ -218,14 +218,9 @@ def _donor_perturbations(donors) -> list[Perturbation]:
 
 
 def clustered(perturbations: Sequence[Perturbation]) -> PerturbationSet:
-    """The set of ``perturbations``, each manifest one given its keywords by
-    ``keyword_extract``, grouped per tree position: each manifest bucket
-    clustered at ``SIMILARITY_THRESHOLD``, one group per injection. A
+    """The set of ``perturbations``, grouped per tree position: each manifest
+    bucket clustered at ``SIMILARITY_THRESHOLD``, one group per injection. A
     perturbation without keywords or a tree position raises ``ValueError``."""
-    perturbations = tuple(
-        p if p.kind in INJECT_KINDS
-        else Perturbation(p.kind, p.payload, tuple(keyword_extract(p.kind, p.payload)))
-        for p in perturbations)
     by_path: dict[tuple[str, ...], list[Perturbation]] = {}
     for p in perturbations:
         by_path.setdefault(tree_position(p), []).append(p)
@@ -238,7 +233,7 @@ def clustered(perturbations: Sequence[Perturbation]) -> PerturbationSet:
                           for p in bucket)
         else:
             groups.extend(cluster_perturbations(bucket))
-    return PerturbationSet(perturbations=perturbations, groups=tuple(groups))
+    return PerturbationSet(perturbations=tuple(perturbations), groups=tuple(groups))
 
 
 def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSet:
@@ -366,12 +361,14 @@ def _perturbation_from_dict(doc: dict) -> Perturbation:
     kind = string(doc["kind"], "perturbation kind")
     raw, where = doc["payload"], f"{kind} payload"
     if kind == "permission":
-        payload: object = Permission(string(obj(raw, where)["name"], where + " name"),
+        only(obj(raw, where), ("name", "protection_level"), where)
+        payload: object = Permission(string(raw["name"], where + " name"),
                                      string(raw["protection_level"], where + " level"))
     elif kind in INJECT_KINDS:
         source = string(obj(raw, where)["source_apk_id"], where + " source_apk_id")
         declared = _declared_from_dict(raw["declared"], f"payload {kind}:{source} declared")
         where = f"payload {kind}:{source}/{declared.name}"
+        only(raw, ("source_apk_id", "declared", "component"), where)
         code = _component_from_dict(raw["component"], where)
         if kind != "inject_" + code.kind or declared.kind != code.kind:
             raise ValueError(f"{where}: kinds disagree: {kind}, declared {declared.kind}, "
@@ -391,7 +388,7 @@ def pset_to_dict(pset: PerturbationSet) -> dict:
 def pset_from_dict(doc: dict) -> PerturbationSet:
     """The pset in a document, ``clustered``; a key other than ``format`` and
     ``perturbations`` (or a perturbation's ``kind`` and ``payload``, or a
-    payload declaration's or component's fields), a malformed payload
+    payload's, its declaration's or its component's fields), a malformed payload
     component, an injection whose kind, declaration and component disagree, or
     a perturbation with no keywords or tree position raises a one-line
     ``ValueError``."""

@@ -1,12 +1,10 @@
 """End-to-end command line flow in a temp directory."""
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import pst_evade
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
 from pst_evade.cli import main
 from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, load_corpus, pack_array,
@@ -454,10 +452,6 @@ _SPLIT_ON_A_FLAG = {"leaf": False, "feature": True, "threshold": 0.5,
 _SPLIT_AT_NAN = {**_SPLIT_ON_A_FLAG, "feature": 0, "threshold": float("nan")}
 
 
-def _unknown_protection_level(doc):
-    doc["permissions"][0][1] = "root"
-
-
 def _weights_as_strings(model):
     model["params"]["w"] = ["x"] * len(model["params"]["w"])
 
@@ -514,13 +508,10 @@ def _ensemble_of_one_claiming_two(model):
     del model["space"], model["space_hash"]
 
 
-BUNDLED_CATALOG = Path(pst_evade.__file__).parent / "data" / "android_catalog.json"
-
-
 # case -> (flag, source, change): the flag is given a copy of the source file
-# (in the CLI work directory, or the bundled catalog) with the change applied to
-# its document; with no source the change is the whole document, and with
-# neither the flag is given a directory.
+# in the CLI work directory with the change applied to its document; with no
+# source the change is the whole document, and with neither the flag is given a
+# directory.
 _PROBES = {
     "corpus-app-without-manifest": ("--corpus", "corpus.json",
                                     lambda d: d["benign"][0].pop("manifest")),
@@ -568,10 +559,6 @@ _PROBES = {
                              lambda d: d["params"].update(w="abc")),
     "model-weights-list-of-strings": ("--model", "model.json", _weights_as_strings),
     "model-kind-list": ("--model", "model.json", lambda d: d.update(kind=["linear"])),
-    "catalog-unknown-protection-level": ("--catalog", BUNDLED_CATALOG,
-                                         _unknown_protection_level),
-    "catalog-permissions-number": ("--catalog", BUNDLED_CATALOG,
-                                   lambda d: d.update(permissions=5)),
     "spec-count-string": ("--spec", None, {"n_benign": "x"}),
     "spec-misspelled-key": ("--spec", None,
                             {"n_benign": 4, "n_malicous": 4, "donor_count": 2}),
@@ -615,11 +602,6 @@ _PROBES = {
     "corpus-app-id-number": ("--corpus", "corpus.json", lambda d: d["benign"][0].update(id=5)),
     "corpus-declared-name-number": ("--corpus", "corpus.json",
                                     lambda d: _first_declared(d).update(name=5)),
-    "catalog-categories-string": ("--catalog", BUNDLED_CATALOG,
-                                  lambda d: d.update(categories="android.intent.category.HOME")),
-    "catalog-hardware-features-string": ("--catalog", BUNDLED_CATALOG,
-                                         lambda d: d.update(
-                                             hardware_features="android.hardware.camera")),
     "model-space-keys-string": ("--model", "model.json",
                                 lambda d: d["space"].update(keys="abc")),
     "model-cluster-count-string": ("--model", "model.json",
@@ -728,6 +710,11 @@ _PROBES = {
     "pset-payload-component-unknown-key": ("--pset", "pset.json",
                                            lambda d: _first_payload(d)["component"].update(
                                                bogus=1)),
+    "pset-permission-payload-unknown-key": ("--pset", "pset.json",
+                                            lambda d: _first_permission(d)["payload"].update(
+                                                bogus=1)),
+    "pset-payload-unknown-key": ("--pset", "pset.json",
+                                 lambda d: _first_payload(d).update(bogus=1)),
 }
 
 # case -> the part of its message that names the field or the fault.
@@ -752,8 +739,6 @@ _PROBE_FIELDS = {
     "corpus-permission-string": 'permissions holds "ab", not a [name, protection level] pair',
     "corpus-app-id-number": "app id is 5, not a string",
     "corpus-declared-name-number": "declared component name is 5, not a string",
-    "catalog-categories-string": "categories are not a list of strings",
-    "catalog-hardware-features-string": "hardware_features are not a list of strings",
     "model-space-keys-string": "space keys are not a list of strings",
     "model-cluster-count-string": 'cluster_count is "3", not an integer',
     "model-knn-k-string": "knn model: unknown key 'hyperparams'",
@@ -813,6 +798,9 @@ _PROBE_FIELDS = {
         "payload inject_service:d000 declared: unknown key 'bogus'"),
     "pset-payload-component-unknown-key": (
         "payload inject_service:d000/com.app.d000.Service0: unknown key 'bogus'"),
+    "pset-permission-payload-unknown-key": "permission payload: unknown key 'bogus'",
+    "pset-payload-unknown-key": (
+        "payload inject_service:d000/com.app.d000.Service0: unknown key 'bogus'"),
 }
 
 
@@ -824,7 +812,6 @@ def _probe_argv(workdir, flag, path):
         return _attack_args(workdir, workdir / "corpus.json", files["--model"], files["--pset"])
     command, out = {
         "--corpus": ("train", ["--out", str(workdir / "unused.json")]),
-        "--catalog": ("build-pset", ["--out", str(workdir / "unused.json")]),
         "--spec": ("gen-corpus", ["--out", str(workdir / "unused.json")]),
         "--config": ("bench", ["--out-dir", str(workdir / "unused_out")]),
         "--reports": ("compare", []),
@@ -884,4 +871,29 @@ def test_train_refuses_a_negative_seed_and_ensemble_features(workdir, capsys, ex
     assert main(["train", "--corpus", str(workdir / "corpus.json"), *extra,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"pst-evade: error: {needle}\n"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def benign_only_corpus(workdir):
+    spec, corpus = workdir / "benign-only-spec.json", workdir / "benign-only-corpus.json"
+    spec.write_text(json.dumps(spec_to_dict(CorpusSpec(n_benign=8, n_malicious=0,
+                                                       donor_count=2, seed=5))))
+    assert main(["gen-corpus", "--spec", str(spec), "--out", str(corpus)]) == 0
+    return corpus
+
+
+@pytest.mark.parametrize("kind,features", [
+    ("linear", "binary"), ("linear", "markov"), ("linear", "api_cluster"), ("ensemble", "binary"),
+])
+def test_train_refuses_a_corpus_of_one_class_naming_the_missing_one(benign_only_corpus, workdir,
+                                                                    capsys, kind, features):
+    # Markov and api_cluster training ended in numpy's "need at least one array
+    # to stack", and the ensemble and binary ones each named it in other words.
+    out = workdir / "refused-model.json"
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(benign_only_corpus), "--kind", kind,
+                 "--features", features, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "pst-evade: error: corpus train split holds no malicious apps\n")
     assert not out.exists()

@@ -400,8 +400,9 @@ def test_column_arrays_are_cached_and_read_only(small_corpus):
 
 
 def test_threads_sharing_a_space_get_the_walked_rows(small_corpus):
-    # The harness's workers share each model's spaces, and so their column
-    # arrays: threads that build the same tuple at once must still agree.
+    # The harness runs on one thread, but a caller may share a model between
+    # threads, and so its spaces' column arrays: threads that build the same
+    # tuple at once must still agree.
     apps, _, _, spaces = _column_setting(small_corpus)
     wants = [(s, [_bits(_walk_row(s, app_parts(a))) for a in apps]) for s in spaces]
     wrong = []

@@ -1,6 +1,7 @@
 """Perturbation-set construction, keyword similarity, and clustering."""
 import json
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -23,13 +24,11 @@ from pst_evade.perturbset import (
 
 
 def perm(name, level="normal"):
-    payload = Permission(name, level)
-    return Perturbation(kind="permission", payload=payload,
-                        keywords=tuple(keyword_extract("permission", payload)))
+    return Perturbation(kind="permission", payload=Permission(name, level))
 
 
 def group_of(*perturbations):
-    keywords = frozenset(k for p in perturbations for k in p.keywords)
+    keywords = frozenset(k for p in perturbations for k in keyword_extract(p.kind, p.payload))
     return PerturbationGroup(members=tuple(perturbations), keywords=keywords)
 
 
@@ -39,7 +38,7 @@ def group_of(*perturbations):
 
 def test_permission_keywords():
     p = perm("android.permission.ACCESS_WIFI_STATE")
-    assert list(p.keywords) == ["ACCESS", "WIFI", "STATE"]
+    assert keyword_extract(p.kind, p.payload) == ["ACCESS", "WIFI", "STATE"]
 
 
 def test_feature_keywords_keep_dotted_tokens():
@@ -122,8 +121,8 @@ def _brute_force_cluster(perturbations, threshold):
         found = None
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                ki = {k for p in groups[i] for k in p.keywords}
-                kj = {k for p in groups[j] for k in p.keywords}
+                ki = {k for p in groups[i] for k in keyword_extract(p.kind, p.payload)}
+                kj = {k for p in groups[j] for k in keyword_extract(p.kind, p.payload)}
                 if len(ki & kj) / min(len(ki), len(kj)) > threshold:
                     found = (i, j)
                     break
@@ -192,14 +191,12 @@ def test_feature_clusters_equal_first_token_partition():
     # the first post-prefix token, for both hardware and software features.
     catalog = load_default_catalog()
     for names in (catalog.hardware_features, catalog.software_features):
-        ps = [Perturbation(kind="uses_feature", payload=name,
-                           keywords=tuple(keyword_extract("uses_feature", name)))
-              for name in names]
+        ps = [Perturbation(kind="uses_feature", payload=name) for name in names]
         groups = cluster_perturbations(ps, 0.4)
         got = sorted(sorted(p.payload for p in g.members) for g in groups)
         by_token: dict[str, list] = {}
         for p in ps:
-            by_token.setdefault(p.keywords[0], []).append(p.payload)
+            by_token.setdefault(keyword_extract(p.kind, p.payload)[0], []).append(p.payload)
         want = sorted(sorted(v) for v in by_token.values())
         assert got == want
 
@@ -320,6 +317,14 @@ def test_pset_file_round_trip(tmp_path, full_pset):
     assert pset_to_dict(load_pset(path)) == pset_to_dict(full_pset)
 
 
+def test_a_perturbation_is_its_file_entry(full_pset):
+    # A pset file stores each perturbation's kind and payload only, so a field
+    # added to Perturbation would be lost on save.
+    assert [f.name for f in fields(Perturbation)] == ["kind", "payload"]
+    assert [sorted(d) for d in pset_to_dict(full_pset)["perturbations"]] == \
+           [["kind", "payload"]] * len(full_pset)
+
+
 def test_a_loaded_pset_derives_the_built_groups_and_keywords(tmp_path, full_pset):
     # The file holds no groups or keywords: loading clusters its perturbations
     # as the build did, into the same groups in the same order.
@@ -328,10 +333,10 @@ def test_a_loaded_pset_derives_the_built_groups_and_keywords(tmp_path, full_pset
     back = load_pset(path)
     assert [([m.key for m in g.members], g.keywords) for g in back.groups] == \
            [([m.key for m in g.members], g.keywords) for g in full_pset.groups]
-    manifest = [(p.key, p.keywords) for p in full_pset.perturbations
+    manifest = [(p.key, keyword_extract(p.kind, p.payload)) for p in full_pset.perturbations
                 if not p.kind.startswith("inject_")]
     assert manifest and all(keywords for _, keywords in manifest)
-    assert [(p.key, p.keywords) for p in back.perturbations
+    assert [(p.key, keyword_extract(p.kind, p.payload)) for p in back.perturbations
             if not p.kind.startswith("inject_")] == manifest
 
 

@@ -26,8 +26,7 @@ def perm_groups(level, count, size=1, tag="PERM"):
     for g in range(count):
         members = tuple(
             Perturbation(kind="permission",
-                         payload=Permission(f"android.permission.{tag}{g}_{i}", level),
-                         keywords=(f"{tag}{g}",))
+                         payload=Permission(f"android.permission.{tag}{g}_{i}", level))
             for i in range(size))
         out.append(PerturbationGroup(members=members,
                                      keywords=frozenset({f"{tag}{g}"})))
@@ -37,8 +36,7 @@ def perm_groups(level, count, size=1, tag="PERM"):
 def feature_group(bucket, size, tag):
     prefix = f"android.{bucket}."
     members = tuple(
-        Perturbation(kind="uses_feature", payload=f"{prefix}{tag}.v{i}",
-                     keywords=(tag, f"v{i}"))
+        Perturbation(kind="uses_feature", payload=f"{prefix}{tag}.v{i}")
         for i in range(size))
     return PerturbationGroup(members=members, keywords=frozenset({tag}))
 
