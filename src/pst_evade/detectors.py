@@ -392,10 +392,6 @@ def _train_forest(x: np.ndarray, y: np.ndarray, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # Scoring kernels: built once per model, each checks the parameters it reads.
 
-# Feature spaces whose rows hold integers (0/1 flags).
-_INTEGER_SPACES = ("binary", "api_cluster")
-
-
 def _shape_error(kind: str, name: str, shape: tuple, space: FeatureSpace) -> ValueError:
     return ValueError(f"{kind} model: {name} of shape {shape} do not match the "
                       f"{space.width}-feature {space.kind} space")
@@ -442,41 +438,30 @@ def _knn_by_difference(train_x, train_y, k: int, x: np.ndarray) -> float:
     return _nearest_vote(np.sum(np.square(train_x - x), axis=1), train_y, k)
 
 
-# Largest ||x||^2 of a row scored from the last row's distances. With the fit
-# rows' ||t||^2 below 2**52, every partial sum of both forms of d2 stays below
-# 2**53, so on integer rows both are exact and equal bit for bit.
-_DELTA_ROW_SQ = 2.0 ** 49
-# Largest share of the columns a row may differ in from the last one and still
-# be scored from its distances; past it the full product is cheaper.
-_DELTA_SHARE = 0.25
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """0/1 ``bits`` packed along the last axis into uint64 words, zero-padded."""
+    width = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (8 * ((width + 63) // 64),), dtype=np.uint8)
+    out[..., :(width + 7) // 8] = np.packbits(bits, axis=-1)
+    return out.view(np.uint64)
 
 
-def _knn_by_norms(train_x, sq, train_y, k: int, last: list, x: np.ndarray) -> float:
-    """d2 = ||t||^2 - 2 t.x + ||x||^2, on integer rows exactly the difference
-    form. ``last[0]`` is the last integer row asked about and its d2, replaced
-    together: a row that differs from it in columns c gets d2 from it as
-    d2_last + (||x_c||^2 - ||last_c||^2) - 2 T[:, c].(x_c - last_c), equal bit
-    for bit. A fractional, non-finite or larger row takes the full product
-    and leaves ``last`` as it was. ``train_x`` is column-major, so T[:, c]
-    gathers whole columns."""
-    xx = float(x @ x)
-    if not (xx < _DELTA_ROW_SQ and np.array_equal(x, np.trunc(x))):
-        return _nearest_vote(sq - 2.0 * (train_x @ x) + xx, train_y, k)
-    p, d2 = last[0]
-    c = None if p is None else np.flatnonzero(x != p)
-    if c is None or len(c) > _DELTA_SHARE * len(x):
-        d2 = sq - 2.0 * (train_x @ x) + xx
-    elif len(c):
-        xc, pc = x[c], p[c]
-        d2 = d2 + (float(xc @ xc) - float(pc @ pc)) - 2.0 * (train_x[:, c] @ (xc - pc))
-    last[0] = (x.copy(), d2)
+def _knn_by_hamming(train_x, words, train_y, k: int, x: np.ndarray) -> float:
+    """On 0/1 rows ||t - x||^2 is the Hamming distance, an exact integer: the
+    count of set bits in t XOR x. ``words`` holds the 0/1 fit rows packed,
+    word-major, so each word of x meets one contiguous row of words. A row
+    that is not all 0/1 takes the difference form on ``train_x``."""
+    bits = x != 0
+    if not (x == bits).all():  # fractional, NaN, infinite or past 1
+        return _knn_by_difference(train_x, train_y, k, x)
+    d2 = np.bitwise_count(words ^ _packed(bits)[:, None]).sum(axis=0)
     return _nearest_vote(d2, train_y, k)
 
 
 def _knn_kernel(space: FeatureSpace, p: dict):
-    """On integer spaces whose fit rows are integers, ``_knn_by_norms``; its
-    fit rows are ``params["x"]`` made column-major, one copy for both."""
-    train_x = np.asarray(p["x"], dtype=np.float64)
+    """Fit rows that are all 0/1 take ``_knn_by_hamming``, any others the
+    difference form. ``params["x"]`` is the kernel's one float copy of them."""
+    p["x"] = train_x = np.asarray(p["x"], dtype=np.float64)
     train_y = np.asarray(p["y"], dtype=np.float64)
     if train_x.ndim != 2 or train_x.shape[1] != space.width:
         raise _shape_error("knn", "fit rows", train_x.shape, space)
@@ -485,13 +470,11 @@ def _knn_kernel(space: FeatureSpace, p: dict):
         raise ValueError(f"knn model: y must hold one 0/1 label for each of the {n} fit rows")
     if not 1 <= KNN_K <= n:
         raise ValueError(f"knn model: k={KNN_K} is not between 1 and the {n} fit rows")
-    # No matrix-sized temporaries here: they would raise the peak memory of a load.
-    sq = np.einsum("ij,ij->i", train_x, train_x)
-    if (space.kind in _INTEGER_SPACES and sq.max() < 2.0 ** 52
-            and all(np.array_equal(row, np.trunc(row)) for row in train_x)):
-        p["x"] = train_x = np.asfortranarray(train_x)
-        return partial(_knn_by_norms, train_x, sq, train_y, KNN_K, [(None, None)])
-    return partial(_knn_by_difference, train_x, train_y, KNN_K)
+    bits = train_x != 0
+    if not (train_x == bits).all():
+        return partial(_knn_by_difference, train_x, train_y, KNN_K)
+    words = np.ascontiguousarray(_packed(bits).T)
+    return partial(_knn_by_hamming, train_x, words, train_y, KNN_K)
 
 
 def _forest_score(feature, threshold, left, right, vote, roots, steps: int,

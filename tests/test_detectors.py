@@ -18,7 +18,7 @@ from pst_evade.detectors import (
     FeatureSpace,
     Feedback,
     _knn_by_difference,
-    _knn_by_norms,
+    _knn_by_hamming,
     _build_tree,
     _nearest_vote,
     _scalar_sigmoid,
@@ -149,105 +149,86 @@ def _space_of_width(kind, width):
         assignment=tuple((f"api.{i}", i) for i in range(CLUSTER_COUNT))))
 
 
-def _in_width(space, a):
-    """``a``'s rows as the first columns of rows of the space's width."""
-    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, space.width - a.shape[-1])])
-
-
-@pytest.mark.parametrize("space_kind", ["binary", "api_cluster"])
-def test_knn_norm_kernel_matches_difference_form_on_random_rows(monkeypatch, space_kind):
-    rng = np.random.default_rng(5)
-    boundary_ties = 0
-    for _ in range(40):
-        width = int(rng.integers(1, 7))  # few columns: many equal distances
-        rows = int(rng.integers(1, 30))
-        k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
-        monkeypatch.setattr(detectors, "KNN_K", k)
-        space = _space_of_width(space_kind, width)
-        model = DetectorModel(kind="knn", space=space, params={
-            "x": _in_width(space, rng.integers(0, 2, (rows, width)).astype(float)),
-            "y": rng.integers(0, 2, rows).astype(float)})
-        assert model.kernel.func is _knn_by_norms
-        for x in _in_width(space, rng.integers(0, 2, (16, width)).astype(float)):
-            assert confidence_from_dense(model, x) == _reference_knn(model, x)
-            d2 = np.sort(np.sum(np.square(model.params["x"] - x), axis=1))
-            boundary_ties += k < rows and d2[k - 1] == d2[k]
-    assert boundary_ties > 100
-
-
-def test_knn_norm_expansion_is_refused_for_markov_and_fractional_rows(monkeypatch):
-    monkeypatch.setattr(detectors, "KNN_K", 1)
-    # Rows near 1e8 with fractional parts: expanded, ||t||^2 loses the
-    # fractions and the nearer row (index 1) is no longer the nearest.
-    x = np.array([1e8 + 0.3])
-    params = {"x": np.array([[1e8 + 0.5], [1e8 + 0.25]]), "y": np.array([1.0, 0.0])}
-    sq = np.sum(np.square(params["x"]), axis=1)
-    expanded = sq - 2.0 * (params["x"] @ x) + float(x @ x)
-    assert np.argmin(expanded) != 1
-    markov = FeatureSpace("markov")
-    for space in (_binary_space(), markov):
-        model = DetectorModel(kind="knn", space=space,
-                              params={**params, "x": _in_width(space, params["x"])})
-        assert model.kernel.func is _knn_by_difference
-        row = _in_width(space, x)
-        assert confidence_from_dense(model, row) == _reference_knn(model, row) == 0.0
-    # Small fractional rows in a binary space, and integer rows in a Markov
-    # space, keep the difference form too.
-    small = {"x": np.array([[0.0], [0.25]]), "y": np.array([1.0, 0.0])}
-    whole = {"x": np.array([[0.0], [1.0]]), "y": np.array([1.0, 0.0])}
-    for space, params, kernel in ((_binary_space(), small, _knn_by_difference),
-                                  (markov, whole, _knn_by_difference),
-                                  (_binary_space(), whole, _knn_by_norms)):
-        model = DetectorModel(kind="knn", space=space,
-                              params={**params, "x": _in_width(space, params["x"])})
-        assert model.kernel.func is kernel
-
-
-def _knn_memory(model):
-    """The kNN kernel's remembered (row, d2) pair."""
-    return model.kernel.args[-1][0]
-
-
-def _drift(rng, row, low, high):
-    """``row`` with one to three columns moved up or down, within [low, high]."""
+def _flip(rng, row):
+    """0/1 ``row`` with one to three of its columns flipped."""
     out = row.copy()
     cols = rng.choice(len(row), size=int(rng.integers(1, 4)), replace=False)
-    out[cols] = np.clip(out[cols] + rng.choice([-2.0, -1.0, 1.0, 2.0], len(cols)), low, high)
+    out[cols] = 1.0 - out[cols]
     return out
 
 
-@pytest.mark.parametrize("low, high", [(0, 1), (-3, 4)])
-def test_knn_remembered_distances_match_difference_form_on_row_sequences(monkeypatch, low,
-                                                                         high):
-    # Two streams drift from one start, a few columns per step, and are asked
-    # about in turns: each row differs from the last one asked about a little
-    # (its own stream's previous row came two calls earlier) or a lot.
-    rng = np.random.default_rng(17)
-    boundary_ties = remembered = 0
+def _random_0_1(rng, shape, density):
+    return (rng.random(shape) < density).astype(float)
+
+
+@pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 526])
+def test_knn_hamming_distances_equal_the_difference_form_across_word_boundaries(monkeypatch,
+                                                                                width):
+    # Widths on both sides of a 64-bit word and the stock binary width. Sparse
+    # rows keep many equal distances even at 526 columns.
+    seen = []
+    nearest_vote = detectors._nearest_vote
+    monkeypatch.setattr(detectors, "_nearest_vote",
+                        lambda d2, y, k: seen.append(d2) or nearest_vote(d2, y, k))
+    rng = np.random.default_rng(width)
+    boundary_ties = 0
     for _ in range(30):
-        width = int(rng.integers(4, 13))
-        rows = int(rng.integers(8, 40))
+        rows = int(rng.integers(1, 40))
         k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= rows]))
         monkeypatch.setattr(detectors, "KNN_K", k)
-        model = DetectorModel(kind="knn", space=_space_of_width("binary", width),
-                              params={"x": rng.integers(low, high + 1, (rows, width)).astype(float),
-                                      "y": rng.integers(0, 2, rows).astype(float)})
-        assert model.kernel.func is _knn_by_norms
-        streams = [rng.integers(low, high + 1, width).astype(float)] * 2
-        last = None
-        for step in range(60):
-            s = step % 2 if rng.random() < 0.7 else int(rng.integers(0, 2))
-            streams[s] = x = _drift(rng, streams[s], low, high)
+        density = float(rng.choice([0.02, 0.1, 0.5]))
+        model = DetectorModel(kind="knn", space=_space_of_width("binary", width), params={
+            "x": _random_0_1(rng, (rows, width), density),
+            "y": rng.integers(0, 2, rows).astype(float)})
+        assert model.kernel.func is _knn_by_hamming
+        for x in _random_0_1(rng, (16, width), density):
             assert confidence_from_dense(model, x) == _reference_knn(model, x)
             d2 = np.sum(np.square(model.params["x"] - x), axis=1)
-            row, kept = _knn_memory(model)
-            assert np.array_equal(row, x) and kept.tobytes() == d2.tobytes()
-            remembered += last is not None and np.count_nonzero(x != last) <= width / 4
-            last = x
+            assert np.array_equal(seen.pop(), d2)
             d2 = np.sort(d2)
             boundary_ties += k < rows and d2[k - 1] == d2[k]
-    assert remembered > 200
     assert boundary_ties > 100
+
+
+def test_knn_hamming_kernel_answers_rows_not_0_1_by_the_difference_form(monkeypatch):
+    rng = np.random.default_rng(2)
+    model = DetectorModel(kind="knn", space=_space_of_width("binary", 70),
+                          params={"x": _random_0_1(rng, (20, 70), 0.3),
+                                  "y": rng.integers(0, 2, 20).astype(float)})
+    assert model.kernel.func is _knn_by_hamming
+    asked = []
+    by_difference = detectors._knn_by_difference
+    monkeypatch.setattr(detectors, "_knn_by_difference",
+                        lambda *args: asked.append(args[-1]) or by_difference(*args))
+    x = _random_0_1(rng, 70, 0.3)
+    for col, value in ((0, 0.5), (3, -0.25), (65, np.nan), (2, np.inf), (69, -np.inf),
+                       (4, 2.0), (1, -1.0), (5, -0.0), (6, 1.0)):
+        other = x.copy()
+        other[col] = value
+        with np.errstate(invalid="ignore"):
+            assert confidence_from_dense(model, other) == _reference_knn(model, other)
+        # -0.0 is a 0 and keeps the Hamming distance.
+        assert [a is other for a in asked] == ([] if value in (0.0, 1.0) else [True])
+        asked.clear()
+
+
+@pytest.mark.parametrize("space_kind", ["binary", "api_cluster", "markov"])
+def test_knn_kernel_is_chosen_by_the_fit_rows(monkeypatch, space_kind):
+    monkeypatch.setattr(detectors, "KNN_K", 5)
+    rng = np.random.default_rng(9)
+    space = FeatureSpace("markov") if space_kind == "markov" else _space_of_width(space_kind, 24)
+    shape = (30, space.width)
+    zero_one = _random_0_1(rng, shape, 0.2)
+    integers = rng.integers(-3, 5, shape).astype(float)
+    markov = rng.random(shape)
+    markov /= markov.sum(axis=1, keepdims=True)  # fractional rows, as Markov rows are
+    for fit, kernel in ((zero_one, _knn_by_hamming), (integers, _knn_by_difference),
+                        (markov, _knn_by_difference)):
+        model = DetectorModel(kind="knn", space=space,
+                              params={"x": fit, "y": rng.integers(0, 2, 30).astype(float)})
+        assert model.kernel.func is kernel
+        for x in np.concatenate([zero_one[:4], integers[:4], markov[:4]]):
+            assert confidence_from_dense(model, x) == _reference_knn(model, x)
 
 
 def test_nearest_vote_equals_a_full_lexsort_with_ties_and_non_finite_distances():
@@ -265,58 +246,31 @@ def test_nearest_vote_equals_a_full_lexsort_with_ties_and_non_finite_distances()
 def test_knn_answer_of_a_row_does_not_depend_on_the_row_before(monkeypatch):
     monkeypatch.setattr(detectors, "KNN_K", 5)
     rng = np.random.default_rng(21)
-    # 24 columns: two rows that each moved at most 3 from the base differ in
-    # at most a quarter of them.
-    params = {"x": rng.integers(-2, 3, (25, 24)).astype(float),
-              "y": rng.integers(0, 2, 25).astype(float)}
-    base = rng.integers(-2, 3, 24).astype(float)
-    rows = [base] + [_drift(rng, base, -2, 2) for _ in range(12)]
-    model = DetectorModel(kind="knn", space=_space_of_width("api_cluster", 24),
-                          params=params)
+    params = {"x": _random_0_1(rng, (25, 70), 0.2), "y": rng.integers(0, 2, 25).astype(float)}
+    base = _random_0_1(rng, 70, 0.2)
+    rows = [base] + [_flip(rng, base) for _ in range(12)]
+    rows += [np.where(base == 1, 0.5, base), np.full(70, np.nan)]
+    model = DetectorModel(kind="knn", space=_space_of_width("binary", 70), params=params)
     for x in rows:
-        alone = DetectorModel(kind="knn", space=_space_of_width("api_cluster", 24),
-                              params=params)
+        alone = DetectorModel(kind="knn", space=_space_of_width("binary", 70), params=params)
         answer = confidence_from_dense(alone, x)
+        assert answer == _reference_knn(model, x)
         for before in rows:
             confidence_from_dense(model, before)
-            assert confidence_from_dense(model, x) == answer == _reference_knn(model, x)
-            assert _knn_memory(model)[1].tobytes() == _knn_memory(alone)[1].tobytes()
+            assert confidence_from_dense(model, x) == answer
 
 
-def test_knn_fractional_non_finite_and_large_rows_leave_the_remembered_row():
-    rng = np.random.default_rng(2)
-    model = DetectorModel(kind="knn", space=_space_of_width("binary", 6),
-                          params={"x": rng.integers(0, 2, (20, 6)).astype(float),
-                                  "y": rng.integers(0, 2, 20).astype(float)})
-    x = rng.integers(0, 2, 6).astype(float)
-    confidence_from_dense(model, x)
-    kept = _knn_memory(model)
-    for col, value in ((0, 0.5), (3, -0.25), (5, np.nan), (2, np.inf), (1, -np.inf),
-                       (4, 2.0 ** 25)):
-        other = x.copy()
-        other[col] = value
-        with np.errstate(invalid="ignore"):
-            answer = confidence_from_dense(model, other)
-        if np.isfinite(value) and value < 1:  # exact in both forms
-            assert answer == _reference_knn(model, other)
-        assert _knn_memory(model) is kept
-    # The row after them is scored from the remembered one as before.
-    other = x.copy()
-    other[0] = 1.0 - other[0]
-    assert confidence_from_dense(model, other) == _reference_knn(model, other)
-    assert np.array_equal(_knn_memory(model)[0], other)
-    # The kernel remembers a copy: writing to the row after asking leaves it.
-    other[1] = 1.0 - other[1]
-    confidence_from_dense(model, other)
-    d2 = np.sum(np.square(model.params["x"] - other), axis=1)
-    assert _knn_memory(model)[1].tobytes() == d2.tobytes()
-
-
-def test_knn_norm_kernel_holds_its_fit_rows_once_column_major():
+def test_knn_kernel_keeps_params_x_as_its_one_float_copy():
     model = train("knn", *_separable_rows(), seed=3)
-    assert model.kernel.func is _knn_by_norms
-    assert model.kernel.args[0] is model.params["x"]
-    assert model.params["x"].flags.f_contiguous
+    by_hand = DetectorModel(kind="knn", space=_binary_space(("a", "b")),
+                            params={"x": np.array([[0, 1], [1, 0], [1, 1]]),
+                                    "y": np.array([0.0, 1.0, 1.0])})
+    for m in (model, by_hand):
+        assert m.kernel.func is _knn_by_hamming
+        assert m.params["x"].dtype == np.float64
+        floats = [a for a in m.kernel.args
+                  if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2]
+        assert len(floats) == 1 and floats[0] is m.params["x"]
 
 
 def _random_tree(rng, width, depth):
@@ -476,7 +430,7 @@ class _KernelCheckingOracle:
 
 
 def test_kernels_match_references_on_every_attack_query(small_corpus, stock_ensemble):
-    assert {m.kernel.func for m in stock_ensemble.members if m.kind == "knn"} == {_knn_by_norms}
+    assert {m.kernel.func for m in stock_ensemble.members if m.kind == "knn"} == {_knn_by_hamming}
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     _, test = small_corpus.train_test_split()
     targets = select_true_positives(stock_ensemble,
