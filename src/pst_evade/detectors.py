@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import (fields_of, fixed, flag, integer, items, number, numbers, obj, only,
                       read_document, string, strings)
-from .corpus import API_FAMILY_COUNT, ApkModel
+from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
     ApiClusterMap,
@@ -38,7 +38,6 @@ from .features import (
 
 DETECTOR_KINDS = ("linear", "mlp", "knn", "forest", "ensemble")
 FEATURE_KINDS = ("binary", "markov", "api_cluster")
-LABELS = ("benign", "malicious")
 
 # Version of the model JSON layout; files of any other version are refused.
 MODEL_FORMAT = 4
@@ -254,7 +253,7 @@ def _scalar_sigmoid(z: float) -> float:
 
 def _encode_labels(labels: Sequence[str]) -> np.ndarray:
     for lab in labels:
-        if lab not in LABELS:
+        if lab not in GROUND_TRUTHS:
             raise ValueError(f"unknown label: {lab}")
     return np.array([1.0 if lab == "malicious" else 0.0 for lab in labels])
 
@@ -301,7 +300,7 @@ def _train_mlp(x: np.ndarray, y: np.ndarray, seed: int) -> dict:
         new_params = []
         for i, (param, g) in enumerate(zip([w1, b1, w2, b2], grads)):
             ms[i] = beta1 * ms[i] + (1 - beta1) * g
-            vs[i] = beta2 * vs[i] + (1 - beta2) * (g * g if i == 3 else np.square(g))
+            vs[i] = beta2 * vs[i] + (1 - beta2) * np.square(g)
             mhat = ms[i] / (1 - beta1 ** t)
             vhat = vs[i] / (1 - beta2 ** t)
             new_params.append(param - MLP_LR * mhat / (np.sqrt(vhat) + eps))

@@ -117,8 +117,7 @@ def build_vocab(apks: Iterable[ApkModel]) -> tuple[str, ...]:
 class ApiColumns(dict):
     """Api-call tuple -> the row columns its api calls set, as a read-only intp
     array, built on the tuple's first use by ``columns_of``. A build that raises
-    stores nothing, so the same tuple raises again on its next use. Threads may
-    share one: two that build the same tuple at once store equal arrays."""
+    stores nothing, so the same tuple raises again on its next use."""
 
     def __init__(self, columns_of: Callable[[tuple[str, ...]], np.ndarray]):
         super().__init__()

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
-from .catalog import fields_of, integer, integers, items, number, string, strings
+from .catalog import fields_of, integer, integers, items, number, only, string, strings
 from .corpus import GROUND_TRUTHS, ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
@@ -408,10 +408,12 @@ def save_report(report: MetricsReport, out_dir: str | Path) -> Path:
 
 
 def rows_from_dict(doc: dict) -> list[dict]:
-    """The rows of a report document, as ``run_experiment`` made them. A row of
-    the wrong length, a value of the wrong JSON type, an unknown outcome or a
-    second row of one (detector, algorithm, budget, seed, sample_id) is a
-    ValueError naming the row and the column or the earlier row."""
+    """The rows of a report document, as ``run_experiment`` made them. A key
+    other than ``format``, ``config``, ``columns`` and ``rows``, a row of the
+    wrong length, a value of the wrong JSON type, an unknown outcome or a second
+    row of one (detector, algorithm, budget, seed, sample_id) is a ValueError
+    naming the key, or the row and the column or the earlier row."""
+    only(doc, ("format", "config", "columns", "rows"), "report")
     if strings(doc["columns"], "columns") != tuple(REPORT_COLUMNS):
         raise ValueError(f"columns are not {', '.join(REPORT_COLUMNS)}")
     rows, first = [], {}

@@ -115,21 +115,22 @@ class PerturbationSet:
 
 
 def keyword_extract(kind: str, payload) -> list[str]:
-    """Semantic keywords of a manifest perturbation's payload name."""
-    if kind == "permission":
-        name = payload.name
-    elif kind in INTENT_KINDS:
-        name = payload
-    elif kind == "uses_feature":
-        name = payload
-        for prefix in _FEATURE_PREFIXES:
-            if name.startswith(prefix):
-                return name[len(prefix):].split(".")
-        raise ValueError(f"feature name lacks a known prefix: {name}")
+    """Semantic keywords of a manifest perturbation's payload name: the non-empty
+    tokens after a feature's prefix split at dots, or of any other name's last
+    segment split at underscores and upper-cased. None is a ValueError."""
+    name = payload.name if kind == "permission" else payload
+    if kind == "uses_feature":
+        prefix = next((p for p in _FEATURE_PREFIXES if name.startswith(p)), None)
+        if prefix is None:
+            raise ValueError(f"feature name lacks a known prefix: {name}")
+        tokens = name[len(prefix):].split(".")
+    elif kind == "permission" or kind in INTENT_KINDS:
+        tokens = [tok.upper() for tok in name.rsplit(".", 1)[-1].split("_")]
     else:
         raise ValueError(f"no keywords for perturbation kind: {kind}")
-    segment = name.rsplit(".", 1)[-1]
-    return [tok.upper() for tok in segment.split("_") if tok]
+    if not (keywords := [tok for tok in tokens if tok]):
+        raise ValueError(f"{kind} name yields no keywords: {name}")
+    return keywords
 
 
 def keyword_similarity(c_i: PerturbationGroup, c_j: PerturbationGroup) -> float:

@@ -20,24 +20,23 @@ PENALTY_CONSTANT = 0.1
 class PSTree:
     """A selection tree; one copy per attack. Copies share the shape: ``labels``,
     ``parents`` (-1 at the root) and ``groups`` (None at internal nodes). Each
-    owns its state: the surviving ``children`` of each internal node, their
-    ``probs``, and the surviving ``leaf_counts`` below each node."""
+    owns its state: ``probs`` maps each internal node to its surviving children,
+    in the fixed child order, and each child to its selection probability;
+    ``leaf_counts`` holds the surviving leaves below each node."""
 
     labels: tuple[str, ...]
     parents: tuple[int, ...]
     groups: tuple[PerturbationGroup | None, ...]
-    children: dict[int, list[int]]
-    probs: dict[int, list[float]]
+    probs: dict[int, dict[int, float]]
     leaf_counts: list[int]
 
     def copy(self) -> PSTree:
         """A tree of the same shape with its own copy of the state."""
-        return replace(self, children={n: list(c) for n, c in self.children.items()},
-                       probs={n: list(p) for n, p in self.probs.items()},
+        return replace(self, probs={n: dict(p) for n, p in self.probs.items()},
                        leaf_counts=list(self.leaf_counts))
 
     def is_empty(self) -> bool:
-        return not self.children[0]
+        return not self.probs[0]
 
     def depth(self, node: int) -> int:
         d = 0
@@ -51,11 +50,11 @@ class PSTree:
         return [n for n, g in enumerate(self.groups) if g is not None and self.leaf_counts[n]]
 
 
-def _normalize(probs: list[float]) -> list[float]:
-    total = sum(probs)
+def _normalize(weights: dict[int, float]) -> dict[int, float]:
+    total = sum(weights.values())
     if total <= 0:
-        return [1.0 / len(probs)] * len(probs)
-    return [p / total for p in probs]
+        return dict.fromkeys(weights, 1.0 / len(weights))
+    return {c: w / total for c, w in weights.items()}
 
 
 def _first_layer(tree: PSTree, node: int) -> int:
@@ -68,41 +67,41 @@ def _first_layer(tree: PSTree, node: int) -> int:
 def _init_leaf_parent(tree: PSTree, node: int) -> None:
     # Children are leaf groups. Code-side leaves are uniform; manifest-side
     # leaves are weighted by the normal density at each group's size.
-    sizes = [len(tree.groups[c].members) for c in tree.children[node]]
-    mu = sum(sizes) / len(sizes)
-    var = sum((s - mu) ** 2 for s in sizes) / len(sizes)
+    sizes = {c: len(tree.groups[c].members) for c in tree.probs[node]}
+    mu = sum(sizes.values()) / len(sizes)
+    var = sum((s - mu) ** 2 for s in sizes.values()) / len(sizes)
     if var == 0.0 or tree.labels[_first_layer(tree, node)] == "code":
-        tree.probs[node] = [1.0 / len(sizes)] * len(sizes)
+        tree.probs[node] = dict.fromkeys(sizes, 1.0 / len(sizes))
         return
     sigma = math.sqrt(var)
-    tree.probs[node] = _normalize([
-        math.exp(-((s - mu) ** 2) / (2 * var)) / (sigma * math.sqrt(2 * math.pi))
-        for s in sizes
-    ])
+    tree.probs[node] = _normalize({
+        c: math.exp(-((s - mu) ** 2) / (2 * var)) / (sigma * math.sqrt(2 * math.pi))
+        for c, s in sizes.items()
+    })
 
 
 def _reinit_internal(tree: PSTree, node: int) -> None:
     # Weighted by inverse surviving-leaf count: the sparser branch is likelier.
-    tree.probs[node] = _normalize([1.0 / tree.leaf_counts[c] for c in tree.children[node]])
+    tree.probs[node] = _normalize({c: 1.0 / tree.leaf_counts[c] for c in tree.probs[node]})
 
 
 def init_probabilities(tree: PSTree) -> PSTree:
     """Assign all selection probabilities per the initialization rules."""
-    kids = tree.children[0]
+    kids = tree.probs[0]
     if not kids:
         return tree
-    tree.probs[0] = [1.0 / len(kids)] * len(kids)
+    tree.probs[0] = dict.fromkeys(kids, 1.0 / len(kids))
 
     stack = list(kids)
     while stack:
         node = stack.pop()
         if tree.groups[node] is not None:
             continue
-        if tree.groups[tree.children[node][0]] is not None:
+        if tree.groups[next(iter(tree.probs[node]))] is not None:
             _init_leaf_parent(tree, node)
         else:
             _reinit_internal(tree, node)
-            stack.extend(tree.children[node])
+            stack.extend(tree.probs[node])
     return tree
 
 
@@ -117,15 +116,15 @@ def build_tree(groups) -> PSTree:
         by_path.setdefault(leaf_path(g), []).append(g)
 
     shape: list[tuple[str, int, PerturbationGroup | None]] = []  # label, parent, group
-    children: dict[int, list[int]] = {}
+    probs: dict[int, dict[int, float]] = {}  # filled in by init_probabilities
 
     def add(label: str, parent: int, group: PerturbationGroup | None = None) -> int:
         node = len(shape)
         shape.append((label, parent, group))
         if parent >= 0:
-            children[parent].append(node)
+            probs[parent][node] = 0.0
         if group is None:
-            children[node] = []
+            probs[node] = {}
         return node
 
     prefixes = {path[:i] for path in by_path for i in range(1, len(path) + 1)}
@@ -144,7 +143,7 @@ def build_tree(groups) -> PSTree:
     counts = [0 if g is None else 1 for g in leaf_groups]
     for node in range(len(counts) - 1, 0, -1):  # children before their parents
         counts[parents[node]] += counts[node]
-    return init_probabilities(PSTree(labels, parents, leaf_groups, children, {}, counts))
+    return init_probabilities(PSTree(labels, parents, leaf_groups, probs, counts))
 
 
 def sample_path(tree: PSTree, rng: random.Random) -> int:
@@ -156,14 +155,11 @@ def sample_path(tree: PSTree, rng: random.Random) -> int:
     while tree.groups[node] is None:
         r = rng.random()
         acc = 0.0
-        kids = tree.children[node]
-        chosen = kids[-1]
-        for child, p in zip(kids, tree.probs[node]):
+        for child, p in tree.probs[node].items():  # falls through to the last child
             acc += p
             if r < acc:
-                chosen = child
                 break
-        node = chosen
+        node = child
     return node
 
 
@@ -182,26 +178,23 @@ def delete_leaf_and_transfer(tree: PSTree, leaf: int) -> int | None:
     deletion emptied the whole tree.
     """
     node = _check_leaf(tree, leaf)
-    parents, children = tree.parents, tree.children
+    parents, probs = tree.parents, tree.probs
     n = node
     while n >= 0:
         tree.leaf_counts[n] -= 1
         n = parents[n]
-    while parents[node] >= 0 and len(children[parents[node]]) == 1:
+    while parents[node] >= 0 and len(probs[parents[node]]) == 1:
         node = parents[node]
     parent = parents[node]
     if parent < 0:
         # node is the root: the tree is now empty.
-        children[0] = []
-        tree.probs[0] = []
+        probs[0].clear()
         return None
-    kids, probs = children[parent], tree.probs[parent]
-    idx = kids.index(node)
-    del kids[idx]
-    freed = probs.pop(idx)
-    share = freed / len(kids)
+    siblings = probs[parent]
+    share = siblings.pop(node) / len(siblings)
     # Clamp: the equal split can overshoot 1.0 by an ulp when one sibling remains.
-    tree.probs[parent] = [min(1.0, max(0.0, p + share)) for p in probs]
+    for c, p in siblings.items():
+        siblings[c] = min(1.0, max(0.0, p + share))
     return parent
 
 
@@ -232,16 +225,15 @@ def adjust(tree: PSTree, leaf: int, y_prev: float, y_new: float) -> PSTree:
         _reinit_internal(tree, parent)
         if no_effect:
             probs = tree.probs[parent]
-            probs[tree.children[parent].index(p)] *= 1.0 - depth * PENALTY_CONSTANT
+            probs[p] *= 1.0 - depth * PENALTY_CONSTANT
             tree.probs[parent] = _normalize(probs)
         p = parent
         depth -= 1
 
-    root_kids = tree.children[0]
-    if first_layer in root_kids:
-        probs = tree.probs[0]
-        probs[root_kids.index(first_layer)] *= 0.5
-        tree.probs[0] = _normalize(probs)
+    root = tree.probs[0]
+    if first_layer in root:
+        root[first_layer] *= 0.5
+        tree.probs[0] = _normalize(root)
     return tree
 
 
@@ -250,17 +242,17 @@ def validate_probabilities(tree: PSTree) -> None:
     stack = [0]
     while stack:
         node = stack.pop()
-        kids = tree.children.get(node)
-        if not kids:
+        probs = tree.probs.get(node)
+        if not probs:
             continue
         where = f"{tree.labels[node]}#{node}"
-        total = sum(tree.probs[node])
+        total = sum(probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities under {where} sum to {total!r}")
-        for p in tree.probs[node]:
+        for p in probs.values():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of range under {where}: {p!r}")
-        stack.extend(kids)
+        stack.extend(probs)
 
 
 def tree_to_dict(tree: PSTree) -> dict:
@@ -276,8 +268,7 @@ def tree_to_dict(tree: PSTree) -> dict:
                             "keywords": sorted(group.keywords),
                             "members": [m.key for m in group.members]}
         else:
-            doc["children"] = [node_doc(c, depth + 1, p)
-                               for c, p in zip(tree.children[node], tree.probs[node])]
+            doc["children"] = [node_doc(c, depth + 1, p) for c, p in tree.probs[node].items()]
         return doc
 
     return {"leaf_count": tree.leaf_counts[0], "root": node_doc(0, 0, None)}

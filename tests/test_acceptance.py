@@ -13,6 +13,7 @@ from test_pstree import (
     child_probs,
     feature_group,
     find,
+    first_child,
     inject_group,
     perm_groups,
     rewalk_leaf_counts,
@@ -191,7 +192,7 @@ def test_sampling_fidelity_chi_square(verdict):
         p = 1.0
         while tree.parents[node] >= 0:
             parent = tree.parents[node]
-            p *= tree.probs[parent][tree.children[parent].index(node)]
+            p *= tree.probs[parent][node]
             node = parent
         return p
 
@@ -228,16 +229,16 @@ def test_adjustment_worked_examples(verdict):
 
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    before = (list(tree.probs[0]), list(tree.probs[find(tree, "manifest")]),
-              list(tree.probs[find(tree, "uses_feature")]))
-    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.4)
+    before = (dict(tree.probs[0]), dict(tree.probs[find(tree, "manifest")]),
+              dict(tree.probs[find(tree, "uses_feature")]))
+    adjust(tree, first_child(tree, hardware), y_prev=0.9, y_new=0.4)
     after = (tree.probs[0], tree.probs[find(tree, "manifest")],
              tree.probs[find(tree, "uses_feature")])
     checks.append(("improvement deletes only", before == after
-                   and tree.probs[hardware] == [1.0]))
+                   and list(tree.probs[hardware].values()) == [1.0]))
 
     tree = _policy_tree()
-    adjust(tree, tree.children[find(tree, "hardware")][0], y_prev=0.9, y_new=0.9)
+    adjust(tree, first_child(tree, find(tree, "hardware")), y_prev=0.9, y_new=0.9)
     uf = child_probs(tree, find(tree, "uses_feature"))
     man = child_probs(tree, find(tree, "manifest"))
     root = child_probs(tree, 0)
@@ -249,7 +250,7 @@ def test_adjustment_worked_examples(verdict):
                    root == pytest.approx({"manifest": 1 / 3, "code": 2 / 3})))
 
     tree = _policy_tree()
-    adjust(tree, tree.children[find(tree, "hardware")][0], y_prev=0.5, y_new=0.9)
+    adjust(tree, first_child(tree, find(tree, "hardware")), y_prev=0.5, y_new=0.9)
     checks.append(("worsening reinitializes without penalty",
                    child_probs(tree, find(tree, "uses_feature")) == pytest.approx(
                        {"hardware": 0.5, "software": 0.5})

@@ -680,6 +680,14 @@ _PROBES = {
                                lambda d: d["malicious"][0].update(id=d["benign"][0]["id"])),
     "report-repeated-row": ("--reports", "bench_out/report.json",
                             lambda d: d["rows"].insert(1, list(d["rows"][0]))),
+    # A keyword-less category loaded as a group; a keyword-less permission
+    # failed with an error that named no perturbation.
+    "pset-lone-category-without-keywords": ("--pset", None, {
+        "format": 6,
+        "perturbations": [{"kind": "category", "payload": "android.intent.category."}]}),
+    "pset-permission-without-keywords": ("--pset", "pset.json",
+                                         lambda d: _first_permission(d)["payload"].update(
+                                             name="com.x.")),
     # Each of these named its missing key without its path in the space.
     "model-space-without-kind": ("--model", "model.json", lambda d: d["space"].pop("kind")),
     "model-cluster-map-without-count": ("--model", "model.json",
@@ -715,6 +723,7 @@ _PROBES = {
                                                 bogus=1)),
     "pset-payload-unknown-key": ("--pset", "pset.json",
                                  lambda d: _first_payload(d).update(bogus=1)),
+    "report-unknown-key": ("--reports", "bench_out/report.json", lambda d: d.update(bogus=1)),
 }
 
 # case -> the part of its message that names the field or the fault.
@@ -781,6 +790,10 @@ _PROBE_FIELDS = {
     "corpus-repeated-app-id": "app b000: id is not unique",
     "report-repeated-row": (
         "row 1 repeats row 0: one attack per detector, algorithm, budget, seed and sample_id"),
+    "report-unknown-key": "report: unknown key 'bogus'",
+    "pset-lone-category-without-keywords": (
+        "category name yields no keywords: android.intent.category."),
+    "pset-permission-without-keywords": "permission name yields no keywords: com.x.",
     "model-space-without-kind": "linear model: missing key 'space.kind'",
     "model-cluster-map-without-count": (
         "linear model: missing key 'space.cluster_map.cluster_count'"),

@@ -71,6 +71,23 @@ def test_unknown_feature_prefix_rejected():
         keyword_extract("uses_feature", "com.oem.fancy")
 
 
+def test_empty_tokens_are_dropped():
+    assert keyword_extract("uses_feature", "android.hardware.audio..pro") == ["audio", "pro"]
+    assert keyword_extract("category", "android.intent.category.__INFO_") == ["INFO"]
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("uses_feature", "android.hardware."),
+    ("category", "android.intent.category."),
+    ("broadcast_action", "android.intent.action.__"),
+    ("permission", Permission("com.x.", "normal")),
+])
+def test_a_name_without_keywords_is_refused_naming_it(kind, payload):
+    name = getattr(payload, "name", payload)
+    with pytest.raises(ValueError, match=f"^{kind} name yields no keywords: {name}$"):
+        keyword_extract(kind, payload)
+
+
 # ---------------------------------------------------------------------------
 # Keyword similarity
 

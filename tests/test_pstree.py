@@ -53,7 +53,11 @@ def inject_group(idx=0, kind="inject_service"):
 
 
 def child_probs(tree, node):
-    return {tree.labels[c]: p for c, p in zip(tree.children[node], tree.probs[node])}
+    return {tree.labels[c]: p for c, p in tree.probs[node].items()}
+
+
+def first_child(tree, node):
+    return next(iter(tree.probs[node]))
 
 
 def find(tree, label):
@@ -77,7 +81,7 @@ def rewalk_leaf_counts(tree):
         if tree.groups[node] is not None:
             counts[node] = 1
         else:
-            counts[node] = sum(walk(c) for c in tree.children[node])
+            counts[node] = sum(walk(c) for c in tree.probs[node])
         return counts[node]
 
     walk(0)
@@ -91,8 +95,8 @@ def rewalk_leaf_counts(tree):
 def test_full_tree_structure(full_pset):
     tree = build_tree(full_pset.groups)
     validate_probabilities(tree)
-    assert [tree.labels[c] for c in tree.children[0]] == ["manifest", "code"]
-    assert tree.probs[0] == [0.5, 0.5]
+    assert [tree.labels[c] for c in tree.probs[0]] == ["manifest", "code"]
+    assert list(tree.probs[0].values()) == [0.5, 0.5]
     assert tree.leaf_counts[0] == len(full_pset.groups)
     assert tree.leaf_counts == rewalk_leaf_counts(tree)
     assert all(tree.parents[n] < n for n in range(1, len(tree.parents)))  # preorder
@@ -127,10 +131,30 @@ def test_copy_owns_its_state_and_shares_the_shape(full_pset):
     assert tree_to_dict(reference) == before
 
 
+def test_copy_is_independent_of_its_source_on_every_branch(full_pset):
+    # Each adjust branch (improved, no effect, worse) and deletion cascades
+    # that empty the copy leave the source as built. Every fifth group spans
+    # the tree's buckets, so emptying them cascades.
+    reference = build_tree(full_pset.groups[::5])
+    before, counts = tree_to_dict(reference), list(reference.leaf_counts)
+    tree = reference.copy()
+    rng = random.Random(8)
+    for y_new in (0.1, 0.5, 0.9) * 10:
+        adjust(tree, sample_path(tree, rng), 0.5, y_new)
+    cascades = 0
+    while not tree.is_empty():
+        leaf = sample_path(tree, rng)
+        absorbing = delete_leaf_and_transfer(tree, leaf)
+        cascades += absorbing is not None and absorbing != tree.parents[leaf]
+    assert cascades > 0
+    assert tree_to_dict(reference) == before
+    assert reference.leaf_counts == counts
+
+
 def test_manifest_only_tree_prunes_code():
     tree = build_tree(perm_groups("normal", 3))
-    assert [tree.labels[c] for c in tree.children[0]] == ["manifest"]
-    assert tree.probs[0] == [1.0]
+    assert [tree.labels[c] for c in tree.probs[0]] == ["manifest"]
+    assert list(tree.probs[0].values()) == [1.0]
     assert "code" not in tree.labels
 
 
@@ -138,8 +162,8 @@ def test_single_group_chain_has_unit_probabilities():
     tree = build_tree(perm_groups("normal", 1))
     node = 0
     while tree.groups[node] is None:
-        assert tree.probs[node] == [1.0]
-        node = tree.children[node][0]
+        assert list(tree.probs[node].values()) == [1.0]
+        node = first_child(tree, node)
 
 
 def test_zero_groups_rejected():
@@ -157,7 +181,7 @@ def test_internal_weights_inverse_leaf_counts():
 
 def test_equal_size_manifest_leaves_are_uniform():
     tree = build_tree(perm_groups("normal", 3, size=5))
-    assert tree.probs[find(tree, "normal")] == pytest.approx([1 / 3] * 3)
+    assert list(tree.probs[find(tree, "normal")].values()) == pytest.approx([1 / 3] * 3)
 
 
 def test_manifest_leaf_normal_density_weights():
@@ -167,14 +191,14 @@ def test_manifest_leaf_normal_density_weights():
               feature_group("hardware", 5, "beta"),
               feature_group("hardware", 9, "gamma")]
     tree = build_tree(groups)
-    assert tree.probs[find(tree, "hardware")] == pytest.approx(
+    assert list(tree.probs[find(tree, "hardware")].values()) == pytest.approx(
         [0.2428953111403593, 0.5142093777192815, 0.2428953111403593], abs=1e-12)
 
 
 def test_code_leaves_are_uniform():
     groups = [inject_group(i) for i in range(4)]
     tree = build_tree(groups)
-    assert tree.probs[find(tree, "service")] == pytest.approx([0.25] * 4)
+    assert list(tree.probs[find(tree, "service")].values()) == pytest.approx([0.25] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +221,14 @@ def test_sampled_path_is_parent_chain(full_pset):
         path = path_to(tree, sample_path(tree, rng))
         assert path[0] == 0 and tree.groups[path[-1]] is not None
         for a, b in zip(path, path[1:]):
-            assert b in tree.children[a]
+            assert b in tree.probs[a]
 
 
 def test_sampling_matches_probabilities():
     tree = build_tree(perm_groups("normal", 2))
     bucket = find(tree, "normal")
-    tree.probs[bucket] = [0.8, 0.2]
-    leaf_ids = tree.children[bucket]
+    leaf_ids = list(tree.probs[bucket])
+    tree.probs[bucket] = dict(zip(leaf_ids, [0.8, 0.2]))
     rng = random.Random(123)
     counts = {i: 0 for i in leaf_ids}
     n = 100_000
@@ -237,12 +261,13 @@ def test_sampling_empty_tree_raises():
 def test_delete_splits_probability_equally():
     tree = build_tree(perm_groups("normal", 3))
     bucket = find(tree, "normal")
-    tree.probs[bucket] = [0.5, 0.3, 0.2]
-    victim = tree.children[bucket][1]
+    leaf_ids = list(tree.probs[bucket])
+    tree.probs[bucket] = dict(zip(leaf_ids, [0.5, 0.3, 0.2]))
+    victim = leaf_ids[1]
     absorbing = delete_leaf_and_transfer(tree, victim)
     assert absorbing == bucket
-    assert tree.probs[bucket] == pytest.approx([0.65, 0.35])
-    assert victim not in tree.children[bucket]
+    assert list(tree.probs[bucket].values()) == pytest.approx([0.65, 0.35])
+    assert victim not in tree.probs[bucket]
     assert tree.leaf_counts[victim] == 0
 
 
@@ -250,12 +275,12 @@ def test_delete_only_child_cascades_upward():
     groups = perm_groups("normal", 1, tag="N") + perm_groups("signature", 1, tag="S")
     tree = build_tree(groups)
     normal = find(tree, "normal")
-    leaf = tree.children[normal][0]
+    leaf = first_child(tree, normal)
     absorbing = delete_leaf_and_transfer(tree, leaf)
     assert tree.labels[absorbing] == "permission"
     assert tree.leaf_counts[normal] == tree.leaf_counts[leaf] == 0
-    assert [tree.labels[c] for c in tree.children[absorbing]] == ["signature"]
-    assert tree.probs[absorbing] == [1.0]
+    assert [tree.labels[c] for c in tree.probs[absorbing]] == ["signature"]
+    assert list(tree.probs[absorbing].values()) == [1.0]
     assert tree.leaf_counts == rewalk_leaf_counts(tree)
     validate_probabilities(tree)
 
@@ -290,7 +315,7 @@ def test_delete_never_orphans_nodes(full_pset):
         while stack:
             n = stack.pop()
             reachable.add(n)
-            stack.extend(tree.children.get(n, ()) if tree.groups[n] is None else ())
+            stack.extend(tree.probs.get(n, ()) if tree.groups[n] is None else ())
         # A node is reachable exactly when a surviving leaf lies below it.
         assert reachable - {0} == {n for n, c in enumerate(tree.leaf_counts) if c} - {0}
         assert tree.leaf_counts == rewalk_leaf_counts(tree)
@@ -315,14 +340,14 @@ def _policy_tree():
 def test_adjust_improvement_deletes_only():
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    root_before = list(tree.probs[0])
-    manifest_before = list(tree.probs[find(tree, "manifest")])
-    uf_before = list(tree.probs[find(tree, "uses_feature")])
-    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.4)
+    root_before = dict(tree.probs[0])
+    manifest_before = dict(tree.probs[find(tree, "manifest")])
+    uf_before = dict(tree.probs[find(tree, "uses_feature")])
+    adjust(tree, first_child(tree, hardware), y_prev=0.9, y_new=0.4)
     assert tree.probs[0] == root_before
     assert tree.probs[find(tree, "manifest")] == manifest_before
     assert tree.probs[find(tree, "uses_feature")] == uf_before
-    assert tree.probs[hardware] == [1.0]
+    assert list(tree.probs[hardware].values()) == [1.0]
     validate_probabilities(tree)
 
 
@@ -331,7 +356,7 @@ def test_adjust_no_effect_worked_example():
     # first layer halved 0.5 -> 0.25 then renormalized to 1/3 vs 2/3.
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.9)
+    adjust(tree, first_child(tree, hardware), y_prev=0.9, y_new=0.9)
     uf = child_probs(tree, find(tree, "uses_feature"))
     assert uf == pytest.approx({"hardware": 7 / 17, "software": 10 / 17})
     man = child_probs(tree, find(tree, "manifest"))
@@ -343,7 +368,7 @@ def test_adjust_no_effect_worked_example():
 def test_adjust_harmful_reinits_without_penalty():
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    adjust(tree, tree.children[hardware][0], y_prev=0.5, y_new=0.9)
+    adjust(tree, first_child(tree, hardware), y_prev=0.5, y_new=0.9)
     assert child_probs(tree, find(tree, "uses_feature")) == pytest.approx(
         {"hardware": 0.5, "software": 0.5})
     assert child_probs(tree, find(tree, "manifest")) == pytest.approx(
@@ -357,7 +382,7 @@ def test_adjust_code_side_halves_code_branch():
               inject_group(2, kind="inject_receiver")]
     tree = build_tree(groups)
     service = find(tree, "service")
-    adjust(tree, tree.children[service][0], y_prev=0.9, y_new=0.9)
+    adjust(tree, first_child(tree, service), y_prev=0.9, y_new=0.9)
     assert child_probs(tree, find(tree, "code")) == pytest.approx(
         {"service": 4 / 9, "receiver": 5 / 9})
     assert child_probs(tree, 0) == pytest.approx({"manifest": 2 / 3, "code": 1 / 3})
@@ -367,7 +392,7 @@ def test_adjust_code_side_halves_code_branch():
 def test_adjust_penalized_weight_below_reinit_weight():
     tree = _policy_tree()
     hardware = find(tree, "hardware")
-    adjust(tree, tree.children[hardware][0], y_prev=0.9, y_new=0.9)
+    adjust(tree, first_child(tree, hardware), y_prev=0.9, y_new=0.9)
     # Reinit alone would give hardware 0.5 among uses_feature children.
     assert child_probs(tree, find(tree, "uses_feature"))["hardware"] < 0.5
 
@@ -379,7 +404,7 @@ def test_adjust_cascade_starts_at_surviving_ancestor():
               feature_group("software", 1, "web"),
               *perm_groups("normal", 1)]
     tree = build_tree(groups)
-    leaf = tree.children[find(tree, "hardware")][0]
+    leaf = first_child(tree, find(tree, "hardware"))
     adjust(tree, leaf, y_prev=0.9, y_new=0.9)
     man = child_probs(tree, find(tree, "manifest"))
     # Reinit: uses_feature 1 leaf, permission 1 leaf -> 0.5/0.5; penalty on
@@ -413,7 +438,7 @@ def test_adjust_fuzzed_invariants(full_pset):
 def test_normalization_invariance():
     tree = _policy_tree()
     before = tree.probs[find(tree, "manifest")]
-    assert _normalize([p * 3.7 for p in before]) == pytest.approx(before)
+    assert _normalize({c: p * 3.7 for c, p in before.items()}) == pytest.approx(before)
 
 
 # ---------------------------------------------------------------------------
