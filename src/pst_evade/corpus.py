@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -55,7 +56,9 @@ class CodeComponent:
     ``API_FAMILY_COUNT``; each row of ``edges`` is a call (caller, callee) between
     local function indices, so an edge cannot leave its component; ``api_calls``
     are the ids of the Android APIs it calls. A component that breaks this cannot
-    be made: it raises a one-line ``ValueError``. Equality and hashing are by value."""
+    be made: it raises a one-line ``ValueError``. Equality and hashing are by value.
+    Beyond its fields it keeps only ``transition_counts``, 121 integers filled on
+    first use; no array sized by the edge count besides ``edges``."""
 
     kind: str
     classes: int
@@ -101,10 +104,16 @@ class CodeComponent:
         return hash(self._key())
 
     @cached_property
-    def edge_families(self) -> np.ndarray:
-        """(caller family, callee family) per edge, shape (m, 2); computed once per
-        component and shared by every app and payload that holds it."""
-        return self.families[self.edges]
+    def transition_counts(self) -> np.ndarray:
+        """Read-only intp counts of the call edges by (caller family, callee family),
+        flattened row-major: entry a * API_FAMILY_COUNT + b counts the a -> b edges.
+        Computed once per component and shared by every app and payload that holds
+        it; nothing sized by the edge count is kept."""
+        fam = self.families
+        counts = np.bincount(fam[self.edges[:, 0]] * API_FAMILY_COUNT + fam[self.edges[:, 1]],
+                             minlength=API_FAMILY_COUNT ** 2)
+        counts.flags.writeable = False
+        return counts
 
 
 @dataclass(frozen=True)
@@ -493,14 +502,15 @@ def spec_from_dict(d: dict) -> CorpusSpec:
     return CorpusSpec(**fields_of(CorpusSpec, d, "corpus spec"))
 
 
+def _corpus_fields(corpus: Corpus) -> dict:
+    """The corpus document's fields, each app list still a tuple of apps."""
+    return {"format": CORPUS_FORMAT, "spec": spec_to_dict(corpus.spec),
+            "benign": corpus.benign, "malicious": corpus.malicious, "donors": corpus.donors}
+
+
 def corpus_to_dict(corpus: Corpus) -> dict:
-    return {
-        "format": CORPUS_FORMAT,
-        "spec": spec_to_dict(corpus.spec),
-        "benign": [apk_to_dict(a) for a in corpus.benign],
-        "malicious": [apk_to_dict(a) for a in corpus.malicious],
-        "donors": [apk_to_dict(a) for a in corpus.donors],
-    }
+    return {key: [apk_to_dict(a) for a in value] if isinstance(value, tuple) else value
+            for key, value in _corpus_fields(corpus).items()}
 
 
 def corpus_from_dict(d: dict) -> Corpus:
@@ -530,12 +540,35 @@ def corpus_from_dict(d: dict) -> Corpus:
     return corpus
 
 
-def canonical_json(doc: dict) -> str:
+def canonical_json(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(corpus_to_dict(corpus)), encoding="utf-8")
+    """Write ``canonical_json(corpus_to_dict(corpus))`` one app at a time, so no
+    whole-document dict or string is built. The text goes to a temporary file
+    beside ``path`` that replaces it once complete: a failed save leaves ``path``
+    as it was and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fields = _corpus_fields(corpus)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for i, key in enumerate(sorted(fields)):
+                fh.write(("," if i else "{") + canonical_json(key) + ":")
+                value = fields[key]
+                if not isinstance(value, tuple):
+                    fh.write(canonical_json(value))
+                    continue
+                fh.write("[")
+                for j, apk in enumerate(value):
+                    fh.write(("," if j else "") + canonical_json(apk_to_dict(apk)))
+                fh.write("]")
+            fh.write("}")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -169,11 +169,12 @@ def extract_binary(apk: ApkModel, index: Mapping[str, int],
 
 def markov_counts(components: Sequence[CodeComponent]) -> np.ndarray:
     """Family-transition counts of the components' call edges as float64, flattened
-    row-major: entry a * API_FAMILY_COUNT + b counts the a -> b edges."""
-    pairs = np.concatenate([c.edge_families for c in components]
-                           or [np.empty((0, 2), dtype=np.intp)])
-    return np.bincount(pairs[:, 0] * API_FAMILY_COUNT + pairs[:, 1],
-                       minlength=API_FAMILY_COUNT ** 2).astype(np.float64)
+    row-major: entry a * API_FAMILY_COUNT + b counts the a -> b edges. The sum of
+    the components' cached ``transition_counts``."""
+    counts = np.zeros(API_FAMILY_COUNT ** 2, dtype=np.intp)
+    for c in components:
+        counts += c.transition_counts
+    return counts.astype(np.float64)
 
 
 def markov_row(counts: np.ndarray) -> np.ndarray:

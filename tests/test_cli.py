@@ -7,8 +7,9 @@ import pytest
 
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
 from pst_evade.cli import main
-from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, load_corpus, pack_array,
-                              spec_to_dict, unpack_array)
+from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, canonical_json, corpus_to_dict,
+                              generate_corpus, load_corpus, pack_array, spec_to_dict,
+                              unpack_array)
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
@@ -54,6 +55,18 @@ def test_gen_corpus_writes_loadable_corpus(workdir):
     assert doc["format"] == 5
     assert sorted(doc["spec"]) == ["donor_count", "n_benign", "n_malicious", "seed"]
     assert _stores_arrays_as_base64(_first_component(doc))
+
+
+def test_gen_corpus_file_is_the_canonical_document(tmp_path):
+    # gen-corpus writes app by app; the file is the whole document's canonical
+    # JSON, and it reads back as the generated corpus.
+    spec_path, out = tmp_path / "spec.json", tmp_path / "corpus.json"
+    spec_path.write_text(json.dumps(spec_to_dict(SPEC)))
+    assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out)]) == 0
+    generated = generate_corpus(SPEC)
+    assert out.read_bytes() == canonical_json(corpus_to_dict(generated)).encode("utf-8")
+    assert load_corpus(out) == generated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "spec.json"]
 
 
 def test_gen_corpus_seed_override(workdir):

@@ -512,6 +512,46 @@ def test_saving_a_corpus_twice_gives_the_same_bytes(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("empty", [False, True], ids=["small", "empty"])
+def test_saved_corpus_is_the_canonical_document(small_corpus, tmp_path, empty):
+    # The writer streams app by app; its bytes are the whole document's.
+    corpus = (generate_corpus(CorpusSpec(n_benign=0, n_malicious=0, donor_count=0, seed=3))
+              if empty else small_corpus)
+    path = tmp_path / "corpus.json"
+    save_corpus(corpus, path)
+    assert path.read_bytes() == canonical_json(corpus_to_dict(corpus)).encode("utf-8")
+    if empty:
+        assert path.read_bytes().startswith(
+            b'{"benign":[],"donors":[],"format":5,"malicious":[],"spec":{')
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_a_failed_save_leaves_the_file_as_it_was(tmp_path, monkeypatch, existing):
+    import pst_evade.corpus as corpus_module
+
+    corpus = generate_corpus(CorpusSpec(n_benign=3, n_malicious=3, donor_count=2, seed=5))
+    path = tmp_path / "corpus.json"
+    if existing:
+        save_corpus(generate_corpus(CorpusSpec(n_benign=2, n_malicious=2, donor_count=1,
+                                               seed=4)), path)
+    before = path.read_bytes() if existing else None
+    calls = []
+
+    def failing_apk_to_dict(apk):
+        calls.append(apk.id)
+        if len(calls) == 3:
+            raise RuntimeError("third app")
+        return apk_to_dict(apk)
+
+    monkeypatch.setattr(corpus_module, "apk_to_dict", failing_apk_to_dict)
+    with pytest.raises(RuntimeError, match="^third app$"):
+        save_corpus(corpus, path)
+    assert len(calls) == 3
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == (["corpus.json"] if existing else [])
+
+
 # sha256 of the corpus and pset files written for this spec and its donors. The
 # component arrays and the stock ensemble are pinned elsewhere; these pin the
 # rest of both layouts, the corpus's "code": {"components": [...]} nesting too.

@@ -30,6 +30,7 @@ from pst_evade.features import (
     extract_markov,
     cluster_columns,
     key_columns,
+    markov_counts,
     part_keys,
 )
 from pst_evade.perturbset import InjectablePayload, apply_perturbation, build_perturbation_set
@@ -185,35 +186,51 @@ def test_markov_matches_from_scratch_reference(small_corpus):
 
 
 def test_markov_range_check_survives_a_wider_extraction():
-    # Edge families are computed once per component. A family past the last is
-    # refused when the component is made, and an in-range app extracts the same
-    # on every call after its edge families are kept.
+    # Transition counts are computed once per component. A family past the last
+    # is refused when the component is made, and an in-range app extracts the
+    # same on every call after its transition counts are kept.
     with pytest.raises(ValueError, match="^function family above 10$"):
         CodeComponent(kind="service", classes=1, families=[0, 12], edges=[[0, 0], [0, 1]],
                       api_calls=())
     good = apk(components=[code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])],
                edges=[("t.c0.f0@0", "t.c0.f0@0"), ("t.c0.f0@0", "t.c0.f1@3")])
     assert np.array_equal(extract_markov(good), _markov_reference(good))
-    assert "edge_families" in vars(good.components[0])
+    assert "transition_counts" in vars(good.components[0])
     assert np.array_equal(extract_markov(good), _markov_reference(good))
 
 
 def _fresh(app):
-    """The app on fresh copies of its components, whose edge families nobody has
-    computed."""
+    """The app on fresh copies of its components, whose transition counts nobody
+    has computed."""
     return replace(app, components=tuple(replace(c) for c in app.components))
+
+
+def _pair_counts(comp):
+    """The component's call edges counted by (caller family, callee family) with
+    ``np.add.at``, flattened row-major."""
+    counts = np.zeros((FC, FC), dtype=np.intp)
+    np.add.at(counts, (comp.families[comp.edges[:, 0]], comp.families[comp.edges[:, 1]]), 1)
+    return counts.ravel()
+
+
+def _markov_counts_reference(components):
+    """Markov counts as extraction made them before the per-component cache: one
+    bincount over the concatenated (caller family, callee family) pairs."""
+    pairs = np.concatenate([c.families[c.edges] for c in components]
+                           or [np.empty((0, 2), dtype=np.intp)])
+    return np.bincount(pairs[:, 0] * FC + pairs[:, 1], minlength=FC * FC).astype(np.float64)
 
 
 @pytest.mark.parametrize("parse_parent", [True, False])
 def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
     # Chains of injections into parents whose components have, or have not, had
-    # their edge families computed already.
+    # their transition counts computed already.
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     injects = [p for p in pset.perturbations if p.kind.startswith("inject_")]
     rng = random.Random(17)
     for target in small_corpus.malicious[:8]:
         app = _fresh(target)
-        assert all("edge_families" not in vars(c) for c in app.components)
+        assert all("transition_counts" not in vars(c) for c in app.components)
         if parse_parent:
             extract_markov(app)
         for _ in range(rng.randint(1, 3)):
@@ -221,8 +238,69 @@ def test_injected_family_pairs_match_a_fresh_parse(small_corpus, parse_parent):
         for comp in app.components:
             expected = np.array([[comp.families[a], comp.families[b]] for a, b in comp.edges],
                                 dtype=np.intp).reshape(-1, 2)
-            assert np.array_equal(comp.edge_families, expected)
+            assert np.array_equal(comp.transition_counts,
+                                  np.bincount(expected[:, 0] * FC + expected[:, 1],
+                                              minlength=FC * FC))
         assert np.array_equal(extract_markov(app), _markov_reference(app))
+
+
+def test_transition_counts_equal_a_count_over_the_edges(small_corpus):
+    pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
+    payloads = [p.payload.component for p in pset.perturbations
+                if p.kind.startswith("inject_")]
+    apps = small_corpus.benign + small_corpus.malicious + small_corpus.donors
+    comps = [c for a in apps for c in a.components] + payloads
+    assert payloads and len(comps) > len(payloads)
+    for comp in comps:
+        cached = comp.transition_counts
+        assert cached.dtype == np.intp and cached.shape == (FC * FC,)
+        assert not cached.flags.writeable
+        assert np.array_equal(cached, _pair_counts(comp))
+        assert cached.sum() == len(comp.edges)
+        assert comp.transition_counts is cached
+
+
+def _chains(small_corpus, seed):
+    """Apps of ``small_corpus`` with 1 to 3 injections applied in a chain."""
+    pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
+    injects = [p for p in pset.perturbations if p.kind.startswith("inject_")]
+    rng = random.Random(seed)
+    for target in small_corpus.malicious[:8] + small_corpus.benign[:4]:
+        app = target
+        for _ in range(rng.randint(1, 3)):
+            app = apply_perturbation(app, rng.choice(injects), rng)
+        yield app
+
+
+def test_markov_counts_equal_the_concatenated_pair_reference(small_corpus):
+    empty = CodeComponent(kind="service", classes=0, families=[], edges=[], api_calls=())
+    no_edges = code_component(functions=["t.c0.f0@2"])
+    component_lists = [[], [empty], [empty, empty], [no_edges], [empty, no_edges]]
+    for app in small_corpus.benign + small_corpus.malicious + small_corpus.donors:
+        component_lists.append(app.components)
+        component_lists.append([empty, *app.components])
+    for app in _chains(small_corpus, 23):
+        component_lists.append(app.components)
+        component_lists.append(app.components[-1:])
+    for components in component_lists:
+        counts, reference = markov_counts(components), _markov_counts_reference(components)
+        assert counts.dtype == reference.dtype == np.float64
+        assert np.array_equal(counts, reference)
+        assert counts.tobytes() == reference.tobytes()
+
+
+def test_a_component_keeps_no_array_sized_by_its_edges(small_corpus):
+    # After extraction a component holds its families, its edges and its 121
+    # transition counts; no per-edge derived array.
+    apps = small_corpus.malicious[:6] + tuple(_chains(small_corpus, 5))
+    for app in apps:
+        extract_markov(app)
+        for comp in app.components:
+            arrays = {name: value.shape for name, value in vars(comp).items()
+                      if isinstance(value, np.ndarray)}
+            assert arrays == {"families": (len(comp.families),),
+                              "edges": (len(comp.edges), 2),
+                              "transition_counts": (FC * FC,)}
 
 
 def test_injection_shares_one_component_per_payload(small_corpus):
