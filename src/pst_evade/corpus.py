@@ -56,9 +56,12 @@ class CodeComponent:
     ``API_FAMILY_COUNT``; each row of ``edges`` is a call (caller, callee) between
     local function indices, so an edge cannot leave its component; ``api_calls``
     are the ids of the Android APIs it calls. A component that breaks this cannot
-    be made: it raises a one-line ``ValueError``. Equality and hashing are by value.
-    Beyond its fields it keeps only ``transition_counts``, 121 integers filled on
-    first use; no array sized by the edge count besides ``edges``."""
+    be made: it raises a one-line ``ValueError``. Whatever integer dtype they are
+    given in, it keeps read-only copies: ``families`` as uint8 and ``edges`` as
+    (n, 2) int32, each value checked before the cast, so none can wrap into range.
+    Equality and hashing are by value. Beyond its fields it keeps only
+    ``transition_counts``, 121 intp integers filled on first use; no array sized
+    by the edge count besides ``edges``."""
 
     kind: str
     classes: int
@@ -68,14 +71,12 @@ class CodeComponent:
     origin: str = "original"
 
     def __post_init__(self):
-        # Read-only intp copies: components are shared between apps and payloads.
+        arrays = {}
         for name, shape in (("families", -1), ("edges", (-1, 2))):
             arr = np.asarray(getattr(self, name))
             if arr.size and arr.dtype.kind not in "iu":
                 raise ValueError(f"code component {name} must be integers, got {arr.dtype}")
-            arr = np.array(arr, dtype=np.intp).reshape(shape)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            arrays[name] = arr.reshape(shape)
         if self.kind not in CODE_KINDS:
             raise ValueError(f"bad code component kind: {self.kind}")
         if self.origin not in ORIGINS:
@@ -86,12 +87,19 @@ class CodeComponent:
         for api in self.api_calls:
             if not isinstance(api, str):
                 raise ValueError(f"api call id is not a string: {api!r}")
-        if self.families.size and self.families.min() < 0:
+        # The values are checked as given, before the narrowing cast could wrap one.
+        families, edges = arrays["families"], arrays["edges"]
+        if families.size and families.min() < 0:
             raise ValueError("negative function family")
-        if self.families.size and self.families.max() >= API_FAMILY_COUNT:
+        if families.size and families.max() >= API_FAMILY_COUNT:
             raise ValueError(f"function family above {API_FAMILY_COUNT - 1}")
-        if not _edges_in_range(self):
-            raise ValueError(f"edge index out of range for {len(self.families)} functions")
+        if not _edges_in_range(edges, len(families)):
+            raise ValueError(f"edge index out of range for {len(families)} functions")
+        # Read-only copies: components are shared between apps and payloads.
+        for name, dtype in (("families", np.uint8), ("edges", np.int32)):
+            arr = np.array(arrays[name], dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def _key(self) -> tuple:
         return (self.kind, self.classes, self.origin, self.api_calls,
@@ -108,8 +116,9 @@ class CodeComponent:
         """Read-only intp counts of the call edges by (caller family, callee family),
         flattened row-major: entry a * API_FAMILY_COUNT + b counts the a -> b edges.
         Computed once per component and shared by every app and payload that holds
-        it; nothing sized by the edge count is kept."""
-        fam = self.families
+        it; nothing sized by the edge count is kept. The families are widened to
+        intp before the multiply, so the counts do not depend on their dtype."""
+        fam = self.families.astype(np.intp)
         counts = np.bincount(fam[self.edges[:, 0]] * API_FAMILY_COUNT + fam[self.edges[:, 1]],
                              minlength=API_FAMILY_COUNT ** 2)
         counts.flags.writeable = False
@@ -254,15 +263,20 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
             caller_fams = fams[callers]
             u = rng.random(m)
             cum = state.transition_cum[cls]
-            callee_fams = (u[:, None] > cum[caller_fams]).sum(axis=1)
-            callee_fams = np.minimum(callee_fams, API_FAMILY_COUNT - 1)
+            # The callee family is the number of the caller family's cumulative
+            # propensities below u, at most the last family: one pass per column.
+            callee_fams = np.zeros(m, dtype=np.intp)
+            for column in cum.T[:-1]:
+                callee_fams += u > column[caller_fams]
             # Empty target families fall back to the caller's own family.
             callee_fams = np.where(counts[callee_fams] == 0, caller_fams, callee_fams)
             offsets = rng.integers(0, counts[callee_fams])
             callees = order[starts[callee_fams] + offsets]
-            # One key per (caller, callee) pair sorts the pairs lexicographically.
-            key = np.unique(callers * n_f + callees)
-            edges = np.stack([key // n_f, key % n_f], axis=1)
+            # One key per (caller, callee) pair sorts the pairs lexicographically;
+            # a sorted key equal to its predecessor is a repeated call.
+            key = np.sort(callers * n_f + callees)
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+            edges = np.stack(np.divmod(key, n_f), axis=1).astype(np.int32)
 
     return CodeComponent(kind=kind, classes=classes, families=fams, edges=edges,
                          api_calls=api_calls, origin="original")
@@ -340,15 +354,14 @@ def contains(original: ApkModel, perturbed: ApkModel) -> bool:
             and set(original.components) <= set(perturbed.components))
 
 
-def _edges_in_range(comp: CodeComponent) -> bool:
-    return comp.edges.size == 0 or (
-        comp.edges.min() >= 0 and comp.edges.max() < len(comp.families))
+def _edges_in_range(edges: np.ndarray, n_functions: int) -> bool:
+    return edges.size == 0 or (edges.min() >= 0 and edges.max() < n_functions)
 
 
 def verify_isolation(apk: ApkModel) -> bool:
     """True when no call edge leaves its component, so none joins injected and
     original code; edges hold local indices, which makes this a bounds check."""
-    return all(_edges_in_range(c) for c in apk.components)
+    return all(_edges_in_range(c.edges, len(c.families)) for c in apk.components)
 
 
 def validate_apk(apk: ApkModel) -> None:

@@ -5,6 +5,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -394,7 +395,8 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
 
 
 # sha256 over every DEFAULT_BENCH_SPEC component's families and edges (shape
-# repr, then bytes), and of the stock ensemble's canonical model JSON.
+# repr, then the values' int64 bytes, whatever dtype a component holds them
+# in), and of the stock ensemble's canonical model JSON.
 BENCH_COMPONENTS_SHA256 = "787ff035197364913767e9be1b01a2778197e386334e9a0a1351b00e5e35ea58"
 BENCH_ENSEMBLE_SHA256 = "7513ead58d2f997316fb726dfd6f4ae5f6beaec3a51f88b2c609fcf847a08f21"
 
@@ -406,7 +408,7 @@ def _components_sha256(corpus) -> str:
             for comp in apk.components:
                 for arr in (comp.families, comp.edges):
                     h.update(repr(arr.shape).encode())
-                    h.update(arr.tobytes())
+                    h.update(np.asarray(arr, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -419,6 +421,15 @@ def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
             f"stock corpus components {components[:8]} (pinned "
             f"{BENCH_COMPONENTS_SHA256[:8]}), stock ensemble model {ensemble[:8]} "
             f"(pinned {BENCH_ENSEMBLE_SHA256[:8]})")
+
+
+def test_stock_component_arrays_fit_in_23_mb(bench_corpus):
+    # uint8 families and int32 edges: 2.0 + 20.9 MB on the stock corpus, where
+    # intp arrays took 16.1 + 41.7 MB.
+    comps = [c for apps in (bench_corpus.benign, bench_corpus.malicious, bench_corpus.donors)
+             for a in apps for c in a.components]
+    assert all(c.families.dtype == np.uint8 and c.edges.dtype == np.int32 for c in comps)
+    assert sum(c.families.nbytes + c.edges.nbytes for c in comps) <= 23_000_000
 
 
 def test_saved_and_loaded_stock_corpus_is_the_generated_one(bench_corpus, tmp_path):

@@ -49,6 +49,7 @@ from pst_evade.perturbset import (
     InjectablePayload,
     apply_perturbation,
     build_perturbation_set,
+    load_pset,
     random_name,
     save_pset,
 )
@@ -437,6 +438,11 @@ def test_validate_rejects_unknown_edge_endpoint():
     ("families", [0, 11], "function family above 10"),
     ("edges", [[0, 2]], "edge index out of range for 2 functions"),
     ("edges", [[-1, 0]], "edge index out of range for 2 functions"),
+    # Values that the narrow in-memory dtypes would wrap into range: 259 is 3 as
+    # uint8, -256 is 0, and 2**32 is 0 as int32.
+    ("families", [0, 259], "function family above 10"),
+    ("families", [0, -256], "negative function family"),
+    ("edges", [[0, 2 ** 32]], "edge index out of range for 2 functions"),
 ])
 def test_code_component_refuses_a_malformed_value(field, value, refusal):
     good = {"kind": "service", "classes": 1, "families": [0, 1], "edges": [[0, 1]],
@@ -616,6 +622,36 @@ def test_component_arrays_round_trip_by_value(families, edges):
     assert back.edges.shape == comp.edges.shape == (len(edges), 2)
 
 
+def _holds_narrow_read_only_arrays(comp):
+    return (comp.families.dtype == np.uint8 and comp.families.ndim == 1
+            and comp.edges.dtype == np.int32 and comp.edges.shape[1:] == (2,)
+            and not comp.families.flags.writeable and not comp.edges.flags.writeable)
+
+
+def test_components_hold_uint8_families_and_int32_edges(tmp_path):
+    # Generated, loaded, payload and injected components all hold the same two
+    # dtypes, read-only, so equality and hashing by bytes are by value.
+    corpus = generate_corpus(PINNED_FILES_SPEC)
+    save_corpus(corpus, tmp_path / "corpus.json")
+    loaded = load_corpus(tmp_path / "corpus.json")
+    save_pset(build_perturbation_set(load_default_catalog(), corpus.donors),
+              tmp_path / "pset.json")
+    injects = [p for p in load_pset(tmp_path / "pset.json").perturbations
+               if p.kind.startswith("inject_")]
+    injected = apply_perturbation(corpus.malicious[0], injects[0], random.Random(0))
+    apps = [a for c in (corpus, loaded) for a in c.benign + c.malicious + c.donors]
+    comps = [comp for a in apps + [injected] for comp in a.components]
+    comps += [p.payload.component for p in injects]
+    assert injects and any(c.origin == "injected" for c in injected.components)
+    assert all(_holds_narrow_read_only_arrays(c) for c in comps)
+    for wide in (np.int64, np.uint64, np.int16):
+        comp = CodeComponent(kind="service", classes=1, families=np.array([0, 10], dtype=wide),
+                             edges=np.array([[1, 0]], dtype=wide), api_calls=())
+        assert _holds_narrow_read_only_arrays(comp)
+        assert comp == CodeComponent(kind="service", classes=1, families=[0, 10],
+                                     edges=[[1, 0]], api_calls=())
+
+
 # ---------------------------------------------------------------------------
 # Loading refuses other formats and malformed apps
 
@@ -652,6 +688,16 @@ def _negative_family(comp, app):
     set_stored_value(comp, "families", 0, -1)
 
 
+def _edge_wrapping_to_zero(comp, app):
+    # Stored as <i8; int32 would hold it as 0.
+    set_stored_value(comp, "edges", 1, 2 ** 32)
+
+
+def _family_wrapping_into_range(comp, app):
+    # Stored as <u2; uint8 would hold it as 3.
+    set_stored_value(comp, "families", 0, 259)
+
+
 def _bad_origin(comp, app):
     comp["origin"] = "grafted"
 
@@ -673,11 +719,14 @@ def _duplicate_declared(comp, app):
     (_edge_out_of_range, "component {i}: edge index out of range"),
     (_negative_edge_index, "component {i}: edge index out of range"),
     (_negative_family, "component {i}: negative function family"),
+    (_edge_wrapping_to_zero, "component {i}: edge index out of range"),
+    (_family_wrapping_into_range, "component {i}: function family above 10"),
     (_bad_origin, "component {i}: bad origin: grafted"),
     (_non_string_api_id, "component {i}: api call id is not a string: 7"),
     (_api_calls_string, "component {i}: api_calls is a str, not a list of api call ids"),
     (_duplicate_declared, ": duplicate declared component"),
-], ids=["edge_out_of_range", "negative_edge_index", "negative_family", "bad_origin",
+], ids=["edge_out_of_range", "negative_edge_index", "negative_family",
+        "edge_wrapping_to_zero", "family_wrapping_into_range", "bad_origin",
         "non_string_api_id", "api_calls_string", "duplicate_declared"])
 def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
     doc = _corpus_doc()

@@ -208,15 +208,16 @@ def _fresh(app):
 def _pair_counts(comp):
     """The component's call edges counted by (caller family, callee family) with
     ``np.add.at``, flattened row-major."""
+    fam = comp.families.astype(np.intp)
     counts = np.zeros((FC, FC), dtype=np.intp)
-    np.add.at(counts, (comp.families[comp.edges[:, 0]], comp.families[comp.edges[:, 1]]), 1)
+    np.add.at(counts, (fam[comp.edges[:, 0]], fam[comp.edges[:, 1]]), 1)
     return counts.ravel()
 
 
 def _markov_counts_reference(components):
     """Markov counts as extraction made them before the per-component cache: one
-    bincount over the concatenated (caller family, callee family) pairs."""
-    pairs = np.concatenate([c.families[c.edges] for c in components]
+    bincount over the concatenated (caller family, callee family) pairs, in intp."""
+    pairs = np.concatenate([c.families.astype(np.intp)[c.edges] for c in components]
                            or [np.empty((0, 2), dtype=np.intp)])
     return np.bincount(pairs[:, 0] * FC + pairs[:, 1], minlength=FC * FC).astype(np.float64)
 
