@@ -16,16 +16,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import (fields_of, fixed, flag, integer, items, number, numbers, obj, only,
-                      read_document, string, strings)
+                      pairs, read_document, string, strings)
 from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
-    ApiClusterMap,
     ApiColumns,
     Parts,
     cluster_columns,
-    cluster_map_from_dict,
-    cluster_map_to_dict,
     extract_api_cluster,
     extract_binary,
     extract_markov,
@@ -69,7 +66,7 @@ class FeatureSpace:
 
     kind: str  # one of FEATURE_KINDS
     keys: tuple[str, ...] = ()
-    cluster_map: ApiClusterMap | None = None
+    cluster_map: dict[str, int] | None = None
 
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
@@ -146,7 +143,9 @@ def space_to_dict(space: FeatureSpace) -> dict:
         return {"kind": "binary", "keys": list(space.keys)}
     if space.kind == "markov":
         return {"kind": "markov", "family_count": API_FAMILY_COUNT}
-    return {"kind": "api_cluster", "cluster_map": cluster_map_to_dict(space.cluster_map)}
+    # The map's own order: api-id order when built, the file's when loaded.
+    return {"kind": "api_cluster", "cluster_map": {"cluster_count": CLUSTER_COUNT,
+            "assignment": [[a, c] for a, c in space.cluster_map.items()]}}
 
 
 def space_from_dict(d: dict, what: str = "feature space") -> FeatureSpace:
@@ -170,10 +169,18 @@ def space_from_dict(d: dict, what: str = "feature space") -> FeatureSpace:
         space = FeatureSpace(kind)
     else:
         cmap = obj(d[own], "space cluster_map")
-        try:
-            cluster_map = cluster_map_from_dict(cmap)
-        except KeyError as exc:
-            raise KeyError(f"space.cluster_map.{exc.args[0]}") from None
+        if "cluster_count" not in cmap:
+            raise KeyError("space.cluster_map.cluster_count")
+        fixed(cmap["cluster_count"], "cluster_count", CLUSTER_COUNT)
+        if "assignment" not in cmap:
+            raise KeyError("space.cluster_map.assignment")
+        cluster_map = {}
+        for api, cluster in pairs(cmap["assignment"], "cluster assignment",
+                                  f"an [api id, cluster below {CLUSTER_COUNT}] pair",
+                                  lambda c: type(c) is int and 0 <= c < CLUSTER_COUNT):
+            if api in cluster_map:
+                raise ValueError(f"cluster assignment names api id {api!r} twice")
+            cluster_map[api] = cluster
         space = FeatureSpace(kind, cluster_map=cluster_map)
         only(cmap, ("cluster_count", "assignment"), what, "space.cluster_map.")
     # The digest reads only these keys, so another one would load unchecked.

@@ -15,14 +15,11 @@ A code component's binary or api-cluster contribution depends only on its
 (``ApiColumns``) and written with one fancy-indexed store."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import is_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import fixed, pairs
 from .corpus import API_FAMILY_COUNT, ApkModel, CodeComponent, DeclaredComponent, Permission
 
 # Clusters of every api-cluster map.
@@ -192,32 +189,19 @@ def extract_markov(apk: ApkModel) -> np.ndarray:
     return markov_row(markov_counts(apk.components))
 
 
-@dataclass(frozen=True)
-class ApiClusterMap:
-    """Total mapping from api id to cluster id, below ``CLUSTER_COUNT``."""
-
-    assignment: tuple[tuple[str, int], ...]
-
-    @cached_property
-    def lookup(self) -> dict[str, int]:
-        return dict(self.assignment)
-
-
-def build_api_cluster_map(api_ids: Iterable[str], seed: int) -> ApiClusterMap:
-    """Seeded, balanced random partition of the api vocabulary into clusters."""
+def build_api_cluster_map(api_ids: Iterable[str], seed: int) -> dict[str, int]:
+    """Seeded, balanced random partition of the api ids into clusters, in api-id order."""
     ids = sorted(set(api_ids))
     order = np.random.default_rng(seed).permutation(len(ids))
-    return ApiClusterMap(tuple(sorted((ids[int(j)], int(rank % CLUSTER_COUNT))
-                                      for rank, j in enumerate(order))))
+    return dict(sorted((ids[int(j)], int(rank % CLUSTER_COUNT))
+                       for rank, j in enumerate(order)))
 
 
-def cluster_columns(cmap: ApiClusterMap) -> ApiColumns:
+def cluster_columns(cluster_map: Mapping[str, int]) -> ApiColumns:
     """Api-cluster columns: each api id's cluster. An id the map lacks raises."""
-    lookup = cmap.lookup
-
     def columns_of(api_calls: tuple[str, ...]) -> np.ndarray:
         try:
-            return np.array([lookup[api] for api in api_calls], dtype=np.intp)
+            return np.array([cluster_map[api] for api in api_calls], dtype=np.intp)
         except KeyError as exc:
             raise ValueError(f"api id missing from cluster map: {exc.args[0]}") from None
     return ApiColumns(columns_of)
@@ -230,14 +214,3 @@ def extract_api_cluster(apk: ApkModel, columns: ApiColumns) -> np.ndarray:
     mark_api_calls(out, apk.components, columns)
     return out
 
-
-def cluster_map_to_dict(cmap: ApiClusterMap) -> dict:
-    return {"cluster_count": CLUSTER_COUNT,
-            "assignment": [[a, c] for a, c in cmap.assignment]}
-
-
-def cluster_map_from_dict(d: dict) -> ApiClusterMap:
-    fixed(d["cluster_count"], "cluster_count", CLUSTER_COUNT)
-    return ApiClusterMap(assignment=pairs(
-        d["assignment"], "cluster assignment", f"an [api id, cluster below {CLUSTER_COUNT}] pair",
-        lambda c: type(c) is int and 0 <= c < CLUSTER_COUNT))

@@ -37,7 +37,7 @@ REPORT_COLUMNS = {"sample_id": string, "detector": string, "algorithm": string,
                   "budget": integer, "seed": integer, "outcome": string,
                   "queries_used": integer, "wall_ms": number}
 # The columns that name a row's attack; a report holds one row of each, sorted by them.
-_ROW_KEY = itemgetter("detector", "algorithm", "budget", "seed", "sample_id")
+_ROW_KEY = ("detector", "algorithm", "budget", "seed", "sample_id")
 
 # Corpus behind the stock benchmark: large enough that the linear detector
 # leaves well over the default 100 attackable true positives in the test split.
@@ -134,26 +134,29 @@ def compute_asr(rows) -> float:
     return wins / len(applicable)
 
 
+def group_by(dicts, columns: tuple[str, ...]) -> list[tuple[tuple, list[dict]]]:
+    """The dicts grouped by their values of ``columns``: (values, group) pairs
+    sorted by values, each group in input order."""
+    groups: dict[tuple, list[dict]] = {}
+    for d in dicts:
+        groups.setdefault(tuple(d[c] for c in columns), []).append(d)
+    return sorted(groups.items())
+
+
 def cells_from_rows(rows) -> list[dict]:
     """The ASR of each (detector, algorithm, budget, seed), in that order."""
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        key = (row["detector"], row["algorithm"], row["budget"], row["seed"])
-        groups.setdefault(key, []).append(row)
-    return [{"detector": det, "algorithm": algo, "budget": budget, "seed": seed,
-             "asr": compute_asr(members)}
-            for (det, algo, budget, seed), members in sorted(groups.items())]
+    columns = _ROW_KEY[:4]
+    return [{**dict(zip(columns, values)), "asr": compute_asr(members)}
+            for values, members in group_by(rows, columns)]
 
 
 def grid_from_rows(rows) -> list[dict]:
-    """The mean over seeds of each (detector, algorithm, budget)'s cell ASRs."""
-    groups: dict[tuple, list[float]] = {}
-    for cell in cells_from_rows(rows):
-        groups.setdefault((cell["detector"], cell["algorithm"], cell["budget"]),
-                          []).append(cell["asr"])
-    return [{"detector": det, "algorithm": algo, "budget": budget,
-             "asr_mean": sum(asrs) / len(asrs)}
-            for (det, algo, budget), asrs in sorted(groups.items())]
+    """The mean over seeds of each (detector, algorithm, budget)'s cell ASRs,
+    summed in seed order."""
+    columns = _ROW_KEY[:3]
+    return [{**dict(zip(columns, values)),
+             "asr_mean": sum(cell["asr"] for cell in cells) / len(cells)}
+            for values, cells in group_by(cells_from_rows(rows), columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +357,7 @@ def run_experiment(config: ExperimentConfig,
                         "budget": budget, "seed": master, "outcome": outcome,
                         "queries_used": queries, "wall_ms": wall_ms,
                     } for budget, outcome, queries, wall_ms in budget_rows(report, config.budgets))
-    rows.sort(key=_ROW_KEY)
+    rows.sort(key=itemgetter(*_ROW_KEY))
     return MetricsReport(config=config_to_dict(config), rows=tuple(rows))
 
 
@@ -416,7 +419,7 @@ def rows_from_dict(doc: dict) -> list[dict]:
     only(doc, ("format", "config", "columns", "rows"), "report")
     if strings(doc["columns"], "columns") != tuple(REPORT_COLUMNS):
         raise ValueError(f"columns are not {', '.join(REPORT_COLUMNS)}")
-    rows, first = [], {}
+    rows, first, row_key = [], {}, itemgetter(*_ROW_KEY)
     for i, values in enumerate(items(doc["rows"], "rows")):
         if len(items(values, f"row {i}")) != len(REPORT_COLUMNS):
             raise ValueError(f"row {i} has {len(values)} values, not {len(REPORT_COLUMNS)}")
@@ -426,7 +429,7 @@ def rows_from_dict(doc: dict) -> list[dict]:
             raise ValueError(f"row {i} outcome is {json.dumps(row['outcome'])}, "
                              "not success, failure or not_applicable")
         # A repeat would count one attack twice in its cell's ASR.
-        j = first.setdefault(_ROW_KEY(row), i)
+        j = first.setdefault(row_key(row), i)
         if j != i:
             raise ValueError(f"row {i} repeats row {j}: one attack per "
                              "detector, algorithm, budget, seed and sample_id")
@@ -441,11 +444,8 @@ def format_grid(grid) -> str:
     header = f"{'detector':<12} {'algorithm':<10}" + "".join(
         f"  N={b:<5}" for b in budgets)
     lines = [header, "-" * len(header)]
-    seen: dict[tuple[str, str], dict[int, float]] = {}
-    for entry in grid:
-        seen.setdefault((entry["detector"], entry["algorithm"]), {})[
-            entry["budget"]] = entry["asr_mean"]
-    for (det, algo), by_budget in sorted(seen.items()):
+    for (det, algo), entries in group_by(grid, _ROW_KEY[:2]):
+        by_budget = {entry["budget"]: entry["asr_mean"] for entry in entries}
         cells = "".join(f"  {by_budget.get(b, float('nan')):<7.3f}"
                         for b in budgets)
         lines.append(f"{det:<12} {algo:<10}{cells}")

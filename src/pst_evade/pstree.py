@@ -95,8 +95,6 @@ def init_probabilities(tree: PSTree) -> PSTree:
     stack = list(kids)
     while stack:
         node = stack.pop()
-        if tree.groups[node] is not None:
-            continue
         if tree.groups[next(iter(tree.probs[node]))] is not None:
             _init_leaf_parent(tree, node)
         else:

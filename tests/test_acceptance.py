@@ -33,7 +33,7 @@ from pst_evade.corpus import (
     validate_apk,
     verify_isolation,
 )
-from pst_evade.detectors import model_to_dict, query as model_query
+from pst_evade.detectors import load_model, model_to_dict, query as model_query, save_model
 from pst_evade.harness import (
     DEFAULT_BENCH_SPEC,
     DetectorSpec,
@@ -421,6 +421,16 @@ def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
             f"stock corpus components {components[:8]} (pinned "
             f"{BENCH_COMPONENTS_SHA256[:8]}), stock ensemble model {ensemble[:8]} "
             f"(pinned {BENCH_ENSEMBLE_SHA256[:8]})")
+
+
+def test_stock_ensemble_file_is_pinned_and_round_trips(tmp_path, bench_ensemble):
+    # The file is the canonical JSON whose sha256 is pinned above; loading it and
+    # saving again gives the same bytes.
+    path, again = tmp_path / "ensemble.json", tmp_path / "again.json"
+    save_model(bench_ensemble, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_ENSEMBLE_SHA256
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_stock_component_arrays_fit_in_23_mb(bench_corpus):

@@ -17,6 +17,7 @@ from apk_builders import (
     declared,
     set_stored_value,
 )
+from pst_evade import perturbset
 from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import (
     ACTION_MAIN,
@@ -287,6 +288,18 @@ def test_noop_keeps_rng_stream_aligned():
     assert canonical_json(apk_to_dict(a)) == canonical_json(apk_to_dict(b))
 
 
+def test_a_taken_component_name_is_drawn_again(monkeypatch):
+    # The first name drawn is that of an activity the app declares.
+    names = iter(["taken", "fresh", "proc", "uri"])
+    monkeypatch.setattr(perturbset, "random_name", lambda rng, length: next(names))
+    base = apk(declared_components=[declared(name="taken")])
+    out = apply_perturbation(
+        base, StubPerturbation("activity_action", "android.intent.action.VIEW"),
+        random.Random(0))
+    assert [c.name for c in out.declared_components] == ["taken", "fresh"]
+    assert next(names, None) is None
+
+
 def test_unknown_perturbation_kind_raises():
     with pytest.raises(ValueError):
         apply_perturbation(_plain_apk(), StubPerturbation("rename_class", "x"),
@@ -443,6 +456,7 @@ def test_validate_rejects_unknown_edge_endpoint():
     ("families", [0, 259], "function family above 10"),
     ("families", [0, -256], "negative function family"),
     ("edges", [[0, 2 ** 32]], "edge index out of range for 2 functions"),
+    ("families", [0.0, 1.0], "code component families must be integers, got float64"),
 ])
 def test_code_component_refuses_a_malformed_value(field, value, refusal):
     good = {"kind": "service", "classes": 1, "families": [0, 1], "edges": [[0, 1]],
@@ -715,6 +729,10 @@ def _duplicate_declared(comp, app):
     decls.append(dict(decls[0]))
 
 
+def _widget_declared(comp, app):
+    app["manifest"]["declared_components"][0]["kind"] = "widget"
+
+
 @pytest.mark.parametrize("corrupt,needle", [
     (_edge_out_of_range, "component {i}: edge index out of range"),
     (_negative_edge_index, "component {i}: edge index out of range"),
@@ -725,9 +743,10 @@ def _duplicate_declared(comp, app):
     (_non_string_api_id, "component {i}: api call id is not a string: 7"),
     (_api_calls_string, "component {i}: api_calls is a str, not a list of api call ids"),
     (_duplicate_declared, ": duplicate declared component"),
+    (_widget_declared, ": bad component kind: widget"),
 ], ids=["edge_out_of_range", "negative_edge_index", "negative_family",
         "edge_wrapping_to_zero", "family_wrapping_into_range", "bad_origin",
-        "non_string_api_id", "api_calls_string", "duplicate_declared"])
+        "non_string_api_id", "api_calls_string", "duplicate_declared", "widget_declared"])
 def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
     doc = _corpus_doc()
     app = doc["malicious"][2]

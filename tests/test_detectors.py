@@ -34,7 +34,7 @@ from pst_evade.detectors import (
     train,
 )
 from pst_evade.corpus import API_FAMILY_COUNT
-from pst_evade.features import CLUSTER_COUNT, ApiClusterMap
+from pst_evade.features import CLUSTER_COUNT
 from pst_evade.harness import make_default_ensemble, select_true_positives
 from pst_evade.perturbset import build_perturbation_set
 
@@ -145,8 +145,8 @@ def _space_of_width(kind, width):
     """A binary space of ``width`` keys, or the api_cluster space."""
     if kind == "binary":
         return _binary_space(tuple(f"k{i}" for i in range(width)))
-    return FeatureSpace("api_cluster", cluster_map=ApiClusterMap(
-        assignment=tuple((f"api.{i}", i) for i in range(CLUSTER_COUNT))))
+    return FeatureSpace("api_cluster",
+                        cluster_map={f"api.{i}": i for i in range(CLUSTER_COUNT)})
 
 
 def _flip(rng, row):
@@ -495,6 +495,8 @@ def test_train_rejects_bad_inputs():
         train("ensemble", space, x, labels)
     with pytest.raises(ValueError):
         train("oracle", space, x, labels)
+    with pytest.raises(ValueError, match="^unknown label: evil$"):
+        train("linear", space, x, labels[:-1] + ["evil"])
 
 
 def test_train_rejects_rows_narrower_or_wider_than_the_vocab():
@@ -529,6 +531,11 @@ def test_train_and_query_end_to_end():
     assert query(model, apk(apk_id="probe2", perms=[("B", "normal")])).label == "benign"
 
 
+def test_detector_model_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown detector kind: svm$"):
+        DetectorModel(kind="svm", space=_binary_space(("perm:P",)), params={})
+
+
 def test_feature_space_requires_cluster_map():
     with pytest.raises(ValueError, match="api_cluster feature space needs a cluster map"):
         FeatureSpace("api_cluster")
@@ -546,7 +553,7 @@ def test_space_rejects_unknown_kind_and_bad_family_count():
 
 
 def test_space_width_follows_its_kind():
-    cmap = ApiClusterMap(assignment=(("api.a", 2),))
+    cmap = {"api.a": 2}
     assert _binary_space(("perm:P", "perm:Q")).width == 2
     assert FeatureSpace("markov").width == API_FAMILY_COUNT ** 2 == 121
     assert FeatureSpace("api_cluster", cluster_map=cmap).width == CLUSTER_COUNT == 24
@@ -725,16 +732,50 @@ def test_forest_split_threshold_may_round_up_to_the_upper_value():
 # Serialization
 
 
+# A cluster map out of api-id order: a loaded map keeps its file's order.
+ROUND_TRIP_SPACES = {"binary": _binary_space(("perm:M", "perm:B")),
+                     "markov": FeatureSpace("markov"),
+                     "api_cluster": FeatureSpace("api_cluster",
+                                                 cluster_map={"api.b": 1, "api.a": 0})}
+
+
 @pytest.mark.parametrize("kind", ["linear", "mlp", "knn", "forest"])
 def test_model_file_round_trip(tmp_path, kind):
-    space, x, labels = _separable_rows()
-    model = train(kind, space, x, labels, seed=3)
-    path = tmp_path / f"{kind}.json"
-    save_model(model, path)
-    back = load_model(path)
-    probe = apk(perms=[("M", "normal")])
-    assert query(back, probe).confidence == query(model, probe).confidence
-    assert back.report == model.report
+    # Save, load and save again give the same bytes in every kind of space: a
+    # cluster map's digest and space_hash are of the map in its order.
+    for features, space in ROUND_TRIP_SPACES.items():
+        x = np.zeros((24, space.width))
+        x[0::2, 0] = x[1::2, 1] = 1.0
+        model = train(kind, space, x, ["malicious", "benign"] * 12, seed=3)
+        path, again = tmp_path / f"{features}.json", tmp_path / f"{features}.again.json"
+        save_model(model, path)
+        back = load_model(path)
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert [back.kernel(row) for row in x] == [model.kernel(row) for row in x]
+        assert back.report == model.report
+        assert back.space == space and back.space.cluster_map == space.cluster_map
+    assert list(load_model(tmp_path / "api_cluster.json").space.cluster_map) == [
+        "api.b", "api.a"]
+
+
+def test_ensemble_file_round_trip(tmp_path, stock_ensemble):
+    # The stock ensemble holds three api_cluster members, each with a built map.
+    clustered = [m.space.cluster_map for m in stock_ensemble.members
+                 if m.space.kind == "api_cluster"]
+    assert len(clustered) == 3 and all(list(c) == sorted(c) for c in clustered)
+    path, again = tmp_path / "ensemble.json", tmp_path / "again.json"
+    save_model(stock_ensemble, path)
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_refuses_a_cluster_map_that_names_an_api_id_twice(tmp_path):
+    # As a dict, the second pair would replace the first and the space would
+    # fail its space_hash; the refusal names the id instead.
+    _tampered_load(tmp_path, _cluster_model(),
+                   lambda doc: doc["space"]["cluster_map"]["assignment"].append(["api.a", 3]),
+                   match=r": cluster assignment names api id 'api\.a' twice$")
 
 
 def test_vocab_hash_is_stable_and_sensitive():
@@ -757,7 +798,7 @@ def test_space_equality_and_hash_are_by_digest():
 
 
 def test_space_round_trip():
-    cmap = ApiClusterMap(assignment=(("api.a", 0), ("api.b", 1)))
+    cmap = {"api.a": 0, "api.b": 1}
     for space in (FeatureSpace("markov"), FeatureSpace("api_cluster", cluster_map=cmap)):
         back = space_from_dict(json.loads(json.dumps(space_to_dict(space))))
         assert back == space
@@ -808,7 +849,7 @@ def test_load_rejects_ensemble_member_vocab_that_does_not_match_its_hash(tmp_pat
 
 
 def _cluster_model():
-    cmap = ApiClusterMap(assignment=(("api.a", 0), ("api.b", 1)))
+    cmap = {"api.a": 0, "api.b": 1}
     space = FeatureSpace("api_cluster", cluster_map=cmap)
     return DetectorModel(kind="linear", space=space,
                          params={"w": np.array([1.0, -1.0] + [0.0] * 22), "b": 0.0})
@@ -1001,6 +1042,10 @@ SCORING_PARAM_CASES = [
      "linear model: unknown key 'space.cluster_map'"),
     ("linear", lambda d: d.update(space={"kind": "markov"}),
      "linear model: missing key 'space.family_count'"),
+    ("linear", lambda d: d["space"].update(kind="bogus"), "unknown feature kind: bogus"),
+    ("linear", lambda d: d.update(kind="svm"), "unknown detector kind: svm"),
+    ("linear", lambda d: _give_cluster_space(d, map_extra={"assignment": [["api.a", 24]]}),
+     'cluster assignment holds ["api.a", 24], not an [api id, cluster below 24] pair'),
 ]
 
 
@@ -1020,7 +1065,9 @@ SCORING_PARAM_CASES = [
                               "linear_binary_space_family_count", "linear_cluster_space_keys",
                               "linear_cluster_map_extra", "linear_report_tpr",
                               "linear_binary_space_cluster_map",
-                              "linear_markov_space_without_family_count"])
+                              "linear_markov_space_without_family_count",
+                              "linear_bogus_space_kind", "svm_model_kind",
+                              "api_cluster_cluster_24"])
 def test_model_load_checks_scoring_params(kind, tamper, needle):
     doc = _two_key_doc(kind)
     assert model_from_dict(doc).kind == kind

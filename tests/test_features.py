@@ -17,14 +17,11 @@ from pst_evade.detectors import (Ensemble, FeatureSpace, score, space_from_dict,
                                  space_to_dict, train)
 from pst_evade.features import (
     CLUSTER_COUNT,
-    ApiClusterMap,
     Parts,
     added_parts,
     app_parts,
     build_api_cluster_map,
     build_vocab,
-    cluster_map_from_dict,
-    cluster_map_to_dict,
     extract_api_cluster,
     extract_binary,
     extract_markov,
@@ -345,11 +342,12 @@ def test_markov_range_error_names_the_payload_edge_after_reuse():
 def test_cluster_map_is_balanced_and_total():
     cmap = build_api_cluster_map([f"api.{i}" for i in range(50)], seed=4)
     sizes = {}
-    for _, c in cmap.assignment:
+    for c in cmap.values():
         sizes[c] = sizes.get(c, 0) + 1
     assert sorted(sizes) == list(range(CLUSTER_COUNT))
     assert sorted(sizes.values(), reverse=True) == [3, 3] + [2] * 22
-    assert len(cmap.assignment) == 50
+    # Every id, in api-id order.
+    assert list(cmap) == sorted(f"api.{i}" for i in range(50))
 
 
 def test_cluster_map_deterministic_and_seed_sensitive():
@@ -362,7 +360,7 @@ def test_cluster_map_deterministic_and_seed_sensitive():
 
 
 def test_extract_api_cluster_is_presence_not_count():
-    cmap = ApiClusterMap(assignment=(("api.a", 2), ("api.b", 0)))
+    cmap = {"api.a": 2, "api.b": 0}
     comp = code_component(api_ids=["api.a", "api.a", "api.b"],
                           functions=["t.c0.f0@0"])
     vec = extract_api_cluster(apk(components=[comp]), cluster_columns(cmap))
@@ -371,7 +369,7 @@ def test_extract_api_cluster_is_presence_not_count():
 
 
 def test_extract_api_cluster_rejects_unmapped_id():
-    cmap = ApiClusterMap(assignment=(("api.a", 0),))
+    cmap = {"api.a": 0}
     comp = code_component(api_ids=["api.mystery"], functions=["t.c0.f0@0"])
     with pytest.raises(ValueError, match="api.mystery"):
         extract_api_cluster(apk(components=[comp]), cluster_columns(cmap))
@@ -393,7 +391,7 @@ def _walk_row(space, parts):
         return row
     for comp in parts.components:
         for api in comp.api_calls:
-            cluster = space.cluster_map.lookup.get(api)
+            cluster = space.cluster_map.get(api)
             if cluster is None:
                 raise ValueError(f"api id missing from cluster map: {api}")
             row[cluster] = 1.0
@@ -506,8 +504,7 @@ def test_threads_sharing_a_space_get_the_walked_rows(small_corpus):
 
 
 def test_unmapped_api_raises_on_every_call():
-    space = FeatureSpace("api_cluster", cluster_map=ApiClusterMap(
-        assignment=(("api.a", 0), ("api.b", 1))))
+    space = FeatureSpace("api_cluster", cluster_map={"api.a": 0, "api.b": 1})
     known = code_component(api_ids=["api.a"])
     stray = code_component(api_ids=["api.b", "api.mystery", "api.other"])
     app = apk(components=[known, stray])
@@ -534,14 +531,22 @@ def test_vocab_round_trip():
     assert back == space
 
 
+def _cluster_space(count, seed=9):
+    return FeatureSpace("api_cluster", cluster_map=build_api_cluster_map(
+        [f"api.{i}" for i in range(count)], seed))
+
+
 def test_cluster_map_round_trip():
-    cmap = build_api_cluster_map([f"api.{i}" for i in range(7)], seed=9)
-    assert cluster_map_from_dict(cluster_map_to_dict(cmap)) == cmap
+    space = _cluster_space(7)
+    back = space_from_dict(json.loads(json.dumps(space_to_dict(space))))
+    assert back == space
+    assert back.cluster_map == space.cluster_map
+    assert list(back.cluster_map) == list(space.cluster_map)
 
 
 def test_cluster_map_records_its_24_clusters_and_refuses_any_other_count():
-    doc = cluster_map_to_dict(build_api_cluster_map([f"api.{i}" for i in range(30)], seed=9))
-    assert doc["cluster_count"] == 24
+    doc = space_to_dict(_cluster_space(30))
+    assert doc["cluster_map"]["cluster_count"] == 24
     for count, needle in ((3, "3, not 24"), (0, "0, not 24"), ("3", '"3", not an integer')):
         with pytest.raises(ValueError, match=f"^cluster_count is {re.escape(needle)}$"):
-            cluster_map_from_dict({**doc, "cluster_count": count})
+            space_from_dict({**doc, "cluster_map": {**doc["cluster_map"], "cluster_count": count}})

@@ -275,6 +275,16 @@ def test_mismatched_donor_declarations_rejected():
         build_perturbation_set(load_default_catalog(), [donor])
 
 
+def test_donor_declarations_in_another_kind_order_rejected():
+    donor = apk(apk_id="d902", ground_truth="benign",
+                declared_components=[declared(kind="receiver", name="R"),
+                                     declared(kind="service", name="S")],
+                components=[code_component(kind="service", functions=["d902.c0.f0@0"]),
+                            code_component(kind="receiver", functions=["d902.c1.f0@0"])])
+    with pytest.raises(ValueError, match="^donor d902 component order is inconsistent$"):
+        build_perturbation_set(load_default_catalog(), [donor])
+
+
 def test_groups_are_kind_homogeneous_and_cover(full_pset):
     seen = []
     for g in full_pset.groups:
@@ -481,3 +491,11 @@ def test_load_pset_refuses_a_perturbation_with_no_tree_position(tmp_path, full_p
         load_pset(path)
     assert str(exc.value) == (f"{path}: perturbation permission:{name}: "
                               "no selection-tree position manifest/permission/dangerous")
+
+
+def test_load_pset_refuses_an_unknown_perturbation_kind(tmp_path, full_pset):
+    path = _pset_file(tmp_path, full_pset,
+                      lambda doc: doc["perturbations"].append({"kind": "bogus", "payload": "x"}))
+    with pytest.raises(ValueError) as exc:
+        load_pset(path)
+    assert str(exc.value) == f"{path}: unknown perturbation kind: bogus"

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from scipy import stats
@@ -90,6 +91,17 @@ def rewalk_leaf_counts(tree):
 
 # ---------------------------------------------------------------------------
 # Construction and initialization
+
+
+@pytest.mark.parametrize("probs,needle", [
+    ((0.4, 0.4), "probabilities under root#0 sum to 0.8"),
+    ((1.5, -0.5), "probability out of range under root#0: 1.5"),
+])
+def test_validate_probabilities_names_the_node(probs, needle):
+    tree = build_tree(perm_groups("normal", 2) + [inject_group()])
+    tree.probs[0] = dict(zip(tree.probs[0], probs))
+    with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
+        validate_probabilities(tree)
 
 
 def test_full_tree_structure(full_pset):
