@@ -156,6 +156,17 @@ def only(d: dict, names, what: str, prefix: str = "") -> None:
         raise ValueError(f"{what}: unknown key {prefix + unknown[0]!r}")
 
 
+def exact_keys(d: dict, names, what: str, prefix: str = "", optional=()) -> dict:
+    """``d``, an object named ``what`` that holds each of ``names`` and may
+    hold ``optional``: any other key is refused by ``only``, and a missing one
+    in one line naming the first of ``names`` (after ``prefix``) it lacks."""
+    only(d, (*names, *optional), what, prefix)
+    missing = [name for name in names if name not in d]
+    if missing:
+        raise ValueError(f"{what}: missing key {prefix + missing[0]!r}")
+    return d
+
+
 def fields_of(cls, d, what: str, /, retired: tuple[str, ...] = (), **readers) -> dict:
     """The fields of dataclass ``cls`` that ``d``, an object named ``what``,
     gives, each read by its entry in ``readers`` as ``read(value, field name)``

@@ -1,5 +1,5 @@
-"""Command line front end: corpus generation, detector training, perturbation
-set construction, single attack runs, and full benchmark sweeps."""
+"""Command line front end: corpus generation, detector training, single attack
+runs, and full benchmark sweeps."""
 from __future__ import annotations
 
 import argparse
@@ -33,7 +33,7 @@ from .harness import (
     select_true_positives,
     train_detector,
 )
-from .perturbset import build_perturbation_set, load_pset, save_pset
+from .perturbset import build_perturbation_set
 from .pstree import dump_tree
 
 SEED_ENV = "PST_EVADE_SEED"
@@ -74,19 +74,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_build_pset(args) -> int:
-    donors = load_corpus(args.corpus).donors if args.corpus else ()
-    pset = build_perturbation_set(load_default_catalog(), donors)
-    save_pset(pset, args.out)
-    print(f"built {len(pset)} perturbations in {len(pset.groups)} groups; saved to {args.out}")
-    return 0
-
-
 def _cmd_attack(args) -> int:
     seed = _seed_override(args.seed)
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
-    pset = load_pset(args.pset)
+    pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     _, test = corpus.train_test_split()
     malicious = [a for a in test if a.ground_truth == "malicious"]
     targets = select_true_positives(model, malicious, args.samples, seed,
@@ -148,16 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("build-pset",
-                       help="build the perturbation set of the bundled catalog")
-    p.add_argument("--corpus", help="corpus whose donors provide injectables")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_pset)
-
     p = sub.add_parser("attack", help="attack detected samples from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--pset", required=True, help="perturbation set written by build-pset")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="pst")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--samples", type=int, default=10)

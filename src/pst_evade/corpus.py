@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (AndroidCatalog, fields_of, flag, integer, items, load_default_catalog,
-                      obj, only, permission_pairs, read_document, string, strings)
+from .catalog import (AndroidCatalog, exact_keys, fields_of, flag, integer, items,
+                      load_default_catalog, obj, permission_pairs, read_document, string, strings)
 
 GROUND_TRUTHS = ("benign", "malicious")
 COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
@@ -393,10 +393,10 @@ def _declared_to_dict(c: DeclaredComponent) -> dict:
 
 
 def _declared_from_dict(d: dict, what: str) -> DeclaredComponent:
-    """The declared component in ``d``; ``what`` names it if ``d`` has a key it lacks."""
+    """The declared component in ``d``; ``what`` names it in the refusal of a key."""
+    exact_keys(obj(d, what), ("kind", "name", "intent_actions", "intent_categories", "exported",
+                              "enabled"), what, optional=("process", "data_uri"))
     name = string(d["name"], "declared component name")
-    only(d, ("kind", "name", "intent_actions", "intent_categories", "exported", "enabled",
-             "process", "data_uri"), what)
     where = f"declared component {name}: "
     return DeclaredComponent(
         kind=d["kind"], name=name,
@@ -453,8 +453,9 @@ def _component_to_dict(c: CodeComponent) -> dict:
 
 def _component_from_dict(d: dict, where: str) -> CodeComponent:
     """The code component in ``d``; ``where`` starts the refusal of a key or value."""
+    exact_keys(obj(d, where), ("kind", "classes", "families", "edges", "api_calls"), where,
+               optional=("origin",))
     classes = integer(d["classes"], "code component classes", lo=0)
-    only(d, ("kind", "classes", "families", "edges", "api_calls", "origin"), where)
     edges = unpack_array(d["edges"], "code component edges")
     if edges.size % 2:
         raise ValueError(f"code component edges holds {edges.size} values, "
@@ -485,16 +486,18 @@ def apk_to_dict(apk: ApkModel) -> dict:
     }
 
 
-def apk_from_dict(d: dict) -> ApkModel:
-    apk_id = string(d["id"], "app id")
-    app = f"app {apk_id}"
-    m, code = obj(d["manifest"], f"{app}: manifest"), obj(d["code"], f"{app}: code")
-    only(d, ("id", "ground_truth", "manifest", "code"), app)
-    only(m, ("uses_features", "permissions", "declared_components"), app, "manifest.")
-    only(code, ("components",), app, "code.")
+def apk_from_dict(d: dict, what: str) -> ApkModel:
+    """The app in ``d``; ``what`` names it until its id is read, and then its id."""
+    if "id" not in obj(d, what):
+        raise ValueError(f"{what}: missing key 'id'")
+    app = f"app {string(d['id'], 'app id')}"
+    exact_keys(d, ("id", "ground_truth", "manifest", "code"), app)
+    m = exact_keys(obj(d["manifest"], f"{app}: manifest"),
+                   ("uses_features", "permissions", "declared_components"), app, "manifest.")
+    code = exact_keys(obj(d["code"], f"{app}: code"), ("components",), app, "code.")
     where = app + ": "
     return ApkModel(
-        id=apk_id,
+        id=d["id"],
         uses_features=frozenset(strings(m["uses_features"], where + "uses_features")),
         permissions=frozenset(Permission(n, l) for n, l in
                               permission_pairs(m["permissions"], where + "permissions")),
@@ -530,14 +533,12 @@ def corpus_from_dict(d: dict) -> Corpus:
     """Inverse of ``corpus_to_dict``. Every app is validated, holds the ground
     truth of its list (a donor's is benign) and has an id no other app has:
     attack seeds and report rows are keyed by the app id. A key that the
-    document or one of its objects does not hold is refused."""
-    only(d, ("format", "spec", "benign", "malicious", "donors"), "corpus")
-    corpus = Corpus(
-        spec=spec_from_dict(d["spec"]),
-        benign=tuple(map(apk_from_dict, items(d["benign"], "benign"))),
-        malicious=tuple(map(apk_from_dict, items(d["malicious"], "malicious"))),
-        donors=tuple(map(apk_from_dict, items(d["donors"], "donors"))),
-    )
+    document or one of its objects lacks, or does not hold, is refused naming
+    the object."""
+    exact_keys(d, ("spec", "benign", "malicious", "donors"), "corpus", optional=("format",))
+    corpus = Corpus(spec=spec_from_dict(d["spec"]), **{
+        key: tuple(apk_from_dict(a, f"app {i} of {key}") for i, a in enumerate(items(d[key], key)))
+        for key in ("benign", "malicious", "donors")})
     seen: set[str] = set()
     for where, truth, apks in (("benign", "benign", corpus.benign),
                                ("malicious", "malicious", corpus.malicious),

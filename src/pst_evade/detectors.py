@@ -15,8 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import (fields_of, fixed, flag, integer, items, number, numbers, obj, only,
-                      pairs, read_document, string, strings)
+from .catalog import (exact_keys, fields_of, fixed, flag, integer, items, number, numbers, obj,
+                      only, pairs, read_document, string, strings)
 from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
@@ -502,7 +502,7 @@ def _forest_kernel(space: FeatureSpace, p: dict):
     roots = np.arange(len(nodes), dtype=np.intp)
     feature, threshold, left, right, vote = [], [], [], [], []
     for i, node in enumerate(nodes):  # grows while it is walked
-        if flag(node["leaf"], "forest model: node leaf"):
+        if flag(obj(node, "forest model: tree node")["leaf"], "forest model: node leaf"):
             v = integer(node["vote"], "forest model: leaf vote")
             if v not in (0, 1):
                 raise ValueError(f"forest model: leaf vote {v} is not 0 or 1")
@@ -689,10 +689,7 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
         except KeyError as exc:
             raise KeyError(f"report.{exc.args[0]}") from None
         params = obj(doc["params"], f"{kind} model: params")
-        only(params, _PARAMS[kind], f"{kind} model", "params.")
-        missing = [name for name in _PARAMS[kind] if name not in params]
-        if missing:
-            raise KeyError(f"params.{missing[0]}")
+        exact_keys(params, _PARAMS[kind], f"{kind} model", "params.")
         return DetectorModel(kind=kind, space=space, report=report, params={
             name: read(params[name], f"{kind} model: params.{name}")
             for name, read in _PARAMS[kind].items()})

@@ -3,25 +3,13 @@ perturbation set built from the Android catalog and benign donors, with keyword
 extraction, keyword similarity, and semantic clustering."""
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .catalog import AndroidCatalog, items, obj, only, read_document, string
-from .corpus import (
-    CODE_KINDS,
-    ApkModel,
-    CodeComponent,
-    DeclaredComponent,
-    Permission,
-    _component_from_dict,
-    _component_to_dict,
-    _declared_from_dict,
-    _declared_to_dict,
-)
+from .catalog import AndroidCatalog
+from .corpus import CODE_KINDS, ApkModel, CodeComponent, DeclaredComponent, Permission
 
 if TYPE_CHECKING:
     from .pstree import PSTree
@@ -47,9 +35,6 @@ INTENT_KINDS = {
 
 # Keyword similarity a pair of manifest groups must exceed to merge.
 SIMILARITY_THRESHOLD = 0.5
-
-# Version of the pset JSON layout; files of any other version are refused.
-PSET_FORMAT = 6
 
 _FEATURE_PREFIXES = ("android.hardware.", "android.software.")
 
@@ -92,7 +77,7 @@ class PerturbationGroup:
 
 @dataclass(frozen=True)
 class PerturbationSet:
-    """Perturbations and their groups, which ``clustered`` derives from them."""
+    """Perturbations and their groups, which ``build_perturbation_set`` derives."""
 
     perturbations: tuple[Perturbation, ...]
     groups: tuple[PerturbationGroup, ...]
@@ -218,32 +203,25 @@ def _donor_perturbations(donors) -> list[Perturbation]:
     return out
 
 
-def clustered(perturbations: Sequence[Perturbation]) -> PerturbationSet:
-    """The set of ``perturbations``, grouped per tree position: each manifest
-    bucket clustered at ``SIMILARITY_THRESHOLD``, one group per injection. A
-    perturbation without keywords or a tree position raises ``ValueError``."""
+def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSet:
+    """One perturbation per eligible catalog entry (dangerous permissions are
+    excluded) plus one injection per non-empty donor component, grouped per
+    tree position: each manifest bucket clustered at ``SIMILARITY_THRESHOLD``,
+    one group per injection."""
+    perturbations = _manifest_perturbations(catalog) + _donor_perturbations(donors)
+    if not perturbations:
+        raise ValueError("no eligible catalog entries and no donor components")
     by_path: dict[tuple[str, ...], list[Perturbation]] = {}
     for p in perturbations:
         by_path.setdefault(tree_position(p), []).append(p)
 
     groups: list[PerturbationGroup] = []
-    for path in sorted(by_path):
-        bucket = by_path[path]
+    for path, bucket in sorted(by_path.items()):
         if path[0] == "code":
-            groups.extend(PerturbationGroup(members=(p,), keywords=frozenset())
-                          for p in bucket)
+            groups.extend(PerturbationGroup(members=(p,), keywords=frozenset()) for p in bucket)
         else:
             groups.extend(cluster_perturbations(bucket))
     return PerturbationSet(perturbations=tuple(perturbations), groups=tuple(groups))
-
-
-def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSet:
-    """One perturbation per eligible catalog entry (dangerous permissions are
-    excluded) plus one injection per non-empty donor component, ``clustered``."""
-    perturbations = _manifest_perturbations(catalog) + _donor_perturbations(donors)
-    if not perturbations:
-        raise ValueError("no eligible catalog entries and no donor components")
-    return clustered(perturbations)
 
 
 # ---------------------------------------------------------------------------
@@ -337,75 +315,3 @@ def apply_perturbation(apk: ApkModel, perturbation: Perturbation,
                         apk.components + (payload.injected_component,), apk.ground_truth)
 
     raise ValueError(f"unknown perturbation kind: {kind}")
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _perturbation_to_dict(p: Perturbation) -> dict:
-    doc: dict = {"kind": p.kind}
-    if p.kind == "permission":
-        doc["payload"] = asdict(p.payload)
-    elif p.kind in INJECT_KINDS:
-        doc["payload"] = {
-            "source_apk_id": p.payload.source_apk_id,
-            "declared": _declared_to_dict(p.payload.declared),
-            "component": _component_to_dict(p.payload.component),
-        }
-    else:
-        doc["payload"] = p.payload
-    return doc
-
-
-def _perturbation_from_dict(doc: dict) -> Perturbation:
-    kind = string(doc["kind"], "perturbation kind")
-    raw, where = doc["payload"], f"{kind} payload"
-    if kind == "permission":
-        only(obj(raw, where), ("name", "protection_level"), where)
-        payload: object = Permission(string(raw["name"], where + " name"),
-                                     string(raw["protection_level"], where + " level"))
-    elif kind in INJECT_KINDS:
-        source = string(obj(raw, where)["source_apk_id"], where + " source_apk_id")
-        declared = _declared_from_dict(raw["declared"], f"payload {kind}:{source} declared")
-        where = f"payload {kind}:{source}/{declared.name}"
-        only(raw, ("source_apk_id", "declared", "component"), where)
-        code = _component_from_dict(raw["component"], where)
-        if kind != "inject_" + code.kind or declared.kind != code.kind:
-            raise ValueError(f"{where}: kinds disagree: {kind}, declared {declared.kind}, "
-                             f"code {code.kind}")
-        payload = InjectablePayload(source, declared, code)
-    else:
-        payload = string(raw, where)
-    return Perturbation(kind=kind, payload=payload)
-
-
-def pset_to_dict(pset: PerturbationSet) -> dict:
-    """The pset's perturbations: its groups and keywords are derived on load."""
-    return {"format": PSET_FORMAT,
-            "perturbations": [_perturbation_to_dict(p) for p in pset.perturbations]}
-
-
-def pset_from_dict(doc: dict) -> PerturbationSet:
-    """The pset in a document, ``clustered``; a key other than ``format`` and
-    ``perturbations`` (or a perturbation's ``kind`` and ``payload``, or a
-    payload's, its declaration's or its component's fields), a malformed payload
-    component, an injection whose kind, declaration and component disagree, or
-    a perturbation with no keywords or tree position raises a one-line
-    ``ValueError``."""
-    only(doc, ("format", "perturbations"), "pset")
-    docs = items(doc["perturbations"], "perturbations")
-    for i, d in enumerate(docs):
-        only(obj(d, f"perturbation {i}"), ("kind", "payload"), f"perturbation {i}")
-    return clustered(tuple(map(_perturbation_from_dict, docs)))
-
-
-def save_pset(pset: PerturbationSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(pset_to_dict(pset), sort_keys=True),
-                          encoding="utf-8")
-
-
-def load_pset(path: str | Path) -> PerturbationSet:
-    """Load a pset file and derive its groups."""
-    return read_document(path, pset_from_dict,
-                         ("pset", PSET_FORMAT, "rebuild it with build-pset"))

@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from test_perturbset import _brute_force_cluster, _random_permissions
-from test_pstree import (
+from apk_builders import (
+    brute_force_cluster,
     child_probs,
     feature_group,
     find,
     first_child,
     inject_group,
     perm_groups,
+    random_permissions,
     rewalk_leaf_counts,
 )
-
 from pst_evade.attack import AttackConfig, Oracle, run_attack
 from pst_evade.cli import main as cli_main
 from pst_evade.corpus import (
@@ -160,9 +160,9 @@ def test_clustering_matches_reference_oracle(verdict):
     agree = total = 0
     for threshold in (0.3, 0.5, 0.7):
         for _ in range(100):
-            ps = _random_permissions(rng, rng.randint(1, 15))
+            ps = random_permissions(rng, rng.randint(1, 15))
             got = cluster_perturbations(ps, threshold)
-            want = _brute_force_cluster(ps, threshold)
+            want = brute_force_cluster(ps, threshold)
             got_sets = sorted(sorted(p.key for p in g.members) for g in got)
             want_sets = sorted(sorted(p.key for p in g) for g in want)
             agree += got_sets == want_sets

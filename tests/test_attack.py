@@ -25,10 +25,6 @@ from pst_evade.perturbset import (
     InjectablePayload,
     apply_perturbation,
     build_perturbation_set,
-    load_pset,
-    pset_from_dict,
-    pset_to_dict,
-    save_pset,
 )
 from pst_evade.pstree import build_tree, tree_to_dict
 
@@ -206,12 +202,12 @@ def test_budget_prefix_property(attack_setup, algorithm):
                 small.confidence_trace
 
 
-def test_pst_attacks_copy_the_pset_reference_tree(attack_setup):
+def test_pst_attacks_copy_the_pset_reference_tree(attack_setup, small_corpus):
     # Every pst attack on a pset works on a copy of the pset's one reference
     # tree; the attacks leave it as built and report what attacks on a fresh
     # pset, with no reference tree yet, report.
     model, pset, tps = attack_setup
-    fresh = pset_from_dict(pset_to_dict(pset))
+    fresh = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     assert fresh.tree is None
 
     def attacks(pset):
@@ -223,24 +219,6 @@ def test_pst_attacks_copy_the_pset_reference_tree(attack_setup):
     assert tree_to_dict(pset.tree) == tree_to_dict(build_tree(pset.groups))
     assert got == attacks(fresh)
     assert reference_tree(fresh) is fresh.tree is not None
-
-
-@pytest.mark.parametrize("algorithm", ["pst", "mab"])
-def test_attacks_on_a_saved_and_loaded_pset_report_as_on_the_built_one(
-        attack_setup, tmp_path, algorithm):
-    # The loaded pset derives its groups, and so its tree and arms, from the
-    # perturbations alone.
-    model, pset, tps = attack_setup
-    save_pset(pset, tmp_path / "pset.json")
-    loaded = load_pset(tmp_path / "pset.json")
-
-    def attacks(pset):
-        return [_strip_nondeterministic(run_attack(
-                    Oracle(model), sample, pset,
-                    AttackConfig(budget=15, algorithm=algorithm, seed=500 + i)))
-                for i, sample in enumerate(tps)]
-
-    assert attacks(loaded) == attacks(pset)
 
 
 @pytest.mark.parametrize("algorithm", ["pst", "mab", "random"])
@@ -307,10 +285,10 @@ def test_second_layer_arm_buckets(full_pset):
                           "service", "receiver", "provider"]
 
 
-def test_mab_attacks_share_the_pset_arms(full_pset, monkeypatch):
+def test_mab_attacks_share_the_pset_arms(full_pset, donor_corpus, monkeypatch):
     # The arms depend on the pset alone: the first bandit attack on a pset
     # buckets its groups, and later attacks read the same arms.
-    pset = pset_from_dict(pset_to_dict(full_pset))
+    pset = build_perturbation_set(load_default_catalog(), donor_corpus.donors)
     calls = []
     leaf_path = perturbset.leaf_path
     monkeypatch.setattr(perturbset, "leaf_path", lambda g: calls.append(g) or leaf_path(g))

@@ -1,11 +1,15 @@
 """End-to-end command line flow in a temp directory."""
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
+from pst_evade.catalog import load_default_catalog
 from pst_evade.cli import main
 from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, canonical_json, corpus_to_dict,
                               generate_corpus, load_corpus, pack_array, spec_to_dict,
@@ -20,7 +24,7 @@ from pst_evade.detectors import (
     model_to_dict,
 )
 from pst_evade.harness import derive_seed, rows_from_dict, select_true_positives
-from pst_evade.perturbset import load_pset
+from pst_evade.perturbset import build_perturbation_set
 from pst_evade.pstree import tree_to_dict
 
 SPEC = CorpusSpec(n_benign=30, n_malicious=30, donor_count=10, seed=19)
@@ -35,13 +39,7 @@ def workdir(tmp_path_factory):
                  "--out", str(root / "corpus.json")]) == 0
     assert main(["train", "--corpus", str(root / "corpus.json"),
                  "--kind", "linear", "--out", str(root / "model.json")]) == 0
-    assert main(["build-pset", "--corpus", str(root / "corpus.json"),
-                 "--out", str(root / "pset.json")]) == 0
     return root
-
-
-def _stores_arrays_as_base64(component):
-    return all(sorted(component[k]) == ["data", "dtype"] for k in ("families", "edges"))
 
 
 def test_gen_corpus_writes_loadable_corpus(workdir):
@@ -54,7 +52,8 @@ def test_gen_corpus_writes_loadable_corpus(workdir):
     doc = json.loads((workdir / "corpus.json").read_text())
     assert doc["format"] == 5
     assert sorted(doc["spec"]) == ["donor_count", "n_benign", "n_malicious", "seed"]
-    assert _stores_arrays_as_base64(_first_component(doc))
+    component = _first_component(doc)
+    assert all(sorted(component[k]) == ["data", "dtype"] for k in ("families", "edges"))
 
 
 def test_gen_corpus_file_is_the_canonical_document(tmp_path):
@@ -137,31 +136,11 @@ def test_train_and_attack_each_detector_kind_and_feature_space(workdir, capsys, 
         assert out.startswith(f"trained {kind} on {features} features; f1=")
         assert model.space.kind == features
     report = workdir / f"attack-{kind}-{features}.json"
-    assert main(["attack", "--corpus", str(corpus), "--model", str(path),
-                 "--pset", str(workdir / "pset.json"), "--budget", "5",
+    assert main(["attack", "--corpus", str(corpus), "--model", str(path), "--budget", "5",
                  "--samples", str(samples), "--out", str(report)]) == 0
     doc = json.loads(report.read_text())
     assert doc["samples"] == samples and len(doc["reports"]) == samples
     assert all(rep["queries_used"] <= 5 for rep in doc["reports"])
-
-
-def test_build_pset_with_and_without_donors(workdir):
-    with_donors = workdir / "pset.json"
-    assert main(["build-pset", "--corpus", str(workdir / "corpus.json"),
-                 "--out", str(with_donors)]) == 0
-    pset = load_pset(with_donors)
-    # A format-6 pset file holds its perturbations only, each its kind and
-    # payload: groups and keywords are derived on load. It stores each payload
-    # component like the corpus does.
-    doc = json.loads(with_donors.read_text())
-    assert doc["format"] == 6 and sorted(doc) == ["format", "perturbations"]
-    assert all(sorted(p) == ["kind", "payload"] for p in doc["perturbations"])
-    assert _stores_arrays_as_base64(_first_payload(doc)["component"])
-    manifest_only = workdir / "pset_plain.json"
-    assert main(["build-pset", "--out", str(manifest_only)]) == 0
-    plain = load_pset(manifest_only)
-    assert len(pset) > len(plain)
-    assert len(plain) == 256
 
 
 def test_attack_writes_report(workdir, capsys):
@@ -169,7 +148,6 @@ def test_attack_writes_report(workdir, capsys):
     tree = workdir / "tree.json"
     assert main(["attack", "--corpus", str(workdir / "corpus.json"),
                  "--model", str(workdir / "model.json"),
-                 "--pset", str(workdir / "pset.json"),
                  "--algorithm", "pst", "--budget", "6", "--samples", "4",
                  "--seed", "2", "--out", str(out),
                  "--dump-tree", str(tree)]) == 0
@@ -183,35 +161,71 @@ def test_attack_writes_report(workdir, capsys):
     snapshot = json.loads(tree.read_text())
     assert snapshot["root"]["label"] == "root"
     # The dump is the reference tree the attacks copy, with one leaf per group of
-    # the pset; it records no settings.
-    pset = load_pset(workdir / "pset.json")
+    # the corpus's pset; it records no settings.
+    pset = build_perturbation_set(load_default_catalog(),
+                                  load_corpus(workdir / "corpus.json").donors)
     assert snapshot["leaf_count"] == len(pset.groups)
     assert "config" not in snapshot
     assert snapshot == tree_to_dict(reference_tree(pset))
     assert "ASR" in capsys.readouterr().out
 
 
-def test_attack_runs_on_the_pset_file_it_is_given(workdir):
-    corpus_path, model_path = workdir / "corpus.json", workdir / "model.json"
-    pset_path, out = workdir / "pset_manifest.json", workdir / "attack_manifest.json"
-    assert main(["build-pset", "--out", str(pset_path)]) == 0
-    pset = load_pset(pset_path)
-    assert len(pset.groups) != len(load_pset(workdir / "pset.json").groups)
+@pytest.mark.parametrize("algorithm", ["pst", "mab"])
+def test_attack_reports_the_in_process_attacks_on_its_corpus_pset(workdir, algorithm):
+    # attack builds its pset from the bundled catalog and the donors of the
+    # corpus it attacks.
+    corpus_path, model_path, out = (workdir / "corpus.json", workdir / "model.json",
+                                    workdir / f"attack_in_process_{algorithm}.json")
     assert main(["attack", "--corpus", str(corpus_path), "--model", str(model_path),
-                 "--pset", str(pset_path), "--budget", "6", "--samples", "3",
-                 "--seed", "4", "--out", str(out)]) == 0
+                 "--algorithm", algorithm, "--budget", "6", "--samples", "3", "--seed", "4",
+                 "--out", str(out)]) == 0
 
-    model = load_model(model_path)
-    _, test = load_corpus(corpus_path).train_test_split()
+    corpus, model = load_corpus(corpus_path), load_model(model_path)
+    pset = build_perturbation_set(load_default_catalog(), corpus.donors)
+    _, test = corpus.train_test_split()
     targets = select_true_positives(model, [a for a in test if a.ground_truth == "malicious"],
                                     3, 4, detector_name=str(model_path))
-    expected = [report_to_dict(run_attack(Oracle(model), apk, pset,
-                                          AttackConfig(budget=6, seed=derive_seed(4, apk.id))))
+    expected = [report_to_dict(run_attack(Oracle(model), apk, pset, AttackConfig(
+                    budget=6, algorithm=algorithm, seed=derive_seed(4, apk.id))))
                 for apk in targets]
     written = json.loads(out.read_text())["reports"]
     for doc in written + expected:
         del doc["wall_time"]
     assert written == expected
+
+
+def test_attack_on_a_corpus_without_donors_draws_manifest_perturbations_only(workdir):
+    spec, corpus = workdir / "no-donor-spec.json", workdir / "no-donor-corpus.json"
+    spec.write_text(json.dumps(spec_to_dict(CorpusSpec(n_benign=30, n_malicious=30,
+                                                       donor_count=0, seed=19))))
+    assert main(["gen-corpus", "--spec", str(spec), "--out", str(corpus)]) == 0
+    out, tree = workdir / "attack_no_donors.json", workdir / "tree_no_donors.json"
+    assert main(["attack", "--corpus", str(corpus), "--model", str(workdir / "model.json"),
+                 "--budget", "6", "--samples", "2", "--out", str(out),
+                 "--dump-tree", str(tree)]) == 0
+    pset = build_perturbation_set(load_default_catalog(), load_corpus(corpus).donors)
+    assert len(pset) == 256 and not any(p.kind.startswith("inject_") for p in pset.perturbations)
+    assert json.loads(tree.read_text()) == tree_to_dict(reference_tree(pset))
+    assert json.loads(tree.read_text())["leaf_count"] == len(pset.groups) == 208
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 2
+    assert not any(key.startswith("inject_") for rep in reports for key in rep["applied"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-pset", "--out", "pset.json"],
+    ["attack", "--corpus", "corpus.json", "--model", "model.json", "--pset", "pset.json",
+     "--budget", "4", "--out", "attack.json"],
+])
+def test_the_pset_file_options_are_gone(capsys, argv):
+    # attack draws its perturbations from the corpus it attacks: there is no pset
+    # file to build or to give it.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("invalid choice: 'build-pset'" if argv[0] == "build-pset"
+            else "unrecognized arguments: --pset pset.json") in err
 
 
 @pytest.fixture(scope="module")
@@ -280,8 +294,8 @@ def test_unknown_command_is_rejected():
         main(["fuzz-the-moon"])
 
 
-def _attack_args(workdir, corpus, model, pset):
-    return ["attack", "--corpus", str(corpus), "--model", str(model), "--pset", str(pset),
+def _attack_args(workdir, corpus, model):
+    return ["attack", "--corpus", str(corpus), "--model", str(model),
             "--budget", "4", "--samples", "2", "--out", str(workdir / "err.json")]
 
 
@@ -291,11 +305,10 @@ def _attack_args(workdir, corpus, model, pset):
     ("truncated_model", "line 1 column"),
     ("truncated_corpus", "line 1 column"),
     ("unversioned_model", "model format 1 is not supported; retrain it with train"),
-    ("truncated_pset", "line 1 column"),
     ("ensemble_without_members", "ensemble model: has no members"),
 ])
 def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
-    corpus, model, pset = workdir / "corpus.json", workdir / "model.json", workdir / "pset.json"
+    corpus, model = workdir / "corpus.json", workdir / "model.json"
     broken = None
     if case == "missing_corpus":
         corpus = workdir / "no_such_corpus.json"
@@ -315,20 +328,17 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         model = broken = workdir / "ensemble_without_members.json"
         model.write_text(json.dumps({"format": MODEL_FORMAT, "kind": "ensemble",
                                      "members": []}))
-    elif case == "truncated_pset":
-        pset = broken = _truncated_copy(pset, workdir / "truncated_pset.json")
     else:
         corpus = broken = _truncated_copy(corpus, workdir / "truncated_corpus.json")
     capsys.readouterr()
-    assert main(_attack_args(workdir, corpus, model, pset)) == 2
+    assert main(_attack_args(workdir, corpus, model)) == 2
     err = capsys.readouterr().err
     assert err.startswith("pst-evade: error: ")
     assert needle in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
     if broken is not None:
-        # attack reads a corpus, a model and a pset: the error says which one
-        # is broken.
+        # attack reads a corpus and a model: the error says which one is broken.
         assert err.startswith(f"pst-evade: error: {broken}: ")
 
 
@@ -373,17 +383,15 @@ def test_model_with_bad_scoring_params_is_refused_in_one_line(workdir, capsys, k
     model = workdir / f"bad_{kind}.json"
     model.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(_attack_args(workdir, workdir / "corpus.json", model,
-                             workdir / "pset.json")) == 2
+    assert main(_attack_args(workdir, workdir / "corpus.json", model)) == 2
     err = capsys.readouterr().err
-    # attack reads three files: the error names the model file first.
+    # attack reads two files: the error names the model file.
     assert err == f"pst-evade: error: {model}: {needle}\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_attack_refuses_a_sample_count_below_one(workdir, capsys, samples):
-    args = _attack_args(workdir, workdir / "corpus.json", workdir / "model.json",
-                        workdir / "pset.json")
+    args = _attack_args(workdir, workdir / "corpus.json", workdir / "model.json")
     args[args.index("--samples") + 1] = samples
     capsys.readouterr()
     assert main(args) == 2
@@ -439,20 +447,16 @@ def _first_component(doc):
     return next(c for a in doc["benign"] for c in a["code"]["components"])
 
 
-def _first_permission(doc):
-    return next(p for p in doc["perturbations"] if p["kind"] == "permission")
+def _first_app_declared(doc):
+    return doc["benign"][0]["manifest"]["declared_components"]
 
 
 def _first_declared(doc):
-    return doc["benign"][0]["manifest"]["declared_components"][0]
+    return _first_app_declared(doc)[0]
 
 
-def _first_payload(doc):
-    return next(p["payload"] for p in doc["perturbations"] if p["kind"].startswith("inject_"))
-
-
-def _first_service(doc):
-    return next(p for p in doc["perturbations"] if p["kind"] == "inject_service")
+def _first_app_components(doc):
+    return doc["benign"][0]["code"]["components"]
 
 
 def _first_app_permissions(doc):
@@ -548,26 +552,6 @@ _PROBES = {
     "corpus-spec-count-string": ("--corpus", "corpus.json",
                                  lambda d: d["spec"].update(n_benign="x")),
     "corpus-directory": ("--corpus", None, None),
-    # Groups and keywords are derived on load, so a file may not give them.
-    "pset-perturbation-with-keywords": ("--pset", "pset.json",
-                                        lambda d: d["perturbations"][0].update(keywords=[])),
-    "pset-with-groups": ("--pset", "pset.json",
-                         lambda d: d.update(groups=[{"members": [0], "keywords": []}])),
-    "pset-feature-without-prefix": ("--pset", "pset.json",
-                                    lambda d: next(p for p in d["perturbations"]
-                                                   if p["kind"] == "uses_feature").update(
-                                                       payload="nfc")),
-    "pset-permission-null-payload": ("--pset", "pset.json",
-                                     lambda d: _first_permission(d).update(payload=None)),
-    "pset-payload-exported-string": ("--pset", "pset.json",
-                                     lambda d: _first_payload(d)["declared"].update(
-                                         exported="false")),
-    "pset-payload-classes-string": ("--pset", "pset.json",
-                                    lambda d: _first_payload(d)["component"].update(
-                                        classes="12")),
-    "pset-payload-edges-odd-bytes": ("--pset", "pset.json",
-                                     lambda d: _first_payload(d)["component"]["edges"].update(
-                                         dtype="<u2", data="AAAA")),
     "model-weights-string": ("--model", "model.json",
                              lambda d: d["params"].update(w="abc")),
     "model-weights-list-of-strings": ("--model", "model.json", _weights_as_strings),
@@ -660,15 +644,6 @@ _PROBES = {
     "config-corpus-path-number": ("--config", "bench.json", lambda d: d.update(corpus_path=5)),
     "config-detector-name-number": ("--config", "bench.json",
                                     lambda d: d["detectors"][0].update(name=5)),
-    "pset-payload-declared-kind-bogus": ("--pset", "pset.json",
-                                         lambda d: _first_payload(d)["declared"].update(
-                                             kind="bogus")),
-    "pset-service-declared-activity": ("--pset", "pset.json",
-                                       lambda d: _first_service(d)["payload"]["declared"].update(
-                                           kind="activity")),
-    "pset-provider-carrying-a-service": ("--pset", "pset.json",
-                                         lambda d: _first_service(d).update(
-                                             kind="inject_provider")),
     # Each of these gave a feature space another size, or a function a family
     # past the last, and loaded.
     "model-markov-family-count-7": ("--model", "model.json",
@@ -678,10 +653,7 @@ _PROBES = {
                                               _ensemble_member_cluster_count_3),
     "corpus-family-11": ("--corpus", "corpus.json",
                          lambda d: _family_past_the_last(_first_component(d))),
-    "pset-payload-family-11": ("--pset", "pset.json",
-                               lambda d: _family_past_the_last(_first_payload(d)["component"])),
-    # A format-5 pset stored its groups and keywords; ensembles are one level deep.
-    "pset-format-5": ("--pset", "pset.json", lambda d: d.update(format=5)),
+    # Ensembles are one level deep.
     "model-nested-ensemble": ("--model", "model.json", _nested_ensemble),
     # Each of these loaded. Attack seeds and report rows are keyed by the app id,
     # and compare's ASR counts each row.
@@ -693,14 +665,6 @@ _PROBES = {
                                lambda d: d["malicious"][0].update(id=d["benign"][0]["id"])),
     "report-repeated-row": ("--reports", "bench_out/report.json",
                             lambda d: d["rows"].insert(1, list(d["rows"][0]))),
-    # A keyword-less category loaded as a group; a keyword-less permission
-    # failed with an error that named no perturbation.
-    "pset-lone-category-without-keywords": ("--pset", None, {
-        "format": 6,
-        "perturbations": [{"kind": "category", "payload": "android.intent.category."}]}),
-    "pset-permission-without-keywords": ("--pset", "pset.json",
-                                         lambda d: _first_permission(d)["payload"].update(
-                                             name="com.x.")),
     # Each of these named its missing key without its path in the space.
     "model-space-without-kind": ("--model", "model.json", lambda d: d["space"].pop("kind")),
     "model-cluster-map-without-count": ("--model", "model.json",
@@ -725,18 +689,28 @@ _PROBES = {
                                     lambda d: _first_declared(d).update(bogus=1)),
     "corpus-component-unknown-key": ("--corpus", "corpus.json",
                                      lambda d: _first_component(d).update(bogus=1)),
-    "pset-payload-declared-unknown-key": ("--pset", "pset.json",
-                                          lambda d: _first_payload(d)["declared"].update(
-                                              bogus=1)),
-    "pset-payload-component-unknown-key": ("--pset", "pset.json",
-                                           lambda d: _first_payload(d)["component"].update(
-                                               bogus=1)),
-    "pset-permission-payload-unknown-key": ("--pset", "pset.json",
-                                            lambda d: _first_permission(d)["payload"].update(
-                                                bogus=1)),
-    "pset-payload-unknown-key": ("--pset", "pset.json",
-                                 lambda d: _first_payload(d).update(bogus=1)),
     "report-unknown-key": ("--reports", "bench_out/report.json", lambda d: d.update(bogus=1)),
+    # Each of these named its missing key with no app or component, or ended in
+    # a TypeError on an object that was a number.
+    "corpus-app-not-an-object": ("--corpus", "corpus.json",
+                                 lambda d: d["benign"].__setitem__(1, 5)),
+    "corpus-app-without-id": ("--corpus", "corpus.json", lambda d: d["donors"][2].pop("id")),
+    "corpus-manifest-without-permissions": ("--corpus", "corpus.json",
+                                            lambda d: d["benign"][0]["manifest"].pop(
+                                                "permissions")),
+    "corpus-declared-not-an-object": ("--corpus", "corpus.json",
+                                      lambda d: _first_app_declared(d).__setitem__(0, 5)),
+    "corpus-declared-without-name": ("--corpus", "corpus.json",
+                                     lambda d: _first_declared(d).pop("name")),
+    "corpus-declared-without-exported": ("--corpus", "corpus.json",
+                                         lambda d: _first_declared(d).pop("exported")),
+    "corpus-component-not-an-object": ("--corpus", "corpus.json",
+                                       lambda d: _first_app_components(d).__setitem__(0, 5)),
+    "corpus-component-without-classes": ("--corpus", "corpus.json",
+                                         lambda d: _first_component(d).pop("classes")),
+    "model-forest-node-not-an-object": ("--model", "model.json",
+                                        lambda d: d.update(kind="forest", params={"trees": [
+                                            {**_SPLIT_ON_A_FLAG, "feature": 0, "left": 5}]})),
 }
 
 # case -> the part of its message that names the field or the fault.
@@ -781,19 +755,9 @@ _PROBE_FIELDS = {
     "config-corpus-path-number": "corpus_path is 5, not a string or null",
     "config-detector-name-number": "name is 5, not a string",
     "config-detector-cluster-count": "detector: unknown key 'cluster_count'",
-    "pset-perturbation-with-keywords": "perturbation 0: unknown key 'keywords'",
-    "pset-with-groups": "pset: unknown key 'groups'",
-    "pset-feature-without-prefix": "feature name lacks a known prefix: nfc",
-    "pset-payload-declared-kind-bogus": "kinds disagree: inject_service, declared bogus",
-    "pset-service-declared-activity": (
-        "kinds disagree: inject_service, declared activity, code service"),
-    "pset-provider-carrying-a-service": (
-        "kinds disagree: inject_provider, declared service, code service"),
     "model-markov-family-count-7": "space family_count is 7, not 11",
     "model-ensemble-member-cluster-count-3": "cluster_count is 3, not 24",
     "corpus-family-11": "component 0: function family above 10",
-    "pset-payload-family-11": ": function family above 10",
-    "pset-format-5": "pset format 5 is not supported; rebuild it with build-pset",
     "model-nested-ensemble": (
         "ensemble model: member 0 is an ensemble; ensembles are one level deep"),
     "corpus-benign-app-malicious": (
@@ -804,9 +768,16 @@ _PROBE_FIELDS = {
     "report-repeated-row": (
         "row 1 repeats row 0: one attack per detector, algorithm, budget, seed and sample_id"),
     "report-unknown-key": "report: unknown key 'bogus'",
-    "pset-lone-category-without-keywords": (
-        "category name yields no keywords: android.intent.category."),
-    "pset-permission-without-keywords": "permission name yields no keywords: com.x.",
+    "corpus-app-without-manifest": "app b000: missing key 'manifest'",
+    "corpus-app-not-an-object": "app 1 of benign is not a JSON object",
+    "corpus-app-without-id": "app 2 of donors: missing key 'id'",
+    "corpus-manifest-without-permissions": "app b000: missing key 'manifest.permissions'",
+    "corpus-declared-not-an-object": "app b000 declared component 0 is not a JSON object",
+    "corpus-declared-without-name": "app b000 declared component 0: missing key 'name'",
+    "corpus-declared-without-exported": "app b000 declared component 0: missing key 'exported'",
+    "corpus-component-not-an-object": "app b000 component 0 is not a JSON object",
+    "corpus-component-without-classes": "app b000 component 0: missing key 'classes'",
+    "model-forest-node-not-an-object": "forest model: tree node is not a JSON object",
     "model-space-without-kind": "linear model: missing key 'space.kind'",
     "model-cluster-map-without-count": (
         "linear model: missing key 'space.cluster_map.cluster_count'"),
@@ -820,22 +791,14 @@ _PROBE_FIELDS = {
     "corpus-code-unknown-key": "app b000: unknown key 'code.bogus'",
     "corpus-declared-unknown-key": "app b000 declared component 0: unknown key 'bogus'",
     "corpus-component-unknown-key": "app b000 component 0: unknown key 'bogus'",
-    "pset-payload-declared-unknown-key": (
-        "payload inject_service:d000 declared: unknown key 'bogus'"),
-    "pset-payload-component-unknown-key": (
-        "payload inject_service:d000/com.app.d000.Service0: unknown key 'bogus'"),
-    "pset-permission-payload-unknown-key": "permission payload: unknown key 'bogus'",
-    "pset-payload-unknown-key": (
-        "payload inject_service:d000/com.app.d000.Service0: unknown key 'bogus'"),
 }
 
 
 def _probe_argv(workdir, flag, path):
     """The command line that reads ``path`` through ``flag``, with every other
     input file a good one."""
-    if flag in ("--model", "--pset"):
-        files = {"--model": workdir / "model.json", "--pset": workdir / "pset.json", flag: path}
-        return _attack_args(workdir, workdir / "corpus.json", files["--model"], files["--pset"])
+    if flag == "--model":
+        return _attack_args(workdir, workdir / "corpus.json", path)
     command, out = {
         "--corpus": ("train", ["--out", str(workdir / "unused.json")]),
         "--spec": ("gen-corpus", ["--out", str(workdir / "unused.json")]),
@@ -874,8 +837,7 @@ def test_a_seed_variable_that_is_not_an_integer_fails_in_one_line(bench_outputs,
     argv = {
         "gen-corpus": ["gen-corpus", "--spec", str(workdir / "spec.json"), "--out", unused],
         "train": ["train", "--corpus", str(workdir / "corpus.json"), "--out", unused],
-        "attack": _attack_args(workdir, workdir / "corpus.json", workdir / "model.json",
-                               workdir / "pset.json"),
+        "attack": _attack_args(workdir, workdir / "corpus.json", workdir / "model.json"),
         "bench": ["bench", "--config", str(workdir / "bench.json"),
                   "--out-dir", str(workdir / "unused_out")],
     }[command]
@@ -923,3 +885,29 @@ def test_train_refuses_a_corpus_of_one_class_naming_the_missing_one(benign_only_
     assert capsys.readouterr().err == (
         "pst-evade: error: corpus train split holds no malicious apps\n")
     assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    # The Quick start commands, then the bench config and commands, each through
+    # cli.main in an empty directory, then the in-process example.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```(\w+)\n(.*?)```", text, re.S)
+    commands = [shlex.split(line, comments=True)
+                for lang, block in blocks if lang == "sh" and block.startswith("pst-evade ")
+                for line in block.replace("\\\n", " ").splitlines()]
+    configs = [block for lang, block in blocks if lang == "json" and '"corpus_path"' in block]
+    programs = [block for lang, block in blocks if lang == "python"]
+    assert [argv[:2] for argv in commands] == [
+        ["pst-evade", "gen-corpus"], ["pst-evade", "train"], ["pst-evade", "attack"],
+        ["pst-evade", "bench"], ["pst-evade", "compare"]]
+    assert len(configs) == len(programs) == 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bench.json").write_text(configs[0])
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    out = capsys.readouterr().out
+    assert "pst: ASR" in out and out.count("linear       pst") == 2
+    exec(programs[0], {})

@@ -50,9 +50,7 @@ from pst_evade.perturbset import (
     InjectablePayload,
     apply_perturbation,
     build_perturbation_set,
-    load_pset,
     random_name,
-    save_pset,
 )
 
 NAME_RE = re.compile(r"^[a-z0-9]{20}$")
@@ -572,24 +570,17 @@ def test_a_failed_save_leaves_the_file_as_it_was(tmp_path, monkeypatch, existing
     assert [p.name for p in tmp_path.iterdir()] == (["corpus.json"] if existing else [])
 
 
-# sha256 of the corpus and pset files written for this spec and its donors. The
-# component arrays and the stock ensemble are pinned elsewhere; these pin the
-# rest of both layouts, the corpus's "code": {"components": [...]} nesting too.
-# The format-6 pset file is the format-5 one without its "groups" and every
-# perturbation's "keywords".
+# sha256 of the corpus file written for this spec. The component arrays and the
+# stock ensemble are pinned elsewhere; this pins the rest of the layout, the
+# corpus's "code": {"components": [...]} nesting too.
 PINNED_FILES_SPEC = CorpusSpec(n_benign=6, n_malicious=6, donor_count=4, seed=5)
 PINNED_CORPUS_SHA256 = "9f860b8e0e1cee83c64543e50fa60b9aec362ab14edc92451c3ebfc198df6f70"
-PINNED_PSET_SHA256 = "43945a197b8281e3471c793b5b48eaf346fe36ea7134c29ccc74773fda3a7e22"
 
 
-def test_saved_corpus_and_pset_bytes_are_pinned(tmp_path):
-    corpus = generate_corpus(PINNED_FILES_SPEC)
-    save_corpus(corpus, tmp_path / "corpus.json")
-    save_pset(build_perturbation_set(load_default_catalog(), corpus.donors),
-              tmp_path / "pset.json")
-    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("corpus.json", "pset.json")] == [PINNED_CORPUS_SHA256,
-                                                          PINNED_PSET_SHA256]
+def test_saved_corpus_bytes_are_pinned(tmp_path):
+    save_corpus(generate_corpus(PINNED_FILES_SPEC), tmp_path / "corpus.json")
+    assert hashlib.sha256((tmp_path / "corpus.json").read_bytes()).hexdigest() == \
+        PINNED_CORPUS_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +639,8 @@ def test_components_hold_uint8_families_and_int32_edges(tmp_path):
     corpus = generate_corpus(PINNED_FILES_SPEC)
     save_corpus(corpus, tmp_path / "corpus.json")
     loaded = load_corpus(tmp_path / "corpus.json")
-    save_pset(build_perturbation_set(load_default_catalog(), corpus.donors),
-              tmp_path / "pset.json")
-    injects = [p for p in load_pset(tmp_path / "pset.json").perturbations
-               if p.kind.startswith("inject_")]
+    pset = build_perturbation_set(load_default_catalog(), loaded.donors)
+    injects = [p for p in pset.perturbations if p.kind.startswith("inject_")]
     injected = apply_perturbation(corpus.malicious[0], injects[0], random.Random(0))
     apps = [a for c in (corpus, loaded) for a in c.benign + c.malicious + c.donors]
     comps = [comp for a in apps + [injected] for comp in a.components]

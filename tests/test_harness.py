@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
+from apk_builders import HARDENED, ContentOracle, small_pset
 from apk_builders import apk as build_apk
-from test_attack_reports import HARDENED, ContentOracle, _pset
 from pst_evade import harness
 from pst_evade.attack import AttackConfig, Oracle, run_attack
 from pst_evade.catalog import load_default_catalog
@@ -358,7 +358,7 @@ def _branch_target(kind):
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES), ids=lambda case: f"{case}-free")
 def test_budget_rows_equal_one_attack_per_budget(case):
     algorithm, seed, kind, expected = BRANCH_CASES[case]
-    target, pset = _branch_target(kind), _pset()
+    target, pset = _branch_target(kind), small_pset()
 
     def attack(budget):
         config = AttackConfig(budget=budget, algorithm=algorithm, seed=seed)
@@ -384,7 +384,7 @@ def test_budget_rows_equal_one_attack_per_budget(case):
 def test_elapsed_trace_times_every_answer(case):
     algorithm, seed, kind, _ = BRANCH_CASES[case]
     config = AttackConfig(budget=BRANCH_BUDGETS[-1], algorithm=algorithm, seed=seed)
-    report = run_attack(ContentOracle(), _branch_target(kind), _pset(), config)
+    report = run_attack(ContentOracle(), _branch_target(kind), small_pset(), config)
     elapsed = report.elapsed_trace
     assert len(elapsed) == len(report.confidence_trace)
     assert all(a <= b for a, b in zip(elapsed, elapsed[1:]))

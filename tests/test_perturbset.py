@@ -1,11 +1,10 @@
 """Perturbation-set construction, keyword similarity, and clustering."""
-import json
 import random
-from dataclasses import fields
 
 import pytest
 
-from apk_builders import MALFORMED_ARRAYS, apk, code_component, declared, set_stored_value
+from apk_builders import (apk, brute_force_cluster, code_component, declared, perm,
+                          random_permissions)
 from pst_evade.catalog import AndroidCatalog, load_default_catalog
 from pst_evade.corpus import Permission
 from pst_evade.perturbset import (
@@ -16,15 +15,7 @@ from pst_evade.perturbset import (
     keyword_extract,
     keyword_similarity,
     leaf_path,
-    load_pset,
-    pset_from_dict,
-    pset_to_dict,
-    save_pset,
 )
-
-
-def perm(name, level="normal"):
-    return Perturbation(kind="permission", payload=Permission(name, level))
 
 
 def group_of(*perturbations):
@@ -130,37 +121,6 @@ def test_similarity_rejects_empty_keywords():
 # Clustering
 
 
-def _brute_force_cluster(perturbations, threshold):
-    """Independent reference: recomputes keyword unions from scratch each sweep,
-    merging the first qualifying (i, j) pair into position i."""
-    groups = [[p] for p in perturbations]
-    while True:
-        found = None
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                ki = {k for p in groups[i] for k in keyword_extract(p.kind, p.payload)}
-                kj = {k for p in groups[j] for k in keyword_extract(p.kind, p.payload)}
-                if len(ki & kj) / min(len(ki), len(kj)) > threshold:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            return groups
-        i, j = found
-        groups[i] = groups[i] + groups[j]
-        del groups[j]
-
-
-def _random_permissions(rng, n):
-    tokens = ["ACCESS", "WIFI", "STATE", "NETWORK", "READ", "WRITE", "PHONE", "SMS"]
-    out = []
-    for _ in range(n):
-        name = "_".join(rng.sample(tokens, rng.randint(1, 3)))
-        out.append(perm(f"android.permission.{name}"))
-    return out
-
-
 def test_identical_keyword_sets_collapse():
     ps = [perm("android.permission.READ_SMS") for _ in range(4)]
     groups = cluster_perturbations(ps, 0.5)
@@ -180,9 +140,9 @@ def test_clustering_matches_brute_force_reference():
     rng = random.Random(29)
     for trial in range(40):
         n = rng.randint(2, 15)
-        ps = _random_permissions(rng, n)
+        ps = random_permissions(rng, n)
         got = cluster_perturbations(ps, 0.5)
-        want = _brute_force_cluster(ps, 0.5)
+        want = brute_force_cluster(ps, 0.5)
         got_sets = sorted(sorted(p.key for p in g.members) for g in got)
         want_sets = sorted(sorted(p.key for p in g) for g in want)
         assert got_sets == want_sets, f"trial {trial}"
@@ -191,7 +151,7 @@ def test_clustering_matches_brute_force_reference():
 def test_clustering_partitions_input():
     rng = random.Random(31)
     for _ in range(30):
-        ps = _random_permissions(rng, rng.randint(1, 12))
+        ps = random_permissions(rng, rng.randint(1, 12))
         groups = cluster_perturbations(ps, 0.5)
         flat = [id(p) for g in groups for p in g.members]
         assert sorted(flat) == sorted(id(p) for p in ps)
@@ -313,189 +273,3 @@ def test_leaf_paths(full_pset):
     for g in full_pset.groups:
         got.setdefault(g.members[0].kind, set()).add(leaf_path(g))
     assert got == want_paths
-
-
-def test_pset_round_trip(full_pset):
-    doc = json.loads(json.dumps(pset_to_dict(full_pset)))
-    assert sorted(doc) == ["format", "perturbations"]
-    assert all(sorted(p) == ["kind", "payload"] for p in doc["perturbations"])
-    back = pset_from_dict(doc)
-    assert json.dumps(pset_to_dict(back), sort_keys=True) == \
-           json.dumps(pset_to_dict(full_pset), sort_keys=True)
-
-
-def _pset_file(tmp_path, full_pset, corrupt):
-    doc = pset_to_dict(full_pset)
-    corrupt(doc)
-    path = tmp_path / "pset.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def _first_payload(doc):
-    return next(p["payload"] for p in doc["perturbations"] if p["kind"].startswith("inject_"))
-
-
-def test_pset_file_round_trip(tmp_path, full_pset):
-    path = tmp_path / "pset.json"
-    save_pset(full_pset, path)
-    doc = json.loads(path.read_text())
-    assert doc["format"] == 6 and sorted(doc) == ["format", "perturbations"]
-    assert pset_to_dict(load_pset(path)) == pset_to_dict(full_pset)
-
-
-def test_a_perturbation_is_its_file_entry(full_pset):
-    # A pset file stores each perturbation's kind and payload only, so a field
-    # added to Perturbation would be lost on save.
-    assert [f.name for f in fields(Perturbation)] == ["kind", "payload"]
-    assert [sorted(d) for d in pset_to_dict(full_pset)["perturbations"]] == \
-           [["kind", "payload"]] * len(full_pset)
-
-
-def test_a_loaded_pset_derives_the_built_groups_and_keywords(tmp_path, full_pset):
-    # The file holds no groups or keywords: loading clusters its perturbations
-    # as the build did, into the same groups in the same order.
-    path = tmp_path / "pset.json"
-    save_pset(full_pset, path)
-    back = load_pset(path)
-    assert [([m.key for m in g.members], g.keywords) for g in back.groups] == \
-           [([m.key for m in g.members], g.keywords) for g in full_pset.groups]
-    manifest = [(p.key, keyword_extract(p.kind, p.payload)) for p in full_pset.perturbations
-                if not p.kind.startswith("inject_")]
-    assert manifest and all(keywords for _, keywords in manifest)
-    assert [(p.key, keyword_extract(p.kind, p.payload)) for p in back.perturbations
-            if not p.kind.startswith("inject_")] == manifest
-
-
-@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5])
-def test_load_pset_refuses_other_formats(tmp_path, full_pset, found):
-    def corrupt(doc):
-        if found is None:
-            del doc["format"]  # written before pset files were versioned
-        else:
-            doc["format"] = found
-        if found == 4:
-            doc["threshold"] = 0.5  # format 4 recorded the clustering threshold
-        if found in (4, 5):
-            doc["groups"] = [{"members": [0], "keywords": []}]  # and its groups
-    path = _pset_file(tmp_path, full_pset, corrupt)
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    assert str(exc.value) == (f"{path}: pset format {found or 1} is not supported; "
-                              "rebuild it with build-pset")
-
-
-@pytest.mark.parametrize("field,index,value,needle", [
-    ("edges", 1, 10 ** 6, "edge index out of range"),
-    ("edges", 0, -1, "edge index out of range"),
-    ("families", 0, -1, "negative function family"),
-    ("api_calls", 0, ["api.pkg00.fn000"], "api call id is not a string"),
-])
-def test_load_pset_bounds_checks_payload_components(tmp_path, full_pset, field, index,
-                                                    value, needle):
-    def corrupt(doc):
-        component = _first_payload(doc)["component"]
-        if field == "api_calls":
-            component[field][index] = value
-        else:
-            set_stored_value(component, field, index, value)
-    path = _pset_file(tmp_path, full_pset, corrupt)
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    message = str(exc.value)
-    assert message.startswith(f"{path}: payload inject_")
-    assert needle in message
-    assert "\n" not in message
-
-
-@pytest.mark.parametrize("case", list(MALFORMED_ARRAYS))
-def test_load_pset_refuses_a_malformed_payload_array(tmp_path, full_pset, case):
-    field, stored, message = MALFORMED_ARRAYS[case]
-    path = _pset_file(tmp_path, full_pset,
-                      lambda doc: _first_payload(doc)["component"].update({field: stored}))
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    assert str(exc.value) == f"{path}: code component {field}{message}"
-
-
-@pytest.mark.parametrize("corrupt,needle", [
-    (lambda payload: payload["declared"].update(exported="false"),
-     'exported is "false", not true or false'),
-    (lambda payload: payload["declared"].update(enabled=0),
-     "enabled is 0, not true or false"),
-    (lambda payload: payload["component"].update(classes="12"),
-     'code component classes is "12", not an integer'),
-    (lambda payload: payload["component"].update(classes=True),
-     "code component classes is true, not an integer"),
-])
-def test_load_pset_refuses_a_payload_flag_or_class_count_of_the_wrong_type(
-        tmp_path, full_pset, corrupt, needle):
-    path = _pset_file(tmp_path, full_pset, lambda doc: corrupt(_first_payload(doc)))
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    message = str(exc.value)
-    assert message.startswith(f"{path}: ") and message.endswith(needle)
-    assert "\n" not in message
-
-
-def test_load_pset_refuses_api_calls_that_are_not_a_list(tmp_path, full_pset):
-    # tuple() of the string would split it into one-character api ids.
-    def corrupt(doc):
-        _first_payload(doc)["component"]["api_calls"] = "api.pkg00.fn000"
-    path = _pset_file(tmp_path, full_pset, corrupt)
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    message = str(exc.value)
-    assert message.startswith(f"{path}: payload inject_")
-    assert message.endswith(": api_calls is a str, not a list of api call ids")
-    assert "\n" not in message
-
-
-def _first_permission(doc):
-    return next(p for p in doc["perturbations"] if p["kind"] == "permission")
-
-
-def _hand_grouped(doc):
-    """Give a pset document two groups the clustering could never form: 3 of its
-    perturbations, a permission repeated beside an injection."""
-    kinds = [p["kind"] for p in doc["perturbations"]]
-    perm, inject = kinds.index("permission"), kinds.index("inject_service")
-    doc["groups"] = [{"members": [perm, perm, inject], "keywords": ["SMS"]},
-                     {"members": [0], "keywords": []}]
-
-
-@pytest.mark.parametrize("corrupt,needle", [
-    (_hand_grouped, ": pset: unknown key 'groups'"),
-    (lambda doc: doc["perturbations"][0].update(keywords=["AUDIO"]),
-     ": perturbation 0: unknown key 'keywords'"),
-    (lambda doc: doc["perturbations"][3].update(keywords="SMS"),
-     ": perturbation 3: unknown key 'keywords'"),
-])
-def test_load_pset_refuses_stored_groups_and_keywords(tmp_path, full_pset, corrupt, needle):
-    # Groups and keywords are derived on load; a file that gives them is refused
-    # rather than read or silently ignored.
-    path = _pset_file(tmp_path, full_pset, corrupt)
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    assert str(exc.value) == f"{path}{needle}"
-
-
-def test_load_pset_refuses_a_perturbation_with_no_tree_position(tmp_path, full_pset):
-    # The selection tree has no bucket for dangerous permissions, so pst could
-    # never try this perturbation while mab would still offer it.
-    def corrupt(doc):
-        _first_permission(doc)["payload"]["protection_level"] = "dangerous"
-    path = _pset_file(tmp_path, full_pset, corrupt)
-    name = _first_permission(pset_to_dict(full_pset))["payload"]["name"]
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    assert str(exc.value) == (f"{path}: perturbation permission:{name}: "
-                              "no selection-tree position manifest/permission/dangerous")
-
-
-def test_load_pset_refuses_an_unknown_perturbation_kind(tmp_path, full_pset):
-    path = _pset_file(tmp_path, full_pset,
-                      lambda doc: doc["perturbations"].append({"kind": "bogus", "payload": "x"}))
-    with pytest.raises(ValueError) as exc:
-        load_pset(path)
-    assert str(exc.value) == f"{path}: unknown perturbation kind: bogus"

@@ -7,9 +7,15 @@ import re
 import pytest
 from scipy import stats
 
-from apk_builders import code_component, declared
-from pst_evade.corpus import Permission
-from pst_evade.perturbset import InjectablePayload, Perturbation, PerturbationGroup
+from apk_builders import (
+    child_probs,
+    feature_group,
+    find,
+    first_child,
+    inject_group,
+    perm_groups,
+    rewalk_leaf_counts,
+)
 from pst_evade.pstree import (
     _normalize,
     adjust,
@@ -22,71 +28,12 @@ from pst_evade.pstree import (
 )
 
 
-def perm_groups(level, count, size=1, tag="PERM"):
-    out = []
-    for g in range(count):
-        members = tuple(
-            Perturbation(kind="permission",
-                         payload=Permission(f"android.permission.{tag}{g}_{i}", level))
-            for i in range(size))
-        out.append(PerturbationGroup(members=members,
-                                     keywords=frozenset({f"{tag}{g}"})))
-    return out
-
-
-def feature_group(bucket, size, tag):
-    prefix = f"android.{bucket}."
-    members = tuple(
-        Perturbation(kind="uses_feature", payload=f"{prefix}{tag}.v{i}")
-        for i in range(size))
-    return PerturbationGroup(members=members, keywords=frozenset({tag}))
-
-
-def inject_group(idx=0, kind="inject_service"):
-    comp_kind = kind.removeprefix("inject_")
-    payload = InjectablePayload(
-        source_apk_id=f"d{idx:03d}",
-        declared=declared(kind=comp_kind, name=f"com.donor.C{idx}"),
-        component=code_component(kind=comp_kind,
-                                 functions=(f"d{idx:03d}.c0.f0@0",)))
-    p = Perturbation(kind=kind, payload=payload)
-    return PerturbationGroup(members=(p,), keywords=frozenset())
-
-
-def child_probs(tree, node):
-    return {tree.labels[c]: p for c, p in tree.probs[node].items()}
-
-
-def first_child(tree, node):
-    return next(iter(tree.probs[node]))
-
-
-def find(tree, label):
-    return tree.labels.index(label)
-
-
 def path_to(tree, node):
     """Node ids from the root to ``node``, read off ``tree.parents``."""
     path = [node]
     while tree.parents[path[-1]] >= 0:
         path.append(tree.parents[path[-1]])
     return path[::-1]
-
-
-def rewalk_leaf_counts(tree):
-    """Surviving leaves below each node by a walk of the reachable tree, 0 off
-    it: the reference the tree's maintained ``leaf_counts`` replace."""
-    counts = [0] * len(tree.labels)
-
-    def walk(node):
-        if tree.groups[node] is not None:
-            counts[node] = 1
-        else:
-            counts[node] = sum(walk(c) for c in tree.probs[node])
-        return counts[node]
-
-    walk(0)
-    return counts
 
 
 # ---------------------------------------------------------------------------
