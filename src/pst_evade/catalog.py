@@ -1,14 +1,22 @@
 """Catalog of Android manifest entries that perturbations and generated apps draw
-from, and the checked reading of every input file: ``read_document`` and the
-field readers the loaders take each field of a document through."""
+from, and the reading and writing of every file: ``read_document`` and the
+field readers the loaders take each field of a document through, the windowed
+reader ``read_streamed`` that builds a document's list elements one at a time,
+and ``write_json``, which writes a document one list element at a time and
+replaces the file only once it is complete."""
 from __future__ import annotations
 
 import json
+import os
+import re
 import sys
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -47,6 +55,161 @@ def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] |
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except (ValueError, TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# The windowed reader: a document's top-level object, one value at a time.
+
+_WINDOW = 1 << 20  # characters read at a time, at least
+_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace json skips
+_DECODER = json.JSONDecoder()
+
+
+class _NotStreamed(ValueError):
+    """A file in a layout the windowed reader does not take."""
+
+
+class _Window:
+    """The text of a file, held a window of about ``_WINDOW`` characters at a
+    time past the value being decoded."""
+
+    def __init__(self, fh: TextIO):
+        self.fh, self.text, self.pos, self.eof = fh, "", 0, False
+
+    def _more(self) -> None:
+        # The read text is dropped first, so the old window, the text kept and
+        # the new read are never all held at once. Reading as much as is kept
+        # bounds the retries of a value that spans several windows to a few.
+        rest, self.text = self.text[self.pos:], ""
+        chunk = self.fh.read(max(_WINDOW, len(rest)))
+        self.text, self.pos, self.eof = rest + chunk, 0, not chunk
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, left unread; "" at the end."""
+        while True:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self._more()
+
+    def take(self, chars: str) -> str:
+        """Read the next character, one of ``chars``."""
+        char = self.peek()
+        if not char or char not in chars:
+            raise _NotStreamed(f"expected one of {chars!r}")
+        self.pos += 1
+        return char
+
+    def value(self):
+        """Decode the next JSON value. One that ends where the window does may
+        go on past it (a number), so it is decoded again with more text."""
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+                if end < len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            self._more()
+
+    def elements(self, build: Callable[[object, int], object]) -> tuple:
+        """The list that comes next, each element built by ``build(element,
+        index)`` as soon as it is decoded."""
+        self.take("[")
+        built = []
+        if self.peek() == "]":
+            self.pos += 1
+            return ()
+        while True:
+            built.append(build(self.value(), len(built)))
+            if self.take(",]") == "]":
+                return tuple(built)
+
+
+def _walk(path: str | Path, streamed: Mapping[str, Callable[[object, int], object]]) -> dict:
+    """The top-level object of the file at ``path``, each key named in
+    ``streamed`` holding the tuple of its list's built elements."""
+    doc = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        window = _Window(fh)
+        window.take("{")
+        while True:
+            key = window.value()
+            if not isinstance(key, str) or key in doc:
+                raise _NotStreamed("a key that is not a string, or repeats")
+            window.take(":")
+            doc[key] = window.elements(streamed[key]) if key in streamed else window.value()
+            if window.take(",}") == "}":
+                break
+        if window.peek():
+            raise _NotStreamed("text after the document")
+    return doc
+
+
+def read_streamed(path: str | Path, parse: Callable, fmt: tuple[str, int, str],
+                  streamed: Mapping[str, Callable[[object, int], object]], finish: Callable):
+    """What ``read_document(path, parse, fmt)`` gives, without holding the
+    parsed document: the file is decoded through a window of about 1 MB, each
+    element of a top-level list named in ``streamed`` is built by its builder
+    as ``build(element, index)`` as soon as it is decoded, and ``finish`` makes
+    the value from the top-level object so read. ``finish`` and the builders
+    together refuse whatever ``parse`` refuses. A file the window does not take
+    (a top-level value that is not an object, a repeated key, a streamed key
+    that holds no list) and any file it would refuse go to ``read_document``,
+    which gives each refusal its words and their order."""
+    try:
+        doc = _walk(path, streamed)
+        if doc.get("format", 1) != fmt[1]:
+            raise _NotStreamed("another format")
+        return finish(doc)
+    except (OSError, KeyError, ValueError, TypeError, AttributeError, IndexError):
+        pass  # the reference below reads the file again, with nothing held from this try
+    return read_document(path, parse, fmt)
+
+
+# ---------------------------------------------------------------------------
+# Writing
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write that replaces ``path`` once the block completes.
+    Until then it is a temporary file beside ``path``: a block that raises
+    leaves ``path`` as it was and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, doc: dict, separators: tuple[str, str] = (", ", ": ")) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, separators=separators)`` through
+    ``replacing``, where a top-level value that is an iterator stands for the
+    list of its items: that list is written one item at a time, so neither it
+    nor the whole document's string is ever built."""
+    dumps = partial(json.dumps, sort_keys=True, separators=separators)
+    comma, colon = separators
+    with replacing(path) as fh:
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):
+            fh.write((comma if i else "") + dumps(key) + colon)
+            value = doc[key]
+            if not isinstance(value, Iterator):
+                fh.write(dumps(value))
+                continue
+            fh.write("[")
+            for j, item in enumerate(value):
+                fh.write((comma if j else "") + dumps(item))
+            fh.write("]")
+        fh.write("}")
 
 
 # ---------------------------------------------------------------------------

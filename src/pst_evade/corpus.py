@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import (AndroidCatalog, exact_keys, fields_of, flag, integer, items,
-                      load_default_catalog, obj, permission_pairs, read_document, string, strings)
+                      load_default_catalog, obj, permission_pairs, read_streamed, string, strings,
+                      write_json)
 
 GROUND_TRUTHS = ("benign", "malicious")
+# The corpus document's app lists, in the order they are checked.
+APP_LISTS = ("benign", "malicious", "donors")
 COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
 CODE_KINDS = ("service", "receiver", "provider")
 ORIGINS = ("original", "injected")
@@ -535,10 +537,22 @@ def corpus_from_dict(d: dict) -> Corpus:
     attack seeds and report rows are keyed by the app id. A key that the
     document or one of its objects lacks, or does not hold, is refused naming
     the object."""
-    exact_keys(d, ("spec", "benign", "malicious", "donors"), "corpus", optional=("format",))
-    corpus = Corpus(spec=spec_from_dict(d["spec"]), **{
+    exact_keys(d, ("spec", *APP_LISTS), "corpus", optional=("format",))
+    return _corpus_of(spec_from_dict(d["spec"]), {
         key: tuple(apk_from_dict(a, f"app {i} of {key}") for i, a in enumerate(items(d[key], key)))
-        for key in ("benign", "malicious", "donors")})
+        for key in APP_LISTS})
+
+
+def _corpus_from_parts(d: dict) -> Corpus:
+    """``corpus_from_dict`` of a document whose app lists hold built apps."""
+    exact_keys(d, ("spec", *APP_LISTS), "corpus", optional=("format",))
+    return _corpus_of(spec_from_dict(d["spec"]), {key: d[key] for key in APP_LISTS})
+
+
+def _corpus_of(spec: CorpusSpec, apps: dict[str, tuple[ApkModel, ...]]) -> Corpus:
+    """The corpus of these apps, once each is validated, holds its list's
+    ground truth and has an id no app before it has."""
+    corpus = Corpus(spec=spec, **apps)
     seen: set[str] = set()
     for where, truth, apks in (("benign", "benign", corpus.benign),
                                ("malicious", "malicious", corpus.malicious),
@@ -560,32 +574,21 @@ def canonical_json(doc: object) -> str:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write ``canonical_json(corpus_to_dict(corpus))`` one app at a time, so no
-    whole-document dict or string is built. The text goes to a temporary file
-    beside ``path`` that replaces it once complete: a failed save leaves ``path``
-    as it was and no temporary file behind."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fields = _corpus_fields(corpus)
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for i, key in enumerate(sorted(fields)):
-                fh.write(("," if i else "{") + canonical_json(key) + ":")
-                value = fields[key]
-                if not isinstance(value, tuple):
-                    fh.write(canonical_json(value))
-                    continue
-                fh.write("[")
-                for j, apk in enumerate(value):
-                    fh.write(("," if j else "") + canonical_json(apk_to_dict(apk)))
-                fh.write("]")
-            fh.write("}")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    whole-document dict or string is built. A failed save leaves ``path`` as it
+    was and no temporary file behind (``catalog.replacing``)."""
+    write_json(path, {key: map(apk_to_dict, value) if isinstance(value, tuple) else value
+                      for key, value in _corpus_fields(corpus).items()}, (",", ":"))
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load a corpus file and validate every app in it."""
-    return read_document(path, corpus_from_dict,
-                         ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))
+    """Load a corpus file and validate every app in it. Each app is built as
+    soon as it is read, so the parsed document is never held; a file in another
+    layout, or one that is refused, is read whole (``catalog.read_streamed``)."""
+    return read_streamed(path, corpus_from_dict,
+                         ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"),
+                         {key: partial(_app_of_list, key) for key in APP_LISTS},
+                         _corpus_from_parts)
+
+
+def _app_of_list(key: str, d, i: int) -> ApkModel:
+    return apk_from_dict(d, f"app {i} of {key}")

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import (exact_keys, fields_of, fixed, flag, integer, items, number, numbers, obj,
-                      only, pairs, read_document, string, strings)
+                      only, pairs, read_streamed, string, strings, write_json)
 from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
@@ -667,9 +667,15 @@ def _scorer_to_dict(model: DetectorModel) -> dict:
 
 
 def model_to_dict(model: DetectorModel | Ensemble) -> dict:
+    return _model_fields(model, list)
+
+
+def _model_fields(model: DetectorModel | Ensemble, members: Callable) -> dict:
+    """The model document, an ensemble's members given as ``members`` of the
+    iterator of their dicts."""
     if isinstance(model, Ensemble):
         return {"format": MODEL_FORMAT, "kind": "ensemble",
-                "members": [_scorer_to_dict(m) for m in model.members]}
+                "members": members(map(_scorer_to_dict, model.members))}
     return _scorer_to_dict(model)
 
 
@@ -709,18 +715,46 @@ def model_from_dict(doc: dict) -> DetectorModel | Ensemble:
     members = [obj(m, "ensemble model: member")
                for m in items(doc.get("members"), "ensemble model: members")]
     for i, m in enumerate(members):
-        found = m.get("format", 1)  # as in ``read_document``, none is format 1
-        if found != MODEL_FORMAT:
-            raise ValueError(f"ensemble model: member {i} format {found} is not supported; "
-                             "retrain it with train")
+        _check_member_format(m, i)
     _refuse_nested([m.get("kind") for m in members])
     return Ensemble([_scorer_from_dict(m) for m in members])
 
 
+def _check_member_format(m: dict, i: int) -> None:
+    found = m.get("format", 1)  # as in ``read_document``, none is format 1
+    if found != MODEL_FORMAT:
+        raise ValueError(f"ensemble model: member {i} format {found} is not supported; "
+                         "retrain it with train")
+
+
+def _member_from_dict(m, i: int) -> DetectorModel:
+    """Ensemble member ``i`` as ``load_model`` builds it on reading it: refused
+    where ``model_from_dict`` would refuse it, if not always in its words."""
+    _check_member_format(obj(m, "ensemble model: member"), i)
+    _refuse_nested([m.get("kind")])
+    return _scorer_from_dict(m)
+
+
+def _model_from_parts(doc: dict) -> DetectorModel | Ensemble:
+    """``model_from_dict`` of a document whose ``members``, if it has them,
+    are built models."""
+    if doc.get("kind") != "ensemble" or "members" not in doc:
+        return model_from_dict(doc)
+    only(doc, _ENSEMBLE_KEYS, "ensemble model")
+    return Ensemble(doc["members"])
+
+
 def save_model(model: DetectorModel | Ensemble, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8")
+    """Write ``json.dumps(model_to_dict(model), sort_keys=True)``, an ensemble
+    one member at a time, so no whole-document dict or string is built. A
+    failed save leaves ``path`` as it was (``catalog.replacing``)."""
+    write_json(path, _model_fields(model, iter))
 
 
 def load_model(path: str | Path) -> DetectorModel | Ensemble:
-    """The model in a file; every error names the file at its start."""
-    return read_document(path, model_from_dict, ("model", MODEL_FORMAT, "retrain it with train"))
+    """The model in a file; every error names the file at its start. An
+    ensemble's members are built one at a time as they are read, so the parsed
+    document is never held (``catalog.read_streamed``)."""
+    return read_streamed(path, model_from_dict,
+                         ("model", MODEL_FORMAT, "retrain it with train"),
+                         {"members": _member_from_dict}, _model_from_parts)

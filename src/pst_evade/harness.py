@@ -342,13 +342,17 @@ def run_experiment(config: ExperimentConfig,
     models = {spec.name: train_detector(spec, corpus)
               for spec in config.detectors}
     malicious_test = [a for a in test_apks if a.ground_truth == "malicious"]
+    # Every (detector, master seed) has its true positives before the first
+    # attack, so a config that cannot run fails before any attack does.
+    true_positives = {(spec.name, master): select_true_positives(
+        models[spec.name], malicious_test, config.sample_count, master, spec.name)
+        for spec in config.detectors for master in config.seeds}
 
     rows = []
     for spec in config.detectors:
         model = models[spec.name]
         for master in config.seeds:
-            tps = select_true_positives(model, malicious_test,
-                                         config.sample_count, master, spec.name)
+            tps = true_positives[spec.name, master]
             for algo in config.algorithms:
                 for apk in tps:
                     report = attack_sample(model, apk, pset, algo, config.budgets[-1], master)

@@ -45,7 +45,8 @@ from pst_evade.harness import (
     select_true_positives,
     train_detector,
 )
-from pst_evade.perturbset import build_perturbation_set, cluster_perturbations
+from pst_evade.perturbset import (CHILD_ORDER, build_perturbation_set, cluster_perturbations,
+                                  keyword_extract, tree_position)
 from pst_evade.pstree import (
     adjust,
     build_tree,
@@ -440,6 +441,22 @@ def test_stock_component_arrays_fit_in_23_mb(bench_corpus):
              for a in apps for c in a.components]
     assert all(c.families.dtype == np.uint8 and c.edges.dtype == np.int32 for c in comps)
     assert sum(c.families.nbytes + c.edges.nbytes for c in comps) <= 23_000_000
+
+
+def test_every_stock_perturbation_has_a_tree_position_and_its_keywords(bench_pset):
+    # Only hand-built perturbations reach the refusals of tree_position and
+    # keyword_extract: every one drawn from the bundled catalog and the stock
+    # donors sits in a bucket of the tree, and a manifest one has keywords.
+    positions = {}
+    for p in bench_pset.perturbations:
+        path = tree_position(p)
+        for parent, label in zip(("root", *path), path):
+            assert label in CHILD_ORDER[parent], (p.key, path)
+        assert path[-1] not in CHILD_ORDER, (p.key, path)  # a leaf bucket
+        if path[0] == "manifest":
+            assert keyword_extract(p.kind, p.payload), p.key
+        positions[path[0]] = positions.get(path[0], 0) + 1
+    assert positions.keys() == {"manifest", "code"}
 
 
 def test_saved_and_loaded_stock_corpus_is_the_generated_one(bench_corpus, tmp_path):

@@ -3,17 +3,19 @@ import hashlib
 import json
 import re
 import shlex
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pst_evade import catalog as catalog_module
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
-from pst_evade.catalog import load_default_catalog
+from pst_evade.catalog import load_default_catalog, read_document
 from pst_evade.cli import main
-from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, canonical_json, corpus_to_dict,
-                              generate_corpus, load_corpus, pack_array, spec_to_dict,
-                              unpack_array)
+from pst_evade.corpus import (API_FAMILY_COUNT, CORPUS_FORMAT, Corpus, CorpusSpec,
+                              canonical_json, corpus_from_dict, corpus_to_dict, generate_corpus,
+                              load_corpus, pack_array, spec_to_dict, unpack_array)
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
@@ -828,6 +830,162 @@ def test_every_malformed_input_file_fails_in_one_line_naming_it(bench_outputs, w
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
     assert _PROBE_FIELDS.get(case, "") in err
+
+
+# ---------------------------------------------------------------------------
+# The streamed loaders against the whole-document reader: ``load_corpus`` and
+# ``load_model`` build one app or ensemble member at a time, and must give what
+# ``read_document`` gives on the parsed document, value or refusal.
+
+
+_WHOLE_DOCUMENT = {
+    "corpus": (load_corpus, partial(read_document, parse=corpus_from_dict, fmt=(
+        "corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))),
+    "model": (load_model, partial(read_document, parse=model_from_dict, fmt=(
+        "model", MODEL_FORMAT, "retrain it with train"))),
+}
+
+
+@pytest.fixture(scope="module")
+def ensemble_file(workdir):
+    path = workdir / "stream-ensemble.json"
+    assert main(["train", "--corpus", str(workdir / "corpus.json"), "--kind", "ensemble",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def _loaded(load, path):
+    """What ``load`` gives: the value in a form that compares by value, or the
+    refusal's type and words."""
+    try:
+        value = load(path)
+    except (OSError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, Corpus):
+        return "corpus", value
+    return "model", json.dumps(model_to_dict(value), sort_keys=True)
+
+
+def _assert_streamed_as_whole(what, path):
+    streamed, whole = _WHOLE_DOCUMENT[what]
+    got = _loaded(streamed, path)
+    assert got == _loaded(whole, path)
+    return got
+
+
+def _reversed_keys(value):
+    """``value`` with the keys of every object in it in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reversed_keys(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+_LAYOUTS = {
+    "indented": lambda doc: json.dumps(doc, indent=2),
+    "keys-reversed": lambda doc: json.dumps(_reversed_keys(doc)),
+    "probe-layout": json.dumps,  # as the _PROBES cases write their files
+}
+
+
+def _stream_sources(workdir, ensemble_file):
+    return {"corpus": ("corpus", workdir / "corpus.json"),
+            "model": ("model", workdir / "model.json"),
+            "ensemble": ("model", ensemble_file)}
+
+
+@pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
+@pytest.mark.parametrize("layout", [None, *_LAYOUTS])
+def test_a_file_in_any_layout_streams_to_the_canonical_files_value(
+        workdir, ensemble_file, monkeypatch, source, layout):
+    what, canonical = _stream_sources(workdir, ensemble_file)[source]
+    want = _loaded(_WHOLE_DOCUMENT[what][1], canonical)
+    assert want[0] == what
+    path = canonical
+    if layout is not None:
+        path = workdir / f"layout-{layout}-{source}.json"
+        path.write_text(_LAYOUTS[layout](json.loads(canonical.read_text())))
+    # The streamed loader takes every such file itself, without the reference.
+    monkeypatch.setattr(catalog_module, "read_document", None)
+    assert _loaded(_WHOLE_DOCUMENT[what][0], path) == want
+
+
+# name -> the text of a file the window does not take, from a canonical file's
+# text, and whether it loads.
+_WHOLE_DOCUMENT_LAYOUTS = {
+    # json keeps the last of a repeated key, so this loads as the canonical file.
+    "repeated-key": (lambda text: '{"format": 3, ' + text[1:], True),
+    "top-level-list": (lambda text: f"[{text}]", False),
+    "byte-order-mark": (lambda text: "\ufeff" + text, False),
+    "text-after-the-document": (lambda text: text + " 5", False),
+}
+
+
+@pytest.mark.parametrize("source", ["corpus", "ensemble"])
+@pytest.mark.parametrize("layout", list(_WHOLE_DOCUMENT_LAYOUTS))
+def test_a_file_the_window_does_not_take_goes_to_the_whole_document_reader(
+        workdir, ensemble_file, source, layout):
+    what, canonical = _stream_sources(workdir, ensemble_file)[source]
+    change, loads = _WHOLE_DOCUMENT_LAYOUTS[layout]
+    path = workdir / f"whole-{layout}-{source}.json"
+    path.write_text(change(canonical.read_text()), encoding="utf-8")
+    got = _assert_streamed_as_whole(what, path)
+    assert (got == _loaded(_WHOLE_DOCUMENT[what][1], canonical)) == loads
+
+
+@pytest.mark.parametrize("window", [1, 7, 4096])
+@pytest.mark.parametrize("source", ["corpus", "ensemble"])
+def test_the_window_size_does_not_change_what_is_loaded(workdir, ensemble_file, monkeypatch,
+                                                        window, source):
+    # A value, a number included, may end where a window does.
+    what, path = _stream_sources(workdir, ensemble_file)[source]
+    want = _loaded(_WHOLE_DOCUMENT[what][1], path)
+    monkeypatch.setattr(catalog_module, "_WINDOW", window)
+    monkeypatch.setattr(catalog_module, "read_document", None)
+    assert _loaded(_WHOLE_DOCUMENT[what][0], path) == want
+
+
+@pytest.mark.parametrize("case", [case for case, (flag, _, _) in _PROBES.items()
+                                  if flag in ("--corpus", "--model")])
+def test_every_corpus_and_model_probe_is_refused_as_by_the_whole_document_reader(workdir,
+                                                                                  case):
+    flag, source, change = _PROBES[case]
+    broken = workdir / f"stream-probe-{case}.json"
+    if change is None:
+        broken.mkdir(exist_ok=True)
+    else:
+        doc = json.loads((workdir / source).read_text())
+        change(doc)
+        broken.write_text(json.dumps(doc))
+    got = _assert_streamed_as_whole(flag.removeprefix("--"), broken)
+    assert got[0] != flag.removeprefix("--")  # refused
+
+
+@pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
+@pytest.mark.parametrize("cut", ["one-byte", "half", "into-the-second-element",
+                                 "last-byte-off"])
+def test_a_truncated_file_is_refused_as_by_the_whole_document_reader(workdir, ensemble_file,
+                                                                     source, cut):
+    what, path = _stream_sources(workdir, ensemble_file)[source]
+    text = path.read_text()
+    # A scorer file has no elements: its cut falls in its first key.
+    second = text.find("},{" if source == "corpus" else "}, {") + 5
+    end = {"one-byte": 1, "half": len(text) // 2, "into-the-second-element": second,
+           "last-byte-off": len(text) - 1}[cut]
+    truncated = workdir / f"truncated-{cut}-{source}.json"
+    truncated.write_text(text[:end])
+    kind, message = _assert_streamed_as_whole(what, truncated)
+    assert kind == "ValueError" and message.startswith(f"{truncated}: ")
+    assert "line 1 column" in message
+
+
+def test_training_on_an_indented_corpus_writes_the_canonical_corpus_model(workdir):
+    indented, out = workdir / "indented-corpus.json", workdir / "indented-model.json"
+    indented.write_text(json.dumps(json.loads((workdir / "corpus.json").read_text()), indent=2))
+    assert main(["train", "--corpus", str(indented), "--kind", "linear",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (workdir / "model.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["gen-corpus", "train", "attack", "bench"])

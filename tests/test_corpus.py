@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,13 +18,14 @@ from apk_builders import (
     declared,
     set_stored_value,
 )
-from pst_evade import perturbset
-from pst_evade.catalog import load_default_catalog
+from pst_evade import detectors, perturbset
+from pst_evade.catalog import load_default_catalog, read_document
 from pst_evade.corpus import (
     ACTION_MAIN,
     API_FAMILY_COUNT,
     ARRAY_DTYPES,
     CATEGORY_LAUNCHER,
+    CORPUS_FORMAT,
     ApkModel,
     CodeComponent,
     CorpusSpec,
@@ -46,6 +48,7 @@ from pst_evade.corpus import (
     validate_apk,
     verify_isolation,
 )
+from pst_evade.detectors import DetectorModel, Ensemble, FeatureSpace, save_model
 from pst_evade.perturbset import (
     InjectablePayload,
     apply_perturbation,
@@ -568,6 +571,59 @@ def test_a_failed_save_leaves_the_file_as_it_was(tmp_path, monkeypatch, existing
     assert len(calls) == 3
     assert (path.read_bytes() if path.exists() else None) == before
     assert [p.name for p in tmp_path.iterdir()] == (["corpus.json"] if existing else [])
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_a_failed_model_save_leaves_the_file_as_it_was(tmp_path, monkeypatch, existing):
+    # A model file is written one ensemble member at a time, through the same
+    # temporary sibling as a corpus file.
+    def member(b):
+        return DetectorModel(kind="linear", space=FeatureSpace("binary", keys=("perm:P",)),
+                             params={"w": np.array([1.0]), "b": b})
+
+    path = tmp_path / "model.json"
+    if existing:
+        save_model(member(0.5), path)
+    before = path.read_bytes() if existing else None
+    calls, scorer_to_dict = [], detectors._scorer_to_dict
+
+    def failing_scorer_to_dict(model):
+        calls.append(model)
+        if len(calls) == 2:
+            raise RuntimeError("second member")
+        return scorer_to_dict(model)
+
+    monkeypatch.setattr(detectors, "_scorer_to_dict", failing_scorer_to_dict)
+    with pytest.raises(RuntimeError, match="^second member$"):
+        save_model(Ensemble([member(1.0), member(2.0), member(3.0)]), path)
+    assert len(calls) == 2
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == (["model.json"] if existing else [])
+
+
+def test_load_corpus_holds_no_parsed_document(tmp_path):
+    # Beyond the corpus it builds, the streamed load holds a window of the
+    # file; the whole-document reader holds the parsed document, about the
+    # file's size (11 MB here). Peaks are taken above what the loaded corpus
+    # holds, so the apps themselves count in neither.
+    path = tmp_path / "corpus.json"
+    save_corpus(generate_corpus(CorpusSpec(n_benign=200, n_malicious=200, donor_count=40,
+                                           seed=3)), path)
+
+    def overhead(load):
+        tracemalloc.start()
+        try:
+            corpus = load(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.benign) == 200
+        return peak - held
+
+    streamed = overhead(load_corpus)
+    whole = overhead(lambda p: read_document(p, corpus_from_dict, (
+        "corpus", CORPUS_FORMAT, "regenerate it with gen-corpus")))
+    assert streamed < whole / 2, (streamed, whole)
 
 
 # sha256 of the corpus file written for this spec. The component arrays and the

@@ -2,6 +2,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from apk_builders import HARDENED, ContentOracle, small_pset
@@ -10,6 +11,7 @@ from pst_evade import harness
 from pst_evade.attack import AttackConfig, Oracle, run_attack
 from pst_evade.catalog import load_default_catalog
 from pst_evade.corpus import CorpusSpec, generate_corpus
+from pst_evade.detectors import DetectorModel
 from pst_evade.detectors import query as model_query
 from pst_evade.harness import (
     DetectorSpec,
@@ -267,6 +269,27 @@ def test_aggregates_recompute_from_rows(mini_report):
 def test_true_positive_pool_shortfall_is_an_error(small_corpus):
     with pytest.raises(ValueError, match="true positives"):
         run_experiment(_mini_config(sample_count=100), small_corpus)
+
+
+def test_a_config_that_cannot_run_fails_before_any_attack(small_corpus, monkeypatch):
+    # "silent" fires on no app, so it has no true positives; the detector
+    # before it has them, and no attack on it runs either.
+    trained = harness.train_detector
+
+    def training(spec, corpus):
+        model = trained(spec, corpus)
+        if spec.name != "silent":
+            return model
+        return DetectorModel(kind="linear", space=model.space,
+                             params={"w": np.zeros(model.space.width), "b": -40.0})
+
+    calls = []
+    monkeypatch.setattr(harness, "train_detector", training)
+    monkeypatch.setattr(harness, "attack_sample", lambda *args: calls.append(args))
+    config = _mini_config(detectors=(DetectorSpec(name="linear"), DetectorSpec(name="silent")))
+    with pytest.raises(ValueError, match="^detector 'silent' yielded only 0 true positives"):
+        run_experiment(config, small_corpus)
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------
