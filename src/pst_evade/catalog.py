@@ -216,7 +216,15 @@ def write_json(path: str | Path, doc: dict, separators: tuple[str, str] = (", ",
 # Field readers: each returns the value it is given when that holds what it
 # reads, and otherwise raises a one-line ValueError: "<name> is <json>, not
 # <what>" for a scalar, "<name> holds <json>, not <what>" for a list item, and
-# "<name> is not <what>" ("are not" for strings) for a container.
+# "<name> is not <what>" ("are not" for strings) for a container. The strings
+# that ``strings`` and ``pairs`` return are ``shared``.
+
+
+def shared(value):
+    """The one interned string equal to ``value`` when it is a string, so equal
+    names read from files are one object, as in a generated corpus; any other
+    value as given, for its reader to refuse."""
+    return sys.intern(value) if type(value) is str else value
 
 
 def _wrong(name: str, value, what: str) -> ValueError:
@@ -276,7 +284,7 @@ def integers(value, name: str) -> tuple[int, ...]:
 def strings(value, name: str) -> tuple[str, ...]:
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise ValueError(f"{name} are not a list of strings")
-    return tuple(value)
+    return tuple(map(shared, value))
 
 
 def pairs(value, name: str, what: str, second: Callable[[object], bool]) -> tuple:
@@ -285,7 +293,7 @@ def pairs(value, name: str, what: str, second: Callable[[object], bool]) -> tupl
         if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
                 and second(pair[1])):
             raise ValueError(f"{name} holds {json.dumps(pair)}, not {what}")
-    return tuple(map(tuple, value))
+    return tuple((shared(first), shared(second)) for first, second in value)
 
 
 def permission_pairs(value, name: str) -> tuple[tuple[str, str], ...]:
@@ -349,7 +357,9 @@ def fields_of(cls, d, what: str, /, retired: tuple[str, ...] = (), **readers) ->
 
 def load_default_catalog() -> AndroidCatalog:
     """The catalog bundled with the package, the one every pset and corpus draws
-    from; it is package data, not an input file, so it is read as it stands."""
+    from; it is package data, not an input file, so it is read as it stands. Its
+    names are ``shared``: a generated and a loaded corpus hold the same objects."""
     text = resources.files("pst_evade").joinpath("data/android_catalog.json").read_text("utf-8")
-    return AndroidCatalog(**{name: tuple(map(tuple, pool)) if name == "permissions"
-                             else tuple(pool) for name, pool in json.loads(text).items()})
+    return AndroidCatalog(**{name: tuple((shared(n), shared(level)) for n, level in pool)
+                             if name == "permissions" else tuple(map(shared, pool))
+                             for name, pool in json.loads(text).items()})

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import (AndroidCatalog, exact_keys, fields_of, flag, integer, items,
-                      load_default_catalog, obj, permission_pairs, read_streamed, string, strings,
-                      write_json)
+                      load_default_catalog, obj, permission_pairs, read_streamed, shared, string,
+                      strings, write_json)
 
 GROUND_TRUTHS = ("benign", "malicious")
 # The corpus document's app lists, in the order they are checked.
@@ -30,14 +31,37 @@ ARRAY_DTYPES = ("<u1", "<i1", "<u2", "<i2", "<u4", "<i4", "<i8")
 _DTYPE_RANGES = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max))
                       for d in ARRAY_DTYPES)
 
-ACTION_MAIN = "android.intent.action.MAIN"
-CATEGORY_LAUNCHER = "android.intent.category.LAUNCHER"
+# Interned, as every name a loaded corpus reads is (``catalog.shared``): the
+# catalog lists both, so an app may hold them outside a launcher's sets too.
+ACTION_MAIN = sys.intern("android.intent.action.MAIN")
+CATEGORY_LAUNCHER = sys.intern("android.intent.category.LAUNCHER")
+
+# The intent sets most declared components hold: none, and a launcher's action
+# and category. Each is one object wherever it is held.
+NO_NAMES: frozenset[str] = frozenset()
+LAUNCHER_ACTIONS = frozenset({ACTION_MAIN})
+LAUNCHER_CATEGORIES = frozenset({CATEGORY_LAUNCHER})
+_SHARED_NAME_SETS = {s: s for s in (NO_NAMES, LAUNCHER_ACTIONS, LAUNCHER_CATEGORIES)}
+
+
+def name_set(names) -> frozenset[str]:
+    """``frozenset(names)``, the shared object when it equals one of the sets above."""
+    names = frozenset(names)
+    return _SHARED_NAME_SETS.get(names, names)
 
 
 @dataclass(frozen=True)
 class Permission:
     name: str
     protection_level: str
+
+
+@lru_cache(maxsize=1024)
+def permission(name: str, protection_level: str) -> Permission:
+    """The one ``Permission`` of these values that the generator, the loader and
+    the perturbations all hold: the stock corpus names each of the catalog's 130
+    about 200 times."""
+    return Permission(name, protection_level)
 
 
 @dataclass(frozen=True)
@@ -225,7 +249,7 @@ class _GeneratorState:
         features = catalog.hardware_features + catalog.software_features
         actions = catalog.activity_actions + catalog.broadcast_actions
         perms = catalog.permissions
-        self.permissions = {name: Permission(name, level) for name, level in perms}
+        self.permissions = {name: permission(name, level) for name, level in perms}
         self.feature_pool = _Pool(list(features), rng)
         self.permission_pool = _Pool([name for name, _ in perms], rng)
         self.action_pool = _Pool(list(actions), rng)
@@ -289,13 +313,13 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
     features = frozenset(state.feature_pool.sample(rng, cls, shifted))
     perm_names = state.permission_pool.sample(rng, cls, shifted)
     permissions = frozenset(state.permissions[name] for name in perm_names)
-    actions = frozenset(state.action_pool.sample(rng, cls, shifted))
-    categories = frozenset(state.category_pool.sample(rng, cls, shifted))
+    actions = name_set(state.action_pool.sample(rng, cls, shifted))
+    categories = name_set(state.category_pool.sample(rng, cls, shifted))
 
     declared: list[DeclaredComponent] = [
         DeclaredComponent(kind="activity", name=f"com.app.{apk_id}.Main",
-                          intent_actions=frozenset({ACTION_MAIN}),
-                          intent_categories=frozenset({CATEGORY_LAUNCHER}),
+                          intent_actions=LAUNCHER_ACTIONS,
+                          intent_categories=LAUNCHER_CATEGORIES,
                           exported=True, enabled=True)
     ]
     if actions or categories:
@@ -312,7 +336,7 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
             components.append(_gen_component(state, rng, kind, cls, shifted))
             declared.append(DeclaredComponent(
                 kind=kind, name=f"com.app.{apk_id}.{kind.capitalize()}{comp_index}",
-                intent_actions=frozenset(), intent_categories=frozenset(),
+                intent_actions=NO_NAMES, intent_categories=NO_NAMES,
                 exported=bool(rng.integers(0, 2)), enabled=True))
 
     return ApkModel(id=apk_id, uses_features=features, permissions=permissions,
@@ -401,10 +425,9 @@ def _declared_from_dict(d: dict, what: str) -> DeclaredComponent:
     name = string(d["name"], "declared component name")
     where = f"declared component {name}: "
     return DeclaredComponent(
-        kind=d["kind"], name=name,
-        intent_actions=frozenset(strings(d["intent_actions"], where + "intent_actions")),
-        intent_categories=frozenset(strings(d["intent_categories"],
-                                            where + "intent_categories")),
+        kind=shared(d["kind"]), name=name,
+        intent_actions=name_set(strings(d["intent_actions"], where + "intent_actions")),
+        intent_categories=name_set(strings(d["intent_categories"], where + "intent_categories")),
         exported=flag(d["exported"], where + "exported"),
         enabled=flag(d["enabled"], where + "enabled"),
         process=string(d.get("process"), where + "process", null=True),
@@ -463,14 +486,15 @@ def _component_from_dict(d: dict, where: str) -> CodeComponent:
         raise ValueError(f"code component edges holds {edges.size} values, "
                          "not (caller, callee) pairs")
     # A non-list stays as read, for the component to refuse: tuple() of a string
-    # would split it into one-character ids.
+    # would split it into one-character ids. Each string read is shared, and
+    # any other value kept for the component to refuse.
     api_calls = d["api_calls"]
-    kind, families = d["kind"], unpack_array(d["families"], "code component families")
+    kind, families = shared(d["kind"]), unpack_array(d["families"], "code component families")
     try:
         return CodeComponent(
             kind=kind, classes=classes, families=families, edges=edges,
-            api_calls=tuple(api_calls) if isinstance(api_calls, list) else api_calls,
-            origin=d.get("origin", "original"))
+            api_calls=tuple(map(shared, api_calls)) if isinstance(api_calls, list) else api_calls,
+            origin=shared(d.get("origin", "original")))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -501,14 +525,14 @@ def apk_from_dict(d: dict, what: str) -> ApkModel:
     return ApkModel(
         id=d["id"],
         uses_features=frozenset(strings(m["uses_features"], where + "uses_features")),
-        permissions=frozenset(Permission(n, l) for n, l in
+        permissions=frozenset(permission(n, l) for n, l in
                               permission_pairs(m["permissions"], where + "permissions")),
         declared_components=tuple(_declared_from_dict(c, f"{app} declared component {i}")
                                   for i, c in enumerate(items(m["declared_components"],
                                                               where + "declared_components"))),
         components=tuple(_component_from_dict(c, f"{app} component {i}") for i, c in
                          enumerate(items(code["components"], where + "code components"))),
-        ground_truth=d["ground_truth"],
+        ground_truth=shared(d["ground_truth"]),
     )
 
 

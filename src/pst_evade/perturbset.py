@@ -9,7 +9,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .catalog import AndroidCatalog
-from .corpus import CODE_KINDS, ApkModel, CodeComponent, DeclaredComponent, Permission
+from .corpus import CODE_KINDS, NO_NAMES, ApkModel, CodeComponent, DeclaredComponent, permission
 
 if TYPE_CHECKING:
     from .pstree import PSTree
@@ -177,7 +177,7 @@ def _manifest_perturbations(catalog: AndroidCatalog) -> list[Perturbation]:
     entries = (
         [("uses_feature", name)
          for name in catalog.hardware_features + catalog.software_features]
-        + [("permission", Permission(name, level))
+        + [("permission", permission(name, level))
            for name, level in catalog.permissions if level != "dangerous"]
         + [("activity_action", name) for name in catalog.activity_actions]
         + [("broadcast_action", name) for name in catalog.broadcast_actions]
@@ -295,8 +295,8 @@ def apply_perturbation(apk: ApkModel, perturbation: Perturbation,
         added = frozenset({payload})
         comp = DeclaredComponent(
             kind=comp_kind, name=_fresh_component_name(apk, comp_kind, rng),
-            intent_actions=frozenset() if category else added,
-            intent_categories=added if category else frozenset(),
+            intent_actions=NO_NAMES if category else added,
+            intent_categories=added if category else NO_NAMES,
             exported=True, enabled=True,
             process=":" + random_name(rng, 8),
             data_uri="scheme://" + random_name(rng, 16))

@@ -626,6 +626,66 @@ def test_load_corpus_holds_no_parsed_document(tmp_path):
     assert streamed < whole / 2, (streamed, whole)
 
 
+def _held(make):
+    """What ``make()`` returns, and the traced memory it still holds."""
+    tracemalloc.start()
+    try:
+        value = make()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held
+
+
+def test_a_loaded_corpus_holds_about_what_the_generated_one_does(tmp_path):
+    # A loaded corpus shares its names, permissions and intent sets as the
+    # generator does; with a str object per name read it would hold about half
+    # as much again.
+    spec = CorpusSpec(n_benign=200, n_malicious=200, donor_count=40, seed=3)
+    generated, made = _held(lambda: generate_corpus(spec))
+    save_corpus(generated, tmp_path / "corpus.json")
+    # A first load, kept while the second is measured, interns the corpus's
+    # names: the interpreter's table of them, which may grow or be rebuilt as
+    # they are added, is not the corpus's to count.
+    first = load_corpus(tmp_path / "corpus.json")
+    loaded, read = _held(lambda: load_corpus(tmp_path / "corpus.json"))
+    assert loaded == first == generated
+    assert read <= 1.05 * made, (read, made)
+
+
+def _distinct(values) -> tuple[int, int]:
+    """(distinct objects, distinct values) among ``values``."""
+    values = list(values)
+    return len({id(v) for v in values}), len(set(values))
+
+
+@pytest.mark.parametrize("load", [load_corpus, lambda p: read_document(
+    p, corpus_from_dict, ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))],
+    ids=["streamed", "reference"])
+def test_both_load_paths_hold_each_name_and_permission_once(tmp_path, load):
+    generated = generate_corpus(CorpusSpec(n_benign=12, n_malicious=12, donor_count=6, seed=3))
+    save_corpus(generated, tmp_path / "corpus.json")
+    corpus = load(tmp_path / "corpus.json")
+    assert corpus == generated
+    apps = corpus.benign + corpus.malicious + corpus.donors
+    api_ids = [api for app in apps for c in app.components for api in c.api_calls]
+    declared = [c for app in apps for c in app.declared_components]
+    for values in (api_ids,
+                   [p for app in apps for p in app.permissions],
+                   [p.name for app in apps for p in app.permissions],
+                   [f for app in apps for f in app.uses_features],
+                   [n for c in declared for n in c.intent_actions | c.intent_categories],
+                   [c.kind for c in declared] + [c.kind for app in apps for c in app.components]):
+        objects, distinct = _distinct(values)
+        assert objects == distinct
+    assert len(api_ids) > 10 * _distinct(api_ids)[1]
+    # The empty intent set, and each launcher set, is one object.
+    for names in ([], [ACTION_MAIN], [CATEGORY_LAUNCHER]):
+        held = [s for c in declared for s in (c.intent_actions, c.intent_categories)
+                if s == frozenset(names)]
+        assert len(held) > 1 and len({id(s) for s in held}) == 1
+
+
 # sha256 of the corpus file written for this spec. The component arrays and the
 # stock ensemble are pinned elsewhere; this pins the rest of the layout, the
 # corpus's "code": {"components": [...]} nesting too.

@@ -11,8 +11,9 @@ import pytest
 from apk_builders import apk
 from pst_evade import detectors
 from pst_evade.attack import AttackConfig, run_attack
-from pst_evade.catalog import load_default_catalog
+from pst_evade.catalog import load_default_catalog, read_document
 from pst_evade.detectors import (
+    MODEL_FORMAT,
     DetectorModel,
     Ensemble,
     FeatureSpace,
@@ -768,6 +769,18 @@ def test_ensemble_file_round_trip(tmp_path, stock_ensemble):
     save_model(stock_ensemble, path)
     save_model(load_model(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("load", [load_model, lambda p: read_document(
+    p, model_from_dict, ("model", MODEL_FORMAT, "retrain it with train"))],
+    ids=["streamed", "reference"])
+def test_a_loaded_ensembles_binary_members_share_their_key_strings(tmp_path, stock_ensemble,
+                                                                   load):
+    path = tmp_path / "ensemble.json"
+    save_model(stock_ensemble, path)
+    keys = [key for m in load(path).members if m.space.kind == "binary" for key in m.space.keys]
+    assert len(keys) > 2 * len(set(keys))  # the binary members name the same keys
+    assert len({id(key) for key in keys}) == len(set(keys))
 
 
 def test_load_refuses_a_cluster_map_that_names_an_api_id_twice(tmp_path):
