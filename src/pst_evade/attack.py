@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from .corpus import ApkModel
-from .detectors import DetectorModel, Ensemble, Feedback, query as model_query
+from .detectors import DetectorModel, Ensemble, Feedback, block_states, query as model_query
 from .features import added_parts
 from .perturbset import PerturbationSet, apply_perturbation
 from .pstree import EPSILON, PSTree, adjust, build_tree, sample_path
@@ -18,41 +18,48 @@ class Oracle:
     """Black-box view of a detector: label + confidence per query.
 
     Perturbations only add to an app, so an attack's candidate is the kept
-    sample plus the parts its picks added. For each feature space of the model,
-    the oracle remembers the state (``FeatureSpace.state``) of two apps: the
+    sample plus the parts its picks added. The oracle remembers two apps: the
     last one it answered that added something, and the app that one extended.
-    An app that extends either of them (``added_parts``) is answered from that
-    state plus the added parts' contribution. An app that adds nothing to one
-    of them is answered from its state and leaves the memory as it is, so a
-    rejected candidate proposed again does not push out the kept sample. Any
-    other app is extracted in full, so every answer equals
-    ``detectors.query(model, apk)`` bit for bit.
+    For each, it keeps the state (``FeatureSpace.state``) and row of each of
+    the model's feature spaces, and the state of each of its scoring blocks
+    (``detectors.block_states``): a forest block's node choices, a kNN block's
+    distances. An app that extends either of them (``added_parts``) is
+    answered from that app's space states plus the added parts'
+    contribution, and its blocks' states from that app's and the columns the
+    parts set. An app that adds nothing to one of them is answered from what
+    it keeps and leaves the memory as it is, so a rejected candidate proposed
+    again does not push out the kept sample. Any other app is extracted and
+    scored in full, so every answer equals ``detectors.query(model, apk)`` bit
+    for bit.
     """
 
     def __init__(self, model: DetectorModel | Ensemble):
         self.model = model
-        # (app, {space: state}) pairs, the latest first.
-        self._remembered: list[tuple[ApkModel, dict]] = []
+        # (app, space states, rows, block states), the latest first.
+        self._remembered: list[tuple[ApkModel, dict, dict, dict]] = []
 
     def query(self, apk: ApkModel) -> Feedback:
-        return model_query(self.model, apk, self._rows)
+        return model_query(self.model, apk, self._view)
 
-    def _rows(self, apk: ApkModel) -> dict:
-        return {space: space.row(state) for space, state in self._states(apk).items()}
-
-    def _states(self, apk: ApkModel) -> dict:
-        for base, states in self._remembered:
-            parts = added_parts(base, apk)
+    def _view(self, apk: ApkModel) -> tuple[dict, dict]:
+        for kept in self._remembered:
+            parts = added_parts(kept[0], apk)
             if parts is None:
                 continue
+            _, states, rows, blocks = kept
             if parts.empty:
-                return states
-            extended = {space: space.extended(state, parts) for space, state in states.items()}
-            self._remembered = [(apk, extended), (base, states)]
-            return extended
+                return rows, blocks
+            states = {space: space.extended(state, parts) for space, state in states.items()}
+            new_rows = {space: space.row(state) for space, state in states.items()}
+            if blocks:  # a model without blocks keeps none
+                blocks = block_states(self.model, new_rows, (rows, blocks))
+            self._remembered = [(apk, states, new_rows, blocks), kept]
+            return new_rows, blocks
         states = {space: space.state(apk) for space in self.model.spaces}
-        self._remembered = [(apk, states)]
-        return states
+        rows = {space: space.row(state) for space, state in states.items()}
+        blocks = block_states(self.model, rows)
+        self._remembered = [(apk, states, rows, blocks)]
+        return rows, blocks
 
 
 @dataclass(frozen=True)

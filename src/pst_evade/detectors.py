@@ -201,8 +201,10 @@ class TrainReport:
 class DetectorModel:
     """A scorer: a detector of every kind but an ensemble. ``params`` are read
     once, when the model is made: the scoring kernel is built from them then,
-    and the parameters are checked against the feature space. Models compare
-    and hash by identity: ``params`` holds numpy arrays."""
+    and the parameters are checked against the feature space. A forest or kNN
+    scorer is scored as a block of one (``_ForestBlock``, ``_KnnBlock``), a
+    linear or MLP one by its own product. Models compare and hash by
+    identity: ``params`` holds numpy arrays."""
 
     kind: str
     space: FeatureSpace
@@ -210,11 +212,19 @@ class DetectorModel:
     report: TrainReport | None = None
     # x -> malicious confidence; built from ``params``, never serialized.
     kernel: Callable[[np.ndarray], float] = field(init=False, repr=False, compare=False)
+    # The model's one scoring block if it is a forest or kNN, else none.
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KERNEL_BUILDERS:
+        if self.kind in _BLOCK_BUILDERS:
+            block = _BLOCK_BUILDERS[self.kind](self.space, self.params)
+            self.blocks = (block,)
+            self.kernel = partial(_lone_confidence, block)
+        elif self.kind in _KERNEL_BUILDERS:
+            self.blocks = ()
+            self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params)
+        else:
             raise ValueError(f"unknown detector kind: {self.kind}")
-        self.kernel = _KERNEL_BUILDERS[self.kind](self.space, self.params)
 
     @property
     def spaces(self) -> tuple[FeatureSpace, ...]:
@@ -225,9 +235,14 @@ class DetectorModel:
 @dataclass(frozen=True)
 class Ensemble:
     """A detector whose scorers vote: it answers with the share of its members
-    that fire, and is one level deep."""
+    that fire, and is one level deep. Its scoring groups are built with it:
+    each space's linear and MLP members (``products``), scored one by one on
+    the space's row, and one block per space and block kind (``blocks``)."""
 
     members: tuple[DetectorModel, ...]
+    products: tuple[tuple[FeatureSpace, tuple[DetectorModel, ...]], ...] = field(
+        init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)
     kind = "ensemble"  # a class attribute, not a field
 
     def __post_init__(self):
@@ -235,6 +250,17 @@ class Ensemble:
         if not self.members:
             raise ValueError("ensemble model: has no members")
         _refuse_nested([m.kind for m in self.members])
+        products: dict[FeatureSpace, list[DetectorModel]] = {}
+        blocks: dict[tuple, list] = {}
+        for m in self.members:
+            if m.blocks:
+                blocks.setdefault(m.blocks[0].group, []).append(m.blocks[0])
+            else:
+                products.setdefault(m.space, []).append(m)
+        object.__setattr__(self, "products", tuple(
+            (space, tuple(ms)) for space, ms in products.items()))
+        object.__setattr__(self, "blocks", tuple(
+            type(bs[0]).joined(bs) for bs in blocks.values()))
 
     @cached_property
     def spaces(self) -> tuple[FeatureSpace, ...]:
@@ -429,6 +455,17 @@ def _mlp_kernel(space: FeatureSpace, p: dict):
     return partial(_mlp_score, p["w1"], p["b1"], p["w2"], p["b2"])
 
 
+_KERNEL_BUILDERS = {"linear": _linear_kernel, "mlp": _mlp_kernel}
+
+
+# ---------------------------------------------------------------------------
+# Scoring blocks: the forest or kNN members that read one feature space, scored
+# together. A block's state for a row is what its members' answers are read
+# from; ``extended`` updates a base state to that of a row that sets more
+# columns. Every count, vote and Hamming distance is an integer, so each
+# member's answer from a block is its answer alone, bit for bit.
+
+
 def _nearest_vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> float:
     """Mean label of the k nearest rows; equal distances go to the lowest index.
     No full sort: the rows not beyond the k-th distance, in index order, of
@@ -440,10 +477,6 @@ def _nearest_vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> float:
     return float(train_y[near].sum()) / k
 
 
-def _knn_by_difference(train_x, train_y, k: int, x: np.ndarray) -> float:
-    return _nearest_vote(np.sum(np.square(train_x - x), axis=1), train_y, k)
-
-
 def _packed(bits: np.ndarray) -> np.ndarray:
     """0/1 ``bits`` packed along the last axis into uint64 words, zero-padded."""
     width = bits.shape[-1]
@@ -452,21 +485,73 @@ def _packed(bits: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _knn_by_hamming(train_x, words, train_y, k: int, x: np.ndarray) -> float:
-    """On 0/1 rows ||t - x||^2 is the Hamming distance, an exact integer: the
-    count of set bits in t XOR x. ``words`` holds the 0/1 fit rows packed,
-    word-major, so each word of x meets one contiguous row of words. A row
-    that is not all 0/1 takes the difference form on ``train_x``."""
-    bits = x != 0
-    if not (x == bits).all():  # fractional, NaN, infinite or past 1
-        return _knn_by_difference(train_x, train_y, k, x)
-    d2 = np.bitwise_count(words ^ _packed(bits)[:, None]).sum(axis=0)
-    return _nearest_vote(d2, train_y, k)
+class _KnnBlock:
+    """kNN members that read one feature space. A row's state is its distance
+    to each member's fit rows, member after member; each member votes on its
+    own run (``_nearest_vote``). When every fit row is 0/1, ``words`` holds them
+    packed, word-major, so each word of a row meets one contiguous row of
+    words: a 0/1 row's distances are then Hamming distances, exact integers,
+    from one XOR and popcount pass. Any other row takes the difference form on
+    each member's ``params["x"]``, the block's only float copy of them."""
+
+    def __init__(self, space: FeatureSpace, fits: Sequence[tuple[np.ndarray, np.ndarray, int]],
+                 words: np.ndarray | None):
+        self.space = space
+        self.fits = tuple(fits)  # (params["x"], labels, k) per member
+        self.words = words
+        self.bounds = np.cumsum([0] + [len(x) for x, _, _ in self.fits]).tolist()
+        # A sum of at most ``width`` steps of +-1 fits int16 when the width does.
+        self.step_sum = np.int16 if space.width <= np.iinfo(np.int16).max else np.intp
+        # Members with and without 0/1 fit rows take different paths.
+        self.group = (space, "knn", words is not None)
+
+    @classmethod
+    def joined(cls, blocks: Sequence[_KnnBlock]) -> _KnnBlock:
+        words = blocks[0].words
+        if words is not None:
+            words = np.concatenate([b.words for b in blocks], axis=1)
+        return cls(blocks[0].space, [f for b in blocks for f in b.fits], words)
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        """Distances as intp Hamming counts, or float64 by the difference form."""
+        if self.words is not None:
+            bits = x != 0
+            if (x == bits).all():  # not fractional, NaN, infinite or past 1
+                return np.bitwise_count(self.words ^ _packed(bits)[:, None]).sum(
+                    axis=0, dtype=np.intp)
+        return np.concatenate([np.sum(np.square(train_x - x), axis=1)
+                               for train_x, _, _ in self.fits])
+
+    @cached_property
+    def flips(self) -> np.ndarray:
+        """int8 (columns, fit rows), built on first use: what setting column c
+        adds to each fit row's Hamming distance, 1 where the fit row has a 0
+        there and -1 where it has a 1."""
+        fit_bytes = np.ascontiguousarray(self.words.T).view(np.uint8)
+        flips = np.unpackbits(fit_bytes, axis=1, count=self.space.width).T.astype(
+            np.int8, order="C")
+        flips *= -2
+        flips += 1
+        return flips
+
+    def extended(self, distances: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The distances of ``x``, which sets ``cols`` (0 in the base row) to 1.
+        Distances that are not Hamming distances take the full path."""
+        if distances.dtype != np.intp:
+            return self.state(x)
+        if not len(cols):
+            return distances
+        return distances + self.flips[cols].sum(axis=0, dtype=self.step_sum)
+
+    def confidences(self, distances: np.ndarray) -> list[float]:
+        b = self.bounds
+        return [_nearest_vote(distances[b[i]:b[i + 1]], y, k)
+                for i, (_, y, k) in enumerate(self.fits)]
 
 
-def _knn_kernel(space: FeatureSpace, p: dict):
-    """Fit rows that are all 0/1 take ``_knn_by_hamming``, any others the
-    difference form. ``params["x"]`` is the kernel's one float copy of them."""
+def _knn_block(space: FeatureSpace, p: dict) -> _KnnBlock:
+    """One kNN scorer's block. ``params["x"]`` becomes the float copy of the fit
+    rows that the block reads."""
     p["x"] = train_x = np.asarray(p["x"], dtype=np.float64)
     train_y = np.asarray(p["y"], dtype=np.float64)
     if train_x.ndim != 2 or train_x.shape[1] != space.width:
@@ -477,29 +562,86 @@ def _knn_kernel(space: FeatureSpace, p: dict):
     if not 1 <= KNN_K <= n:
         raise ValueError(f"knn model: k={KNN_K} is not between 1 and the {n} fit rows")
     bits = train_x != 0
-    if not (train_x == bits).all():
-        return partial(_knn_by_difference, train_x, train_y, KNN_K)
-    words = np.ascontiguousarray(_packed(bits).T)
-    return partial(_knn_by_hamming, train_x, words, train_y, KNN_K)
+    words = np.ascontiguousarray(_packed(bits).T) if (train_x == bits).all() else None
+    return _KnnBlock(space, [(train_x, train_y, KNN_K)], words)
 
 
-def _forest_score(feature, threshold, left, right, vote, roots, steps: int,
-                  x: np.ndarray) -> float:
-    # One comparison per node, then every tree steps down together; a leaf is
-    # its own child, so trees that reach a leaf early stay there.
-    child = np.where(x[feature] <= threshold, left, right)
-    node = roots
-    for _ in range(steps):
-        node = child[node]
-    return float(vote[node].sum()) / len(node)
+class _ForestBlock:
+    """The trees of forests that read one feature space as one node array:
+    internal nodes first, then leaves, each leaf its own child. A row's state
+    is each node's child, chosen for an internal node by ``x[feature] <=
+    threshold``; every root then steps down together, and each member's votes
+    are summed over its own run of roots. The internal nodes are sorted by
+    split column, so those that split on column c are the run
+    ``first[c]:first[c + 1]``."""
+
+    def __init__(self, space: FeatureSpace, feature: np.ndarray, threshold: np.ndarray,
+                 left: np.ndarray, right: np.ndarray, vote: np.ndarray, roots: np.ndarray,
+                 trees: Sequence[int], steps: int):
+        """The node arrays hold every node, in any order, each leaf its own child."""
+        self.space = space
+        leaf = left == np.arange(len(vote))
+        order = np.lexsort((feature, leaf))  # stable: internal nodes by column, then leaves
+        new = np.empty_like(order)
+        new[order] = np.arange(len(order))
+        inner = order[:len(order) - np.count_nonzero(leaf)]
+        self.feature, self.threshold = feature[inner], threshold[inner]
+        self.left, self.right, self.vote = new[left[inner]], new[right[inner]], vote[order]
+        self.roots, self.trees, self.steps = new[roots], tuple(trees), steps
+        self.leaves = np.arange(len(inner), len(vote))
+        self.starts = np.cumsum((0,) + self.trees[:-1])
+        self.first = np.searchsorted(self.feature, np.arange(space.width + 1)).tolist()
+        # The child each internal node takes when its column is 1.
+        self.at_one = np.where(1.0 <= self.threshold, self.left, self.right)
+        self.group = (space, "forest")
+
+    @classmethod
+    def joined(cls, blocks: Sequence[_ForestBlock]) -> _ForestBlock:
+        """One block of the blocks' trees, in block order."""
+        def nodes(b: _ForestBlock, offset: int) -> tuple:
+            # Leaves read no column: they are written as ``_forest_block`` does.
+            n = len(b.leaves)
+            return (np.concatenate((b.feature, np.zeros(n, dtype=np.intp))),
+                    np.concatenate((b.threshold, np.zeros(n))),
+                    np.concatenate((b.left, b.leaves)) + offset,
+                    np.concatenate((b.right, b.leaves)) + offset, b.vote, b.roots + offset)
+
+        offsets = np.cumsum([0] + [len(b.vote) for b in blocks]).tolist()
+        joined = [np.concatenate(parts)
+                  for parts in zip(*map(nodes, blocks, offsets))]
+        return cls(blocks[0].space, *joined, [t for b in blocks for t in b.trees],
+                   max(b.steps for b in blocks))
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate((np.where(x[self.feature] <= self.threshold, self.left,
+                                        self.right), self.leaves))
+
+    def extended(self, child: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The children for ``x``, which sets ``cols`` (0 in the base row) to 1:
+        just the nodes that split on those columns choose again."""
+        if not len(cols):
+            return child
+        child = child.copy()
+        first, at_one = self.first, self.at_one
+        for c in cols.tolist():
+            child[first[c]:first[c + 1]] = at_one[first[c]:first[c + 1]]
+        return child
+
+    def confidences(self, child: np.ndarray) -> list[float]:
+        node = self.roots
+        for _ in range(self.steps):
+            node = child[node]
+        votes = np.add.reduceat(self.vote[node], self.starts).tolist()
+        return [v / n for v, n in zip(votes, self.trees)]
 
 
-def _forest_kernel(space: FeatureSpace, p: dict):
-    """Flatten the dict trees breadth first into per-node arrays."""
+def _forest_block(space: FeatureSpace, p: dict) -> _ForestBlock:
+    """One forest scorer's block: its dict trees flattened breadth first."""
     width = space.width
     nodes = list(p["trees"])
+    if not nodes:
+        raise ValueError("forest model: has no trees")
     depth = [0] * len(nodes)
-    roots = np.arange(len(nodes), dtype=np.intp)
     feature, threshold, left, right, vote = [], [], [], [], []
     for i, node in enumerate(nodes):  # grows while it is walked
         if flag(obj(node, "forest model: tree node")["leaf"], "forest model: node leaf"):
@@ -523,13 +665,18 @@ def _forest_kernel(space: FeatureSpace, p: dict):
         vote.append(0)
         nodes += [node["left"], node["right"]]
         depth += [depth[i] + 1] * 2
-    return partial(_forest_score, np.array(feature, dtype=np.intp), np.array(threshold),
-                   np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                   np.array(vote, dtype=np.intp), roots, max(depth, default=0))
+    return _ForestBlock(space, np.array(feature, dtype=np.intp), np.array(threshold),
+                        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                        np.array(vote, dtype=np.intp), np.arange(len(p["trees"])),
+                        [len(p["trees"])], max(depth))
 
 
-_KERNEL_BUILDERS = {"linear": _linear_kernel, "mlp": _mlp_kernel, "knn": _knn_kernel,
-                    "forest": _forest_kernel}
+def _lone_confidence(block, x: np.ndarray) -> float:
+    """The kernel of a forest or kNN scorer: the answer of its block of one."""
+    return block.confidences(block.state(x))[0]
+
+
+_BLOCK_BUILDERS = {"knn": _knn_block, "forest": _forest_block}
 
 
 # ---------------------------------------------------------------------------
@@ -541,28 +688,68 @@ def confidence_from_dense(model: DetectorModel, x: np.ndarray) -> float:
     return model.kernel(x)
 
 
-def score(model: DetectorModel | Ensemble,
-          rows: Mapping[FeatureSpace, np.ndarray]) -> Feedback:
+def _added_columns(old: np.ndarray, new: np.ndarray) -> np.ndarray | None:
+    """The columns that go from 0 in ``old`` to 1 in ``new``, or None when any
+    other column differs."""
+    cols = np.flatnonzero(new != old)
+    return cols if (old[cols] == 0).all() and (new[cols] == 1).all() else None
+
+
+def block_states(model: DetectorModel | Ensemble, rows: Mapping[FeatureSpace, np.ndarray],
+                 base: tuple[Mapping, Mapping] | None = None) -> dict:
+    """The state of each of the model's blocks for an app whose dense rows are
+    ``rows``. ``base``, when given, is the ``(rows, states)`` of an app that this
+    one extends. A block updates its base state (``extended``) when its space
+    is not Markov, whose rows change in nearly every column, and every column
+    that differs from the base row goes from 0 to 1, as an added part sets it;
+    a kNN block whose base distances are not Hamming distances still takes
+    the full path. Any other block takes the full path (``state``)."""
+    states, added = {}, {}
+    for block in model.blocks:
+        space = block.space
+        x = rows[space]
+        if base is not None and space.kind != "markov" and space not in added:
+            added[space] = _added_columns(base[0][space], x)
+        cols = added.get(space)
+        states[block] = (block.state(x) if cols is None
+                         else block.extended(base[1][block], x, cols))
+    return states
+
+
+def score(model: DetectorModel | Ensemble, rows: Mapping[FeatureSpace, np.ndarray],
+          blocks: Mapping | None = None) -> Feedback:
     """The answer for an app whose dense row in each of the model's feature spaces
-    is in ``rows``. An ensemble answers with its detection fraction, the share of
-    members whose confidence reaches THRESHOLD, flagged malicious when any does."""
+    is in ``rows``, and the state of each of its blocks in ``blocks``
+    (``block_states``, computed from the rows when not given). An ensemble
+    answers with its detection fraction, the share of members whose confidence
+    reaches THRESHOLD, flagged malicious when any does."""
+    if blocks is None:
+        blocks = block_states(model, rows)
     if isinstance(model, Ensemble):
-        conf = sum(confidence_from_dense(m, rows[m.space]) >= THRESHOLD
-                   for m in model.members) / len(model.members)
+        hits = 0
+        for space, members in model.products:
+            x = rows[space]
+            hits += sum(confidence_from_dense(m, x) >= THRESHOLD for m in members)
+        for block in model.blocks:
+            hits += sum(c >= THRESHOLD for c in block.confidences(blocks[block]))
+        conf = hits / len(model.members)
         return Feedback(label="malicious" if conf > 0 else "benign", confidence=conf)
-    conf = confidence_from_dense(model, rows[model.space])
+    if model.blocks:
+        conf = model.blocks[0].confidences(blocks[model.blocks[0]])[0]
+    else:
+        conf = confidence_from_dense(model, rows[model.space])
     return Feedback(label="malicious" if conf >= THRESHOLD else "benign", confidence=conf)
 
 
 def query(model: DetectorModel | Ensemble, apk: ApkModel,
-          rows: Callable[[ApkModel], Mapping[FeatureSpace, np.ndarray]] | None = None
-          ) -> Feedback:
-    """Black-box oracle answer for one app. ``rows(apk)`` gives the app's dense row
-    in each of ``model.spaces``; without it each is extracted in full, once per
-    space however many members read it."""
-    if rows is None:
+          view: Callable[[ApkModel], tuple[Mapping, Mapping]] | None = None) -> Feedback:
+    """Black-box oracle answer for one app. ``view(apk)`` gives the app's dense
+    row in each of ``model.spaces`` and the state of each of ``model.blocks``;
+    without it each row is extracted in full, once per space however many
+    members read it, and each block scores its row in full."""
+    if view is None:
         return score(model, {space: space.extract(apk) for space in model.spaces})
-    return score(model, rows(apk))
+    return score(model, *view(apk))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +789,7 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
           seed: int = 0) -> DetectorModel:
     """Train one scorer on labeled rows of ``space``'s features, one row of
     ``x`` per label. Deterministic under a seed."""
-    if kind not in _KERNEL_BUILDERS:
+    if kind not in _PARAMS:
         raise ValueError(f"unknown detector kind: {kind}")
     if len(x) == 0:
         raise ValueError("empty training set")

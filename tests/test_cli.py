@@ -111,10 +111,10 @@ KNN_API_CLUSTER_SPEC = CorpusSpec(n_benign=20, n_malicious=20, donor_count=5, se
     ("knn", "markov"),
 ])
 def test_train_and_attack_each_detector_kind_and_feature_space(workdir, capsys, kind, features):
-    # Attack builds the kNN and forest scoring kernels when it loads the model;
-    # a Markov forest splits between adjacent distinct floats; a kNN on
-    # api_cluster features scores a row from the distances of the last row it
-    # was asked about, and one on Markov features keeps the difference form.
+    # Attack builds a kNN or forest model's scoring block when it loads the
+    # model; a Markov forest splits between adjacent distinct floats; a kNN on
+    # api_cluster features answers a candidate from the distances of the app
+    # it extends, and one on Markov features keeps the difference form.
     corpus, samples = workdir / "corpus.json", 3
     if (kind, features) == ("knn", "api_cluster"):
         spec, corpus, samples = workdir / "knn_spec.json", workdir / "knn_corpus.json", 1

@@ -10,7 +10,7 @@ import pytest
 
 from apk_builders import apk
 from pst_evade import detectors
-from pst_evade.attack import AttackConfig, run_attack
+from pst_evade.attack import AttackConfig, Oracle, run_attack
 from pst_evade.catalog import load_default_catalog, read_document
 from pst_evade.detectors import (
     MODEL_FORMAT,
@@ -18,18 +18,20 @@ from pst_evade.detectors import (
     Ensemble,
     FeatureSpace,
     Feedback,
-    _knn_by_difference,
-    _knn_by_hamming,
     _build_tree,
+    _ForestBlock,
+    _KnnBlock,
     _nearest_vote,
     _scalar_sigmoid,
     _sigmoid,
+    block_states,
     confidence_from_dense,
     load_model,
     model_from_dict,
     model_to_dict,
     query,
     save_model,
+    score,
     space_from_dict,
     space_to_dict,
     train,
@@ -181,7 +183,7 @@ def test_knn_hamming_distances_equal_the_difference_form_across_word_boundaries(
         model = DetectorModel(kind="knn", space=_space_of_width("binary", width), params={
             "x": _random_0_1(rng, (rows, width), density),
             "y": rng.integers(0, 2, rows).astype(float)})
-        assert model.kernel.func is _knn_by_hamming
+        assert model.blocks[0].words is not None
         for x in _random_0_1(rng, (16, width), density):
             assert confidence_from_dense(model, x) == _reference_knn(model, x)
             d2 = np.sum(np.square(model.params["x"] - x), axis=1)
@@ -191,16 +193,13 @@ def test_knn_hamming_distances_equal_the_difference_form_across_word_boundaries(
     assert boundary_ties > 100
 
 
-def test_knn_hamming_kernel_answers_rows_not_0_1_by_the_difference_form(monkeypatch):
+def test_knn_hamming_kernel_answers_rows_not_0_1_by_the_difference_form():
     rng = np.random.default_rng(2)
     model = DetectorModel(kind="knn", space=_space_of_width("binary", 70),
                           params={"x": _random_0_1(rng, (20, 70), 0.3),
                                   "y": rng.integers(0, 2, 20).astype(float)})
-    assert model.kernel.func is _knn_by_hamming
-    asked = []
-    by_difference = detectors._knn_by_difference
-    monkeypatch.setattr(detectors, "_knn_by_difference",
-                        lambda *args: asked.append(args[-1]) or by_difference(*args))
+    block = model.blocks[0]
+    assert block.words is not None
     x = _random_0_1(rng, 70, 0.3)
     for col, value in ((0, 0.5), (3, -0.25), (65, np.nan), (2, np.inf), (69, -np.inf),
                        (4, 2.0), (1, -1.0), (5, -0.0), (6, 1.0)):
@@ -208,13 +207,16 @@ def test_knn_hamming_kernel_answers_rows_not_0_1_by_the_difference_form(monkeypa
         other[col] = value
         with np.errstate(invalid="ignore"):
             assert confidence_from_dense(model, other) == _reference_knn(model, other)
-        # -0.0 is a 0 and keeps the Hamming distance.
-        assert [a is other for a in asked] == ([] if value in (0.0, 1.0) else [True])
-        asked.clear()
+            # Hamming distances are intp counts, the difference form's float64;
+            # -0.0 is a 0 and keeps the Hamming distance.
+            distances = block.state(other)
+        assert distances.dtype == (np.intp if value in (0.0, 1.0) else np.float64)
 
 
 @pytest.mark.parametrize("space_kind", ["binary", "api_cluster", "markov"])
 def test_knn_kernel_is_chosen_by_the_fit_rows(monkeypatch, space_kind):
+    # Only 0/1 fit rows are packed into words; any others leave the block on
+    # the difference form for every row.
     monkeypatch.setattr(detectors, "KNN_K", 5)
     rng = np.random.default_rng(9)
     space = FeatureSpace("markov") if space_kind == "markov" else _space_of_width(space_kind, 24)
@@ -223,13 +225,15 @@ def test_knn_kernel_is_chosen_by_the_fit_rows(monkeypatch, space_kind):
     integers = rng.integers(-3, 5, shape).astype(float)
     markov = rng.random(shape)
     markov /= markov.sum(axis=1, keepdims=True)  # fractional rows, as Markov rows are
-    for fit, kernel in ((zero_one, _knn_by_hamming), (integers, _knn_by_difference),
-                        (markov, _knn_by_difference)):
+    for fit in (zero_one, integers, markov):
         model = DetectorModel(kind="knn", space=space,
                               params={"x": fit, "y": rng.integers(0, 2, 30).astype(float)})
-        assert model.kernel.func is kernel
+        block = model.blocks[0]
+        assert (block.words is not None) == (fit is zero_one)
         for x in np.concatenate([zero_one[:4], integers[:4], markov[:4]]):
             assert confidence_from_dense(model, x) == _reference_knn(model, x)
+            hamming = fit is zero_one and np.isin(x, (0.0, 1.0)).all()
+            assert block.state(x).dtype == (np.intp if hamming else np.float64)
 
 
 def test_nearest_vote_equals_a_full_lexsort_with_ties_and_non_finite_distances():
@@ -261,17 +265,28 @@ def test_knn_answer_of_a_row_does_not_depend_on_the_row_before(monkeypatch):
             assert confidence_from_dense(model, x) == answer
 
 
-def test_knn_kernel_keeps_params_x_as_its_one_float_copy():
+def _float_matrices(block):
+    """The float64 matrices a kNN block holds, its fit rows among them."""
+    held = [*vars(block).values(), *(a for fit in block.fits for a in fit)]
+    return [a for a in held
+            if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2]
+
+
+def test_knn_kernel_keeps_params_x_as_its_one_float_copy(stock_ensemble):
     model = train("knn", *_separable_rows(), seed=3)
     by_hand = DetectorModel(kind="knn", space=_binary_space(("a", "b")),
                             params={"x": np.array([[0, 1], [1, 0], [1, 1]]),
                                     "y": np.array([0.0, 1.0, 1.0])})
     for m in (model, by_hand):
-        assert m.kernel.func is _knn_by_hamming
+        block = m.blocks[0]
+        assert block.words is not None
         assert m.params["x"].dtype == np.float64
-        floats = [a for a in m.kernel.args
-                  if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2]
-        assert len(floats) == 1 and floats[0] is m.params["x"]
+        assert [a is m.params["x"] for a in _float_matrices(block)] == [True]
+    # An ensemble's kNN block reads its members' own fit rows, copying none.
+    knn = [m for m in stock_ensemble.members if m.kind == "knn"]
+    (block,) = [b for b in stock_ensemble.blocks if isinstance(b, _KnnBlock)]
+    assert [a is m.params["x"] for a, m in zip(_float_matrices(block), knn)] == [True] * 2
+    assert len(_float_matrices(block)) == len(knn)
 
 
 def _random_tree(rng, width, depth):
@@ -413,25 +428,43 @@ def test_ensemble_shared_extraction_matches_per_member_queries(small_corpus, sto
     assert oracle.checked >= 60
 
 
+def _block_members(model, block):
+    """The members that ``block``, one of the model's blocks, scores, in order."""
+    members = model.members if isinstance(model, Ensemble) else (model,)
+    return [m for m in members if m.blocks and m.blocks[0].group == block.group]
+
+
+def _reference_confidences(model, block, x):
+    return [_REFERENCE[m.kind](m, x) for m in _block_members(model, block)]
+
+
 class _KernelCheckingOracle:
-    """Answers with the ensemble and checks each kNN and forest member's kernel
-    against its reference on the queried app."""
+    """Answers with the ensemble and checks each of its blocks, and each kNN and
+    forest member's block of one, against the members' references on the
+    queried app."""
 
     def __init__(self, model):
         self.model = model
         self.checked = {"knn": 0, "forest": 0}
 
     def query(self, app):
-        for m in self.model.members:
-            if m.kind in _REFERENCE:
-                x = m.space.extract(app)
-                assert confidence_from_dense(m, x) == _REFERENCE[m.kind](m, x)
+        for block in self.model.blocks:
+            x = block.space.extract(app)
+            want = _reference_confidences(self.model, block, x)
+            assert block.confidences(block.state(x)) == want
+            members = _block_members(self.model, block)
+            assert [confidence_from_dense(m, x) for m in members] == want
+            for m in members:
                 self.checked[m.kind] += 1
         return query(self.model, app)
 
 
 def test_kernels_match_references_on_every_attack_query(small_corpus, stock_ensemble):
-    assert {m.kernel.func for m in stock_ensemble.members if m.kind == "knn"} == {_knn_by_hamming}
+    # Each forest and kNN member is scored in one block, a kNN block with its
+    # 0/1 fit rows packed.
+    blocks = stock_ensemble.blocks
+    assert sum(len(_block_members(stock_ensemble, b)) for b in blocks) == 5
+    assert all(b.words is not None for b in blocks if isinstance(b, _KnnBlock))
     pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
     _, test = small_corpus.train_test_split()
     targets = select_true_positives(stock_ensemble,
@@ -446,6 +479,153 @@ def test_kernels_match_references_on_every_attack_query(small_corpus, stock_ense
     # Two kNN and three forest members answer every query.
     assert oracle.checked["knn"] >= 2 * 80
     assert oracle.checked["forest"] >= 3 * 80
+
+
+def test_blocks_answer_as_their_members_alone_on_random_members(monkeypatch):
+    # Forests of different tree counts and depths, kNN members of different
+    # fit-row counts, and one kNN member whose fit rows are not 0/1, which
+    # takes a block of its own; rows 0/1 and not.
+    monkeypatch.setattr(detectors, "KNN_K", 3)
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        width = int(rng.integers(1, 90))
+        space = _space_of_width("binary", width)
+        forests = [DetectorModel(kind="forest", space=space, params={"trees": [
+            _random_tree(rng, width, int(rng.integers(0, 7)))
+            for _ in range(int(rng.integers(1, 12)))]}) for _ in range(int(rng.integers(1, 4)))]
+        knns = [DetectorModel(kind="knn", space=space, params={
+            "x": _random_0_1(rng, (rows, width), float(rng.choice([0.05, 0.3]))),
+            "y": rng.integers(0, 2, rows).astype(float)})
+            for rows in rng.integers(3, 40, int(rng.integers(1, 4)))]
+        integers = rng.integers(0, 3, (5, width)).astype(float)
+        integers[0, 0] = 2.0
+        knns.append(DetectorModel(kind="knn", space=space, params={
+            "x": integers, "y": rng.integers(0, 2, 5).astype(float)}))
+        linear = _linear_model(rng.normal(size=width), 0.0, space.keys)
+        model = Ensemble([knns[0], linear, *forests, *knns[1:]])
+        assert len(model.blocks) == 3
+        xs = np.concatenate([_random_0_1(rng, (8, width), 0.3),
+                             rng.choice([0.0, 0.5, 1.0, 2.0, np.nan], (8, width))])
+        for x in xs:
+            with np.errstate(invalid="ignore"):
+                for block in model.blocks:
+                    assert block.confidences(block.state(x)) == _reference_confidences(
+                        model, block, x)
+                hits = sum(conf >= detectors.THRESHOLD for conf in
+                           [confidence_from_dense(linear, x)]
+                           + [_REFERENCE[m.kind](m, x) for m in [*forests, *knns]])
+                assert score(model, {space: x}).confidence == hits / len(model.members)
+
+
+class _ReferenceCheckedOracle:
+    """Answers through an ``Oracle`` and checks every answer against the
+    per-member reference."""
+
+    def __init__(self, model):
+        self.model = model
+        self.oracle = Oracle(model)
+
+    def query(self, app):
+        fb = self.oracle.query(app)
+        assert fb == _reference_feedback(self.model, app)
+        return fb
+
+
+def _count_block_paths(monkeypatch, blocks):
+    """Calls to the full path (``state``) and the delta path (``extended``) of
+    ``blocks``, and to ``FeatureSpace.extended``, as they happen."""
+    calls = {"state": 0, "extended": 0, "space_extended": 0}
+
+    def count(cls, name, key, only=None):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            if only is None or any(self is b for b in only):
+                calls[key] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls in (_ForestBlock, _KnnBlock):
+        count(cls, "state", "state", blocks)
+        count(cls, "extended", "extended", blocks)
+    count(FeatureSpace, "extended", "space_extended")
+    return calls
+
+
+def test_oracle_answers_every_extension_from_block_deltas(monkeypatch, small_corpus,
+                                                          stock_ensemble):
+    model = stock_ensemble
+    calls = _count_block_paths(monkeypatch, model.blocks)
+    pset = build_perturbation_set(load_default_catalog(), small_corpus.donors)
+    _, test = small_corpus.train_test_split()
+    targets = select_true_positives(model, [a for a in test if a.ground_truth == "malicious"],
+                                    4, master_seed=3, detector_name="ensemble")
+    rng = random.Random(41)
+    extending = 0
+    for algorithm in ("pst", "mab", "random"):
+        for target in targets:
+            calls.update(state=0, extended=0, space_extended=0)
+            run_attack(_ReferenceCheckedOracle(model), target, pset,
+                       AttackConfig(budget=10, algorithm=algorithm, seed=rng.getrandbits(32)))
+            # The gate is scored in full; every query that extends a
+            # remembered app, which extends each space once, takes the delta
+            # in each block, and none falls back to the full path.
+            queries, rest = divmod(calls["space_extended"], len(model.spaces))
+            assert rest == 0
+            assert calls["state"] == len(model.blocks)
+            assert calls["extended"] == len(model.blocks) * queries
+            extending += queries
+    assert extending >= 80
+
+
+def test_a_column_back_to_0_or_a_row_not_0_1_takes_the_full_path(monkeypatch, small_corpus,
+                                                                  stock_ensemble):
+    model = stock_ensemble
+    app = small_corpus.malicious[0]
+    rows = {space: space.extract(app) for space in model.spaces}
+    states = block_states(model, rows)
+    # The kNN block's space; in it, the 0/1 row of the app.
+    space = next(b.space for b in model.blocks if isinstance(b, _KnnBlock))
+    x = rows[space]
+    zeros, ones = np.flatnonzero(x == 0), np.flatnonzero(x == 1)
+    grown = x.copy()
+    grown[zeros[:3]] = 1.0
+    back = grown.copy()
+    back[ones[0]] = 0.0
+    half = grown.copy()
+    half[zeros[3]] = 0.5
+    # The paths taken by the blocks in that space, a forest's and the kNN's.
+    in_space = [b for b in model.blocks if b.space == space]
+    assert {type(b) for b in in_space} == {_ForestBlock, _KnnBlock}
+    calls = _count_block_paths(monkeypatch, in_space)
+    for row, delta in ((grown, True), (x, True), (back, False), (half, False)):
+        calls.update(state=0, extended=0)
+        new_rows = {**rows, space: row}
+        got = block_states(model, new_rows, (rows, states))
+        if delta:
+            assert calls == {"state": 0, "extended": len(in_space), "space_extended": 0}
+        else:
+            assert calls == {"state": len(in_space), "extended": 0, "space_extended": 0}
+        for block in model.blocks:
+            assert block.confidences(got[block]) == _reference_confidences(
+                model, block, new_rows[block.space])
+        assert score(model, new_rows, got) == score(model, new_rows)
+    # From a base row that is not 0/1, a forest's node choices still update
+    # (each reads its own column), but kNN distances are not Hamming distances.
+    half_rows = {**rows, space: half}
+    half_states = block_states(model, half_rows)
+    more = half.copy()
+    more[zeros[4]] = 1.0
+    calls.update(state=0, extended=0)
+    more_rows = {**rows, space: more}
+    got = block_states(model, more_rows, (half_rows, half_states))
+    knn = next(b for b in model.blocks if isinstance(b, _KnnBlock))
+    assert got[knn].dtype == np.float64
+    assert calls == {"state": 1, "extended": len(in_space), "space_extended": 0}
+    for block in model.blocks:
+        assert block.confidences(got[block]) == _reference_confidences(
+            model, block, more_rows[block.space])
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1174,8 @@ SCORING_PARAM_CASES = [
      "forest model: split feature 99 is outside the 2-feature binary space"),
     ("forest", lambda d: d["params"]["trees"][0]["left"].update(vote=2),
      "forest model: leaf vote 2 is not 0 or 1"),
+    # A forest of no trees would answer 0 / 0.
+    ("forest", lambda d: d["params"].update(trees=[]), "forest model: has no trees"),
     ("linear", lambda d: d["params"].update(w=[1.0]), "linear model: weights w of shape (1,)"),
     ("mlp", lambda d: d["params"].update(w1=[[1.0, 1.0, 1.0]]),
      "mlp model: weights w1 of shape (1, 3) do not match the 2-feature"),
@@ -1065,7 +1247,8 @@ SCORING_PARAM_CASES = [
 @pytest.mark.parametrize("kind,tamper,needle", SCORING_PARAM_CASES,
                          ids=["knn_narrow_rows", "knn_flat_rows", "knn_short_y",
                               "knn_fractional_y", "knn_k_above_rows", "forest_feature_99",
-                              "forest_vote_2", "linear_narrow_w", "mlp_narrow_w1",
+                              "forest_vote_2", "forest_no_trees", "linear_narrow_w",
+                              "mlp_narrow_w1",
                               "forest_null_split", "linear_null_b", "mlp_string_b2",
                               "linear_null_threshold", "linear_space_array",
                               "linear_params_array", "linear_string_w", "linear_null_in_w",
