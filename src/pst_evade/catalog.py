@@ -2,8 +2,9 @@
 from, and the reading and writing of every file: ``read_document`` and the
 field readers the loaders take each field of a document through, the windowed
 reader ``read_streamed`` that builds a document's list elements one at a time,
-and ``write_json``, which writes a document one list element at a time and
-replaces the file only once it is complete."""
+``build_document``, which builds them the same way from a parsed document, and
+``write_json``, which writes a document one list element at a time and replaces
+the file only once it is complete."""
 from __future__ import annotations
 
 import json
@@ -35,19 +36,26 @@ class AndroidCatalog:
     categories: tuple[str, ...]
 
 
+def check_format(doc, what: str, version: int, remedy: str) -> dict:
+    """``doc``, a JSON object of layout ``version``; one written before layouts
+    were versioned has no ``format`` and counts as format 1. ``what`` names it,
+    and ``remedy`` ends the refusal of another format."""
+    found = obj(doc, what).get("format", 1)
+    if found != version:
+        raise ValueError(f"{what} format {found} is not supported; {remedy}")
+    return doc
+
+
 def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] | None = None):
-    """``parse`` of the JSON document in a file. ``fmt`` is (what, version,
-    remedy) for a versioned layout; a file written before layouts were versioned
-    counts as format 1. Every error names the file at its start: an ``OSError``
-    keeps its type, and what a bad document raises becomes a ``ValueError``."""
+    """``parse`` of the JSON document in a file. ``fmt`` is the (what, version,
+    remedy) of ``check_format`` for a versioned layout, checked before
+    ``parse``. Every error names the file at its start: an ``OSError`` keeps its
+    type, and what a bad document raises becomes a ``ValueError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if fmt is not None:
-            what, version, remedy = fmt
-            found = doc.get("format", 1) if isinstance(doc, dict) else None
-            if found != version:
-                raise ValueError(f"{what} format {found} is not supported; {remedy}")
+            check_format(doc, *fmt)
         return parse(doc)
     except OSError as exc:
         raise type(exc)(f"{path}: {exc.strerror or exc}") from None
@@ -149,25 +157,31 @@ def _walk(path: str | Path, streamed: Mapping[str, Callable[[object, int], objec
     return doc
 
 
-def read_streamed(path: str | Path, parse: Callable, fmt: tuple[str, int, str],
+def build_document(doc: dict, streamed: Mapping[str, Callable[[object, int], object]],
+                   finish: Callable):
+    """``finish`` of the parsed document ``doc`` once each list held by a key
+    named in ``streamed`` is built, in the order of the keys, into the tuple of
+    its elements, each built by its builder as ``build(element, index)``. A
+    value that is not a list is left for ``finish`` to refuse."""
+    return finish({key: tuple(streamed[key](v, i) for i, v in enumerate(value))
+                   if key in streamed and isinstance(value, list) else value
+                   for key, value in doc.items()})
+
+
+def read_streamed(path: str | Path, fmt: tuple[str, int, str],
                   streamed: Mapping[str, Callable[[object, int], object]], finish: Callable):
-    """What ``read_document(path, parse, fmt)`` gives, without holding the
-    parsed document: the file is decoded through a window of about 1 MB, each
-    element of a top-level list named in ``streamed`` is built by its builder
-    as ``build(element, index)`` as soon as it is decoded, and ``finish`` makes
-    the value from the top-level object so read. ``finish`` and the builders
-    together refuse whatever ``parse`` refuses. A file the window does not take
-    (a top-level value that is not an object, a repeated key, a streamed key
-    that holds no list) and any file it would refuse go to ``read_document``,
-    which gives each refusal its words and their order."""
+    """What ``read_document`` gives of ``build_document`` with these builders
+    and ``finish``, without holding the parsed document: the file is decoded
+    through a window of about 1 MB, and each list element is built as soon as
+    it is decoded. A file the window does not take (a top-level value that is
+    not an object, a repeated key, a streamed key that holds no list) and any
+    file refused go to ``read_document``, which gives each refusal its words:
+    bad JSON and the format come before any element."""
     try:
-        doc = _walk(path, streamed)
-        if doc.get("format", 1) != fmt[1]:
-            raise _NotStreamed("another format")
-        return finish(doc)
+        return finish(check_format(_walk(path, streamed), *fmt))
     except (OSError, KeyError, ValueError, TypeError, AttributeError, IndexError):
         pass  # the reference below reads the file again, with nothing held from this try
-    return read_document(path, parse, fmt)
+    return read_document(path, partial(build_document, streamed=streamed, finish=finish), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +282,9 @@ def string(value, name: str, null: bool = False) -> str | None:
     return value
 
 
-def items(value, name: str) -> list:
-    if not isinstance(value, list):
+def items(value, name: str) -> list | tuple:
+    """A JSON list, or the tuple ``build_document`` built of one."""
+    if not isinstance(value, (list, tuple)):
         raise _wrong(name, value, "a list")
     return value
 

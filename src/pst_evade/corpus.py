@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (AndroidCatalog, exact_keys, fields_of, flag, integer, items,
-                      load_default_catalog, obj, permission_pairs, read_streamed, shared, string,
-                      strings, write_json)
+from .catalog import (AndroidCatalog, build_document, exact_keys, fields_of, flag, integer,
+                      items, load_default_catalog, obj, permission_pairs, read_streamed, shared,
+                      string, strings, write_json)
 
 GROUND_TRUTHS = ("benign", "malicious")
 # The corpus document's app lists, in the order they are checked.
@@ -480,19 +480,19 @@ def _component_from_dict(d: dict, where: str) -> CodeComponent:
     """The code component in ``d``; ``where`` starts the refusal of a key or value."""
     exact_keys(obj(d, where), ("kind", "classes", "families", "edges", "api_calls"), where,
                optional=("origin",))
-    classes = integer(d["classes"], "code component classes", lo=0)
-    edges = unpack_array(d["edges"], "code component edges")
-    if edges.size % 2:
-        raise ValueError(f"code component edges holds {edges.size} values, "
-                         "not (caller, callee) pairs")
     # A non-list stays as read, for the component to refuse: tuple() of a string
     # would split it into one-character ids. Each string read is shared, and
     # any other value kept for the component to refuse.
     api_calls = d["api_calls"]
-    kind, families = shared(d["kind"]), unpack_array(d["families"], "code component families")
     try:
+        classes = integer(d["classes"], "code component classes", lo=0)
+        edges = unpack_array(d["edges"], "code component edges")
+        if edges.size % 2:
+            raise ValueError(f"code component edges holds {edges.size} values, "
+                             "not (caller, callee) pairs")
         return CodeComponent(
-            kind=kind, classes=classes, families=families, edges=edges,
+            kind=shared(d["kind"]), classes=classes,
+            families=unpack_array(d["families"], "code component families"), edges=edges,
             api_calls=tuple(map(shared, api_calls)) if isinstance(api_calls, list) else api_calls,
             origin=shared(d.get("origin", "original")))
     except ValueError as exc:
@@ -556,27 +556,19 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 
 
 def corpus_from_dict(d: dict) -> Corpus:
-    """Inverse of ``corpus_to_dict``. Every app is validated, holds the ground
-    truth of its list (a donor's is benign) and has an id no other app has:
-    attack seeds and report rows are keyed by the app id. A key that the
-    document or one of its objects lacks, or does not hold, is refused naming
-    the object."""
-    exact_keys(d, ("spec", *APP_LISTS), "corpus", optional=("format",))
-    return _corpus_of(spec_from_dict(d["spec"]), {
-        key: tuple(apk_from_dict(a, f"app {i} of {key}") for i, a in enumerate(items(d[key], key)))
-        for key in APP_LISTS})
+    """Inverse of ``corpus_to_dict``: the app builders and corpus checks that
+    ``load_corpus`` streams a file through, run over a parsed document."""
+    return build_document(d, _APP_BUILDERS, _corpus_from_parts)
 
 
 def _corpus_from_parts(d: dict) -> Corpus:
-    """``corpus_from_dict`` of a document whose app lists hold built apps."""
+    """The corpus of a document whose app lists hold built apps. Every app is
+    validated, holds the ground truth of its list (a donor's is benign) and has
+    an id no app before it has: attack seeds and report rows are keyed by the
+    app id. A key that the document lacks, or does not hold, is refused."""
     exact_keys(d, ("spec", *APP_LISTS), "corpus", optional=("format",))
-    return _corpus_of(spec_from_dict(d["spec"]), {key: d[key] for key in APP_LISTS})
-
-
-def _corpus_of(spec: CorpusSpec, apps: dict[str, tuple[ApkModel, ...]]) -> Corpus:
-    """The corpus of these apps, once each is validated, holds its list's
-    ground truth and has an id no app before it has."""
-    corpus = Corpus(spec=spec, **apps)
+    corpus = Corpus(spec=spec_from_dict(d["spec"]),
+                    **{key: items(d[key], key) for key in APP_LISTS})
     seen: set[str] = set()
     for where, truth, apks in (("benign", "benign", corpus.benign),
                                ("malicious", "malicious", corpus.malicious),
@@ -608,11 +600,13 @@ def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file and validate every app in it. Each app is built as
     soon as it is read, so the parsed document is never held; a file in another
     layout, or one that is refused, is read whole (``catalog.read_streamed``)."""
-    return read_streamed(path, corpus_from_dict,
-                         ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"),
-                         {key: partial(_app_of_list, key) for key in APP_LISTS},
-                         _corpus_from_parts)
+    return read_streamed(path, ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"),
+                         _APP_BUILDERS, _corpus_from_parts)
 
 
 def _app_of_list(key: str, d, i: int) -> ApkModel:
     return apk_from_dict(d, f"app {i} of {key}")
+
+
+# Each app list's builder: the app in an element of the list.
+_APP_BUILDERS = {key: partial(_app_of_list, key) for key in APP_LISTS}

@@ -15,8 +15,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import (exact_keys, fields_of, fixed, flag, integer, items, number, numbers, obj,
-                      only, pairs, read_streamed, string, strings, write_json)
+from .catalog import (build_document, check_format, exact_keys, fields_of, fixed, flag, integer,
+                      items, number, numbers, obj, only, pairs, read_streamed, string, strings,
+                      write_json)
 from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
@@ -249,10 +250,10 @@ class Ensemble:
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("ensemble model: has no members")
-        _refuse_nested([m.kind for m in self.members])
         products: dict[FeatureSpace, list[DetectorModel]] = {}
         blocks: dict[tuple, list] = {}
-        for m in self.members:
+        for i, m in enumerate(self.members):
+            _refuse_nested(m.kind, i)
             if m.blocks:
                 blocks.setdefault(m.blocks[0].group, []).append(m.blocks[0])
             else:
@@ -268,10 +269,9 @@ class Ensemble:
         return tuple(dict.fromkeys(m.space for m in self.members))
 
 
-def _refuse_nested(member_kinds: Sequence[str]) -> None:
-    if "ensemble" in member_kinds:
-        raise ValueError(f"ensemble model: member {member_kinds.index('ensemble')} is an "
-                         "ensemble; ensembles are one level deep")
+def _refuse_nested(kind: str, i: int) -> None:
+    if kind == "ensemble":
+        raise ValueError(f"ensemble model: member {i} is an ensemble; ensembles are one level deep")
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -891,44 +891,32 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
 
 
 def model_from_dict(doc: dict) -> DetectorModel | Ensemble:
-    """Inverse of ``model_to_dict``. A key that is missing or not one its kind's
-    file holds, a value not of its type, an ensemble member of another format, a
-    nested ensemble, or a space that does not match its ``space_hash`` is a
-    one-line ValueError naming the kind."""
-    doc = obj(doc, "model")
-    if doc.get("kind") != "ensemble":
-        return _scorer_from_dict(doc)
-    only(doc, _ENSEMBLE_KEYS, "ensemble model")
-    members = [obj(m, "ensemble model: member")
-               for m in items(doc.get("members"), "ensemble model: members")]
-    for i, m in enumerate(members):
-        _check_member_format(m, i)
-    _refuse_nested([m.get("kind") for m in members])
-    return Ensemble([_scorer_from_dict(m) for m in members])
-
-
-def _check_member_format(m: dict, i: int) -> None:
-    found = m.get("format", 1)  # as in ``read_document``, none is format 1
-    if found != MODEL_FORMAT:
-        raise ValueError(f"ensemble model: member {i} format {found} is not supported; "
-                         "retrain it with train")
+    """Inverse of ``model_to_dict``: the member builder and model checks that
+    ``load_model`` streams a file through, run over a parsed document. A key
+    that is missing or not one its kind's file holds, a value not of its type,
+    an ensemble member of another format, a nested ensemble, or a space that
+    does not match its ``space_hash`` is a one-line ValueError naming the
+    kind."""
+    return build_document(doc, _MODEL_LISTS, _model_from_parts)
 
 
 def _member_from_dict(m, i: int) -> DetectorModel:
-    """Ensemble member ``i`` as ``load_model`` builds it on reading it: refused
-    where ``model_from_dict`` would refuse it, if not always in its words."""
-    _check_member_format(obj(m, "ensemble model: member"), i)
-    _refuse_nested([m.get("kind")])
+    """Ensemble member ``i``: a scorer file of this format."""
+    check_format(m, f"ensemble model: member {i}", MODEL_FORMAT, "retrain it with train")
+    _refuse_nested(m.get("kind"), i)
     return _scorer_from_dict(m)
 
 
+# The model document's one list, an ensemble's members, and its builder.
+_MODEL_LISTS = {"members": _member_from_dict}
+
+
 def _model_from_parts(doc: dict) -> DetectorModel | Ensemble:
-    """``model_from_dict`` of a document whose ``members``, if it has them,
-    are built models."""
-    if doc.get("kind") != "ensemble" or "members" not in doc:
-        return model_from_dict(doc)
+    """The model of a document whose ``members``, if a list, are built models."""
+    if doc.get("kind") != "ensemble":
+        return _scorer_from_dict(doc)
     only(doc, _ENSEMBLE_KEYS, "ensemble model")
-    return Ensemble(doc["members"])
+    return Ensemble(items(doc.get("members"), "ensemble model: members"))
 
 
 def save_model(model: DetectorModel | Ensemble, path: str | Path) -> None:
@@ -942,6 +930,5 @@ def load_model(path: str | Path) -> DetectorModel | Ensemble:
     """The model in a file; every error names the file at its start. An
     ensemble's members are built one at a time as they are read, so the parsed
     document is never held (``catalog.read_streamed``)."""
-    return read_streamed(path, model_from_dict,
-                         ("model", MODEL_FORMAT, "retrain it with train"),
-                         {"members": _member_from_dict}, _model_from_parts)
+    return read_streamed(path, ("model", MODEL_FORMAT, "retrain it with train"),
+                         _MODEL_LISTS, _model_from_parts)

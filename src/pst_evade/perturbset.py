@@ -36,8 +36,6 @@ INTENT_KINDS = {
 # Keyword similarity a pair of manifest groups must exceed to merge.
 SIMILARITY_THRESHOLD = 0.5
 
-_FEATURE_PREFIXES = ("android.hardware.", "android.software.")
-
 # Fixed child order per selection-tree label; the labels with no entry are the
 # buckets that hold leaf groups.
 CHILD_ORDER = {
@@ -101,27 +99,19 @@ class PerturbationSet:
 
 def keyword_extract(kind: str, payload) -> list[str]:
     """Semantic keywords of a manifest perturbation's payload name: the non-empty
-    tokens after a feature's prefix split at dots, or of any other name's last
-    segment split at underscores and upper-cased. None is a ValueError."""
+    tokens of a feature's name after its ``android.hardware.`` or
+    ``android.software.`` prefix split at dots, or of any other name's last
+    segment split at underscores and upper-cased."""
     name = payload.name if kind == "permission" else payload
     if kind == "uses_feature":
-        prefix = next((p for p in _FEATURE_PREFIXES if name.startswith(p)), None)
-        if prefix is None:
-            raise ValueError(f"feature name lacks a known prefix: {name}")
-        tokens = name[len(prefix):].split(".")
-    elif kind == "permission" or kind in INTENT_KINDS:
-        tokens = [tok.upper() for tok in name.rsplit(".", 1)[-1].split("_")]
+        tokens = name.split(".")[2:]
     else:
-        raise ValueError(f"no keywords for perturbation kind: {kind}")
-    if not (keywords := [tok for tok in tokens if tok]):
-        raise ValueError(f"{kind} name yields no keywords: {name}")
-    return keywords
+        tokens = [tok.upper() for tok in name.rsplit(".", 1)[-1].split("_")]
+    return [tok for tok in tokens if tok]
 
 
 def keyword_similarity(c_i: PerturbationGroup, c_j: PerturbationGroup) -> float:
     """Identical-keyword count over the smaller group's keyword-set size."""
-    if not c_i.keywords or not c_j.keywords:
-        raise ValueError("keyword similarity needs non-empty keyword sets")
     overlap = len(c_i.keywords & c_j.keywords)
     return overlap / min(len(c_i.keywords), len(c_j.keywords))
 
@@ -154,23 +144,17 @@ def leaf_path(group: PerturbationGroup) -> tuple[str, ...]:
 
 def tree_position(p: Perturbation) -> tuple[str, ...]:
     """The labels below the root of the selection-tree bucket that holds a
-    perturbation; a permission level with no bucket raises ``ValueError``."""
+    perturbation."""
     kind = p.kind
     if kind == "uses_feature":
         bucket = ("hardware" if p.payload.startswith("android.hardware.")
                   else "software")
         return ("manifest", "uses_feature", bucket)
     if kind == "permission":
-        level = p.payload.protection_level
-        if level not in CHILD_ORDER["permission"]:
-            raise ValueError(f"perturbation {p.key}: no selection-tree position "
-                             f"manifest/permission/{level}")
-        return ("manifest", "permission", level)
+        return ("manifest", "permission", p.payload.protection_level)
     if kind in INTENT_KINDS:
         return ("manifest", "action_category", INTENT_KINDS[kind].bucket)
-    if kind in INJECT_KINDS:
-        return ("code", kind.removeprefix("inject_"))
-    raise ValueError(f"unknown perturbation kind: {kind}")
+    return ("code", kind.removeprefix("inject_"))
 
 
 def _manifest_perturbations(catalog: AndroidCatalog) -> list[Perturbation]:
@@ -209,8 +193,6 @@ def build_perturbation_set(catalog: AndroidCatalog, donors=()) -> PerturbationSe
     tree position: each manifest bucket clustered at ``SIMILARITY_THRESHOLD``,
     one group per injection."""
     perturbations = _manifest_perturbations(catalog) + _donor_perturbations(donors)
-    if not perturbations:
-        raise ValueError("no eligible catalog entries and no donor components")
     by_path: dict[tuple[str, ...], list[Perturbation]] = {}
     for p in perturbations:
         by_path.setdefault(tree_position(p), []).append(p)
@@ -303,15 +285,13 @@ def apply_perturbation(apk: ApkModel, perturbation: Perturbation,
         return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (comp,),
                         apk.components, apk.ground_truth)
 
-    if kind in INJECT_KINDS:
-        source = payload.declared
-        if (source.kind, source.name) in _declared_names(apk):
-            return apk
-        comp = DeclaredComponent(
-            source.kind, source.name, source.intent_actions, source.intent_categories,
-            exported=True, enabled=True, process=":" + random_name(rng, 8),
-            data_uri=source.data_uri)
-        return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (comp,),
-                        apk.components + (payload.injected_component,), apk.ground_truth)
-
-    raise ValueError(f"unknown perturbation kind: {kind}")
+    # An injection: one of INJECT_KINDS.
+    source = payload.declared
+    if (source.kind, source.name) in _declared_names(apk):
+        return apk
+    comp = DeclaredComponent(
+        source.kind, source.name, source.intent_actions, source.intent_categories,
+        exported=True, enabled=True, process=":" + random_name(rng, 8),
+        data_uri=source.data_uri)
+    return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (comp,),
+                    apk.components + (payload.injected_component,), apk.ground_truth)

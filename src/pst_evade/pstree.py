@@ -105,10 +105,7 @@ def init_probabilities(tree: PSTree) -> PSTree:
 
 def build_tree(groups) -> PSTree:
     """Route groups into the fixed tree shape, pruning empty branches; ids are
-    assigned in preorder. A group with no tree position raises ``ValueError``."""
-    groups = list(groups)
-    if not groups:
-        raise ValueError("cannot build a selection tree from zero groups")
+    assigned in preorder."""
     by_path: dict[tuple[str, ...], list[PerturbationGroup]] = {}
     for g in groups:
         by_path.setdefault(leaf_path(g), []).append(g)
@@ -161,13 +158,6 @@ def sample_path(tree: PSTree, rng: random.Random) -> int:
     return node
 
 
-def _check_leaf(tree: PSTree, leaf: int) -> int:
-    if not (0 <= leaf < len(tree.groups) and tree.groups[leaf] is not None
-            and tree.leaf_counts[leaf]):
-        raise ValueError(f"node {leaf} is not a surviving leaf")
-    return leaf
-
-
 def delete_leaf_and_transfer(tree: PSTree, leaf: int) -> int | None:
     """Remove a leaf, handing its probability equally to its remaining siblings.
 
@@ -175,9 +165,11 @@ def delete_leaf_and_transfer(tree: PSTree, leaf: int) -> int | None:
     children absorbs the mass. Returns the absorbing parent, or None when the
     deletion emptied the whole tree.
     """
-    node = _check_leaf(tree, leaf)
+    if not (0 <= leaf < len(tree.groups) and tree.groups[leaf] is not None
+            and tree.leaf_counts[leaf]):
+        raise ValueError(f"node {leaf} is not a surviving leaf")
     parents, probs = tree.parents, tree.probs
-    n = node
+    node = n = leaf
     while n >= 0:
         tree.leaf_counts[n] -= 1
         n = parents[n]
@@ -206,12 +198,7 @@ def adjust(tree: PSTree, leaf: int, y_prev: float, y_new: float) -> PSTree:
     each on-path ancestor by (1 - depth * ``PENALTY_CONSTANT``), and the
     first-layer node on the path is halved with the root's children renormalized.
     """
-    node = _check_leaf(tree, leaf)
-
-    # First-layer node on the selected path, captured before any deletion.
-    first_layer = _first_layer(tree, node)
-
-    p = delete_leaf_and_transfer(tree, node)
+    p = delete_leaf_and_transfer(tree, leaf)
 
     if p is None or y_new < y_prev - EPSILON:
         return tree  # emptied, or the try helped: leave elevated mass in place
@@ -228,7 +215,8 @@ def adjust(tree: PSTree, leaf: int, y_prev: float, y_new: float) -> PSTree:
         p = parent
         depth -= 1
 
-    root = tree.probs[0]
+    # The first-layer node on the selected path: deletions leave ``parents`` as built.
+    root, first_layer = tree.probs[0], _first_layer(tree, leaf)
     if first_layer in root:
         root[first_layer] *= 0.5
         tree.probs[0] = _normalize(root)

@@ -444,9 +444,9 @@ def test_stock_component_arrays_fit_in_23_mb(bench_corpus):
 
 
 def test_every_stock_perturbation_has_a_tree_position_and_its_keywords(bench_pset):
-    # Only hand-built perturbations reach the refusals of tree_position and
-    # keyword_extract: every one drawn from the bundled catalog and the stock
-    # donors sits in a bucket of the tree, and a manifest one has keywords.
+    # tree_position and keyword_extract check nothing: every perturbation drawn
+    # from the bundled catalog and the stock donors sits in a bucket of the
+    # tree, and a manifest one has keywords.
     positions = {}
     for p in bench_pset.perturbations:
         path = tree_position(p)

@@ -713,6 +713,10 @@ _PROBES = {
     "model-forest-node-not-an-object": ("--model", "model.json",
                                         lambda d: d.update(kind="forest", params={"trees": [
                                             {**_SPLIT_ON_A_FLAG, "feature": 0, "left": 5}]})),
+    # Each of these was refused as format None.
+    "corpus-top-level-list": ("--corpus", None, []),
+    "model-top-level-list": ("--model", None, []),
+    "report-top-level-list": ("--reports", None, []),
 }
 
 # case -> the part of its message that names the field or the fault.
@@ -731,7 +735,8 @@ _PROBE_FIELDS = {
     "corpus-uses-features-string": "app b000: uses_features are not a list of strings",
     "corpus-intent-actions-string": "Main: intent_actions are not a list of strings",
     "corpus-intent-categories-string": "Main: intent_categories are not a list of strings",
-    "corpus-classes-negative": "code component classes is -5, not an integer >= 0",
+    "corpus-classes-negative": (
+        "app b000 component 0: code component classes is -5, not an integer >= 0"),
     "corpus-process-number": "Main: process is 7, not a string or null",
     "corpus-permission-unknown-level": '"bogus"], not a [name, protection level] pair',
     "corpus-permission-string": 'permissions holds "ab", not a [name, protection level] pair',
@@ -793,6 +798,33 @@ _PROBE_FIELDS = {
     "corpus-code-unknown-key": "app b000: unknown key 'code.bogus'",
     "corpus-declared-unknown-key": "app b000 declared component 0: unknown key 'bogus'",
     "corpus-component-unknown-key": "app b000 component 0: unknown key 'bogus'",
+    "corpus-directory": "Is a directory",
+    "corpus-families-string": (
+        "app b000 component 0: code component families is not a {dtype, data} object"),
+    "corpus-families-bad-base64": (
+        "app b000 component 0: code component families data is not valid base64"),
+    "corpus-edges-wide-dtype": ('app b000 component 0: code component edges dtype "<f8" is '
+                                "not one of <u1, <i1, <u2, <i2, <u4, <i4, <i8"),
+    "corpus-exported-string": (
+        'declared component com.app.b000.Main: exported is "false", not true or false'),
+    "corpus-enabled-string": (
+        'declared component com.app.b000.Main: enabled is "no", not true or false'),
+    "corpus-classes-string": 'app b000 component 0: code component classes is "12", not an integer',
+    "corpus-classes-bool": "app b000 component 0: code component classes is true, not an integer",
+    "corpus-unknown-ground-truth": "app b000: bad ground truth: evil",
+    "corpus-benign-number": "benign is 5, not a list",
+    "corpus-spec-count-string": "corpus spec: n_benign is 'x', not a non-negative integer",
+    "model-weights-string": "linear model: params.w is not an array of numbers",
+    "model-weights-list-of-strings": "linear model: params.w is not an array of numbers",
+    "spec-count-string": "corpus spec: n_benign is 'x', not a non-negative integer",
+    "spec-misspelled-key": "corpus spec: unknown key 'n_malicous'",
+    "spec-removed-knob": "corpus spec: unknown key 'edge_factor'",
+    "config-without-detectors": "missing key 'detectors'",
+    "config-budgets-string": 'budgets is "x", not a list',
+    "config-seeds-string": 'seeds is "01", not a list',
+    "corpus-top-level-list": "corpus is not a JSON object",
+    "model-top-level-list": "model is not a JSON object",
+    "report-top-level-list": "report is not a JSON object",
 }
 
 
@@ -810,26 +842,32 @@ def _probe_argv(workdir, flag, path):
     return [command, flag, str(path), *out]
 
 
-@pytest.mark.parametrize("case", list(_PROBES))
-def test_every_malformed_input_file_fails_in_one_line_naming_it(bench_outputs, workdir,
-                                                                 capsys, case):
-    flag, source, change = _PROBES[case]
-    broken = workdir / f"probe-{case}.json"
+def _write_probe(workdir, case, name):
+    """Write the file of ``_PROBES[case]`` as ``name`` in ``workdir``; its path."""
+    _, source, change = _PROBES[case]
+    broken = workdir / name
     if change is None:
-        broken.mkdir()
+        broken.mkdir(exist_ok=True)
     elif source is None:
         broken.write_text(json.dumps(change))
     else:
         doc = json.loads((workdir / source).read_text())
         change(doc)
         broken.write_text(json.dumps(doc))
+    return broken
+
+
+@pytest.mark.parametrize("case", list(_PROBES))
+def test_every_malformed_input_file_fails_in_one_line_naming_it(bench_outputs, workdir,
+                                                                 capsys, case):
+    broken = _write_probe(workdir, case, f"probe-{case}.json")
     capsys.readouterr()
-    assert main(_probe_argv(workdir, flag, broken)) == 2
+    assert main(_probe_argv(workdir, _PROBES[case][0], broken)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"pst-evade: error: {broken}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
-    assert _PROBE_FIELDS.get(case, "") in err
+    assert _PROBE_FIELDS[case] in err
 
 
 # ---------------------------------------------------------------------------
@@ -950,16 +988,9 @@ def test_the_window_size_does_not_change_what_is_loaded(workdir, ensemble_file, 
                                   if flag in ("--corpus", "--model")])
 def test_every_corpus_and_model_probe_is_refused_as_by_the_whole_document_reader(workdir,
                                                                                   case):
-    flag, source, change = _PROBES[case]
-    broken = workdir / f"stream-probe-{case}.json"
-    if change is None:
-        broken.mkdir(exist_ok=True)
-    else:
-        doc = json.loads((workdir / source).read_text())
-        change(doc)
-        broken.write_text(json.dumps(doc))
-    got = _assert_streamed_as_whole(flag.removeprefix("--"), broken)
-    assert got[0] != flag.removeprefix("--")  # refused
+    what = _PROBES[case][0].removeprefix("--")
+    got = _assert_streamed_as_whole(what, _write_probe(workdir, case, f"stream-probe-{case}.json"))
+    assert got[0] != what  # refused
 
 
 @pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])

@@ -19,7 +19,7 @@ from apk_builders import (
     set_stored_value,
 )
 from pst_evade import detectors, perturbset
-from pst_evade.catalog import load_default_catalog, read_document
+from pst_evade.catalog import check_format, load_default_catalog, read_document
 from pst_evade.corpus import (
     ACTION_MAIN,
     API_FAMILY_COUNT,
@@ -299,12 +299,6 @@ def test_a_taken_component_name_is_drawn_again(monkeypatch):
         random.Random(0))
     assert [c.name for c in out.declared_components] == ["taken", "fresh"]
     assert next(names, None) is None
-
-
-def test_unknown_perturbation_kind_raises():
-    with pytest.raises(ValueError):
-        apply_perturbation(_plain_apk(), StubPerturbation("rename_class", "x"),
-                           random.Random(0))
 
 
 def test_random_perturbation_chain_stays_additive(small_corpus):
@@ -795,6 +789,18 @@ def test_load_corpus_refuses_other_formats(tmp_path, found):
                               "regenerate it with gen-corpus")
 
 
+def test_check_format_counts_a_missing_format_as_format_1():
+    assert check_format({}, "corpus", 1, "regenerate it") == {}
+    with pytest.raises(ValueError, match="^corpus format 1 is not supported; regenerate it$"):
+        check_format({}, "corpus", CORPUS_FORMAT, "regenerate it")
+
+
+@pytest.mark.parametrize("what,doc", [("corpus", []), ("model", "model"), ("report", None)])
+def test_check_format_refuses_a_top_level_that_is_not_an_object(what, doc):
+    with pytest.raises(ValueError, match=f"^{what} is not a JSON object$"):
+        check_format(doc, what, 1, "regenerate it")
+
+
 def _edge_out_of_range(comp, app):
     set_stored_value(comp, "edges", 1, len(unpack_array(comp["families"], "families")))
 
@@ -873,8 +879,8 @@ def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
     # A non-integer index can only be written in a dtype outside the list: the
     # float as <f8, the string as <U1.
     doc = _corpus_doc()
-    comp = next(c for a in doc["benign"] for c in a["code"]["components"]
-                if c["edges"]["data"])
+    app, i, comp = next((a, i, c) for a in doc["benign"]
+                        for i, c in enumerate(a["code"]["components"]) if c["edges"]["data"])
     arr = np.array([value])
     comp[field] = {"dtype": arr.dtype.str,
                    "data": base64.b64encode(arr.tobytes()).decode("ascii")}
@@ -882,7 +888,8 @@ def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
     path.write_text(canonical_json(doc))
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
-    assert str(exc.value) == (f'{path}: code component {field} dtype "{arr.dtype.str}" '
+    assert str(exc.value) == (f"{path}: app {app['id']} component {i}: code component "
+                              f'{field} dtype "{arr.dtype.str}" '
                               f"is not one of {', '.join(ARRAY_DTYPES)}")
 
 
@@ -890,13 +897,14 @@ def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
 def test_load_corpus_refuses_a_malformed_array(tmp_path, case):
     field, stored, message = MALFORMED_ARRAYS[case]
     doc = _corpus_doc()
-    comp = next(c for a in doc["benign"] for c in a["code"]["components"])
-    comp[field] = stored
+    app = next(a for a in doc["benign"] if a["code"]["components"])
+    app["code"]["components"][0][field] = stored
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
-    assert str(exc.value) == f"{path}: code component {field}{message}"
+    assert str(exc.value) == (f"{path}: app {app['id']} component 0: "
+                              f"code component {field}{message}")
 
 
 @pytest.mark.parametrize("where,value,message", [
@@ -914,6 +922,7 @@ def test_load_corpus_refuses_a_flag_or_class_count_of_the_wrong_type(tmp_path, w
     app = doc["benign"][0]
     if where == "classes":
         app["code"]["components"][0]["classes"] = value
+        message = f"app {app['id']} component 0: {message}"
     else:
         decl = app["manifest"]["declared_components"][0]
         decl[where] = value

@@ -1108,6 +1108,39 @@ def test_ensembles_are_one_level_deep(tmp_path):
                               "ensembles are one level deep")
 
 
+def test_a_nested_ensemble_is_refused_naming_its_own_member_index(tmp_path):
+    path = tmp_path / "nested.json"
+    save_model(Ensemble([_member(True), _member(False)]), path)
+    doc = json.loads(path.read_text())
+    doc["members"][1] = json.loads(path.read_text())
+    path.write_text(json.dumps(doc))
+    message = "ensemble model: member 1 is an ensemble; ensembles are one level deep"
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
+    with pytest.raises(ValueError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_a_model_file_is_refused_for_its_first_fault_in_file_order(tmp_path):
+    # Member 0's bad param comes before member 1's format: the whole-document
+    # parse builds each member in turn, as the streamed one does.
+    path = tmp_path / "two-faults.json"
+    save_model(Ensemble([_member(True), _member(False)]), path)
+    doc = json.loads(path.read_text())
+    doc["members"][0]["params"]["b"] = "x"
+    doc["members"][1]["format"] = 99
+    path.write_text(json.dumps(doc))
+    message = 'linear model: params.b is "x", not a number'
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: {message}"
+    with pytest.raises(ValueError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("found", [None, 1, 2, 3, 5])
 def test_load_model_refuses_other_formats(tmp_path, found):
     path = tmp_path / "model.json"

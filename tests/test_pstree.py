@@ -74,11 +74,6 @@ def test_full_tree_snapshot_is_pinned(full_pset):
     assert digest == "3d31365e2e7597566168f9c4d12ed661d99c8aac019dccdf8cd9eb2e46afc813"
 
 
-def test_group_without_tree_position_rejected():
-    with pytest.raises(ValueError, match="manifest/permission/dangerous"):
-        build_tree(perm_groups("normal", 2) + perm_groups("dangerous", 1, tag="D"))
-
-
 def test_copy_owns_its_state_and_shares_the_shape(full_pset):
     reference = build_tree(full_pset.groups[:60])
     before = tree_to_dict(reference)
@@ -125,9 +120,15 @@ def test_single_group_chain_has_unit_probabilities():
         node = first_child(tree, node)
 
 
-def test_zero_groups_rejected():
+def test_zero_groups_build_a_root_only_empty_tree():
+    tree = build_tree([])
+    assert tree.labels == ("root",)
+    assert tree.is_empty()
+    assert tree.leaves() == []
+    assert tree_to_dict(tree) == {
+        "leaf_count": 0, "root": {"id": 0, "label": "root", "depth": 0, "children": []}}
     with pytest.raises(ValueError):
-        build_tree([])
+        sample_path(tree, random.Random(0))
 
 
 def test_internal_weights_inverse_leaf_counts():
@@ -308,6 +309,19 @@ def test_adjust_improvement_deletes_only():
     assert tree.probs[find(tree, "uses_feature")] == uf_before
     assert list(tree.probs[hardware].values()) == [1.0]
     validate_probabilities(tree)
+
+
+def test_adjust_refuses_internal_and_deleted_nodes_leaving_the_tree_as_it_was():
+    # The deletion makes the one leaf check, before it changes anything.
+    tree = _policy_tree()
+    hardware = find(tree, "hardware")
+    leaf = first_child(tree, hardware)
+    adjust(tree, leaf, y_prev=0.9, y_new=0.9)
+    before = tree_to_dict(tree)
+    for node in (0, hardware, leaf, len(tree.labels), -1):
+        with pytest.raises(ValueError, match=f"^node {node} is not a surviving leaf$"):
+            adjust(tree, node, y_prev=0.9, y_new=0.9)
+        assert tree_to_dict(tree) == before
 
 
 def test_adjust_no_effect_worked_example():
