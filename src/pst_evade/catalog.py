@@ -1,20 +1,18 @@
 """Catalog of Android manifest entries that perturbations and generated apps draw
 from, and the reading and writing of every file: ``read_document`` and the
-field readers the loaders take each field of a document through, the windowed
-reader ``read_streamed`` that builds a document's list elements one at a time,
-``build_document``, which builds them the same way from a parsed document, and
-``write_json``, which writes a document one list element at a time and replaces
-the file only once it is complete."""
+field readers the loaders take each field of a document through; ``read_lines``
+and ``write_lines``, which read and write a corpus or model file as lines of
+JSON, one list item a line, the file replaced only once it is complete; and
+``build_document``, which builds a parsed document's list items with the same
+builders ``read_lines`` runs."""
 from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, TextIO
@@ -46,17 +44,19 @@ def check_format(doc, what: str, version: int, remedy: str) -> dict:
     return doc
 
 
-def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] | None = None):
-    """``parse`` of the JSON document in a file. ``fmt`` is the (what, version,
-    remedy) of ``check_format`` for a versioned layout, checked before
-    ``parse``. Every error names the file at its start: an ``OSError`` keeps its
-    type, and what a bad document raises becomes a ``ValueError``."""
+def canonical_json(value) -> str:
+    """The text of ``value`` on a line of a corpus or model file: sorted keys,
+    no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@contextmanager
+def _refusals(path: str | Path) -> Iterator[None]:
+    """Re-raise what reading the file at ``path`` raises in the block as one
+    line naming the file at its start: an ``OSError`` keeps its type, and what
+    a bad document raises becomes a ``ValueError``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if fmt is not None:
-            check_format(doc, *fmt)
-        return parse(doc)
+        yield
     except OSError as exc:
         raise type(exc)(f"{path}: {exc.strerror or exc}") from None
     except KeyError as exc:
@@ -65,96 +65,16 @@ def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] |
         raise ValueError(f"{path}: {exc}") from None
 
 
-# ---------------------------------------------------------------------------
-# The windowed reader: a document's top-level object, one value at a time.
-
-_WINDOW = 1 << 20  # characters read at a time, at least
-_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace json skips
-_DECODER = json.JSONDecoder()
-
-
-class _NotStreamed(ValueError):
-    """A file in a layout the windowed reader does not take."""
-
-
-class _Window:
-    """The text of a file, held a window of about ``_WINDOW`` characters at a
-    time past the value being decoded."""
-
-    def __init__(self, fh: TextIO):
-        self.fh, self.text, self.pos, self.eof = fh, "", 0, False
-
-    def _more(self) -> None:
-        # The read text is dropped first, so the old window, the text kept and
-        # the new read are never all held at once. Reading as much as is kept
-        # bounds the retries of a value that spans several windows to a few.
-        rest, self.text = self.text[self.pos:], ""
-        chunk = self.fh.read(max(_WINDOW, len(rest)))
-        self.text, self.pos, self.eof = rest + chunk, 0, not chunk
-
-    def peek(self) -> str:
-        """The next character that is not whitespace, left unread; "" at the end."""
-        while True:
-            self.pos = _SPACE.match(self.text, self.pos).end()
-            if self.pos < len(self.text) or self.eof:
-                return self.text[self.pos:self.pos + 1]
-            self._more()
-
-    def take(self, chars: str) -> str:
-        """Read the next character, one of ``chars``."""
-        char = self.peek()
-        if not char or char not in chars:
-            raise _NotStreamed(f"expected one of {chars!r}")
-        self.pos += 1
-        return char
-
-    def value(self):
-        """Decode the next JSON value. One that ends where the window does may
-        go on past it (a number), so it is decoded again with more text."""
-        self.peek()
-        while True:
-            try:
-                value, end = _DECODER.raw_decode(self.text, self.pos)
-                if end < len(self.text) or self.eof:
-                    self.pos = end
-                    return value
-            except json.JSONDecodeError:
-                if self.eof:
-                    raise
-            self._more()
-
-    def elements(self, build: Callable[[object, int], object]) -> tuple:
-        """The list that comes next, each element built by ``build(element,
-        index)`` as soon as it is decoded."""
-        self.take("[")
-        built = []
-        if self.peek() == "]":
-            self.pos += 1
-            return ()
-        while True:
-            built.append(build(self.value(), len(built)))
-            if self.take(",]") == "]":
-                return tuple(built)
-
-
-def _walk(path: str | Path, streamed: Mapping[str, Callable[[object, int], object]]) -> dict:
-    """The top-level object of the file at ``path``, each key named in
-    ``streamed`` holding the tuple of its list's built elements."""
-    doc = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        window = _Window(fh)
-        window.take("{")
-        while True:
-            key = window.value()
-            if not isinstance(key, str) or key in doc:
-                raise _NotStreamed("a key that is not a string, or repeats")
-            window.take(":")
-            doc[key] = window.elements(streamed[key]) if key in streamed else window.value()
-            if window.take(",}") == "}":
-                break
-        if window.peek():
-            raise _NotStreamed("text after the document")
-    return doc
+def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] | None = None):
+    """``parse`` of the JSON document in a file. ``fmt`` is the (what, version,
+    remedy) of ``check_format`` for a versioned layout, checked before
+    ``parse``. Every error names the file at its start (``_refusals``)."""
+    with _refusals(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if fmt is not None:
+            check_format(doc, *fmt)
+        return parse(doc)
 
 
 def build_document(doc: dict, streamed: Mapping[str, Callable[[object, int], object]],
@@ -168,24 +88,47 @@ def build_document(doc: dict, streamed: Mapping[str, Callable[[object, int], obj
                    for key, value in doc.items()})
 
 
-def read_streamed(path: str | Path, fmt: tuple[str, int, str],
-                  streamed: Mapping[str, Callable[[object, int], object]], finish: Callable):
-    """What ``read_document`` gives of ``build_document`` with these builders
-    and ``finish``, without holding the parsed document: the file is decoded
-    through a window of about 1 MB, and each list element is built as soon as
-    it is decoded. A file the window does not take (a top-level value that is
-    not an object, a repeated key, a streamed key that holds no list) and any
-    file refused go to ``read_document``, which gives each refusal its words:
-    bad JSON and the format come before any element."""
-    try:
-        return finish(check_format(_walk(path, streamed), *fmt))
-    except (OSError, KeyError, ValueError, TypeError, AttributeError, IndexError):
-        pass  # the reference below reads the file again, with nothing held from this try
-    return read_document(path, partial(build_document, streamed=streamed, finish=finish), fmt)
-
-
 # ---------------------------------------------------------------------------
-# Writing
+# Corpus and model files: lines of JSON. Line 1 is the document with each of
+# its lists given as its length; the lists' items follow, one a line, the
+# lists in sorted key order.
+
+
+def _line(text: str, n: int):
+    """The JSON value in ``text``, line ``n`` of a file with its newline."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        column = min(exc.pos, len(text.rstrip("\n"))) + 1  # not past the newline
+        raise ValueError(f"{exc.msg}: line {n} column {column}") from None
+
+
+def read_lines(path: str | Path, fmt: tuple[str, int, str],
+               streamed: Mapping[str, Callable[[object, int], object]], finish: Callable):
+    """``finish`` of the document in the lines of a file, ``fmt`` checked on
+    line 1 as ``read_document`` checks it. Each key named in ``streamed``
+    counts the lines of its list, and each item is built by its builder as
+    ``build(item, index)`` as soon as its line is read, so no parsed list is
+    held. A line that is not JSON, a file that ends before its last counted
+    item and a line after it are refused naming the line; every error names
+    the file at its start (``_refusals``)."""
+    with _refusals(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            n, doc = 1, check_format(_line(fh.readline(), 1), *fmt)
+            for key in sorted(streamed.keys() & doc.keys()):
+                if isinstance(doc[key], list):  # a whole document: refused without its items
+                    raise ValueError(f"line 1: {key} is a list, not its length")
+                count, built = integer(doc[key], key, lo=0), []
+                while len(built) < count:
+                    n, text = n + 1, fh.readline()
+                    if not text:
+                        raise ValueError(f"line {n}: the file ends after {len(built)} "
+                                         f"of {count} {key}")
+                    built.append(streamed[key](_line(text, n), len(built)))
+                doc[key] = tuple(built)
+            if fh.readline():
+                raise ValueError(f"line {n + 1}: more lines than line 1 counts")
+        return finish(doc)
 
 
 @contextmanager
@@ -204,26 +147,17 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_json(path: str | Path, doc: dict, separators: tuple[str, str] = (", ", ": ")) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, separators=separators)`` through
-    ``replacing``, where a top-level value that is an iterator stands for the
-    list of its items: that list is written one item at a time, so neither it
-    nor the whole document's string is ever built."""
-    dumps = partial(json.dumps, sort_keys=True, separators=separators)
-    comma, colon = separators
+def write_lines(path: str | Path, doc: dict, lists: Mapping[str, Callable]) -> None:
+    """Write ``doc`` through ``replacing`` as the lines ``read_lines`` reads.
+    Each key named in ``lists`` holds a sequence, given on line 1 as its length;
+    each of its items is written as ``lists[key](item)`` on a line of its own,
+    so no whole-file string is built. Every line is ``canonical_json``."""
     with replacing(path) as fh:
-        fh.write("{")
-        for i, key in enumerate(sorted(doc)):
-            fh.write((comma if i else "") + dumps(key) + colon)
-            value = doc[key]
-            if not isinstance(value, Iterator):
-                fh.write(dumps(value))
-                continue
-            fh.write("[")
-            for j, item in enumerate(value):
-                fh.write((comma if j else "") + dumps(item))
-            fh.write("]")
-        fh.write("}")
+        fh.write(canonical_json({key: len(value) if key in lists else value
+                                 for key, value in doc.items()}) + "\n")
+        for key in sorted(lists.keys() & doc.keys()):
+            for item in doc[key]:
+                fh.write(canonical_json(lists[key](item)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +217,7 @@ def string(value, name: str, null: bool = False) -> str | None:
 
 
 def items(value, name: str) -> list | tuple:
-    """A JSON list, or the tuple ``build_document`` built of one."""
+    """A JSON list, or the tuple ``read_lines`` or ``build_document`` built of one."""
     if not isinstance(value, (list, tuple)):
         raise _wrong(name, value, "a list")
     return value

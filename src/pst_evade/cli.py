@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,24 +35,11 @@ from .harness import (
 from .perturbset import build_perturbation_set
 from .pstree import dump_tree
 
-SEED_ENV = "PST_EVADE_SEED"
-
-
-def _seed_override(cli_seed):
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        return cli_seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV} is {env!r}, not an integer") from None
-
 
 def _cmd_gen_corpus(args) -> int:
     spec = read_document(args.spec, spec_from_dict) if args.spec else CorpusSpec()
-    seed = _seed_override(args.seed)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     corpus = generate_corpus(spec)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus.benign)} benign / {len(corpus.malicious)} "
@@ -64,7 +50,7 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     spec = DetectorSpec(name=args.kind, kind=args.kind, features=args.features,
-                        train_seed=_seed_override(args.seed))
+                        train_seed=args.seed)
     model = train_detector(spec, corpus)
     save_model(model, args.out)
     trained = (f"an ensemble of {len(model.members)} members" if isinstance(model, Ensemble)
@@ -75,22 +61,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    seed = _seed_override(args.seed)
     corpus = load_corpus(args.corpus)
     model = load_model(args.model)
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     _, test = corpus.train_test_split()
     malicious = [a for a in test if a.ground_truth == "malicious"]
-    targets = select_true_positives(model, malicious, args.samples, seed,
+    targets = select_true_positives(model, malicious, args.samples, args.seed,
                                     detector_name=args.model)
     if args.dump_tree:
         dump_tree(reference_tree(pset), args.dump_tree)
 
-    rows = [report_to_dict(attack_sample(model, apk, pset, args.algorithm, args.budget, seed))
+    rows = [report_to_dict(attack_sample(model, apk, pset, args.algorithm, args.budget,
+                                          args.seed))
             for apk in targets]
     asr = compute_asr(rows)
     doc = {
-        "algorithm": args.algorithm, "budget": args.budget, "seed": seed,
+        "algorithm": args.algorithm, "budget": args.budget, "seed": args.seed,
         "samples": len(rows), "asr": asr, "reports": rows,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
@@ -101,9 +87,6 @@ def _cmd_attack(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = read_document(args.config, config_from_dict)
-    seed = _seed_override(None)
-    if seed is not None:
-        config = dataclasses.replace(config, seeds=(seed,))
     report = run_experiment(config)
     path = save_report(report, args.out_dir)
     print(format_grid(report.grid))

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import (AndroidCatalog, build_document, exact_keys, fields_of, flag, integer,
-                      items, load_default_catalog, obj, permission_pairs, read_streamed, shared,
-                      string, strings, write_json)
+                      items, load_default_catalog, obj, permission_pairs, read_lines, shared,
+                      string, strings, write_lines)
 
 GROUND_TRUTHS = ("benign", "malicious")
 # The corpus document's app lists, in the order they are checked.
@@ -22,8 +22,8 @@ COMPONENT_KINDS = ("activity", "service", "receiver", "provider")
 CODE_KINDS = ("service", "receiver", "provider")
 ORIGINS = ("original", "injected")
 
-# Version of the corpus JSON layout; files of any other version are refused.
-CORPUS_FORMAT = 5
+# Version of the corpus file layout; files of any other version are refused.
+CORPUS_FORMAT = 6
 
 # The dtypes a component array may be stored as in a file, narrowest first: the
 # writer takes the first that holds every value, and the reader refuses any other.
@@ -584,24 +584,19 @@ def _corpus_from_parts(d: dict) -> Corpus:
     return corpus
 
 
-def canonical_json(doc: object) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write ``canonical_json(corpus_to_dict(corpus))`` one app at a time, so no
-    whole-document dict or string is built. A failed save leaves ``path`` as it
-    was and no temporary file behind (``catalog.replacing``)."""
-    write_json(path, {key: map(apk_to_dict, value) if isinstance(value, tuple) else value
-                      for key, value in _corpus_fields(corpus).items()}, (",", ":"))
+    """Write the lines of ``corpus_to_dict(corpus)``, one app a line
+    (``catalog.write_lines``), so no whole-document dict or string is built. A
+    failed save leaves ``path`` as it was and no temporary file behind."""
+    write_lines(path, _corpus_fields(corpus), dict.fromkeys(APP_LISTS, apk_to_dict))
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file and validate every app in it. Each app is built as
-    soon as it is read, so the parsed document is never held; a file in another
-    layout, or one that is refused, is read whole (``catalog.read_streamed``)."""
-    return read_streamed(path, ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"),
-                         _APP_BUILDERS, _corpus_from_parts)
+    soon as its line is read, so the parsed document is never held
+    (``catalog.read_lines``)."""
+    return read_lines(path, ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"),
+                      _APP_BUILDERS, _corpus_from_parts)
 
 
 def _app_of_list(key: str, d, i: int) -> ApkModel:

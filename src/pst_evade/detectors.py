@@ -16,8 +16,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import (build_document, check_format, exact_keys, fields_of, fixed, flag, integer,
-                      items, number, numbers, obj, only, pairs, read_streamed, string, strings,
-                      write_json)
+                      items, number, numbers, obj, only, pairs, read_lines, string, strings,
+                      write_lines)
 from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
@@ -38,7 +38,7 @@ DETECTOR_KINDS = ("linear", "mlp", "knn", "forest", "ensemble")
 FEATURE_KINDS = ("binary", "markov", "api_cluster")
 
 # Version of the model JSON layout; files of any other version are refused.
-MODEL_FORMAT = 4
+MODEL_FORMAT = 5
 
 # A scorer (every kind but an ensemble) fires at a confidence of THRESHOLD.
 # Training holds out HOLDOUT_FRACTION of each class and fits with these settings.
@@ -854,15 +854,14 @@ def _scorer_to_dict(model: DetectorModel) -> dict:
 
 
 def model_to_dict(model: DetectorModel | Ensemble) -> dict:
-    return _model_fields(model, list)
+    return {key: list(map(_scorer_to_dict, value)) if key == "members" else value
+            for key, value in _model_fields(model).items()}
 
 
-def _model_fields(model: DetectorModel | Ensemble, members: Callable) -> dict:
-    """The model document, an ensemble's members given as ``members`` of the
-    iterator of their dicts."""
+def _model_fields(model: DetectorModel | Ensemble) -> dict:
+    """The model document, an ensemble's members still models."""
     if isinstance(model, Ensemble):
-        return {"format": MODEL_FORMAT, "kind": "ensemble",
-                "members": members(map(_scorer_to_dict, model.members))}
+        return {"format": MODEL_FORMAT, "kind": "ensemble", "members": model.members}
     return _scorer_to_dict(model)
 
 
@@ -920,15 +919,15 @@ def _model_from_parts(doc: dict) -> DetectorModel | Ensemble:
 
 
 def save_model(model: DetectorModel | Ensemble, path: str | Path) -> None:
-    """Write ``json.dumps(model_to_dict(model), sort_keys=True)``, an ensemble
-    one member at a time, so no whole-document dict or string is built. A
-    failed save leaves ``path`` as it was (``catalog.replacing``)."""
-    write_json(path, _model_fields(model, iter))
+    """Write the lines of ``model_to_dict(model)``, a scorer on one line and an
+    ensemble one member a line (``catalog.write_lines``), so no whole-document
+    dict or string is built. A failed save leaves ``path`` as it was."""
+    write_lines(path, _model_fields(model), {"members": _scorer_to_dict})
 
 
 def load_model(path: str | Path) -> DetectorModel | Ensemble:
     """The model in a file; every error names the file at its start. An
-    ensemble's members are built one at a time as they are read, so the parsed
-    document is never held (``catalog.read_streamed``)."""
-    return read_streamed(path, ("model", MODEL_FORMAT, "retrain it with train"),
-                         _MODEL_LISTS, _model_from_parts)
+    ensemble's members are built one at a time as their lines are read, so the
+    parsed document is never held (``catalog.read_lines``)."""
+    return read_lines(path, ("model", MODEL_FORMAT, "retrain it with train"),
+                      _MODEL_LISTS, _model_from_parts)

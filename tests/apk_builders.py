@@ -1,17 +1,21 @@
 """Hand-built miniature app models, perturbations, groups, trees and oracles
-shared across test modules.
+shared across test modules, and the corpus and model file layout written and
+read apart from the library's own writer and reader.
 
 Functions are named ``"<x>@<family>"`` and edges are given between names across
 the whole app; ``apk`` turns them into each component's family array and local
 edge pairs, and rejects an edge whose endpoints lie in different components."""
 import base64
 import hashlib
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from pst_evade.catalog import AndroidCatalog
 from pst_evade.corpus import (
+    APP_LISTS,
     ARRAY_DTYPES,
     ApkModel,
     CodeComponent,
@@ -127,6 +131,37 @@ MALFORMED_ARRAYS = {
     "families-list-form": ("families", [0, 1, 2], " is not a {dtype, data} object"),
     "edges-without-dtype": ("edges", {"data": ""}, " is not a {dtype, data} object"),
 }
+
+
+# ---------------------------------------------------------------------------
+# Corpus and model files: line 1 is the document with each of its lists given
+# as its length, and the lists' items follow, one a line, in sorted key order.
+
+CORPUS_LISTS = APP_LISTS
+MODEL_LISTS = ("members",)
+
+
+def file_text(doc: dict, lists) -> str:
+    """The text of the file that holds ``doc``, a document whose lists are the
+    keys ``lists``. A value of such a key that is not a list stays in line 1."""
+    listed = [key for key in sorted(doc) if key in lists and isinstance(doc[key], list)]
+    lines = [{key: len(value) if key in listed else value for key, value in doc.items()},
+             *(item for key in listed for item in doc[key])]
+    return "".join(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+                   for line in lines)
+
+
+def write_file(path, doc: dict, lists) -> None:
+    Path(path).write_text(file_text(doc, lists), encoding="utf-8")
+
+
+def file_document(path, lists) -> dict:
+    """The document in the file at ``path``: line 1, each of ``lists`` it
+    counts holding the items on the lines that follow."""
+    head, *rest = map(json.loads, Path(path).read_text(encoding="utf-8").splitlines())
+    items = iter(rest)
+    return {key: [next(items) for _ in range(value)] if key in lists else value
+            for key, value in sorted(head.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import pytest
 from scipy import stats
 
 from apk_builders import (
+    MODEL_LISTS,
     brute_force_cluster,
     child_probs,
     feature_group,
+    file_text,
     find,
     first_child,
     inject_group,
@@ -397,9 +399,9 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
 
 # sha256 over every DEFAULT_BENCH_SPEC component's families and edges (shape
 # repr, then the values' int64 bytes, whatever dtype a component holds them
-# in), and of the stock ensemble's canonical model JSON.
+# in), and of the stock ensemble's model document as json.dumps(sort_keys=True).
 BENCH_COMPONENTS_SHA256 = "787ff035197364913767e9be1b01a2778197e386334e9a0a1351b00e5e35ea58"
-BENCH_ENSEMBLE_SHA256 = "7513ead58d2f997316fb726dfd6f4ae5f6beaec3a51f88b2c609fcf847a08f21"
+BENCH_ENSEMBLE_SHA256 = "fda22bc79f30ecf4e67de645fe13304a912cc6e8fe930b585bf3b50a91292d92"
 
 
 def _components_sha256(corpus) -> str:
@@ -413,10 +415,13 @@ def _components_sha256(corpus) -> str:
     return h.hexdigest()
 
 
+def _ensemble_sha256(ensemble) -> str:
+    return hashlib.sha256(json.dumps(model_to_dict(ensemble), sort_keys=True).encode()).hexdigest()
+
+
 def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
     components = _components_sha256(bench_corpus)
-    model_json = json.dumps(model_to_dict(bench_ensemble), sort_keys=True)
-    ensemble = hashlib.sha256(model_json.encode()).hexdigest()
+    ensemble = _ensemble_sha256(bench_ensemble)
     verdict("setup-pinned",
             components == BENCH_COMPONENTS_SHA256 and ensemble == BENCH_ENSEMBLE_SHA256,
             f"stock corpus components {components[:8]} (pinned "
@@ -425,11 +430,12 @@ def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
 
 
 def test_stock_ensemble_file_is_pinned_and_round_trips(tmp_path, bench_ensemble):
-    # The file is the canonical JSON whose sha256 is pinned above; loading it and
-    # saving again gives the same bytes.
+    # The file is the lines of the model document whose sha256 is pinned above;
+    # loading it and saving again gives the same bytes.
     path, again = tmp_path / "ensemble.json", tmp_path / "again.json"
     save_model(bench_ensemble, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_ENSEMBLE_SHA256
+    assert _ensemble_sha256(bench_ensemble) == BENCH_ENSEMBLE_SHA256
+    assert path.read_bytes() == file_text(model_to_dict(bench_ensemble), MODEL_LISTS).encode()
     save_model(load_model(path), again)
     assert again.read_bytes() == path.read_bytes()
 

@@ -3,18 +3,16 @@ import hashlib
 import json
 import re
 import shlex
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pst_evade import catalog as catalog_module
+from apk_builders import CORPUS_LISTS, MODEL_LISTS, file_document, file_text, write_file
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
-from pst_evade.catalog import load_default_catalog, read_document
+from pst_evade.catalog import canonical_json, load_default_catalog
 from pst_evade.cli import main
-from pst_evade.corpus import (API_FAMILY_COUNT, CORPUS_FORMAT, Corpus, CorpusSpec,
-                              canonical_json, corpus_from_dict, corpus_to_dict, generate_corpus,
+from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, corpus_to_dict, generate_corpus,
                               load_corpus, pack_array, spec_to_dict, unpack_array)
 from pst_evade.detectors import (
     MODEL_FORMAT,
@@ -49,23 +47,23 @@ def test_gen_corpus_writes_loadable_corpus(workdir):
     assert len(corpus.benign) == 30
     assert len(corpus.malicious) == 30
     assert len(corpus.donors) == 10
-    # A format-5 corpus file records only the four spec fields, and stores each
+    # A format-6 corpus file records only the four spec fields, and stores each
     # component's families and edges as {dtype, data} objects.
-    doc = json.loads((workdir / "corpus.json").read_text())
-    assert doc["format"] == 5
+    doc = file_document(workdir / "corpus.json", CORPUS_LISTS)
+    assert doc["format"] == 6
     assert sorted(doc["spec"]) == ["donor_count", "n_benign", "n_malicious", "seed"]
     component = _first_component(doc)
     assert all(sorted(component[k]) == ["data", "dtype"] for k in ("families", "edges"))
 
 
 def test_gen_corpus_file_is_the_canonical_document(tmp_path):
-    # gen-corpus writes app by app; the file is the whole document's canonical
-    # JSON, and it reads back as the generated corpus.
+    # gen-corpus writes app by app; the file is the lines of the whole
+    # document, and it reads back as the generated corpus.
     spec_path, out = tmp_path / "spec.json", tmp_path / "corpus.json"
     spec_path.write_text(json.dumps(spec_to_dict(SPEC)))
     assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out)]) == 0
     generated = generate_corpus(SPEC)
-    assert out.read_bytes() == canonical_json(corpus_to_dict(generated)).encode("utf-8")
+    assert out.read_bytes() == file_text(corpus_to_dict(generated), CORPUS_LISTS).encode("utf-8")
     assert load_corpus(out) == generated
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "spec.json"]
 
@@ -84,12 +82,12 @@ def test_gen_corpus_seed_override(workdir):
 
 
 def _assert_model_file_format(path):
-    """A format-4 model file, and each ensemble member, records no threshold or
+    """A format-5 model file, and each ensemble member, records no threshold or
     hyperparams: a scorer fires at its fixed threshold, an ensemble when any
     member fires."""
-    doc = json.loads(path.read_text())
+    doc = file_document(path, MODEL_LISTS)
     for d in [doc, *doc.get("members", [])]:
-        assert d["format"] == 4
+        assert d["format"] == 5
         assert not {"threshold", "hyperparams"} & set(d), sorted(d)
 
 
@@ -132,7 +130,7 @@ def test_train_and_attack_each_detector_kind_and_feature_space(workdir, capsys, 
         # The ensemble file has no space of its own; its members bring theirs.
         assert out == f"trained an ensemble of 20 members; saved to {path}\n"
         assert isinstance(model, Ensemble)
-        assert "space" not in json.loads(path.read_text())
+        assert "space" not in file_document(path, MODEL_LISTS)
         assert len({m.space for m in model.members}) > 1
     else:
         assert out.startswith(f"trained {kind} on {features} features; f1=")
@@ -265,21 +263,13 @@ def test_bench_outputs(bench_outputs, capsys):
     assert len(rows) == 3 * 2 * 4  # algorithms x budgets x samples
 
 
-def test_bench_env_seed_override(bench_outputs, workdir, monkeypatch):
-    cfg_path, _ = bench_outputs
-    monkeypatch.setenv("PST_EVADE_SEED", "41")
-    out_dir = workdir / "bench_env"
-    assert main(["bench", "--config", str(cfg_path),
-                 "--out-dir", str(out_dir)]) == 0
-    assert {r["seed"] for r in _report_rows(out_dir)} == {41}
-
-
-def test_env_seed_overrides_cli_seed(workdir, monkeypatch):
+def test_the_environment_does_not_set_the_seed(workdir, monkeypatch):
+    # Every input of a run is on its command line or in its config.
     monkeypatch.setenv("PST_EVADE_SEED", "55")
     out = workdir / "corpus_env.json"
     assert main(["gen-corpus", "--spec", str(workdir / "spec.json"),
                  "--seed", "3", "--out", str(out)]) == 0
-    assert load_corpus(out).spec.seed == 55
+    assert load_corpus(out).spec.seed == 3
 
 
 def test_compare_prints_grids(bench_outputs, capsys):
@@ -304,8 +294,8 @@ def _attack_args(workdir, corpus, model):
 @pytest.mark.parametrize("case,needle", [
     ("missing_corpus", "No such file"),
     ("model_without_space", "missing key 'space'"),
-    ("truncated_model", "line 1 column"),
-    ("truncated_corpus", "line 1 column"),
+    ("truncated_model", "line {lines} column"),  # a scorer file is one line
+    ("truncated_corpus", "line {lines} column"),
     ("unversioned_model", "model format 1 is not supported; retrain it with train"),
     ("ensemble_without_members", "ensemble model: has no members"),
 ])
@@ -328,14 +318,16 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
         model.write_text(json.dumps(doc))
     elif case == "ensemble_without_members":
         model = broken = workdir / "ensemble_without_members.json"
-        model.write_text(json.dumps({"format": MODEL_FORMAT, "kind": "ensemble",
-                                     "members": []}))
+        write_file(model, {"format": MODEL_FORMAT, "kind": "ensemble", "members": []},
+                   MODEL_LISTS)
     else:
         corpus = broken = _truncated_copy(corpus, workdir / "truncated_corpus.json")
     capsys.readouterr()
     assert main(_attack_args(workdir, corpus, model)) == 2
     err = capsys.readouterr().err
     assert err.startswith("pst-evade: error: ")
+    if case.startswith("truncated"):
+        needle = needle.format(lines=broken.read_text().count("\n") + 1)
     assert needle in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
@@ -550,7 +542,7 @@ _PROBES = {
                             lambda d: _first_component(d).update(classes=True)),
     "corpus-unknown-ground-truth": ("--corpus", "corpus.json",
                                     lambda d: d["benign"][0].update(ground_truth="evil")),
-    "corpus-benign-number": ("--corpus", "corpus.json", lambda d: d.update(benign=5)),
+    "corpus-benign-count-string": ("--corpus", "corpus.json", lambda d: d.update(benign="x")),
     "corpus-spec-count-string": ("--corpus", "corpus.json",
                                  lambda d: d["spec"].update(n_benign="x")),
     "corpus-directory": ("--corpus", None, None),
@@ -812,7 +804,7 @@ _PROBE_FIELDS = {
     "corpus-classes-string": 'app b000 component 0: code component classes is "12", not an integer',
     "corpus-classes-bool": "app b000 component 0: code component classes is true, not an integer",
     "corpus-unknown-ground-truth": "app b000: bad ground truth: evil",
-    "corpus-benign-number": "benign is 5, not a list",
+    "corpus-benign-count-string": 'benign is "x", not an integer',
     "corpus-spec-count-string": "corpus spec: n_benign is 'x', not a non-negative integer",
     "model-weights-string": "linear model: params.w is not an array of numbers",
     "model-weights-list-of-strings": "linear model: params.w is not an array of numbers",
@@ -842,14 +834,22 @@ def _probe_argv(workdir, flag, path):
     return [command, flag, str(path), *out]
 
 
+# flag -> the lists of the file it reads, whose items are written a line each.
+_FILE_LISTS = {"--corpus": CORPUS_LISTS, "--model": MODEL_LISTS}
+
+
 def _write_probe(workdir, case, name):
     """Write the file of ``_PROBES[case]`` as ``name`` in ``workdir``; its path."""
-    _, source, change = _PROBES[case]
+    flag, source, change = _PROBES[case]
     broken = workdir / name
     if change is None:
         broken.mkdir(exist_ok=True)
     elif source is None:
         broken.write_text(json.dumps(change))
+    elif flag in _FILE_LISTS:
+        doc = file_document(workdir / source, _FILE_LISTS[flag])
+        change(doc)
+        write_file(broken, doc, _FILE_LISTS[flag])
     else:
         doc = json.loads((workdir / source).read_text())
         change(doc)
@@ -871,169 +871,123 @@ def test_every_malformed_input_file_fails_in_one_line_naming_it(bench_outputs, w
 
 
 # ---------------------------------------------------------------------------
-# The streamed loaders against the whole-document reader: ``load_corpus`` and
-# ``load_model`` build one app or ensemble member at a time, and must give what
-# ``read_document`` gives on the parsed document, value or refusal.
-
-
-_WHOLE_DOCUMENT = {
-    "corpus": (load_corpus, partial(read_document, parse=corpus_from_dict, fmt=(
-        "corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))),
-    "model": (load_model, partial(read_document, parse=model_from_dict, fmt=(
-        "model", MODEL_FORMAT, "retrain it with train"))),
-}
+# The line reader's own refusals: a corpus or model file is line 1, the
+# document with each list given as its length, and then one line per item.
 
 
 @pytest.fixture(scope="module")
 def ensemble_file(workdir):
-    path = workdir / "stream-ensemble.json"
+    path = workdir / "lines-ensemble.json"
     assert main(["train", "--corpus", str(workdir / "corpus.json"), "--kind", "ensemble",
                  "--out", str(path)]) == 0
     return path
 
 
-def _loaded(load, path):
-    """What ``load`` gives: the value in a form that compares by value, or the
-    refusal's type and words."""
-    try:
-        value = load(path)
-    except (OSError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-    if isinstance(value, Corpus):
-        return "corpus", value
-    return "model", json.dumps(model_to_dict(value), sort_keys=True)
+def _refusal(workdir, capsys, flag, path):
+    """The one stderr line of the command that reads ``path`` through ``flag``."""
+    capsys.readouterr()
+    assert main(_probe_argv(workdir, flag, path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return err
 
 
-def _assert_streamed_as_whole(what, path):
-    streamed, whole = _WHOLE_DOCUMENT[what]
-    got = _loaded(streamed, path)
-    assert got == _loaded(whole, path)
-    return got
+def _lines(path):
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
 
 
-def _reversed_keys(value):
-    """``value`` with the keys of every object in it in reverse order."""
-    if isinstance(value, dict):
-        return {k: _reversed_keys(value[k]) for k in reversed(list(value))}
-    if isinstance(value, list):
-        return [_reversed_keys(v) for v in value]
-    return value
+@pytest.mark.parametrize("case,flag,source,keep,words", [
+    # The workdir corpus holds 30 benign apps on lines 2-31, 10 donors on
+    # 32-41 and 30 malicious apps on 42-71; its ensemble, 20 members.
+    ("corpus-cut-after-an-app", "--corpus", "corpus.json", 21,
+     "line 22: the file ends after 20 of 30 benign"),
+    ("corpus-cut-after-the-donors", "--corpus", "corpus.json", 41,
+     "line 42: the file ends after 0 of 30 malicious"),
+    ("ensemble-cut-after-a-member", "--model", None, 3,
+     "line 4: the file ends after 2 of 20 members"),
+    ("corpus-line-after-the-last", "--corpus", "corpus.json", 72,
+     "line 72: more lines than line 1 counts"),
+    ("ensemble-line-after-the-last", "--model", None, 22,
+     "line 22: more lines than line 1 counts"),
+])
+def test_a_file_that_ends_before_or_after_its_counted_lines_is_refused_naming_the_line(
+        workdir, ensemble_file, capsys, case, flag, source, keep, words):
+    # A file cut at a line boundary would otherwise load as a smaller corpus or
+    # ensemble; the lengths in line 1 say how many lines follow.
+    lines = _lines(workdir / source if source else ensemble_file)
+    path = workdir / f"lines-{case}.json"
+    path.write_text("".join((lines + lines[-1:])[:keep]), encoding="utf-8")
+    assert _refusal(workdir, capsys, flag, path) == f"pst-evade: error: {path}: {words}\n"
 
 
-_LAYOUTS = {
-    "indented": lambda doc: json.dumps(doc, indent=2),
-    "keys-reversed": lambda doc: json.dumps(_reversed_keys(doc)),
-    "probe-layout": json.dumps,  # as the _PROBES cases write their files
-}
+@pytest.mark.parametrize("flag", ["--corpus", "--model"])
+def test_bad_json_on_a_line_is_refused_naming_that_line(workdir, ensemble_file, capsys, flag):
+    lines = _lines(workdir / "corpus.json" if flag == "--corpus" else ensemble_file)
+    lines[2] = '{"id": \n'
+    path = workdir / f"lines-bad-json-{flag[2:]}.json"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert _refusal(workdir, capsys, flag, path) == (
+        f"pst-evade: error: {path}: Expecting value: line 3 column 8\n")
 
 
-def _stream_sources(workdir, ensemble_file):
-    return {"corpus": ("corpus", workdir / "corpus.json"),
-            "model": ("model", workdir / "model.json"),
-            "ensemble": ("model", ensemble_file)}
+@pytest.mark.parametrize("flag,version,words", [
+    # As the layout before line files wrote it: the format is refused first.
+    ("--corpus", 5, "corpus format 5 is not supported; regenerate it with gen-corpus"),
+    ("--model", 4, "model format 4 is not supported; retrain it with train"),
+    # As json.dump(corpus_to_dict(corpus)) writes it: the refusal stays short.
+    ("--corpus", None, "line 1: benign is a list, not its length"),
+    ("--model", None, "line 1: members is a list, not its length"),
+])
+def test_a_whole_document_on_one_line_is_refused_in_a_short_line(workdir, ensemble_file, capsys,
+                                                                  flag, version, words):
+    doc = (corpus_to_dict(load_corpus(workdir / "corpus.json")) if flag == "--corpus"
+           else file_document(ensemble_file, MODEL_LISTS))
+    for d in [doc, *doc.get("members", [])] if version else []:
+        d["format"] = version
+    path = workdir / f"lines-whole-document-{flag[2:]}-{version}.json"
+    # Each file's separators as the layout before line files wrote them.
+    path.write_text(canonical_json(doc) if flag == "--corpus" else json.dumps(doc, sort_keys=True),
+                    encoding="utf-8")
+    assert _refusal(workdir, capsys, flag, path) == f"pst-evade: error: {path}: {words}\n"
 
 
-@pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
-@pytest.mark.parametrize("layout", [None, *_LAYOUTS])
-def test_a_file_in_any_layout_streams_to_the_canonical_files_value(
-        workdir, ensemble_file, monkeypatch, source, layout):
-    what, canonical = _stream_sources(workdir, ensemble_file)[source]
-    want = _loaded(_WHOLE_DOCUMENT[what][1], canonical)
-    assert want[0] == what
-    path = canonical
-    if layout is not None:
-        path = workdir / f"layout-{layout}-{source}.json"
-        path.write_text(_LAYOUTS[layout](json.loads(canonical.read_text())))
-    # The streamed loader takes every such file itself, without the reference.
-    monkeypatch.setattr(catalog_module, "read_document", None)
-    assert _loaded(_WHOLE_DOCUMENT[what][0], path) == want
-
-
-# name -> the text of a file the window does not take, from a canonical file's
-# text, and whether it loads.
-_WHOLE_DOCUMENT_LAYOUTS = {
-    # json keeps the last of a repeated key, so this loads as the canonical file.
-    "repeated-key": (lambda text: '{"format": 3, ' + text[1:], True),
-    "top-level-list": (lambda text: f"[{text}]", False),
-    "byte-order-mark": (lambda text: "\ufeff" + text, False),
-    "text-after-the-document": (lambda text: text + " 5", False),
-}
-
-
-@pytest.mark.parametrize("source", ["corpus", "ensemble"])
-@pytest.mark.parametrize("layout", list(_WHOLE_DOCUMENT_LAYOUTS))
-def test_a_file_the_window_does_not_take_goes_to_the_whole_document_reader(
-        workdir, ensemble_file, source, layout):
-    what, canonical = _stream_sources(workdir, ensemble_file)[source]
-    change, loads = _WHOLE_DOCUMENT_LAYOUTS[layout]
-    path = workdir / f"whole-{layout}-{source}.json"
-    path.write_text(change(canonical.read_text()), encoding="utf-8")
-    got = _assert_streamed_as_whole(what, path)
-    assert (got == _loaded(_WHOLE_DOCUMENT[what][1], canonical)) == loads
-
-
-@pytest.mark.parametrize("window", [1, 7, 4096])
-@pytest.mark.parametrize("source", ["corpus", "ensemble"])
-def test_the_window_size_does_not_change_what_is_loaded(workdir, ensemble_file, monkeypatch,
-                                                        window, source):
-    # A value, a number included, may end where a window does.
-    what, path = _stream_sources(workdir, ensemble_file)[source]
-    want = _loaded(_WHOLE_DOCUMENT[what][1], path)
-    monkeypatch.setattr(catalog_module, "_WINDOW", window)
-    monkeypatch.setattr(catalog_module, "read_document", None)
-    assert _loaded(_WHOLE_DOCUMENT[what][0], path) == want
-
-
-@pytest.mark.parametrize("case", [case for case, (flag, _, _) in _PROBES.items()
-                                  if flag in ("--corpus", "--model")])
-def test_every_corpus_and_model_probe_is_refused_as_by_the_whole_document_reader(workdir,
-                                                                                  case):
-    what = _PROBES[case][0].removeprefix("--")
-    got = _assert_streamed_as_whole(what, _write_probe(workdir, case, f"stream-probe-{case}.json"))
-    assert got[0] != what  # refused
+def _loaded(source, path):
+    """The value in a corpus or model file, in a form that compares by value."""
+    if source == "corpus":
+        return load_corpus(path)
+    return json.dumps(model_to_dict(load_model(path)), sort_keys=True)
 
 
 @pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
-@pytest.mark.parametrize("cut", ["one-byte", "half", "into-the-second-element",
-                                 "last-byte-off"])
-def test_a_truncated_file_is_refused_as_by_the_whole_document_reader(workdir, ensemble_file,
-                                                                     source, cut):
-    what, path = _stream_sources(workdir, ensemble_file)[source]
+@pytest.mark.parametrize("cut", ["one-byte", "half", "into-the-second-item",
+                                 "last-two-bytes-off"])
+def test_a_truncated_file_is_refused_naming_the_line_it_ends_in(workdir, ensemble_file, source,
+                                                                 cut):
+    path = ensemble_file if source == "ensemble" else workdir / f"{source}.json"
     text = path.read_text()
-    # A scorer file has no elements: its cut falls in its first key.
-    second = text.find("},{" if source == "corpus" else "}, {") + 5
-    end = {"one-byte": 1, "half": len(text) // 2, "into-the-second-element": second,
-           "last-byte-off": len(text) - 1}[cut]
+    # A scorer file is one line: its cut falls in it.
+    second = text.find("\n", text.find("\n") + 1) + 5
+    end = {"one-byte": 1, "half": len(text) // 2, "into-the-second-item": second,
+           "last-two-bytes-off": len(text) - 2}[cut]
     truncated = workdir / f"truncated-{cut}-{source}.json"
     truncated.write_text(text[:end])
-    kind, message = _assert_streamed_as_whole(what, truncated)
-    assert kind == "ValueError" and message.startswith(f"{truncated}: ")
-    assert "line 1 column" in message
+    with pytest.raises(ValueError) as exc:
+        _loaded(source, truncated)
+    message = str(exc.value)
+    assert message.startswith(f"{truncated}: ")
+    assert f": line {text[:end].count(chr(10)) + 1} column " in message
+    assert "\n" not in message
 
 
-def test_training_on_an_indented_corpus_writes_the_canonical_corpus_model(workdir):
-    indented, out = workdir / "indented-corpus.json", workdir / "indented-model.json"
-    indented.write_text(json.dumps(json.loads((workdir / "corpus.json").read_text()), indent=2))
-    assert main(["train", "--corpus", str(indented), "--kind", "linear",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == (workdir / "model.json").read_bytes()
-
-
-@pytest.mark.parametrize("command", ["gen-corpus", "train", "attack", "bench"])
-def test_a_seed_variable_that_is_not_an_integer_fails_in_one_line(bench_outputs, workdir,
-                                                                   capsys, monkeypatch, command):
-    unused = str(workdir / "unused.json")
-    argv = {
-        "gen-corpus": ["gen-corpus", "--spec", str(workdir / "spec.json"), "--out", unused],
-        "train": ["train", "--corpus", str(workdir / "corpus.json"), "--out", unused],
-        "attack": _attack_args(workdir, workdir / "corpus.json", workdir / "model.json"),
-        "bench": ["bench", "--config", str(workdir / "bench.json"),
-                  "--out-dir", str(workdir / "unused_out")],
-    }[command]
-    monkeypatch.setenv("PST_EVADE_SEED", "abc")
-    capsys.readouterr()
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "pst-evade: error: PST_EVADE_SEED is 'abc', not an integer\n"
+@pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
+def test_a_file_missing_only_its_final_newline_loads(workdir, ensemble_file, source):
+    # Line 1's lengths show that the content is whole.
+    path = ensemble_file if source == "ensemble" else workdir / f"{source}.json"
+    text = path.read_text()
+    assert text.endswith("}\n")
+    cut = workdir / f"{source}-without-final-newline.json"
+    cut.write_text(text[:-1])
+    assert _loaded(source, cut) == _loaded(source, path)
 
 
 @pytest.mark.parametrize("extra,needle", [

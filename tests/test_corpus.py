@@ -11,15 +11,19 @@ import numpy as np
 import pytest
 
 from apk_builders import (
+    CORPUS_LISTS,
     MALFORMED_ARRAYS,
     StubPerturbation,
     apk,
     code_component,
     declared,
+    file_document,
+    file_text,
     set_stored_value,
+    write_file,
 )
 from pst_evade import detectors, perturbset
-from pst_evade.catalog import check_format, load_default_catalog, read_document
+from pst_evade.catalog import canonical_json, check_format, load_default_catalog, read_document
 from pst_evade.corpus import (
     ACTION_MAIN,
     API_FAMILY_COUNT,
@@ -34,7 +38,6 @@ from pst_evade.corpus import (
     _component_from_dict,
     _component_to_dict,
     apk_to_dict,
-    canonical_json,
     contains,
     corpus_from_dict,
     corpus_to_dict,
@@ -504,8 +507,8 @@ def test_corpus_file_stores_component_arrays_as_narrow_base64(tmp_path):
     corpus = generate_corpus(CorpusSpec(n_benign=2, n_malicious=2, donor_count=1, seed=5))
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
-    doc = json.loads(path.read_text())
-    assert doc["format"] == 5
+    doc = file_document(path, CORPUS_LISTS)
+    assert doc["format"] == 6
     comp = corpus.benign[0].components[0]
     stored = doc["benign"][0]["code"]["components"][0]
     # Families lie in [0, 11) and edge indices below the function count.
@@ -529,15 +532,18 @@ def test_saving_a_corpus_twice_gives_the_same_bytes(tmp_path):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["small", "empty"])
 def test_saved_corpus_is_the_canonical_document(small_corpus, tmp_path, empty):
-    # The writer streams app by app; its bytes are the whole document's.
+    # The writer streams app by app; its bytes are the lines of the whole
+    # document: line 1 with each app list given as its length, then one app a
+    # line, the lists in sorted key order.
     corpus = (generate_corpus(CorpusSpec(n_benign=0, n_malicious=0, donor_count=0, seed=3))
               if empty else small_corpus)
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
-    assert path.read_bytes() == canonical_json(corpus_to_dict(corpus)).encode("utf-8")
+    assert path.read_bytes() == file_text(corpus_to_dict(corpus), CORPUS_LISTS).encode("utf-8")
     if empty:
         assert path.read_bytes().startswith(
-            b'{"benign":[],"donors":[],"format":5,"malicious":[],"spec":{')
+            b'{"benign":0,"donors":0,"format":6,"malicious":0,"spec":{')
+        assert path.read_bytes().count(b"\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
 
 
@@ -595,16 +601,30 @@ def test_a_failed_model_save_leaves_the_file_as_it_was(tmp_path, monkeypatch, ex
     assert [p.name for p in tmp_path.iterdir()] == (["model.json"] if existing else [])
 
 
-def test_load_corpus_holds_no_parsed_document(tmp_path):
-    # Beyond the corpus it builds, the streamed load holds a window of the
-    # file; the whole-document reader holds the parsed document, about the
-    # file's size (11 MB here). Peaks are taken above what the loaded corpus
-    # holds, so the apps themselves count in neither.
-    path = tmp_path / "corpus.json"
-    save_corpus(generate_corpus(CorpusSpec(n_benign=200, n_malicious=200, donor_count=40,
-                                           seed=3)), path)
+def _whole_document_file(corpus, path):
+    """Write the corpus's whole document to ``path`` as one JSON value, the
+    layout ``read_document`` reads; ``path``."""
+    path.write_text(canonical_json(corpus_to_dict(corpus)), encoding="utf-8")
+    return path
 
-    def overhead(load):
+
+def _read_whole_document(path):
+    return read_document(path, corpus_from_dict,
+                         ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))
+
+
+def test_load_corpus_holds_no_parsed_document(tmp_path):
+    # Beyond the corpus it builds, the line reader holds one app's line; the
+    # whole-document reader holds the parsed document, about the file's size
+    # (11 MB here). Peaks are taken above what the loaded corpus holds, so the
+    # apps themselves count in neither.
+    path = tmp_path / "corpus.json"
+    generated = generate_corpus(CorpusSpec(n_benign=200, n_malicious=200, donor_count=40,
+                                           seed=3))
+    save_corpus(generated, path)
+    whole_path = _whole_document_file(generated, tmp_path / "whole.json")
+
+    def overhead(load, path):
         tracemalloc.start()
         try:
             corpus = load(path)
@@ -614,9 +634,8 @@ def test_load_corpus_holds_no_parsed_document(tmp_path):
         assert len(corpus.benign) == 200
         return peak - held
 
-    streamed = overhead(load_corpus)
-    whole = overhead(lambda p: read_document(p, corpus_from_dict, (
-        "corpus", CORPUS_FORMAT, "regenerate it with gen-corpus")))
+    streamed = overhead(load_corpus, path)
+    whole = overhead(_read_whole_document, whole_path)
     assert streamed < whole / 2, (streamed, whole)
 
 
@@ -653,13 +672,14 @@ def _distinct(values) -> tuple[int, int]:
     return len({id(v) for v in values}), len(set(values))
 
 
-@pytest.mark.parametrize("load", [load_corpus, lambda p: read_document(
-    p, corpus_from_dict, ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))],
-    ids=["streamed", "reference"])
-def test_both_load_paths_hold_each_name_and_permission_once(tmp_path, load):
+@pytest.mark.parametrize("reference", [False, True], ids=["streamed", "reference"])
+def test_both_load_paths_hold_each_name_and_permission_once(tmp_path, reference):
     generated = generate_corpus(CorpusSpec(n_benign=12, n_malicious=12, donor_count=6, seed=3))
-    save_corpus(generated, tmp_path / "corpus.json")
-    corpus = load(tmp_path / "corpus.json")
+    if reference:
+        corpus = _read_whole_document(_whole_document_file(generated, tmp_path / "whole.json"))
+    else:
+        save_corpus(generated, tmp_path / "corpus.json")
+        corpus = load_corpus(tmp_path / "corpus.json")
     assert corpus == generated
     apps = corpus.benign + corpus.malicious + corpus.donors
     api_ids = [api for app in apps for c in app.components for api in c.api_calls]
@@ -681,10 +701,10 @@ def test_both_load_paths_hold_each_name_and_permission_once(tmp_path, load):
 
 
 # sha256 of the corpus file written for this spec. The component arrays and the
-# stock ensemble are pinned elsewhere; this pins the rest of the layout, the
-# corpus's "code": {"components": [...]} nesting too.
+# stock ensemble are pinned elsewhere; this pins the rest of the layout, its
+# lines and the corpus's "code": {"components": [...]} nesting too.
 PINNED_FILES_SPEC = CorpusSpec(n_benign=6, n_malicious=6, donor_count=4, seed=5)
-PINNED_CORPUS_SHA256 = "9f860b8e0e1cee83c64543e50fa60b9aec362ab14edc92451c3ebfc198df6f70"
+PINNED_CORPUS_SHA256 = "5ca5cc75a86124a9cee0997756bbd224a8885be8dfdc4a599b873ca6f3a80468"
 
 
 def test_saved_corpus_bytes_are_pinned(tmp_path):
@@ -774,7 +794,7 @@ def _corpus_doc():
                                                      donor_count=2, seed=5)))
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5])
 def test_load_corpus_refuses_other_formats(tmp_path, found):
     doc = _corpus_doc()
     if found is None:
@@ -782,7 +802,7 @@ def test_load_corpus_refuses_other_formats(tmp_path, found):
     else:
         doc["format"] = found
     path = tmp_path / "corpus.json"
-    path.write_text(canonical_json(doc))
+    path.write_text(canonical_json(doc))  # one line, as every earlier format was written
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
     assert str(exc.value) == (f"{path}: corpus format {found or 1} is not supported; "
@@ -865,7 +885,7 @@ def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
                    if c["edges"]["data"])
     corrupt(comp, app)
     path = tmp_path / "corpus.json"
-    path.write_text(canonical_json(doc))
+    write_file(path, doc, CORPUS_LISTS)
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
     message = str(exc.value)
@@ -885,7 +905,7 @@ def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
     comp[field] = {"dtype": arr.dtype.str,
                    "data": base64.b64encode(arr.tobytes()).decode("ascii")}
     path = tmp_path / "corpus.json"
-    path.write_text(canonical_json(doc))
+    write_file(path, doc, CORPUS_LISTS)
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
     assert str(exc.value) == (f"{path}: app {app['id']} component {i}: code component "
@@ -900,7 +920,7 @@ def test_load_corpus_refuses_a_malformed_array(tmp_path, case):
     app = next(a for a in doc["benign"] if a["code"]["components"])
     app["code"]["components"][0][field] = stored
     path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(doc))
+    write_file(path, doc, CORPUS_LISTS)
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
     assert str(exc.value) == (f"{path}: app {app['id']} component 0: "
@@ -928,7 +948,7 @@ def test_load_corpus_refuses_a_flag_or_class_count_of_the_wrong_type(tmp_path, w
         decl[where] = value
         message = f"declared component {decl['name']}: {message}"
     path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(doc))
+    write_file(path, doc, CORPUS_LISTS)
     with pytest.raises(ValueError) as exc:
         load_corpus(path)
     assert str(exc.value) == f"{path}: {message}"
