@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shlex
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from apk_builders import CORPUS_LISTS, MODEL_LISTS, file_document, file_text, write_file
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
-from pst_evade.catalog import canonical_json, load_default_catalog
+from pst_evade.catalog import canonical_json, load_default_catalog, read_document
 from pst_evade.cli import main
-from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, corpus_to_dict, generate_corpus,
-                              load_corpus, pack_array, spec_to_dict, unpack_array)
+from pst_evade.corpus import (API_FAMILY_COUNT, CORPUS_FORMAT, CorpusSpec, corpus_from_dict,
+                              corpus_to_dict, generate_corpus, load_corpus, pack_array,
+                              spec_to_dict, unpack_array)
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
@@ -838,21 +840,26 @@ def _probe_argv(workdir, flag, path):
 _FILE_LISTS = {"--corpus": CORPUS_LISTS, "--model": MODEL_LISTS}
 
 
+def _probe_document(workdir, case):
+    """The document of ``_PROBES[case]``; None for a directory."""
+    flag, source, change = _PROBES[case]
+    if change is None or source is None:
+        return change
+    doc = (file_document(workdir / source, _FILE_LISTS[flag]) if flag in _FILE_LISTS
+           else json.loads((workdir / source).read_text()))
+    change(doc)
+    return doc
+
+
 def _write_probe(workdir, case, name):
     """Write the file of ``_PROBES[case]`` as ``name`` in ``workdir``; its path."""
-    flag, source, change = _PROBES[case]
-    broken = workdir / name
-    if change is None:
+    flag, source, _ = _PROBES[case]
+    broken, doc = workdir / name, _probe_document(workdir, case)
+    if doc is None:
         broken.mkdir(exist_ok=True)
-    elif source is None:
-        broken.write_text(json.dumps(change))
-    elif flag in _FILE_LISTS:
-        doc = file_document(workdir / source, _FILE_LISTS[flag])
-        change(doc)
+    elif source is not None and flag in _FILE_LISTS:
         write_file(broken, doc, _FILE_LISTS[flag])
     else:
-        doc = json.loads((workdir / source).read_text())
-        change(doc)
         broken.write_text(json.dumps(doc))
     return broken
 
@@ -988,6 +995,135 @@ def test_a_file_missing_only_its_final_newline_loads(workdir, ensemble_file, sou
     cut = workdir / f"{source}-without-final-newline.json"
     cut.write_text(text[:-1])
     assert _loaded(source, cut) == _loaded(source, path)
+
+
+def _reversed_keys(value):
+    """``value`` with the keys of every object in it in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reversed_keys(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+# name -> the text of a line from its canonical text, without the newline.
+_LINE_LAYOUTS = {
+    "keys-reversed": lambda line: json.dumps(_reversed_keys(json.loads(line)),
+                                             separators=(",", ":")),
+    "spaced": lambda line: json.dumps(json.loads(line)),
+    "padded": lambda line: f" \t{line} ",
+}
+
+
+@pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
+@pytest.mark.parametrize("layout", [*_LINE_LAYOUTS, "crlf"])
+def test_a_file_in_any_line_layout_loads_to_the_canonical_files_value(workdir, ensemble_file,
+                                                                       source, layout):
+    # Each line is read as JSON: key order and spaces within a line, and the
+    # line ending, do not change what is loaded.
+    path = ensemble_file if source == "ensemble" else workdir / f"{source}.json"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    change, end = (_LINE_LAYOUTS[layout], "\n") if layout in _LINE_LAYOUTS else (str, "\r\n")
+    text = "".join(change(line) + end for line in lines)
+    assert text != path.read_text(encoding="utf-8")
+    other = workdir / f"layout-{layout}-{source}.json"
+    other.write_bytes(text.encode("utf-8"))
+    assert _loaded(source, other) == _loaded(source, path)
+
+
+@pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
+def test_an_indented_file_is_refused_naming_line_1(workdir, ensemble_file, source):
+    # Only a file whose line 1 is one JSON value is read; an indented document
+    # spreads line 1 over many lines.
+    path = ensemble_file if source == "ensemble" else workdir / f"{source}.json"
+    indented = workdir / f"indented-{source}.json"
+    indented.write_text(json.dumps(json.loads(path.read_text().splitlines()[0]), indent=2))
+    with pytest.raises(ValueError) as exc:
+        _loaded(source, indented)
+    assert str(exc.value) == (f"{indented}: Expecting property name enclosed in double quotes: "
+                              "line 1 column 2")
+
+
+# name -> the text of line 1 from its canonical text, without the newline, and
+# the refusal that follows its path, or None where the file loads.
+_LINE_ONE_CHANGES = {
+    # json keeps the last of a repeated key, so this loads as the canonical file.
+    "repeated-key": (lambda line: '{"format":3,' + line[1:], None),
+    "top-level-list": (lambda line: f"[{line}]", "{what} is not a JSON object"),
+    "byte-order-mark": (lambda line: "\ufeff" + line,
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1"),
+    "text-after-the-value": (lambda line: line + " 5", "Extra data: line 1 column {column}"),
+}
+
+
+@pytest.mark.parametrize("source", ["corpus", "ensemble"])
+@pytest.mark.parametrize("change", list(_LINE_ONE_CHANGES))
+def test_line_1_is_read_as_one_json_object(workdir, ensemble_file, source, change):
+    path = ensemble_file if source == "ensemble" else workdir / "corpus.json"
+    first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    edit, words = _LINE_ONE_CHANGES[change]
+    changed = workdir / f"line-1-{change}-{source}.json"
+    changed.write_text(edit(first) + "\n" + rest, encoding="utf-8")
+    if words is None:
+        assert _loaded(source, changed) == _loaded(source, path)
+        return
+    with pytest.raises(ValueError) as exc:
+        _loaded(source, changed)
+    what = "corpus" if source == "corpus" else "model"
+    assert str(exc.value) == f"{changed}: " + words.format(what=what, column=len(first) + 2)
+
+
+def test_training_on_a_spaced_corpus_writes_the_canonical_corpus_model(workdir):
+    spaced, out = workdir / "spaced-corpus.json", workdir / "spaced-model.json"
+    spaced.write_text("".join(json.dumps(json.loads(line)) + "\n"
+                              for line in (workdir / "corpus.json").read_text().splitlines()))
+    assert main(["train", "--corpus", str(spaced), "--kind", "linear",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (workdir / "model.json").read_bytes()
+
+
+# flag -> the loader of such a file, and the reading of the same document whole,
+# on one line, through the in-memory codec that ``load_corpus`` and
+# ``load_model`` share their builders and checks with.
+_IN_MEMORY = {
+    "--corpus": (load_corpus, partial(read_document, parse=corpus_from_dict, fmt=(
+        "corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))),
+    "--model": (load_model, partial(read_document, parse=model_from_dict, fmt=(
+        "model", MODEL_FORMAT, "retrain it with train"))),
+}
+
+
+def _refused(load, path):
+    """The type and words, after the path, of ``load``'s refusal of ``path``."""
+    with pytest.raises((OSError, ValueError)) as exc:
+        load(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ")
+    return type(exc.value).__name__, message.removeprefix(f"{path}: ")
+
+
+# case -> the line reader's own words, where line 1 gives a list as its length.
+_LINE_REFUSALS = {"corpus-benign-count-string": 'benign is "x", not an integer'}
+
+
+@pytest.mark.parametrize("case", [case for case, (flag, _, _) in _PROBES.items()
+                                  if flag in _FILE_LISTS])
+def test_every_corpus_and_model_probe_is_refused_as_by_the_in_memory_codec(workdir, case):
+    flag = _PROBES[case][0]
+    load, whole = _IN_MEMORY[flag]
+    lines = _write_probe(workdir, case, f"lines-probe-{case}.json")
+    got = _refused(load, lines)
+    doc = _probe_document(workdir, case)
+    reference = workdir / f"whole-probe-{case}.json"
+    if doc is None:
+        reference.mkdir(exist_ok=True)
+    else:
+        reference.write_text(json.dumps(doc), encoding="utf-8")
+    want = _refused(whole, reference)
+    if case in _LINE_REFUSALS:
+        assert want[1] != got[1] == _LINE_REFUSALS[case]
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("extra,needle", [
