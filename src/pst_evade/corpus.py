@@ -84,8 +84,9 @@ class CodeComponent:
     are the ids of the Android APIs it calls. A component that breaks this cannot
     be made: it raises a one-line ``ValueError``. Whatever integer dtype they are
     given in, it keeps read-only copies: ``families`` as uint8 and ``edges`` as
-    (n, 2) int32, each value checked before the cast, so none can wrap into range.
-    Equality and hashing are by value. Beyond its fields it keeps only
+    (n, 2) uint16 when it has at most 65 536 functions, so every index fits, and
+    int32 above that; each value is checked before the cast, so none can wrap
+    into range. Equality and hashing are by value. Beyond its fields it keeps only
     ``transition_counts``, 121 intp integers filled on first use; no array sized
     by the edge count besides ``edges``."""
 
@@ -122,7 +123,8 @@ class CodeComponent:
         if not _edges_in_range(edges, len(families)):
             raise ValueError(f"edge index out of range for {len(families)} functions")
         # Read-only copies: components are shared between apps and payloads.
-        for name, dtype in (("families", np.uint8), ("edges", np.int32)):
+        edge_dtype = np.uint16 if len(families) <= 1 << 16 else np.int32
+        for name, dtype in (("families", np.uint8), ("edges", edge_dtype)):
             arr = np.array(arrays[name], dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -302,7 +304,7 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
             # a sorted key equal to its predecessor is a repeated call.
             key = np.sort(callers * n_f + callees)
             key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-            edges = np.stack(np.divmod(key, n_f), axis=1).astype(np.int32)
+            edges = np.stack(np.divmod(key, n_f), axis=1)
 
     return CodeComponent(kind=kind, classes=classes, families=fams, edges=edges,
                          api_calls=api_calls, origin="original")

@@ -280,8 +280,10 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 def _scalar_sigmoid(z: float) -> float:
     """``_sigmoid`` of one Python float, bit for bit, without ``np.clip``'s
-    array dispatch: ``max`` and ``min`` pass a NaN through as ``np.clip`` does."""
-    return 1.0 / (1.0 + float(np.exp(-min(max(z, -40.0), 40.0))))
+    array dispatch: both comparisons are false for a NaN, which passes through
+    as ``np.clip`` passes it."""
+    z = -40.0 if z < -40.0 else 40.0 if z > 40.0 else z
+    return 1.0 / (1.0 + float(np.exp(-z)))
 
 
 def _encode_labels(labels: Sequence[str]) -> np.ndarray:

@@ -128,8 +128,17 @@ def cluster_perturbations(perturbations: Sequence[Perturbation],
     groups = [PerturbationGroup(members=(p,),
                                 keywords=frozenset(keyword_extract(p.kind, p.payload)))
               for p in perturbations]
-    while pair := next(((i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))
-                        if keyword_similarity(groups[i], groups[j]) > threshold), None):
+
+    def pairs(i: int):
+        # After a merge into position i, every pair (a, b) with a < i and b != i
+        # was checked before and holds the same groups, so the scan resumes
+        # with the pairs (a, i) and then from (i, i + 1).
+        yield from ((a, i) for a in range(i))
+        yield from ((a, b) for a in range(i, len(groups)) for b in range(a + 1, len(groups)))
+
+    i = 0
+    while pair := next(((a, b) for a, b in pairs(i)
+                        if keyword_similarity(groups[a], groups[b]) > threshold), None):
         i, j = pair
         groups[i] = PerturbationGroup(members=groups[i].members + groups[j].members,
                                       keywords=groups[i].keywords | groups[j].keywords)

@@ -183,8 +183,8 @@ def delete_leaf_and_transfer(tree: PSTree, leaf: int) -> int | None:
     siblings = probs[parent]
     share = siblings.pop(node) / len(siblings)
     # Clamp: the equal split can overshoot 1.0 by an ulp when one sibling remains.
-    for c, p in siblings.items():
-        siblings[c] = min(1.0, max(0.0, p + share))
+    # Every probability and share is >= 0, so only the upper bound can bind.
+    probs[parent] = {c: q if (q := p + share) < 1.0 else 1.0 for c, p in siblings.items()}
     return parent
 
 

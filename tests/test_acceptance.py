@@ -31,7 +31,6 @@ from pst_evade.corpus import (
     load_corpus,
     load_default_catalog,
     save_corpus,
-    spec_to_dict,
     validate_apk,
     verify_isolation,
 )
@@ -123,7 +122,7 @@ def test_probability_integrity_fuzz(verdict):
     tree = _random_tree(rng)
     sequences = 10_000
     ops = 0
-    counts_ok = True
+    counts_ok = nonnegative = True
     for _ in range(sequences):
         if tree.is_empty():
             tree = _random_tree(rng)
@@ -145,12 +144,16 @@ def test_probability_integrity_fuzz(verdict):
                 adjust(tree, leaf, y_prev=y, y_new=min(1.0, max(0.0, y + delta)))
             validate_probabilities(tree)
             counts_ok = counts_ok and tree.leaf_counts == rewalk_leaf_counts(tree)
+            # The sibling transfer clamps only at 1.0: it relies on this.
+            nonnegative = nonnegative and all(p >= 0.0 for probs in tree.probs.values()
+                                              for p in probs.values())
             ops += 1
     elapsed = time.perf_counter() - t0
     verdict("probability-integrity",
-            counts_ok and elapsed < 30.0,
+            counts_ok and nonnegative and elapsed < 30.0,
             f"{sequences} sequences ({ops} ops) clean in {elapsed:.1f}s (< 30s), "
-            f"leaf counts {'match' if counts_ok else 'differ from'} a re-walk")
+            f"leaf counts {'match' if counts_ok else 'differ from'} a re-walk, "
+            f"every probability {'>= 0' if nonnegative else 'NOT >= 0'}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +443,14 @@ def test_stock_ensemble_file_is_pinned_and_round_trips(tmp_path, bench_ensemble)
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_stock_component_arrays_fit_in_23_mb(bench_corpus):
-    # uint8 families and int32 edges: 2.0 + 20.9 MB on the stock corpus, where
-    # intp arrays took 16.1 + 41.7 MB.
+def test_stock_component_arrays_fit_in_13_mb(bench_corpus):
+    # uint8 families and uint16 edges (no stock component has more than 65 536
+    # functions): 2.01 + 10.43 MB on the stock corpus, where int32 edges took
+    # 20.85 MB and intp arrays 16.1 + 41.7 MB.
     comps = [c for apps in (bench_corpus.benign, bench_corpus.malicious, bench_corpus.donors)
              for a in apps for c in a.components]
-    assert all(c.families.dtype == np.uint8 and c.edges.dtype == np.int32 for c in comps)
-    assert sum(c.families.nbytes + c.edges.nbytes for c in comps) <= 23_000_000
+    assert all(c.families.dtype == np.uint8 and c.edges.dtype == np.uint16 for c in comps)
+    assert sum(c.families.nbytes + c.edges.nbytes for c in comps) <= 13_000_000
 
 
 def test_every_stock_perturbation_has_a_tree_position_and_its_keywords(bench_pset):

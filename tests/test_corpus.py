@@ -450,10 +450,11 @@ def test_validate_rejects_unknown_edge_endpoint():
     ("edges", [[0, 2]], "edge index out of range for 2 functions"),
     ("edges", [[-1, 0]], "edge index out of range for 2 functions"),
     # Values that the narrow in-memory dtypes would wrap into range: 259 is 3 as
-    # uint8, -256 is 0, and 2**32 is 0 as int32.
+    # uint8, -256 is 0, 2**16 is 0 as uint16, and 2**32 is 0 as int32.
     ("families", [0, 259], "function family above 10"),
     ("families", [0, -256], "negative function family"),
     ("edges", [[0, 2 ** 32]], "edge index out of range for 2 functions"),
+    ("edges", [[0, 2 ** 16]], "edge index out of range for 2 functions"),
     ("families", [0.0, 1.0], "code component families must be integers, got float64"),
 ])
 def test_code_component_refuses_a_malformed_value(field, value, refusal):
@@ -758,14 +759,16 @@ def test_component_arrays_round_trip_by_value(families, edges):
 
 
 def _holds_narrow_read_only_arrays(comp):
+    edge_dtype = np.uint16 if len(comp.families) <= 2 ** 16 else np.int32
     return (comp.families.dtype == np.uint8 and comp.families.ndim == 1
-            and comp.edges.dtype == np.int32 and comp.edges.shape[1:] == (2,)
+            and comp.edges.dtype == edge_dtype and comp.edges.shape[1:] == (2,)
             and not comp.families.flags.writeable and not comp.edges.flags.writeable)
 
 
-def test_components_hold_uint8_families_and_int32_edges(tmp_path):
+def test_components_hold_uint8_families_and_uint16_edges(tmp_path):
     # Generated, loaded, payload and injected components all hold the same two
-    # dtypes, read-only, so equality and hashing by bytes are by value.
+    # dtypes for the same function count, read-only, so equality and hashing by
+    # bytes are by value.
     corpus = generate_corpus(PINNED_FILES_SPEC)
     save_corpus(corpus, tmp_path / "corpus.json")
     loaded = load_corpus(tmp_path / "corpus.json")
@@ -783,6 +786,26 @@ def test_components_hold_uint8_families_and_int32_edges(tmp_path):
         assert _holds_narrow_read_only_arrays(comp)
         assert comp == CodeComponent(kind="service", classes=1, families=[0, 10],
                                      edges=[[1, 0]], api_calls=())
+
+
+@pytest.mark.parametrize("n_functions,edge_dtype", [(2 ** 16, np.uint16),
+                                                    (2 ** 16 + 1, np.int32)])
+def test_edges_widen_to_int32_only_past_65536_functions(n_functions, edge_dtype):
+    # The last function's index is 65 535 with 2**16 functions, which uint16
+    # holds, and 65 536 with one more, which it would hold as 0.
+    last = n_functions - 1
+    edges = [[0, last], [last, 1], [last, last]]
+
+    def make(dtype):
+        return CodeComponent(kind="service", classes=1,
+                             families=np.arange(n_functions, dtype=dtype) % 11,
+                             edges=np.array(edges, dtype=dtype), api_calls=())
+
+    comp = make(np.int64)
+    assert comp.edges.dtype == edge_dtype and _holds_narrow_read_only_arrays(comp)
+    assert comp.edges.tolist() == edges
+    assert comp == make(np.int64) and hash(comp) == hash(make(np.int64))
+    assert comp == make(np.uint32) and hash(comp) == hash(make(np.uint32))
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +857,7 @@ def _negative_family(comp, app):
 
 
 def _edge_wrapping_to_zero(comp, app):
-    # Stored as <i8; int32 would hold it as 0.
+    # Stored as <i8; uint16 and int32 would hold it as 0.
     set_stored_value(comp, "edges", 1, 2 ** 32)
 
 

@@ -118,6 +118,32 @@ def test_clustering_matches_brute_force_reference():
         assert got_sets == want_sets, f"trial {trial}"
 
 
+def restart_cluster(perturbations, threshold):
+    """Reference: after each merge, scan the pairs again from (0, 1)."""
+    groups = [group_of(p) for p in perturbations]
+    while pair := next(((i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))
+                        if keyword_similarity(groups[i], groups[j]) > threshold), None):
+        i, j = pair
+        groups[i] = PerturbationGroup(members=groups[i].members + groups[j].members,
+                                      keywords=groups[i].keywords | groups[j].keywords)
+        del groups[j]
+    return groups
+
+
+@pytest.mark.parametrize("threshold", [0.25, 0.4, 0.5, 0.6, 0.75, 1.0])
+def test_clustering_resumes_where_a_restart_would_merge_next(threshold):
+    # The same groups, members and order as rescanning from (0, 1) after
+    # every merge, over random buckets that merge in chains.
+    rng = random.Random(37)
+    for trial in range(100):
+        ps = random_permissions(rng, rng.randint(1, 30))
+        got = cluster_perturbations(ps, threshold)
+        want = restart_cluster(ps, threshold)
+        assert [[id(p) for p in g.members] for g in got] == \
+            [[id(p) for p in g.members] for g in want], f"trial {trial}"
+        assert [g.keywords for g in got] == [g.keywords for g in want]
+
+
 def test_clustering_partitions_input():
     rng = random.Random(31)
     for _ in range(30):
