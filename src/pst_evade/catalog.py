@@ -2,12 +2,15 @@
 from, and the reading and writing of every file: ``read_document`` and the
 field readers the loaders take each field of a document through; ``read_lines``
 and ``write_lines``, which read and write a corpus or model file as lines of
-JSON, one list item a line, the file replaced only once it is complete; and
+JSON, one list item a line, the file replaced only once it is complete;
 ``build_document``, which builds a parsed document's list items with the same
-builders ``read_lines`` runs."""
+builders ``read_lines`` runs; and ``pack_array`` and ``unpack_array``, the one
+codec of the arrays that corpus and model files hold."""
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import sys
 from collections.abc import Iterator, Mapping
@@ -249,19 +252,6 @@ def permission_pairs(value, name: str) -> tuple[tuple[str, str], ...]:
     return pairs(value, name, "a [name, protection level] pair", PROTECTION_LEVELS.__contains__)
 
 
-def numbers(value, name: str) -> np.ndarray:
-    """A finite JSON number or nested lists of them, as an array."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} is not an array of numbers")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} is not an array of finite numbers")
-    return arr
-
-
 def obj(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{name} is not a JSON object")
@@ -302,6 +292,64 @@ def fields_of(cls, d, what: str, /, retired: tuple[str, ...] = (), **readers) ->
         elif f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f.name)
     return given
+
+
+# ---------------------------------------------------------------------------
+# Arrays in a file: ``{"dtype", "data"}``, the array's raw bytes in base64. An
+# integer array, or a float one whose every value an integer dtype gives back
+# bit for bit, is stored in the narrowest of ``ARRAY_DTYPES`` that holds its
+# values; any other float array as ``FLOAT_DTYPE``, which keeps every bit.
+
+ARRAY_DTYPES = ("<u1", "<i1", "<u2", "<i2", "<u4", "<i4", "<i8")
+FLOAT_DTYPE = "<f8"
+_DTYPE_RANGES = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max))
+                      for d in ARRAY_DTYPES)
+
+
+def narrowest(arr: np.ndarray) -> str:
+    """The dtype ``pack_array`` stores ``arr`` in: the narrowest of
+    ``ARRAY_DTYPES`` that holds its values, and for a float array only if
+    every value comes back bit for bit (none is a fraction, -0.0, NaN or
+    infinite); else ``FLOAT_DTYPE``."""
+    lo, hi = (arr.min().item(), arr.max().item()) if arr.size else (0, 0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # NaN or infinite
+        return FLOAT_DTYPE
+    dtype = next((d for d, d_lo, d_hi in _DTYPE_RANGES if d_lo <= lo and hi <= d_hi),
+                 FLOAT_DTYPE)
+    if arr.dtype.kind == "f" and dtype != FLOAT_DTYPE:
+        bits = f"u{arr.itemsize}"  # compared as bits, -0.0 is not 0
+        if not np.array_equal(arr.astype(dtype).astype(arr.dtype).view(bits), arr.view(bits)):
+            return FLOAT_DTYPE
+    return dtype
+
+
+def pack_array(arr: np.ndarray) -> dict:
+    """``arr``, an integer or float64 array, as ``{"dtype", "data"}``: its
+    values flat, in C order, in the ``narrowest`` dtype that holds them."""
+    dtype = narrowest(arr)
+    return {"dtype": dtype,
+            "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")}
+
+
+def unpack_array(doc, name: str, dtypes: tuple[str, ...] = ARRAY_DTYPES) -> np.ndarray:
+    """The flat array ``pack_array`` wrote, in one of ``dtypes``; anything else
+    raises a one-line ``ValueError`` naming ``name``."""
+    if not (isinstance(doc, dict) and "dtype" in doc and "data" in doc):
+        raise ValueError(f"{name} is not a {{dtype, data}} object")
+    dtype, data = doc["dtype"], doc["data"]
+    if dtype not in dtypes:
+        raise ValueError(f"{name} dtype {json.dumps(dtype)} is not one of {', '.join(dtypes)}")
+    if not isinstance(data, str):
+        raise ValueError(f"{name} data is {type(data).__name__}, not a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:
+        raise ValueError(f"{name} data is not valid base64") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) % itemsize:
+        raise ValueError(f"{name} data holds {len(raw)} bytes, "
+                         f"not a multiple of {itemsize} for {dtype}")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def load_default_catalog() -> AndroidCatalog:

@@ -2,8 +2,6 @@
 containment/isolation checks and the corpus file."""
 from __future__ import annotations
 
-import base64
-import json
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
@@ -12,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import (AndroidCatalog, build_document, exact_keys, fields_of, flag, integer,
-                      items, load_default_catalog, obj, permission_pairs, read_lines, shared,
-                      string, strings, write_lines)
+                      items, load_default_catalog, obj, pack_array, permission_pairs, read_lines,
+                      shared, string, strings, unpack_array, write_lines)
 
 GROUND_TRUTHS = ("benign", "malicious")
 # The corpus document's app lists, in the order they are checked.
@@ -24,12 +22,6 @@ ORIGINS = ("original", "injected")
 
 # Version of the corpus file layout; files of any other version are refused.
 CORPUS_FORMAT = 6
-
-# The dtypes a component array may be stored as in a file, narrowest first: the
-# writer takes the first that holds every value, and the reader refuses any other.
-ARRAY_DTYPES = ("<u1", "<i1", "<u2", "<i2", "<u4", "<i4", "<i8")
-_DTYPE_RANGES = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max))
-                      for d in ARRAY_DTYPES)
 
 # Interned, as every name a loaded corpus reads is (``catalog.shared``): the
 # catalog lists both, so an app may hold them outside a launcher's sets too.
@@ -435,37 +427,6 @@ def _declared_from_dict(d: dict, what: str) -> DeclaredComponent:
         process=string(d.get("process"), where + "process", null=True),
         data_uri=string(d.get("data_uri"), where + "data_uri", null=True),
     )
-
-
-def pack_array(arr: np.ndarray) -> dict:
-    """An integer array as ``{"dtype", "data"}``: its values in the narrowest of
-    ``ARRAY_DTYPES`` that holds them, as base64 of the raw bytes."""
-    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
-    dtype = next(d for d, d_lo, d_hi in _DTYPE_RANGES if d_lo <= lo and hi <= d_hi)
-    return {"dtype": dtype,
-            "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")}
-
-
-def unpack_array(doc, name: str) -> np.ndarray:
-    """The flat array ``pack_array`` wrote; anything else raises a one-line
-    ``ValueError`` naming ``name``."""
-    if not (isinstance(doc, dict) and "dtype" in doc and "data" in doc):
-        raise ValueError(f"{name} is not a {{dtype, data}} object")
-    dtype, data = doc["dtype"], doc["data"]
-    if dtype not in ARRAY_DTYPES:
-        raise ValueError(f"{name} dtype {json.dumps(dtype)} is not one of "
-                         f"{', '.join(ARRAY_DTYPES)}")
-    if not isinstance(data, str):
-        raise ValueError(f"{name} data is {type(data).__name__}, not a base64 string")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError:
-        raise ValueError(f"{name} data is not valid base64") from None
-    itemsize = np.dtype(dtype).itemsize
-    if len(raw) % itemsize:
-        raise ValueError(f"{name} data holds {len(raw)} bytes, "
-                         f"not a multiple of {itemsize} for {dtype}")
-    return np.frombuffer(raw, dtype=dtype)
 
 
 def _component_to_dict(c: CodeComponent) -> dict:

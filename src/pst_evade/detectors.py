@@ -15,9 +15,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import (build_document, check_format, exact_keys, fields_of, fixed, flag, integer,
-                      items, number, numbers, obj, only, pairs, read_lines, string, strings,
-                      write_lines)
+from .catalog import (ARRAY_DTYPES, FLOAT_DTYPE, build_document, check_format, exact_keys,
+                      fields_of, fixed, flag, integer, items, narrowest, number, obj, only,
+                      pack_array, pairs, read_lines, string, strings, unpack_array, write_lines)
 from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
@@ -38,7 +38,7 @@ DETECTOR_KINDS = ("linear", "mlp", "knn", "forest", "ensemble")
 FEATURE_KINDS = ("binary", "markov", "api_cluster")
 
 # Version of the model JSON layout; files of any other version are refused.
-MODEL_FORMAT = 5
+MODEL_FORMAT = 6
 
 # A scorer (every kind but an ensemble) fires at a confidence of THRESHOLD.
 # Training holds out HOLDOUT_FRACTION of each class and fits with these settings.
@@ -494,7 +494,8 @@ class _KnnBlock:
     packed, word-major, so each word of a row meets one contiguous row of
     words: a 0/1 row's distances are then Hamming distances, exact integers,
     from one XOR and popcount pass. Any other row takes the difference form on
-    each member's ``params["x"]``, the block's only float copy of them."""
+    each member's ``params["x"]``, the block's one copy of the fit rows, held
+    as ``_knn_block`` narrows it and subtracted in float64."""
 
     def __init__(self, space: FeatureSpace, fits: Sequence[tuple[np.ndarray, np.ndarray, int]],
                  words: np.ndarray | None):
@@ -521,8 +522,8 @@ class _KnnBlock:
             if (x == bits).all():  # not fractional, NaN, infinite or past 1
                 return np.bitwise_count(self.words ^ _packed(bits)[:, None]).sum(
                     axis=0, dtype=np.intp)
-        return np.concatenate([np.sum(np.square(train_x - x), axis=1)
-                               for train_x, _, _ in self.fits])
+        return np.concatenate([np.sum(np.square(np.subtract(train_x, x, dtype=np.float64)),
+                                      axis=1) for train_x, _, _ in self.fits])
 
     @cached_property
     def flips(self) -> np.ndarray:
@@ -552,12 +553,16 @@ class _KnnBlock:
 
 
 def _knn_block(space: FeatureSpace, p: dict) -> _KnnBlock:
-    """One kNN scorer's block. ``params["x"]`` becomes the float copy of the fit
-    rows that the block reads."""
-    p["x"] = train_x = np.asarray(p["x"], dtype=np.float64)
+    """One kNN scorer's block. ``params["x"]`` becomes the fit rows that the
+    block reads, in the dtype a model file stores them in
+    (``catalog.narrowest``): uint8 for 0/1 rows, float64 for fractional ones.
+    Every value comes back as float64 bit for bit, so the difference form's
+    distances are those of float64 rows."""
+    train_x = np.asarray(p["x"], dtype=np.float64)
     train_y = np.asarray(p["y"], dtype=np.float64)
     if train_x.ndim != 2 or train_x.shape[1] != space.width:
         raise _shape_error("knn", "fit rows", train_x.shape, space)
+    p["x"] = train_x = train_x.astype(narrowest(train_x), copy=False)
     n = len(train_x)
     if train_y.shape != (n,) or not np.isin(train_y, (0.0, 1.0)).all():
         raise ValueError(f"knn model: y must hold one 0/1 label for each of the {n} fit rows")
@@ -800,7 +805,8 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
     if x.ndim != 2 or x.shape[1] != space.width:
         raise ValueError(f"feature rows of shape {x.shape} do not match the "
                          f"{space.width}-feature {space.kind} space")
-    if not (np.abs(x) <= _MAX_FEATURE).all():
+    # max and min build no copy of x; a NaN fails both comparisons.
+    if x.size and not (x.max() <= _MAX_FEATURE and x.min() >= -_MAX_FEATURE):
         raise ValueError(f"{kind} detector: feature rows hold NaN, infinite or "
                          f"out-of-range values (|v| > {_MAX_FEATURE:.4g})")
     y = _encode_labels(labels)
@@ -832,13 +838,40 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
 # Serialization
 
 
-# The keys of a format-4 model file, whose ensemble's members are scorer files,
-# and the params each scorer kind reads, each with its reader.
+def _array(value, name: str) -> np.ndarray:
+    """The values of a param's array doc, flat, as an aligned float64 copy:
+    ``catalog.unpack_array`` of a listed integer dtype or ``FLOAT_DTYPE``. A
+    non-finite value is refused."""
+    arr = unpack_array(value, name, (*ARRAY_DTYPES, FLOAT_DTYPE)).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} is not an array of finite numbers")
+    return arr
+
+
+def _matrix(arr: np.ndarray, name: str, width: int, axis: int, other: int) -> np.ndarray:
+    """``arr``, the flat values of a 2-D param, shaped with ``axis`` as long as
+    the space's ``width``; values that do not fill that shape are refused. The
+    other axis is ``other`` long only in a space of no columns, where the
+    values do not tell it."""
+    if width:
+        other = arr.size // width
+    if other * width != arr.size:
+        raise ValueError(f"{name} holds {arr.size} values, which do not fill "
+                         + (f"rows of {width}" if axis else f"{width} rows"))
+    return arr.reshape((other, width) if axis else (width, other))
+
+
+# The keys of a model file, whose ensemble's members are scorer files, and the
+# params each scorer kind reads, each with its reader. An array param is an
+# array doc. The 2-D ones have the axis given as long as the space is wide, and
+# the other as long as the param named: a kNN's fit rows are rows of the space,
+# one per label, and an MLP's w1 has a row per column and a column per unit.
 _SCORER_KEYS = ("format", "kind", "space", "space_hash", "params", "report")
 _ENSEMBLE_KEYS = ("format", "kind", "members")
-_PARAMS = {"linear": {"w": numbers, "b": number},
-           "mlp": {"w1": numbers, "b1": numbers, "w2": numbers, "b2": number},
-           "knn": {"x": numbers, "y": numbers}, "forest": {"trees": items}}
+_PARAMS = {"linear": {"w": _array, "b": number},
+           "mlp": {"w1": _array, "b1": _array, "w2": _array, "b2": number},
+           "knn": {"x": _array, "y": _array}, "forest": {"trees": items}}
+_MATRICES = {"x": (1, "y"), "w1": (0, "b1")}
 
 
 def _digest(doc: dict) -> str:
@@ -848,8 +881,8 @@ def _digest(doc: dict) -> str:
 def _scorer_to_dict(model: DetectorModel) -> dict:
     doc = {"format": MODEL_FORMAT, "kind": model.kind, "space": space_to_dict(model.space),
            "space_hash": model.space.digest,
-           "params": {name: v.tolist() if isinstance(v, np.ndarray) else v
-                      for name, v in model.params.items()}}
+           "params": {name: pack_array(np.asarray(v)) if _PARAMS[model.kind].get(name) is _array
+                      else v for name, v in model.params.items()}}
     if model.report is not None:
         doc["report"] = asdict(model.report)
     return doc
@@ -884,9 +917,13 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
             raise KeyError(f"report.{exc.args[0]}") from None
         params = obj(doc["params"], f"{kind} model: params")
         exact_keys(params, _PARAMS[kind], f"{kind} model", "params.")
-        return DetectorModel(kind=kind, space=space, report=report, params={
-            name: read(params[name], f"{kind} model: params.{name}")
-            for name, read in _PARAMS[kind].items()})
+        read = {name: reader(params[name], f"{kind} model: params.{name}")
+                for name, reader in _PARAMS[kind].items()}
+        for name, (axis, other) in _MATRICES.items():
+            if name in read:
+                read[name] = _matrix(read[name], f"{kind} model: params.{name}", space.width,
+                                     axis, len(read[other]))
+        return DetectorModel(kind=kind, space=space, report=report, params=read)
     except KeyError as exc:
         raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None
 

@@ -184,7 +184,11 @@ def _featurize(features: str, apks, corpus: Corpus, seed: int) -> tuple[FeatureS
     else:
         space = FeatureSpace(features, cluster_map=build_api_cluster_map(
             _corpus_api_ids(corpus), seed))
-    return space, np.stack([space.extract(a) for a in apks])
+    # Filled in place: stacking a list of rows would hold the matrix twice.
+    x = np.empty((len(apks), space.width))
+    for i, a in enumerate(apks):
+        x[i] = space.extract(a)
+    return space, x
 
 
 def train_detector(spec: DetectorSpec, corpus: Corpus) -> DetectorModel | Ensemble:

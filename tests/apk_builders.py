@@ -13,16 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from pst_evade.catalog import AndroidCatalog
+from pst_evade.catalog import ARRAY_DTYPES, AndroidCatalog, pack_array, unpack_array
 from pst_evade.corpus import (
     APP_LISTS,
-    ARRAY_DTYPES,
     ApkModel,
     CodeComponent,
     DeclaredComponent,
     Permission,
-    pack_array,
-    unpack_array,
 )
 from pst_evade.detectors import Feedback
 from pst_evade.perturbset import (

@@ -1,4 +1,5 @@
 """End-to-end command line flow in a temp directory."""
+import base64
 import hashlib
 import json
 import re
@@ -11,11 +12,11 @@ import pytest
 
 from apk_builders import CORPUS_LISTS, MODEL_LISTS, file_document, file_text, write_file
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
-from pst_evade.catalog import canonical_json, load_default_catalog, read_document
+from pst_evade.catalog import (ARRAY_DTYPES, FLOAT_DTYPE, canonical_json, load_default_catalog,
+                              pack_array, read_document, unpack_array)
 from pst_evade.cli import main
 from pst_evade.corpus import (API_FAMILY_COUNT, CORPUS_FORMAT, CorpusSpec, corpus_from_dict,
-                              corpus_to_dict, generate_corpus, load_corpus, pack_array,
-                              spec_to_dict, unpack_array)
+                              corpus_to_dict, generate_corpus, load_corpus, spec_to_dict)
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
@@ -84,12 +85,12 @@ def test_gen_corpus_seed_override(workdir):
 
 
 def _assert_model_file_format(path):
-    """A format-5 model file, and each ensemble member, records no threshold or
+    """A format-6 model file, and each ensemble member, records no threshold or
     hyperparams: a scorer fires at its fixed threshold, an ensemble when any
     member fires."""
     doc = file_document(path, MODEL_LISTS)
     for d in [doc, *doc.get("members", [])]:
-        assert d["format"] == 5
+        assert d["format"] == 6
         assert not {"threshold", "hyperparams"} & set(d), sorted(d)
 
 
@@ -339,8 +340,8 @@ def test_bad_input_files_give_one_line_errors(workdir, capsys, case, needle):
 
 
 _BAD_PARAMS = {
-    # would score through broadcasting
-    "knn": lambda doc: doc["params"].update(x=[[0.0], [1.0]]),
+    # as lists, would score through broadcasting
+    "knn": lambda doc: doc["params"].update(x=pack_array(np.array([0.0, 1.0, 1.0]))),
     # would raise IndexError on a query
     "forest": lambda doc: doc["params"]["trees"][0].update(feature=99),
     # raised a bare TypeError on load
@@ -355,7 +356,7 @@ _BAD_PARAMS = {
 
 
 @pytest.mark.parametrize("kind,needle", [
-    ("knn", "knn model: fit rows of shape (2, 1) do not match the 2-feature binary space"),
+    ("knn", "knn model: params.x holds 3 values, which do not fill rows of 2"),
     ("forest", "forest model: split feature 99 is outside the 2-feature binary space"),
     ("forest-null-split", "forest model: split threshold is null, not a number"),
     ("linear-null-b", "linear model: params.b is null, not a number"),
@@ -465,8 +466,20 @@ _SPLIT_ON_A_FLAG = {"leaf": False, "feature": True, "threshold": 0.5,
 _SPLIT_AT_NAN = {**_SPLIT_ON_A_FLAG, "feature": 0, "threshold": float("nan")}
 
 
-def _weights_as_strings(model):
-    model["params"]["w"] = ["x"] * len(model["params"]["w"])
+def _weights(model):
+    """A model doc's weights, as a float64 array."""
+    return unpack_array(model["params"]["w"], "w", (*ARRAY_DTYPES, FLOAT_DTYPE)).astype(float)
+
+
+def _weights_as_a_list(model):
+    # As format 5 held them.
+    model["params"]["w"] = _weights(model).tolist()
+
+
+def _first_weight_nan(model):
+    w = _weights(model)
+    w[0] = float("nan")
+    model["params"]["w"] = pack_array(w)
 
 
 def _as_ensemble(model, **extra):
@@ -497,7 +510,7 @@ def _ensemble_member_space_family_count(model):
 
 def _give_space(model, space, width):
     """Give a linear model's doc ``space``, with its hash and zero weights."""
-    model.update(space=space, params={"w": [0.0] * width, "b": 0.0},
+    model.update(space=space, params={"w": pack_array(np.zeros(width)), "b": 0.0},
                  space_hash=hashlib.sha256(json.dumps(space, sort_keys=True).encode()).hexdigest())
 
 
@@ -550,7 +563,17 @@ _PROBES = {
     "corpus-directory": ("--corpus", None, None),
     "model-weights-string": ("--model", "model.json",
                              lambda d: d["params"].update(w="abc")),
-    "model-weights-list-of-strings": ("--model", "model.json", _weights_as_strings),
+    "model-weights-list": ("--model", "model.json", _weights_as_a_list),
+    "model-weights-bad-base64": ("--model", "model.json",
+                                 lambda d: d["params"]["w"].update(data="#")),
+    "model-weights-unlisted-dtype": ("--model", "model.json",
+                                     lambda d: d["params"]["w"].update(dtype="<f4")),
+    "model-weights-partial-value": ("--model", "model.json",
+                                    lambda d: d["params"]["w"].update(
+                                        dtype="<f8", data=base64.b64encode(bytes(9)).decode())),
+    "model-knn-rows-not-filled": ("--model", "model.json",
+                                  lambda d: d.update(kind="knn", params={
+                                      "x": pack_array(np.zeros(3)), "y": pack_array(np.zeros(1))})),
     "model-kind-list": ("--model", "model.json", lambda d: d.update(kind=["linear"])),
     "spec-count-string": ("--spec", None, {"n_benign": "x"}),
     "spec-misspelled-key": ("--spec", None,
@@ -620,8 +643,7 @@ _PROBES = {
                             lambda d: d["params"].update(b=float("inf"))),
     "model-bias-beyond-float": ("--model", "model.json",
                                 lambda d: d["params"].update(b=10**400)),
-    "model-weight-nan": ("--model", "model.json",
-                         lambda d: d["params"]["w"].__setitem__(0, float("nan"))),
+    "model-weight-nan": ("--model", "model.json", _first_weight_nan),
     "model-forest-split-at-nan": ("--model", "model.json",
                                   lambda d: d.update(kind="forest",
                                                      params={"trees": [_SPLIT_AT_NAN]})),
@@ -808,8 +830,14 @@ _PROBE_FIELDS = {
     "corpus-unknown-ground-truth": "app b000: bad ground truth: evil",
     "corpus-benign-count-string": 'benign is "x", not an integer',
     "corpus-spec-count-string": "corpus spec: n_benign is 'x', not a non-negative integer",
-    "model-weights-string": "linear model: params.w is not an array of numbers",
-    "model-weights-list-of-strings": "linear model: params.w is not an array of numbers",
+    "model-weights-string": "linear model: params.w is not a {dtype, data} object",
+    "model-weights-list": "linear model: params.w is not a {dtype, data} object",
+    "model-weights-bad-base64": "linear model: params.w data is not valid base64",
+    "model-weights-unlisted-dtype": ('linear model: params.w dtype "<f4" is not one of '
+                                     "<u1, <i1, <u2, <i2, <u4, <i4, <i8, <f8"),
+    "model-weights-partial-value": (
+        "linear model: params.w data holds 9 bytes, not a multiple of 8 for <f8"),
+    "model-knn-rows-not-filled": "knn model: params.x holds 3 values, which do not fill rows of ",
     "spec-count-string": "corpus spec: n_benign is 'x', not a non-negative integer",
     "spec-misspelled-key": "corpus spec: unknown key 'n_malicous'",
     "spec-removed-knob": "corpus spec: unknown key 'edge_factor'",

@@ -23,11 +23,11 @@ from apk_builders import (
     write_file,
 )
 from pst_evade import detectors, perturbset
-from pst_evade.catalog import canonical_json, check_format, load_default_catalog, read_document
+from pst_evade.catalog import (ARRAY_DTYPES, canonical_json, check_format, load_default_catalog,
+                              pack_array, read_document, unpack_array)
 from pst_evade.corpus import (
     ACTION_MAIN,
     API_FAMILY_COUNT,
-    ARRAY_DTYPES,
     CATEGORY_LAUNCHER,
     CORPUS_FORMAT,
     ApkModel,
@@ -43,11 +43,9 @@ from pst_evade.corpus import (
     corpus_to_dict,
     generate_corpus,
     load_corpus,
-    pack_array,
     save_corpus,
     spec_from_dict,
     spec_to_dict,
-    unpack_array,
     validate_apk,
     verify_isolation,
 )

@@ -1,4 +1,5 @@
 """Detector training, querying, and serialization."""
+import base64
 import hashlib
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from apk_builders import MODEL_LISTS, apk, file_document, write_file
 from pst_evade import detectors
 from pst_evade.attack import AttackConfig, Oracle, run_attack
-from pst_evade.catalog import load_default_catalog, read_document
+from pst_evade.catalog import load_default_catalog, pack_array, read_document
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
@@ -265,28 +266,65 @@ def test_knn_answer_of_a_row_does_not_depend_on_the_row_before(monkeypatch):
             assert confidence_from_dense(model, x) == answer
 
 
-def _float_matrices(block):
-    """The float64 matrices a kNN block holds, its fit rows among them."""
+def _held_matrices(block):
+    """The 2-D arrays a kNN block holds, its members' fit rows among them."""
     held = [*vars(block).values(), *(a for fit in block.fits for a in fit)]
-    return [a for a in held
-            if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2]
+    return [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2]
 
 
-def test_knn_kernel_keeps_params_x_as_its_one_float_copy(stock_ensemble):
+def test_knn_block_holds_its_0_1_fit_rows_once_as_uint8(stock_ensemble):
     model = train("knn", *_separable_rows(), seed=3)
     by_hand = DetectorModel(kind="knn", space=_binary_space(("a", "b")),
                             params={"x": np.array([[0, 1], [1, 0], [1, 1]]),
                                     "y": np.array([0.0, 1.0, 1.0])})
-    for m in (model, by_hand):
-        block = m.blocks[0]
-        assert block.words is not None
-        assert m.params["x"].dtype == np.float64
-        assert [a is m.params["x"] for a in _float_matrices(block)] == [True]
-    # An ensemble's kNN block reads its members' own fit rows, copying none.
     knn = [m for m in stock_ensemble.members if m.kind == "knn"]
-    (block,) = [b for b in stock_ensemble.blocks if isinstance(b, _KnnBlock)]
-    assert [a is m.params["x"] for a, m in zip(_float_matrices(block), knn)] == [True] * 2
-    assert len(_float_matrices(block)) == len(knn)
+    (joined,) = [b for b in stock_ensemble.blocks if isinstance(b, _KnnBlock)]
+    for block, members in ((model.blocks[0], [model]), (by_hand.blocks[0], [by_hand]),
+                           (joined, knn)):
+        block.flips  # built on first use: an int8 (columns x fit rows) matrix
+        assert block.words is not None
+        assert all(m.params["x"].dtype == np.uint8 for m in members)
+        # The fit rows are the members' own params["x"], and no other matrix of
+        # their shape or of float64 is held.
+        shapes = {m.params["x"].shape for m in members}
+        assert [id(a) for a in _held_matrices(block) if a.shape in shapes] == [
+            id(m.params["x"]) for m in members]
+        assert [a for a in _held_matrices(block) if a.dtype == np.float64] == []
+
+
+def test_knn_block_keeps_fractional_fit_rows_as_float64():
+    x = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+    model = DetectorModel(kind="knn", space=_binary_space(("a", "b")),
+                          params={"x": x, "y": np.array([0.0, 1.0, 1.0])})
+    assert model.blocks[0].words is None
+    assert model.params["x"] is x
+    assert [a is x for a in _held_matrices(model.blocks[0])] == [True]
+
+
+def _bits(a):
+    """``a``'s float64 values as bits: -0.0 is not 0.0, and NaN equals NaN."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_difference_form_at_uint8_fit_rows_answers_as_at_float64_ones():
+    rng = np.random.default_rng(5)
+    fit = _random_0_1(rng, (30, 70), 0.3)
+    y = rng.integers(0, 2, 30).astype(float)
+    model = DetectorModel(kind="knn", space=_space_of_width("binary", 70),
+                          params={"x": fit.copy(), "y": y})
+    narrow = model.blocks[0]
+    assert model.params["x"].dtype == np.uint8
+    # The same block over the float64 rows, as it was built before narrowing.
+    wide = _KnnBlock(narrow.space, [(fit, y, detectors.KNN_K)], narrow.words)
+    base = _random_0_1(rng, 70, 0.3)
+    for value in (0.5, 2.0, np.nan, np.inf, -np.inf):
+        for cols in ([3], [0, 40, 69], list(range(70))):
+            x = base.copy()
+            x[cols] = value
+            got, want = narrow.state(x), wide.state(x)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(_bits(got), _bits(want))
+            assert narrow.confidences(got) == wide.confidences(want)
 
 
 def _random_tree(rng, width, depth):
@@ -940,6 +978,21 @@ def test_model_file_round_trip(tmp_path, kind):
         "api.b", "api.a"]
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp", "knn", "forest"])
+def test_a_model_of_a_space_with_no_columns_round_trips(tmp_path, kind):
+    # A file's 2-D arrays of no values: the fit rows are as many as the labels,
+    # and w1's columns as the hidden units.
+    space = _binary_space(())
+    model = train(kind, space, np.zeros((8, 0)), ["malicious", "benign"] * 4, seed=3)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    for name, value in model.params.items():
+        if isinstance(value, np.ndarray):
+            assert back.params[name].shape == value.shape, name
+    assert back.kernel(np.zeros(0)) == model.kernel(np.zeros(0))
+
+
 def test_ensemble_file_round_trip(tmp_path, stock_ensemble):
     # The stock ensemble holds three api_cluster members, each with a built map.
     clustered = [m.space.cluster_map for m in stock_ensemble.members
@@ -949,6 +1002,59 @@ def test_ensemble_file_round_trip(tmp_path, stock_ensemble):
     save_model(stock_ensemble, path)
     save_model(load_model(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_stock_members_load_with_their_trained_params_and_answers(tmp_path, small_corpus,
+                                                                   stock_ensemble):
+    # Each array param comes back with its shape, its dtype (0/1 fit rows as
+    # uint8 in both) and every bit of its float64 values.
+    path = tmp_path / "ensemble.json"
+    save_model(stock_ensemble, path)
+    loaded = load_model(path)
+    assert len(loaded.members) == len(stock_ensemble.members) == 20
+    for trained, back in zip(stock_ensemble.members, loaded.members):
+        assert back.kind == trained.kind and back.params.keys() == trained.params.keys()
+        for name, value in trained.params.items():
+            if isinstance(value, np.ndarray):
+                got = back.params[name]
+                assert (got.shape, got.dtype) == (value.shape, value.dtype), name
+                assert np.array_equal(_bits(got), _bits(value)), name
+            else:
+                assert back.params[name] == value, name
+    _, test = small_corpus.train_test_split()
+    assert [query(loaded, a) for a in test] == [query(stock_ensemble, a) for a in test]
+
+
+def _stored_dtypes(model):
+    """The dtype a model file stores each array param in."""
+    return {name: v["dtype"] for name, v in model_to_dict(model)["params"].items()
+            if isinstance(v, dict) and "dtype" in v}
+
+
+def test_fractional_fit_rows_and_trained_weights_are_stored_as_float64():
+    rng = np.random.default_rng(4)
+    space = FeatureSpace("markov")
+    x = rng.random((24, space.width))
+    labels = ["malicious", "benign"] * 12
+    knn, mlp = (train(kind, space, x, labels, seed=3) for kind in ("knn", "mlp"))
+    assert _stored_dtypes(knn) == {"x": "<f8", "y": "<u1"}
+    assert _stored_dtypes(mlp) == {"w1": "<f8", "b1": "<f8", "w2": "<f8"}
+    for model in (knn, mlp):
+        back = model_from_dict(model_to_dict(model))
+        for name in _stored_dtypes(model):
+            assert np.array_equal(_bits(back.params[name]), _bits(model.params[name])), name
+
+
+def test_a_negative_zero_weight_keeps_its_sign_and_whole_weights_go_narrow():
+    signed = _linear_model([-0.0, 1.0], 0.0, keys=("a", "b"))
+    whole = _linear_model([0.0, -3.0], 0.0, keys=("a", "b"))
+    assert _stored_dtypes(signed) == {"w": "<f8"}
+    assert _stored_dtypes(whole) == {"w": "<i1"}
+    for model in (signed, whole):
+        w = model_from_dict(model_to_dict(model)).params["w"]
+        assert w.dtype == np.float64 and w.flags.aligned and w.flags.writeable
+        assert np.array_equal(_bits(w), _bits(model.params["w"]))
+    assert np.signbit(model_from_dict(model_to_dict(signed)).params["w"][0])
 
 
 @pytest.mark.parametrize("reference", [False, True], ids=["streamed", "reference"])
@@ -1093,7 +1199,7 @@ def test_model_file_holds_exactly_its_kinds_keys():
 
 def test_model_file_records_its_format(tmp_path):
     save_model(_linear_model([1.0], 0.0), tmp_path / "model.json")
-    assert json.loads((tmp_path / "model.json").read_text())["format"] == 5
+    assert json.loads((tmp_path / "model.json").read_text())["format"] == 6
 
 
 def test_ensembles_are_one_level_deep(tmp_path):
@@ -1147,7 +1253,7 @@ def test_a_model_file_is_refused_for_its_first_fault_in_file_order(tmp_path):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 6])
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5])
 def test_load_model_refuses_other_formats(tmp_path, found):
     path = tmp_path / "model.json"
     save_model(_linear_model([1.0], 0.0), path)
@@ -1201,13 +1307,23 @@ def _give_cluster_space(doc, space_extra=(), map_extra=()):
     doc["space"]["cluster_map"].update(map_extra)
 
 
+def _param_doc(doc, name, values=None, **fields):
+    """Give param ``name`` of model ``doc`` the array doc of ``values`` (by
+    default the one it holds) with ``fields`` changed."""
+    array = dict(doc["params"][name]) if values is None else pack_array(
+        np.asarray(values, dtype=np.float64))
+    doc["params"][name] = {**array, **fields}
+
+
 SCORING_PARAM_CASES = [
-    ("knn", lambda d: d["params"].update(x=[[0.0], [1.0]]),
-     "knn model: fit rows of shape (2, 1) do not match the 2-feature binary space"),
-    ("knn", lambda d: d["params"].update(x=[0.0, 1.0]), "knn model: fit rows of shape (2,)"),
-    ("knn", lambda d: d["params"].update(y=[0.0]), "knn model: y must hold one 0/1 label"),
-    ("knn", lambda d: d["params"].update(y=[0.0, 0.5]), "knn model: y must hold one 0/1 label"),
-    ("knn", lambda d: d["params"].update(x=d["params"]["x"][:2], y=d["params"]["y"][:2]),
+    ("knn", lambda d: _param_doc(d, "x", [0.0, 1.0, 1.0]),
+     "knn model: params.x holds 3 values, which do not fill rows of 2"),
+    ("knn", lambda d: _param_doc(d, "x", dtype="<f8"),
+     "knn model: params.x data holds 6 bytes, not a multiple of 8 for <f8"),
+    ("knn", lambda d: _param_doc(d, "y", [0.0]), "knn model: y must hold one 0/1 label"),
+    ("knn", lambda d: _param_doc(d, "y", [0.0, 0.5, 1.0]),
+     "knn model: y must hold one 0/1 label"),
+    ("knn", lambda d: (_param_doc(d, "x", [0.0, 1.0, 1.0, 0.0]), _param_doc(d, "y", [0.0, 1.0])),
      "knn model: k=3 is not between 1 and the 2"),
     ("forest", lambda d: d["params"]["trees"][0].update(feature=99),
      "forest model: split feature 99 is outside the 2-feature binary space"),
@@ -1215,9 +1331,9 @@ SCORING_PARAM_CASES = [
      "forest model: leaf vote 2 is not 0 or 1"),
     # A forest of no trees would answer 0 / 0.
     ("forest", lambda d: d["params"].update(trees=[]), "forest model: has no trees"),
-    ("linear", lambda d: d["params"].update(w=[1.0]), "linear model: weights w of shape (1,)"),
-    ("mlp", lambda d: d["params"].update(w1=[[1.0, 1.0, 1.0]]),
-     "mlp model: weights w1 of shape (1, 3) do not match the 2-feature"),
+    ("linear", lambda d: _param_doc(d, "w", [1.0]), "linear model: weights w of shape (1,)"),
+    ("mlp", lambda d: _param_doc(d, "w1", [1.0, 1.0, 1.0]),
+     "mlp model: params.w1 holds 3 values, which do not fill 2 rows"),
     ("forest", lambda d: d["params"]["trees"][0].update(threshold=None),
      "forest model: split threshold is null, not a number"),
     ("linear", lambda d: d["params"].update(b=None), "linear model: params.b is null"),
@@ -1225,23 +1341,24 @@ SCORING_PARAM_CASES = [
     ("linear", lambda d: d.update(threshold=None), "linear model: unknown key 'threshold'"),
     ("linear", lambda d: d.update(space=[]), "linear model: space is not a JSON object"),
     ("linear", lambda d: d.update(params=[]), "linear model: params is not a JSON object"),
-    ("linear", lambda d: d["params"].update(w=["1", "2"]),
-     "linear model: params.w is not an array of numbers"),
-    ("linear", lambda d: d["params"].update(w=[1.0, None]),
-     "linear model: params.w is not an array of numbers"),
-    ("linear", lambda d: d["params"].update(w=[True, False]),
-     "linear model: params.w is not an array of numbers"),
-    ("knn", lambda d: d["params"].update(x=[["0", "1"], ["1", "0"]]),
-     "knn model: params.x is not an array of numbers"),
-    ("knn", lambda d: d["params"].update(y=["0", "1"]),
-     "knn model: params.y is not an array of numbers"),
-    ("mlp", lambda d: d["params"].update(w1=[[1.0, 1.0, 1.0], [1.0]]),
-     "mlp model: params.w1 is not an array of numbers"),
-    ("mlp", lambda d: d["params"].update(b1=[0.0]),
+    # A params list, as format 5 held them, is not an array doc.
+    ("linear", lambda d: d["params"].update(w=[1.0, -1.0]),
+     "linear model: params.w is not a {dtype, data} object"),
+    ("linear", lambda d: _param_doc(d, "w", data="#"),
+     "linear model: params.w data is not valid base64"),
+    ("linear", lambda d: _param_doc(d, "w", dtype="<f4"),
+     'linear model: params.w dtype "<f4" is not one of <u1, <i1, <u2, <i2, <u4, <i4, <i8, <f8'),
+    ("knn", lambda d: _param_doc(d, "x", data=base64.b64encode(bytes(5)).decode()),
+     "knn model: params.x holds 5 values, which do not fill rows of 2"),
+    ("knn", lambda d: _param_doc(d, "y", [0.0, np.nan, 1.0]),
+     "knn model: params.y is not an array of finite numbers"),
+    ("mlp", lambda d: _param_doc(d, "w1", [np.inf] * 6),
+     "mlp model: params.w1 is not an array of finite numbers"),
+    ("mlp", lambda d: _param_doc(d, "b1", [0.0]),
      "mlp model: b1 of shape (1,) does not match the 3 hidden units of w1"),
-    ("mlp", lambda d: d["params"].update(b1=[[0.0, 0.0, 0.0]]),
-     "mlp model: b1 of shape (1, 3) does not match the 3 hidden units of w1"),
-    ("mlp", lambda d: d["params"].update(w2=[1.0, 1.0]),
+    ("mlp", lambda d: d["params"]["b1"].pop("dtype"),
+     "mlp model: params.b1 is not a {dtype, data} object"),
+    ("mlp", lambda d: _param_doc(d, "w2", [1.0, 1.0]),
      "mlp model: w2 of shape (2,) does not match the 3 hidden units of w1"),
     ("linear", lambda d: d["space"].update(keys="PQ"), "space keys are not a list of strings"),
     ("linear", lambda d: d["space"].update(kind="api_cluster", cluster_map={
@@ -1284,15 +1401,16 @@ SCORING_PARAM_CASES = [
 
 
 @pytest.mark.parametrize("kind,tamper,needle", SCORING_PARAM_CASES,
-                         ids=["knn_narrow_rows", "knn_flat_rows", "knn_short_y",
+                         ids=["knn_x_not_whole_rows", "knn_x_partial_value", "knn_short_y",
                               "knn_fractional_y", "knn_k_above_rows", "forest_feature_99",
                               "forest_vote_2", "forest_no_trees", "linear_narrow_w",
-                              "mlp_narrow_w1",
+                              "mlp_w1_not_whole_rows",
                               "forest_null_split", "linear_null_b", "mlp_string_b2",
                               "linear_null_threshold", "linear_space_array",
-                              "linear_params_array", "linear_string_w", "linear_null_in_w",
-                              "linear_bool_w", "knn_string_x", "knn_string_y",
-                              "mlp_ragged_w1", "mlp_short_b1", "mlp_2d_b1", "mlp_short_w2",
+                              "linear_params_array", "linear_list_w", "linear_w_bad_base64",
+                              "linear_w_unlisted_dtype", "knn_x_bytes_not_whole_rows",
+                              "knn_nan_y", "mlp_infinite_w1", "mlp_short_b1",
+                              "mlp_b1_without_dtype", "mlp_short_w2",
                               "linear_string_keys", "api_cluster_string_count", "knn_string_k",
                               "forest_bool_feature", "knn_even_k", "linear_unknown_hyperparam",
                               "linear_threshold_1.5", "forest_threshold_0",
@@ -1314,3 +1432,20 @@ def test_model_load_checks_scoring_params(kind, tamper, needle):
     ensemble = {**model_to_dict(Ensemble([_linear_model([1.0], 0.0)])), "members": [doc]}
     with pytest.raises(ValueError, match=re.escape(needle)):
         model_from_dict(ensemble)
+
+
+@pytest.mark.parametrize("kind,params,needle", [
+    ("knn", {"x": np.array([[0.0], [1.0]]), "y": np.array([0.0, 1.0])},
+     "knn model: fit rows of shape (2, 1) do not match the 2-feature binary space"),
+    ("knn", {"x": np.array([0.0, 1.0]), "y": np.array([0.0, 1.0])},
+     "knn model: fit rows of shape (2,)"),
+    ("mlp", {"w1": np.ones((1, 3)), "b1": np.zeros(3), "w2": np.ones(3), "b2": 0.0},
+     "mlp model: weights w1 of shape (1, 3) do not match the 2-feature"),
+    ("mlp", {"w1": np.ones((2, 3)), "b1": np.zeros((1, 3)), "w2": np.ones(3), "b2": 0.0},
+     "mlp model: b1 of shape (1, 3) does not match the 3 hidden units of w1"),
+], ids=["knn_narrow_rows", "knn_flat_rows", "mlp_narrow_w1", "mlp_2d_b1"])
+def test_hand_built_params_of_another_shape_are_refused(kind, params, needle):
+    # A file's arrays take their shapes from the space; a model built in memory
+    # is checked by its kernel or block.
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        DetectorModel(kind=kind, space=_binary_space(("perm:P", "perm:Q")), params=params)
