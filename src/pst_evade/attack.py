@@ -215,14 +215,3 @@ def run_attack(oracle, apk: ApkModel, pset: PerturbationSet,
         confidence_trace=tuple(trace), failure_reason=reason,
         adversarial=current, elapsed_trace=tuple(elapsed))
 
-
-def report_to_dict(report: AttackReport) -> dict:
-    return {
-        "sample_id": report.sample_id,
-        "outcome": report.outcome,
-        "queries_used": report.queries_used,
-        "wall_time": report.wall_time,
-        "applied": list(report.applied),
-        "confidence_trace": list(report.confidence_trace),
-        "failure_reason": report.failure_reason,
-    }

@@ -138,16 +138,18 @@ def read_lines(path: str | Path, fmt: tuple[str, int, str],
 def replacing(path: str | Path) -> Iterator[TextIO]:
     """A text file to write that replaces ``path`` once the block completes.
     Until then it is a temporary file beside ``path``: a block that raises
-    leaves ``path`` as it was and no temporary file behind."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    leaves ``path`` as it was and no temporary file behind. An ``OSError``
+    keeps its type and becomes one line naming ``path`` at its start, as
+    ``_refusals`` names a file it reads."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise type(exc)(f"{path}: {exc.strerror or exc}") from None
+    finally:
+        tmp.unlink(missing_ok=True)  # gone once it has replaced ``path``
 
 
 def write_lines(path: str | Path, doc: dict, lists: Mapping[str, Callable]) -> None:

@@ -1,14 +1,14 @@
-"""Command line front end: corpus generation, detector training, single attack
-runs, and full benchmark sweeps."""
+"""Command line front end: corpus generation, detector training, attack runs
+against one model file, and full benchmark sweeps; both of the latter write the
+report file that ``compare`` reads."""
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .attack import ALGORITHMS, reference_tree, report_to_dict
+from .attack import ALGORITHMS, reference_tree
 from .catalog import load_default_catalog, read_document
 from .corpus import (
     CorpusSpec,
@@ -21,15 +21,15 @@ from .detectors import DETECTOR_KINDS, FEATURE_KINDS, Ensemble, load_model, save
 from .harness import (
     REPORT_FORMAT,
     DetectorSpec,
-    attack_sample,
+    GridSettings,
     compute_asr,
     config_from_dict,
     format_grid,
     grid_from_rows,
     rows_from_dict,
     run_experiment,
+    run_grid,
     save_report,
-    select_true_positives,
     train_detector,
 )
 from .perturbset import build_perturbation_set
@@ -61,34 +61,27 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    corpus = load_corpus(args.corpus)
-    model = load_model(args.model)
+    settings = GridSettings(algorithms=(args.algorithm,), budgets=(args.budget,),
+                            sample_count=args.samples, seeds=(args.seed,))
+    corpus, model = load_corpus(args.corpus), load_model(args.model)
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
-    _, test = corpus.train_test_split()
-    malicious = [a for a in test if a.ground_truth == "malicious"]
-    targets = select_true_positives(model, malicious, args.samples, args.seed,
-                                    detector_name=args.model)
+    report = run_grid(settings, {args.model: model}, corpus, pset, {
+        "corpus_path": args.corpus, "model_path": args.model, "algorithm": args.algorithm,
+        "budget": args.budget, "sample_count": args.samples, "seed": args.seed})
     if args.dump_tree:
         dump_tree(reference_tree(pset), args.dump_tree)
-
-    rows = [report_to_dict(attack_sample(model, apk, pset, args.algorithm, args.budget,
-                                          args.seed))
-            for apk in targets]
-    asr = compute_asr(rows)
-    doc = {
-        "algorithm": args.algorithm, "budget": args.budget, "seed": args.seed,
-        "samples": len(rows), "asr": asr, "reports": rows,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"{args.algorithm}: ASR {asr:.3f} over {len(rows)} samples "
-          f"at budget {args.budget}; report in {args.out}")
+    save_report(report, args.out)
+    print(f"{args.algorithm}: ASR {compute_asr(report.rows):.3f} over {len(report.rows)} "
+          f"samples at budget {args.budget}; report in {args.out}")
     return 0
 
 
 def _cmd_bench(args) -> int:
     config = read_document(args.config, config_from_dict)
     report = run_experiment(config)
-    path = save_report(report, args.out_dir)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    path = Path(args.out_dir) / "report.json"
+    save_report(report, path)
     print(format_grid(report.grid))
     print(f"report: {path}")
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
-from .catalog import fields_of, integer, integers, items, number, only, string, strings
-from .corpus import GROUND_TRUTHS, ApkModel, Corpus, CorpusSpec, load_corpus, load_default_catalog
+from .catalog import fields_of, integer, integers, items, number, only, replacing, string, strings
+from .corpus import GROUND_TRUTHS, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
     FEATURE_KINDS,
@@ -31,13 +31,17 @@ from .detectors import (
 from .features import build_api_cluster_map, build_vocab
 from .perturbset import PerturbationSet, build_perturbation_set
 
-REPORT_FORMAT = 2
+REPORT_FORMAT = 3
 # A report row's columns in the order a report file lists them, each with its reader.
 REPORT_COLUMNS = {"sample_id": string, "detector": string, "algorithm": string,
                   "budget": integer, "seed": integer, "outcome": string,
                   "queries_used": integer, "wall_ms": number}
 # The columns that name a row's attack; a report holds one row of each, sorted by them.
 _ROW_KEY = ("detector", "algorithm", "budget", "seed", "sample_id")
+# The keys of an attack's detail, one per (detector, algorithm, seed, sample_id) sorted by
+# those four, from its run at the largest budget: a smaller budget saw a prefix of its trace.
+DETAIL_KEYS = ("detector", "algorithm", "seed", "sample_id",
+               "applied", "confidence_trace", "failure_reason")
 
 # Corpus behind the stock benchmark: large enough that the linear detector
 # leaves well over the default 100 attackable true positives in the test split.
@@ -65,18 +69,23 @@ class DetectorSpec:
         integer(self.train_seed, "train_seed", lo=0)
 
 
+def _refuse_repeats(what: str, values) -> None:
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{what} {repeated!r} is repeated")
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
-    detectors: tuple[DetectorSpec, ...]
-    corpus_path: str | None = None
+class GridSettings:
+    """A grid's algorithms, budgets, true positives per (detector, master seed)
+    and master seeds, checked when built: before any file is read."""
+
     algorithms: tuple[str, ...] = ("pst", "mab", "random")
     budgets: tuple[int, ...] = (10, 20, 30, 40)
     sample_count: int = 100
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        if len(self.detectors) == 0:
-            raise ValueError("experiment needs at least one detector")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm: {algo}")
@@ -88,22 +97,35 @@ class ExperimentConfig:
             raise ValueError("experiment needs at least one seed")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        # A repeat would attack its cells twice, or, for a detector name, drop
-        # the first detector of that name.
-        for what, values in (("detector name", [d.name for d in self.detectors]),
-                             ("algorithm", list(self.algorithms)), ("seed", list(self.seeds))):
-            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
-            if repeated is not None:
-                raise ValueError(f"{what} {repeated!r} is repeated")
+        # A repeat would attack its cells twice.
+        _refuse_repeats("algorithm", self.algorithms)
+        _refuse_repeats("seed", self.seeds)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(GridSettings):
+    """A bench config: the grid settings, the detectors to train and the corpus."""
+
+    corpus_path: str | None = None
+    detectors: tuple[DetectorSpec, ...] = field(kw_only=True)
+
+    def __post_init__(self):
+        if len(self.detectors) == 0:
+            raise ValueError("experiment needs at least one detector")
+        super().__post_init__()
+        # A repeat would drop the first detector of that name.
+        _refuse_repeats("detector name", tuple(d.name for d in self.detectors))
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """A bench run; its per-seed ``cells`` and its ``grid`` of means over seeds
+    """A grid run: the config it records, its rows and its attacks' details
+    (``DETAIL_KEYS``); its per-seed ``cells`` and ``grid`` of means over seeds
     are read off its rows."""
 
     config: dict
     rows: tuple[dict, ...]
+    details: tuple[tuple, ...]
 
     @property
     def cells(self) -> list[dict]:
@@ -266,23 +288,18 @@ def make_default_ensemble(corpus: Corpus, seed: int = 0, size: int = 20) -> Ense
 
 def select_true_positives(model: DetectorModel | Ensemble, candidates, count: int,
                            master_seed: int, detector_name: str):
-    """First `count` detected malicious samples in seed-shuffled order."""
-    if count < 1:
-        raise ValueError(f"true-positive count must be >= 1, got {count}")
+    """First `count` detected malicious samples of the first 10 * `count` in seeded order."""
     pool = list(candidates)
     random.Random(master_seed).shuffle(pool)
-    cap = min(len(pool), 10 * count)
     picked = []
-    examined = 0
-    for apk in pool[:cap]:
-        examined += 1
+    for apk in pool[:10 * count]:
         if model_query(model, apk).label == "malicious":
             picked.append(apk)
             if len(picked) == count:
                 return picked
     raise ValueError(
         f"detector {detector_name!r} yielded only {len(picked)} true positives "
-        f"after examining {examined} candidates (requested {count})")
+        f"after examining {min(len(pool), 10 * count)} candidates (requested {count})")
 
 
 def budget_rows(report: AttackReport, budgets) -> list[tuple[int, str, int, float]]:
@@ -296,33 +313,19 @@ def budget_rows(report: AttackReport, budgets) -> list[tuple[int, str, int, floa
     the last answer that attack saw, q - b answers before the report's last.
     """
     q = report.queries_used
-    rows = []
-    for b in budgets:
-        if q <= b:
-            rows.append((b, report.outcome, q, report.wall_time * 1000.0))
-        else:
-            rows.append((b, "failure", b, report.elapsed_trace[b - q - 1] * 1000.0))
-    return rows
+    return [(b, report.outcome, q, report.wall_time * 1000.0) if q <= b
+            else (b, "failure", b, report.elapsed_trace[b - q - 1] * 1000.0) for b in budgets]
 
 
-def attack_sample(model: DetectorModel | Ensemble, apk: ApkModel, pset: PerturbationSet,
-                  algorithm: str, budget: int, master_seed: int) -> AttackReport:
-    """One attack on one true positive, with its own ``Oracle`` and the seed
-    derived from (master seed, sample id)."""
-    cfg = AttackConfig(budget=budget, algorithm=algorithm,
-                       seed=derive_seed(master_seed, apk.id))
-    return run_attack(Oracle(model), apk, pset, cfg)
-
-
-def run_experiment(config: ExperimentConfig,
-                   corpus: Corpus | None = None) -> MetricsReport:
-    """Run the full detector x algorithm x budget x seed grid.
-
-    The corpus may be passed directly; otherwise it is loaded from the
-    configured path. Attack wall times never include this setup work.
+def run_grid(settings: GridSettings, models: dict[str, DetectorModel | Ensemble],
+             corpus: Corpus, pset: PerturbationSet, config: dict) -> MetricsReport:
+    """Run the grid of ``settings`` against each named model, on the malicious
+    apps of the corpus test split, with perturbations from ``pset``; the report
+    records ``config``.
 
     Each (detector, master seed, algorithm, true positive) is attacked once, at
-    the largest budget, and every budget's row is derived from that report R
+    the largest budget, with its own ``Oracle`` and the seed derived from
+    (master seed, sample id). Every budget's row is derived from that report R
     (``budget_rows``). With q = R's ``queries_used`` and b the row's budget:
 
     - R not applicable: the row is ``not_applicable`` with 0 queries;
@@ -334,39 +337,49 @@ def run_experiment(config: ExperimentConfig,
     where R ended, and otherwise R's elapsed time at its b-th answer after the
     gate query (``AttackReport.elapsed_trace``), the last answer the budget-b
     attack would have seen. The rows equal those of one attack per budget,
-    wall clock aside, so success rates never drop as the budget grows.
+    wall clock aside, so success rates never drop as the budget grows. R's
+    detail keeps its own tuples, not R, which holds the adversarial app.
     """
+    _, test_apks = corpus.train_test_split()
+    malicious_test = [a for a in test_apks if a.ground_truth == "malicious"]
+    # Every (detector, master seed) has its true positives before the first
+    # attack, so a grid that cannot run fails before any attack does.
+    true_positives = {(name, master): select_true_positives(
+        model, malicious_test, settings.sample_count, master, name)
+        for name, model in models.items() for master in settings.seeds}
+
+    rows, details = [], []
+    for name, model in models.items():
+        for master in settings.seeds:
+            for algo in settings.algorithms:
+                for apk in true_positives[name, master]:
+                    report = run_attack(Oracle(model), apk, pset, AttackConfig(
+                        budget=settings.budgets[-1], algorithm=algo,
+                        seed=derive_seed(master, apk.id)))
+                    rows.extend(dict(zip(REPORT_COLUMNS, (apk.id, name, algo, budget, master,
+                                                          *ending)))
+                                for budget, *ending in budget_rows(report, settings.budgets))
+                    details.append((name, algo, master, apk.id, report.applied,
+                                    report.confidence_trace, report.failure_reason))
+    rows.sort(key=itemgetter(*_ROW_KEY))
+    details.sort(key=itemgetter(0, 1, 2, 3))
+    return MetricsReport(config=config, rows=tuple(rows), details=tuple(details))
+
+
+def run_experiment(config: ExperimentConfig,
+                   corpus: Corpus | None = None) -> MetricsReport:
+    """Train the config's detectors and run their grid (``run_grid``) with the
+    pset of the bundled catalog and the corpus's donors. The corpus may be
+    passed directly; otherwise it is loaded from the configured path. Attack
+    wall times never include this setup work."""
     if corpus is None:
         if config.corpus_path is None:
             raise ValueError("config has no corpus path and no corpus was given")
         corpus = load_corpus(config.corpus_path)  # FileNotFoundError when missing
 
-    _, test_apks = corpus.train_test_split()
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
-    models = {spec.name: train_detector(spec, corpus)
-              for spec in config.detectors}
-    malicious_test = [a for a in test_apks if a.ground_truth == "malicious"]
-    # Every (detector, master seed) has its true positives before the first
-    # attack, so a config that cannot run fails before any attack does.
-    true_positives = {(spec.name, master): select_true_positives(
-        models[spec.name], malicious_test, config.sample_count, master, spec.name)
-        for spec in config.detectors for master in config.seeds}
-
-    rows = []
-    for spec in config.detectors:
-        model = models[spec.name]
-        for master in config.seeds:
-            tps = true_positives[spec.name, master]
-            for algo in config.algorithms:
-                for apk in tps:
-                    report = attack_sample(model, apk, pset, algo, config.budgets[-1], master)
-                    rows.extend({
-                        "sample_id": apk.id, "detector": spec.name, "algorithm": algo,
-                        "budget": budget, "seed": master, "outcome": outcome,
-                        "queries_used": queries, "wall_ms": wall_ms,
-                    } for budget, outcome, queries, wall_ms in budget_rows(report, config.budgets))
-    rows.sort(key=itemgetter(*_ROW_KEY))
-    return MetricsReport(config=config_to_dict(config), rows=tuple(rows))
+    models = {spec.name: train_detector(spec, corpus) for spec in config.detectors}
+    return run_grid(config, models, corpus, pset, config_to_dict(config))
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +420,25 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         budgets=integers, sample_count=integer, seeds=integers))
 
 
-def save_report(report: MetricsReport, out_dir: str | Path) -> Path:
-    """Write ``report.json``: the format, the config, the column names and one
-    list of values per row."""
-    path = Path(out_dir) / "report.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
+def save_report(report: MetricsReport, path: str | Path) -> None:
+    """Write a report file through ``replacing``: the format, the config, the
+    column names, one list of values per row and one object per detail."""
     rows = [[row[c] for c in REPORT_COLUMNS] for row in report.rows]
-    path.write_text(json.dumps({"format": REPORT_FORMAT, "config": report.config,
-                                "columns": list(REPORT_COLUMNS), "rows": rows}) + "\n")
-    return path
+    details = [dict(zip(DETAIL_KEYS, detail)) for detail in report.details]
+    with replacing(path) as fh:
+        fh.write(json.dumps({"format": REPORT_FORMAT, "config": report.config,
+                             "columns": list(REPORT_COLUMNS), "rows": rows,
+                             "details": details}) + "\n")
 
 
 def rows_from_dict(doc: dict) -> list[dict]:
-    """The rows of a report document, as ``run_experiment`` made them. A key
-    other than ``format``, ``config``, ``columns`` and ``rows``, a row of the
-    wrong length, a value of the wrong JSON type, an unknown outcome or a second
-    row of one (detector, algorithm, budget, seed, sample_id) is a ValueError
-    naming the key, or the row and the column or the earlier row."""
-    only(doc, ("format", "config", "columns", "rows"), "report")
+    """The rows of a report document, as ``run_grid`` made them; its config and
+    details are not read. A key other than ``format``, ``config``, ``columns``,
+    ``rows`` and ``details``, a row of the wrong length, a value of the wrong
+    JSON type, an unknown outcome or a second row of one (detector, algorithm,
+    budget, seed, sample_id) is a ValueError naming the key, or the row and the
+    column or the earlier row."""
+    only(doc, ("format", "config", "columns", "rows", "details"), "report")
     if strings(doc["columns"], "columns") != tuple(REPORT_COLUMNS):
         raise ValueError(f"columns are not {', '.join(REPORT_COLUMNS)}")
     rows, first, row_key = [], {}, itemgetter(*_ROW_KEY)

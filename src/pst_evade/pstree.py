@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+from .catalog import replacing
 from .perturbset import CHILD_ORDER, PerturbationGroup, leaf_path
 
 # A confidence change within EPSILON counts as no effect.
@@ -261,5 +262,5 @@ def tree_to_dict(tree: PSTree) -> dict:
 
 
 def dump_tree(tree: PSTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(tree_to_dict(tree), fh, indent=2, sort_keys=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from apk_builders import HARDENED, ContentOracle, apk, small_pset
-from pst_evade.attack import AttackConfig, report_to_dict, run_attack
+from pst_evade.attack import AttackConfig, run_attack
 
 RECORDED = Path(__file__).parent / "data" / "attack_reports.json"
 # Budgets from one query to more than the tree has leaves, and a target that
@@ -30,9 +30,11 @@ CASES = [(algorithm, seed, budget, hardened)
 def _report(algorithm, seed, budget, hardened):
     config = AttackConfig(budget=budget, algorithm=algorithm, seed=seed)
     target = apk(perms=[(HARDENED, "signature")] if hardened else [])
-    doc = report_to_dict(run_attack(ContentOracle(), target, small_pset(), config))
-    del doc["wall_time"]
-    return doc
+    report = run_attack(ContentOracle(), target, small_pset(), config)
+    return {"sample_id": report.sample_id, "outcome": report.outcome,
+            "queries_used": report.queries_used, "applied": list(report.applied),
+            "confidence_trace": list(report.confidence_trace),
+            "failure_reason": report.failure_reason}
 
 
 def _case_id(algorithm, seed, budget, hardened):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from apk_builders import CORPUS_LISTS, MODEL_LISTS, file_document, file_text, write_file
-from pst_evade.attack import AttackConfig, Oracle, reference_tree, report_to_dict, run_attack
+from pst_evade.attack import AttackConfig, Oracle, reference_tree, run_attack
 from pst_evade.catalog import (ARRAY_DTYPES, FLOAT_DTYPE, canonical_json, load_default_catalog,
                               pack_array, read_document, unpack_array)
 from pst_evade.cli import main
@@ -26,7 +26,8 @@ from pst_evade.detectors import (
     model_from_dict,
     model_to_dict,
 )
-from pst_evade.harness import derive_seed, rows_from_dict, select_true_positives
+from pst_evade.harness import (compute_asr, derive_seed, format_grid, grid_from_rows,
+                               rows_from_dict, select_true_positives)
 from pst_evade.perturbset import build_perturbation_set
 from pst_evade.pstree import tree_to_dict
 
@@ -142,25 +143,35 @@ def test_train_and_attack_each_detector_kind_and_feature_space(workdir, capsys, 
     assert main(["attack", "--corpus", str(corpus), "--model", str(path), "--budget", "5",
                  "--samples", str(samples), "--out", str(report)]) == 0
     doc = json.loads(report.read_text())
-    assert doc["samples"] == samples and len(doc["reports"]) == samples
-    assert all(rep["queries_used"] <= 5 for rep in doc["reports"])
+    rows = rows_from_dict(doc)
+    assert len(rows) == len(doc["details"]) == samples
+    assert all(row["queries_used"] <= 5 for row in rows)
 
 
 def test_attack_writes_report(workdir, capsys):
     out = workdir / "attack.json"
     tree = workdir / "tree.json"
-    assert main(["attack", "--corpus", str(workdir / "corpus.json"),
-                 "--model", str(workdir / "model.json"),
+    corpus, model = str(workdir / "corpus.json"), str(workdir / "model.json")
+    capsys.readouterr()
+    assert main(["attack", "--corpus", corpus, "--model", model,
                  "--algorithm", "pst", "--budget", "6", "--samples", "4",
                  "--seed", "2", "--out", str(out),
                  "--dump-tree", str(tree)]) == 0
+    # The report file bench writes, of one row and one detail per attack; its
+    # config records what the run used, and no train seed or feature kind.
     doc = json.loads(out.read_text())
-    assert doc["samples"] == 4
-    assert 0.0 <= doc["asr"] <= 1.0
-    assert len(doc["reports"]) == 4
-    for rep in doc["reports"]:
-        assert rep["queries_used"] <= 6
-        assert rep["outcome"] in ("success", "failure")
+    assert doc["format"] == 3
+    assert doc["config"] == {"corpus_path": corpus, "model_path": model, "algorithm": "pst",
+                             "budget": 6, "sample_count": 4, "seed": 2}
+    rows = rows_from_dict(doc)
+    assert len(rows) == len(doc["details"]) == 4
+    for row in rows:
+        assert (row["detector"], row["algorithm"], row["budget"], row["seed"]) == (
+            model, "pst", 6, 2)
+        assert row["queries_used"] <= 6
+        assert row["outcome"] in ("success", "failure")
+    assert capsys.readouterr().out == (f"pst: ASR {compute_asr(rows):.3f} over 4 samples "
+                                       f"at budget 6; report in {out}\n")
     snapshot = json.loads(tree.read_text())
     assert snapshot["root"]["label"] == "root"
     # The dump is the reference tree the attacks copy, with one leaf per group of
@@ -170,7 +181,6 @@ def test_attack_writes_report(workdir, capsys):
     assert snapshot["leaf_count"] == len(pset.groups)
     assert "config" not in snapshot
     assert snapshot == tree_to_dict(reference_tree(pset))
-    assert "ASR" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("algorithm", ["pst", "mab"])
@@ -188,13 +198,18 @@ def test_attack_reports_the_in_process_attacks_on_its_corpus_pset(workdir, algor
     _, test = corpus.train_test_split()
     targets = select_true_positives(model, [a for a in test if a.ground_truth == "malicious"],
                                     3, 4, detector_name=str(model_path))
-    expected = [report_to_dict(run_attack(Oracle(model), apk, pset, AttackConfig(
-                    budget=6, algorithm=algorithm, seed=derive_seed(4, apk.id))))
-                for apk in targets]
-    written = json.loads(out.read_text())["reports"]
-    for doc in written + expected:
-        del doc["wall_time"]
-    assert written == expected
+    expected = sorted((run_attack(Oracle(model), apk, pset, AttackConfig(
+                           budget=6, algorithm=algorithm, seed=derive_seed(4, apk.id)))
+                       for apk in targets), key=lambda report: report.sample_id)
+    doc = json.loads(out.read_text())
+    assert [(row["sample_id"], row["outcome"], row["queries_used"])
+            for row in rows_from_dict(doc)] == [
+        (report.sample_id, report.outcome, report.queries_used) for report in expected]
+    assert doc["details"] == [{
+        "detector": str(model_path), "algorithm": algorithm, "seed": 4,
+        "sample_id": report.sample_id, "applied": list(report.applied),
+        "confidence_trace": list(report.confidence_trace),
+        "failure_reason": report.failure_reason} for report in expected]
 
 
 def test_attack_on_a_corpus_without_donors_draws_manifest_perturbations_only(workdir):
@@ -210,9 +225,9 @@ def test_attack_on_a_corpus_without_donors_draws_manifest_perturbations_only(wor
     assert len(pset) == 256 and not any(p.kind.startswith("inject_") for p in pset.perturbations)
     assert json.loads(tree.read_text()) == tree_to_dict(reference_tree(pset))
     assert json.loads(tree.read_text())["leaf_count"] == len(pset.groups) == 208
-    reports = json.loads(out.read_text())["reports"]
-    assert len(reports) == 2
-    assert not any(key.startswith("inject_") for rep in reports for key in rep["applied"])
+    details = json.loads(out.read_text())["details"]
+    assert len(details) == 2
+    assert not any(key.startswith("inject_") for detail in details for key in detail["applied"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,10 +271,12 @@ def _report_rows(out_dir):
 
 def test_bench_outputs(bench_outputs, capsys):
     _, out_dir = bench_outputs
-    # bench writes one file, a format-2 report.json of one list of values a row.
+    # bench writes one file, a format-3 report.json of one list of values a row
+    # and one detail per attack, run at the largest budget.
     assert [p.name for p in out_dir.iterdir()] == ["report.json"]
     doc = json.loads((out_dir / "report.json").read_text())
-    assert doc["format"] == 2
+    assert doc["format"] == 3
+    assert len(doc["details"]) == 3 * 4  # algorithms x samples
     assert doc["columns"] == ["sample_id", "detector", "algorithm", "budget", "seed",
                               "outcome", "queries_used", "wall_ms"]
     rows = _report_rows(out_dir)
@@ -392,8 +409,74 @@ def test_attack_refuses_a_sample_count_below_one(workdir, capsys, samples):
     args[args.index("--samples") + 1] = samples
     capsys.readouterr()
     assert main(args) == 2
-    assert capsys.readouterr().err == (
-        f"pst-evade: error: true-positive count must be >= 1, got {samples}\n")
+    assert capsys.readouterr().err == "pst-evade: error: sample_count must be >= 1\n"
+
+
+@pytest.mark.parametrize("samples,budget,needle", [
+    ("2", "0", "budgets must be positive"),
+    ("0", "4", "sample_count must be >= 1"),
+])
+def test_attack_refuses_its_settings_before_it_reads_a_file(workdir, capsys, samples, budget,
+                                                             needle):
+    capsys.readouterr()
+    assert main(["attack", "--corpus", str(workdir / "missing.json"), "--model",
+                 str(workdir / "missing-model.json"), "--budget", budget, "--samples", samples,
+                 "--out", str(workdir / "err.json")]) == 2
+    assert capsys.readouterr().err == f"pst-evade: error: {needle}\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("gen-corpus", "--out"), ("train", "--out"), ("attack", "--out"), ("attack", "--dump-tree"),
+])
+def test_output_into_a_missing_directory_is_refused_naming_the_path_given(workdir, capsys,
+                                                                          command, flag):
+    out = workdir / "nodir" / "out.json"
+    inputs = {"gen-corpus": ["--spec", str(workdir / "spec.json")],
+              "train": ["--corpus", str(workdir / "corpus.json")],
+              "attack": _attack_args(workdir, workdir / "corpus.json",
+                                     workdir / "model.json")[1:]}[command]
+    capsys.readouterr()
+    assert main([command, *inputs, flag, str(out)]) == 2
+    assert capsys.readouterr().err == f"pst-evade: error: {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["pst", "mab", "random"])
+def test_attack_and_a_one_detector_bench_share_one_run_path(workdir, algorithm):
+    # workdir/model.json is `train --kind linear --seed 0`, as the bench trains
+    # its one detector; only the detector's name and the wall clock differ.
+    corpus, model = workdir / "corpus.json", workdir / "model.json"
+    attack_out, bench_dir = workdir / f"shared-{algorithm}.json", workdir / f"shared-{algorithm}"
+    config = workdir / f"shared-{algorithm}-config.json"
+    config.write_text(json.dumps({"corpus_path": str(corpus), "detectors": [{"name": "linear"}],
+                                  "algorithms": [algorithm], "budgets": [6],
+                                  "sample_count": 3, "seeds": [4]}))
+    assert main(["attack", "--corpus", str(corpus), "--model", str(model), "--algorithm",
+                 algorithm, "--budget", "6", "--samples", "3", "--seed", "4",
+                 "--out", str(attack_out)]) == 0
+    assert main(["bench", "--config", str(config), "--out-dir", str(bench_dir)]) == 0
+    attacked = json.loads(attack_out.read_text())
+    benched = json.loads((bench_dir / "report.json").read_text())
+
+    def shared(entries):
+        return [{k: v for k, v in entry.items() if k not in ("detector", "wall_ms")}
+                for entry in entries]
+
+    assert {row["detector"] for row in rows_from_dict(attacked)} == {str(model)}
+    assert shared(rows_from_dict(attacked)) == shared(rows_from_dict(benched))
+    assert len(attacked["details"]) == 3
+    assert shared(attacked["details"]) == shared(benched["details"])
+
+
+def test_compare_prints_the_grid_of_an_attack_report(workdir, capsys):
+    model, out = workdir / "model.json", workdir / "compared-attack.json"
+    assert main(_attack_args(workdir, workdir / "corpus.json", model)[:-1] + [str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--reports", str(out)]) == 0
+    printed = capsys.readouterr().out
+    grid = grid_from_rows(rows_from_dict(json.loads(out.read_text())))
+    assert printed == f"== {out}\n{format_grid(grid)}\n"
+    assert printed.splitlines()[3].startswith(f"{model} pst ")
 
 
 def _truncated_copy(source, dest):
@@ -586,6 +669,7 @@ _PROBES = {
                                       lambda d: d["detectors"][0].update(cluster_count=24)),
     "compare-report-without-grid": ("--reports", None, {"config": {}}),
     "report-format-1": ("--reports", "bench_out/report.json", lambda d: d.pop("format")),
+    "report-format-2": ("--reports", "bench_out/report.json", lambda d: d.update(format=2)),
     "report-columns-renamed": ("--reports", "bench_out/report.json",
                                lambda d: d["columns"].__setitem__(0, "sample")),
     "report-short-row": ("--reports", "bench_out/report.json", lambda d: d["rows"][0].pop()),
@@ -739,6 +823,7 @@ _PROBES = {
 _PROBE_FIELDS = {
     "compare-report-without-grid": "report format 1 is not supported; rerun bench",
     "report-format-1": "report format 1 is not supported; rerun bench",
+    "report-format-2": "report format 2 is not supported; rerun bench",
     "report-columns-renamed": "columns are not sample_id, detector, algorithm, budget, seed",
     "report-short-row": "row 0 has 7 values, not 8",
     "report-budget-string": 'row 0 budget is "4", not an integer',

@@ -14,6 +14,7 @@ from pst_evade.corpus import CorpusSpec, generate_corpus
 from pst_evade.detectors import DetectorModel
 from pst_evade.detectors import query as model_query
 from pst_evade.harness import (
+    DETAIL_KEYS,
     DetectorSpec,
     ExperimentConfig,
     budget_rows,
@@ -285,7 +286,7 @@ def test_a_config_that_cannot_run_fails_before_any_attack(small_corpus, monkeypa
 
     calls = []
     monkeypatch.setattr(harness, "train_detector", training)
-    monkeypatch.setattr(harness, "attack_sample", lambda *args: calls.append(args))
+    monkeypatch.setattr(harness, "run_attack", lambda *args: calls.append(args))
     config = _mini_config(detectors=(DetectorSpec(name="linear"), DetectorSpec(name="silent")))
     with pytest.raises(ValueError, match="^detector 'silent' yielded only 0 true positives"):
         run_experiment(config, small_corpus)
@@ -296,12 +297,13 @@ def test_a_config_that_cannot_run_fails_before_any_attack(small_corpus, monkeypa
 # Budget-prefix rows: one attack at the largest budget gives every budget's row
 
 
-def _per_budget_rows(config, corpus):
-    """The grid the slow way: a separate attack for every budget."""
+def _per_budget_attacks(config, corpus):
+    """The grid the slow way: a separate attack for every budget. Its rows, and
+    each attack's report by (detector, algorithm, seed, sample_id, budget)."""
     _, test_apks = corpus.train_test_split()
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     malicious = [a for a in test_apks if a.ground_truth == "malicious"]
-    rows = []
+    rows, reports = [], {}
     for spec in config.detectors:
         model = train_detector(spec, corpus)
         for master in config.seeds:
@@ -312,6 +314,7 @@ def _per_budget_rows(config, corpus):
                         cfg = AttackConfig(budget=budget, algorithm=algo,
                                            seed=derive_seed(master, apk.id))
                         report = run_attack(Oracle(model), apk, pset, cfg)
+                        reports[spec.name, algo, master, apk.id, budget] = report
                         rows.append({
                             "sample_id": apk.id, "detector": spec.name,
                             "algorithm": algo, "budget": budget, "seed": master,
@@ -319,12 +322,30 @@ def _per_budget_rows(config, corpus):
                             "queries_used": report.queries_used})
     rows.sort(key=lambda r: (r["detector"], r["algorithm"], r["budget"],
                              r["seed"], r["sample_id"]))
-    return rows
+    return rows, reports
 
 
 def test_derived_rows_equal_one_attack_per_budget(small_corpus, mini_report):
-    assert _strip_wall(mini_report.rows) == _per_budget_rows(_mini_config(),
-                                                             small_corpus)
+    assert _strip_wall(mini_report.rows) == _per_budget_attacks(_mini_config(),
+                                                                small_corpus)[0]
+
+
+def test_each_detail_is_the_largest_budget_attack_and_every_budget_saw_its_prefix(
+        small_corpus, mini_report):
+    config = _mini_config()
+    _, reports = _per_budget_attacks(config, small_corpus)
+    keys = [detail[:4] for detail in mini_report.details]
+    # One detail per (detector, algorithm, seed, sample_id), sorted by them.
+    assert keys == sorted({(r["detector"], r["algorithm"], r["seed"], r["sample_id"])
+                           for r in mini_report.rows})
+    for *key, applied, trace, reason in mini_report.details:
+        largest = reports[(*key, config.budgets[-1])]
+        assert (applied, trace, reason) == (largest.applied, largest.confidence_trace,
+                                            largest.failure_reason)
+        for budget in config.budgets:
+            report = reports[(*key, budget)]
+            assert trace[:len(report.confidence_trace)] == report.confidence_trace
+            assert applied[:len(report.applied)] == report.applied
 
 
 def test_derived_rows_equal_one_attack_per_budget_on_determinism_config():
@@ -334,15 +355,17 @@ def test_derived_rows_equal_one_attack_per_budget_on_determinism_config():
     config = _mini_config(budgets=(5, 10), sample_count=10, seeds=(0,))
     derived = _strip_wall(run_experiment(config, corpus).rows)
     assert len(derived) == 60
-    assert derived == _per_budget_rows(config, corpus)
+    assert derived == _per_budget_attacks(config, corpus)[0]
 
 
 def test_grid_attacks_once_per_sample_at_the_largest_budget(small_corpus, monkeypatch):
-    calls = []
+    calls, reports = [], {}
 
     def counting(oracle, apk, pset, config):
         calls.append((id(oracle.model), config.budget))
-        return run_attack(oracle, apk, pset, config)
+        report = run_attack(oracle, apk, pset, config)
+        reports[id(report.confidence_trace)] = report
+        return report
 
     monkeypatch.setattr(harness, "run_attack", counting)
     config = _mini_config(detectors=(DetectorSpec(name="a"),
@@ -352,6 +375,12 @@ def test_grid_attacks_once_per_sample_at_the_largest_budget(small_corpus, monkey
     assert sorted(Counter(model for model, _ in calls).values()) == [per_detector] * 2
     assert {budget for _, budget in calls} == {10}
     assert len(report.rows) == 2 * per_detector * 2  # ... x detectors x budgets
+    # Each detail holds its attack's own tuples, not copies; the report that
+    # holds the adversarial app is not kept.
+    assert len(report.details) == 2 * per_detector
+    for *_, applied, trace, reason in report.details:
+        assert reports[id(trace)].applied is applied
+        assert reports[id(trace)].failure_reason == reason
 
 
 BRANCH_BUDGETS = (12, 21, 25, 40)
@@ -428,21 +457,43 @@ def test_derived_wall_times_stay_within_the_largest_budget_row(mini_report):
 # Files and presentation
 
 
-def _rows_read_back(report, out_dir):
-    path = save_report(report, out_dir)
-    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+def _rows_read_back(report, path):
+    save_report(report, path)
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temporary file left
     doc = json.loads(path.read_text())
-    assert doc["format"] == 2 and doc["config"] == report.config
+    assert doc["format"] == 3 and doc["config"] == report.config
+    assert doc["details"] == [dict(zip(DETAIL_KEYS, map(_json_value, detail)))
+                              for detail in report.details]
     return rows_from_dict(doc)
+
+
+def _json_value(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 def test_report_files_round_trip(mini_report, tmp_path):
     # JSON keeps every float whole, so wall_ms comes back exactly.
-    back = _rows_read_back(mini_report, tmp_path / "out")
+    back = _rows_read_back(mini_report, tmp_path / "report.json")
     assert back == list(mini_report.rows)
     assert all(r["wall_ms"] >= 0.0 for r in back)
     assert cells_from_rows(back) == mini_report.cells
     assert grid_from_rows(back) == mini_report.grid
+
+
+def test_a_report_save_that_fails_leaves_the_old_file_as_it_was(mini_report, tmp_path):
+    path = tmp_path / "report.json"
+    save_report(mini_report, path)
+    before = path.read_bytes()
+    unwritable = harness.MetricsReport(config={"corpus": object()}, rows=mini_report.rows,
+                                       details=mini_report.details)
+    with pytest.raises(TypeError):
+        save_report(unwritable, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    missing = tmp_path / "nodir" / "report.json"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_report(mini_report, missing)
+    assert str(exc.value) == f"{missing}: No such file or directory"
 
 
 def test_grid_formatting(mini_report, tmp_path):
@@ -451,7 +502,7 @@ def test_grid_formatting(mini_report, tmp_path):
     for algo in ("pst", "mab", "random"):
         assert algo in text
     assert "N=5" in text and "N=10" in text
-    back = _rows_read_back(mini_report, tmp_path / "out")
+    back = _rows_read_back(mini_report, tmp_path / "report.json")
     assert format_grid(grid_from_rows(back)) == text
 
 
