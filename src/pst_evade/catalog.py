@@ -1,10 +1,10 @@
 """Catalog of Android manifest entries that perturbations and generated apps draw
-from, and the reading and writing of every file: ``read_document`` and the
-field readers the loaders take each field of a document through; ``read_lines``
-and ``write_lines``, which read and write a corpus or model file as lines of
-JSON, one list item a line, the file replaced only once it is complete;
-``build_document``, which builds a parsed document's list items with the same
-builders ``read_lines`` runs; and ``pack_array`` and ``unpack_array``, the one
+from, and the reading and writing of every file: ``read_document``, which reads
+a hand-written spec or config, one JSON document; ``read_lines`` and
+``write_lines``, which read and write every file the program writes (corpus,
+model and report files) as lines of JSON, one list item a line, the file
+replaced only once it is complete; the field readers the loaders take each
+field of a document through; and ``pack_array`` and ``unpack_array``, the one
 codec of the arrays that corpus and model files hold."""
 from __future__ import annotations
 
@@ -68,33 +68,18 @@ def _refusals(path: str | Path) -> Iterator[None]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_document(path: str | Path, parse: Callable, fmt: tuple[str, int, str] | None = None):
-    """``parse`` of the JSON document in a file. ``fmt`` is the (what, version,
-    remedy) of ``check_format`` for a versioned layout, checked before
-    ``parse``. Every error names the file at its start (``_refusals``)."""
+def read_document(path: str | Path, parse: Callable):
+    """``parse`` of the JSON document in a hand-written file: a corpus spec or
+    a bench config. Every error names the file at its start (``_refusals``)."""
     with _refusals(path):
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if fmt is not None:
-            check_format(doc, *fmt)
-        return parse(doc)
-
-
-def build_document(doc: dict, streamed: Mapping[str, Callable[[object, int], object]],
-                   finish: Callable):
-    """``finish`` of the parsed document ``doc`` once each list held by a key
-    named in ``streamed`` is built, in the order of the keys, into the tuple of
-    its elements, each built by its builder as ``build(element, index)``. A
-    value that is not a list is left for ``finish`` to refuse."""
-    return finish({key: tuple(streamed[key](v, i) for i, v in enumerate(value))
-                   if key in streamed and isinstance(value, list) else value
-                   for key, value in doc.items()})
+            return parse(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
-# Corpus and model files: lines of JSON. Line 1 is the document with each of
-# its lists given as its length; the lists' items follow, one a line, the
-# lists in sorted key order.
+# Corpus, model and report files: lines of JSON. Line 1 is the document with
+# each of its lists given as its length; the lists' items follow, one a line,
+# the lists in sorted key order.
 
 
 def _line(text: str, n: int):
@@ -108,11 +93,11 @@ def _line(text: str, n: int):
 
 def read_lines(path: str | Path, fmt: tuple[str, int, str],
                streamed: Mapping[str, Callable[[object, int], object]], finish: Callable):
-    """``finish`` of the document in the lines of a file, ``fmt`` checked on
-    line 1 as ``read_document`` checks it. Each key named in ``streamed``
-    counts the lines of its list, and each item is built by its builder as
-    ``build(item, index)`` as soon as its line is read, so no parsed list is
-    held. A line that is not JSON, a file that ends before its last counted
+    """``finish`` of the document in the lines of a file, ``fmt`` the (what,
+    version, remedy) of ``check_format``, checked on line 1. Each key named in
+    ``streamed`` counts the lines of its list, and each item is built by its
+    builder as ``build(item, index)`` as soon as its line is read, so no parsed
+    list is held. A line that is not JSON, a file that ends before its last counted
     item and a line after it are refused naming the line; every error names
     the file at its start (``_refusals``)."""
     with _refusals(path):
@@ -222,7 +207,7 @@ def string(value, name: str, null: bool = False) -> str | None:
 
 
 def items(value, name: str) -> list | tuple:
-    """A JSON list, or the tuple ``read_lines`` or ``build_document`` built of one."""
+    """A JSON list, or the tuple ``read_lines`` built of one."""
     if not isinstance(value, (list, tuple)):
         raise _wrong(name, value, "a list")
     return value

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -19,14 +21,13 @@ from .corpus import (
 )
 from .detectors import DETECTOR_KINDS, FEATURE_KINDS, Ensemble, load_model, save_model
 from .harness import (
-    REPORT_FORMAT,
     DetectorSpec,
     GridSettings,
     compute_asr,
     config_from_dict,
     format_grid,
     grid_from_rows,
-    rows_from_dict,
+    load_rows,
     run_experiment,
     run_grid,
     save_report,
@@ -63,6 +64,9 @@ def _cmd_train(args) -> int:
 def _cmd_attack(args) -> int:
     settings = GridSettings(algorithms=(args.algorithm,), budgets=(args.budget,),
                             sample_count=args.samples, seeds=(args.seed,))
+    # Refused before any file is read, in the words saving into it would give.
+    if not Path(args.out).parent.is_dir():
+        raise FileNotFoundError(f"{args.out}: {os.strerror(errno.ENOENT)}")
     corpus, model = load_corpus(args.corpus), load_model(args.model)
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     report = run_grid(settings, {args.model: model}, corpus, pset, {
@@ -90,9 +94,7 @@ def _cmd_bench(args) -> int:
 def _cmd_compare(args) -> int:
     for path in args.reports:
         print(f"== {path}")
-        grid = read_document(path, lambda doc: grid_from_rows(rows_from_dict(doc)),
-                             ("report", REPORT_FORMAT, "rerun bench"))
-        print(format_grid(grid))
+        print(format_grid(grid_from_rows(load_rows(path))))
     return 0
 
 

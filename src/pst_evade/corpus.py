@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (AndroidCatalog, build_document, exact_keys, fields_of, flag, integer,
-                      items, load_default_catalog, obj, pack_array, permission_pairs, read_lines,
-                      shared, string, strings, unpack_array, write_lines)
+from .catalog import (AndroidCatalog, exact_keys, fields_of, flag, integer, items,
+                      load_default_catalog, obj, pack_array, permission_pairs, read_lines, shared,
+                      string, strings, unpack_array, write_lines)
 
 GROUND_TRUTHS = ("benign", "malicious")
 # The corpus document's app lists, in the order they are checked.
@@ -513,17 +513,6 @@ def _corpus_fields(corpus: Corpus) -> dict:
             "benign": corpus.benign, "malicious": corpus.malicious, "donors": corpus.donors}
 
 
-def corpus_to_dict(corpus: Corpus) -> dict:
-    return {key: [apk_to_dict(a) for a in value] if isinstance(value, tuple) else value
-            for key, value in _corpus_fields(corpus).items()}
-
-
-def corpus_from_dict(d: dict) -> Corpus:
-    """Inverse of ``corpus_to_dict``: the app builders and corpus checks that
-    ``load_corpus`` streams a file through, run over a parsed document."""
-    return build_document(d, _APP_BUILDERS, _corpus_from_parts)
-
-
 def _corpus_from_parts(d: dict) -> Corpus:
     """The corpus of a document whose app lists hold built apps. Every app is
     validated, holds the ground truth of its list (a donor's is benign) and has
@@ -548,9 +537,10 @@ def _corpus_from_parts(d: dict) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the lines of ``corpus_to_dict(corpus)``, one app a line
-    (``catalog.write_lines``), so no whole-document dict or string is built. A
-    failed save leaves ``path`` as it was and no temporary file behind."""
+    """Write the corpus file: line 1 the format, the spec and the length of
+    each app list, then one ``apk_to_dict`` a line (``catalog.write_lines``),
+    so no whole-document dict or string is built. A failed save leaves
+    ``path`` as it was and no temporary file behind."""
     write_lines(path, _corpus_fields(corpus), dict.fromkeys(APP_LISTS, apk_to_dict))
 
 

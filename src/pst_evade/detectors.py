@@ -15,9 +15,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import (ARRAY_DTYPES, FLOAT_DTYPE, build_document, check_format, exact_keys,
-                      fields_of, fixed, flag, integer, items, narrowest, number, obj, only,
-                      pack_array, pairs, read_lines, string, strings, unpack_array, write_lines)
+from .catalog import (ARRAY_DTYPES, FLOAT_DTYPE, check_format, exact_keys, fields_of, fixed,
+                      flag, integer, items, narrowest, number, obj, only, pack_array, pairs,
+                      read_lines, string, strings, unpack_array, write_lines)
 from .corpus import API_FAMILY_COUNT, GROUND_TRUTHS, ApkModel
 from .features import (
     CLUSTER_COUNT,
@@ -556,9 +556,10 @@ def _knn_block(space: FeatureSpace, p: dict) -> _KnnBlock:
     """One kNN scorer's block. ``params["x"]`` becomes the fit rows that the
     block reads, in the dtype a model file stores them in
     (``catalog.narrowest``): uint8 for 0/1 rows, float64 for fractional ones.
-    Every value comes back as float64 bit for bit, so the difference form's
-    distances are those of float64 rows."""
-    train_x = np.asarray(p["x"], dtype=np.float64)
+    Rows already in an integer dtype are narrowed, never widened. Every value
+    comes back as float64 bit for bit, so the difference form's distances are
+    those of float64 rows."""
+    train_x = np.asarray(p["x"])
     train_y = np.asarray(p["y"], dtype=np.float64)
     if train_x.ndim != 2 or train_x.shape[1] != space.width:
         raise _shape_error("knn", "fit rows", train_x.shape, space)
@@ -838,14 +839,20 @@ def train(kind: str, space: FeatureSpace, x: np.ndarray, labels: Sequence[str],
 # Serialization
 
 
-def _array(value, name: str) -> np.ndarray:
-    """The values of a param's array doc, flat, as an aligned float64 copy:
-    ``catalog.unpack_array`` of a listed integer dtype or ``FLOAT_DTYPE``. A
-    non-finite value is refused."""
-    arr = unpack_array(value, name, (*ARRAY_DTYPES, FLOAT_DTYPE)).astype(np.float64)
-    if not np.isfinite(arr).all():
+def _stored(value, name: str) -> np.ndarray:
+    """The values of a param's array doc, flat, in the dtype the file stores
+    them in: ``catalog.unpack_array`` of a listed integer dtype or
+    ``FLOAT_DTYPE``. A non-finite value is refused. A kNN scorer's fit rows are
+    read so, and ``_knn_block`` keeps them in that dtype."""
+    arr = unpack_array(value, name, (*ARRAY_DTYPES, FLOAT_DTYPE))
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise ValueError(f"{name} is not an array of finite numbers")
     return arr
+
+
+def _array(value, name: str) -> np.ndarray:
+    """``_stored`` as an aligned float64 copy, the dtype the other kernels read."""
+    return _stored(value, name).astype(np.float64)
 
 
 def _matrix(arr: np.ndarray, name: str, width: int, axis: int, other: int) -> np.ndarray:
@@ -870,7 +877,7 @@ _SCORER_KEYS = ("format", "kind", "space", "space_hash", "params", "report")
 _ENSEMBLE_KEYS = ("format", "kind", "members")
 _PARAMS = {"linear": {"w": _array, "b": number},
            "mlp": {"w1": _array, "b1": _array, "w2": _array, "b2": number},
-           "knn": {"x": _array, "y": _array}, "forest": {"trees": items}}
+           "knn": {"x": _stored, "y": _array}, "forest": {"trees": items}}
 _MATRICES = {"x": (1, "y"), "w1": (0, "b1")}
 
 
@@ -881,16 +888,12 @@ def _digest(doc: dict) -> str:
 def _scorer_to_dict(model: DetectorModel) -> dict:
     doc = {"format": MODEL_FORMAT, "kind": model.kind, "space": space_to_dict(model.space),
            "space_hash": model.space.digest,
-           "params": {name: pack_array(np.asarray(v)) if _PARAMS[model.kind].get(name) is _array
+           "params": {name: pack_array(np.asarray(v))
+                      if _PARAMS[model.kind].get(name) in (_array, _stored)
                       else v for name, v in model.params.items()}}
     if model.report is not None:
         doc["report"] = asdict(model.report)
     return doc
-
-
-def model_to_dict(model: DetectorModel | Ensemble) -> dict:
-    return {key: list(map(_scorer_to_dict, value)) if key == "members" else value
-            for key, value in _model_fields(model).items()}
 
 
 def _model_fields(model: DetectorModel | Ensemble) -> dict:
@@ -928,16 +931,6 @@ def _scorer_from_dict(doc: dict) -> DetectorModel:
         raise ValueError(f"{kind} model: missing key {exc.args[0]!r}") from None
 
 
-def model_from_dict(doc: dict) -> DetectorModel | Ensemble:
-    """Inverse of ``model_to_dict``: the member builder and model checks that
-    ``load_model`` streams a file through, run over a parsed document. A key
-    that is missing or not one its kind's file holds, a value not of its type,
-    an ensemble member of another format, a nested ensemble, or a space that
-    does not match its ``space_hash`` is a one-line ValueError naming the
-    kind."""
-    return build_document(doc, _MODEL_LISTS, _model_from_parts)
-
-
 def _member_from_dict(m, i: int) -> DetectorModel:
     """Ensemble member ``i``: a scorer file of this format."""
     check_format(m, f"ensemble model: member {i}", MODEL_FORMAT, "retrain it with train")
@@ -958,8 +951,9 @@ def _model_from_parts(doc: dict) -> DetectorModel | Ensemble:
 
 
 def save_model(model: DetectorModel | Ensemble, path: str | Path) -> None:
-    """Write the lines of ``model_to_dict(model)``, a scorer on one line and an
-    ensemble one member a line (``catalog.write_lines``), so no whole-document
+    """Write the model file: a scorer's ``_scorer_to_dict`` on one line, or an
+    ensemble's format, kind and member count on line 1 and one member's
+    ``_scorer_to_dict`` a line (``catalog.write_lines``), so no whole-document
     dict or string is built. A failed save leaves ``path`` as it was."""
     write_lines(path, _model_fields(model), {"members": _scorer_to_dict})
 
@@ -967,6 +961,9 @@ def save_model(model: DetectorModel | Ensemble, path: str | Path) -> None:
 def load_model(path: str | Path) -> DetectorModel | Ensemble:
     """The model in a file; every error names the file at its start. An
     ensemble's members are built one at a time as their lines are read, so the
-    parsed document is never held (``catalog.read_lines``)."""
+    parsed document is never held (``catalog.read_lines``). A key that is
+    missing or not one its kind's file holds, a value not of its type, an
+    ensemble member of another format, a nested ensemble, or a space that does
+    not match its ``space_hash`` is a one-line ValueError naming the kind."""
     return read_lines(path, ("model", MODEL_FORMAT, "retrain it with train"),
                       _MODEL_LISTS, _model_from_parts)

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .attack import ALGORITHMS, AttackConfig, AttackReport, Oracle, run_attack
-from .catalog import fields_of, integer, integers, items, number, only, replacing, string, strings
+from .catalog import (fields_of, integer, integers, items, number, only, read_lines, string,
+                      strings, write_lines)
 from .corpus import GROUND_TRUTHS, Corpus, CorpusSpec, load_corpus, load_default_catalog
 from .detectors import (
     DETECTOR_KINDS,
@@ -31,7 +32,7 @@ from .detectors import (
 from .features import build_api_cluster_map, build_vocab
 from .perturbset import PerturbationSet, build_perturbation_set
 
-REPORT_FORMAT = 3
+REPORT_FORMAT = 4
 # A report row's columns in the order a report file lists them, each with its reader.
 REPORT_COLUMNS = {"sample_id": string, "detector": string, "algorithm": string,
                   "budget": integer, "seed": integer, "outcome": string,
@@ -421,28 +422,27 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def save_report(report: MetricsReport, path: str | Path) -> None:
-    """Write a report file through ``replacing``: the format, the config, the
-    column names, one list of values per row and one object per detail."""
-    rows = [[row[c] for c in REPORT_COLUMNS] for row in report.rows]
-    details = [dict(zip(DETAIL_KEYS, detail)) for detail in report.details]
-    with replacing(path) as fh:
-        fh.write(json.dumps({"format": REPORT_FORMAT, "config": report.config,
-                             "columns": list(REPORT_COLUMNS), "rows": rows,
-                             "details": details}) + "\n")
+    """Write a report file as lines (``catalog.write_lines``): line 1 holds the
+    format, the config, the column names and the counts of details and rows;
+    one object per detail follows a line each, then one list of values per row."""
+    write_lines(path, {"format": REPORT_FORMAT, "config": report.config,
+                       "columns": list(REPORT_COLUMNS), "rows": report.rows,
+                       "details": report.details},
+                {"rows": lambda row: [row[c] for c in REPORT_COLUMNS],
+                 "details": lambda detail: dict(zip(DETAIL_KEYS, detail))})
 
 
-def rows_from_dict(doc: dict) -> list[dict]:
-    """The rows of a report document, as ``run_grid`` made them; its config and
-    details are not read. A key other than ``format``, ``config``, ``columns``,
-    ``rows`` and ``details``, a row of the wrong length, a value of the wrong
-    JSON type, an unknown outcome or a second row of one (detector, algorithm,
-    budget, seed, sample_id) is a ValueError naming the key, or the row and the
-    column or the earlier row."""
-    only(doc, ("format", "config", "columns", "rows", "details"), "report")
-    if strings(doc["columns"], "columns") != tuple(REPORT_COLUMNS):
-        raise ValueError(f"columns are not {', '.join(REPORT_COLUMNS)}")
-    rows, first, row_key = [], {}, itemgetter(*_ROW_KEY)
-    for i, values in enumerate(items(doc["rows"], "rows")):
+def load_rows(path: str | Path) -> tuple[dict, ...]:
+    """The rows of a report file, as ``run_grid`` made them, each checked as
+    its line is read (``catalog.read_lines``); the config is not read, and each
+    detail line is parsed and passed over. A key other than ``format``,
+    ``config``, ``columns``, ``rows`` and ``details``, a row of the wrong
+    length, a value of the wrong JSON type, an unknown outcome or a second row
+    of one (detector, algorithm, budget, seed, sample_id) is a ValueError
+    naming the key, or the row and the column or the earlier row."""
+    first, row_key = {}, itemgetter(*_ROW_KEY)
+
+    def read_row(values, i: int) -> dict:
         if len(items(values, f"row {i}")) != len(REPORT_COLUMNS):
             raise ValueError(f"row {i} has {len(values)} values, not {len(REPORT_COLUMNS)}")
         row = {column: read(value, f"row {i} {column}")
@@ -455,20 +455,29 @@ def rows_from_dict(doc: dict) -> list[dict]:
         if j != i:
             raise ValueError(f"row {i} repeats row {j}: one attack per "
                              "detector, algorithm, budget, seed and sample_id")
-        rows.append(row)
-    return rows
+        return row
+
+    def rows_of(doc: dict) -> tuple[dict, ...]:
+        only(doc, ("format", "config", "columns", "rows", "details"), "report")
+        if strings(doc["columns"], "columns") != tuple(REPORT_COLUMNS):
+            raise ValueError(f"columns are not {', '.join(REPORT_COLUMNS)}")
+        return doc["rows"]
+
+    return read_lines(path, ("report", REPORT_FORMAT, "rerun bench"),
+                      {"details": lambda detail, i: None, "rows": read_row}, rows_of)
 
 
 def format_grid(grid) -> str:
     """Success-rate table of grid entries, detectors and algorithms down,
     budgets across."""
     budgets = sorted({entry["budget"] for entry in grid})
-    header = f"{'detector':<12} {'algorithm':<10}" + "".join(
+    width = max([12, *(len(entry["detector"]) for entry in grid)])
+    header = f"{'detector':<{width}} {'algorithm':<10}" + "".join(
         f"  N={b:<5}" for b in budgets)
     lines = [header, "-" * len(header)]
     for (det, algo), entries in group_by(grid, _ROW_KEY[:2]):
         by_budget = {entry["budget"]: entry["asr_mean"] for entry in entries}
         cells = "".join(f"  {by_budget.get(b, float('nan')):<7.3f}"
                         for b in budgets)
-        lines.append(f"{det:<12} {algo:<10}{cells}")
+        lines.append(f"{det:<{width}} {algo:<10}{cells}")
     return "\n".join(lines)

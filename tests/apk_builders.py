@@ -131,11 +131,13 @@ MALFORMED_ARRAYS = {
 
 
 # ---------------------------------------------------------------------------
-# Corpus and model files: line 1 is the document with each of its lists given
-# as its length, and the lists' items follow, one a line, in sorted key order.
+# Corpus, model and report files: line 1 is the document with each of its
+# lists given as its length, and the lists' items follow, one a line, in sorted
+# key order.
 
 CORPUS_LISTS = APP_LISTS
 MODEL_LISTS = ("members",)
+REPORT_LISTS = ("details", "rows")
 
 
 def file_text(doc: dict, lists) -> str:
@@ -159,6 +161,12 @@ def file_document(path, lists) -> dict:
     items = iter(rest)
     return {key: [next(items) for _ in range(value)] if key in lists else value
             for key, value in sorted(head.items())}
+
+
+def saved_document(save, value, path, lists) -> dict:
+    """The document of the file that ``save(value, path)`` writes."""
+    save(value, path)
+    return file_document(path, lists)
 
 
 # ---------------------------------------------------------------------------

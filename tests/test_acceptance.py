@@ -14,13 +14,13 @@ from apk_builders import (
     brute_force_cluster,
     child_probs,
     feature_group,
-    file_text,
     find,
     first_child,
     inject_group,
     perm_groups,
     random_permissions,
     rewalk_leaf_counts,
+    saved_document,
 )
 from pst_evade.attack import AttackConfig, Oracle, run_attack
 from pst_evade.cli import main as cli_main
@@ -34,14 +34,14 @@ from pst_evade.corpus import (
     validate_apk,
     verify_isolation,
 )
-from pst_evade.detectors import load_model, model_to_dict, query as model_query, save_model
+from pst_evade.detectors import load_model, query as model_query, save_model
 from pst_evade.harness import (
     DEFAULT_BENCH_SPEC,
     DetectorSpec,
     ExperimentConfig,
     derive_seed,
+    load_rows,
     make_default_ensemble,
-    rows_from_dict,
     run_experiment,
     select_true_positives,
     train_detector,
@@ -385,7 +385,7 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
         out_dir = tmp_path / f"out{workers}"
         assert cli_main(["bench", "--config", str(cfg_path),
                          "--out-dir", str(out_dir)]) == 0
-        rows = rows_from_dict(json.loads((out_dir / "report.json").read_text()))
+        rows = load_rows(out_dir / "report.json")
         assert all(r.pop("wall_ms") >= 0.0 for r in rows)
         runs.append(rows)
 
@@ -402,7 +402,7 @@ def test_bench_determinism_across_workers(verdict, tmp_path):
 
 # sha256 over every DEFAULT_BENCH_SPEC component's families and edges (shape
 # repr, then the values' int64 bytes, whatever dtype a component holds them
-# in), and of the stock ensemble's model document as json.dumps(sort_keys=True).
+# in), and of the stock ensemble's model file's document as json.dumps(sort_keys=True).
 # The ensemble's hash is taken at the default BLAS thread count; at one thread
 # its MLP member trains to other bits and the document reads e1798614...
 BENCH_COMPONENTS_SHA256 = "787ff035197364913767e9be1b01a2778197e386334e9a0a1351b00e5e35ea58"
@@ -420,13 +420,15 @@ def _components_sha256(corpus) -> str:
     return h.hexdigest()
 
 
-def _ensemble_sha256(ensemble) -> str:
-    return hashlib.sha256(json.dumps(model_to_dict(ensemble), sort_keys=True).encode()).hexdigest()
+def _ensemble_sha256(ensemble, path) -> str:
+    """The hash of the document of the file that ``ensemble`` saves as at ``path``."""
+    doc = saved_document(save_model, ensemble, path, MODEL_LISTS)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
+def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble, tmp_path):
     components = _components_sha256(bench_corpus)
-    ensemble = _ensemble_sha256(bench_ensemble)
+    ensemble = _ensemble_sha256(bench_ensemble, tmp_path / "ensemble.json")
     verdict("setup-pinned",
             components == BENCH_COMPONENTS_SHA256 and ensemble == BENCH_ENSEMBLE_SHA256,
             f"stock corpus components {components[:8]} (pinned "
@@ -435,12 +437,10 @@ def test_setup_is_pinned(verdict, bench_corpus, bench_ensemble):
 
 
 def test_stock_ensemble_file_is_pinned_and_round_trips(tmp_path, bench_ensemble):
-    # The file is the lines of the model document whose sha256 is pinned above;
-    # loading it and saving again gives the same bytes.
+    # The file holds the model document whose sha256 is pinned above; loading
+    # it and saving again gives the same bytes.
     path, again = tmp_path / "ensemble.json", tmp_path / "again.json"
-    save_model(bench_ensemble, path)
-    assert _ensemble_sha256(bench_ensemble) == BENCH_ENSEMBLE_SHA256
-    assert path.read_bytes() == file_text(model_to_dict(bench_ensemble), MODEL_LISTS).encode()
+    assert _ensemble_sha256(bench_ensemble, path) == BENCH_ENSEMBLE_SHA256
     save_model(load_model(path), again)
     assert again.read_bytes() == path.read_bytes()
 

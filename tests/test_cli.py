@@ -4,30 +4,29 @@ import hashlib
 import json
 import re
 import shlex
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apk_builders import CORPUS_LISTS, MODEL_LISTS, file_document, file_text, write_file
+from apk_builders import (CORPUS_LISTS, MODEL_LISTS, REPORT_LISTS, file_document, file_text,
+                          saved_document, write_file)
 from pst_evade.attack import AttackConfig, Oracle, reference_tree, run_attack
 from pst_evade.catalog import (ARRAY_DTYPES, FLOAT_DTYPE, canonical_json, load_default_catalog,
-                              pack_array, read_document, unpack_array)
+                              pack_array, unpack_array)
 from pst_evade.cli import main
-from pst_evade.corpus import (API_FAMILY_COUNT, CORPUS_FORMAT, CorpusSpec, corpus_from_dict,
-                              corpus_to_dict, generate_corpus, load_corpus, spec_to_dict)
+from pst_evade.corpus import (API_FAMILY_COUNT, CorpusSpec, generate_corpus, load_corpus,
+                              spec_to_dict)
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
     Ensemble,
     FeatureSpace,
     load_model,
-    model_from_dict,
-    model_to_dict,
+    save_model,
 )
-from pst_evade.harness import (compute_asr, derive_seed, format_grid, grid_from_rows,
-                               rows_from_dict, select_true_positives)
+from pst_evade.harness import (REPORT_COLUMNS, compute_asr, derive_seed, format_grid,
+                               grid_from_rows, load_rows, select_true_positives)
 from pst_evade.perturbset import build_perturbation_set
 from pst_evade.pstree import tree_to_dict
 
@@ -61,14 +60,14 @@ def test_gen_corpus_writes_loadable_corpus(workdir):
 
 
 def test_gen_corpus_file_is_the_canonical_document(tmp_path):
-    # gen-corpus writes app by app; the file is the lines of the whole
-    # document, and it reads back as the generated corpus.
+    # gen-corpus writes app by app; the file is the canonical lines of the
+    # document it holds, and it reads back as the generated corpus.
     spec_path, out = tmp_path / "spec.json", tmp_path / "corpus.json"
     spec_path.write_text(json.dumps(spec_to_dict(SPEC)))
     assert main(["gen-corpus", "--spec", str(spec_path), "--out", str(out)]) == 0
-    generated = generate_corpus(SPEC)
-    assert out.read_bytes() == file_text(corpus_to_dict(generated), CORPUS_LISTS).encode("utf-8")
-    assert load_corpus(out) == generated
+    assert out.read_bytes() == file_text(file_document(out, CORPUS_LISTS),
+                                         CORPUS_LISTS).encode("utf-8")
+    assert load_corpus(out) == generate_corpus(SPEC)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "spec.json"]
 
 
@@ -142,9 +141,8 @@ def test_train_and_attack_each_detector_kind_and_feature_space(workdir, capsys, 
     report = workdir / f"attack-{kind}-{features}.json"
     assert main(["attack", "--corpus", str(corpus), "--model", str(path), "--budget", "5",
                  "--samples", str(samples), "--out", str(report)]) == 0
-    doc = json.loads(report.read_text())
-    rows = rows_from_dict(doc)
-    assert len(rows) == len(doc["details"]) == samples
+    rows = load_rows(report)
+    assert len(rows) == len(file_document(report, REPORT_LISTS)["details"]) == samples
     assert all(row["queries_used"] <= 5 for row in rows)
 
 
@@ -159,11 +157,11 @@ def test_attack_writes_report(workdir, capsys):
                  "--dump-tree", str(tree)]) == 0
     # The report file bench writes, of one row and one detail per attack; its
     # config records what the run used, and no train seed or feature kind.
-    doc = json.loads(out.read_text())
-    assert doc["format"] == 3
+    doc = file_document(out, REPORT_LISTS)
+    assert doc["format"] == 4
     assert doc["config"] == {"corpus_path": corpus, "model_path": model, "algorithm": "pst",
                              "budget": 6, "sample_count": 4, "seed": 2}
-    rows = rows_from_dict(doc)
+    rows = load_rows(out)
     assert len(rows) == len(doc["details"]) == 4
     for row in rows:
         assert (row["detector"], row["algorithm"], row["budget"], row["seed"]) == (
@@ -201,11 +199,10 @@ def test_attack_reports_the_in_process_attacks_on_its_corpus_pset(workdir, algor
     expected = sorted((run_attack(Oracle(model), apk, pset, AttackConfig(
                            budget=6, algorithm=algorithm, seed=derive_seed(4, apk.id)))
                        for apk in targets), key=lambda report: report.sample_id)
-    doc = json.loads(out.read_text())
     assert [(row["sample_id"], row["outcome"], row["queries_used"])
-            for row in rows_from_dict(doc)] == [
+            for row in load_rows(out)] == [
         (report.sample_id, report.outcome, report.queries_used) for report in expected]
-    assert doc["details"] == [{
+    assert file_document(out, REPORT_LISTS)["details"] == [{
         "detector": str(model_path), "algorithm": algorithm, "seed": 4,
         "sample_id": report.sample_id, "applied": list(report.applied),
         "confidence_trace": list(report.confidence_trace),
@@ -225,7 +222,7 @@ def test_attack_on_a_corpus_without_donors_draws_manifest_perturbations_only(wor
     assert len(pset) == 256 and not any(p.kind.startswith("inject_") for p in pset.perturbations)
     assert json.loads(tree.read_text()) == tree_to_dict(reference_tree(pset))
     assert json.loads(tree.read_text())["leaf_count"] == len(pset.groups) == 208
-    details = json.loads(out.read_text())["details"]
+    details = file_document(out, REPORT_LISTS)["details"]
     assert len(details) == 2
     assert not any(key.startswith("inject_") for detail in details for key in detail["applied"])
 
@@ -265,22 +262,23 @@ def bench_outputs(workdir):
     return cfg_path, out_dir
 
 
-def _report_rows(out_dir):
-    return rows_from_dict(json.loads((out_dir / "report.json").read_text()))
-
-
 def test_bench_outputs(bench_outputs, capsys):
     _, out_dir = bench_outputs
-    # bench writes one file, a format-3 report.json of one list of values a row
-    # and one detail per attack, run at the largest budget.
+    # bench writes one file, a format-4 report.json: line 1, then one detail
+    # per attack, run at the largest budget, a line each, then one list of
+    # values a row.
     assert [p.name for p in out_dir.iterdir()] == ["report.json"]
-    doc = json.loads((out_dir / "report.json").read_text())
-    assert doc["format"] == 3
+    path = out_dir / "report.json"
+    doc = file_document(path, REPORT_LISTS)
+    assert doc["format"] == 4
     assert len(doc["details"]) == 3 * 4  # algorithms x samples
     assert doc["columns"] == ["sample_id", "detector", "algorithm", "budget", "seed",
                               "outcome", "queries_used", "wall_ms"]
-    rows = _report_rows(out_dir)
+    rows = load_rows(path)
     assert len(rows) == 3 * 2 * 4  # algorithms x budgets x samples
+    assert path.read_text().splitlines()[0] == canonical_json(
+        {**doc, "details": 3 * 4, "rows": 3 * 2 * 4})
+    assert doc["rows"] == [[row[c] for c in REPORT_COLUMNS] for row in rows]
 
 
 def test_the_environment_does_not_set_the_seed(workdir, monkeypatch):
@@ -392,9 +390,10 @@ def test_model_with_bad_scoring_params_is_refused_in_one_line(workdir, capsys, k
                               "right": {"leaf": True, "vote": 1}}]},
         "linear": {"w": np.array([1.0, -1.0]), "b": 0.0},
     }[model_kind]
-    doc = model_to_dict(DetectorModel(kind=model_kind, space=space, params=params))
-    _BAD_PARAMS[kind](doc)
     model = workdir / f"bad_{kind}.json"
+    doc = saved_document(save_model, DetectorModel(kind=model_kind, space=space, params=params),
+                         model, MODEL_LISTS)
+    _BAD_PARAMS[kind](doc)
     model.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(_attack_args(workdir, workdir / "corpus.json", model)) == 2
@@ -431,10 +430,11 @@ def test_attack_refuses_its_settings_before_it_reads_a_file(workdir, capsys, sam
 def test_output_into_a_missing_directory_is_refused_naming_the_path_given(workdir, capsys,
                                                                           command, flag):
     out = workdir / "nodir" / "out.json"
+    # attack refuses its --out before it reads a file: its corpus here is missing.
+    corpus = workdir / ("missing.json" if (command, flag) == ("attack", "--out") else "corpus.json")
     inputs = {"gen-corpus": ["--spec", str(workdir / "spec.json")],
-              "train": ["--corpus", str(workdir / "corpus.json")],
-              "attack": _attack_args(workdir, workdir / "corpus.json",
-                                     workdir / "model.json")[1:]}[command]
+              "train": ["--corpus", str(corpus)],
+              "attack": _attack_args(workdir, corpus, workdir / "model.json")[1:]}[command]
     capsys.readouterr()
     assert main([command, *inputs, flag, str(out)]) == 2
     assert capsys.readouterr().err == f"pst-evade: error: {out}: No such file or directory\n"
@@ -455,17 +455,17 @@ def test_attack_and_a_one_detector_bench_share_one_run_path(workdir, algorithm):
                  algorithm, "--budget", "6", "--samples", "3", "--seed", "4",
                  "--out", str(attack_out)]) == 0
     assert main(["bench", "--config", str(config), "--out-dir", str(bench_dir)]) == 0
-    attacked = json.loads(attack_out.read_text())
-    benched = json.loads((bench_dir / "report.json").read_text())
+    attacked = file_document(attack_out, REPORT_LISTS)["details"]
+    benched = file_document(bench_dir / "report.json", REPORT_LISTS)["details"]
 
     def shared(entries):
         return [{k: v for k, v in entry.items() if k not in ("detector", "wall_ms")}
                 for entry in entries]
 
-    assert {row["detector"] for row in rows_from_dict(attacked)} == {str(model)}
-    assert shared(rows_from_dict(attacked)) == shared(rows_from_dict(benched))
-    assert len(attacked["details"]) == 3
-    assert shared(attacked["details"]) == shared(benched["details"])
+    assert {row["detector"] for row in load_rows(attack_out)} == {str(model)}
+    assert shared(load_rows(attack_out)) == shared(load_rows(bench_dir / "report.json"))
+    assert len(attacked) == 3
+    assert shared(attacked) == shared(benched)
 
 
 def test_compare_prints_the_grid_of_an_attack_report(workdir, capsys):
@@ -474,9 +474,13 @@ def test_compare_prints_the_grid_of_an_attack_report(workdir, capsys):
     capsys.readouterr()
     assert main(["compare", "--reports", str(out)]) == 0
     printed = capsys.readouterr().out
-    grid = grid_from_rows(rows_from_dict(json.loads(out.read_text())))
-    assert printed == f"== {out}\n{format_grid(grid)}\n"
-    assert printed.splitlines()[3].startswith(f"{model} pst ")
+    assert printed == f"== {out}\n{format_grid(grid_from_rows(load_rows(out)))}\n"
+    # The detector column is as wide as the --model path, so every row starts
+    # its algorithm where the header does.
+    header, _, *rows = printed.splitlines()[1:]
+    column = header.index("algorithm")
+    assert len(str(model)) > 12 and rows
+    assert all(row[:column] == f"{model} " and row[column:].startswith("pst ") for row in rows)
 
 
 def _truncated_copy(source, dest):
@@ -568,9 +572,9 @@ def _first_weight_nan(model):
 def _as_ensemble(model, **extra):
     """Make ``model`` the file of an ensemble whose one member is the model it
     held, with the ``extra`` keys besides."""
-    ensemble = model_to_dict(Ensemble([model_from_dict(model)]))
+    member = dict(model)
     model.clear()
-    model.update(ensemble, **extra)
+    model.update(format=MODEL_FORMAT, kind="ensemble", members=[member], **extra)
 
 
 def _nested_ensemble(model):
@@ -670,6 +674,7 @@ _PROBES = {
     "compare-report-without-grid": ("--reports", None, {"config": {}}),
     "report-format-1": ("--reports", "bench_out/report.json", lambda d: d.pop("format")),
     "report-format-2": ("--reports", "bench_out/report.json", lambda d: d.update(format=2)),
+    "report-format-3": ("--reports", "bench_out/report.json", lambda d: d.update(format=3)),
     "report-columns-renamed": ("--reports", "bench_out/report.json",
                                lambda d: d["columns"].__setitem__(0, "sample")),
     "report-short-row": ("--reports", "bench_out/report.json", lambda d: d["rows"][0].pop()),
@@ -824,6 +829,7 @@ _PROBE_FIELDS = {
     "compare-report-without-grid": "report format 1 is not supported; rerun bench",
     "report-format-1": "report format 1 is not supported; rerun bench",
     "report-format-2": "report format 2 is not supported; rerun bench",
+    "report-format-3": "report format 3 is not supported; rerun bench",
     "report-columns-renamed": "columns are not sample_id, detector, algorithm, budget, seed",
     "report-short-row": "row 0 has 7 values, not 8",
     "report-budget-string": 'row 0 budget is "4", not an integer',
@@ -950,7 +956,7 @@ def _probe_argv(workdir, flag, path):
 
 
 # flag -> the lists of the file it reads, whose items are written a line each.
-_FILE_LISTS = {"--corpus": CORPUS_LISTS, "--model": MODEL_LISTS}
+_FILE_LISTS = {"--corpus": CORPUS_LISTS, "--model": MODEL_LISTS, "--reports": REPORT_LISTS}
 
 
 def _probe_document(workdir, case):
@@ -1054,14 +1060,18 @@ def test_bad_json_on_a_line_is_refused_naming_that_line(workdir, ensemble_file, 
     # As the layout before line files wrote it: the format is refused first.
     ("--corpus", 5, "corpus format 5 is not supported; regenerate it with gen-corpus"),
     ("--model", 4, "model format 4 is not supported; retrain it with train"),
-    # As json.dump(corpus_to_dict(corpus)) writes it: the refusal stays short.
+    ("--reports", 3, "report format 3 is not supported; rerun bench"),
+    # The document of a file of this format on one line: the refusal stays short.
     ("--corpus", None, "line 1: benign is a list, not its length"),
     ("--model", None, "line 1: members is a list, not its length"),
+    ("--reports", None, "line 1: details is a list, not its length"),
 ])
-def test_a_whole_document_on_one_line_is_refused_in_a_short_line(workdir, ensemble_file, capsys,
+def test_a_whole_document_on_one_line_is_refused_in_a_short_line(bench_outputs, workdir,
+                                                                  ensemble_file, capsys,
                                                                   flag, version, words):
-    doc = (corpus_to_dict(load_corpus(workdir / "corpus.json")) if flag == "--corpus"
-           else file_document(ensemble_file, MODEL_LISTS))
+    source = {"--corpus": workdir / "corpus.json", "--model": ensemble_file,
+              "--reports": bench_outputs[1] / "report.json"}[flag]
+    doc = file_document(source, _FILE_LISTS[flag])
     for d in [doc, *doc.get("members", [])] if version else []:
         d["format"] = version
     path = workdir / f"lines-whole-document-{flag[2:]}-{version}.json"
@@ -1072,10 +1082,13 @@ def test_a_whole_document_on_one_line_is_refused_in_a_short_line(workdir, ensemb
 
 
 def _loaded(source, path):
-    """The value in a corpus or model file, in a form that compares by value."""
+    """The value in a corpus or model file, in a form that compares by value:
+    a model as the bytes of the file it saves as."""
     if source == "corpus":
         return load_corpus(path)
-    return json.dumps(model_to_dict(load_model(path)), sort_keys=True)
+    saved = path.with_name(f"{path.name}.saved")
+    save_model(load_model(path), saved)
+    return saved.read_bytes()
 
 
 @pytest.mark.parametrize("source", ["corpus", "model", "ensemble"])
@@ -1195,15 +1208,8 @@ def test_training_on_a_spaced_corpus_writes_the_canonical_corpus_model(workdir):
     assert out.read_bytes() == (workdir / "model.json").read_bytes()
 
 
-# flag -> the loader of such a file, and the reading of the same document whole,
-# on one line, through the in-memory codec that ``load_corpus`` and
-# ``load_model`` share their builders and checks with.
-_IN_MEMORY = {
-    "--corpus": (load_corpus, partial(read_document, parse=corpus_from_dict, fmt=(
-        "corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))),
-    "--model": (load_model, partial(read_document, parse=model_from_dict, fmt=(
-        "model", MODEL_FORMAT, "retrain it with train"))),
-}
+# flag -> the loader of the file it reads.
+_LOADERS = {"--corpus": load_corpus, "--model": load_model, "--reports": load_rows}
 
 
 def _refused(load, path):
@@ -1215,28 +1221,18 @@ def _refused(load, path):
     return type(exc.value).__name__, message.removeprefix(f"{path}: ")
 
 
-# case -> the line reader's own words, where line 1 gives a list as its length.
-_LINE_REFUSALS = {"corpus-benign-count-string": 'benign is "x", not an integer'}
-
-
-@pytest.mark.parametrize("case", [case for case, (flag, _, _) in _PROBES.items()
-                                  if flag in _FILE_LISTS])
-def test_every_corpus_and_model_probe_is_refused_as_by_the_in_memory_codec(workdir, case):
-    flag = _PROBES[case][0]
-    load, whole = _IN_MEMORY[flag]
+@pytest.mark.parametrize("case", [case for case, (flag, source, _) in _PROBES.items()
+                                  if flag in _FILE_LISTS and source is not None])
+def test_every_line_file_probe_is_refused_alike_with_every_objects_keys_reversed(
+        bench_outputs, workdir, case):
+    # The loaders read each key by name, so the first fault they find, and
+    # its words, do not depend on the order of the keys in a line.
+    load = _LOADERS[_PROBES[case][0]]
     lines = _write_probe(workdir, case, f"lines-probe-{case}.json")
-    got = _refused(load, lines)
-    doc = _probe_document(workdir, case)
-    reference = workdir / f"whole-probe-{case}.json"
-    if doc is None:
-        reference.mkdir(exist_ok=True)
-    else:
-        reference.write_text(json.dumps(doc), encoding="utf-8")
-    want = _refused(whole, reference)
-    if case in _LINE_REFUSALS:
-        assert want[1] != got[1] == _LINE_REFUSALS[case]
-    else:
-        assert got == want
+    reversed_keys = workdir / f"reversed-probe-{case}.json"
+    reversed_keys.write_text("".join(_LINE_LAYOUTS["keys-reversed"](line) + "\n"
+                                     for line in lines.read_text().splitlines()))
+    assert _refused(load, reversed_keys) == _refused(load, lines)
 
 
 @pytest.mark.parametrize("extra,needle", [

@@ -19,12 +19,13 @@ from apk_builders import (
     declared,
     file_document,
     file_text,
+    saved_document,
     set_stored_value,
     write_file,
 )
 from pst_evade import detectors, perturbset
 from pst_evade.catalog import (ARRAY_DTYPES, canonical_json, check_format, load_default_catalog,
-                              pack_array, read_document, unpack_array)
+                              pack_array, unpack_array)
 from pst_evade.corpus import (
     ACTION_MAIN,
     API_FAMILY_COUNT,
@@ -39,8 +40,6 @@ from pst_evade.corpus import (
     _component_to_dict,
     apk_to_dict,
     contains,
-    corpus_from_dict,
-    corpus_to_dict,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -100,13 +99,13 @@ def test_generated_function_ids_carry_families(small_corpus):
 def test_generator_is_deterministic(small_corpus):
     again = generate_corpus(CorpusSpec(n_benign=60, n_malicious=60,
                                        donor_count=12, seed=11))
-    assert canonical_json(corpus_to_dict(again)) == canonical_json(corpus_to_dict(small_corpus))
+    assert again == small_corpus
 
 
 def test_generator_seed_changes_output():
     a = generate_corpus(CorpusSpec(n_benign=4, n_malicious=4, donor_count=2, seed=1))
     b = generate_corpus(CorpusSpec(n_benign=4, n_malicious=4, donor_count=2, seed=2))
-    assert canonical_json(corpus_to_dict(a)) != canonical_json(corpus_to_dict(b))
+    assert (a.benign, a.malicious, a.donors) != (b.benign, b.malicious, b.donors)
 
 
 def test_donor_component_scale():
@@ -487,19 +486,12 @@ def test_spec_from_dict_refuses_unknown_keys_and_bad_counts(doc, needle):
     assert str(exc.value) == needle
 
 
-def test_corpus_round_trip(small_corpus):
-    doc = corpus_to_dict(small_corpus)
-    back = corpus_from_dict(doc)
-    assert canonical_json(corpus_to_dict(back)) == canonical_json(doc)
-
-
 def test_corpus_file_round_trip(tmp_path):
     corpus = generate_corpus(CorpusSpec(n_benign=3, n_malicious=3, donor_count=2,
                                         seed=5))
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
-    back = load_corpus(path)
-    assert canonical_json(corpus_to_dict(back)) == canonical_json(corpus_to_dict(corpus))
+    assert load_corpus(path) == corpus
 
 
 def test_corpus_file_stores_component_arrays_as_narrow_base64(tmp_path):
@@ -531,14 +523,18 @@ def test_saving_a_corpus_twice_gives_the_same_bytes(tmp_path):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["small", "empty"])
 def test_saved_corpus_is_the_canonical_document(small_corpus, tmp_path, empty):
-    # The writer streams app by app; its bytes are the lines of the whole
-    # document: line 1 with each app list given as its length, then one app a
-    # line, the lists in sorted key order.
+    # The writer streams app by app; its bytes are the canonical lines of the
+    # document it holds: line 1 with each app list given as its length, then
+    # one app a line, the lists in sorted key order.
     corpus = (generate_corpus(CorpusSpec(n_benign=0, n_malicious=0, donor_count=0, seed=3))
               if empty else small_corpus)
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
-    assert path.read_bytes() == file_text(corpus_to_dict(corpus), CORPUS_LISTS).encode("utf-8")
+    doc = file_document(path, CORPUS_LISTS)
+    assert path.read_bytes() == file_text(doc, CORPUS_LISTS).encode("utf-8")
+    assert [len(doc[key]) for key in CORPUS_LISTS] == [
+        len(corpus.benign), len(corpus.malicious), len(corpus.donors)]
+    assert load_corpus(path) == corpus
     if empty:
         assert path.read_bytes().startswith(
             b'{"benign":0,"donors":0,"format":6,"malicious":0,"spec":{')
@@ -600,42 +596,22 @@ def test_a_failed_model_save_leaves_the_file_as_it_was(tmp_path, monkeypatch, ex
     assert [p.name for p in tmp_path.iterdir()] == (["model.json"] if existing else [])
 
 
-def _whole_document_file(corpus, path):
-    """Write the corpus's whole document to ``path`` as one JSON value, the
-    layout ``read_document`` reads; ``path``."""
-    path.write_text(canonical_json(corpus_to_dict(corpus)), encoding="utf-8")
-    return path
-
-
-def _read_whole_document(path):
-    return read_document(path, corpus_from_dict,
-                         ("corpus", CORPUS_FORMAT, "regenerate it with gen-corpus"))
-
-
 def test_load_corpus_holds_no_parsed_document(tmp_path):
-    # Beyond the corpus it builds, the line reader holds one app's line; the
-    # whole-document reader holds the parsed document, about the file's size
-    # (11 MB here). Peaks are taken above what the loaded corpus holds, so the
-    # apps themselves count in neither.
+    # Beyond the corpus it builds, the line reader holds one app's line (under
+    # 0.1 MB here); a parsed document would take more than the file's size
+    # (11 MB). The peak is taken above what the loaded corpus holds, so the
+    # apps themselves do not count.
     path = tmp_path / "corpus.json"
-    generated = generate_corpus(CorpusSpec(n_benign=200, n_malicious=200, donor_count=40,
-                                           seed=3))
-    save_corpus(generated, path)
-    whole_path = _whole_document_file(generated, tmp_path / "whole.json")
-
-    def overhead(load, path):
-        tracemalloc.start()
-        try:
-            corpus = load(path)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(corpus.benign) == 200
-        return peak - held
-
-    streamed = overhead(load_corpus, path)
-    whole = overhead(_read_whole_document, whole_path)
-    assert streamed < whole / 2, (streamed, whole)
+    save_corpus(generate_corpus(CorpusSpec(n_benign=200, n_malicious=200, donor_count=40,
+                                           seed=3)), path)
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.benign) == 200
+    assert peak - held < path.stat().st_size / 10, (peak - held, path.stat().st_size)
 
 
 def _held(make):
@@ -671,14 +647,10 @@ def _distinct(values) -> tuple[int, int]:
     return len({id(v) for v in values}), len(set(values))
 
 
-@pytest.mark.parametrize("reference", [False, True], ids=["streamed", "reference"])
-def test_both_load_paths_hold_each_name_and_permission_once(tmp_path, reference):
+def test_a_loaded_corpus_holds_each_name_and_permission_once(tmp_path):
     generated = generate_corpus(CorpusSpec(n_benign=12, n_malicious=12, donor_count=6, seed=3))
-    if reference:
-        corpus = _read_whole_document(_whole_document_file(generated, tmp_path / "whole.json"))
-    else:
-        save_corpus(generated, tmp_path / "corpus.json")
-        corpus = load_corpus(tmp_path / "corpus.json")
+    save_corpus(generated, tmp_path / "corpus.json")
+    corpus = load_corpus(tmp_path / "corpus.json")
     assert corpus == generated
     apps = corpus.benign + corpus.malicious + corpus.donors
     api_ids = [api for app in apps for c in app.components for api in c.api_calls]
@@ -810,14 +782,16 @@ def test_edges_widen_to_int32_only_past_65536_functions(n_functions, edge_dtype)
 # Loading refuses other formats and malformed apps
 
 
-def _corpus_doc():
-    return corpus_to_dict(generate_corpus(CorpusSpec(n_benign=3, n_malicious=3,
-                                                     donor_count=2, seed=5)))
+def _corpus_doc(tmp_path):
+    """The document of a small corpus's file, saved in ``tmp_path``."""
+    return saved_document(save_corpus, generate_corpus(CorpusSpec(
+        n_benign=3, n_malicious=3, donor_count=2, seed=5)), tmp_path / "source.json",
+                          CORPUS_LISTS)
 
 
 @pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5])
 def test_load_corpus_refuses_other_formats(tmp_path, found):
-    doc = _corpus_doc()
+    doc = _corpus_doc(tmp_path)
     if found is None:
         del doc["format"]  # written before corpus files were versioned
     else:
@@ -900,7 +874,7 @@ def _widget_declared(comp, app):
         "edge_wrapping_to_zero", "family_wrapping_into_range", "bad_origin",
         "non_string_api_id", "api_calls_string", "duplicate_declared", "widget_declared"])
 def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
-    doc = _corpus_doc()
+    doc = _corpus_doc(tmp_path)
     app = doc["malicious"][2]
     i, comp = next((i, c) for i, c in enumerate(app["code"]["components"])
                    if c["edges"]["data"])
@@ -919,7 +893,7 @@ def test_load_corpus_validates_every_app(tmp_path, corrupt, needle):
 def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
     # A non-integer index can only be written in a dtype outside the list: the
     # float as <f8, the string as <U1.
-    doc = _corpus_doc()
+    doc = _corpus_doc(tmp_path)
     app, i, comp = next((a, i, c) for a in doc["benign"]
                         for i, c in enumerate(a["code"]["components"]) if c["edges"]["data"])
     arr = np.array([value])
@@ -937,7 +911,7 @@ def test_load_corpus_rejects_non_integer_indices(tmp_path, field, value):
 @pytest.mark.parametrize("case", list(MALFORMED_ARRAYS))
 def test_load_corpus_refuses_a_malformed_array(tmp_path, case):
     field, stored, message = MALFORMED_ARRAYS[case]
-    doc = _corpus_doc()
+    doc = _corpus_doc(tmp_path)
     app = next(a for a in doc["benign"] if a["code"]["components"])
     app["code"]["components"][0][field] = stored
     path = tmp_path / "corpus.json"
@@ -959,7 +933,7 @@ def test_load_corpus_refuses_a_malformed_array(tmp_path, case):
 ])
 def test_load_corpus_refuses_a_flag_or_class_count_of_the_wrong_type(tmp_path, where,
                                                                     value, message):
-    doc = _corpus_doc()
+    doc = _corpus_doc(tmp_path)
     app = doc["benign"][0]
     if where == "classes":
         app["code"]["components"][0]["classes"] = value

@@ -4,15 +4,16 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from apk_builders import MODEL_LISTS, apk, file_document, write_file
+from apk_builders import MODEL_LISTS, apk, file_document, saved_document, write_file
 from pst_evade import detectors
 from pst_evade.attack import AttackConfig, Oracle, run_attack
-from pst_evade.catalog import load_default_catalog, pack_array, read_document
+from pst_evade.catalog import load_default_catalog, pack_array
 from pst_evade.detectors import (
     MODEL_FORMAT,
     DetectorModel,
@@ -24,12 +25,11 @@ from pst_evade.detectors import (
     _KnnBlock,
     _nearest_vote,
     _scalar_sigmoid,
+    _scorer_to_dict,
     _sigmoid,
     block_states,
     confidence_from_dense,
     load_model,
-    model_from_dict,
-    model_to_dict,
     query,
     save_model,
     score,
@@ -396,11 +396,11 @@ def test_ensemble_rejects_empty():
         Ensemble([])
 
 
-def test_ensemble_without_members_is_refused_at_load():
-    doc = {"kind": "ensemble", "members": []}
+def test_ensemble_without_members_is_refused_at_load(tmp_path):
+    path = tmp_path / "model.json"
     with pytest.raises(ValueError) as err:
-        model_from_dict(doc)
-    assert str(err.value) == "ensemble model: has no members"
+        _load_doc(path, {"format": MODEL_FORMAT, "kind": "ensemble", "members": []})
+    assert str(err.value) == f"{path}: ensemble model: has no members"
 
 
 def test_models_compare_and_hash_by_identity():
@@ -687,12 +687,11 @@ def test_train_learns_separable_data(kind):
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "knn", "forest"])
-def test_train_is_deterministic(kind):
+def test_train_is_deterministic(tmp_path, kind):
     space, x, labels = _separable_rows()
-    a = train(kind, space, x, labels, seed=3)
-    b = train(kind, space, x, labels, seed=3)
-    assert json.dumps(model_to_dict(a), sort_keys=True) == \
-           json.dumps(model_to_dict(b), sort_keys=True)
+    for name in ("a.json", "b.json"):
+        save_model(train(kind, space, x, labels, seed=3), tmp_path / name)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_knn_stores_only_fit_portion():
@@ -1025,50 +1024,65 @@ def test_stock_members_load_with_their_trained_params_and_answers(tmp_path, smal
     assert [query(loaded, a) for a in test] == [query(stock_ensemble, a) for a in test]
 
 
-def _stored_dtypes(model):
-    """The dtype a model file stores each array param in."""
-    return {name: v["dtype"] for name, v in model_to_dict(model)["params"].items()
+def _stored_dtypes(model, path):
+    """The dtype the model file saved at ``path`` stores each array param in."""
+    return {name: v["dtype"] for name, v in saved_document(
+                save_model, model, path, MODEL_LISTS)["params"].items()
             if isinstance(v, dict) and "dtype" in v}
 
 
-def test_fractional_fit_rows_and_trained_weights_are_stored_as_float64():
+def test_fractional_fit_rows_and_trained_weights_are_stored_as_float64(tmp_path):
     rng = np.random.default_rng(4)
     space = FeatureSpace("markov")
     x = rng.random((24, space.width))
     labels = ["malicious", "benign"] * 12
     knn, mlp = (train(kind, space, x, labels, seed=3) for kind in ("knn", "mlp"))
-    assert _stored_dtypes(knn) == {"x": "<f8", "y": "<u1"}
-    assert _stored_dtypes(mlp) == {"w1": "<f8", "b1": "<f8", "w2": "<f8"}
-    for model in (knn, mlp):
-        back = model_from_dict(model_to_dict(model))
-        for name in _stored_dtypes(model):
+    path = tmp_path / "model.json"
+    for model, stored in ((knn, {"x": "<f8", "y": "<u1"}),
+                          (mlp, {"w1": "<f8", "b1": "<f8", "w2": "<f8"})):
+        assert _stored_dtypes(model, path) == stored
+        back = load_model(path)
+        for name in stored:
             assert np.array_equal(_bits(back.params[name]), _bits(model.params[name])), name
 
 
-def test_a_negative_zero_weight_keeps_its_sign_and_whole_weights_go_narrow():
+def test_a_negative_zero_weight_keeps_its_sign_and_whole_weights_go_narrow(tmp_path):
     signed = _linear_model([-0.0, 1.0], 0.0, keys=("a", "b"))
     whole = _linear_model([0.0, -3.0], 0.0, keys=("a", "b"))
-    assert _stored_dtypes(signed) == {"w": "<f8"}
-    assert _stored_dtypes(whole) == {"w": "<i1"}
-    for model in (signed, whole):
-        w = model_from_dict(model_to_dict(model)).params["w"]
+    path = tmp_path / "model.json"
+    for model, stored in ((signed, "<f8"), (whole, "<i1")):
+        assert _stored_dtypes(model, path) == {"w": stored}
+        w = load_model(path).params["w"]
         assert w.dtype == np.float64 and w.flags.aligned and w.flags.writeable
         assert np.array_equal(_bits(w), _bits(model.params["w"]))
-    assert np.signbit(model_from_dict(model_to_dict(signed)).params["w"][0])
+        assert np.signbit(w[0]) == (model is signed)
 
 
-@pytest.mark.parametrize("reference", [False, True], ids=["streamed", "reference"])
-def test_a_loaded_ensembles_binary_members_share_their_key_strings(tmp_path, stock_ensemble,
-                                                                   reference):
-    # The reference reads the whole document, written as one JSON value.
-    path = tmp_path / "ensemble.json"
-    if reference:
-        path.write_text(json.dumps(model_to_dict(stock_ensemble)), encoding="utf-8")
-        loaded = read_document(path, model_from_dict,
-                               ("model", MODEL_FORMAT, "retrain it with train"))
-    else:
-        save_model(stock_ensemble, path)
+def test_a_loaded_knn_member_keeps_its_0_1_fit_rows_as_uint8(tmp_path):
+    # The file stores 0/1 fit rows as <u1, and the loader keeps that dtype: no
+    # float64 copy of the rows (8 bytes a value) is made on the way in.
+    rng = np.random.default_rng(5)
+    space = _binary_space([f"perm:P{i}" for i in range(400)])
+    x = (rng.random((200, space.width)) < 0.3).astype(np.float64)
+    trained = train("knn", space, x, ["malicious", "benign"] * 100, seed=3)
+    path = tmp_path / "knn.json"
+    save_model(trained, path)
+    tracemalloc.start()
+    try:
         loaded = load_model(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = loaded.params["x"]
+    assert rows.dtype == np.uint8 and np.array_equal(rows, trained.params["x"])
+    assert peak - held < 8 * rows.size, (peak - held, rows.size)
+    assert [loaded.kernel(row) for row in x] == [trained.kernel(row) for row in x]
+
+
+def test_a_loaded_ensembles_binary_members_share_their_key_strings(tmp_path, stock_ensemble):
+    path = tmp_path / "ensemble.json"
+    save_model(stock_ensemble, path)
+    loaded = load_model(path)
     keys = [key for m in loaded.members if m.space.kind == "binary" for key in m.space.keys]
     assert len(keys) > 2 * len(set(keys))  # the binary members name the same keys
     assert len({id(key) for key in keys}) == len(set(keys))
@@ -1109,13 +1123,13 @@ def test_space_round_trip():
         assert (back.kind, back.cluster_map) == (space.kind, space.cluster_map)
 
 
-def test_model_dict_records_vocab_hash():
+def test_model_file_records_vocab_hash(tmp_path):
     # The space_hash covers the binary key list.
-    model = _linear_model([1.0], 0.0)
-    doc = model_to_dict(model)
+    model, path = _linear_model([1.0], 0.0), tmp_path / "model.json"
+    doc = saved_document(save_model, model, path, MODEL_LISTS)
     assert doc["space"] == {"kind": "binary", "keys": ["perm:P"]}
     assert doc["space_hash"] == model.space.digest
-    back = model_from_dict(doc)
+    back = load_model(path)
     assert back.space == model.space
     assert back.params["b"] == model.params["b"]
 
@@ -1175,25 +1189,28 @@ def test_load_rejects_cluster_map_that_does_not_match_its_hash(tmp_path):
                    lambda doc: _swap_clusters(doc["members"][1]["space"]["cluster_map"]))
 
 
-def test_ensemble_has_no_space_and_its_file_none():
+def test_ensemble_has_no_space_and_its_file_none(tmp_path):
     ensemble = Ensemble([_linear_model([1.0], 0.0), _cluster_model()])
     assert not hasattr(ensemble, "space")
-    doc = model_to_dict(ensemble)
+    path = tmp_path / "model.json"
+    doc = saved_document(save_model, ensemble, path, MODEL_LISTS)
     assert "space" not in doc and "space_hash" not in doc
-    assert model_from_dict(doc).members[1].space == _cluster_model().space
+    assert load_model(path).members[1].space == _cluster_model().space
 
 
-def test_model_file_holds_exactly_its_kinds_keys():
+def test_model_file_holds_exactly_its_kinds_keys(tmp_path):
     space, x, labels = _separable_rows()
-    doc = model_to_dict(Ensemble([train(kind, space, x, labels, seed=3)
-                                  for kind in ("linear", "mlp", "knn", "forest")]))
+    doc = saved_document(save_model, Ensemble([train(kind, space, x, labels, seed=3)
+                                               for kind in ("linear", "mlp", "knn", "forest")]),
+                         tmp_path / "ensemble.json", MODEL_LISTS)
     assert sorted(doc) == ["format", "kind", "members"]
     scorer_keys = ["format", "kind", "params", "report", "space", "space_hash"]
     assert [sorted(m) for m in doc["members"]] == [scorer_keys] * 4
     assert [sorted(m["params"]) for m in doc["members"]] == [
         ["b", "w"], ["b1", "b2", "w1", "w2"], ["x", "y"], ["trees"]]
     # A hand-built model has no training report, and its file none.
-    assert sorted(model_to_dict(_linear_model([1.0], 0.0))) == [
+    assert sorted(saved_document(save_model, _linear_model([1.0], 0.0),
+                                 tmp_path / "model.json", MODEL_LISTS)) == [
         "format", "kind", "params", "space", "space_hash"]
 
 
@@ -1229,28 +1246,20 @@ def test_a_nested_ensemble_is_refused_naming_its_own_member_index(tmp_path):
     with pytest.raises(ValueError) as err:
         load_model(path)
     assert str(err.value) == f"{path}: {message}"
-    with pytest.raises(ValueError) as err:
-        model_from_dict(doc)
-    assert str(err.value) == message
 
 
 def test_a_model_file_is_refused_for_its_first_fault_in_file_order(tmp_path):
     # Member 0's bad param comes before member 1's format: the line reader
-    # builds each member as its line is read, and the whole-document parse
-    # builds them in the same order.
+    # builds each member as its line is read.
     path = tmp_path / "two-faults.json"
     save_model(Ensemble([_member(True), _member(False)]), path)
     doc = file_document(path, MODEL_LISTS)
     doc["members"][0]["params"]["b"] = "x"
     doc["members"][1]["format"] = 99
     write_file(path, doc, MODEL_LISTS)
-    message = 'linear model: params.b is "x", not a number'
     with pytest.raises(ValueError) as err:
         load_model(path)
-    assert str(err.value) == f"{path}: {message}"
-    with pytest.raises(ValueError) as err:
-        model_from_dict(doc)
-    assert str(err.value) == message
+    assert str(err.value) == f'{path}: linear model: params.b is "x", not a number'
 
 
 @pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5])
@@ -1269,23 +1278,32 @@ def test_load_model_refuses_other_formats(tmp_path, found):
                               "retrain it with train")
 
 
-def test_model_missing_a_key_is_a_one_line_value_error():
-    with pytest.raises(ValueError, match="linear model: missing key 'space'"):
-        model_from_dict({"kind": "linear"})
+def _load_doc(path, doc):
+    """The model that ``doc``, written at ``path`` as a model file, loads as."""
+    write_file(path, doc, MODEL_LISTS)
+    return load_model(path)
+
+
+def test_model_missing_a_key_is_a_one_line_value_error(tmp_path):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as err:
+        _load_doc(path, {"format": MODEL_FORMAT, "kind": "linear"})
+    assert str(err.value) == f"{path}: linear model: missing key 'space'"
     # A key missing inside ``params`` or ``report`` is named by its path.
-    doc = model_to_dict(_linear_model([1.0], 0.0))
+    doc = _scorer_to_dict(_linear_model([1.0], 0.0))
     del doc["params"]["w"]
-    with pytest.raises(ValueError, match="^linear model: missing key 'params.w'$") as err:
-        model_from_dict(doc)
-    assert "\n" not in str(err.value)
-    doc = model_to_dict(_linear_model([1.0], 0.0))
+    with pytest.raises(ValueError) as err:
+        _load_doc(path, doc)
+    assert str(err.value) == f"{path}: linear model: missing key 'params.w'"
+    doc = _scorer_to_dict(_linear_model([1.0], 0.0))
     doc["report"] = {"precision": 1.0, "recall": 1.0, "holdout_size": 2, "on_holdout": True}
-    with pytest.raises(ValueError, match="^linear model: missing key 'report.f1'$"):
-        model_from_dict(doc)
+    with pytest.raises(ValueError) as err:
+        _load_doc(path, doc)
+    assert str(err.value) == f"{path}: linear model: missing key 'report.f1'"
 
 
 def _two_key_doc(kind):
-    """A valid model file's dict for a hand-built model over two binary keys."""
+    """The line a scorer file holds for a hand-built model over two binary keys."""
     params = {
         "linear": {"w": np.array([1.0, -1.0]), "b": 0.0},
         "mlp": {"w1": np.ones((2, 3)), "b1": np.zeros(3), "w2": np.ones(3), "b2": 0.0},
@@ -1295,14 +1313,14 @@ def _two_key_doc(kind):
                               "left": {"leaf": True, "vote": 0},
                               "right": {"leaf": True, "vote": 1}}]},
     }[kind]
-    return model_to_dict(DetectorModel(kind=kind, space=_binary_space(("perm:P", "perm:Q")),
-                                       params=params))
+    return _scorer_to_dict(DetectorModel(kind=kind, space=_binary_space(("perm:P", "perm:Q")),
+                                         params=params))
 
 
 def _give_cluster_space(doc, space_extra=(), map_extra=()):
     """Make a linear model's doc that of ``_cluster_model``, plus the extra keys
     in its space and in its cluster map."""
-    doc.update(model_to_dict(_cluster_model()))
+    doc.update(_scorer_to_dict(_cluster_model()))
     doc["space"].update(space_extra)
     doc["space"]["cluster_map"].update(map_extra)
 
@@ -1421,17 +1439,17 @@ SCORING_PARAM_CASES = [
                               "linear_markov_space_without_family_count",
                               "linear_bogus_space_kind", "svm_model_kind",
                               "api_cluster_cluster_24"])
-def test_model_load_checks_scoring_params(kind, tamper, needle):
-    doc = _two_key_doc(kind)
-    assert model_from_dict(doc).kind == kind
+def test_model_load_checks_scoring_params(tmp_path, kind, tamper, needle):
+    doc, path = _two_key_doc(kind), tmp_path / "model.json"
+    assert _load_doc(path, doc).kind == kind
     tamper(doc)
     with pytest.raises(ValueError, match=re.escape(needle)) as err:
-        model_from_dict(doc)
+        _load_doc(path, doc)
     assert "\n" not in str(err.value)
     # Ensemble members are checked on load too.
-    ensemble = {**model_to_dict(Ensemble([_linear_model([1.0], 0.0)])), "members": [doc]}
+    ensemble = {"format": MODEL_FORMAT, "kind": "ensemble", "members": [doc]}
     with pytest.raises(ValueError, match=re.escape(needle)):
-        model_from_dict(ensemble)
+        _load_doc(path, ensemble)
 
 
 @pytest.mark.parametrize("kind,params,needle", [

@@ -1,11 +1,10 @@
 """Experiment runner: metrics math, grid coverage, determinism, file formats."""
-import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from apk_builders import HARDENED, ContentOracle, small_pset
+from apk_builders import HARDENED, REPORT_LISTS, ContentOracle, file_document, small_pset
 from apk_builders import apk as build_apk
 from pst_evade import harness
 from pst_evade.attack import AttackConfig, Oracle, run_attack
@@ -27,8 +26,8 @@ from pst_evade.harness import (
     detector_spec_to_dict,
     format_grid,
     grid_from_rows,
+    load_rows,
     make_default_ensemble,
-    rows_from_dict,
     run_experiment,
     save_report,
     select_true_positives,
@@ -460,11 +459,11 @@ def test_derived_wall_times_stay_within_the_largest_budget_row(mini_report):
 def _rows_read_back(report, path):
     save_report(report, path)
     assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temporary file left
-    doc = json.loads(path.read_text())
-    assert doc["format"] == 3 and doc["config"] == report.config
+    doc = file_document(path, REPORT_LISTS)
+    assert doc["format"] == 4 and doc["config"] == report.config
     assert doc["details"] == [dict(zip(DETAIL_KEYS, map(_json_value, detail)))
                               for detail in report.details]
-    return rows_from_dict(doc)
+    return load_rows(path)
 
 
 def _json_value(value):
@@ -474,7 +473,7 @@ def _json_value(value):
 def test_report_files_round_trip(mini_report, tmp_path):
     # JSON keeps every float whole, so wall_ms comes back exactly.
     back = _rows_read_back(mini_report, tmp_path / "report.json")
-    assert back == list(mini_report.rows)
+    assert back == mini_report.rows
     assert all(r["wall_ms"] >= 0.0 for r in back)
     assert cells_from_rows(back) == mini_report.cells
     assert grid_from_rows(back) == mini_report.grid
