@@ -64,9 +64,11 @@ def _cmd_train(args) -> int:
 def _cmd_attack(args) -> int:
     settings = GridSettings(algorithms=(args.algorithm,), budgets=(args.budget,),
                             sample_count=args.samples, seeds=(args.seed,))
-    # Refused before any file is read, in the words saving into it would give.
-    if not Path(args.out).parent.is_dir():
-        raise FileNotFoundError(f"{args.out}: {os.strerror(errno.ENOENT)}")
+    # Each output is refused before any file is read, in the words saving into
+    # it would give.
+    for out in filter(None, (args.out, args.dump_tree)):
+        if not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"{out}: {os.strerror(errno.ENOENT)}")
     corpus, model = load_corpus(args.corpus), load_model(args.model)
     pset = build_perturbation_set(load_default_catalog(), corpus.donors)
     report = run_grid(settings, {args.model: model}, corpus, pset, {
@@ -82,8 +84,13 @@ def _cmd_attack(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = read_document(args.config, config_from_dict)
+    # Made before any attack runs; a failure names the path given, as
+    # ``catalog.replacing`` does.
+    try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise type(exc)(f"{args.out_dir}: {exc.strerror or exc}") from None
     report = run_experiment(config)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     path = Path(args.out_dir) / "report.json"
     save_report(report, path)
     print(format_grid(report.grid))

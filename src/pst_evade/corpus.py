@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (AndroidCatalog, exact_keys, fields_of, flag, integer, items,
-                      load_default_catalog, obj, pack_array, permission_pairs, read_lines, shared,
-                      string, strings, unpack_array, write_lines)
+from .catalog import (AndroidCatalog, exact_keys, fields_of, items, load_default_catalog, obj,
+                      pack_array, permission_pairs, read_lines, shared, string, strings,
+                      unpack_array, write_lines)
 
 GROUND_TRUTHS = ("benign", "malicious")
 # The corpus document's app lists, in the order they are checked.
@@ -21,7 +21,7 @@ CODE_KINDS = ("service", "receiver", "provider")
 ORIGINS = ("original", "injected")
 
 # Version of the corpus file layout; files of any other version are refused.
-CORPUS_FORMAT = 6
+CORPUS_FORMAT = 7
 
 # Interned, as every name a loaded corpus reads is (``catalog.shared``): the
 # catalog lists both, so an app may hold them outside a launcher's sets too.
@@ -62,10 +62,6 @@ class DeclaredComponent:
     name: str
     intent_actions: frozenset[str]
     intent_categories: frozenset[str]
-    exported: bool
-    enabled: bool
-    process: str | None = None
-    data_uri: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +79,6 @@ class CodeComponent:
     by the edge count besides ``edges``."""
 
     kind: str
-    classes: int
     families: np.ndarray
     edges: np.ndarray
     api_calls: tuple[str, ...]
@@ -122,7 +117,7 @@ class CodeComponent:
             object.__setattr__(self, name, arr)
 
     def _key(self) -> tuple:
-        return (self.kind, self.classes, self.origin, self.api_calls,
+        return (self.kind, self.origin, self.api_calls,
                 self.families.tobytes(), self.edges.tobytes())
 
     def __eq__(self, other) -> bool:
@@ -161,7 +156,7 @@ class ApkModel:
 # 100 donors the expected donor pool is ~108 services, ~104 receivers, ~24
 # providers.
 MEAN_COMPONENTS = {"service": 1.08, "receiver": 1.04, "provider": 0.24}
-# Mean component richness, per kind.
+# Mean class count, per kind: drawn for each component and read by no feature.
 MEAN_CLASSES = {"service": 175.0, "receiver": 136.0, "provider": 417.0}
 MEAN_FUNCTIONS = {"service": 873.0, "receiver": 703.0, "provider": 2044.0}
 # API ids are spread over the packages; every function has one of the families.
@@ -266,7 +261,9 @@ class _GeneratorState:
 
 def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
                    cls: str, shifted: bool) -> CodeComponent:
-    classes = int(rng.poisson(MEAN_CLASSES[kind]))
+    # No feature reads a class count, but the draw stays: it moves the rng
+    # every later draw comes from, so dropping it would change every corpus.
+    rng.poisson(MEAN_CLASSES[kind])
     n_f = int(rng.poisson(MEAN_FUNCTIONS[kind]))
     fams = rng.integers(0, API_FAMILY_COUNT, n_f) if n_f else np.empty(0, dtype=int)
 
@@ -298,8 +295,7 @@ def _gen_component(state: _GeneratorState, rng: np.random.Generator, kind: str,
             key = key[np.concatenate(([True], key[1:] != key[:-1]))]
             edges = np.stack(np.divmod(key, n_f), axis=1)
 
-    return CodeComponent(kind=kind, classes=classes, families=fams, edges=edges,
-                         api_calls=api_calls, origin="original")
+    return CodeComponent(kind=kind, families=fams, edges=edges, api_calls=api_calls)
 
 
 def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
@@ -313,14 +309,13 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
     declared: list[DeclaredComponent] = [
         DeclaredComponent(kind="activity", name=f"com.app.{apk_id}.Main",
                           intent_actions=LAUNCHER_ACTIONS,
-                          intent_categories=LAUNCHER_CATEGORIES,
-                          exported=True, enabled=True)
+                          intent_categories=LAUNCHER_CATEGORIES)
     ]
     if actions or categories:
         declared.append(DeclaredComponent(
             kind="activity", name=f"com.app.{apk_id}.Intents",
-            intent_actions=actions, intent_categories=categories,
-            exported=bool(rng.integers(0, 2)), enabled=True))
+            intent_actions=actions, intent_categories=categories))
+        rng.integers(0, 2)  # whether it is exported, read by no feature: the draw stays
 
     components: list[CodeComponent] = []
     for kind in CODE_KINDS:
@@ -330,8 +325,8 @@ def _gen_app(state: _GeneratorState, rng: np.random.Generator, apk_id: str,
             components.append(_gen_component(state, rng, kind, cls, shifted))
             declared.append(DeclaredComponent(
                 kind=kind, name=f"com.app.{apk_id}.{kind.capitalize()}{comp_index}",
-                intent_actions=NO_NAMES, intent_categories=NO_NAMES,
-                exported=bool(rng.integers(0, 2)), enabled=True))
+                intent_actions=NO_NAMES, intent_categories=NO_NAMES))
+            rng.integers(0, 2)  # as above
 
     return ApkModel(id=apk_id, uses_features=features, permissions=permissions,
                     declared_components=tuple(declared), components=tuple(components),
@@ -407,32 +402,24 @@ def _declared_to_dict(c: DeclaredComponent) -> dict:
         "kind": c.kind, "name": c.name,
         "intent_actions": sorted(c.intent_actions),
         "intent_categories": sorted(c.intent_categories),
-        "exported": c.exported, "enabled": c.enabled,
-        "process": c.process, "data_uri": c.data_uri,
     }
 
 
 def _declared_from_dict(d: dict, what: str) -> DeclaredComponent:
     """The declared component in ``d``; ``what`` names it in the refusal of a key."""
-    exact_keys(obj(d, what), ("kind", "name", "intent_actions", "intent_categories", "exported",
-                              "enabled"), what, optional=("process", "data_uri"))
+    exact_keys(obj(d, what), ("kind", "name", "intent_actions", "intent_categories"), what)
     name = string(d["name"], "declared component name")
     where = f"declared component {name}: "
     return DeclaredComponent(
         kind=shared(d["kind"]), name=name,
         intent_actions=name_set(strings(d["intent_actions"], where + "intent_actions")),
         intent_categories=name_set(strings(d["intent_categories"], where + "intent_categories")),
-        exported=flag(d["exported"], where + "exported"),
-        enabled=flag(d["enabled"], where + "enabled"),
-        process=string(d.get("process"), where + "process", null=True),
-        data_uri=string(d.get("data_uri"), where + "data_uri", null=True),
     )
 
 
 def _component_to_dict(c: CodeComponent) -> dict:
     return {
-        "kind": c.kind, "classes": c.classes,
-        "families": pack_array(c.families),
+        "kind": c.kind, "families": pack_array(c.families),
         "edges": pack_array(c.edges.ravel()),
         "api_calls": list(c.api_calls),
         "origin": c.origin,
@@ -441,20 +428,19 @@ def _component_to_dict(c: CodeComponent) -> dict:
 
 def _component_from_dict(d: dict, where: str) -> CodeComponent:
     """The code component in ``d``; ``where`` starts the refusal of a key or value."""
-    exact_keys(obj(d, where), ("kind", "classes", "families", "edges", "api_calls"), where,
+    exact_keys(obj(d, where), ("kind", "families", "edges", "api_calls"), where,
                optional=("origin",))
     # A non-list stays as read, for the component to refuse: tuple() of a string
     # would split it into one-character ids. Each string read is shared, and
     # any other value kept for the component to refuse.
     api_calls = d["api_calls"]
     try:
-        classes = integer(d["classes"], "code component classes", lo=0)
         edges = unpack_array(d["edges"], "code component edges")
         if edges.size % 2:
             raise ValueError(f"code component edges holds {edges.size} values, "
                              "not (caller, callee) pairs")
         return CodeComponent(
-            kind=shared(d["kind"]), classes=classes,
+            kind=shared(d["kind"]),
             families=unpack_array(d["families"], "code component families"), edges=edges,
             api_calls=tuple(map(shared, api_calls)) if isinstance(api_calls, list) else api_calls,
             origin=shared(d.get("origin", "original")))

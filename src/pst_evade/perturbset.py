@@ -287,20 +287,19 @@ def apply_perturbation(apk: ApkModel, perturbation: Perturbation,
         comp = DeclaredComponent(
             kind=comp_kind, name=_fresh_component_name(apk, comp_kind, rng),
             intent_actions=NO_NAMES if category else added,
-            intent_categories=added if category else NO_NAMES,
-            exported=True, enabled=True,
-            process=":" + random_name(rng, 8),
-            data_uri="scheme://" + random_name(rng, 16))
+            intent_categories=added if category else NO_NAMES)
+        # No feature reads a process name or a data URI, but their draws stay:
+        # they keep every later draw of an attack where it was.
+        random_name(rng, 8)
+        random_name(rng, 16)
         return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (comp,),
                         apk.components, apk.ground_truth)
 
-    # An injection: one of INJECT_KINDS.
+    # An injection: one of INJECT_KINDS. It adds the payload's declaration and
+    # component themselves, each one object in every app the payload lands in.
     source = payload.declared
     if (source.kind, source.name) in _declared_names(apk):
         return apk
-    comp = DeclaredComponent(
-        source.kind, source.name, source.intent_actions, source.intent_categories,
-        exported=True, enabled=True, process=":" + random_name(rng, 8),
-        data_uri=source.data_uri)
-    return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (comp,),
+    random_name(rng, 8)  # the process name, read by no feature: as above
+    return ApkModel(apk.id, apk.uses_features, apk.permissions, declared + (source,),
                     apk.components + (payload.injected_component,), apk.ground_truth)

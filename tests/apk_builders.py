@@ -45,19 +45,15 @@ class NamedComponent(CodeComponent):
     names: tuple[str, ...] = ()
 
 
-def declared(kind="activity", name="Main", actions=(), categories=(),
-             exported=False, enabled=True, process=None, data_uri=None):
+def declared(kind="activity", name="Main", actions=(), categories=()):
     return DeclaredComponent(kind=kind, name=name,
                              intent_actions=frozenset(actions),
-                             intent_categories=frozenset(categories),
-                             exported=exported, enabled=enabled,
-                             process=process, data_uri=data_uri)
+                             intent_categories=frozenset(categories))
 
 
-def code_component(kind="service", functions=(), api_ids=(), classes=1,
-                   origin="original"):
+def code_component(kind="service", functions=(), api_ids=(), origin="original"):
     families = [int(f.rpartition("@")[2]) for f in functions]
-    return NamedComponent(kind=kind, classes=classes, families=families, edges=(),
+    return NamedComponent(kind=kind, families=families, edges=(),
                           api_calls=tuple(api_ids), origin=origin, names=tuple(functions))
 
 
@@ -74,7 +70,7 @@ def _place_edges(components, edges):
             raise ValueError(f"edge crosses components {ca} and {cb}: {(a, b)}")
         local[ca].append([ka, kb])
     return tuple(
-        CodeComponent(kind=c.kind, classes=c.classes, families=c.families,
+        CodeComponent(kind=c.kind, families=c.families,
                       edges=pairs, api_calls=c.api_calls, origin=c.origin)
         for c, pairs in zip(components, local))
 

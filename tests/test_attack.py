@@ -532,7 +532,7 @@ def test_oracle_raises_the_full_extraction_error_for_an_added_part(
     target = small_corpus.malicious[0]
     payload = InjectablePayload(
         source_apk_id="d", declared=declared(kind="service", name="Bad"),
-        component=CodeComponent(**{"kind": "service", "classes": 1, "families": [],
+        component=CodeComponent(**{"kind": "service", "families": [],
                                    "edges": [], "api_calls": (), **component}))
     candidate = apply_perturbation(target, StubPerturbation("inject_service", payload),
                                    random.Random(0))

@@ -50,12 +50,15 @@ def test_gen_corpus_writes_loadable_corpus(workdir):
     assert len(corpus.benign) == 30
     assert len(corpus.malicious) == 30
     assert len(corpus.donors) == 10
-    # A format-6 corpus file records only the four spec fields, and stores each
-    # component's families and edges as {dtype, data} objects.
+    # A format-7 corpus file records only the four spec fields and the keys of
+    # what the app values hold, and stores each component's families and edges
+    # as {dtype, data} objects.
     doc = file_document(workdir / "corpus.json", CORPUS_LISTS)
-    assert doc["format"] == 6
+    assert doc["format"] == 7
     assert sorted(doc["spec"]) == ["donor_count", "n_benign", "n_malicious", "seed"]
+    assert sorted(_first_declared(doc)) == ["intent_actions", "intent_categories", "kind", "name"]
     component = _first_component(doc)
+    assert sorted(component) == ["api_calls", "edges", "families", "kind", "origin"]
     assert all(sorted(component[k]) == ["data", "dtype"] for k in ("families", "edges"))
 
 
@@ -426,19 +429,31 @@ def test_attack_refuses_its_settings_before_it_reads_a_file(workdir, capsys, sam
 
 @pytest.mark.parametrize("command,flag", [
     ("gen-corpus", "--out"), ("train", "--out"), ("attack", "--out"), ("attack", "--dump-tree"),
+    ("bench", "--out-dir"),
 ])
 def test_output_into_a_missing_directory_is_refused_naming_the_path_given(workdir, capsys,
                                                                           command, flag):
-    out = workdir / "nodir" / "out.json"
-    # attack refuses its --out before it reads a file: its corpus here is missing.
-    corpus = workdir / ("missing.json" if (command, flag) == ("attack", "--out") else "corpus.json")
+    # bench makes its --out-dir and the directories above it, so its output is
+    # one that cannot be made: a directory under a regular file.
+    if command == "bench":
+        out, reason = workdir / "regular-file" / "results", "Not a directory"
+        out.parent.write_text("")
+    else:
+        out, reason = workdir / "nodir" / "out.json", "No such file or directory"
+    # attack and bench refuse their outputs before they read a corpus, so
+    # before any attack runs: their corpus here is missing.
+    corpus = workdir / ("missing.json" if command in ("attack", "bench") else "corpus.json")
+    config = workdir / "missing-corpus-bench.json"
+    config.write_text(json.dumps({"corpus_path": str(corpus), "detectors": [{"name": "linear"}]}))
     inputs = {"gen-corpus": ["--spec", str(workdir / "spec.json")],
               "train": ["--corpus", str(corpus)],
-              "attack": _attack_args(workdir, corpus, workdir / "model.json")[1:]}[command]
+              "attack": _attack_args(workdir, corpus, workdir / "model.json")[1:],
+              "bench": ["--config", str(config)]}[command]
     capsys.readouterr()
     assert main([command, *inputs, flag, str(out)]) == 2
-    assert capsys.readouterr().err == f"pst-evade: error: {out}: No such file or directory\n"
-    assert not out.parent.exists()
+    assert capsys.readouterr().err == f"pst-evade: error: {out}: {reason}\n"
+    assert not out.exists()
+    assert out.parent.is_file() if command == "bench" else not out.parent.exists()
 
 
 @pytest.mark.parametrize("algorithm", ["pst", "mab", "random"])
@@ -634,14 +649,6 @@ _PROBES = {
                                    lambda d: _first_component(d)["families"].update(data="#")),
     "corpus-edges-wide-dtype": ("--corpus", "corpus.json",
                                 lambda d: _first_component(d)["edges"].update(dtype="<f8")),
-    "corpus-exported-string": ("--corpus", "corpus.json",
-                               lambda d: _first_declared(d).update(exported="false")),
-    "corpus-enabled-string": ("--corpus", "corpus.json",
-                              lambda d: _first_declared(d).update(enabled="no")),
-    "corpus-classes-string": ("--corpus", "corpus.json",
-                              lambda d: _first_component(d).update(classes="12")),
-    "corpus-classes-bool": ("--corpus", "corpus.json",
-                            lambda d: _first_component(d).update(classes=True)),
     "corpus-unknown-ground-truth": ("--corpus", "corpus.json",
                                     lambda d: d["benign"][0].update(ground_truth="evil")),
     "corpus-benign-count-string": ("--corpus", "corpus.json", lambda d: d.update(benign="x")),
@@ -695,10 +702,6 @@ _PROBES = {
     "corpus-intent-categories-string": ("--corpus", "corpus.json",
                                         lambda d: _first_declared(d).update(
                                             intent_categories="android.intent.category.HOME")),
-    "corpus-classes-negative": ("--corpus", "corpus.json",
-                                lambda d: _first_component(d).update(classes=-5)),
-    "corpus-process-number": ("--corpus", "corpus.json",
-                              lambda d: _first_declared(d).update(process=7)),
     "corpus-permission-unknown-level": ("--corpus", "corpus.json",
                                         lambda d: _first_app_permissions(d)[0].__setitem__(
                                             1, "bogus")),
@@ -809,15 +812,22 @@ _PROBES = {
                                       lambda d: _first_app_declared(d).__setitem__(0, 5)),
     "corpus-declared-without-name": ("--corpus", "corpus.json",
                                      lambda d: _first_declared(d).pop("name")),
-    "corpus-declared-without-exported": ("--corpus", "corpus.json",
-                                         lambda d: _first_declared(d).pop("exported")),
     "corpus-component-not-an-object": ("--corpus", "corpus.json",
                                        lambda d: _first_app_components(d).__setitem__(0, 5)),
-    "corpus-component-without-classes": ("--corpus", "corpus.json",
-                                         lambda d: _first_component(d).pop("classes")),
     "model-forest-node-not-an-object": ("--model", "model.json",
                                         lambda d: d.update(kind="forest", params={"trees": [
                                             {**_SPLIT_ON_A_FLAG, "feature": 0, "left": 5}]})),
+    # A forest node's leaf is a flag, and a string is no flag.
+    "model-forest-leaf-string": ("--model", "model.json",
+                                 lambda d: d.update(kind="forest", params={"trees": [
+                                     {**_SPLIT_ON_A_FLAG, "feature": 0,
+                                      "left": {"leaf": "true", "vote": 0}}]})),
+    # A format-6 file, and a key of that format that no app value holds now.
+    "corpus-format-6": ("--corpus", "corpus.json", lambda d: d.update(format=6)),
+    "corpus-declared-exported": ("--corpus", "corpus.json",
+                                 lambda d: _first_declared(d).update(exported=True)),
+    "corpus-component-classes": ("--corpus", "corpus.json",
+                                 lambda d: _first_component(d).update(classes=175)),
     # Each of these was refused as format None.
     "corpus-top-level-list": ("--corpus", None, []),
     "model-top-level-list": ("--model", None, []),
@@ -842,9 +852,6 @@ _PROBE_FIELDS = {
     "corpus-uses-features-string": "app b000: uses_features are not a list of strings",
     "corpus-intent-actions-string": "Main: intent_actions are not a list of strings",
     "corpus-intent-categories-string": "Main: intent_categories are not a list of strings",
-    "corpus-classes-negative": (
-        "app b000 component 0: code component classes is -5, not an integer >= 0"),
-    "corpus-process-number": "Main: process is 7, not a string or null",
     "corpus-permission-unknown-level": '"bogus"], not a [name, protection level] pair',
     "corpus-permission-string": 'permissions holds "ab", not a [name, protection level] pair',
     "corpus-app-id-number": "app id is 5, not a string",
@@ -888,10 +895,9 @@ _PROBE_FIELDS = {
     "corpus-manifest-without-permissions": "app b000: missing key 'manifest.permissions'",
     "corpus-declared-not-an-object": "app b000 declared component 0 is not a JSON object",
     "corpus-declared-without-name": "app b000 declared component 0: missing key 'name'",
-    "corpus-declared-without-exported": "app b000 declared component 0: missing key 'exported'",
     "corpus-component-not-an-object": "app b000 component 0 is not a JSON object",
-    "corpus-component-without-classes": "app b000 component 0: missing key 'classes'",
     "model-forest-node-not-an-object": "forest model: tree node is not a JSON object",
+    "model-forest-leaf-string": 'forest model: node leaf is "true", not true or false',
     "model-space-without-kind": "linear model: missing key 'space.kind'",
     "model-cluster-map-without-count": (
         "linear model: missing key 'space.cluster_map.cluster_count'"),
@@ -912,12 +918,6 @@ _PROBE_FIELDS = {
         "app b000 component 0: code component families data is not valid base64"),
     "corpus-edges-wide-dtype": ('app b000 component 0: code component edges dtype "<f8" is '
                                 "not one of <u1, <i1, <u2, <i2, <u4, <i4, <i8"),
-    "corpus-exported-string": (
-        'declared component com.app.b000.Main: exported is "false", not true or false'),
-    "corpus-enabled-string": (
-        'declared component com.app.b000.Main: enabled is "no", not true or false'),
-    "corpus-classes-string": 'app b000 component 0: code component classes is "12", not an integer',
-    "corpus-classes-bool": "app b000 component 0: code component classes is true, not an integer",
     "corpus-unknown-ground-truth": "app b000: bad ground truth: evil",
     "corpus-benign-count-string": 'benign is "x", not an integer',
     "corpus-spec-count-string": "corpus spec: n_benign is 'x', not a non-negative integer",
@@ -935,6 +935,9 @@ _PROBE_FIELDS = {
     "config-without-detectors": "missing key 'detectors'",
     "config-budgets-string": 'budgets is "x", not a list',
     "config-seeds-string": 'seeds is "01", not a list',
+    "corpus-format-6": "corpus format 6 is not supported; regenerate it with gen-corpus",
+    "corpus-declared-exported": "app b000 declared component 0: unknown key 'exported'",
+    "corpus-component-classes": "app b000 component 0: unknown key 'classes'",
     "corpus-top-level-list": "corpus is not a JSON object",
     "model-top-level-list": "model is not a JSON object",
     "report-top-level-list": "report is not a JSON object",

@@ -57,8 +57,14 @@ from pst_evade.perturbset import (
 )
 
 NAME_RE = re.compile(r"^[a-z0-9]{20}$")
-PROCESS_RE = re.compile(r"^:[a-z0-9]{8}$")
-DATA_URI_RE = re.compile(r"^scheme://[a-z0-9]{16}$")
+
+
+def _after_names(seed, *lengths):
+    """The state of ``random.Random(seed)`` after drawing names of these lengths."""
+    rng = random.Random(seed)
+    for length in lengths:
+        random_name(rng, length)
+    return rng.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_train_test_split_is_trailing_per_class(small_corpus):
 
 def _plain_apk():
     main = declared(name="com.app.t000.Main", actions=[ACTION_MAIN],
-                    categories=[CATEGORY_LAUNCHER], exported=True)
+                    categories=[CATEGORY_LAUNCHER])
     comp = code_component(functions=["t000.c0.f0@0", "t000.c0.f1@1"],
                           api_ids=["api.pkg00.fn000"])
     return apk(features=["android.hardware.camera"], perms=[("P", "normal")],
@@ -182,9 +188,9 @@ def test_permission_noop_matches_by_name():
 
 def test_activity_action_creates_fresh_activity():
     base = _plain_apk()
+    rng = random.Random(7)
     out = apply_perturbation(
-        base, StubPerturbation("activity_action", "android.intent.action.VIEW"),
-        random.Random(7))
+        base, StubPerturbation("activity_action", "android.intent.action.VIEW"), rng)
     assert out is not base
     added = [c for c in out.declared_components
              if "android.intent.action.VIEW" in c.intent_actions]
@@ -192,10 +198,10 @@ def test_activity_action_creates_fresh_activity():
     comp = added[0]
     assert comp.kind == "activity"
     assert NAME_RE.match(comp.name)
-    assert PROCESS_RE.match(comp.process)
-    assert DATA_URI_RE.match(comp.data_uri)
-    assert comp.exported and comp.enabled
     assert comp.intent_categories == frozenset()
+    # The component's name, then the draws of a process name and a data URI,
+    # which no feature reads: they keep every later draw where it was.
+    assert rng.getstate() == _after_names(7, 20, 8, 16)
     assert len(out.components) == len(_plain_apk().components)
 
 
@@ -236,9 +242,8 @@ def test_apply_is_deterministic_under_seed():
 
 
 def _inject_payload():
-    decl = declared(kind="service", name="com.donor.Svc0", exported=False,
-                    enabled=False)
-    comp = CodeComponent(kind="service", classes=3, families=[0, 1], edges=[[0, 1]],
+    decl = declared(kind="service", name="com.donor.Svc0")
+    comp = CodeComponent(kind="service", families=[0, 1], edges=[[0, 1]],
                          api_calls=("api.pkg01.fn001",),
                          origin="original")
     return InjectablePayload(source_apk_id="d000", declared=decl, component=comp)
@@ -246,13 +251,12 @@ def _inject_payload():
 
 def test_inject_service():
     base = _plain_apk()
-    out = apply_perturbation(
-        base, StubPerturbation("inject_service", _inject_payload()), random.Random(3))
+    rng = random.Random(3)
+    out = apply_perturbation(base, StubPerturbation("inject_service", _inject_payload()), rng)
     assert out is not base
-    decls = {(c.kind, c.name): c for c in out.declared_components}
-    injected_decl = decls[("service", "com.donor.Svc0")]
-    assert injected_decl.exported and injected_decl.enabled
-    assert PROCESS_RE.match(injected_decl.process)
+    assert ("service", "com.donor.Svc0") in {(c.kind, c.name) for c in out.declared_components}
+    # The draw of a process name, which no feature reads, stays.
+    assert rng.getstate() == _after_names(3, 8)
     injected = [c for c in out.components if c.origin == "injected"]
     assert len(injected) == 1
     assert injected[0].families.tolist() == [0, 1]
@@ -275,6 +279,18 @@ def test_inject_duplicate_is_noop():
         out, StubPerturbation("inject_service", _inject_payload()), rng)
     assert out2 is out
     assert rng.getstate() == state
+
+
+def test_every_app_an_injection_lands_in_holds_the_payloads_own_objects():
+    # The payload's declaration and its injected component are each one object,
+    # whatever app they are added to.
+    payload = _inject_payload()
+    inject = StubPerturbation("inject_service", payload)
+    outs = [apply_perturbation(app, inject, random.Random(seed))
+            for seed, app in enumerate([_plain_apk(), apk(apk_id="t001")])]
+    for out in outs:
+        assert out.declared_components[-1] is payload.declared
+        assert out.components[-1] is payload.injected_component
 
 
 def test_noop_keeps_rng_stream_aligned():
@@ -347,9 +363,8 @@ def _apply_by_replace(apk, perturbation, rng):
     if kind.startswith("inject_"):
         if (payload.declared.kind, payload.declared.name) in taken:
             return apk
-        decl = replace(payload.declared, exported=True, enabled=True,
-                       process=":" + random_name(rng, 8))
-        return replace(apk, declared_components=declared + (decl,),
+        random_name(rng, 8)
+        return replace(apk, declared_components=declared + (payload.declared,),
                        components=apk.components + (payload.injected_component,))
     field = "intent_categories" if kind == "category" else "intent_actions"
     if any(payload in getattr(c, field) for c in declared):
@@ -359,21 +374,21 @@ def _apply_by_replace(apk, perturbation, rng):
     while (comp_kind, name) in taken:
         name = random_name(rng, 20)
     added, none = frozenset({payload}), frozenset()
-    decl = DeclaredComponent(kind=comp_kind, name=name, exported=True, enabled=True,
+    decl = DeclaredComponent(kind=comp_kind, name=name,
                              intent_actions=none if kind == "category" else added,
-                             intent_categories=added if kind == "category" else none,
-                             process=":" + random_name(rng, 8),
-                             data_uri="scheme://" + random_name(rng, 16))
+                             intent_categories=added if kind == "category" else none)
+    random_name(rng, 8)
+    random_name(rng, 16)
     return replace(apk, declared_components=declared + (decl,))
 
 
 def test_every_perturbation_kind_matches_the_replace_reference(small_corpus, full_pset):
-    # A payload whose declaration sets every optional field, which the donors'
-    # declarations leave unset.
+    # A payload whose declaration holds intents, which the donors' declarations
+    # do not.
     rich = InjectablePayload(
         source_apk_id="d000", component=_inject_payload().component,
         declared=declared(kind="service", name="com.donor.Rich", actions=["A"],
-                          categories=["C"], process=":donor", data_uri="content://d"))
+                          categories=["C"]))
     perturbations = list(full_pset.perturbations) + [StubPerturbation("inject_service", rich)]
     assert {p.kind for p in perturbations} == {
         "uses_feature", "permission", "activity_action", "broadcast_action", "category",
@@ -399,8 +414,9 @@ def test_apply_perturbation_builds_every_field():
         "id", "uses_features", "permissions", "declared_components", "components",
         "ground_truth"]
     assert [f.name for f in fields(DeclaredComponent)] == [
-        "kind", "name", "intent_actions", "intent_categories", "exported", "enabled",
-        "process", "data_uri"]
+        "kind", "name", "intent_actions", "intent_categories"]
+    assert [f.name for f in fields(CodeComponent)] == [
+        "kind", "families", "edges", "api_calls", "origin"]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +450,7 @@ def test_validate_rejects_unknown_edge_endpoint():
     # An endpoint outside the component is a local index out of range, which the
     # component refuses when it is made, so no app can hold it.
     with pytest.raises(ValueError, match="^edge index out of range for 1 functions$"):
-        CodeComponent(kind="service", classes=1, families=[0], edges=[[0, 1]], api_calls=())
+        CodeComponent(kind="service", families=[0], edges=[[0, 1]], api_calls=())
 
 
 @pytest.mark.parametrize("field,value,refusal", [
@@ -455,7 +471,7 @@ def test_validate_rejects_unknown_edge_endpoint():
     ("families", [0.0, 1.0], "code component families must be integers, got float64"),
 ])
 def test_code_component_refuses_a_malformed_value(field, value, refusal):
-    good = {"kind": "service", "classes": 1, "families": [0, 1], "edges": [[0, 1]],
+    good = {"kind": "service", "families": [0, 1], "edges": [[0, 1]],
             "api_calls": ("api.a",), "origin": "original"}
     CodeComponent(**good)
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
@@ -499,7 +515,7 @@ def test_corpus_file_stores_component_arrays_as_narrow_base64(tmp_path):
     path = tmp_path / "corpus.json"
     save_corpus(corpus, path)
     doc = file_document(path, CORPUS_LISTS)
-    assert doc["format"] == 6
+    assert doc["format"] == 7
     comp = corpus.benign[0].components[0]
     stored = doc["benign"][0]["code"]["components"][0]
     # Families lie in [0, 11) and edge indices below the function count.
@@ -537,7 +553,7 @@ def test_saved_corpus_is_the_canonical_document(small_corpus, tmp_path, empty):
     assert load_corpus(path) == corpus
     if empty:
         assert path.read_bytes().startswith(
-            b'{"benign":0,"donors":0,"format":6,"malicious":0,"spec":{')
+            b'{"benign":0,"donors":0,"format":7,"malicious":0,"spec":{')
         assert path.read_bytes().count(b"\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
 
@@ -675,7 +691,7 @@ def test_a_loaded_corpus_holds_each_name_and_permission_once(tmp_path):
 # stock ensemble are pinned elsewhere; this pins the rest of the layout, its
 # lines and the corpus's "code": {"components": [...]} nesting too.
 PINNED_FILES_SPEC = CorpusSpec(n_benign=6, n_malicious=6, donor_count=4, seed=5)
-PINNED_CORPUS_SHA256 = "5ca5cc75a86124a9cee0997756bbd224a8885be8dfdc4a599b873ca6f3a80468"
+PINNED_CORPUS_SHA256 = "ebad52d5d9bb84ecb507cce168a0de71bf23cde53fdab6cbc1ee45219d60eae8"
 
 
 def test_saved_corpus_bytes_are_pinned(tmp_path):
@@ -721,7 +737,7 @@ def test_pack_array_picks_the_narrowest_dtype_and_round_trips(values, dtype):
     (list(range(11)) * 30, [[329, 0], [1, 2]]),
 ])
 def test_component_arrays_round_trip_by_value(families, edges):
-    comp = CodeComponent(kind="service", classes=1, families=families, edges=edges,
+    comp = CodeComponent(kind="service", families=families, edges=edges,
                          api_calls=("api.pkg00.fn000",))
     back = _component_from_dict(json.loads(json.dumps(_component_to_dict(comp))), "component")
     assert back == comp
@@ -751,10 +767,10 @@ def test_components_hold_uint8_families_and_uint16_edges(tmp_path):
     assert injects and any(c.origin == "injected" for c in injected.components)
     assert all(_holds_narrow_read_only_arrays(c) for c in comps)
     for wide in (np.int64, np.uint64, np.int16):
-        comp = CodeComponent(kind="service", classes=1, families=np.array([0, 10], dtype=wide),
+        comp = CodeComponent(kind="service", families=np.array([0, 10], dtype=wide),
                              edges=np.array([[1, 0]], dtype=wide), api_calls=())
         assert _holds_narrow_read_only_arrays(comp)
-        assert comp == CodeComponent(kind="service", classes=1, families=[0, 10],
+        assert comp == CodeComponent(kind="service", families=[0, 10],
                                      edges=[[1, 0]], api_calls=())
 
 
@@ -767,7 +783,7 @@ def test_edges_widen_to_int32_only_past_65536_functions(n_functions, edge_dtype)
     edges = [[0, last], [last, 1], [last, last]]
 
     def make(dtype):
-        return CodeComponent(kind="service", classes=1,
+        return CodeComponent(kind="service",
                              families=np.arange(n_functions, dtype=dtype) % 11,
                              edges=np.array(edges, dtype=dtype), api_calls=())
 
@@ -789,7 +805,7 @@ def _corpus_doc(tmp_path):
                           CORPUS_LISTS)
 
 
-@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("found", [None, 1, 2, 3, 4, 5, 6])
 def test_load_corpus_refuses_other_formats(tmp_path, found):
     doc = _corpus_doc(tmp_path)
     if found is None:
@@ -922,26 +938,21 @@ def test_load_corpus_refuses_a_malformed_array(tmp_path, case):
                               f"code component {field}{message}")
 
 
-@pytest.mark.parametrize("where,value,message", [
-    ("exported", "false", 'exported is "false", not true or false'),
-    ("enabled", "no", 'enabled is "no", not true or false'),
-    ("enabled", 1, "enabled is 1, not true or false"),
-    ("exported", None, "exported is null, not true or false"),
-    ("classes", "12", 'code component classes is "12", not an integer'),
-    ("classes", True, "code component classes is true, not an integer"),
-    ("classes", 12.0, "code component classes is 12.0, not an integer"),
+@pytest.mark.parametrize("key,value", [
+    ("exported", True), ("enabled", False), ("process", ":p"), ("data_uri", None),
+    ("classes", 12),
 ])
-def test_load_corpus_refuses_a_flag_or_class_count_of_the_wrong_type(tmp_path, where,
-                                                                    value, message):
+def test_load_corpus_refuses_a_key_no_app_value_holds(tmp_path, key, value):
+    # No feature reads these, and no app holds them: a file that gives one is
+    # refused as it refuses any other unknown key.
     doc = _corpus_doc(tmp_path)
     app = doc["benign"][0]
-    if where == "classes":
-        app["code"]["components"][0]["classes"] = value
-        message = f"app {app['id']} component 0: {message}"
+    if key == "classes":
+        app["code"]["components"][0][key] = value
+        message = f"app {app['id']} component 0: unknown key 'classes'"
     else:
-        decl = app["manifest"]["declared_components"][0]
-        decl[where] = value
-        message = f"declared component {decl['name']}: {message}"
+        app["manifest"]["declared_components"][0][key] = value
+        message = f"app {app['id']} declared component 0: unknown key {key!r}"
     path = tmp_path / "corpus.json"
     write_file(path, doc, CORPUS_LISTS)
     with pytest.raises(ValueError) as exc:

@@ -1452,6 +1452,30 @@ def test_model_load_checks_scoring_params(tmp_path, kind, tamper, needle):
         _load_doc(path, ensemble)
 
 
+# A forest's tree nodes hold a flag and integers that a model file reads with
+# ``catalog.flag`` and ``catalog.integer``: a string, number or null is no flag,
+# and a string, bool or float is no integer, even one that equals an integer.
+@pytest.mark.parametrize("where,value,message", [
+    ("leaf", "false", 'forest model: node leaf is "false", not true or false'),
+    ("leaf", "no", 'forest model: node leaf is "no", not true or false'),
+    ("leaf", 1, "forest model: node leaf is 1, not true or false"),
+    ("leaf", None, "forest model: node leaf is null, not true or false"),
+    ("vote", "1", 'forest model: leaf vote is "1", not an integer'),
+    ("vote", True, "forest model: leaf vote is true, not an integer"),
+    ("vote", 1.0, "forest model: leaf vote is 1.0, not an integer"),
+    ("feature", "1", 'forest model: split feature is "1", not an integer'),
+    ("feature", 1.0, "forest model: split feature is 1.0, not an integer"),
+])
+def test_load_model_refuses_a_forest_flag_or_integer_of_the_wrong_type(tmp_path, where,
+                                                                       value, message):
+    doc, path = _two_key_doc("forest"), tmp_path / "model.json"
+    root = doc["params"]["trees"][0]
+    (root if where == "feature" else root["right"])[where] = value
+    with pytest.raises(ValueError) as err:
+        _load_doc(path, doc)
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("kind,params,needle", [
     ("knn", {"x": np.array([[0.0], [1.0]]), "y": np.array([0.0, 1.0])},
      "knn model: fit rows of shape (2, 1) do not match the 2-feature binary space"),

@@ -126,8 +126,7 @@ def test_markov_rejects_family_out_of_range():
     # one; the last family counts in the last cell.
     for family, refusal in ((FC, "function family above 10"), (-1, "negative function family")):
         with pytest.raises(ValueError, match=f"^{refusal}$"):
-            CodeComponent(kind="service", classes=1, families=[0, family], edges=[[0, 1]],
-                          api_calls=())
+            CodeComponent(kind="service", families=[0, family], edges=[[0, 1]], api_calls=())
     comp = code_component(functions=["t.c0.f0@0", f"t.c0.f1@{FC - 1}"])
     app = apk(components=[comp], edges=[("t.c0.f0@0", f"t.c0.f1@{FC - 1}")])
     assert np.flatnonzero(extract_markov(app)).tolist() == [FC - 1]
@@ -187,8 +186,7 @@ def test_markov_range_check_survives_a_wider_extraction():
     # is refused when the component is made, and an in-range app extracts the
     # same on every call after its transition counts are kept.
     with pytest.raises(ValueError, match="^function family above 10$"):
-        CodeComponent(kind="service", classes=1, families=[0, 12], edges=[[0, 0], [0, 1]],
-                      api_calls=())
+        CodeComponent(kind="service", families=[0, 12], edges=[[0, 0], [0, 1]], api_calls=())
     good = apk(components=[code_component(functions=["t.c0.f0@0", "t.c0.f1@3"])],
                edges=[("t.c0.f0@0", "t.c0.f0@0"), ("t.c0.f0@0", "t.c0.f1@3")])
     assert np.array_equal(extract_markov(good), _markov_reference(good))
@@ -271,7 +269,7 @@ def _chains(small_corpus, seed):
 
 
 def test_markov_counts_equal_the_concatenated_pair_reference(small_corpus):
-    empty = CodeComponent(kind="service", classes=0, families=[], edges=[], api_calls=())
+    empty = CodeComponent(kind="service", families=[], edges=[], api_calls=())
     no_edges = code_component(functions=["t.c0.f0@2"])
     component_lists = [[], [empty], [empty, empty], [no_edges], [empty, no_edges]]
     for app in small_corpus.benign + small_corpus.malicious + small_corpus.donors:
